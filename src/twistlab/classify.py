@@ -9,6 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cocycle import TwistData, commutator_map
+from .fdist import vector_status, worst_status
 from .lattice import OrbitDecomposition, TwistedLattice
 from .linalg import (
     field_inverse,
@@ -57,16 +58,6 @@ def root_exponent(mu: CycScalar) -> Fraction:
 
 def _unit(l: int, k: int):
     return tuple(1 if i == k else 0 for i in range(l))
-
-
-def _prime_norm(lat: TwistedLattice, alpha) -> Fraction:
-    """(alpha'|alpha') for the component orthogonal to the fixed space."""
-    p0 = lat.proj0(alpha)
-    n0 = sum(
-        p0[i] * sum(Fraction(lat.gram[i][k]) * p0[k] for k in range(lat.rank))
-        for i in range(lat.rank)
-    )
-    return Fraction(lat.pairing(alpha, alpha)) - n0
 
 
 def _vec_add(a, b):
@@ -663,7 +654,7 @@ def admissible_base_weight(A: PresentedAlgebraA):
     for k in range(l):
         e = _unit(l, k)
         lam = root_exponent(A.derived_mu(e))
-        c.append(_prime_norm(lat, e) / 2 - lam)
+        c.append(lat.prime_pairing(e, e) / 2 - lam)
     F = lat.fixed_basis
     f = len(F)
     if f == 0:
@@ -1010,25 +1001,25 @@ def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc,
 # The twisted-module conditions
 # ---------------------------------------------------------------------
 
-_RANK = {"pass": 0, "untestable": 1, "fail": 2}
-
-
 def _check_relation_i(T, module, gamma, mu, probes):
+    """Relation (i) on the probes.  Unlike the identity checks, one
+    deciding probe is enough for 'pass': the probes at the edges of a
+    class module's degree window always leave it under e-shifts, so
+    requiring every probe to decide would leave (i) untestable on
+    every module."""
     lat = T.lattice
     orb = lat.orbit(gamma)
     ks = T.k_coeffs(orb, mu)
     status, wit = "pass", None
     for s in range(1, len(orb)):
         diff = module.e_op(orb[s]) - module.e_op(gamma).scale(ks[s].inverse())
-        saw = False
+        decided = False
         for v in probes:
-            r = diff.apply(v)
-            if r.poisoned:
-                continue
-            saw = True
-            if not r.is_zero():
+            st = vector_status(diff.apply(v))
+            if st == "fail":
                 return "fail", (gamma, s)
-        if not saw:
+            decided = decided or st == "pass"
+        if not decided:
             status = "untestable"
             wit = wit or (gamma, s)
     return status, wit
@@ -1040,7 +1031,7 @@ def _check_weight_ii(T, module, gamma, mu):
         lam = root_exponent(mu)
     except UnsupportedScalar:
         return "fail", (gamma, "irrational exponent")
-    target = _prime_norm(lat, gamma) / 2 - lam
+    target = lat.prime_pairing(gamma, gamma) / 2 - lam
     for i in range(module.omega.size):
         xi = module.omega.xi(i)
         val = sum(
@@ -1067,8 +1058,6 @@ def twisted_conditions(T: TwistData, module, mu_map=None, probes=None):
 
     Returns a list of per-orbit report dicts with keys orbit, length,
     order, mu, cond_i, cond_ii, witness."""
-    from .fock import worst_status
-
     lat = T.lattice
     l = lat.rank
     if probes is None:
@@ -1089,13 +1078,11 @@ def twisted_conditions(T: TwistData, module, mu_map=None, probes=None):
             ci, cii, wit = "pass", "pass", None
             for gamma in vectors:
                 s1, w1 = _check_relation_i(T, module, gamma, mu, probes)
-                if _RANK[s1] > _RANK[ci]:
-                    ci = s1
+                ci = worst_status([ci, s1])
                 if s1 == "fail":
                     wit = wit or ("(i)",) + w1
                 s2, w2 = _check_weight_ii(T, module, gamma, mu)
-                if _RANK[s2] > _RANK[cii]:
-                    cii = s2
+                cii = worst_status([cii, s2])
                 if s2 == "fail":
                     wit = wit or ("(ii)",) + w2
             entry = {
@@ -1108,7 +1095,9 @@ def twisted_conditions(T: TwistData, module, mu_map=None, probes=None):
                 "witness": wit,
             }
             status = worst_status([ci, cii])
-            if best is None or _RANK[status] < _RANK[_entry_status(best)]:
+            # keep the first candidate with the best status
+            if best is None or \
+                    worst_status([status, _entry_status(best)]) != status:
                 best = entry
             if status == "pass":
                 break
@@ -1117,12 +1106,8 @@ def twisted_conditions(T: TwistData, module, mu_map=None, probes=None):
 
 
 def _entry_status(entry):
-    from .fock import worst_status
-
     return worst_status([entry["cond_i"], entry["cond_ii"]])
 
 
 def conditions_status(reports) -> str:
-    from .fock import worst_status
-
     return worst_status([_entry_status(r) for r in reports])

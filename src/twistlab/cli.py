@@ -15,11 +15,16 @@ from fractions import Fraction
 
 from .classify import (
     UnsupportedScalar,
-    conditions_status,
     enumerate_simple_twisted,
 )
 from .cocycle import CocycleError, TwistData, build_epsilon, locality_order
-from .fdist import kernel_delta_check
+from .fdist import (
+    compare_status,
+    kernel_delta_check,
+    nth_product,
+    series_compare,
+    worst_status,
+)
 from .fock import (
     FockError,
     FockModule,
@@ -28,7 +33,6 @@ from .fock import (
     heisenberg_commutation_check,
     product_check,
     virasoro_element_checks,
-    worst_status,
 )
 from .lattice import LatticeError, TwistedLattice
 from .scalar import ConductorOverflow, ScalarError, parse_scalar
@@ -175,14 +179,8 @@ def build_twist(spec: JobSpec) -> TwistData:
         raise InputError(str(exc)) from exc
 
 
-def _fmt(x) -> str:
-    if isinstance(x, Fraction):
-        return str(x)
-    return str(x)
-
-
 def _vec(v) -> str:
-    return "(" + ",".join(_fmt(x) for x in v) + ")"
+    return "(" + ",".join(str(x) for x in v) + ")"
 
 
 # ---------------------------------------------------------------------
@@ -242,14 +240,14 @@ def cmd_check(spec: JobSpec, deep: bool = False):
                      res["expand_vs_kernel"])
 
     if deep:
-        from .fdist import nth_product, series_compare, compare_status
         from .oracle import oracle_product
 
+        # a Heisenberg field is local of order 2 with itself
         for alpha in basis:
             a = M.tilde(alpha)
             for n in (-1, 0, 1):
-                main = nth_product(a, a, n, 1)
-                orc = oracle_product(a, a, n, 1)
+                main = nth_product(a, a, n, 2)
+                orc = oracle_product(a, a, n, 2)
                 emit("fl:affprod", f"h{_vec(alpha)}[{n}]h{_vec(alpha)} oracle",
                      compare_status(series_compare(main, orc, slots, probes)))
 

@@ -45,11 +45,10 @@ def build_epsilon(lattice: TwistedLattice) -> dict:
 
 
 class TwistData:
-    """Cocycle data attached to a twisted lattice: epsilon seed, the
-    1-cocycle phi defining the lift of sigma, and chosen roots mu."""
+    """Cocycle data attached to a twisted lattice: the epsilon seed and
+    the 1-cocycle phi defining the lift of sigma."""
 
-    def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None,
-                 mu=None):
+    def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
         self.eps_seed = dict(eps_seed) if eps_seed is not None else build_epsilon(lattice)
         for (i, j), v in self.eps_seed.items():
@@ -63,7 +62,6 @@ class TwistData:
                 for i in range(lattice.rank)
             }
         self.phi_seed = {i: self._check_phi_value(v) for i, v in phi_seed.items()}
-        self.mu = dict(mu) if mu else {}
 
     @staticmethod
     def _check_phi_value(v) -> CycScalar:

@@ -293,11 +293,8 @@ class GenSeries:
             raise FdistError("series live over different coefficient algebras")
         if self.parity != other.parity:
             raise FdistError("cannot add series of different parity")
-        if (self.shift_base is None) != (other.shift_base is None):
-            sb = None
-        elif self.shift_base is None:
-            sb = None
-        else:
+        sb = None
+        if self.shift_base is not None and other.shift_base is not None:
             if self.shift_base != other.shift_base:
                 raise FdistError(
                     "cannot add operator series with different degree shifts"
@@ -450,6 +447,26 @@ def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes=None) -> boo
 # Verdicts and comparison helpers
 # ---------------------------------------------------------------------
 
+def worst_status(statuses) -> str:
+    """The worst of the verdicts, ranked fail > untestable > pass
+    ('pass' for none); stops at the first 'fail'."""
+    out = "pass"
+    for s in statuses:
+        if s == "fail":
+            return s
+        if s == "untestable":
+            out = s
+    return out
+
+
+def vector_status(v) -> str:
+    """Verdict that a Fock vector is exactly zero: 'untestable' if it is
+    poisoned (it left the truncation window), else 'fail' if nonzero."""
+    if v.poisoned:
+        return "untestable"
+    return "pass" if v.is_zero() else "fail"
+
+
 def coeff_is_zero(alg, x, probes=None) -> str:
     """'pass' / 'fail' / 'untestable' verdict that x is exactly zero."""
     if x is UNKNOWN:
@@ -458,14 +475,7 @@ def coeff_is_zero(alg, x, probes=None) -> str:
         return "pass" if x.is_zero() else "fail"
     if probes is None:
         raise FdistError("operator comparison requires probe vectors")
-    saw_untestable = False
-    for v in probes:
-        r = x.apply(v)
-        if r.poisoned:
-            saw_untestable = True
-        elif not r.is_zero():
-            return "fail"
-    return "untestable" if saw_untestable else "pass"
+    return worst_status(vector_status(x.apply(v)) for v in probes)
 
 
 def series_compare(s1: GenSeries, s2: GenSeries, slots, probes=None):
@@ -483,12 +493,8 @@ def series_compare(s1: GenSeries, s2: GenSeries, slots, probes=None):
 
 
 def compare_status(pairs) -> str:
-    statuses = [v for _, v in pairs]
-    if "fail" in statuses:
-        return "fail"
-    if "untestable" in statuses:
-        return "untestable"
-    return "pass"
+    """The worst verdict of series_compare's (slot, verdict) pairs."""
+    return worst_status(v for _, v in pairs)
 
 
 # ---------------------------------------------------------------------
@@ -507,17 +513,14 @@ def verify_axioms(family, which, slots, locality, probes=None):
     report = []
     named = list(family)
 
-    def loc(na, nb):
-        return locality(na, nb)
-
     def prod(sa, sb, n, na, nb):
-        return nth_product(sa, sb, n, loc(na, nb))
+        return nth_product(sa, sb, n, locality(na, nb))
 
     for tag in which:
         if tag == "C1":
             for na, sa in named:
                 for nb, sb in named:
-                    n0 = loc(na, nb)
+                    n0 = locality(na, nb)
                     for n in (n0, n0 + 1):
                         # compute with a larger cutoff so vanishing at the
                         # claimed locality order is a real check
@@ -529,7 +532,7 @@ def verify_axioms(family, which, slots, locality, probes=None):
         elif tag == "C2":
             for na, sa in named:
                 for nb, sb in named:
-                    for n in range(0, loc(na, nb) + 1):
+                    for n in range(0, locality(na, nb) + 1):
                         lhs = derive(prod(sa, sb, n, na, nb))
                         rhs = (prod(derive(sa), sb, n, na, nb)
                                + prod(sa, derive(sb), n, na, nb))
@@ -540,7 +543,7 @@ def verify_axioms(family, which, slots, locality, probes=None):
         elif tag == "C3":
             for na, sa in named:
                 for nb, sb in named:
-                    nloc = loc(na, nb)
+                    nloc = locality(na, nb)
                     for n in range(0, nloc + 1):
                         lhs = prod(sa, sb, n, na, nb)
                         sign = -1 if (sa.parity and sb.parity) else 1
@@ -560,12 +563,11 @@ def verify_axioms(family, which, slots, locality, probes=None):
             for na, sa in named:
                 for nb, sb in named:
                     for nc, sc in named:
-                        ns = range(0, loc(na, nb) + 1) if tag == "C4" else \
-                            range(-1, loc(na, nb) + 1)
-                        for n in ns:
+                        low = 0 if tag == "C4" else -1
+                        for n in range(low, locality(na, nb) + 1):
                             for m in range(0, 2):
                                 status = _assoc_check(
-                                    sa, sb, sc, n, m, loc, na, nb, nc,
+                                    sa, sb, sc, n, m, locality, na, nb, nc,
                                     slots, probes)
                                 report.append(
                                     (tag,
@@ -577,7 +579,7 @@ def verify_axioms(family, which, slots, locality, probes=None):
                         for m in range(0, 2):
                             for n in range(0, 2):
                                 status = _comm_check(
-                                    sa, sb, sc, m, n, loc, na, nb, nc,
+                                    sa, sb, sc, m, n, locality, na, nb, nc,
                                     slots, probes)
                                 report.append(
                                     (tag,

@@ -2,7 +2,6 @@
 elimination used throughout the package."""
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -275,10 +274,6 @@ def field_rank(a, one) -> int:
         return 0
     _, pivots = field_rref(a, one)
     return len(pivots)
-
-
-def frac_mat(a):
-    return [[Fraction(x) for x in row] for row in a]
 
 
 def lcm_list(xs) -> int:

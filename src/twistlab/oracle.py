@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 from .fdist import FdistError, GenSeries, _residue, gen_binom
@@ -23,20 +22,6 @@ from .scalar import ONE, as_scalar
 
 class OracleError(Exception):
     pass
-
-
-@dataclass
-class OracleReport:
-    identity: str
-    instance: str
-    main_value: object
-    oracle_value: object
-    agree: bool
-
-
-def report(identity, instance, main_value, oracle_value) -> OracleReport:
-    return OracleReport(identity, str(instance), main_value, oracle_value,
-                        main_value == oracle_value)
 
 
 def _floor_int(x: Fraction) -> int:
@@ -186,7 +171,10 @@ def oracle_bicharacter_blocks(orders, comm):
     table = {
         g: {h: (add(g, h), tau(g, h)) for h in elements} for g in elements
     }
-    gens = [tuple(1 if k == i else 0 for k in range(r)) for i in range(r)]
+    # generator coordinates reduced mod the factor orders: a factor of
+    # order 1 has the single element 0
+    gens = [tuple(1 % orders[i] if k == i else 0 for k in range(r))
+            for i in range(r)]
     central = []
     for g in elements:
         ok = True

@@ -157,6 +157,17 @@ def test_check_untwisted(tmp_path, capsys):
     assert "fail" not in out
 
 
+def test_check_deep_oracle(tmp_path, capsys):
+    # h[n]h against the residue oracle at the Heisenberg locality order 2
+    spec = {"gram": [[2]], "sigma": [[1]], "trunc": 2, "bound": 1}
+    assert run(tmp_path, spec, "check", "--deep") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    deep = [ln for ln in lines if ln.startswith("fl:affprod")]
+    assert len(deep) == 3
+    assert not any(ln.endswith("| fail") or ln == "result: fail"
+                   for ln in lines)
+
+
 def test_check_invariant_failure(tmp_path, capsys):
     # an epsilon seed that does not realize the commutator map
     spec = {"gram": [[2, 1], [1, 2]], "sigma": [[-1, 0], [0, -1]],

@@ -12,6 +12,7 @@ from twistlab.fdist import (
     QuadraticSpace,
     UNKNOWN,
     WindowUnderflow,
+    coeff_is_zero,
     compare_status,
     derive,
     gen_binom,
@@ -23,9 +24,14 @@ from twistlab.fdist import (
     locality_test,
     nth_product,
     series_compare,
+    vector_status,
     verify_axioms,
+    worst_status,
     zero_series,
 )
+from twistlab.cocycle import TwistData
+from twistlab.fock import FockModule, FockOp, RegularOmega
+from twistlab.lattice import TwistedLattice
 from twistlab.scalar import CycScalar, ONE
 
 
@@ -272,3 +278,72 @@ def test_kernel_poly_arithmetic():
     assert (p - q) + q == p
     assert p * q == KernelPoly(3, {(2, 0): 2, (1, 1): -1})
     assert q ** 3 == KernelPoly(3, {(3, 0): 1})
+
+
+# ---------------------------------------------------------------------
+# The verdict rule
+# ---------------------------------------------------------------------
+
+def test_worst_status_ranking():
+    assert worst_status([]) == "pass"
+    assert worst_status(["pass", "pass"]) == "pass"
+    assert worst_status(["pass", "untestable", "pass"]) == "untestable"
+    assert worst_status(["untestable", "fail", "pass"]) == "fail"
+    assert worst_status(["fail", "untestable"]) == "fail"
+    assert compare_status([(0, "untestable"), (1, "pass")]) == "untestable"
+
+
+def test_worst_status_stops_at_first_fail():
+    def statuses():
+        yield "untestable"
+        yield "fail"
+        raise AssertionError("read past the first fail")
+
+    assert worst_status(statuses()) == "fail"
+
+
+def heisenberg_fock():
+    """Rank-1 lattice (2), sigma = 1, truncated at creation degree 1,
+    with a creation mode h(-1) and its probes: the vacuum (room for one
+    creation) and h(-1)|0> (none left)."""
+    T = TwistData(TwistedLattice([[2]], [[1]]))
+    M = FockModule(T, RegularOmega(T, 1), 1)
+    coords = M.lattice_coords((1,))
+    create = M.mode_op(coords, -1)
+    vac = M.vacuum(M.omega.lookup[(0,)])
+    return M, coords, create, vac, create.apply(vac)
+
+
+def test_vector_status():
+    M, _coords, create, vac, full = heisenberg_fock()
+    assert vector_status(M.zero_vec()) == "pass"
+    assert vector_status(vac) == "fail"
+    assert vector_status(create.apply(full)) == "untestable"
+
+
+def test_coeff_is_zero_fail_beats_poisoned_in_any_order():
+    # h(-1) is nonzero on the vacuum and leaves the window on h(-1)|0>
+    M, _coords, create, vac, full = heisenberg_fock()
+    for probes in ([vac, full], [full, vac]):
+        assert coeff_is_zero(M.alg, create, probes) == "fail"
+
+
+def test_coeff_is_zero_untestable_when_only_poisoned_probes_miss():
+    # [h(1), h(-1)] - (h|h) id vanishes; on h(-1)|0> it needs a second
+    # creation past the truncation
+    M, coords, create, vac, full = heisenberg_fock()
+    ann = M.mode_op(coords, 1)
+    comm = M.alg.bracket(ann, create) - FockOp(M, lambda v: v).scale(2)
+    assert coeff_is_zero(M.alg, comm, [vac]) == "pass"
+    for probes in ([vac, full], [full, vac]):
+        assert coeff_is_zero(M.alg, comm, probes) == "untestable"
+    with pytest.raises(FdistError):
+        coeff_is_zero(M.alg, comm)
+
+
+def test_coeff_is_zero_lie_coefficients():
+    alg, _series = heisenberg(Fraction(0))
+    assert coeff_is_zero(alg, alg.zero()) == "pass"
+    assert coeff_is_zero(alg, alg.gen_mode(0, 1)) == "fail"
+    assert coeff_is_zero(alg, alg.central()) == "fail"
+    assert coeff_is_zero(alg, UNKNOWN) == "untestable"

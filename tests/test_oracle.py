@@ -98,6 +98,12 @@ def test_blocks_order_four():
     assert (count, dim, size) == (1, 4, 16)
 
 
+def test_blocks_factor_of_order_one():
+    one = as_scalar(1)
+    assert oracle_bicharacter_blocks([1, 2], [[one, one], [one, one]]) \
+        == (2, 1, 2)
+
+
 def test_blocks_rejects_bad_input():
     one, minus = as_scalar(1), as_scalar(-1)
     with pytest.raises(OracleError):
