@@ -85,6 +85,7 @@ class FiniteQuotient:
     def __init__(self, ambient_cols, sub_cols, dim: int):
         self.dim = dim
         self.rank = len(ambient_cols)
+        self._lifts = {}
         self.ambient = [tuple(Fraction(x) for x in col) for col in ambient_cols]
         if self.rank == 0:
             self.divisors = ()
@@ -141,12 +142,18 @@ class FiniteQuotient:
         )
 
     def lift(self, coords):
-        out = tuple(
-            sum(Fraction(c) * self.gens[i][k] for i, c in enumerate(coords))
-            for k in range(self.dim)
-        )
-        if all(v.denominator == 1 for v in out):
-            return tuple(int(v) for v in out)
+        """The vector sum_i coords_i gens_i (integers when integral),
+        remembered per coordinate tuple."""
+        key = tuple(coords)
+        out = self._lifts.get(key)
+        if out is None:
+            out = tuple(
+                sum(Fraction(c) * self.gens[i][k] for i, c in enumerate(key))
+                for k in range(self.dim)
+            )
+            if all(v.denominator == 1 for v in out):
+                out = tuple(int(v) for v in out)
+            self._lifts[key] = out
         return out
 
     def elements(self):

@@ -177,6 +177,10 @@ class LieAlg:
             return self.zero()
         return LieElement(self.space, {(i, n): ONE})
 
+    def remember(self, x) -> LieElement:
+        """Series coefficients are values here: nothing to remember."""
+        return x
+
     def central(self) -> LieElement:
         return LieElement(self.space, {"c": ONE})
 
@@ -229,8 +233,10 @@ class LieAlg:
 class GenSeries:
     """A series sum_n a(n) z^(-n-1) with exponents on a fractional grid.
 
-    Coefficients are produced lazily by a slot function and memoized;
-    slots whose residue mod 1 is outside `residues` are exactly zero.
+    Coefficients are produced lazily by a slot function and memoized,
+    each passed once through the coefficient algebra's `remember` (a
+    Fock operator then keeps its result per input vector); slots whose
+    residue mod 1 is outside `residues` are exactly zero.
     A slot function may return UNKNOWN (outside a truncation window).
     For operator-valued series, `shift_base` c records that the
     coefficient at slot n shifts module degree by exactly c - n; it is
@@ -250,7 +256,8 @@ class GenSeries:
         if _residue(n) not in self.residues:
             return self.alg.zero()
         if n not in self._memo:
-            self._memo[n] = self._fn(n)
+            x = self._fn(n)
+            self._memo[n] = x if x is UNKNOWN else self.alg.remember(x)
         return self._memo[n]
 
     @classmethod

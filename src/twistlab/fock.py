@@ -159,10 +159,16 @@ class RegularOmega:
 # ---------------------------------------------------------------------
 
 class FockVector:
-    __slots__ = ("module", "terms", "poisoned")
+    """A vector of the truncated module: terms {(word, iota): scalar}.
+
+    Vectors are values: only __init__ writes `terms`, so a vector can
+    key the memo of a series coefficient (FockAlg.remember)."""
+
+    __slots__ = ("module", "terms", "poisoned", "_hash")
 
     def __init__(self, module, terms=None, poisoned=False):
         self.module = module
+        self._hash = None
         self.terms = {}
         # a poisoned vector is untestable wherever it is consumed, so
         # its terms can never influence a verdict: drop them and spare
@@ -202,6 +208,11 @@ class FockVector:
         return (isinstance(other, FockVector)
                 and self.terms == other.terms
                 and self.poisoned == other.poisoned)
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((frozenset(self.terms.items()), self.poisoned))
+        return self._hash
 
     def max_degree(self):
         return max(self.module.term_degree(k) for k in self.terms)
@@ -269,6 +280,22 @@ class FockAlg:
     def zero(self):
         m = self.module
         return FockOp(m, lambda v: FockVector(m, {}, v.poisoned), 0)
+
+    def remember(self, op):
+        """op with its result on each vector kept for the life of op.
+        GenSeries.coeff hands out these, so a product applying the same
+        coefficient to the same vector on every slot and probe computes
+        the operator tree below it once."""
+        fn = op.fn
+        seen = {}
+
+        def apply(v):
+            out = seen.get(v)
+            if out is None:
+                out = seen[v] = fn(v)
+            return out
+
+        return FockOp(op.module, apply, op.parity)
 
     def bracket(self, x, y):
         sign = -1 if (x.parity and y.parity) else 1

@@ -236,6 +236,8 @@ class CycScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self.n == 1 and other.n == 1:
+            return _rational_sum(self, other.c.get(0, 0))
         m = _lcm_checked(self.n, other.n)
         a = self._promoted(m)
         for k, c in enumerate(other._promoted(m)):
@@ -251,6 +253,8 @@ class CycScalar:
         other = _coerce(other)
         if other is None:
             return NotImplemented
+        if self.n == 1 and other.n == 1:
+            return _rational_sum(self, -other.c.get(0, 0))
         return self + (-other)
 
     def __rsub__(self, other):
@@ -418,6 +422,13 @@ def _coerce(x):
     if isinstance(x, (int, Fraction)):
         return CycScalar.rational(x)
     return None
+
+
+def _rational_sum(a: CycScalar, q) -> CycScalar:
+    """a + q for rational a and q: a conductor-1 result needs no
+    reduction, no conductor minimization and no cap."""
+    q = a.c.get(0, 0) + q
+    return CycScalar(1, {0: q} if q else {}, _canonical=True)
 
 
 def as_scalar(x) -> CycScalar:

@@ -168,6 +168,56 @@ def test_check_deep_oracle(tmp_path, capsys):
                    for ln in lines)
 
 
+# two cheap specs, bound 1, with their verdict counts: a change to the
+# Fock or series layers that flips a verdict shows up here
+NEG2 = {"gram": [[2]], "sigma": [[-1]], "trunc": 2, "bound": 1}
+SWAP1 = {"gram": [[2, 0], [0, 2]], "sigma": [[0, 1], [1, 0]],
+         "trunc": 1, "bound": 1}
+STATUSES = ("pass", "untestable", "fail")
+
+
+@pytest.fixture(scope="module")
+def check_reports(tmp_path_factory):
+    """The check report lines of NEG2 and SWAP1, each run once."""
+    tmp = tmp_path_factory.mktemp("check")
+    out = {}
+    for name, spec in (("NEG2", NEG2), ("SWAP1", SWAP1)):
+        report = tmp / f"{name}.txt"
+        path = write_spec(tmp, spec, f"{name}.json")
+        assert main(["--spec", path, "--cmd", "check",
+                     "--out", str(report)]) == EXIT_OK
+        out[name] = report.read_text().splitlines()
+    return out
+
+
+def _body(lines):
+    return [ln for ln in lines
+            if not ln.startswith(("check:", "result:"))]
+
+
+@pytest.mark.parametrize("name, passes, untestable",
+                         [("NEG2", 9, 12), ("SWAP1", 31, 20)])
+def test_check_verdict_counts(check_reports, name, passes, untestable):
+    statuses = [ln.rsplit(" | ", 1)[-1] for ln in _body(check_reports[name])]
+    assert statuses.count("pass") == passes
+    assert statuses.count("untestable") == untestable
+    assert "fail" not in statuses
+    assert check_reports[name][-1] == "result: untestable"
+
+
+@pytest.mark.parametrize("name", ["NEG2", "SWAP1"])
+def test_check_report_separator(check_reports, name):
+    # fields are split on space-pipe-space; an instance may hold a bare
+    # pipe, as in ups[1]X(1,) = ((a|a)/2)X
+    lines = check_reports[name]
+    assert lines[0].startswith("check:")
+    for ln in _body(lines):
+        fields = ln.split(" | ")
+        assert len(fields) == 3, ln
+        assert fields[2] in STATUSES, ln
+    assert any("|" in ln.split(" | ")[1] for ln in _body(lines))
+
+
 def test_check_invariant_failure(tmp_path, capsys):
     # an epsilon seed that does not realize the commutator map
     spec = {"gram": [[2, 1], [1, 2]], "sigma": [[-1, 0], [0, -1]],

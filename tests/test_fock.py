@@ -7,6 +7,7 @@ from twistlab.cocycle import TwistData
 from twistlab.fock import (
     FockError,
     FockModule,
+    FockOp,
     FockVector,
     GradedBasis,
     RegularOmega,
@@ -19,6 +20,9 @@ from twistlab.fock import (
     virasoro_element_checks,
 )
 from twistlab.fdist import (
+    GenSeries,
+    LieAlg,
+    QuadraticSpace,
     compare_status,
     derive,
     nth_product,
@@ -192,6 +196,55 @@ def test_vertex_commutator_with_heisenberg():
                 rhs = M.vertex_coeff(alpha, m + n).apply(v).scale(pair)
                 d = lhs - rhs
                 assert d.is_zero() and not d.poisoned
+
+
+# ---------------------------------------------------------------------
+# Vectors as memo keys
+# ---------------------------------------------------------------------
+
+def test_vector_hash_agrees_with_eq():
+    M = untwisted_module()
+    k1, k2 = ((), 0), ((), 1)
+    two = CycScalar.rational(2)
+    u = FockVector(M, {k1: ONE, k2: two})
+    w = FockVector(M, {k2: two, k1: ONE})
+    assert u is not w and u == w and hash(u) == hash(w)
+    summed = u + FockVector(M, {})
+    assert summed == u and hash(summed) == hash(u)
+    # a poisoned vector drops its terms: it differs from zero only in
+    # the flag, and must not share a memo entry with it
+    clean, bad = FockVector(M, {}), FockVector(M, {k1: ONE}, poisoned=True)
+    assert clean != bad
+    assert {clean: 0, bad: 1}[FockVector(M, {}, poisoned=True)] == 1
+
+
+def test_series_coefficient_remembers_its_action():
+    M = untwisted_module()
+    calls = []
+
+    def act(v):
+        calls.append(v)
+        return v.scale(2)
+
+    s = GenSeries(M.alg, lambda n: FockOp(M, act), {Fraction(0)},
+                  shift_base=Fraction(0))
+    op = s.coeff(0)
+    assert s.coeff(0) is op
+    v1, v2 = vac(M), vac(M)
+    assert v1 is not v2
+    assert op.apply(v1) == op.apply(v2) == v1.scale(2)
+    assert len(calls) == 1
+    # operators built from the coefficient reuse its remembered results
+    thrice = op.scale(3)
+    assert thrice.apply(v2) == v1.scale(6)
+    assert len(calls) == 1
+
+
+def test_lie_series_coefficients_unwrapped():
+    alg = LieAlg(QuadraticSpace(["h"], [0], [[2]]))
+    elt = alg.gen_mode(0, 1)
+    s = GenSeries(alg, lambda n: elt, {Fraction(0)})
+    assert s.coeff(1) is elt
 
 
 # ---------------------------------------------------------------------

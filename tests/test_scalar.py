@@ -179,3 +179,18 @@ def test_hash_consistency():
     a = root_of_unity(8, 2)
     b = root_of_unity(4, 1)
     assert a == b and hash(a) == hash(b)
+
+
+def test_rational_add_sub_fast_path():
+    # a conductor-1 sum skips reduction and minimization; it must agree
+    # with the general constructor in value, coefficient dict and hash
+    qs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
+          Fraction(-5, 7), Fraction(11, 3), Fraction(-1, 3)]
+    for a in qs:
+        for b in qs:
+            x, y = CycScalar.rational(a), CycScalar.rational(b)
+            for got, want in ((x + y, a + b), (x - y, a - b)):
+                ref = CycScalar(1, [want])
+                assert got.rational_value() == want
+                assert got == ref and got.c == ref.c
+                assert hash(got) == hash(ref)
