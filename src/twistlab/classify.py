@@ -297,6 +297,7 @@ class PresentedAlgebraA:
                     self._khnf.append(tuple(col))
         self._k_cache = {}
         self._e_cache = {}
+        self._tau_cache = {}
         # scalar relations must commute with the whole group algebra
         for d in self._dvecs:
             for k in range(l):
@@ -432,12 +433,14 @@ class PresentedAlgebraA:
 
     def tau(self, g, h) -> CycScalar:
         """Multiplication scalar: y_g y_h = tau(g, h) y_(g+h)."""
-        tg, th = self.E.lift(g), self.E.lift(h)
-        gh = tuple((a + b) % d for a, b, d in zip(g, h, self.E.divisors))
-        tgh = self.E.lift(gh)
-        delta = _vec_sub(_vec_add(tg, th), tgh)
-        return self.twist.epsilon(tg, th) * \
-            self.twist.epsilon(delta, tgh).inverse() * self.k_image(delta)
+        key = (tuple(g), tuple(h))
+        if key not in self._tau_cache:
+            tg, th = self.E.lift(g), self.E.lift(h)
+            tgh = self.E.lift(_e_add(g, h, self.E.divisors))
+            delta = _vec_sub(_vec_add(tg, th), tgh)
+            self._tau_cache[key] = self.twist.epsilon(tg, th) * \
+                self.twist.epsilon(delta, tgh).inverse() * self.k_image(delta)
+        return self._tau_cache[key]
 
     def bichar(self, g, h) -> CycScalar:
         """Commutator bicharacter on E: b(g, h) with

@@ -46,7 +46,12 @@ def build_epsilon(lattice: TwistedLattice) -> dict:
 
 class TwistData:
     """Cocycle data attached to a twisted lattice: the epsilon seed and
-    the 1-cocycle phi defining the lift of sigma."""
+    the 1-cocycle phi defining the lift of sigma.
+
+    The seeds are fixed at construction and must not be changed
+    afterwards: phi keeps its value per vector, and the obstruction scan
+    keeps its verdict per generating set, for as long as the object
+    lives."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
@@ -62,6 +67,8 @@ class TwistData:
                 for i in range(lattice.rank)
             }
         self.phi_seed = {i: self._check_phi_value(v) for i, v in phi_seed.items()}
+        self._phi = {}
+        self._obstruction = {}
 
     @staticmethod
     def _check_phi_value(v) -> CycScalar:
@@ -121,6 +128,12 @@ class TwistData:
     def phi(self, alpha) -> CycScalar:
         """The 1-cocycle: extension of the seed values with dphi(a,b) =
         eps(sigma a, sigma b)/eps(a, b)."""
+        alpha = tuple(alpha)
+        if alpha not in self._phi:
+            self._phi[alpha] = self._phi_from_seeds(alpha)
+        return self._phi[alpha]
+
+    def _phi_from_seeds(self, alpha) -> CycScalar:
         l = self.lattice.rank
         out = ONE
         for i in range(l):
@@ -172,10 +185,15 @@ class TwistData:
         quadratic map a -> C(a, sigma^j a) is generated by its values on
         generators and generator sums.
         """
-        lat = self.lattice
         if decomposition is None:
-            decomposition = lat.reduce_generating_set()
+            decomposition = self.lattice.reduce_generating_set()
         pi = decomposition.pi
+        if pi not in self._obstruction:
+            self._obstruction[pi] = self._scan_obstruction(pi)
+        return self._obstruction[pi]
+
+    def _scan_obstruction(self, pi):
+        lat = self.lattice
         for j in range(lat.p):
             for a in pi:
                 if commutator_map(lat, a, lat.apply_sigma(a, j)) != ONE:

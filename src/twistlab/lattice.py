@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import det_int, hnf_columns, identity, mat_mul, mat_vec
+from .linalg import det_int, hnf_columns, identity, mat_mul
 
 MAX_ORDER_SEARCH = 10000
 
@@ -59,12 +59,14 @@ class TwistedLattice:
 
     def apply_sigma(self, v, s: int = 1):
         m = self._sigma_pows[s % self.p]
-        return tuple(mat_vec([list(r) for r in m], list(v)))
+        return tuple(sum(c * x for c, x in zip(row, v)) for row in m)
 
     def m_values(self, alpha, beta):
         """(m_0, ..., m_{p-1}) with m_s = (sigma^{-s} alpha | beta)."""
+        g_beta = tuple(
+            sum(g * b for g, b in zip(row, beta)) for row in self.gram)
         return tuple(
-            self.pairing(self.apply_sigma(alpha, (-s) % self.p), beta)
+            sum(a * gb for a, gb in zip(self.apply_sigma(alpha, -s), g_beta))
             for s in range(self.p)
         )
 

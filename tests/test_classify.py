@@ -305,3 +305,36 @@ def test_class_dimensions_match_blocks():
         M = instantiate_class(T, cls, trunc=4)
         assert M.omega.size == 2  # one degree line, a 2-dim simple module
         assert conditions_status(twisted_conditions(T, M)) == "pass"
+
+
+# ---------------------------------------------------------------------
+# memos and known faults
+# ---------------------------------------------------------------------
+
+def test_tau_memo_matches_fresh_algebra():
+    gram = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
+    T = twist(gram, neg(3))
+    A = build_algebra_A(T)
+    elements = list(A.E.elements())
+    assert len(elements) == 8
+    fresh = build_algebra_A(twist(gram, neg(3)), A.mu_choice)
+    for g in elements:
+        for h in elements:
+            assert A.tau(g, h) is A.tau(g, h)
+            assert A.tau(g, h) == fresh.tau(g, h)
+
+
+# Unobstructed lattices on which enumeration finds no class: every root
+# choice collapses with a non-central relation, against the existence
+# criterion.  Strict, so that mending the fault forces removing the mark.
+@pytest.mark.xfail(strict=True, reason="unobstructed lattice with no class")
+@pytest.mark.parametrize("gram,sigma", [
+    ([[4, -3, 2, 2], [-3, -8, 2, 4], [2, 2, 4, -3], [2, 4, -3, -8]],
+     [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+    ([[-8, 3, 0, 0], [3, 0, 2, 0], [0, 2, 0, -3], [0, 0, -3, -8]],
+     [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]),
+])
+def test_unobstructed_has_a_class(gram, sigma):
+    res = enumerate_simple_twisted(twist(gram, sigma))
+    assert not res.obstructed
+    assert res.classes

@@ -237,3 +237,34 @@ def test_obstructed_instance_exists():
         if found:
             break
     assert found
+
+
+def test_obstruction_check_scans_once_per_generating_set(monkeypatch):
+    import twistlab.cocycle as cocycle
+
+    lat = TwistedLattice(A1x2, ROT4)
+    td = TwistData(lat)
+    dec = lat.reduce_generating_set()
+    first = td.obstruction_check(dec)
+    calls = []
+    real = cocycle.commutator_map
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cocycle, "commutator_map", counting)
+    assert td.obstruction_check(dec) == first
+    assert td.obstruction_check(lat.reduce_generating_set()) == first
+    assert calls == []
+
+
+def test_phi_memo_matches_fresh_twist():
+    lat = TwistedLattice(A1x2, ROT4)
+    td = TwistData(lat)
+    box = list(itertools.product(range(-3, 4), repeat=2))
+    for v in box:
+        assert td.phi(v) is td.phi(v)
+        assert td.phi(list(v)) is td.phi(v)
+    for v in box:
+        assert td.phi(v) == TwistData(lat).phi(v)

@@ -164,3 +164,48 @@ def test_reduced_degrees_form_basis():
             e = tuple(1 if i == j else 0 for i in range(lat.rank))
             target = [int(x * denom) for x in lat.nu(e)]
             assert solve_int(a, target) is not None
+
+
+def _plain_power(m, s):
+    """m^s by repeated products; a negative s uses the rational inverse."""
+    from twistlab.linalg import field_inverse, mat_mul
+
+    if s < 0:
+        m = field_inverse([[Fraction(x) for x in row] for row in m], Fraction(1))
+        s = -s
+    out = [[1 if i == j else 0 for j in range(len(m))] for i in range(len(m))]
+    for _ in range(s):
+        out = mat_mul(m, out)
+    return out
+
+
+@pytest.mark.parametrize("gram,sigma,order", [
+    ([[2, 1], [1, 2]], [[0, 1], [1, 0]], 2),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 4]], neg_identity(3), 2),
+    ([[2, -1], [-1, 2]], [[0, -1], [1, -1]], 3),
+    (A1x2, ROT4, 4),
+    ([[-8, 3, 0, 0], [3, 0, 2, 0], [0, 2, 0, -3], [0, 0, -3, -8]],
+     [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], 2),
+    ([[2, -1], [-1, 2]], [[1, -1], [1, 0]], 6),
+])
+def test_apply_sigma_and_m_values_match_matrices(gram, sigma, order):
+    lat = TwistedLattice(gram, sigma)
+    p = lat.p
+    assert p == order
+    powers = {s: _plain_power(sigma, s) for s in range(-p, 2 * p + 1)}
+
+    def plain_apply(v, s):
+        return tuple(sum(c * x for c, x in zip(row, v)) for row in powers[s])
+
+    rng = random.Random(order)
+    vectors = [tuple(rng.randint(-2, 2) for _ in range(lat.rank))
+               for _ in range(12)]
+    for v in vectors:
+        for s in range(-p, 2 * p + 1):
+            assert lat.apply_sigma(v, s) == plain_apply(v, s)
+        for w in vectors:
+            plain = tuple(
+                sum(plain_apply(v, -s)[i] * gram[i][j] * w[j]
+                    for i in range(lat.rank) for j in range(lat.rank))
+                for s in range(p))
+            assert lat.m_values(v, w) == plain
