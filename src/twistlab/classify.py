@@ -37,6 +37,10 @@ class ClassifyError(Exception):
     pass
 
 
+class SizeCapExceeded(ClassifyError):
+    """Raised when a finite component would exceed MAX_COMPONENT_SIZE."""
+
+
 class UnsupportedScalar(ClassifyError):
     """Raised when an exact classification step needs a scalar outside
     the roots-of-unity domain (for example a weight exponent that is
@@ -349,7 +353,9 @@ class PresentedAlgebraA:
         self.E = FiniteQuotient(
             [tuple(v) for v in lam0], [tuple(d) for d in self._khnf], l)
         if self.E.size > MAX_COMPONENT_SIZE:
-            raise ClassifyError("degree-zero component exceeds the size cap")
+            raise SizeCapExceeded(
+                f"degree-zero component of size {self.E.size} exceeds the "
+                f"size cap {MAX_COMPONENT_SIZE}")
         self.dim_B0 = self.E.size
 
     # -- scalar bookkeeping -------------------------------------------

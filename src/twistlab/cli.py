@@ -3,7 +3,8 @@ spec, run the invariant suite, and emit classification reports.
 
 Output is deterministic structured text: identical specs produce
 byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
-2 input error, 3 unsupported-scalar refusal.
+2 input error, 3 refused: unsupported scalar, or a conductor or size cap
+reached.
 """
 from __future__ import annotations
 
@@ -14,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .classify import (
+    ClassifyError,
+    SizeCapExceeded,
     UnsupportedScalar,
     enumerate_simple_twisted,
 )
@@ -372,6 +375,12 @@ def main(argv=None) -> int:
     except (ConductorOverflow, UnsupportedScalar) as exc:
         print(f"unsupported scalar: {exc}", file=sys.stderr)
         return EXIT_SCALAR
+    except SizeCapExceeded as exc:
+        print(f"refused: {exc}", file=sys.stderr)
+        return EXIT_SCALAR
+    except ClassifyError as exc:
+        print(f"invariant failure: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except (LatticeError, CocycleError, FockError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT

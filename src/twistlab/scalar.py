@@ -1,8 +1,11 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_N).
 
-Elements are kept in a canonical form: the coefficient vector is reduced
-modulo the N-th cyclotomic polynomial and the conductor N is minimized, so
-two equal elements always have identical representations.
+Elements are kept in a canonical form: the conductor N is minimized and
+the element is an integer numerator vector, reduced modulo the N-th
+cyclotomic polynomial, over one positive denominator coprime to it, so
+two equal elements always have identical representations.  All of the
+arithmetic is on ints; Fraction appears only where rationals enter or
+leave (rational(), rational_value(), the dense constructor, to_string).
 """
 from __future__ import annotations
 
@@ -11,6 +14,8 @@ import os
 import re
 from fractions import Fraction
 from functools import lru_cache
+
+from .linalg import field_inverse, field_rref
 
 DEFAULT_CONDUCTOR_CAP = 720
 
@@ -69,99 +74,7 @@ def _poly_div_exact(num: list[int], den: tuple[int, ...]) -> list[int]:
     return out
 
 
-def _reduce_mod_phi(n: int, dense: list[Fraction]) -> dict[int, Fraction]:
-    """Reduce a polynomial in zeta_n (dense coeff list) mod Phi_n."""
-    phi = cyclotomic_poly(n)
-    deg = len(phi) - 1
-    dense = list(dense)
-    # first fold exponents mod n (zeta_n^n = 1)
-    if len(dense) > n:
-        folded = [Fraction(0)] * n
-        for k, c in enumerate(dense):
-            folded[k % n] += c
-        dense = folded
-    for i in range(len(dense) - 1, deg - 1, -1):
-        c = dense[i]
-        if c:
-            for j in range(deg + 1):
-                dense[i - deg + j] -= c * phi[j]
-    return {k: c for k, c in enumerate(dense[:deg]) if c}
-
-
-def _solve_linear(rows: list[list[Fraction]], rhs: list[Fraction]):
-    """Solve rows * x = rhs over Q; return solution list or None."""
-    m = len(rows)
-    ncols = len(rows[0]) if m else 0
-    aug = [list(rows[i]) + [rhs[i]] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, m) if aug[i][c]), None)
-        if pr is None:
-            continue
-        aug[r], aug[pr] = aug[pr], aug[r]
-        inv = 1 / aug[r][c]
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(m):
-            if i != r and aug[i][c]:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if aug[i][ncols]:
-            return None
-    x = [Fraction(0)] * ncols
-    for i, c in enumerate(pivots):
-        x[c] = aug[i][ncols]
-    return x
-
-
-@lru_cache(maxsize=None)
-def _subfield_basis_images(n: int, d: int) -> tuple[tuple[Fraction, ...], ...]:
-    """Images of the power basis of Q(zeta_d) inside Q(zeta_n), d | n.
-
-    Row i = coefficient vector (length phi(n)) of zeta_d^k for column k.
-    Returned as rows of the matrix M with M[i][k].
-    """
-    degn = len(cyclotomic_poly(n)) - 1
-    degd = len(cyclotomic_poly(d)) - 1
-    cols = []
-    step = n // d
-    for k in range(degd):
-        red = _reduce_mod_phi(n, [Fraction(0)] * (k * step) + [Fraction(1)])
-        cols.append([red.get(i, Fraction(0)) for i in range(degn)])
-    rows = tuple(
-        tuple(cols[k][i] for k in range(degd)) for i in range(degn)
-    )
-    return rows
-
-
-def _minimize(n: int, coeffs: dict[int, Fraction]) -> tuple[int, dict[int, Fraction]]:
-    while n > 1:
-        if not coeffs or set(coeffs) == {0}:
-            return 1, coeffs
-        degn = len(cyclotomic_poly(n)) - 1
-        vec = [coeffs.get(i, Fraction(0)) for i in range(degn)]
-        descended = False
-        for q in {p for p in _prime_factors(n)}:
-            d = n // q
-            rows = [list(r) for r in _subfield_basis_images(n, d)]
-            sol = _solve_linear(rows, vec)
-            if sol is not None:
-                n = d
-                coeffs = {k: c for k, c in enumerate(sol) if c}
-                descended = True
-                break
-        if not descended:
-            return n, coeffs
-    return n, coeffs
-
-
-@lru_cache(maxsize=None)
-def _prime_factors(n: int) -> tuple[int, ...]:
+def _prime_factors(n: int) -> list[int]:
     out = []
     d = 2
     while d * d <= n:
@@ -172,35 +85,204 @@ def _prime_factors(n: int) -> tuple[int, ...]:
         d += 1
     if n > 1:
         out.append(n)
-    return tuple(out)
+    return out
+
+
+def _trim(vec: list[int]) -> list[int]:
+    while vec and not vec[-1]:
+        vec.pop()
+    return vec
+
+
+class _Field:
+    """The integer tables of Q(zeta_n): the terms of Phi_n that reduce
+    a power basis coordinate, and the descent data to each maximal
+    subfield Q(zeta_(n/q)), q prime."""
+
+    __slots__ = ("n", "deg", "low", "descents")
+
+    def __init__(self, n: int):
+        phi = cyclotomic_poly(n)
+        self.n = n
+        self.deg = len(phi) - 1
+        # Phi_n is monic: x^deg = -(sum of these terms), all integers
+        self.low = tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+        primes = _prime_factors(n)
+        # the q^2 | n descents are a scan, so they are tried first
+        self.descents = tuple(
+            [(q, None) for q in primes if n % (q * q) == 0]
+            + [(q, self._split_descent(q)) for q in primes
+               if n % (q * q)])
+
+    def _split_descent(self, q: int):
+        """Descent data to Q(zeta_d), d = n/q with q || n.
+
+        M (deg x deg_d, integers) embeds the power basis of Q(zeta_d):
+        column k is zeta_n^(qk) reduced mod Phi_n.  R are deg_d rows on
+        which M is invertible, and minv = D * M[R]^-1 is integral.  An
+        integer vector v lies in the image exactly when M * (minv *
+        v[R]) = D * v; the division by D is then exact, since
+        Z[zeta_n] meets Q(zeta_d) in Z[zeta_d].
+        """
+        d = self.n // q
+        deg_d = len(cyclotomic_poly(d)) - 1
+        cols = [_reduce(self, [0] * (q * k) + [1]) for k in range(deg_d)]
+        cols = [c + [0] * (self.deg - len(c)) for c in cols]
+        one = Fraction(1)
+        _, rows = field_rref([[Fraction(x) for x in c] for c in cols], one)
+        inv = field_inverse([[Fraction(cols[k][r]) for k in range(deg_d)]
+                             for r in rows], one)
+        D = math.lcm(*(x.denominator for row in inv for x in row))
+        minv = tuple(tuple((j, int(x * D)) for j, x in enumerate(row) if x)
+                     for row in inv)
+        picked = set(rows)
+        checks = sorted(
+            ((i, tuple((k, cols[k][i]) for k in range(deg_d) if cols[k][i]))
+             for i in range(self.deg) if i not in picked),
+            key=lambda t: len(t[1]))
+        zero_rows = tuple(i for i, terms in checks if not terms)
+        checks = tuple(t for t in checks if t[1])
+        return tuple(rows), minv, zero_rows, checks, D
+
+
+_field = lru_cache(maxsize=None)(_Field)
+
+
+def _reduce(field: _Field, dense: list[int]) -> list[int]:
+    """Reduce an integer polynomial in zeta_n mod Phi_n, in place when
+    no folding is needed; the result has length <= deg."""
+    n, deg = field.n, field.deg
+    if len(dense) > n:
+        folded = [0] * n
+        for k, c in enumerate(dense):
+            if c:
+                folded[k % n] += c
+        dense = folded
+    low = field.low
+    for i in range(len(dense) - 1, deg - 1, -1):
+        c = dense[i]
+        if c:
+            base = i - deg
+            for j, pj in low:
+                dense[base + j] -= c * pj
+    del dense[deg:]
+    return dense
+
+
+def _descend(n: int, vec: list[int]):
+    """(conductor, numerator) of the trimmed vector vec of Q(zeta_n)
+    after every possible descent."""
+    while n > 1:
+        if len(vec) <= 1:
+            return 1, vec
+        field = _field(n)
+        for q, table in field.descents:
+            down = _descend_once(vec, q, table, field.deg)
+            if down is not None:
+                vec = down
+                n //= q
+                break
+        else:
+            break
+    return n, vec
+
+
+def _descend_once(vec: list[int], q: int, table, deg: int):
+    """The coordinates of the trimmed integer vector vec in Q(zeta_(n/q)),
+    or None if it does not lie there."""
+    if table is None:
+        # q^2 | n: Phi_n(x) = Phi_(n/q)(x^q)
+        for r in range(1, q):
+            if any(vec[r::q]):
+                return None
+        return vec[::q]
+    rows, minv, zero_rows, checks, D = table
+    full = vec + [0] * (deg - len(vec))
+    for i in zero_rows:
+        if full[i]:
+            return None
+    src = [full[r] for r in rows]
+    y = [sum(c * src[j] for j, c in row) for row in minv]
+    for i, terms in checks:
+        if sum(c * y[k] for k, c in terms) != D * full[i]:
+            return None
+    if D != 1:
+        y = [v // D for v in y]
+    return _trim(y)
+
+
+def _convolve(a: list[int], b: list[tuple[int, int]]) -> list[int]:
+    """The product of the dense polynomial a and the sparse polynomial
+    b, given as (exponent, coefficient) pairs."""
+    out = [0] * (len(a) + max(j for j, _ in b))
+    for j, y in b:
+        for i, x in enumerate(a):
+            if x:
+                out[i + j] += x * y
+    return out
+
+
+def _make(n: int, num, den: int) -> CycScalar:
+    s = object.__new__(CycScalar)
+    s.n = n
+    s.num = num
+    s.den = den
+    return s
+
+
+def _canonical(n: int, vec: list[int], den: int, descend: bool = True):
+    """The canonical element vec / den of Q(zeta_n), vec reduced mod
+    Phi_n and den > 0; descend=False when n is known to be minimal."""
+    _trim(vec)
+    if descend:
+        n, vec = _descend(n, vec)
+    g = math.gcd(den, *vec)
+    if g != 1:
+        den //= g
+        vec = [c // g for c in vec]
+    return _make(n, tuple(vec), den)
+
+
+def _rational(p: int, r: int) -> CycScalar:
+    """p / r for integers p, r with r != 0."""
+    if r < 0:
+        p, r = -p, -r
+    g = math.gcd(p, r)
+    if g != 1:
+        p //= g
+        r //= g
+    return _make(1, (p,) if p else (), r)
 
 
 class CycScalar:
-    """An element of Q(zeta_N) in canonical (conductor-minimal) form."""
+    """An element of Q(zeta_N) in canonical form: N is the minimal
+    conductor, num the trimmed integer coordinates in the power basis
+    mod Phi_N, den > 0 with gcd(den, *num) = 1."""
 
-    __slots__ = ("n", "c")
+    __slots__ = ("n", "num", "den")
 
-    def __init__(self, n: int, dense: list[Fraction], _canonical: bool = False):
-        if _canonical:
-            self.n = n
-            self.c = dense  # already a reduced dict
-            return
-        coeffs = _reduce_mod_phi(n, [Fraction(x) for x in dense])
-        n, coeffs = _minimize(n, coeffs)
-        self.n = n
-        self.c = coeffs
+    def __init__(self, n: int, dense: list[Fraction]):
+        """The element sum_k dense[k] zeta_n^k, for any rationals."""
+        dense = [Fraction(x) for x in dense]
+        den = math.lcm(*(x.denominator for x in dense))
+        vec = _reduce(_field(n), [int(x * den) for x in dense])
+        s = _canonical(n, vec, den)
+        self.n, self.num, self.den = s.n, s.num, s.den
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def rational(q) -> CycScalar:
-        q = Fraction(q)
-        return CycScalar(1, {0: q} if q else {}, _canonical=True)
+        if type(q) is int:
+            return _make(1, (q,) if q else (), 1)
+        if not isinstance(q, Fraction):
+            q = Fraction(q)
+        return _make(1, (q.numerator,) if q else (), q.denominator)
 
     # -- basic predicates ---------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.c
+        return not self.num
 
     def is_rational(self) -> bool:
         return self.n == 1
@@ -208,28 +290,28 @@ class CycScalar:
     def rational_value(self) -> Fraction:
         if self.n != 1:
             raise ScalarError(f"not rational: {self}")
-        return self.c.get(0, Fraction(0))
+        return Fraction(self.num[0], self.den) if self.num else Fraction(0)
 
     def __bool__(self) -> bool:
-        return bool(self.c)
+        return bool(self.num)
 
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self.n == other.n and self.c == other.c
+        return (self.n == other.n and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self):
-        return hash((self.n, frozenset(self.c.items())))
+        return hash((self.n, self.num, self.den))
 
     # -- arithmetic ---------------------------------------------------
 
-    def _promoted(self, m: int) -> list[Fraction]:
-        """Dense coefficient list of self viewed in Q(zeta_m), n | m."""
+    def _promoted(self, m: int) -> list[int]:
+        """Dense numerator list of self viewed in Q(zeta_m), n | m."""
         step = m // self.n
-        dense = [Fraction(0)] * m
-        for k, c in self.c.items():
-            dense[k * step] += c
+        dense = [0] * ((len(self.num) - 1) * step + 1)
+        dense[::step] = self.num
         return dense
 
     def __add__(self, other) -> CycScalar:
@@ -237,24 +319,44 @@ class CycScalar:
         if other is None:
             return NotImplemented
         if self.n == 1 and other.n == 1:
-            return _rational_sum(self, other.c.get(0, 0))
+            return _rational_sum(self, other, 1)
         m = _lcm_checked(self.n, other.n)
-        a = self._promoted(m)
-        for k, c in enumerate(other._promoted(m)):
-            a[k] += c
-        return CycScalar(m, a)
+        if self.n == 1 or other.n == 1:
+            # adding a rational moves only the constant coordinate and
+            # leaves the conductor as it is
+            x, q = (other, self) if self.n == 1 else (self, other)
+            if not q.num:
+                return x
+            vec = [c * q.den for c in x.num]
+            vec[0] += q.num[0] * x.den
+            return _canonical(m, vec, x.den * q.den, descend=False)
+        da, db = self.den, other.den
+        g = math.gcd(da, db)
+        fa, fb = db // g, da // g
+        den = da * fa
+        a, b = self._promoted(m), other._promoted(m)
+        if len(a) < len(b):
+            a, b, fa, fb = b, a, fb, fa
+        vec = [c * fa for c in a]
+        for k, c in enumerate(b):
+            if c:
+                vec[k] += c * fb
+        if self.n != other.n:
+            # a same-conductor sum is already reduced
+            vec = _reduce(_field(m), vec)
+        return _canonical(m, vec, den)
 
     __radd__ = __add__
 
     def __neg__(self) -> CycScalar:
-        return CycScalar(self.n, {k: -c for k, c in self.c.items()}, _canonical=True)
+        return _make(self.n, tuple(-c for c in self.num), self.den)
 
     def __sub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
         if self.n == 1 and other.n == 1:
-            return _rational_sum(self, -other.c.get(0, 0))
+            return _rational_sum(self, other, -1)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -268,47 +370,46 @@ class CycScalar:
         if other is None:
             return NotImplemented
         if other.n == 1:
-            q = other.c.get(0, Fraction(0))
-            if not q:
+            if not other.num:
                 return ZERO
-            return CycScalar(self.n, {k: c * q for k, c in self.c.items()},
-                             _canonical=True)
+            if self.n == 1:
+                if not self.num:
+                    return ZERO
+                return _rational(self.num[0] * other.num[0],
+                                 self.den * other.den)
+            p = other.num[0]
+            return _canonical(self.n, [c * p for c in self.num],
+                              self.den * other.den, descend=False)
         if self.n == 1:
             return other * self
         m = _lcm_checked(self.n, other.n)
-        a = self._promoted(m)
-        b = other._promoted(m)
-        out = [Fraction(0)] * (2 * m)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    if cb:
-                        out[i + j] += ca * cb
-        return CycScalar(m, out)
+        sb = m // other.n
+        out = _convolve(self._promoted(m),
+                        [(j * sb, y) for j, y in enumerate(other.num) if y])
+        return _canonical(m, _reduce(_field(m), out), self.den * other.den)
 
     __rmul__ = __mul__
 
     def inverse(self) -> CycScalar:
-        if not self.c:
+        """1/x = y / N(x), y the product of the conjugates sigma_t(x),
+        t in (Z/n)^x, t != 1; all of it in integers."""
+        if not self.num:
             raise ZeroDivisionError("inverse of zero scalar")
-        if self.n == 1:
-            return CycScalar.rational(1 / self.c[0])
-        phi = [Fraction(x) for x in cyclotomic_poly(self.n)]
-        deg = len(phi) - 1
-        a = [self.c.get(i, Fraction(0)) for i in range(deg)]
-        # extended Euclid in Q[x]: s*a + t*phi = gcd = const
-        r0, r1 = phi, a
-        s0, s1 = [Fraction(0)], [Fraction(1)]
-        t0, t1 = [Fraction(1)], [Fraction(0)]
-        while any(r1):
-            q, rem = _poly_divmod(r0, r1)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _poly_sub(s0, _poly_mul(q, s1))
-            t0, t1 = t1, _poly_sub(t0, _poly_mul(q, t1))
-        # r0 is a nonzero constant gcd; inverse of a mod phi is s0/r0
-        const = r0[0]
-        inv = [x / const for x in s0]
-        return CycScalar(self.n, inv)
+        n, num = self.n, self.num
+        if n == 1:
+            return _rational(self.den, num[0])
+        field = _field(n)
+        terms = [(k, c) for k, c in enumerate(num) if c]
+        y = [1]
+        for t in range(2, n):
+            if math.gcd(t, n) == 1:
+                y = _reduce(field, _convolve(
+                    y, [(t * k % n, c) for k, c in terms]))
+        norm = _reduce(field, _convolve(y, terms))[0]
+        if norm < 0:
+            norm = -norm
+            y = [-a for a in y]
+        return _canonical(n, [a * self.den for a in y], norm, descend=False)
 
     def __truediv__(self, other):
         other = _coerce(other)
@@ -339,7 +440,7 @@ class CycScalar:
 
     def order(self):
         """Multiplicative order if self is a root of unity, else None."""
-        if not self.c:
+        if not self.num:
             return None
         bound = self.n if self.n % 2 == 0 else 2 * self.n
         if self ** bound != ONE:
@@ -355,10 +456,10 @@ class CycScalar:
         Returns (q, M, k) with u = zeta_M^k in lowest form, or None if
         self is not of that shape.
         """
-        if not self.c:
+        if not self.num:
             return None
         if self.n == 1:
-            q = self.c[0]
+            q = self.rational_value()
             if q > 0:
                 return q, 1, 0
             return -q, 2, 1
@@ -371,14 +472,13 @@ class CycScalar:
             if negate:
                 u = -u
             b = self * u.inverse()
-            if b.n == 1:
-                q = b.c.get(0, Fraction(0))
-                if q > 0:
-                    m = u.order()
-                    for k in range(m):
-                        if math.gcd(k, m) == 1 or (k == 0 and m == 1):
-                            if root_of_unity(m, k) == u:
-                                return q, m, k
+            if b.n == 1 and b.num[0] > 0:
+                q = b.rational_value()
+                m = u.order()
+                for k in range(m):
+                    if math.gcd(k, m) == 1 or (k == 0 and m == 1):
+                        if root_of_unity(m, k) == u:
+                            return q, m, k
         return None
 
     # -- conversions --------------------------------------------------
@@ -386,8 +486,10 @@ class CycScalar:
     def __complex__(self) -> complex:
         tau = 2.0 * math.pi / self.n
         out = 0j
-        for k, c in self.c.items():
-            out += float(c) * complex(math.cos(tau * k), math.sin(tau * k))
+        for k, c in enumerate(self.num):
+            if c:
+                out += c / self.den * complex(math.cos(tau * k),
+                                              math.sin(tau * k))
         return out
 
     def __repr__(self):
@@ -397,18 +499,19 @@ class CycScalar:
         return self.to_string()
 
     def to_string(self) -> str:
-        if not self.c:
+        if not self.num:
             return "0"
         parts = []
-        for k in sorted(self.c):
-            q = self.c[k]
+        for k, c in enumerate(self.num):
+            if not c:
+                continue
+            mag = Fraction(abs(c), self.den)
             if k == 0:
-                body = str(abs(q))
+                body = str(mag)
             else:
-                mag = abs(q)
                 head = "" if mag == 1 else f"{mag}*"
                 body = f"{head}z({self.n})^{k}"
-            parts.append(("-" if q < 0 else "+", body))
+            parts.append(("-" if c < 0 else "+", body))
         sign0, body0 = parts[0]
         text = ("-" if sign0 == "-" else "") + body0
         for sign, body in parts[1:]:
@@ -424,11 +527,12 @@ def _coerce(x):
     return None
 
 
-def _rational_sum(a: CycScalar, q) -> CycScalar:
-    """a + q for rational a and q: a conductor-1 result needs no
-    reduction, no conductor minimization and no cap."""
-    q = a.c.get(0, 0) + q
-    return CycScalar(1, {0: q} if q else {}, _canonical=True)
+def _rational_sum(a: CycScalar, b: CycScalar, sign: int) -> CycScalar:
+    """a + sign * b for rational a and b: one cross-multiplication and
+    one gcd, with no reduction, descent or cap."""
+    p = a.num[0] if a.num else 0
+    r = sign * b.num[0] if b.num else 0
+    return _rational(p * b.den + r * a.den, a.den * b.den)
 
 
 def as_scalar(x) -> CycScalar:
@@ -446,40 +550,6 @@ def _lcm_checked(a: int, b: int) -> int:
     return m
 
 
-def _poly_divmod(a: list[Fraction], b: list[Fraction]):
-    db = max(i for i, c in enumerate(b) if c)
-    a = list(a)
-    q = [Fraction(0)] * max(1, len(a) - db)
-    lead = b[db]
-    for i in range(len(a) - 1, db - 1, -1):
-        if a[i]:
-            f = a[i] / lead
-            q[i - db] = f
-            for j in range(db + 1):
-                a[i - db + j] -= f * b[j]
-    while len(a) > 1 and not a[-1]:
-        a.pop()
-    return q, a
-
-
-def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                out[i + j] += ca * cb
-    return out
-
-
-def _poly_sub(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * max(len(a), len(b))
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return out
-
-
 @lru_cache(maxsize=None)
 def root_of_unity(n: int, k: int = 1) -> CycScalar:
     """zeta_n^k in canonical form."""
@@ -488,9 +558,7 @@ def root_of_unity(n: int, k: int = 1) -> CycScalar:
     if n > conductor_cap():
         raise ConductorOverflow(f"conductor {n} exceeds cap {conductor_cap()}")
     k %= n
-    dense = [Fraction(0)] * (k + 1)
-    dense[k] = Fraction(1)
-    return CycScalar(n, dense)
+    return _canonical(n, _reduce(_field(n), [0] * k + [1]), 1)
 
 
 ZERO = CycScalar.rational(0)

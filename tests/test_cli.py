@@ -1,7 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import twistlab
+from twistlab import cli
+from twistlab.classify import ClassifyError
 from twistlab.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -235,3 +241,110 @@ def test_trunc_flag_overrides(tmp_path):
     assert main(["--spec", path, "--cmd", "orbits", "--trunc", "5"]) == EXIT_OK
     assert main(["--spec", path, "--cmd", "orbits", "--trunc", "0"]) \
         == EXIT_INPUT
+
+
+# exact classify and kappa reports of three cyclotomic specs, taken from
+# the Fraction-based scalar implementation: the integer scalars must
+# print the same strings
+PINNED_SPECS = {
+    "A2_ROT3": {"gram": [[2, -1], [-1, 2]], "sigma": [[0, -1], [1, -1]],
+                "alpha": [1, 0], "beta": [0, 1]},
+    "A2_ROT6": {"gram": [[2, -1], [-1, 2]], "sigma": [[1, -1], [1, 0]],
+                "alpha": [1, 0], "beta": [1, 1]},
+    "I2_ROT4": {"gram": [[2, 0], [0, 2]], "sigma": [[0, -1], [1, 0]],
+                "alpha": [1, 0], "beta": [0, 1]},
+}
+PINNED_REPORTS = {
+    ("A2_ROT3", "classify"): (
+        "classify: rank 2, order 3, orbit lengths [3]\n"
+        "eta cosets: 1\n"
+        "mu (1) | dim B0 3 | blocks [1,1,1] | classes 3\n"
+        "  class | ideal 0 | eta (0,0) | dim 1\n"
+        "  class | ideal 1 | eta (0,0) | dim 1\n"
+        "  class | ideal 2 | eta (0,0) | dim 1\n"
+        "mu (z(3)^1) | inadmissible | ('no weight satisfies the congruence', 0, Fraction(2, 3))\n"
+        "mu (-1 - z(3)^1) | inadmissible | ('no weight satisfies the congruence', 0, Fraction(1, 3))\n"
+        "3 classes\n"
+    ),
+    ("A2_ROT3", "kappa"): (
+        "alpha (1,0) beta (0,1)\n"
+        "fl:comm | C(alpha,beta) = 1\n"
+        "fl:kappa | kappa(alpha,beta) = 3 + 6*z(3)^1\n"
+        "fl:locality | N(alpha,beta) = 1\n"
+    ),
+    ("A2_ROT6", "classify"): (
+        "classify: rank 2, order 6, orbit lengths [6]\n"
+        "eta cosets: 1\n"
+        "mu (1) | dim B0 1 | blocks [1] | classes 1\n"
+        "  class | ideal 0 | eta (0,0) | dim 1\n"
+        "mu (1 + z(3)^1) | inadmissible | ('inconsistent relation scalars', [2, -2, 1, 0, 0])\n"
+        "mu (z(3)^1) | inadmissible | ('inconsistent relation scalars', [2, -2, 1, 0, 0])\n"
+        "mu (-1) | inadmissible | ('inconsistent relation scalars', [2, -2, 1, 0, 0])\n"
+        "mu (-1 - z(3)^1) | inadmissible | ('inconsistent relation scalars', [2, -2, 1, 0, 0])\n"
+        "mu (-z(3)^1) | inadmissible | ('inconsistent relation scalars', [2, -2, 1, 0, 0])\n"
+        "1 classes\n"
+    ),
+    ("A2_ROT6", "kappa"): (
+        "alpha (1,0) beta (1,1)\n"
+        "fl:comm | C(alpha,beta) = 1\n"
+        "fl:kappa | kappa(alpha,beta) = -1/36 - 1/18*z(3)^1\n"
+        "fl:locality | N(alpha,beta) = 2\n"
+    ),
+    ("I2_ROT4", "classify"): (
+        "classify: rank 2, order 4, orbit lengths [4]\n"
+        "eta cosets: 1\n"
+        "mu (1) | dim B0 2 | blocks [1,1] | classes 2\n"
+        "  class | ideal 0 | eta (0,0) | dim 1\n"
+        "  class | ideal 1 | eta (0,0) | dim 1\n"
+        "mu (z(4)^1) | inadmissible | ('inconsistent relation scalars', [1, -1, 1])\n"
+        "mu (-1) | inadmissible | ('no weight satisfies the congruence', 0, Fraction(1, 2))\n"
+        "mu (-z(4)^1) | inadmissible | ('inconsistent relation scalars', [1, -1, 1])\n"
+        "2 classes\n"
+    ),
+    ("I2_ROT4", "kappa"): (
+        "alpha (1,0) beta (0,1)\n"
+        "fl:comm | C(alpha,beta) = 1\n"
+        "fl:kappa | kappa(alpha,beta) = -1\n"
+        "fl:locality | N(alpha,beta) = 2\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name, cmd", sorted(PINNED_REPORTS))
+def test_cyclotomic_report_bytes(tmp_path, name, cmd):
+    report = tmp_path / "report.txt"
+    path = write_spec(tmp_path, PINNED_SPECS[name])
+    assert main(["--spec", path, "--cmd", cmd,
+                 "--out", str(report)]) == EXIT_OK
+    assert report.read_text() == PINNED_REPORTS[(name, cmd)]
+
+
+def test_size_cap_exit_3(tmp_path):
+    # sigma = -1 on 2*I_13: E has 8192 elements, over the size cap; the
+    # refusal is a documented exit code, not a traceback
+    l = 13
+    spec = {"gram": [[2 if i == j else 0 for j in range(l)] for i in range(l)],
+            "sigma": [[-1 if i == j else 0 for j in range(l)]
+                      for i in range(l)]}
+    src = os.path.dirname(os.path.dirname(twistlab.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "twistlab.cli",
+         "--spec", write_spec(tmp_path, spec), "--cmd", "classify"],
+        capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == EXIT_SCALAR
+    assert "Traceback" not in proc.stderr
+    assert "size cap" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_classify_error_exit_1(tmp_path, capsys, monkeypatch):
+    # any other classifier error is an invariant failure: exit 1 and a
+    # one-line message
+    def broken(_twist):
+        raise ClassifyError("subgroup lift mismatch")
+
+    monkeypatch.setattr(cli, "enumerate_simple_twisted", broken)
+    assert run(tmp_path, EX2, "classify") == EXIT_INVARIANT
+    err = capsys.readouterr().err
+    assert err.splitlines() == ["invariant failure: subgroup lift mismatch"]

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -182,8 +183,8 @@ def test_hash_consistency():
 
 
 def test_rational_add_sub_fast_path():
-    # a conductor-1 sum skips reduction and minimization; it must agree
-    # with the general constructor in value, coefficient dict and hash
+    # a conductor-1 sum skips reduction and descent; it must agree with
+    # the general constructor in value, representation and hash
     qs = [Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 3),
           Fraction(-5, 7), Fraction(11, 3), Fraction(-1, 3)]
     for a in qs:
@@ -192,5 +193,95 @@ def test_rational_add_sub_fast_path():
             for got, want in ((x + y, a + b), (x - y, a - b)):
                 ref = CycScalar(1, [want])
                 assert got.rational_value() == want
-                assert got == ref and got.c == ref.c
+                assert got == ref
+                assert (got.n, got.num, got.den) == (ref.n, ref.num, ref.den)
                 assert hash(got) == hash(ref)
+
+
+# -- seeded property test ---------------------------------------------
+
+# each base puts its elements in fields with q^2 | n or q || n for
+# q = 2, 3, 5 and 7, and keeps every lcm small
+PROPERTY_BASES = (36, 40, 42, 45, 49, 50)
+
+
+def _random_element(rng, base):
+    divisors = [d for d in range(1, base + 1) if base % d == 0]
+    x = CycScalar.rational(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 3)):
+        d = rng.choice(divisors)
+        q = Fraction(rng.choice([-3, -2, -1, 1, 2, 5]), rng.randint(1, 4))
+        x = x + CycScalar.rational(q) * root_of_unity(d, rng.randrange(d))
+    return x
+
+
+def _reduced_power(n, e):
+    """zeta_n^e in the power basis mod Phi_n, as a Fraction list."""
+    phi = cyclotomic_poly(n)
+    deg = len(phi) - 1
+    vec = [Fraction(0)] * max(deg, e % n + 1)
+    vec[e % n] = Fraction(1)
+    for i in range(len(vec) - 1, deg - 1, -1):
+        c = vec[i]
+        if c:
+            for j in range(deg + 1):
+                vec[i - deg + j] -= c * phi[j]
+    return vec[:deg]
+
+
+def _in_subfield(x, d):
+    """Whether x lies in Q(zeta_d), d | x.n: a Fraction solve of
+    sum_k y_k zeta_d^k = x over the power basis of Q(zeta_n)."""
+    n = x.n
+    deg = len(cyclotomic_poly(n)) - 1
+    cols = [_reduced_power(n, k * (n // d))
+            for k in range(len(cyclotomic_poly(d)) - 1)]
+    target = [Fraction(c, x.den) for c in x.num]
+    target += [Fraction(0)] * (deg - len(target))
+    rows = [[col[i] for col in cols] + [target[i]] for i in range(deg)]
+    r = 0
+    for c in range(len(cols)):
+        piv = next((i for i in range(r, deg) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        for i in range(deg):
+            if i != r and rows[i][c]:
+                f = rows[i][c] / rows[r][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return all(not row[-1] for row in rows[r:])
+
+
+def _close(x, z):
+    return abs(complex(x) - z) < 1e-9
+
+
+def test_scalar_properties_seeded():
+    rng = random.Random(20260)
+    for _ in range(60):
+        base = rng.choice(PROPERTY_BASES)
+        a, b, c = (_random_element(rng, base) for _ in range(3))
+        za, zb = complex(a), complex(b)
+        assert _close(a + b, za + zb)
+        assert _close(a - b, za - zb)
+        assert _close(a * b, za * zb)
+        for x in (a, b, c):
+            if x:
+                assert _close(x.inverse(), 1 / complex(x))
+                assert x * x.inverse() == ONE
+            assert parse_scalar(x.to_string()) == x
+            assert x.den > 0
+            assert math.gcd(x.den, *x.num) == 1
+            assert not x.num or x.num[-1]
+        for left, right in (((a * b) * c, a * (b * c)),
+                            (a * (b + c), a * b + a * c)):
+            assert (left.n, left.num, left.den) == \
+                (right.n, right.num, right.den)
+            assert hash(left) == hash(right)
+        for x in (a, b, a * b, a + c):
+            assert x.n == 1 or all(
+                not _in_subfield(x, x.n // q)
+                for q in range(2, x.n + 1)
+                if x.n % q == 0 and all(q % p for p in range(2, q)))
+            assert base % x.n == 0
