@@ -32,6 +32,8 @@ class _Unknown:
 
 
 UNKNOWN = _Unknown()
+# memo sentinel: no series coefficient is this object
+_MISSING = object()
 
 
 def _frac(x) -> Fraction:
@@ -253,12 +255,17 @@ class GenSeries:
 
     def coeff(self, n):
         n = _frac(n)
+        # off-residue slots never enter the memo, so a hit is on a residue
+        x = self._memo.get(n, _MISSING)
+        if x is not _MISSING:
+            return x
         if _residue(n) not in self.residues:
             return self.alg.zero()
-        if n not in self._memo:
-            x = self._fn(n)
-            self._memo[n] = x if x is UNKNOWN else self.alg.remember(x)
-        return self._memo[n]
+        x = self._fn(n)
+        if x is not UNKNOWN:
+            x = self.alg.remember(x)
+        self._memo[n] = x
+        return x
 
     @classmethod
     def from_dict(cls, alg, entries, lo=None, hi=None, parity=0,

@@ -44,6 +44,15 @@ def _floor_int(x: Fraction) -> int:
     return x.numerator // x.denominator
 
 
+def _scaled(m, p: int):
+    """The mode m times p: an int when m lies on the grid (1/p)Z, else
+    the non-integral Fraction, which matches no residue mod p."""
+    if type(m) is int:
+        return m * p
+    ms = _frac(m) * p
+    return ms.numerator if ms.denominator == 1 else ms
+
+
 # ---------------------------------------------------------------------
 # Eigenbasis of the automorphism
 # ---------------------------------------------------------------------
@@ -237,6 +246,27 @@ class FockVector:
         return (" + ".join(bits) or "0") + tag
 
 
+def _absorbing_sum(out: FockVector, summands) -> FockVector:
+    """out plus the vectors that summands yields, taken one at a time.
+    A poisoned vector has no terms and poisons every sum it enters, so
+    the first poisoned partial sum is the result: the summands after it
+    are never evaluated."""
+    if out.poisoned:
+        return out
+    for w in summands:
+        out = out + w
+        if out.poisoned:
+            break
+    return out
+
+
+def _applied(op, v: FockVector, negate: bool = False):
+    """op applied to v, or its negative, evaluated only when the sum
+    asks for it."""
+    w = op.apply(v)
+    yield w.scale(CycScalar.rational(-1)) if negate else w
+
+
 class FockOp:
     __slots__ = ("module", "fn", "parity")
 
@@ -254,11 +284,15 @@ class FockOp:
 
     def __add__(self, other):
         return FockOp(self.module,
-                      lambda v: self.apply(v) + other.apply(v), self.parity)
+                      lambda v: _absorbing_sum(self.apply(v),
+                                               _applied(other, v)),
+                      self.parity)
 
     def __sub__(self, other):
         return FockOp(self.module,
-                      lambda v: self.apply(v) - other.apply(v), self.parity)
+                      lambda v: _absorbing_sum(self.apply(v),
+                                               _applied(other, v, True)),
+                      self.parity)
 
     def __neg__(self):
         return self.scale(CycScalar.rational(-1))
@@ -310,32 +344,32 @@ class FockAlg:
             raise FockError("operator products need degree-shift data")
         super_sign = -1 if (meta["pa"] and meta["pb"]) else 1
 
-        def fn(v):
-            out = FockVector(mod, {}, v.poisoned)
-            if not v.terms:
-                return out
+        def summands(v):
             d = v.max_degree()
             fl = mod.floor
             smax = _floor_int(d + cb0 - fl - m)
             if n >= 0:
                 smax = min(smax, n)
             for s in range(smax + 1):
-                c = gen_binom(Fraction(n), s)
+                c = gen_binom(n, s)
                 if not c:
                     continue
                 w = a0(n - s).apply(b0(m + s).apply(v))
-                out = out + w.scale(c if s % 2 == 0 else -c)
+                yield w.scale(c if s % 2 == 0 else -c)
             low = n - _floor_int(d + ca0 - fl)
             if n >= 0:
                 low = max(low, 0)
             for s in range(low, n + 1):
-                c = gen_binom(Fraction(n), n - s)
+                c = gen_binom(n, n - s)
                 if not c:
                     continue
                 w = b0(m + s).apply(a0(n - s).apply(v))
                 sgn = -super_sign * (1 if s % 2 == 0 else -1)
-                out = out + w.scale(sgn * c)
-            return out
+                yield w.scale(sgn * c)
+
+        def fn(v):
+            out = FockVector(mod, {}, v.poisoned)
+            return _absorbing_sum(out, summands(v)) if v.terms else out
 
         return FockOp(mod, fn, meta["pa"] + meta["pb"])
 
@@ -345,10 +379,7 @@ class FockAlg:
         mod = self.module
         ca, cb = a.shift_base, b.shift_base
 
-        def fn(v):
-            out = FockVector(mod, {}, v.poisoned)
-            if not v.terms:
-                return out
+        def summands(v):
             d = v.max_degree()
             fl = mod.floor
             for (u, ve, kc) in terms:
@@ -356,23 +387,26 @@ class FockAlg:
                 if n >= 0:
                     imax = min(imax, n)
                 for i in range(imax + 1):
-                    c = gen_binom(Fraction(n), i) * kc
+                    c = gen_binom(n, i) * kc
                     if not c:
                         continue
                     w = a.coeff(n - i + u).apply(b.coeff(t + i + ve).apply(v))
-                    out = out + w.scale(c if i % 2 == 0 else -c)
+                    yield w.scale(c if i % 2 == 0 else -c)
                 imax2 = _floor_int(d + ca - fl - u)
                 if n >= 0:
                     imax2 = min(imax2, n)
                 for i in range(imax2 + 1):
-                    c = gen_binom(Fraction(n), i) * kc
+                    c = gen_binom(n, i) * kc
                     if not c:
                         continue
                     w = b.coeff(t + n - i + ve).apply(
                         a.coeff(i + u).apply(v))
                     sgn = -sign * (1 if (n + i) % 2 == 0 else -1)
-                    out = out + w.scale(sgn * c)
-            return out
+                    yield w.scale(sgn * c)
+
+        def fn(v):
+            out = FockVector(mod, {}, v.poisoned)
+            return _absorbing_sum(out, summands(v)) if v.terms else out
 
         return FockOp(mod, fn, a.parity + b.parity)
 
@@ -392,6 +426,8 @@ class FockModule:
         self.trunc = _frac(trunc)
         self.alg = FockAlg(self)
         self.p = self.lattice.p
+        # the largest creation degree of a term, in modes scaled by p
+        self.cap = _floor_int(self.trunc * self.p)
         l = self.lattice.rank
         degs = []
         for i in range(omega.size):
@@ -422,8 +458,10 @@ class FockModule:
         return FockVector(self, {((), i): ONE})
 
     def term_degree(self, key):
-        # word modes are stored as integers scaled by p (mode m is kept
-        # as m*p) so that term keys hash as plain ints
+        # inside this module a Heisenberg mode m is the integer m*p:
+        # word keys store it, and the mode grids, residue tests and
+        # creation caps work on it; Fraction enters only at heis_act,
+        # mode_op and the degrees returned here
         word, iota = key
         return Fraction(-sum(m for m, _ in word), self.p) + \
             self.omega_degrees[iota]
@@ -435,8 +473,8 @@ class FockModule:
         l = self.lattice.rank
         cap = max_degree * self.p
         for j in range(l):
-            r = self.basis.residues[j]
-            m = int((r - 1 if r else Fraction(-1)) * self.p)
+            # the creation mode nearest zero: (q_j - p)/p, scaled by p
+            m = self.basis.qs[j] - self.p
             while -m <= cap:
                 modes.append((m, j))
                 m -= self.p
@@ -453,25 +491,29 @@ class FockModule:
     # -- Heisenberg action --------------------------------------------
 
     def heis_act(self, j: int, m, v: FockVector) -> FockVector:
-        m = _frac(m)
-        if _residue(m) != self.basis.residues[j]:
+        """h_j(m) applied to v, for an int or Fraction mode m."""
+        return self._heis_act(j, _scaled(m, self.p), v)
+
+    def _heis_act(self, j: int, ms, v: FockVector) -> FockVector:
+        """h_j(ms/p) applied to v, for the mode scaled by p (_scaled)."""
+        p = self.p
+        if ms % p != self.basis.qs[j]:
             return FockVector(self, {}, v.poisoned)
         out = {}
         poisoned = v.poisoned
         pairing = self.basis.pairing
-        ms = int(m * self.p)
-        cap = self.trunc * self.p
+        cap = self.cap
         fm = None
         for (word, iota), coeff in v.terms.items():
-            if m < 0:
+            if ms < 0:
                 if -sum(mm for mm, _ in word) - ms > cap:
                     poisoned = True
                     continue
                 key = (tuple(sorted(word + ((ms, j),))), iota)
                 out[key] = out.get(key, ZERO) + coeff
-            elif m > 0:
+            elif ms > 0:
                 if fm is None:
-                    fm = Fraction(m)
+                    fm = CycScalar.rational(Fraction(ms, p))
                 for pos, (mm, jj) in enumerate(word):
                     if mm != -ms:
                         continue
@@ -491,16 +533,17 @@ class FockModule:
                     out[key] = out.get(key, ZERO) + coeff * val
         return FockVector(self, out, poisoned)
 
-    def mode_apply(self, coords, m, v: FockVector) -> FockVector:
-        """(sum_j coords_j h_j)(m) applied to v."""
-        m = _frac(m)
-        res = _residue(m)
+    def mode_apply(self, coords, ms, v: FockVector) -> FockVector:
+        """(sum_j coords_j h_j)(ms/p) applied to v, for the mode scaled
+        by p (_scaled)."""
+        res = ms % self.p
+        qs = self.basis.qs
         out = {}
         poisoned = v.poisoned
         for j, c in enumerate(coords):
-            if not c or res != self.basis.residues[j]:
+            if not c or res != qs[j]:
                 continue
-            w = self.heis_act(j, m, v)
+            w = self._heis_act(j, ms, v)
             poisoned = poisoned or w.poisoned
             for k, val in w.terms.items():
                 s = out.get(k, ZERO) + val * c
@@ -514,7 +557,8 @@ class FockModule:
         return self.basis.decompose(alpha)
 
     def mode_op(self, coords, m) -> FockOp:
-        return FockOp(self, lambda v: self.mode_apply(coords, m, v), 0)
+        ms = _scaled(m, self.p)
+        return FockOp(self, lambda v: self.mode_apply(coords, ms, v), 0)
 
     def e_op(self, alpha) -> FockOp:
         alpha = tuple(alpha)
@@ -577,16 +621,10 @@ class FockModule:
 
     # -- direct Virasoro coefficients (independent formulas) ----------
 
-    def _mode_grid(self, residue, lo, hi):
-        """Points of residue + Z inside [lo, hi]."""
-        n = residue + _floor_int(lo - residue)
-        if n < lo:
-            n += 1
-        out = []
-        while n <= hi:
-            out.append(n)
-            n += 1
-        return out
+    def _mode_grid(self, q: int, lo: int, hi: int):
+        """The scaled modes ms = q mod p with lo <= ms <= hi."""
+        p = self.p
+        return range(lo + (q - lo) % p, hi + 1, p)
 
     def _normal_ordered_sum(self, v: FockVector, k: int):
         """(1/2) sum_i sum_s :alpha_i(s) beta_i(-s-k): applied to v, over
@@ -597,24 +635,29 @@ class FockModule:
         out = FockVector(self, {}, v.poisoned)
         if not v.terms:
             return out
-        d = v.max_degree()
-        fl = self.floor
+        p = self.p
+        # the largest d - fl and the offset k, in modes scaled by p
+        top = _floor_int((v.max_degree() - self.floor) * p)
+        kp = k * p
         l = self.lattice.rank
-        eps = Fraction(1, self.p)
-        for i in range(l):
-            unit = tuple(ONE if j == i else ZERO for j in range(l))
-            dual = self.basis.duals[i]
-            r = self.basis.residues[i]
-            # s < 0: alpha_i(s) beta_i(-s-k); beta annihilates once
-            # -s-k > d-fl, i.e. keep s >= -(d-fl)-k
-            for s in self._mode_grid(r, -(d - fl) - k, -eps):
-                w = self.mode_apply(dual, -s - k, v)
-                out = out + self.mode_apply(unit, s, w)
-            # s >= 0: beta_i(-s-k) alpha_i(s); alpha annihilates, s <= d-fl
-            for s in self._mode_grid(r, Fraction(0), d - fl):
-                w = self.mode_apply(unit, s, v)
-                out = out + self.mode_apply(dual, -s - k, w)
-        return out.scale(Fraction(1, 2))
+
+        def summands():
+            for i in range(l):
+                unit = tuple(ONE if j == i else ZERO for j in range(l))
+                dual = self.basis.duals[i]
+                q = self.basis.qs[i]
+                # s < 0: alpha_i(s) beta_i(-s-k); beta annihilates once
+                # -s-k > d-fl, i.e. keep s >= -(d-fl)-k
+                for s in self._mode_grid(q, -top - kp, -1):
+                    w = self.mode_apply(dual, -s - kp, v)
+                    yield self.mode_apply(unit, s, w)
+                # s >= 0: beta_i(-s-k) alpha_i(s); alpha annihilates,
+                # s <= d-fl
+                for s in self._mode_grid(q, 0, top):
+                    w = self.mode_apply(unit, s, v)
+                    yield self.mode_apply(dual, -s - kp, w)
+
+        return _absorbing_sum(out, summands()).scale(Fraction(1, 2))
 
     def virasoro_one(self, v: FockVector):
         """Degree operator from its normally-ordered double sum."""
@@ -630,17 +673,17 @@ class FockModule:
 
     def _ann_expand(self, coords, v: FockVector, sign: int = -1):
         """Expansion of exp(sum_(n>0) sign*coords(n)/n z^(-n)) on v:
-        list of (vector, total annihilation degree)."""
+        list of (vector, total annihilation degree times p)."""
         if not v.terms:
-            return [(v, Fraction(0))]
-        d = v.max_degree()
-        fl = self.floor
-        step = Fraction(1, self.p)
-        results = [(v, Fraction(0))]
-        n = step
-        while n <= d - fl:
-            if any(c and self.basis.residues[j] == _residue(n)
-                   for j, c in enumerate(coords)):
+            return [(v, 0)]
+        p = self.p
+        qs = self.basis.qs
+        top = _floor_int((v.max_degree() - self.floor) * p)
+        results = [(v, 0)]
+        for n in range(1, top + 1):
+            if any(c and qs[j] == n % p for j, c in enumerate(coords)):
+                # sign / (n/p), the factor of each mode applied
+                ratio = Fraction(sign * p, n)
                 new = []
                 for (v0, e) in results:
                     new.append((v0, e))
@@ -650,34 +693,27 @@ class FockModule:
                         cur = self.mode_apply(coords, n, cur)
                         if cur.is_zero() and not cur.poisoned:
                             break
-                        coef = (Fraction(sign) / n) ** k / _factorial(k)
+                        coef = ratio ** k / _factorial(k)
                         new.append((cur.scale(coef), e + k * n))
                         k += 1
                 results = new
-            n += step
         return results
 
-    def _cre_expand(self, coords, v: FockVector, target: Fraction,
+    def _cre_expand(self, coords, v: FockVector, target: int,
                     sign: int = 1):
-        """Coefficient of z^target of exp(sum_(n<0) -sign*coords(n)/n
-        z^(-n)) applied to v (creation side)."""
+        """Coefficient of z^(target/p) of exp(sum_(n<0) -sign*coords(n)/n
+        z^(-n)) applied to v (creation side); target is scaled by p."""
         if target == 0:
             return v
         if not v.terms:
             return FockVector(self, {}, v.poisoned)
-        deg_used = max(
-            Fraction(-sum(m for m, _ in word), self.p)
-            for (word, _i) in v.terms)
-        if deg_used + target > self.trunc:
+        used = max(-sum(m for m, _ in word) for (word, _i) in v.terms)
+        if used + target > self.cap:
             return FockVector(self, {}, True)
-        step = Fraction(1, self.p)
-        modes = []
-        u = step
-        while u <= target:
-            if any(c and self.basis.residues[j] == _residue(-u)
-                   for j, c in enumerate(coords)):
-                modes.append(u)
-            u += step
+        p = self.p
+        qs = self.basis.qs
+        modes = [u for u in range(1, target + 1)
+                 if any(c and qs[j] == -u % p for j, c in enumerate(coords))]
         out = FockVector(self, {})
 
         def rec(idx, cur, left, scale):
@@ -689,6 +725,7 @@ class FockModule:
                 return
             u = modes[idx]
             rec(idx + 1, cur, left, scale)
+            ratio = Fraction(sign * p, u)
             k = 1
             acc = cur
             while k * u <= left:
@@ -696,7 +733,7 @@ class FockModule:
                 if acc.is_zero() and not acc.poisoned:
                     break
                 rec(idx + 1, acc, left - k * u,
-                    scale * (Fraction(sign) / u) ** k / _factorial(k))
+                    scale * ratio ** k / _factorial(k))
                 k += 1
 
         rec(0, v, target, Fraction(1))
@@ -718,18 +755,23 @@ class FockModule:
         coords = self.lattice_coords(alpha)
         e_alpha = self.e_op(alpha)
 
-        def fn(v):
-            out = FockVector(self, {}, v.poisoned)
+        def summands(v):
             for (word, iota), coeff in v.terms.items():
+                # creation degree = -m - 1 - a_exp + annihilation
+                # degree; scaled by p it must be an integer
+                low = (-m - 1 - self.vertex_exponent(alpha, iota)) * self.p
+                if low.denominator != 1:
+                    continue
+                low = low.numerator
                 base = FockVector(self, {(word, iota): coeff})
-                a_exp = self.vertex_exponent(alpha, iota)
                 for (v1, eplus) in self._ann_expand(coords, base):
-                    eminus = -m - 1 - a_exp + eplus
-                    if eminus < 0 or (eminus * self.p).denominator != 1:
-                        continue
-                    v2 = self._cre_expand(coords, v1, eminus)
-                    out = out + e_alpha.apply(v2)
-            return out
+                    if low + eplus >= 0:
+                        v2 = self._cre_expand(coords, v1, low + eplus)
+                        yield e_alpha.apply(v2)
+
+        def fn(v):
+            return _absorbing_sum(FockVector(self, {}, v.poisoned),
+                                  summands(v))
 
         par = self.lattice.pairing(alpha, alpha) % 2
         return FockOp(self, fn, par)
@@ -918,26 +960,25 @@ def _reconstruct_coeff(M: FockModule, alpha, coords, e, v: FockVector):
     """z^e coefficient of E_-^(-1) X_alpha(z) E_+^(-1) z^(-alpha(0))
     z^((alpha'|alpha')/2) applied to v."""
     out = FockVector(M, {}, v.poisoned)
-    step = Fraction(1, M.p)
+    p = M.p
     for (word, iota), coeff in v.terms.items():
         base = FockVector(M, {(word, iota): coeff})
         b_exp = -M.vertex_exponent(alpha, iota)
+        # e1 and f2 are scaled by p
         for (v1, e1) in M._ann_expand(coords, base, sign=1):
             if v1.is_zero():
                 continue
-            bound = e + e1 + (v1.max_degree() - M.floor)
-            f2 = Fraction(0)
-            while f2 <= bound:
-                if f2 > M.trunc:
+            bound = _floor_int((e + v1.max_degree() - M.floor) * p) + e1
+            for f2 in range(bound + 1):
+                if f2 > M.cap:
                     # genuinely contributing creations past the
                     # truncation cannot be evaluated
                     out = FockVector(M, out.terms, True)
                     break
-                m = -1 - e + b_exp - e1 + f2
+                m = -1 - e + b_exp + Fraction(f2 - e1, p)
                 v2 = M.vertex_coeff(alpha, m).apply(v1)
                 v3 = M._cre_expand(coords, v2, f2, sign=-1)
                 out = out + v3
-                f2 += step
     return out
 
 
@@ -1026,17 +1067,18 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
                 for (word, iota), coeff in v.terms.items():
                     base = FockVector(M, {(word, iota): coeff})
                     az, aw = azs[iota], aws[iota]
+                    # e1, e2, f1, f2 are scaled by p
                     for (v1, e1) in M._ann_expand(cb, base):
                         for (v2, e2) in M._ann_expand(ca, v1):
                             for (kw, kz, kc) in kterms:
-                                f1 = -zsf - 1 - az + e1 - kz
-                                if f1 < 0 or (f1 * p).denominator != 1:
+                                f1 = (-zsf - 1 - az - kz) * p + e1
+                                if f1 < 0 or f1.denominator != 1:
                                     continue
-                                f2 = -wsf - 1 - aw + e2 - kw
-                                if f2 < 0 or (f2 * p).denominator != 1:
+                                f2 = (-wsf - 1 - aw - kw) * p + e2
+                                if f2 < 0 or f2.denominator != 1:
                                     continue
-                                v3 = M._cre_expand(cb, v2, f1)
-                                v4 = M._cre_expand(ca, v3, f2)
+                                v3 = M._cre_expand(cb, v2, f1.numerator)
+                                v4 = M._cre_expand(ca, v3, f2.numerator)
                                 rhs = rhs + e_ab.apply(v4).scale(kc)
                 statuses.append(vector_status(lhs - rhs.scale(eps)))
             report.append(((wsf, zsf), worst_status(statuses)))

@@ -96,8 +96,9 @@ def _trim(vec: list[int]) -> list[int]:
 
 class _Field:
     """The integer tables of Q(zeta_n): the terms of Phi_n that reduce
-    a power basis coordinate, and the descent data to each maximal
-    subfield Q(zeta_(n/q)), q prime."""
+    a power basis coordinate, and the descents to the maximal subfields
+    Q(zeta_(n/q)), q prime: pairs (q, down), down(vec) giving the
+    coordinates of vec there, or None if vec does not lie there."""
 
     __slots__ = ("n", "deg", "low", "descents")
 
@@ -107,15 +108,19 @@ class _Field:
         self.deg = len(phi) - 1
         # Phi_n is monic: x^deg = -(sum of these terms), all integers
         self.low = tuple((j, c) for j, c in enumerate(phi[:-1]) if c)
+        if n % 4 == 2:
+            # Q(zeta_n) = Q(zeta_(n/2)): every element descends there
+            self.descents = ((2, _halving_descent(n // 2)),)
+            return
         primes = _prime_factors(n)
         # the q^2 | n descents are a scan, so they are tried first
         self.descents = tuple(
-            [(q, None) for q in primes if n % (q * q) == 0]
+            [(q, _scan_descent(q)) for q in primes if n % (q * q) == 0]
             + [(q, self._split_descent(q)) for q in primes
                if n % (q * q)])
 
     def _split_descent(self, q: int):
-        """Descent data to Q(zeta_d), d = n/q with q || n.
+        """Descent to Q(zeta_d), d = n/q with q || n and q odd.
 
         M (deg x deg_d, integers) embeds the power basis of Q(zeta_d):
         column k is zeta_n^(qk) reduced mod Phi_n.  R are deg_d rows on
@@ -142,10 +147,55 @@ class _Field:
             key=lambda t: len(t[1]))
         zero_rows = tuple(i for i, terms in checks if not terms)
         checks = tuple(t for t in checks if t[1])
-        return tuple(rows), minv, zero_rows, checks, D
+        deg = self.deg
+
+        def down(vec):
+            full = vec + [0] * (deg - len(vec))
+            for i in zero_rows:
+                if full[i]:
+                    return None
+            src = [full[r] for r in rows]
+            y = [sum(c * src[j] for j, c in row) for row in minv]
+            for i, terms in checks:
+                if sum(c * y[k] for k, c in terms) != D * full[i]:
+                    return None
+            if D != 1:
+                y = [v // D for v in y]
+            return _trim(y)
+
+        return down
 
 
 _field = lru_cache(maxsize=None)(_Field)
+
+
+def _scan_descent(q: int):
+    """Descent to Q(zeta_(n/q)) when q^2 | n: Phi_n(x) = Phi_(n/q)(x^q),
+    so vec lies there exactly when only every q-th coordinate is set."""
+    def down(vec):
+        for r in range(1, q):
+            if any(vec[r::q]):
+                return None
+        return vec[::q]
+
+    return down
+
+
+def _halving_descent(d: int):
+    """Descent from Q(zeta_2d), d odd, to the same field Q(zeta_d): with
+    h = (d+1)/2, zeta_d^h squares to zeta_d and equals -zeta_2d, so the
+    substitution zeta_2d^k = (-1)^k zeta_d^(kh), reduced mod Phi_d,
+    rewrites every element."""
+    h = (d + 1) // 2
+
+    def down(vec):
+        dense = [0] * d
+        for k, c in enumerate(vec):
+            if c:
+                dense[k * h % d] += -c if k % 2 else c
+        return _trim(_reduce(_field(d), dense))
+
+    return down
 
 
 def _reduce(field: _Field, dense: list[int]) -> list[int]:
@@ -175,40 +225,15 @@ def _descend(n: int, vec: list[int]):
     while n > 1:
         if len(vec) <= 1:
             return 1, vec
-        field = _field(n)
-        for q, table in field.descents:
-            down = _descend_once(vec, q, table, field.deg)
-            if down is not None:
-                vec = down
+        for q, down in _field(n).descents:
+            got = down(vec)
+            if got is not None:
+                vec = got
                 n //= q
                 break
         else:
             break
     return n, vec
-
-
-def _descend_once(vec: list[int], q: int, table, deg: int):
-    """The coordinates of the trimmed integer vector vec in Q(zeta_(n/q)),
-    or None if it does not lie there."""
-    if table is None:
-        # q^2 | n: Phi_n(x) = Phi_(n/q)(x^q)
-        for r in range(1, q):
-            if any(vec[r::q]):
-                return None
-        return vec[::q]
-    rows, minv, zero_rows, checks, D = table
-    full = vec + [0] * (deg - len(vec))
-    for i in zero_rows:
-        if full[i]:
-            return None
-    src = [full[r] for r in rows]
-    y = [sum(c * src[j] for j, c in row) for row in minv]
-    for i, terms in checks:
-        if sum(c * y[k] for k, c in terms) != D * full[i]:
-            return None
-    if D != 1:
-        y = [v // D for v in y]
-    return _trim(y)
 
 
 def _convolve(a: list[int], b: list[tuple[int, int]]) -> list[int]:

@@ -183,8 +183,8 @@ STATUSES = ("pass", "untestable", "fail")
 
 
 @pytest.fixture(scope="module")
-def check_reports(tmp_path_factory):
-    """The check report lines of NEG2 and SWAP1, each run once."""
+def check_texts(tmp_path_factory):
+    """The check reports of NEG2 and SWAP1, each run once."""
     tmp = tmp_path_factory.mktemp("check")
     out = {}
     for name, spec in (("NEG2", NEG2), ("SWAP1", SWAP1)):
@@ -192,8 +192,14 @@ def check_reports(tmp_path_factory):
         path = write_spec(tmp, spec, f"{name}.json")
         assert main(["--spec", path, "--cmd", "check",
                      "--out", str(report)]) == EXIT_OK
-        out[name] = report.read_text().splitlines()
+        out[name] = report.read_text()
     return out
+
+
+@pytest.fixture(scope="module")
+def check_reports(check_texts):
+    """The check report lines of NEG2 and SWAP1."""
+    return {name: text.splitlines() for name, text in check_texts.items()}
 
 
 def _body(lines):
@@ -222,6 +228,98 @@ def test_check_report_separator(check_reports, name):
         assert len(fields) == 3, ln
         assert fields[2] in STATUSES, ln
     assert any("|" in ln.split(" | ")[1] for ln in _body(lines))
+
+
+# the full check reports of NEG2 and SWAP1, taken from the version that
+# summed every term of a poisoned Fock sum: stopping at the first
+# poisoned term must leave each untestable line as it was
+PINNED_CHECK_REPORTS = {
+    "NEG2": (
+        "check: rank 1, order 2, trunc 2\n"
+        "fl:F | delta kernel p=2 n=-2 | pass\n"
+        "fl:F | delta kernel p=2 n=-1 | pass\n"
+        "fl:F | delta kernel p=2 n=0 | pass\n"
+        "fl:F | delta kernel p=2 n=1 | pass\n"
+        "fl:eps | e(1,)e(1,) | untestable\n"
+        "fl:comm | e(1,)e(1,) | untestable\n"
+        "fl:Dvir | ups[2]ups = 0 | untestable\n"
+        "fl:Dvir | ups[3]ups = (rank/2)id | untestable\n"
+        "fl:Dvir | ups(0) = D | untestable\n"
+        "fl:Dvir | ups(1) = degree | pass\n"
+        "fl:Dvir | ups(1) series = degree + anomaly | untestable\n"
+        "fl:Dvir | ups[0]X(1,) = DX | untestable\n"
+        "fl:Dvir | ups[1]X(1,) = ((a|a)/2)X | untestable\n"
+        "fl:Dvir | weight X(1,) = 0 | pass\n"
+        "fl:aff | [(1,)(0), e(1,)] | pass\n"
+        "fl:aff | [(1,)(1), e(1,)] | pass\n"
+        "fl:aff | [(1,)(1/2), e(1,)] | pass\n"
+        "fl:voprod | X(1)[-3]X(1) | untestable\n"
+        "fl:lprod | X(1)[-3]X(1) | untestable\n"
+        "fl:voprod | X(1)[-2]X(1) | untestable\n"
+        "fl:lprod | X(1)[-2]X(1) | untestable\n"
+        "result: untestable\n"
+    ),
+    "SWAP1": (
+        "check: rank 2, order 2, trunc 1\n"
+        "fl:F | delta kernel p=2 n=-2 | pass\n"
+        "fl:F | delta kernel p=2 n=-1 | pass\n"
+        "fl:F | delta kernel p=2 n=0 | pass\n"
+        "fl:F | delta kernel p=2 n=1 | pass\n"
+        "fl:eps | e(1, 0)e(1, 0) | untestable\n"
+        "fl:comm | e(1, 0)e(1, 0) | untestable\n"
+        "fl:eps | e(1, 0)e(0, 1) | pass\n"
+        "fl:comm | e(1, 0)e(0, 1) | pass\n"
+        "fl:eps | e(0, 1)e(1, 0) | pass\n"
+        "fl:comm | e(0, 1)e(1, 0) | pass\n"
+        "fl:eps | e(0, 1)e(0, 1) | untestable\n"
+        "fl:comm | e(0, 1)e(0, 1) | untestable\n"
+        "fl:Dvir | ups[2]ups = 0 | untestable\n"
+        "fl:Dvir | ups[3]ups = (rank/2)id | untestable\n"
+        "fl:Dvir | ups(0) = D | untestable\n"
+        "fl:Dvir | ups(1) = degree | pass\n"
+        "fl:Dvir | ups(1) series = degree + anomaly | untestable\n"
+        "fl:Dvir | ups[0]X(1, 0) = DX | untestable\n"
+        "fl:Dvir | ups[1]X(1, 0) = ((a|a)/2)X | untestable\n"
+        "fl:Dvir | weight X(1, 0) = 0 | pass\n"
+        "fl:Dvir | ups[0]X(0, 1) = DX | untestable\n"
+        "fl:Dvir | ups[1]X(0, 1) = ((a|a)/2)X | untestable\n"
+        "fl:Dvir | weight X(0, 1) = 0 | pass\n"
+        "fl:aff | [(1, 0)(0), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(1), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(1/2), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(0), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(1), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(1/2), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(0), e(0, 1)] | pass\n"
+        "fl:aff | [(1, 0)(1), e(0, 1)] | pass\n"
+        "fl:aff | [(1, 0)(1/2), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(0), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(1), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(1/2), e(0, 1)] | pass\n"
+        "fl:voprod | X(1,0)[-3]X(1,0) | untestable\n"
+        "fl:lprod | X(1,0)[-3]X(1,0) | untestable\n"
+        "fl:voprod | X(1,0)[-2]X(1,0) | untestable\n"
+        "fl:lprod | X(1,0)[-2]X(1,0) | untestable\n"
+        "fl:voprod | X(1,0)[-1]X(0,1) | pass\n"
+        "fl:lprod | X(1,0)[-1]X(0,1) | pass\n"
+        "fl:voprod | X(1,0)[0]X(0,1) | pass\n"
+        "fl:lprod | X(1,0)[0]X(0,1) | pass\n"
+        "fl:voprod | X(0,1)[-1]X(1,0) | pass\n"
+        "fl:lprod | X(0,1)[-1]X(1,0) | pass\n"
+        "fl:voprod | X(0,1)[0]X(1,0) | pass\n"
+        "fl:lprod | X(0,1)[0]X(1,0) | pass\n"
+        "fl:voprod | X(0,1)[-3]X(0,1) | untestable\n"
+        "fl:lprod | X(0,1)[-3]X(0,1) | untestable\n"
+        "fl:voprod | X(0,1)[-2]X(0,1) | untestable\n"
+        "fl:lprod | X(0,1)[-2]X(0,1) | untestable\n"
+        "result: untestable\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["NEG2", "SWAP1"])
+def test_check_report_bytes(check_texts, name):
+    assert check_texts[name] == PINNED_CHECK_REPORTS[name]
 
 
 def test_check_invariant_failure(tmp_path, capsys):

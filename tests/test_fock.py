@@ -25,7 +25,9 @@ from twistlab.fdist import (
     QuadraticSpace,
     compare_status,
     derive,
+    kernel_Delta,
     nth_product,
+    nth_product_kernel,
     series_compare,
 )
 from twistlab.lattice import TwistedLattice
@@ -144,6 +146,58 @@ def test_mode_residue_mismatch_is_zero():
     v = vac(M)
     assert M.heis_act(0, -1, v).is_zero()
     assert not M.heis_act(0, -1, v).poisoned
+    # modes off the grid (1/p)Z match no residue: zero, and the input's
+    # poison flag carried over
+    for N, m in ((M, Fraction(1, 3)), (M, Fraction(-5, 3)),
+                 (untwisted_module(), Fraction(1, 2)),
+                 (untwisted_module(), Fraction(-1, 2))):
+        w = vac(N)
+        assert N.heis_act(0, m, w) == FockVector(N, {})
+        assert N.heis_act(0, m, FockVector(N, {}, poisoned=True)) == \
+            FockVector(N, {}, poisoned=True)
+        assert N.mode_op((ONE,), m).apply(w) == FockVector(N, {})
+
+
+def order3_module(trunc=2, bound=1):
+    lat = TwistedLattice([[2, -1], [-1, 2]], [[0, -1], [1, -1]])
+    td = TwistData(lat)
+    return FockModule(td, RegularOmega(td, bound=bound), trunc=trunc)
+
+
+@pytest.mark.parametrize("make", [untwisted_module, negation_module,
+                                  order3_module, rotation_module])
+def test_heis_act_int_and_fraction_modes_agree(make):
+    M = make(trunc=2)
+    p = M.p
+    for v in M.basis_vectors(1):
+        for j in range(M.lattice.rank):
+            for m in range(-2, 3):
+                assert M.heis_act(j, m, v) == M.heis_act(j, Fraction(m), v)
+            for ms in range(-2 * p, 2 * p + 1):
+                # the same mode as a Fraction and as an int times p
+                got = M.heis_act(j, Fraction(ms, p), v)
+                if ms % p == 0:
+                    assert got == M.heis_act(j, ms // p, v)
+                if ms % p != M.basis.qs[j]:
+                    assert got == FockVector(M, {})
+
+
+@pytest.mark.parametrize("make, deep, ok", [
+    (untwisted_module, Fraction(-3), Fraction(-2)),
+    (negation_module, Fraction(-5, 2), Fraction(-3, 2)),
+    (rotation_module, Fraction(-9, 4), Fraction(-5, 4)),
+])
+def test_creation_past_trunc_poisons(make, deep, ok):
+    M = make(trunc=2)
+    v = vac(M)
+    j = next(j for j, q in enumerate(M.basis.qs)
+             if q == deep.numerator % M.p)
+    got = M.heis_act(j, deep, v)
+    assert got.poisoned and got.is_zero()
+    kept = M.heis_act(j, ok, v)
+    assert not kept.poisoned and not kept.is_zero()
+    # the creation degree counts the modes already in the word
+    assert M.heis_act(j, ok, kept).poisoned
 
 
 # ---------------------------------------------------------------------
@@ -245,6 +299,84 @@ def test_lie_series_coefficients_unwrapped():
     elt = alg.gen_mode(0, 1)
     s = GenSeries(alg, lambda n: elt, {Fraction(0)})
     assert s.coeff(1) is elt
+
+
+# ---------------------------------------------------------------------
+# Sums stop at their first poisoned term
+# ---------------------------------------------------------------------
+
+def _recorder(M, name, calls):
+    """An operator that records each application and changes nothing."""
+    def act(w):
+        calls.append(name)
+        return w
+    return FockOp(M, act)
+
+
+def test_operator_sum_stops_at_poison():
+    M = untwisted_module(trunc=2)
+    v = vac(M)
+    P = M.mode_op((ONE,), -3)
+    assert P.apply(v).poisoned
+    calls = []
+    Q = _recorder(M, "Q", calls)
+    for op in (P + Q, P - Q):
+        assert op.apply(v) == FockVector(M, {}, poisoned=True)
+    assert calls == []
+    # a clean first term still adds the second
+    R = M.mode_op((ONE,), -1)
+    assert (R + Q).apply(v) == R.apply(v) + v
+    assert (R - Q).apply(v) == R.apply(v) - v
+    assert calls == ["Q", "Q"]
+
+
+def _recording_series(M, name, calls, poison_slot):
+    """Series whose slot-k coefficient records ('name', k) when applied,
+    except at poison_slot, where it creates past the truncation."""
+    poison = M.mode_op((ONE,), -M.trunc - 1)
+
+    def fn(k):
+        if k == poison_slot:
+            return poison
+        return _recorder(M, (name, k), calls)
+
+    return GenSeries(M.alg, fn, {Fraction(0)}, shift_base=Fraction(5))
+
+
+def test_product_coefficients_stop_at_poison():
+    M = untwisted_module(trunc=2)
+    v = vac(M)
+    poisoned = FockVector(M, {}, poisoned=True)
+    calls = []
+    # a(n)b(m) is the first term of both products, and a(n) poisons it
+    a = _recording_series(M, "a", calls, poison_slot=2)
+    b = _recording_series(M, "b", calls, poison_slot=None)
+    meta = {"ca0": a.shift_base, "cb0": b.shift_base, "pa": 0, "pb": 0}
+    op = M.alg.integral_product_coeff(a.component(0), b.component(0), 2, 0,
+                                      meta)
+    assert op.apply(v) == poisoned
+    assert calls == [("b", 0)]
+    # fresh series: coefficients remember their results on v
+    calls.clear()
+    a = _recording_series(M, "a", calls, poison_slot=2)
+    b = _recording_series(M, "b", calls, poison_slot=None)
+    op = M.alg.residue_product_coeff(a, b, 2, Fraction(0),
+                                     [(Fraction(0), Fraction(0), ONE)], 1)
+    assert op.apply(v) == poisoned
+    assert calls == [("b", 0)]
+
+
+def test_out_of_window_product_coefficients_are_poisoned():
+    # X(1)[-3]X(1) at trunc 2: every product slot leaves the window, and
+    # both routes give the empty poisoned vector the full sums gave
+    M = negation_module(trunc=2)
+    sa = M.vertex_series((1,))
+    expand = nth_product(sa, sa, -3, 2)
+    kernel = nth_product_kernel(sa, sa, -3, 2, kernel_Delta(M.p, -3, 2))
+    poisoned = FockVector(M, {}, poisoned=True)
+    for t in (Fraction(0), Fraction(1, 2), Fraction(1)):
+        for series in (expand, kernel):
+            assert series.coeff(t).apply(vac(M)) == poisoned
 
 
 # ---------------------------------------------------------------------

@@ -285,3 +285,58 @@ def test_scalar_properties_seeded():
                 for q in range(2, x.n + 1)
                 if x.n % q == 0 and all(q % p for p in range(2, q)))
             assert base % x.n == 0
+
+
+def test_half_conductor_field_needs_no_elimination(monkeypatch):
+    # n = 2 mod 4: Q(zeta_n) = Q(zeta_(n/2)), so the one descent is a
+    # substitution, with no linear solve over Q
+    from twistlab import scalar
+
+    calls = []
+    for name in ("field_rref", "field_inverse"):
+        def counted(*args, _orig=getattr(scalar, name), _name=name):
+            calls.append(_name)
+            return _orig(*args)
+        monkeypatch.setattr(scalar, name, counted)
+    field = scalar._Field(462)
+    assert calls == []
+    assert [q for q, _down in field.descents] == [2]
+
+
+# values at conductors 2 mod 4, taken from the elimination-based descent
+# (ks are 1, 2, 5 and n/2 + 1)
+HALF_CONDUCTOR_VALUES = {
+    6: (["1 + z(3)^1", "z(3)^1", "-z(3)^1", "-1 - z(3)^1"],
+        "1", "-4/3 - 5/3*z(3)^1", "-1/2 - 9/2*z(3)^1"),
+    30: (["1 - z(15)^1 + z(15)^3 - z(15)^4 + z(15)^5 - z(15)^7",
+          "z(15)^1", "1 + z(3)^1",
+          "-1 + z(15)^1 - z(15)^3 + z(15)^4 - z(15)^5 + z(15)^7"],
+         "z(5)^1",
+         "2/3 - 7/3*z(15)^1 - z(15)^2 + 4/3*z(15)^3 - 1/3*z(15)^4"
+         " + 1/3*z(15)^5 + z(15)^6 - 4/3*z(15)^7",
+         "3/2 - 7/2*z(15)^1 + 2*z(15)^2 + 1/2*z(15)^3 - 1/2*z(15)^4"
+         " + 1/2*z(15)^5 - 1/2*z(15)^7"),
+    42: (["-z(21)^11", "z(21)^1",
+          "1 - z(21)^2 + z(21)^3 - z(21)^5 + z(21)^6 + z(21)^7 - z(21)^8"
+          " + z(21)^10 - z(21)^11", "z(21)^11"],
+         "z(7)^1",
+         "1/3 - 3*z(21)^1 + z(21)^3 - z(21)^4 + z(21)^6 - z(21)^8"
+         " + z(21)^9 - 4/3*z(21)^11",
+         "1 - 3*z(21)^1 + 2*z(21)^2 - 1/2*z(21)^11"),
+    66: (["-z(33)^17", "z(33)^1", "-z(33)^19", "z(33)^17"],
+         "z(11)^1", "-2/3 - 2*z(33)^1 - 1/3*z(33)^17 - z(33)^18",
+         "1 - 3*z(33)^1 + 2*z(33)^2 - 1/2*z(33)^17"),
+    462: (["-z(231)^116", "z(231)^1", "-z(231)^118", "z(231)^116"],
+          "z(77)^1", "-2/3 - 2*z(231)^1 - 1/3*z(231)^116 - z(231)^117",
+          "1 - 3*z(231)^1 + 2*z(231)^2 - 1/2*z(231)^116"),
+}
+
+
+@pytest.mark.parametrize("n", sorted(HALF_CONDUCTOR_VALUES))
+def test_half_conductor_values(n):
+    roots, prod, mix, dense = HALF_CONDUCTOR_VALUES[n]
+    vals = [root_of_unity(n, k) for k in (1, 2, 5, n // 2 + 1)]
+    assert [str(v) for v in vals] == roots
+    assert str(vals[0] * vals[2]) == prod
+    assert str((vals[0] - 2) * (vals[1] + Fraction(1, 3))) == mix
+    assert str(CycScalar(n, [1, Fraction(1, 2), -3, 0, 2])) == dense
