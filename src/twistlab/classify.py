@@ -7,11 +7,13 @@ import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 from .cocycle import TwistData, commutator_map
 from .fdist import vector_status, worst_status
 from .lattice import OrbitDecomposition, TwistedLattice
 from .linalg import (
+    IntegerCoords,
     field_inverse,
     field_rank,
     field_solve,
@@ -31,6 +33,9 @@ from .scalar import (
 )
 
 MAX_COMPONENT_SIZE = 4096
+# a bound on the work of one enumeration: root choices times |E|^2, the
+# number of multiplication scalars tau over all root choices
+MAX_WORK = 2 ** 16
 
 
 class ClassifyError(Exception):
@@ -38,7 +43,8 @@ class ClassifyError(Exception):
 
 
 class SizeCapExceeded(ClassifyError):
-    """Raised when a finite component would exceed MAX_COMPONENT_SIZE."""
+    """Raised when a finite component would exceed MAX_COMPONENT_SIZE, or
+    the work over its root choices would exceed MAX_WORK."""
 
 
 class UnsupportedScalar(ClassifyError):
@@ -96,19 +102,17 @@ class FiniteQuotient:
             self.gens = ()
             self.size = 1
             self._u = []
-            self._amb_mat = [[] for _ in range(dim)]
             return
-        amb_mat = [
-            [self.ambient[j][i] for j in range(self.rank)] for i in range(dim)
-        ]
+        try:
+            self._solver = IntegerCoords(self.ambient, dim)
+        except ValueError:
+            raise ClassifyError("quotient is infinite") from None
         w_cols = []
         for col in sub_cols:
-            x = field_solve(amb_mat, [Fraction(v) for v in col], Fraction(1))
+            x = self._solver.solve(col)
             if x is None:
-                raise ClassifyError("sublattice outside the ambient span")
-            if any(v.denominator != 1 for v in x):
                 raise ClassifyError("sublattice not contained in the ambient")
-            w_cols.append([int(v) for v in x])
+            w_cols.append(x)
         w = [[c[i] for c in w_cols] for i in range(self.rank)]
         d, u, _v = snf(w)
         divisors = []
@@ -128,17 +132,15 @@ class FiniteQuotient:
             for i in range(self.rank)
         )
         self._u = u
-        self._amb_mat = amb_mat
         self.size = math.prod(divisors)
 
     def coords(self, vec):
         """Canonical coordinates of vec + sub in the cyclic factors."""
         if self.rank == 0:
             return ()
-        x = field_solve(self._amb_mat, [Fraction(v) for v in vec], Fraction(1))
-        if x is None or any(v.denominator != 1 for v in x):
+        x = self._solver.solve(vec)
+        if x is None:
             raise ClassifyError("vector outside the ambient lattice")
-        x = [int(v) for v in x]
         return tuple(
             sum(self._u[i][j] * x[j] for j in range(self.rank))
             % self.divisors[i]
@@ -165,76 +167,6 @@ class FiniteQuotient:
 
 
 # ---------------------------------------------------------------------
-# Lift of the automorphism and its eigendata
-# ---------------------------------------------------------------------
-
-@dataclass
-class OrbitExtension:
-    rep: tuple
-    length: int
-    roots: tuple
-    k_table: dict
-    eigenvectors: dict
-    eigen_check: str
-
-
-@dataclass
-class ExtensionData:
-    decomposition: OrbitDecomposition
-    orbits: list
-    order_check: str
-
-
-def extend_automorphism(T: TwistData,
-                        decomposition: OrbitDecomposition | None = None
-                        ) -> ExtensionData:
-    """Per generating orbit: all roots mu, the coefficients k_s, and the
-    eigenvector recipes Y_j = sum_s w^(-js) k_s X_(sigma^s a); verifies
-    the eigen relations symbolically and, for the canonical cocycle
-    values, that the lift has the same order as the automorphism."""
-    lat = T.lattice
-    if decomposition is None:
-        decomposition = lat.reduce_generating_set()
-    default_phi = all(
-        T.phi_seed[i] == T.phi_zero(_unit(lat.rank, i))
-        for i in range(lat.rank)
-    )
-    order_status = "pass" if default_phi else "skipped"
-    orbits = []
-    for orb in decomposition.orbits:
-        pa = len(orb)
-        roots = T.mu_roots(orb)
-        k_table = {}
-        eigenvectors = {}
-        check = "pass"
-        prod = T.orbit_phi_product(orb)
-        if default_phi and prod ** (lat.p // pa) != ONE:
-            order_status = "fail"
-        for mi, mu in enumerate(roots):
-            ks = T.k_coeffs(orb, mu)
-            k_table[mi] = ks
-            if mu ** pa != prod:
-                check = "fail"
-            for j in range(pa):
-                coeffs = tuple(
-                    root_of_unity(pa, (-j * s) % pa) * ks[s] for s in range(pa)
-                )
-                eigenvectors[(mi, j)] = coeffs
-                # sigma-hat maps the s-th coefficient slot to s+1 with a
-                # factor phi(sigma^s a); the recipe must be an eigenvector
-                # of eigenvalue mu * w^j
-                eig = mu * root_of_unity(pa, j % pa)
-                for s in range(pa):
-                    lhs = coeffs[s] * T.phi(orb[s])
-                    rhs = eig * coeffs[(s + 1) % pa]
-                    if lhs != rhs:
-                        check = "fail"
-        orbits.append(OrbitExtension(orb[0], pa, roots, k_table,
-                                     eigenvectors, check))
-    return ExtensionData(decomposition, orbits, order_status)
-
-
-# ---------------------------------------------------------------------
 # The relation-quotient algebra A
 # ---------------------------------------------------------------------
 
@@ -246,122 +178,82 @@ class PowerRelation:
     normalizer: CycScalar
 
 
-class PresentedAlgebraA:
-    """The quotient of the extended-lattice group algebra by the twist
-    relations e(sigma^s a) = k_s^(-1) e(a) on a generating set of
-    orbits.
+def presentation_of(twist: TwistData,
+                    decomposition: OrbitDecomposition) -> Presentation:
+    """The presentation of A on a generating set, built once per twist
+    and generating set."""
+    pi = decomposition.pi
+    if pi not in twist.presentations:
+        twist.presentations[pi] = Presentation(twist, decomposition)
+    return twist.presentations[pi]
 
-    Concretely the algebra has basis indexed by Lambda/K, where K is
-    spanned by the difference vectors sigma^s a - a of the generating
-    orbits; each e(d), d in K, is identified with an explicit scalar.
-    The zero marker is set when the relations force 1 = theta for some
-    scalar theta != 1 (the obstructed case)."""
 
-    def __init__(self, twist: TwistData, decomposition: OrbitDecomposition,
-                 mu_choice):
+class Presentation:
+    """The part of the algebra A that does not depend on the root choice
+    mu, for one generating set of orbits.
+
+    The relation lattice K is spanned by the difference vectors
+    d = sigma^s a - a of the orbits; this object keeps them with their
+    factors epsilon(d, a), the HNF of K and its kernel, the commutation
+    constants and degrees of the orbit representatives, the epsilon
+    folds of the power relations, the degree-zero component
+    E = Lambda_0 / K and the radical of its commutator bicharacter.
+    The collapse every root choice shares is decided here: `witness` is
+    the commutator obstruction of the generating set or a non-central
+    relation, else None.  The commutation constants, E and the radical
+    are computed when first asked for and raise their errors each time
+    they are asked for, so a root choice that collapses earlier never
+    meets their checks or caps."""
+
+    def __init__(self, twist: TwistData, decomposition: OrbitDecomposition):
         self.twist = twist
-        self.lattice = twist.lattice
+        self.lattice = lat = twist.lattice
         self.dec = decomposition
-        self.mu_choice = tuple(mu_choice)
-        self.zero = False
+        self.obstructed, wit = twist.obstruction_check(decomposition)
         self.witness = None
-        lat = self.lattice
-        l = lat.rank
-        if len(self.mu_choice) != len(decomposition.orbits):
-            raise ClassifyError("one root choice per generating orbit required")
-        obstructed, wit = twist.obstruction_check(decomposition)
-        if obstructed:
-            self.zero = True
+        if self.obstructed:
             self.witness = ("commutator obstruction", wit)
             return
-        self.reps = decomposition.reps
-        self.lengths = decomposition.lengths
-        self.m = decomposition.m
-        self.ks = []
-        for orb, mu in zip(decomposition.orbits, self.mu_choice):
-            if mu ** len(orb) != twist.orbit_phi_product(orb):
-                raise ClassifyError("mu choice is not an orbit root")
-            self.ks.append(twist.k_coeffs(orb, mu))
-        # difference vectors and their scalar images
-        self._dvecs = []
-        self._dscalars = []
+        l = lat.rank
+        self.dvecs = []
+        self.dslots = []
+        self.deps = []
         for j, orb in enumerate(decomposition.orbits):
             for s in range(1, len(orb)):
                 d = _vec_sub(orb[s], orb[0])
-                self._dvecs.append(d)
-                self._dscalars.append(
-                    twist.epsilon(d, orb[0]) * self.ks[j][s].inverse())
-        self._dmat = [[d[i] for d in self._dvecs] for i in range(l)]
-        cols, _u = hnf_columns(self._dmat) if self._dvecs else ([], None)
+                self.dvecs.append(d)
+                self.dslots.append((j, s))
+                self.deps.append(twist.epsilon(d, orb[0]))
+        self._dmat = [[d[i] for d in self.dvecs] for i in range(l)]
         self._khnf = []
-        if self._dvecs:
-            for jc in range(len(self._dvecs)):
+        if self.dvecs:
+            cols, _u = hnf_columns(self._dmat)
+            for jc in range(len(self.dvecs)):
                 col = [cols[i][jc] for i in range(l)]
                 if any(col):
                     self._khnf.append(tuple(col))
-        self._k_cache = {}
-        self._e_cache = {}
-        self._tau_cache = {}
+        self._k_parts = {}
+        self._e_parts = {}
+        self._tau_parts = {}
         # scalar relations must commute with the whole group algebra
-        for d in self._dvecs:
+        for d in self.dvecs:
             for k in range(l):
                 if commutator_map(lat, d, _unit(l, k)) != ONE:
-                    self.zero = True
                     self.witness = ("non-central relation", (d, k))
                     return
-        # the scalar image of a K-vector must not depend on the combo
-        if self._dvecs:
-            for ker in kernel_basis(self._dmat):
-                val = self._image_from_combo(ker)
-                if val != ONE:
-                    self.zero = True
-                    self.witness = ("inconsistent relation scalars", ker)
-                    return
-        # commutation constants and their invariants
-        n = len(self.reps)
-        self.c = [[twist.commutator(self.reps[i], self.reps[j])
-                   for j in range(n)] for i in range(n)]
-        for i in range(n):
-            for j in range(n):
-                if self.c[i][j] * self.c[j][i] != ONE:
-                    raise ClassifyError("commutation constants not antisymmetric")
-                if (i >= self.m or j >= self.m) and \
-                        self.c[i][j] ** lat.p != ONE:
-                    raise ClassifyError(
-                        "degree-zero commutation constant is not a p-th root")
-        self.grading = tuple(lat.nu(rep) for rep in self.reps)
-        # power relations on the degree-zero generators
-        self.power_relations = []
-        for j in range(self.m, n):
-            pj = self.lengths[j]
-            rep = self.reps[j]
-            efold = ONE
-            for i in range(1, pj):
-                efold = efold * twist.epsilon(_vec_scale(rep, i), rep)
-            theta = efold * self.k_image(_vec_scale(rep, pj))
-            try:
-                normalizer = canonical_root(theta, pj).inverse()
-            except ScalarError as exc:
-                raise UnsupportedScalar(
-                    f"power relation scalar {theta} has no canonical "
-                    f"{pj}-th root") from exc
-            self.power_relations.append(PowerRelation(j, pj, theta, normalizer))
-        # the degree-zero component: E = Lambda_0 / K
-        total = [[sum(lat._sigma_pows[s][i][j] for s in range(lat.p))
-                  for j in range(l)] for i in range(l)]
-        lam0 = kernel_basis(total)
-        self.E = FiniteQuotient(
-            [tuple(v) for v in lam0], [tuple(d) for d in self._khnf], l)
-        if self.E.size > MAX_COMPONENT_SIZE:
-            raise SizeCapExceeded(
-                f"degree-zero component of size {self.E.size} exceeds the "
-                f"size cap {MAX_COMPONENT_SIZE}")
-        self.dim_B0 = self.E.size
+        # the kernel vectors, with the mu-independent factor of the
+        # A-image of e(sum_i ker_i d_i), which must be one for every mu
+        self.kernel = [(ker, self._fold(ker))
+                       for ker in (kernel_basis(self._dmat)
+                                   if self.dvecs else [])]
 
     # -- scalar bookkeeping -------------------------------------------
 
-    def _image_from_combo(self, combo) -> CycScalar:
-        """A-image scalar of e(sum_i combo_i d_i), folded stepwise."""
+    def _fold(self, combo) -> CycScalar:
+        """The mu-independent factor of the A-image of
+        e(sum_i combo_i d_i), folded stepwise: the epsilon factors of
+        the partial sums, and epsilon(d, -d) for each negative step.
+        The image is this factor times prod_i e(d_i)^combo_i."""
         twist = self.twist
         cur = (0,) * self.lattice.rank
         cfold = ONE
@@ -369,30 +261,23 @@ class PresentedAlgebraA:
         for idx, mult in enumerate(combo):
             if not mult:
                 continue
-            d = self._dvecs[idx]
-            if mult > 0:
-                v, s = d, self._dscalars[idx]
-            else:
-                v = _vec_scale(d, -1)
-                s = twist.epsilon(d, v) / self._dscalars[idx]
+            d = self.dvecs[idx]
+            v = d if mult > 0 else _vec_scale(d, -1)
             for _ in range(abs(mult)):
                 cfold = cfold * twist.epsilon(cur, v)
                 cur = _vec_add(cur, v)
-                sprod = sprod * s
+                if mult < 0:
+                    sprod = sprod * twist.epsilon(d, v)
         return sprod / cfold
 
-    def k_image(self, kvec) -> CycScalar:
-        """The scalar that e(kvec) equals in A, for kvec in K."""
-        kvec = tuple(kvec)
-        if kvec not in self._k_cache:
-            if not any(kvec):
-                self._k_cache[kvec] = ONE
-            else:
-                combo = solve_int(self._dmat, list(kvec))
-                if combo is None:
-                    raise ClassifyError(f"{kvec} is not in the relation lattice")
-                self._k_cache[kvec] = self._image_from_combo(combo)
-        return self._k_cache[kvec]
+    def k_parts(self, kvec):
+        """(combo, factor) for a nonzero kvec = sum_i combo_i d_i, or
+        None when kvec is not in K."""
+        if kvec not in self._k_parts:
+            combo = solve_int(self._dmat, list(kvec))
+            self._k_parts[kvec] = None if combo is None else \
+                (combo, self._fold(combo))
+        return self._k_parts[kvec]
 
     def rep_of(self, gamma):
         """Canonical representative of gamma + K."""
@@ -405,14 +290,213 @@ class PresentedAlgebraA:
                     g[i] -= q * col[i]
         return tuple(g)
 
+    def e_parts(self, gamma):
+        """(factor, d, rep) with e(gamma) = factor * e(d) * e(rep), d in
+        K and rep the canonical representative."""
+        if gamma not in self._e_parts:
+            rep = self.rep_of(gamma)
+            d = _vec_sub(gamma, rep)
+            self._e_parts[gamma] = (self.twist.epsilon(d, rep).inverse(),
+                                    d, rep)
+        return self._e_parts[gamma]
+
+    def tau_parts(self, g, h):
+        """(factor, delta) with tau(g, h) = factor * e(delta), delta in K."""
+        key = (g, h)
+        if key not in self._tau_parts:
+            E = self.E
+            tg, th = E.lift(g), E.lift(h)
+            tgh = E.lift(_e_add(g, h, E.divisors))
+            delta = _vec_sub(_vec_add(tg, th), tgh)
+            self._tau_parts[key] = (
+                self.twist.epsilon(tg, th)
+                * self.twist.epsilon(delta, tgh).inverse(), delta)
+        return self._tau_parts[key]
+
+    # -- generating-set invariants, computed on first use --------------
+
+    @cached_property
+    def c(self):
+        """Commutation constants of the orbit representatives."""
+        reps = self.dec.reps
+        n = len(reps)
+        c = [[self.twist.commutator(reps[i], reps[j]) for j in range(n)]
+             for i in range(n)]
+        for i in range(n):
+            for j in range(n):
+                if c[i][j] * c[j][i] != ONE:
+                    raise ClassifyError("commutation constants not antisymmetric")
+                if (i >= self.dec.m or j >= self.dec.m) and \
+                        c[i][j] ** self.lattice.p != ONE:
+                    raise ClassifyError(
+                        "degree-zero commutation constant is not a p-th root")
+        return c
+
+    @cached_property
+    def grading(self):
+        return tuple(self.lattice.nu(rep) for rep in self.dec.reps)
+
+    @cached_property
+    def efolds(self):
+        """prod_(0<i<p_j) epsilon(i a_j, a_j) per degree-zero orbit j."""
+        out = []
+        for j in range(self.dec.m, len(self.dec.reps)):
+            rep = self.dec.reps[j]
+            efold = ONE
+            for i in range(1, self.dec.lengths[j]):
+                efold = efold * self.twist.epsilon(_vec_scale(rep, i), rep)
+            out.append(efold)
+        return out
+
+    @cached_property
+    def E(self) -> FiniteQuotient:
+        """The degree-zero component E = Lambda_0 / K, refused when it
+        or the work over all root choices is too large."""
+        lat = self.lattice
+        l = lat.rank
+        total = [[sum(lat._sigma_pows[s][i][j] for s in range(lat.p))
+                  for j in range(l)] for i in range(l)]
+        E = FiniteQuotient([tuple(v) for v in kernel_basis(total)],
+                           self._khnf, l)
+        if E.size > MAX_COMPONENT_SIZE:
+            raise SizeCapExceeded(
+                f"degree-zero component of size {E.size} exceeds the "
+                f"size cap {MAX_COMPONENT_SIZE}")
+        choices = math.prod(self.dec.lengths)
+        if choices * E.size ** 2 > MAX_WORK:
+            raise SizeCapExceeded(
+                f"{choices} root choices times the squared size "
+                f"{E.size}^2 of the degree-zero component exceed the "
+                f"work cap {MAX_WORK}")
+        return E
+
+    def bichar(self, g, h) -> CycScalar:
+        """Commutator bicharacter on E: b(g, h) with
+        y_g y_h = b(g, h) y_h y_g."""
+        return commutator_map(self.lattice, self.E.lift(g), self.E.lift(h))
+
+    @cached_property
+    def radical(self) -> FiniteQuotient:
+        """Radical of the commutator bicharacter on E, via Smith normal
+        form of the exponent matrix."""
+        E = self.E
+        r = E.rank
+        if r == 0:
+            return FiniteQuotient([], [], 0)
+        gens = [_unit(r, i) for i in range(r)]
+        exps = [[root_exponent(self.bichar(gens[i], gens[j]))
+                 for j in range(r)] for i in range(r)]
+        P = lcm_list([e.denominator for row in exps for e in row])
+        b = [[int(e * P) for e in row] for row in exps]
+        stacked = [b[i] + [P if k == i else 0 for k in range(r)]
+                   for i in range(r)]
+        basis = kernel_basis(stacked)
+        cols = [tuple(v[:r]) for v in basis]
+        sub = [tuple(E.divisors[i] if k == i else 0 for k in range(r))
+               for i in range(r)]
+        return FiniteQuotient(cols, sub, r)
+
+
+class PresentedAlgebraA:
+    """The algebra A of one root choice mu: the quotient of the
+    extended-lattice group algebra by the twist relations
+    e(sigma^s a) = k_s^(-1) e(a) on a generating set of orbits.
+
+    Concretely the algebra has basis indexed by Lambda/K, where K is
+    spanned by the difference vectors sigma^s a - a of the generating
+    orbits; each e(d), d in K, is identified with an explicit scalar.
+    What does not depend on mu lives on the generating set's
+    Presentation (`presentation`), which the twist keeps, so the root
+    choices of one enumeration share it.  This object holds the
+    coefficients k_s, the relation scalars, the power relations and the
+    scalars k_image, e_image and tau.  The zero marker is set when the
+    relations force 1 = theta for some scalar theta != 1 (the obstructed
+    case)."""
+
+    def __init__(self, twist: TwistData, decomposition: OrbitDecomposition,
+                 mu_choice):
+        self.twist = twist
+        self.lattice = twist.lattice
+        self.dec = decomposition
+        self.mu_choice = tuple(mu_choice)
+        self.zero = False
+        self.witness = None
+        if len(self.mu_choice) != len(decomposition.orbits):
+            raise ClassifyError("one root choice per generating orbit required")
+        P = self.presentation = presentation_of(twist, decomposition)
+        if P.obstructed:
+            self.zero, self.witness = True, P.witness
+            return
+        self.reps = decomposition.reps
+        self.lengths = decomposition.lengths
+        self.m = decomposition.m
+        self.ks = []
+        for orb, mu in zip(decomposition.orbits, self.mu_choice):
+            if mu ** len(orb) != twist.orbit_phi_product(orb):
+                raise ClassifyError("mu choice is not an orbit root")
+            self.ks.append(twist.k_coeffs(orb, mu))
+        self._k_cache = {}
+        self._e_cache = {}
+        self._tau_cache = {}
+        if P.witness is not None:
+            self.zero, self.witness = True, P.witness
+            return
+        # the scalar images e(d) of the difference vectors
+        self._dscalars = [eps * self.ks[j][s].inverse()
+                          for eps, (j, s) in zip(P.deps, P.dslots)]
+        # the scalar image of a K-vector must not depend on the combo
+        for ker, factor in P.kernel:
+            if self._image(ker, factor) != ONE:
+                self.zero = True
+                self.witness = ("inconsistent relation scalars", ker)
+                return
+        self.c = P.c
+        self.grading = P.grading
+        # power relations on the degree-zero generators
+        self.power_relations = []
+        for j, efold in zip(range(self.m, len(self.reps)), P.efolds):
+            pj = self.lengths[j]
+            theta = efold * self.k_image(_vec_scale(self.reps[j], pj))
+            try:
+                normalizer = canonical_root(theta, pj).inverse()
+            except ScalarError as exc:
+                raise UnsupportedScalar(
+                    f"power relation scalar {theta} has no canonical "
+                    f"{pj}-th root") from exc
+            self.power_relations.append(PowerRelation(j, pj, theta, normalizer))
+        self.E = P.E
+        self.dim_B0 = self.E.size
+
+    # -- scalar bookkeeping -------------------------------------------
+
+    def _image(self, combo, factor) -> CycScalar:
+        """A-image scalar of e(sum_i combo_i d_i), given the
+        mu-independent factor of its fold."""
+        out = factor
+        for s, mult in zip(self._dscalars, combo):
+            if mult:
+                out = out * s ** mult
+        return out
+
+    def k_image(self, kvec) -> CycScalar:
+        """The scalar that e(kvec) equals in A, for kvec in K."""
+        kvec = tuple(kvec)
+        if kvec not in self._k_cache:
+            if not any(kvec):
+                self._k_cache[kvec] = ONE
+            else:
+                parts = self.presentation.k_parts(kvec)
+                if parts is None:
+                    raise ClassifyError(f"{kvec} is not in the relation lattice")
+                self._k_cache[kvec] = self._image(*parts)
+        return self._k_cache[kvec]
+
     def e_image(self, gamma):
         """(scalar, rep) with e(gamma) = scalar * e(rep) in A."""
         gamma = tuple(gamma)
         if gamma not in self._e_cache:
-            rep = self.rep_of(gamma)
-            d = _vec_sub(gamma, rep)
-            s = self.twist.epsilon(d, rep).inverse() * self.k_image(d)
-            self._e_cache[gamma] = (s, rep)
+            factor, d, rep = self.presentation.e_parts(gamma)
+            self._e_cache[gamma] = (factor * self.k_image(d), rep)
         return self._e_cache[gamma]
 
     def derived_mu(self, gamma) -> CycScalar:
@@ -441,17 +525,14 @@ class PresentedAlgebraA:
         """Multiplication scalar: y_g y_h = tau(g, h) y_(g+h)."""
         key = (tuple(g), tuple(h))
         if key not in self._tau_cache:
-            tg, th = self.E.lift(g), self.E.lift(h)
-            tgh = self.E.lift(_e_add(g, h, self.E.divisors))
-            delta = _vec_sub(_vec_add(tg, th), tgh)
-            self._tau_cache[key] = self.twist.epsilon(tg, th) * \
-                self.twist.epsilon(delta, tgh).inverse() * self.k_image(delta)
+            factor, delta = self.presentation.tau_parts(*key)
+            self._tau_cache[key] = factor * self.k_image(delta)
         return self._tau_cache[key]
 
     def bichar(self, g, h) -> CycScalar:
         """Commutator bicharacter on E: b(g, h) with
         y_g y_h = b(g, h) y_h y_g."""
-        return commutator_map(self.lattice, self.E.lift(g), self.E.lift(h))
+        return self.presentation.bichar(g, h)
 
 
 def build_algebra_A(T: TwistData, mu_choice=None,
@@ -562,25 +643,6 @@ class ADecomposition:
     certified: dict
 
 
-def _radical_quotient(A: PresentedAlgebraA) -> FiniteQuotient:
-    """Radical of the commutator bicharacter on E, via Smith normal
-    form of the exponent matrix."""
-    r = A.E.rank
-    if r == 0:
-        return FiniteQuotient([], [], 0)
-    gens = [_unit(r, i) for i in range(r)]
-    exps = [[root_exponent(A.bichar(gens[i], gens[j])) for j in range(r)]
-            for i in range(r)]
-    P = lcm_list([e.denominator for row in exps for e in row])
-    b = [[int(e * P) for e in row] for row in exps]
-    stacked = [b[i] + [P if k == i else 0 for k in range(r)] for i in range(r)]
-    basis = kernel_basis(stacked)
-    cols = [tuple(v[:r]) for v in basis]
-    sub = [tuple(A.E.divisors[i] if k == i else 0 for k in range(r))
-           for i in range(r)]
-    return FiniteQuotient(cols, sub, r)
-
-
 def decompose_A(A: PresentedAlgebraA) -> ADecomposition:
     """Simple blocks of the degree-zero component B_0, as explicit
     central idempotents indexed by characters of the bicharacter
@@ -591,7 +653,7 @@ def decompose_A(A: PresentedAlgebraA) -> ADecomposition:
     if A.zero:
         raise ClassifyError("the zero algebra has no block decomposition")
     E = A.E
-    rad = _radical_quotient(A)
+    rad = A.presentation.radical
     lifts = _GroupScalars(A, rad)
     inv_size = CycScalar.rational(Fraction(1, rad.size))
     blocks = []
@@ -925,8 +987,9 @@ class ClassOmega:
             nu = lat.nu(lk)
             self._xis.append(tuple(
                 as_scalar(xi0[i] + eta[i] + nu[i]) for i in range(lat_rank)))
-        # degree-coordinate solve data: nu over the nonzero-degree reps
-        self._xi_basis = [lat.nu(A.reps[i]) for i in range(self.mm)]
+        # degree coordinates: nu over the nonzero-degree reps
+        self._degrees = IntegerCoords(
+            [lat.nu(A.reps[i]) for i in range(self.mm)], lat_rank)
 
     def _projector(self, label):
         coeffs = {}
@@ -951,12 +1014,10 @@ class ClassOmega:
             if any(nu):
                 raise ClassifyError("nonzero degree in a trivially graded case")
             return ()
-        mat = [[Fraction(self._xi_basis[i][k]) for i in range(self.mm)]
-               for k in range(lat.rank)]
-        x = field_solve(mat, [Fraction(v) for v in nu], Fraction(1))
-        if x is None or any(v.denominator != 1 for v in x):
+        x = self._degrees.solve(nu)
+        if x is None:
             raise ClassifyError("degree outside the grading lattice")
-        return tuple(int(v) for v in x)
+        return tuple(x)
 
     def xi(self, i):
         return self._xis[i]

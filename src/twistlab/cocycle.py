@@ -49,9 +49,10 @@ class TwistData:
     the 1-cocycle phi defining the lift of sigma.
 
     The seeds are fixed at construction and must not be changed
-    afterwards: phi keeps its value per vector, and the obstruction scan
-    keeps its verdict per generating set, for as long as the object
-    lives."""
+    afterwards: phi keeps its value per vector, the obstruction scan
+    keeps its verdict per generating set, and `presentations` holds the
+    classifier's presentation of the algebra A per generating set
+    (`classify.presentation_of`), for as long as the object lives."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
@@ -69,6 +70,7 @@ class TwistData:
         self.phi_seed = {i: self._check_phi_value(v) for i, v in phi_seed.items()}
         self._phi = {}
         self._obstruction = {}
+        self.presentations = {}
 
     @staticmethod
     def _check_phi_value(v) -> CycScalar:

@@ -447,6 +447,7 @@ class FockModule:
             except ScalarError:
                 raise FockError("vacuum-space degrees must be rational")
         self.omega_degrees = degs
+        self._vertex_exps = {}
         self.floor = min(degs) if degs else Fraction(0)
 
     # -- vectors ------------------------------------------------------
@@ -740,14 +741,22 @@ class FockModule:
         return out
 
     def vertex_exponent(self, alpha, iota) -> Fraction:
-        """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line."""
-        xi = self.omega.xi(iota)
-        val = sum((as_scalar(a) * xi[k] for k, a in enumerate(alpha)), ZERO)
-        try:
-            x0 = val.rational_value()
-        except ScalarError:
-            raise FockError("z-exponent of a vertex operator must be rational")
-        return x0 - self.lattice.prime_pairing(alpha, alpha) / 2
+        """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line,
+        kept per (alpha, line)."""
+        key = (tuple(alpha), iota)
+        out = self._vertex_exps.get(key)
+        if out is None:
+            xi = self.omega.xi(iota)
+            val = sum((as_scalar(a) * xi[k] for k, a in enumerate(alpha)),
+                      ZERO)
+            try:
+                x0 = val.rational_value()
+            except ScalarError:
+                raise FockError(
+                    "z-exponent of a vertex operator must be rational")
+            out = x0 - self.lattice.prime_pairing(alpha, alpha) / 2
+            self._vertex_exps[key] = out
+        return out
 
     def vertex_coeff(self, alpha, m) -> FockOp:
         alpha = tuple(alpha)

@@ -2,6 +2,7 @@
 elimination used throughout the package."""
 from __future__ import annotations
 
+from fractions import Fraction
 from math import gcd
 
 
@@ -267,6 +268,44 @@ def field_inverse(a, one):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in rref]
+
+
+class IntegerCoords:
+    """Integer coordinates of vectors in linearly independent rational
+    columns, from one elimination: [C | I] reduces to [R | P] with
+    P·C = R, so the first rows of P, scaled to integers by one common
+    denominator, give den·x for v = C·x, and the other rows vanish
+    exactly on the span of the columns."""
+
+    def __init__(self, cols, n: int):
+        one = Fraction(1)
+        r = len(cols)
+        aug = [[Fraction(c[i]) for c in cols]
+               + [one if i == j else one - one for j in range(n)]
+               for i in range(n)]
+        rref, pivots = field_rref(aug, one)
+        if pivots[:r] != list(range(r)):
+            raise ValueError("columns are linearly dependent")
+        left = [row[r:] for row in rref[:r]]
+        self.den = lcm_list([x.denominator for row in left for x in row])
+        self._left = [[int(x * self.den) for x in row] for row in left]
+        self._null = []
+        for row in rref[r:]:
+            scale = lcm_list([x.denominator for x in row[r:]])
+            self._null.append([int(x * scale) for x in row[r:]])
+
+    def solve(self, vec):
+        """The integer x with C·x = vec, or None when vec is outside the
+        span or its coordinates are not integers."""
+        if any(sum(a * v for a, v in zip(row, vec)) for row in self._null):
+            return None
+        out = []
+        for row in self._left:
+            num = sum(a * v for a, v in zip(row, vec))
+            if num % self.den:
+                return None
+            out.append(int(num // self.den))
+        return out
 
 
 def field_rank(a, one) -> int:

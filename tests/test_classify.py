@@ -13,11 +13,11 @@ from twistlab.classify import (
     decompose_A,
     enumerate_simple_twisted,
     eta_cosets,
-    extend_automorphism,
     instantiate_class,
     root_exponent,
     twisted_conditions,
 )
+from twistlab import classify, cocycle
 from twistlab.cocycle import TwistData
 from twistlab.fock import FockModule, RegularOmega
 from twistlab.lattice import TwistedLattice
@@ -62,6 +62,29 @@ def test_finite_quotient_basic():
     assert q.coords((3, 5)) != q.coords((0, 1))
 
 
+def test_finite_quotient_exact_membership():
+    # the span of (1, 1) in Z^2, modulo 2(1, 1)
+    q = FiniteQuotient([(1, 1)], [(2, 2)], 2)
+    assert q.size == 2
+    assert q.coords((3, 3)) == (1,)
+    for vec in ((1, 0), (Fraction(1, 2), Fraction(1, 2))):
+        with pytest.raises(ClassifyError, match="outside the ambient"):
+            q.coords(vec)
+    half = FiniteQuotient([(Fraction(1, 2),)], [(2,)], 1)
+    assert half.coords((Fraction(5, 2),)) == half.coords((Fraction(1, 2),))
+    with pytest.raises(ClassifyError, match="outside the ambient"):
+        half.coords((Fraction(1, 4),))
+
+
+def test_grading_coords_exact():
+    T = twist([[2]], [[1]])
+    (cls, _other) = enumerate_simple_twisted(T).classes
+    omega = instantiate_class(T, cls, trunc=2).omega
+    assert omega._grading_coords((3,)) == (3,)
+    with pytest.raises(ClassifyError, match="outside the grading"):
+        omega._grading_coords((Fraction(1, 2),))
+
+
 def test_finite_quotient_rejects_infinite():
     with pytest.raises(ClassifyError):
         FiniteQuotient([(1, 0), (0, 1)], [(2, 0)], 2)
@@ -77,27 +100,41 @@ def test_finite_quotient_rational_ambient():
 # automorphism lifts
 # ---------------------------------------------------------------------
 
-def test_extend_automorphism_negation():
-    T = twist([[2]], [[-1]])
-    ext = extend_automorphism(T)
-    assert ext.order_check == "pass"
-    (orb,) = ext.orbits
-    assert orb.length == 2
-    assert sorted(str(r) for r in orb.roots) == ["-1", "1"]
-    assert orb.eigen_check == "pass"
-    # k_0 = 1 always
-    for ks in orb.k_table.values():
+def _eigen_relations_hold(T, orb, mu, ks):
+    """The recipes Y_j = sum_s w^(-js) k_s X_(sigma^s a) are eigenvectors
+    of the lift: coeffs_s phi(sigma^s a) = mu w^j coeffs_(s+1)."""
+    pa = len(orb)
+    for j in range(pa):
+        coeffs = [root_of_unity(pa, (-j * s) % pa) * ks[s] for s in range(pa)]
+        eig = mu * root_of_unity(pa, j)
+        for s in range(pa):
+            if coeffs[s] * T.phi(orb[s]) != eig * coeffs[(s + 1) % pa]:
+                return False
+    return True
+
+
+def _check_root_choices(T, length):
+    dec = T.lattice.reduce_generating_set()
+    (orb,) = dec.orbits
+    assert len(orb) == length
+    roots = T.mu_roots(orb)
+    assert len(set(roots)) == length
+    # for the canonical cocycle values the lift has the order of sigma
+    assert T.orbit_phi_product(orb) ** (T.lattice.p // length) == ONE
+    for mu in roots:
+        (ks,) = PresentedAlgebraA(T, dec, (mu,)).ks
         assert ks[0] == ONE
+        assert _eigen_relations_hold(T, orb, mu, ks)
+    return roots
 
 
-def test_extend_automorphism_rotation():
-    T = twist([[2, 0], [0, 2]], ROT)
-    ext = extend_automorphism(T)
-    assert ext.order_check == "pass"
-    (orb,) = ext.orbits
-    assert orb.length == 4
-    assert len(orb.roots) == 4
-    assert orb.eigen_check == "pass"
+def test_root_choices_negation():
+    roots = _check_root_choices(twist([[2]], [[-1]]), 2)
+    assert sorted(str(r) for r in roots) == ["-1", "1"]
+
+
+def test_root_choices_rotation():
+    _check_root_choices(twist([[2, 0], [0, 2]], ROT), 4)
 
 
 # ---------------------------------------------------------------------
@@ -136,6 +173,8 @@ def test_algebra_zero_on_relation_mismatch():
     assert A.zero
     kind, _wit = A.witness
     assert kind == "inconsistent relation scalars"
+    # a collapsed root choice never builds E or meets its caps
+    assert "E" not in vars(A.presentation)
 
 
 def test_derived_mu_matches_choice():
@@ -311,17 +350,114 @@ def test_class_dimensions_match_blocks():
 # memos and known faults
 # ---------------------------------------------------------------------
 
-def test_tau_memo_matches_fresh_algebra():
-    gram = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
-    T = twist(gram, neg(3))
-    A = build_algebra_A(T)
+A2 = [[2, -1], [-1, 2]]
+FAULT = ([[4, -3, 2, 2], [-3, -8, 2, 4], [2, 2, 4, -3], [2, 4, -3, -8]],
+         [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]])
+# orders 2, 3, 4 and 6; the rotation collapses its root choices mu = +-i
+# with inconsistent relation scalars, and the known-fault lattice every
+# root choice with a non-central relation
+SPLIT_FIXTURES = [
+    ([[2, 1], [1, 2]], neg(2)),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 4]], neg(3)),
+    (A2, [[0, -1], [1, -1]]),
+    ([[2, 0], [0, 2]], ROT),
+    (A2, [[1, -1], [1, 0]]),
+    FAULT,
+]
+
+
+def _enumerated_algebras(monkeypatch, gram, sigma):
+    """The per-root-choice algebras one enumeration builds."""
+    built = []
+
+    class Recorded(PresentedAlgebraA):
+        def __init__(self, *args):
+            super().__init__(*args)
+            built.append(self)
+
+    monkeypatch.setattr(classify, "PresentedAlgebraA", Recorded)
+    res = enumerate_simple_twisted(twist(gram, sigma))
+    monkeypatch.undo()
+    assert len(built) == len(res.entries)
+    return built
+
+
+def _assert_same_algebra(A, fresh):
+    assert (A.zero, A.witness) == (fresh.zero, fresh.witness)
+    if A.zero:
+        return
+    assert A.ks == fresh.ks
+    assert (A.c, A.grading) == (fresh.c, fresh.grading)
+    assert [(r.index, r.power, r.theta, r.normalizer)
+            for r in A.power_relations] == \
+        [(r.index, r.power, r.theta, r.normalizer)
+         for r in fresh.power_relations]
+    assert A.E.divisors == fresh.E.divisors
+    assert A.dim_B0 == fresh.dim_B0
+    rad, rad_fresh = A.presentation.radical, fresh.presentation.radical
+    assert (rad.divisors, rad.gens) == (rad_fresh.divisors, rad_fresh.gens)
     elements = list(A.E.elements())
-    assert len(elements) == 8
-    fresh = build_algebra_A(twist(gram, neg(3)), A.mu_choice)
     for g in elements:
         for h in elements:
             assert A.tau(g, h) is A.tau(g, h)
             assert A.tau(g, h) == fresh.tau(g, h)
+
+
+def test_tau_memo_matches_fresh_algebra(monkeypatch):
+    gram = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
+    T = twist(gram, neg(3))
+    A = build_algebra_A(T)
+    assert len(list(A.E.elements())) == 8
+    _assert_same_algebra(A, build_algebra_A(twist(gram, neg(3)),
+                                            A.mu_choice))
+    # every algebra of an enumeration, built on the twist's shared
+    # presentation, equals one built alone on a fresh twist
+    witnesses = set()
+    orders = set()
+    for gram, sigma in SPLIT_FIXTURES:
+        for A in _enumerated_algebras(monkeypatch, gram, sigma):
+            T = twist(gram, sigma)
+            fresh = PresentedAlgebraA(T, T.lattice.reduce_generating_set(),
+                                      A.mu_choice)
+            _assert_same_algebra(A, fresh)
+            orders.add(T.lattice.p)
+            if A.zero:
+                witnesses.add(A.witness[0])
+    assert orders == {2, 3, 4, 6}
+    assert witnesses == {"inconsistent relation scalars",
+                         "non-central relation"}
+
+
+def test_enumeration_builds_one_presentation(monkeypatch):
+    # sigma = -1 on A1 + A1 twisted: 4 root choices, one admissible; the
+    # enumeration makes the commutator calls of a single root choice
+    # once the obstruction scan is done
+    gram, sigma = [[2, 1], [1, 2]], neg(2)
+    calls = []
+    real = cocycle.commutator_map
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cocycle, "commutator_map", counted)
+    monkeypatch.setattr(classify, "commutator_map", counted)
+
+    def scanned():
+        T = twist(gram, sigma)
+        dec = T.lattice.reduce_generating_set()
+        T.obstruction_check(dec)
+        calls.clear()
+        return T, dec
+
+    T, dec = scanned()
+    res = enumerate_simple_twisted(T, dec)
+    assert len(res.entries) == 4
+    enumerated = len(calls)
+    (entry,) = [e for e in res.entries if e.admissible]
+    T, dec = scanned()
+    decompose_A(PresentedAlgebraA(T, dec, entry.mu_choice))
+    assert enumerated == len(calls) > 0
 
 
 # Unobstructed lattices on which enumeration finds no class: every root

@@ -417,22 +417,37 @@ def test_cyclotomic_report_bytes(tmp_path, name, cmd):
     assert report.read_text() == PINNED_REPORTS[(name, cmd)]
 
 
-def test_size_cap_exit_3(tmp_path):
-    # sigma = -1 on 2*I_13: E has 8192 elements, over the size cap; the
-    # refusal is a documented exit code, not a traceback
-    l = 13
+def _classify_negation_subprocess(tmp_path, l):
+    """`twistlab --cmd classify` with sigma = -1 on 2*I_l, in a fresh
+    interpreter with a fixed timeout."""
     spec = {"gram": [[2 if i == j else 0 for j in range(l)] for i in range(l)],
             "sigma": [[-1 if i == j else 0 for j in range(l)]
                       for i in range(l)]}
     src = os.path.dirname(os.path.dirname(twistlab.__file__))
-    proc = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-m", "twistlab.cli",
          "--spec", write_spec(tmp_path, spec), "--cmd", "classify"],
-        capture_output=True, text=True, timeout=120,
+        capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=src))
+
+
+def test_size_cap_exit_3(tmp_path):
+    # sigma = -1 on 2*I_13: E has 8192 elements, over the size cap; the
+    # refusal is a documented exit code, not a traceback
+    proc = _classify_negation_subprocess(tmp_path, 13)
     assert proc.returncode == EXIT_SCALAR
     assert "Traceback" not in proc.stderr
     assert "size cap" in proc.stderr
+    assert proc.stdout == ""
+
+
+def test_work_cap_exit_3(tmp_path):
+    # sigma = -1 on 2*I_11: E has 2048 elements, under the size cap, but
+    # 2048 root choices times 2048^2 is over the work cap
+    proc = _classify_negation_subprocess(tmp_path, 11)
+    assert proc.returncode == EXIT_SCALAR
+    assert "Traceback" not in proc.stderr
+    assert "work cap" in proc.stderr
     assert proc.stdout == ""
 
 

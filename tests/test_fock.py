@@ -563,3 +563,24 @@ def test_derive_matches_translation():
     slots = [Fraction(k) for k in range(-2, 3)]
     assert compare_status(
         series_compare(lhs, rhs, slots, [vac(M)])) == "pass"
+
+
+def test_vertex_exponent_kept_per_line_and_irrational_refused():
+    T = TwistData(TwistedLattice([[2]], [[-1]]))
+    M = FockModule(T, RegularOmega(T, 1), 2)
+    assert M.vertex_exponent((1,), 0) is M.vertex_exponent([1], 0)
+    assert M.vertex_exponent((1,), 0) == -1  # -(alpha|alpha)/2
+
+    class IrrationalOmega:
+        # one vacuum line whose weight is not rational
+        size = 1
+
+        def xi(self, _i):
+            return (CycScalar(4, (0, 1)),)
+
+    M = FockModule(T, IrrationalOmega(), 2)
+    for _ in range(2):
+        with pytest.raises(FockError, match="z-exponent"):
+            M.vertex_exponent((1,), 0)
+    with pytest.raises(FockError, match="z-exponent"):
+        M.vertex_series((1,))

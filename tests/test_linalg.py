@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from twistlab.linalg import (
+    IntegerCoords,
     det_int,
     field_inverse,
     field_rank,
@@ -88,3 +91,40 @@ def test_field_ops():
     x = field_solve(a, [Fraction(3), Fraction(2)], one)
     assert x == [Fraction(1), Fraction(1)]
     assert field_solve([[Fraction(1)], [Fraction(1)]], [one, one + one], one) is None
+
+
+def test_integer_coords_agree_with_field_solve():
+    rng = random.Random(5)
+    one = Fraction(1)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        r = rng.randint(0, n)
+        cols = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                 for _ in range(n)] for _ in range(r)]
+        mat = [[c[i] for c in cols] for i in range(n)]
+        if r and field_rank(mat, one) < r:
+            with pytest.raises(ValueError):
+                IntegerCoords(cols, n)
+            continue
+        solver = IntegerCoords(cols, n)
+        for _ in range(5):
+            vec = [Fraction(rng.randint(-6, 6), rng.randint(1, 2))
+                   for _ in range(n)]
+            x = field_solve(mat, vec, one) if r else \
+                ([] if not any(vec) else None)
+            if x is not None and any(v.denominator != 1 for v in x):
+                x = None
+            assert solver.solve(vec) == x
+            # every integer combination is found again
+            y = [rng.randint(-3, 3) for _ in range(r)]
+            assert solver.solve(mat_vec(mat, y) if r else [0] * n) == y
+
+
+def test_integer_coords_exact_membership():
+    solver = IntegerCoords([(1, 1)], 2)
+    assert solver.solve((3, 3)) == [3]
+    assert solver.solve((1, 0)) is None  # outside the span
+    assert solver.solve((Fraction(1, 2), Fraction(1, 2))) is None
+    half = IntegerCoords([(Fraction(1, 2),)], 1)
+    assert half.solve((Fraction(3, 2),)) == [3]
+    assert half.solve((Fraction(1, 4),)) is None
