@@ -32,7 +32,6 @@ from .scalar import (
     root_of_unity,
 )
 
-MAX_COMPONENT_SIZE = 4096
 # a bound on the work of one enumeration: root choices times |E|^2, the
 # number of multiplication scalars tau over all root choices
 MAX_WORK = 2 ** 16
@@ -43,8 +42,8 @@ class ClassifyError(Exception):
 
 
 class SizeCapExceeded(ClassifyError):
-    """Raised when a finite component would exceed MAX_COMPONENT_SIZE, or
-    the work over its root choices would exceed MAX_WORK."""
+    """Raised when the work over the root choices of an enumeration,
+    root choices times |E|^2, would exceed MAX_WORK."""
 
 
 class UnsupportedScalar(ClassifyError):
@@ -350,18 +349,13 @@ class Presentation:
 
     @cached_property
     def E(self) -> FiniteQuotient:
-        """The degree-zero component E = Lambda_0 / K, refused when it
-        or the work over all root choices is too large."""
+        """The degree-zero component E = Lambda_0 / K, with Lambda_0 the
+        kernel of the norm map, refused when the work over all root
+        choices is too large."""
         lat = self.lattice
-        l = lat.rank
-        total = [[sum(lat._sigma_pows[s][i][j] for s in range(lat.p))
-                  for j in range(l)] for i in range(l)]
-        E = FiniteQuotient([tuple(v) for v in kernel_basis(total)],
-                           self._khnf, l)
-        if E.size > MAX_COMPONENT_SIZE:
-            raise SizeCapExceeded(
-                f"degree-zero component of size {E.size} exceeds the "
-                f"size cap {MAX_COMPONENT_SIZE}")
+        E = FiniteQuotient(
+            [tuple(v) for v in kernel_basis([list(r) for r in lat.norm])],
+            self._khnf, lat.rank)
         choices = math.prod(self.dec.lengths)
         if choices * E.size ** 2 > MAX_WORK:
             raise SizeCapExceeded(
@@ -624,6 +618,17 @@ class _GroupScalars:
     def labels(self):
         return itertools.product(*(range(ok) for _rk, ok, _nk in self.gens))
 
+    def projector(self, label) -> dict:
+        """The character idempotent (1/|S|) sum_a chi_label(a)^(-1) psi(a),
+        as coefficients over E."""
+        inv_size = CycScalar.rational(Fraction(1, self.q.size))
+        coeffs = {}
+        for a in self.q.elements():
+            g, s = self.psi(a)
+            c = self.character(label, a).inverse() * s * inv_size
+            coeffs[g] = coeffs.get(g, as_scalar(0)) + c
+        return {g: c for g, c in coeffs.items() if c}
+
 
 @dataclass
 class Block:
@@ -655,7 +660,6 @@ def decompose_A(A: PresentedAlgebraA) -> ADecomposition:
     E = A.E
     rad = A.presentation.radical
     lifts = _GroupScalars(A, rad)
-    inv_size = CycScalar.rational(Fraction(1, rad.size))
     blocks = []
     zero_g = tuple(0 for _ in E.divisors)
     one = {zero_g: ONE}
@@ -670,12 +674,7 @@ def decompose_A(A: PresentedAlgebraA) -> ADecomposition:
     index = {g: i for i, g in enumerate(elements)}
     dims = []
     for label in lifts.labels():
-        coeffs = {}
-        for a in rad.elements():
-            g, s = lifts.psi(a)
-            c = lifts.character(label, a).inverse() * s * inv_size
-            coeffs[g] = coeffs.get(g, as_scalar(0)) + c
-        coeffs = {g: c for g, c in coeffs.items() if c}
+        coeffs = lifts.projector(label)
         if _b0_mul(A, coeffs, coeffs) != coeffs:
             certified["idempotent"] = False
         for g, c in coeffs.items():
@@ -710,16 +709,6 @@ def decompose_A(A: PresentedAlgebraA) -> ADecomposition:
 # Weight admissibility and eta cosets
 # ---------------------------------------------------------------------
 
-def _pairing_matrix(lat: TwistedLattice):
-    """M[k][i] = (F_i | e_k) over the fixed-sublattice basis F."""
-    F = lat.fixed_basis
-    return [
-        [sum(F[i][j] * lat.gram[j][k] for j in range(lat.rank))
-         for i in range(len(F))]
-        for k in range(lat.rank)
-    ]
-
-
 def admissible_base_weight(A: PresentedAlgebraA):
     """A weight xi with xi(alpha(0)) = (alpha'|alpha')/2 - lambda(alpha)
     mod Z over an integer basis, or a witness that none exists.
@@ -740,8 +729,8 @@ def admissible_base_weight(A: PresentedAlgebraA):
             if c[k].denominator != 1:
                 return False, ("no weight satisfies the congruence", k, c[k])
         return True, tuple(Fraction(0) for _ in range(l))
-    M = _pairing_matrix(lat)
-    d, u, v = snf(M)
+    M = lat.fixed_pairing
+    d, u, v = snf([list(r) for r in M])
     uc = [sum(Fraction(u[i][j]) * c[j] for j in range(l)) for i in range(l)]
     z = [Fraction(0)] * f
     for i in range(l):
@@ -779,7 +768,7 @@ def eta_cosets(lat: TwistedLattice):
             raise ClassifyError("projection outside the fixed span")
         sub.append(tuple(x))
     Q = FiniteQuotient(ambient, sub, f)
-    M = _pairing_matrix(lat)
+    M = lat.fixed_pairing
     reps = []
     for cds in Q.elements():
         y = Q.lift(cds)
@@ -952,20 +941,15 @@ class ClassOmega:
         if self.d != self.block.dim:
             raise ClassifyError("isotropic index does not match the block dim")
         # transversal of the subgroup in E, canonical minimal representatives
-        cosets = {}
-        for g in E.elements():
-            key = min(_e_add(g, h, E.divisors) for h in members)
-            cosets.setdefault(key, key)
-        self.transversal = sorted(cosets)
-        self.coset_rep = {}
-        for g in E.elements():
-            self.coset_rep[g] = min(
-                _e_add(g, h, E.divisors) for h in members)
+        self.coset_rep = {
+            g: min(_e_add(g, h, E.divisors) for h in members)
+            for g in E.elements()}
+        self.transversal = sorted(set(self.coset_rep.values()))
         self.members = members
         # pick a character of H whose induced module lies in the block
         self.h_label = None
         for label in self.h_lifts.labels():
-            f = self._projector(label)
+            f = self.h_lifts.projector(label)
             if _b0_mul(A, self.block.idempotent, f) == f:
                 self.h_label = label
                 self.f = f
@@ -990,15 +974,6 @@ class ClassOmega:
         # degree coordinates: nu over the nonzero-degree reps
         self._degrees = IntegerCoords(
             [lat.nu(A.reps[i]) for i in range(self.mm)], lat_rank)
-
-    def _projector(self, label):
-        coeffs = {}
-        inv = CycScalar.rational(Fraction(1, self.H.size))
-        for a in self.H.elements():
-            g, s = self.h_lifts.psi(a)
-            c = self.h_lifts.character(label, a).inverse() * s * inv
-            coeffs[g] = coeffs.get(g, as_scalar(0)) + c
-        return {g: c for g, c in coeffs.items() if c}
 
     def _lift_vec(self, k):
         lat = self.A.lattice

@@ -3,8 +3,9 @@ spec, run the invariant suite, and emit classification reports.
 
 Output is deterministic structured text: identical specs produce
 byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
-2 input error, 3 refused: unsupported scalar, or a conductor or size cap
-reached.
+2 input error, 3 refused: unsupported scalar, the constant conductor cap
+720 reached, or the classifier's one work cap (root choices times |E|^2)
+exceeded.
 """
 from __future__ import annotations
 

@@ -12,15 +12,20 @@ class CocycleError(Exception):
     pass
 
 
+def _commutator_value(p: int, norms: int, ms) -> CycScalar:
+    """C = (-1)^(norms + sum m_s) * omega^(-sum s*m_s), where
+    norms = (a|a)(b|b) and ms are the m-values of (a, b)."""
+    weighted = sum(s * ms[s] for s in range(1, p))
+    value = root_of_unity(p, (-weighted) % p)
+    return -value if (norms + sum(ms)) % 2 else value
+
+
 def commutator_map(lattice: TwistedLattice, alpha, beta) -> CycScalar:
     """C(alpha, beta) = (-1)^((a|a)(b|b) + sum m_s) * omega^(-sum s*m_s)."""
-    ms = lattice.m_values(alpha, beta)
-    sign_exp = lattice.pairing(alpha, alpha) * lattice.pairing(beta, beta) + sum(ms)
-    weighted = sum(s * ms[s] for s in range(1, lattice.p))
-    value = root_of_unity(lattice.p, (-weighted) % lattice.p)
-    if sign_exp % 2:
-        value = -value
-    return value
+    return _commutator_value(
+        lattice.p,
+        lattice.pairing(alpha, alpha) * lattice.pairing(beta, beta),
+        lattice.m_values(alpha, beta))
 
 
 def locality_order(lattice: TwistedLattice, alpha, beta) -> int:
@@ -185,7 +190,10 @@ class TwistData:
 
         Scanning pi and pairwise sums of pi elements suffices: the
         quadratic map a -> C(a, sigma^j a) is generated by its values on
-        generators and generator sums.
+        generators and generator sums.  Since
+        m_s(a, sigma^j a) = (a | sigma^(s+j) a), the m-values of
+        (a, sigma^j a) are those of (a, a) rotated by j, so each
+        candidate needs them once.
         """
         if decomposition is None:
             decomposition = self.lattice.reduce_generating_set()
@@ -196,13 +204,16 @@ class TwistData:
 
     def _scan_obstruction(self, pi):
         lat = self.lattice
+        candidates = list(pi) + [
+            tuple(u + v for u, v in zip(pi[x], pi[y]))
+            for x in range(len(pi)) for y in range(x + 1, len(pi))]
+        ms = []
         for j in range(lat.p):
-            for a in pi:
-                if commutator_map(lat, a, lat.apply_sigma(a, j)) != ONE:
+            for i, a in enumerate(candidates):
+                if i == len(ms):
+                    ms.append(lat.m_values(a, a))
+                m = ms[i]
+                if _commutator_value(lat.p, m[0] * m[0],
+                                     m[j:] + m[:j]) != ONE:
                     return True, (a, j)
-            for x in range(len(pi)):
-                for y in range(x + 1, len(pi)):
-                    s = tuple(u + v for u, v in zip(pi[x], pi[y]))
-                    if commutator_map(lat, s, lat.apply_sigma(s, j)) != ONE:
-                        return True, (s, j)
         return False, None

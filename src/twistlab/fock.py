@@ -67,22 +67,14 @@ class GradedBasis:
         p, l = lattice.p, lattice.rank
         self.p = p
         omega = root_of_unity(p) if p > 1 else ONE
-        pows = [[[ONE if i == k else ZERO for k in range(l)]
-                 for i in range(l)]]
-        cur = [[CycScalar.rational(x) for x in row] for row in lattice.sigma]
-        for _ in range(1, p):
-            pows.append(cur)
-            nxt = [[sum((as_scalar(lattice.sigma[i][t]) * cur[t][k]
-                         for t in range(l)), ZERO) for k in range(l)]
-                   for i in range(l)]
-            cur = nxt
+        pows = lattice.sigma_pows
         inv_p = CycScalar.rational(Fraction(1, p))
         qs, vecs = [], []
         for q in range(p):
-            proj = [[sum((omega ** ((-q * s) % p) * pows[s][i][k]
+            # the transposed eigenprojector (1/p) sum_s omega^(-qs) sigma^s
+            rows = [[sum((omega ** ((-q * s) % p) * pows[s][i][k]
                           for s in range(p)), ZERO) * inv_p
-                     for k in range(l)] for i in range(l)]
-            rows = [[proj[i][k] for i in range(l)] for k in range(l)]
+                     for i in range(l)] for k in range(l)]
             rref, pivots = field_rref(rows, ONE)
             for r in rref[:len(pivots)]:
                 qs.append(q)
@@ -934,12 +926,9 @@ def heisenberg_commutation_check(M: FockModule, alphas, hs, modes, probes):
                 hop = M.mode_op(coords, n)
                 comm = hop.compose(ea) - ea.compose(hop)
                 if n == 0:
-                    # only the sigma-fixed part of h has a zero mode
-                    lat = M.lattice
-                    h0 = lat.proj0(h)
-                    pair0 = sum(
-                        h0[i] * Fraction(lat.gram[i][j]) * alpha[j]
-                        for i in range(lat.rank) for j in range(lat.rank))
+                    # only the sigma-fixed part of h has a zero mode:
+                    # (h^0 | alpha) = sum_k nu(h)_k alpha_k
+                    pair0 = sum(x * a for x, a in zip(M.lattice.nu(h), alpha))
                     comm = comm - ea.scale(pair0)
                 st = coeff_is_zero(M.alg, comm, probes)
                 report.append((f"[{tuple(h)}({n}), e{alpha}]", st))

@@ -5,7 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import det_int, hnf_columns, identity, mat_mul
+from .linalg import det_int, hnf_columns, identity, kernel_basis, mat_mul, mat_vec
 
 MAX_ORDER_SEARCH = 10000
 
@@ -16,7 +16,12 @@ class LatticeError(Exception):
 
 class TwistedLattice:
     """Lattice Z^l with symmetric nondegenerate integer form and an
-    automorphism sigma of finite order p preserving the form."""
+    automorphism sigma of finite order p preserving the form.
+
+    The lattice keeps its sigma data for its lifetime: the powers
+    `sigma_pows` (sigma^s for 0 <= s < p), the norm map
+    N = sum_s sigma^s, so that alpha^0 = N alpha / p, and `gram_norm`
+    = G N, whose column j is p * nu(e_j)."""
 
     def __init__(self, gram, sigma):
         gram = [list(map(int, row)) for row in gram]
@@ -45,7 +50,11 @@ class TwistedLattice:
         else:
             raise LatticeError("sigma does not have finite order")
         self.p = len(powers)
-        self._sigma_pows = tuple(tuple(tuple(r) for r in m) for m in powers)
+        self.sigma_pows = tuple(tuple(tuple(r) for r in m) for m in powers)
+        norm = [[sum(m[i][j] for m in powers) for j in range(l)]
+                for i in range(l)]
+        self.norm = tuple(tuple(r) for r in norm)
+        self.gram_norm = tuple(tuple(r) for r in mat_mul(gram, norm))
 
     # -- basic pairings -----------------------------------------------
 
@@ -58,49 +67,52 @@ class TwistedLattice:
         )
 
     def apply_sigma(self, v, s: int = 1):
-        m = self._sigma_pows[s % self.p]
+        m = self.sigma_pows[s % self.p]
         return tuple(sum(c * x for c, x in zip(row, v)) for row in m)
 
     def m_values(self, alpha, beta):
-        """(m_0, ..., m_{p-1}) with m_s = (sigma^{-s} alpha | beta)."""
-        g_beta = tuple(
-            sum(g * b for g, b in zip(row, beta)) for row in self.gram)
+        """(m_0, ..., m_{p-1}) with
+        m_s = (sigma^{-s} alpha | beta) = (alpha | sigma^s beta)."""
+        g_alpha = tuple(
+            sum(g * a for g, a in zip(row, alpha)) for row in self.gram)
         return tuple(
-            sum(a * gb for a, gb in zip(self.apply_sigma(alpha, -s), g_beta))
-            for s in range(self.p)
-        )
+            sum(ga * sum(c * b for c, b in zip(row, beta))
+                for ga, row in zip(g_alpha, m))
+            for m in self.sigma_pows)
 
     def prime_pairing(self, alpha, beta) -> Fraction:
-        """Pairing of the components orthogonal to the fixed space."""
-        ms = self.m_values(alpha, beta)
-        return Fraction(self.pairing(alpha, beta)) - Fraction(sum(ms), self.p)
+        """Pairing of the components orthogonal to the fixed space:
+        (alpha|beta) - (alpha|N beta)/p."""
+        gnb = mat_vec(self.gram_norm, beta)
+        return Fraction(self.pairing(alpha, beta)) - Fraction(
+            sum(a * x for a, x in zip(alpha, gnb)), self.p)
 
     def proj0(self, alpha):
         """Projection onto the sigma-fixed subspace, rational coords."""
-        total = [0] * self.rank
-        for s in range(self.p):
-            w = self.apply_sigma(alpha, s)
-            total = [t + x for t, x in zip(total, w)]
-        return tuple(Fraction(t, self.p) for t in total)
+        return tuple(Fraction(x, self.p) for x in mat_vec(self.norm, alpha))
 
     def nu(self, alpha):
         """Degree of alpha: values (alpha^[0] | e_k) over the standard basis."""
-        pr = self.proj0(alpha)
-        return tuple(
-            sum(Fraction(self.gram[k][j]) * pr[j] for j in range(self.rank))
-            for k in range(self.rank)
-        )
+        return tuple(Fraction(x, self.p)
+                     for x in mat_vec(self.gram_norm, alpha))
 
     @cached_property
     def fixed_basis(self):
         """Integer basis of the sigma-fixed sublattice."""
-        from .linalg import kernel_basis
-
         s_minus_id = [
             [self.sigma[i][j] - (1 if i == j else 0) for j in range(self.rank)]
             for i in range(self.rank)
         ]
         return tuple(tuple(v) for v in kernel_basis(s_minus_id))
+
+    @cached_property
+    def fixed_pairing(self):
+        """M[k][i] = (F_i | e_k) over the fixed-sublattice basis F."""
+        F = self.fixed_basis
+        return tuple(
+            tuple(sum(f[j] * self.gram[j][k] for j in range(self.rank))
+                  for f in F)
+            for k in range(self.rank))
 
     def orbit(self, alpha):
         """The sigma-orbit of alpha as a tuple, starting at alpha."""
@@ -115,16 +127,8 @@ class TwistedLattice:
         """Generating set closed under sigma with the minimal number of
         nonzero-degree orbits; the nonzero degrees form a Z-basis of nu(Lambda)."""
         l = self.rank
-        # integer degree matrix: column j = p * nu(e_j)
-        x = [[0] * l for _ in range(l)]
-        for j in range(l):
-            e = tuple(1 if i == j else 0 for i in range(l))
-            col = self.nu(e)
-            for k in range(l):
-                entry = col[k] * self.p
-                assert entry.denominator == 1
-                x[k][j] = int(entry)
-        h, u = hnf_columns(x)
+        # the integer degree matrix G N: column j = p * nu(e_j)
+        h, u = hnf_columns([list(r) for r in self.gram_norm])
         nonzero_cols = [
             j for j in range(l) if any(h[i][j] for i in range(l))
         ]

@@ -10,14 +10,14 @@ leave (rational(), rational_value(), the dense constructor, to_string).
 from __future__ import annotations
 
 import math
-import os
 import re
 from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import field_inverse, field_rref
 
-DEFAULT_CONDUCTOR_CAP = 720
+# the largest conductor a sum, product or root of unity may reach
+CONDUCTOR_CAP = 720
 
 
 class ScalarError(Exception):
@@ -26,11 +26,6 @@ class ScalarError(Exception):
 
 class ConductorOverflow(ScalarError):
     pass
-
-
-def conductor_cap() -> int:
-    value = os.environ.get("TWISTLAB_CONDUCTOR_CAP")
-    return int(value) if value else DEFAULT_CONDUCTOR_CAP
 
 
 def _divisors(n: int) -> list[int]:
@@ -569,9 +564,8 @@ def as_scalar(x) -> CycScalar:
 
 def _lcm_checked(a: int, b: int) -> int:
     m = a * b // math.gcd(a, b)
-    cap = conductor_cap()
-    if m > cap:
-        raise ConductorOverflow(f"conductor {m} exceeds cap {cap}")
+    if m > CONDUCTOR_CAP:
+        raise ConductorOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
     return m
 
 
@@ -580,8 +574,8 @@ def root_of_unity(n: int, k: int = 1) -> CycScalar:
     """zeta_n^k in canonical form."""
     if n < 1:
         raise ScalarError("root order must be positive")
-    if n > conductor_cap():
-        raise ConductorOverflow(f"conductor {n} exceeds cap {conductor_cap()}")
+    if n > CONDUCTOR_CAP:
+        raise ConductorOverflow(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
     k %= n
     return _canonical(n, _reduce(_field(n), [0] * k + [1]), 1)
 

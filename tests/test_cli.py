@@ -151,7 +151,7 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
 
 
 def test_conductor_cap_exit_3(tmp_path, monkeypatch):
-    monkeypatch.setenv("TWISTLAB_CONDUCTOR_CAP", "2")
+    monkeypatch.setattr(twistlab.scalar, "CONDUCTOR_CAP", 2)
     assert run(tmp_path, EX2, "classify") == EXIT_SCALAR
 
 
@@ -432,18 +432,19 @@ def _classify_negation_subprocess(tmp_path, l):
 
 
 def test_size_cap_exit_3(tmp_path):
-    # sigma = -1 on 2*I_13: E has 8192 elements, over the size cap; the
-    # refusal is a documented exit code, not a traceback
+    # sigma = -1 on 2*I_13: E has 8192 elements, so 8192 root choices
+    # times 8192^2 is far over the work cap; the refusal is a documented
+    # exit code, not a traceback
     proc = _classify_negation_subprocess(tmp_path, 13)
     assert proc.returncode == EXIT_SCALAR
     assert "Traceback" not in proc.stderr
-    assert "size cap" in proc.stderr
+    assert "work cap" in proc.stderr
     assert proc.stdout == ""
 
 
 def test_work_cap_exit_3(tmp_path):
-    # sigma = -1 on 2*I_11: E has 2048 elements, under the size cap, but
-    # 2048 root choices times 2048^2 is over the work cap
+    # sigma = -1 on 2*I_11: E has 2048 elements, and 2048 root choices
+    # times 2048^2 is over the work cap
     proc = _classify_negation_subprocess(tmp_path, 11)
     assert proc.returncode == EXIT_SCALAR
     assert "Traceback" not in proc.stderr

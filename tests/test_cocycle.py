@@ -239,21 +239,55 @@ def test_obstructed_instance_exists():
     assert found
 
 
-def test_obstruction_check_scans_once_per_generating_set(monkeypatch):
-    import twistlab.cocycle as cocycle
+def _count_m_values(monkeypatch):
+    """Record the arguments of every TwistedLattice.m_values call."""
+    calls = []
+    real = TwistedLattice.m_values
 
+    def counting(self, alpha, beta):
+        calls.append((tuple(alpha), tuple(beta)))
+        return real(self, alpha, beta)
+
+    monkeypatch.setattr(TwistedLattice, "m_values", counting)
+    return calls
+
+
+def test_obstruction_scan_matches_brute_force(monkeypatch):
+    # the first hit of C(a, sigma^j a) != 1, scanning j outermost and
+    # the generators before their pairwise sums; the scan computes the
+    # m-values of each candidate once and rotates them for every j
+    rng = random.Random(29)
+    obstructed = 0
+    for _ in range(60):
+        lat = random_twisted_lattice(rng)
+        pi = lat.reduce_generating_set().pi
+        candidates = list(pi) + [
+            tuple(u + v for u, v in zip(pi[x], pi[y]))
+            for x in range(len(pi)) for y in range(x + 1, len(pi))]
+        expect = next(
+            ((a, j) for j in range(lat.p) for a in candidates
+             if commutator_map(lat, a, lat.apply_sigma(a, j)) != ONE),
+            None)
+        td = TwistData(lat)
+        calls = _count_m_values(monkeypatch)
+        result = td.obstruction_check()
+        monkeypatch.undo()
+        assert result == (expect is not None, expect)
+        obstructed += expect is not None
+        # one m_values(a, a) per candidate, in scan order, up to the hit
+        n = len(candidates)
+        if expect is not None and expect[1] == 0:
+            n = candidates.index(expect[0]) + 1
+        assert calls == [(a, a) for a in candidates[:n]]
+    assert 0 < obstructed < 60
+
+
+def test_obstruction_check_scans_once_per_generating_set(monkeypatch):
     lat = TwistedLattice(A1x2, ROT4)
     td = TwistData(lat)
     dec = lat.reduce_generating_set()
     first = td.obstruction_check(dec)
-    calls = []
-    real = cocycle.commutator_map
-
-    def counting(*args):
-        calls.append(args)
-        return real(*args)
-
-    monkeypatch.setattr(cocycle, "commutator_map", counting)
+    calls = _count_m_values(monkeypatch)
     assert td.obstruction_check(dec) == first
     assert td.obstruction_check(lat.reduce_generating_set()) == first
     assert calls == []

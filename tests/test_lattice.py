@@ -191,11 +191,41 @@ def _plain_power(m, s):
 def test_apply_sigma_and_m_values_match_matrices(gram, sigma, order):
     lat = TwistedLattice(gram, sigma)
     p = lat.p
+    l = lat.rank
     assert p == order
     powers = {s: _plain_power(sigma, s) for s in range(-p, 2 * p + 1)}
 
     def plain_apply(v, s):
         return tuple(sum(c * x for c, x in zip(row, v)) for row in powers[s])
+
+    def plain_pairing(v, w):
+        return sum(v[i] * gram[i][j] * w[j]
+                   for i in range(l) for j in range(l))
+
+    def plain_proj0(v):
+        return tuple(Fraction(sum(plain_apply(v, s)[i] for s in range(p)), p)
+                     for i in range(l))
+
+    def plain_nu(v):
+        pr = plain_proj0(v)
+        return tuple(sum(gram[k][j] * pr[j] for j in range(l))
+                     for k in range(l))
+
+    assert lat.norm == tuple(
+        tuple(sum(powers[s][i][j] for s in range(p)) for j in range(l))
+        for i in range(l))
+    # the degree matrix: column j is p * nu(e_j)
+    for j in range(l):
+        e = tuple(1 if i == j else 0 for i in range(l))
+        assert tuple(row[j] for row in lat.gram_norm) == tuple(
+            p * x for x in plain_nu(e))
+    F = lat.fixed_basis
+    for f in F:
+        assert plain_apply(f, 1) == f
+    assert lat.fixed_pairing == tuple(
+        tuple(plain_pairing(f, tuple(1 if i == k else 0 for i in range(l)))
+              for f in F)
+        for k in range(l))
 
     rng = random.Random(order)
     vectors = [tuple(rng.randint(-2, 2) for _ in range(lat.rank))
@@ -209,3 +239,7 @@ def test_apply_sigma_and_m_values_match_matrices(gram, sigma, order):
                     for i in range(lat.rank) for j in range(lat.rank))
                 for s in range(p))
             assert lat.m_values(v, w) == plain
+            assert lat.prime_pairing(v, w) == \
+                plain_pairing(v, w) - Fraction(sum(plain), p)
+        assert lat.proj0(v) == plain_proj0(v)
+        assert lat.nu(v) == plain_nu(v)

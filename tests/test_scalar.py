@@ -140,12 +140,14 @@ def test_all_roots_related_by_unit():
 
 
 def test_conductor_cap(monkeypatch):
-    monkeypatch.setenv("TWISTLAB_CONDUCTOR_CAP", "10")
+    import twistlab.scalar as scalar
+
+    monkeypatch.setattr(scalar, "CONDUCTOR_CAP", 10)
     with pytest.raises(ConductorOverflow):
         root_of_unity.__wrapped__(11)
     with pytest.raises(ConductorOverflow):
         root_of_unity.__wrapped__(5) * root_of_unity.__wrapped__(4)
-    monkeypatch.delenv("TWISTLAB_CONDUCTOR_CAP")
+    monkeypatch.undo()
     assert root_of_unity.__wrapped__(5) * root_of_unity.__wrapped__(4) == \
         root_of_unity(20, 9)
 
