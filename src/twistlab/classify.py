@@ -11,7 +11,7 @@ from functools import cached_property
 
 from .cocycle import TwistData, commutator_map
 from .fdist import vector_status, worst_status
-from .lattice import OrbitDecomposition, TwistedLattice
+from .lattice import TwistedLattice
 from .linalg import (
     IntegerCoords,
     field_inverse,
@@ -35,6 +35,8 @@ from .scalar import (
 # a bound on the work of one enumeration: root choices times |E|^2, the
 # number of multiplication scalars tau over all root choices
 MAX_WORK = 2 ** 16
+# the degree window of a class vacuum space: lifts k with |k_i| <= WINDOW
+WINDOW = 2
 
 
 class ClassifyError(Exception):
@@ -177,19 +179,10 @@ class PowerRelation:
     normalizer: CycScalar
 
 
-def presentation_of(twist: TwistData,
-                    decomposition: OrbitDecomposition) -> Presentation:
-    """The presentation of A on a generating set, built once per twist
-    and generating set."""
-    pi = decomposition.pi
-    if pi not in twist.presentations:
-        twist.presentations[pi] = Presentation(twist, decomposition)
-    return twist.presentations[pi]
-
-
 class Presentation:
     """The part of the algebra A that does not depend on the root choice
-    mu, for one generating set of orbits.
+    mu, on the lattice's generating set of orbits; the twist keeps it
+    (`TwistData.presentation`).
 
     The relation lattice K is spanned by the difference vectors
     d = sigma^s a - a of the orbits; this object keeps them with their
@@ -202,13 +195,15 @@ class Presentation:
     relation, else None.  The commutation constants, E and the radical
     are computed when first asked for and raise their errors each time
     they are asked for, so a root choice that collapses earlier never
-    meets their checks or caps."""
+    meets their checks or caps.  `algebra` keeps the algebra of each
+    root choice."""
 
-    def __init__(self, twist: TwistData, decomposition: OrbitDecomposition):
+    def __init__(self, twist: TwistData):
         self.twist = twist
         self.lattice = lat = twist.lattice
-        self.dec = decomposition
-        self.obstructed, wit = twist.obstruction_check(decomposition)
+        self.dec = lat.reduce_generating_set()
+        self._algebras = {}
+        self.obstructed, wit = twist.obstruction_check()
         self.witness = None
         if self.obstructed:
             self.witness = ("commutator obstruction", wit)
@@ -217,7 +212,7 @@ class Presentation:
         self.dvecs = []
         self.dslots = []
         self.deps = []
-        for j, orb in enumerate(decomposition.orbits):
+        for j, orb in enumerate(self.dec.orbits):
             for s in range(1, len(orb)):
                 d = _vec_sub(orb[s], orb[0])
                 self.dvecs.append(d)
@@ -245,6 +240,15 @@ class Presentation:
         self.kernel = [(ker, self._fold(ker))
                        for ker in (kernel_basis(self._dmat)
                                    if self.dvecs else [])]
+
+    def algebra(self, mu_choice) -> PresentedAlgebraA:
+        """The algebra A of one root choice, kept once built."""
+        mu_choice = tuple(mu_choice)
+        A = self._algebras.get(mu_choice)
+        if A is None:
+            A = self._algebras[mu_choice] = PresentedAlgebraA(
+                self.twist, self.dec, mu_choice)
+        return A
 
     # -- scalar bookkeeping -------------------------------------------
 
@@ -375,8 +379,6 @@ class Presentation:
         form of the exponent matrix."""
         E = self.E
         r = E.rank
-        if r == 0:
-            return FiniteQuotient([], [], 0)
         gens = [_unit(r, i) for i in range(r)]
         exps = [[root_exponent(self.bichar(gens[i], gens[j]))
                  for j in range(r)] for i in range(r)]
@@ -399,25 +401,28 @@ class PresentedAlgebraA:
     Concretely the algebra has basis indexed by Lambda/K, where K is
     spanned by the difference vectors sigma^s a - a of the generating
     orbits; each e(d), d in K, is identified with an explicit scalar.
-    What does not depend on mu lives on the generating set's
-    Presentation (`presentation`), which the twist keeps, so the root
-    choices of one enumeration share it.  This object holds the
-    coefficients k_s, the relation scalars, the power relations and the
-    scalars k_image, e_image and tau.  The zero marker is set when the
-    relations force 1 = theta for some scalar theta != 1 (the obstructed
-    case)."""
+    The generating set is the lattice's own (`reduce_generating_set`).
+    What does not depend on mu lives on the twist's Presentation
+    (`presentation`), which keeps this object per root choice
+    (`Presentation.algebra`).  This object holds the coefficients k_s,
+    the relation scalars, the power relations, the scalars k_image,
+    e_image and tau, and its block decomposition.  The zero marker is
+    set when the relations force 1 = theta for some scalar theta != 1
+    (the obstructed case)."""
 
-    def __init__(self, twist: TwistData, decomposition: OrbitDecomposition,
-                 mu_choice):
+    def __init__(self, twist: TwistData, decomposition, mu_choice):
         self.twist = twist
         self.lattice = twist.lattice
+        P = self.presentation = twist.presentation
+        if decomposition is not P.dec:
+            raise ClassifyError(
+                "the algebra is presented on the lattice's generating set")
         self.dec = decomposition
         self.mu_choice = tuple(mu_choice)
         self.zero = False
         self.witness = None
         if len(self.mu_choice) != len(decomposition.orbits):
             raise ClassifyError("one root choice per generating orbit required")
-        P = self.presentation = presentation_of(twist, decomposition)
         if P.obstructed:
             self.zero, self.witness = True, P.witness
             return
@@ -528,16 +533,70 @@ class PresentedAlgebraA:
         y_g y_h = b(g, h) y_h y_g."""
         return self.presentation.bichar(g, h)
 
+    @cached_property
+    def block_decomposition(self) -> ADecomposition:
+        """Simple blocks of the degree-zero component B_0, as explicit
+        central idempotents indexed by characters of the bicharacter
+        radical, with exact certification that they are orthogonal
+        idempotents summing to one and that the block dimensions square-sum
+        to dim B_0.  Homogeneous invertible elements carry the block
+        decomposition from B_0 to graded ideals of the whole algebra."""
+        if self.zero:
+            raise ClassifyError("the zero algebra has no block decomposition")
+        E = self.E
+        rad = self.presentation.radical
+        lifts = _GroupScalars(self, rad)
+        blocks = []
+        zero_g = tuple(0 for _ in E.divisors)
+        one = {zero_g: ONE}
+        total = {}
+        certified = {
+            "idempotent": True,
+            "orthogonal": True,
+            "sum_to_one": True,
+            "dims_square": True,
+        }
+        elements = list(E.elements())
+        dims = []
+        for label in lifts.labels():
+            coeffs = lifts.projector(label)
+            if _b0_mul(self, coeffs, coeffs) != coeffs:
+                certified["idempotent"] = False
+            for g, c in coeffs.items():
+                s = total.get(g)
+                s = c if s is None else s + c
+                if s:
+                    total[g] = s
+                elif g in total:
+                    del total[g]
+            rows = []
+            for h in elements:
+                prod = _b0_mul(self, coeffs, {h: ONE})
+                rows.append([prod.get(g, as_scalar(0)) for g in elements])
+            rank = field_rank(rows, ONE)
+            d = math.isqrt(rank)
+            if d * d != rank:
+                certified["dims_square"] = False
+            dims.append(d)
+            blocks.append(Block(label, coeffs, d, rank))
+        for i in range(len(blocks)):
+            for j in range(i + 1, len(blocks)):
+                if _b0_mul(self, blocks[i].idempotent, blocks[j].idempotent):
+                    certified["orthogonal"] = False
+        if total != one:
+            certified["sum_to_one"] = False
+        if sum(b.rank for b in blocks) != E.size:
+            certified["dims_square"] = False
+        return ADecomposition(self, rad, blocks, len(blocks), tuple(dims),
+                              certified)
 
-def build_algebra_A(T: TwistData, mu_choice=None,
-                    decomposition: OrbitDecomposition | None = None
-                    ) -> PresentedAlgebraA:
-    if decomposition is None:
-        decomposition = T.lattice.reduce_generating_set()
+
+def build_algebra_A(T: TwistData, mu_choice=None) -> PresentedAlgebraA:
+    """The twist's algebra A of mu_choice, by default the first roots."""
     if mu_choice is None:
-        mu_choice = tuple(
-            T.mu_roots(orb)[0] for orb in decomposition.orbits)
-    return PresentedAlgebraA(T, decomposition, mu_choice)
+        mu_choice = tuple(T.mu_roots(orb)[0]
+                          for orb in T.lattice.reduce_generating_set().orbits)
+    return T.presentation.algebra(mu_choice)
 
 
 # ---------------------------------------------------------------------
@@ -649,60 +708,8 @@ class ADecomposition:
 
 
 def decompose_A(A: PresentedAlgebraA) -> ADecomposition:
-    """Simple blocks of the degree-zero component B_0, as explicit
-    central idempotents indexed by characters of the bicharacter
-    radical, with exact certification that they are orthogonal
-    idempotents summing to one and that the block dimensions square-sum
-    to dim B_0.  Homogeneous invertible elements carry the block
-    decomposition from B_0 to graded ideals of the whole algebra."""
-    if A.zero:
-        raise ClassifyError("the zero algebra has no block decomposition")
-    E = A.E
-    rad = A.presentation.radical
-    lifts = _GroupScalars(A, rad)
-    blocks = []
-    zero_g = tuple(0 for _ in E.divisors)
-    one = {zero_g: ONE}
-    total = {}
-    certified = {
-        "idempotent": True,
-        "orthogonal": True,
-        "sum_to_one": True,
-        "dims_square": True,
-    }
-    elements = list(E.elements())
-    index = {g: i for i, g in enumerate(elements)}
-    dims = []
-    for label in lifts.labels():
-        coeffs = lifts.projector(label)
-        if _b0_mul(A, coeffs, coeffs) != coeffs:
-            certified["idempotent"] = False
-        for g, c in coeffs.items():
-            s = total.get(g)
-            s = c if s is None else s + c
-            if s:
-                total[g] = s
-            elif g in total:
-                del total[g]
-        rows = []
-        for h in elements:
-            prod = _b0_mul(A, coeffs, {h: ONE})
-            rows.append([prod.get(g, as_scalar(0)) for g in elements])
-        rank = field_rank(rows, ONE)
-        d = math.isqrt(rank)
-        if d * d != rank:
-            certified["dims_square"] = False
-        dims.append(d)
-        blocks.append(Block(label, coeffs, d, rank))
-    for i in range(len(blocks)):
-        for j in range(i + 1, len(blocks)):
-            if _b0_mul(A, blocks[i].idempotent, blocks[j].idempotent):
-                certified["orthogonal"] = False
-    if total != one:
-        certified["sum_to_one"] = False
-    if sum(b.rank for b in blocks) != E.size:
-        certified["dims_square"] = False
-    return ADecomposition(A, rad, blocks, len(blocks), tuple(dims), certified)
+    """A's block decomposition (`PresentedAlgebraA.block_decomposition`)."""
+    return A.block_decomposition
 
 
 # ---------------------------------------------------------------------
@@ -815,9 +822,7 @@ class EnumerationResult:
     orbit_lengths: tuple
 
 
-def enumerate_simple_twisted(T: TwistData,
-                             decomposition: OrbitDecomposition | None = None
-                             ) -> EnumerationResult:
+def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
     """All simple twisted-module classes: root choices per generating
     orbit, filtered by weight admissibility, crossed with the simple
     blocks of A and with the eta cosets.  The obstructed case returns
@@ -825,11 +830,11 @@ def enumerate_simple_twisted(T: TwistData,
 
     Classes are deduplicated only by their explicit (roots, block, eta)
     data; coincidences across different root choices are reported as
-    separate entries."""
+    separate entries.  A block decomposition that fails its
+    certificate raises ClassifyError."""
     lat = T.lattice
-    if decomposition is None:
-        decomposition = lat.reduce_generating_set()
-    obstructed, wit = T.obstruction_check(decomposition)
+    decomposition = lat.reduce_generating_set()
+    obstructed, wit = T.obstruction_check()
     lengths = decomposition.lengths
     if obstructed:
         return EnumerationResult(True, wit, [], 0, [], [], lat.p, lengths)
@@ -838,7 +843,7 @@ def enumerate_simple_twisted(T: TwistData,
     classes = []
     for mu_choice in itertools.product(
             *(T.mu_roots(orb) for orb in decomposition.orbits)):
-        A = PresentedAlgebraA(T, decomposition, mu_choice)
+        A = T.presentation.algebra(mu_choice)
         if A.zero:
             entries.append(MuEntry(mu_choice, False, A.witness))
             continue
@@ -847,7 +852,12 @@ def enumerate_simple_twisted(T: TwistData,
             entries.append(MuEntry(mu_choice, False, detail))
             continue
         xi0 = detail
-        dec_A = decompose_A(A)
+        dec_A = A.block_decomposition
+        failed = [k for k, ok in dec_A.certified.items() if not ok]
+        if failed:
+            raise ClassifyError(
+                f"block decomposition at mu {mu_choice} fails its "
+                f"certificate: {', '.join(failed)}")
         entry = MuEntry(mu_choice, True, xi0, A.dim_B0, dec_A.count,
                         dec_A.dims)
         for ideal_index in range(dec_A.count):
@@ -902,8 +912,6 @@ def _subgroup_quotient(A: PresentedAlgebraA, members) -> FiniteQuotient:
     """Structure of a subgroup of E given by its coordinate set."""
     E = A.E
     r = E.rank
-    if r == 0:
-        return FiniteQuotient([], [], 0)
     cols = [tuple(g) for g in sorted(members)]
     cols += [tuple(E.divisors[i] if k == i else 0 for k in range(r))
              for i in range(r)]
@@ -923,16 +931,15 @@ class ClassOmega:
     """Vacuum space of an enumerated class: a window of degree lifts
     tensored with a simple module of the degree-zero component, with
     the e-action computed through the relation-quotient algebra.  The
-    action poisons (returns None) when it leaves the degree window."""
+    action poisons (returns None) when it leaves the degree window
+    |k_i| <= WINDOW."""
 
-    def __init__(self, A: PresentedAlgebraA, dec_A: ADecomposition,
-                 ideal_index: int, xi0, eta, window: int = 2):
+    def __init__(self, A: PresentedAlgebraA, ideal_index: int, xi0, eta):
         self.A = A
         lat = A.lattice
         E = A.E
-        self.block = dec_A.blocks[ideal_index]
-        rad = dec_A.radical
-        members = _maximal_isotropic(A, rad)
+        self.block = A.block_decomposition.blocks[ideal_index]
+        members = _maximal_isotropic(A, A.presentation.radical)
         self.H = _subgroup_quotient(A, members)
         self.h_lifts = _GroupScalars(A, self.H)
         if E.size % len(members):
@@ -956,11 +963,9 @@ class ClassOmega:
                 break
         if self.h_label is None:
             raise ClassifyError("no subgroup character matches the block")
-        # degree window
-        self.window = window
         self.mm = A.m
         grid = itertools.product(
-            *(range(-window, window + 1) for _ in range(self.mm)))
+            *(range(-WINDOW, WINDOW + 1) for _ in range(self.mm)))
         self.lines = [(tuple(k), t) for k in grid for t in self.transversal]
         self.lookup = {line: i for i, line in enumerate(self.lines)}
         self.size = len(self.lines)
@@ -1018,7 +1023,7 @@ class ClassOmega:
         k, t = self.lines[i]
         a = self._grading_coords(alpha)
         k2 = tuple(x + y for x, y in zip(k, a))
-        if any(abs(x) > self.window for x in k2):
+        if any(abs(x) > WINDOW for x in k2):
             return None
         lk = self._lift_vec(k)
         lk2 = self._lift_vec(k2)
@@ -1032,20 +1037,15 @@ class ClassOmega:
         return [(self.lookup[(k2, t2)], total)]
 
 
-def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc,
-                      decomposition: OrbitDecomposition | None = None,
-                      window: int = 2):
-    """A truncated Fock module realizing an enumerated class."""
+def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):
+    """A truncated Fock module realizing an enumerated class, on the
+    twist's algebra of the class's root choice."""
     from .fock import FockModule
 
-    if decomposition is None:
-        decomposition = T.lattice.reduce_generating_set()
-    A = PresentedAlgebraA(T, decomposition, cls.mu_choice)
+    A = T.presentation.algebra(cls.mu_choice)
     if A.zero:
         raise ClassifyError(f"algebra collapsed: {A.witness}")
-    dec_A = decompose_A(A)
-    omega = ClassOmega(A, dec_A, cls.ideal_index, cls.base_weight, cls.eta,
-                       window)
+    omega = ClassOmega(A, cls.ideal_index, cls.base_weight, cls.eta)
     return FockModule(T, omega, trunc)
 
 
@@ -1097,7 +1097,7 @@ def _check_weight_ii(T, module, gamma, mu):
     return "pass", None
 
 
-def twisted_conditions(T: TwistData, module, mu_map=None, probes=None):
+def twisted_conditions(T: TwistData, module):
     """Checks, for alpha over an integer basis grouped by orbit, that
     some orbit root mu makes (i) e(sigma^s a) = k_s^(-1) e(a) hold on
     the module and (ii) every weight satisfies
@@ -1112,8 +1112,7 @@ def twisted_conditions(T: TwistData, module, mu_map=None, probes=None):
     order, mu, cond_i, cond_ii, witness."""
     lat = T.lattice
     l = lat.rank
-    if probes is None:
-        probes = [module.vacuum(i) for i in range(module.omega.size)]
+    probes = [module.vacuum(i) for i in range(module.omega.size)]
     groups = {}
     for k in range(l):
         e = _unit(l, k)
@@ -1123,10 +1122,8 @@ def twisted_conditions(T: TwistData, module, mu_map=None, probes=None):
     for key in sorted(groups):
         vectors = groups[key]
         orb0 = lat.orbit(vectors[0])
-        candidates = [mu_map[key]] if mu_map and key in mu_map \
-            else list(T.mu_roots(orb0))
         best = None
-        for mu in candidates:
+        for mu in T.mu_roots(orb0):
             ci, cii, wit = "pass", "pass", None
             for gamma in vectors:
                 s1, w1 = _check_relation_i(T, module, gamma, mu, probes)

@@ -3,8 +3,9 @@ constants kappa, the extension cocycle phi, and the obstruction test."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 
-from .lattice import OrbitDecomposition, TwistedLattice
+from .lattice import TwistedLattice
 from .scalar import CycScalar, ONE, as_scalar, canonical_root, root_of_unity
 
 
@@ -55,9 +56,9 @@ class TwistData:
 
     The seeds are fixed at construction and must not be changed
     afterwards: phi keeps its value per vector, the obstruction scan
-    keeps its verdict per generating set, and `presentations` holds the
-    classifier's presentation of the algebra A per generating set
-    (`classify.presentation_of`), for as long as the object lives."""
+    keeps its one verdict on the lattice's generating set, and
+    `presentation` is the classifier's presentation of the algebra A,
+    built once, for as long as the object lives."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
@@ -74,8 +75,6 @@ class TwistData:
             }
         self.phi_seed = {i: self._check_phi_value(v) for i, v in phi_seed.items()}
         self._phi = {}
-        self._obstruction = {}
-        self.presentations = {}
 
     @staticmethod
     def _check_phi_value(v) -> CycScalar:
@@ -185,7 +184,7 @@ class TwistData:
 
     # -- obstruction --------------------------------------------------
 
-    def obstruction_check(self, decomposition: OrbitDecomposition | None = None):
+    def obstruction_check(self):
         """Scan for C(alpha, sigma^j alpha) != 1; returns (obstructed, witness).
 
         Scanning pi and pairwise sums of pi elements suffices: the
@@ -193,17 +192,14 @@ class TwistData:
         generators and generator sums.  Since
         m_s(a, sigma^j a) = (a | sigma^(s+j) a), the m-values of
         (a, sigma^j a) are those of (a, a) rotated by j, so each
-        candidate needs them once.
+        candidate needs them once.  The verdict is computed once.
         """
-        if decomposition is None:
-            decomposition = self.lattice.reduce_generating_set()
-        pi = decomposition.pi
-        if pi not in self._obstruction:
-            self._obstruction[pi] = self._scan_obstruction(pi)
-        return self._obstruction[pi]
+        return self._obstruction
 
-    def _scan_obstruction(self, pi):
+    @cached_property
+    def _obstruction(self):
         lat = self.lattice
+        pi = lat.reduce_generating_set().pi
         candidates = list(pi) + [
             tuple(u + v for u, v in zip(pi[x], pi[y]))
             for x in range(len(pi)) for y in range(x + 1, len(pi))]
@@ -217,3 +213,11 @@ class TwistData:
                                      m[j:] + m[:j]) != ONE:
                     return True, (a, j)
         return False, None
+
+    @cached_property
+    def presentation(self):
+        """The classifier's presentation of the algebra A on the
+        lattice's generating set (`classify.Presentation`)."""
+        from .classify import Presentation
+
+        return Presentation(self)

@@ -207,8 +207,9 @@ class LieAlg:
                     )
         return out
 
-    def integral_product_coeff(self, a0, b0, n: int, m: int, meta):
-        """Coefficient (a0 [n] b0)(m) for integral series with Lie
+    def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
+        """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
+        components a0(k) = a(k + ra), b0(k) = b(k + rb), with Lie
         coefficients: sum_s (-1)^s binom(n,s) [a0(n-s), b0(m+s)]."""
         if n < 0:
             raise FdistError(
@@ -219,8 +220,8 @@ class LieAlg:
             c = gen_binom(Fraction(n), s)
             if not c:
                 continue
-            x = a0(n - s)
-            y = b0(m + s)
+            x = a.coeff(n - s + ra)
+            y = b.coeff(m + s + rb)
             if x is UNKNOWN or y is UNKNOWN:
                 return UNKNOWN
             term = self.bracket(x, y)
@@ -283,13 +284,6 @@ class GenSeries:
             return entries.get(n, alg.zero())
 
         return cls(alg, fn, residues, parity=parity, shift_base=shift_base)
-
-    def component(self, rho: Fraction):
-        """Integral coefficient function of the degree-rho component."""
-        def a0(k: int):
-            return self.coeff(k + rho)
-
-        return a0
 
     def shift(self, e):
         """z^e times the series."""
@@ -375,14 +369,6 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
     def fn(t):
         total = alg.zero()
         for ra, rb in pairs:
-            a0 = a.component(ra)
-            b0 = b.component(rb)
-            meta = {
-                "ca0": a.shift_base - ra if a.shift_base is not None else None,
-                "cb0": b.shift_base - rb if b.shift_base is not None else None,
-                "pa": a.parity,
-                "pb": b.parity,
-            }
             for j in range(max(0, locality - n)):
                 mp = t - ra - rb - j
                 if mp.denominator != 1:
@@ -390,7 +376,7 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
                 coef = gen_binom(-ra, j)
                 if not coef:
                     continue
-                term = alg.integral_product_coeff(a0, b0, n + j, int(mp), meta)
+                term = alg.integral_product_coeff(a, b, ra, rb, n + j, int(mp))
                 if term is UNKNOWN:
                     return UNKNOWN
                 total = total + term.scale(coef)

@@ -127,7 +127,7 @@ class RegularOmega:
     box window; e(alpha) acts by the 2-cocycle and shifts the index.
     Leaving the window poisons the computation."""
 
-    def __init__(self, twist: TwistData, bound: int, xi0=None):
+    def __init__(self, twist: TwistData, bound: int):
         self.twist = twist
         lat = twist.lattice
         self.bound = bound
@@ -137,11 +137,8 @@ class RegularOmega:
             itertools.product(range(-bound, bound + 1), repeat=lat.rank))
         self.lookup = {b: i for i, b in enumerate(self.index)}
         self.size = len(self.index)
-        self.xi0 = tuple(_frac(x) for x in (xi0 or (0,) * lat.rank))
-        self._xi = [
-            tuple(as_scalar(x + y) for x, y in zip(lat.nu(b), self.xi0))
-            for b in self.index
-        ]
+        self._xi = [tuple(as_scalar(x) for x in lat.nu(b))
+                    for b in self.index]
 
     def xi(self, i):
         return self._xi[i]
@@ -329,12 +326,14 @@ class FockAlg:
         out.parity = (x.parity + y.parity) % 2
         return out
 
-    def integral_product_coeff(self, a0, b0, n: int, m: int, meta):
+    def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
+        """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
+        components a0(k) = a(k + ra), b0(k) = b(k + rb)."""
         mod = self.module
-        ca0, cb0 = meta.get("ca0"), meta.get("cb0")
-        if ca0 is None or cb0 is None:
+        if a.shift_base is None or b.shift_base is None:
             raise FockError("operator products need degree-shift data")
-        super_sign = -1 if (meta["pa"] and meta["pb"]) else 1
+        ca0, cb0 = a.shift_base - ra, b.shift_base - rb
+        super_sign = -1 if (a.parity and b.parity) else 1
 
         def summands(v):
             d = v.max_degree()
@@ -346,7 +345,7 @@ class FockAlg:
                 c = gen_binom(n, s)
                 if not c:
                     continue
-                w = a0(n - s).apply(b0(m + s).apply(v))
+                w = a.coeff(n - s + ra).apply(b.coeff(m + s + rb).apply(v))
                 yield w.scale(c if s % 2 == 0 else -c)
             low = n - _floor_int(d + ca0 - fl)
             if n >= 0:
@@ -355,7 +354,7 @@ class FockAlg:
                 c = gen_binom(n, n - s)
                 if not c:
                     continue
-                w = b0(m + s).apply(a0(n - s).apply(v))
+                w = b.coeff(m + s + rb).apply(a.coeff(n - s + ra).apply(v))
                 sgn = -super_sign * (1 if s % 2 == 0 else -1)
                 yield w.scale(sgn * c)
 
@@ -363,7 +362,7 @@ class FockAlg:
             out = FockVector(mod, {}, v.poisoned)
             return _absorbing_sum(out, summands(v)) if v.terms else out
 
-        return FockOp(mod, fn, meta["pa"] + meta["pb"])
+        return FockOp(mod, fn, a.parity + b.parity)
 
     def residue_product_coeff(self, a, b, n: int, t, terms, sign):
         """Slot-t coefficient of the residue-form product with explicit

@@ -20,8 +20,9 @@ class TwistedLattice:
 
     The lattice keeps its sigma data for its lifetime: the powers
     `sigma_pows` (sigma^s for 0 <= s < p), the norm map
-    N = sum_s sigma^s, so that alpha^0 = N alpha / p, and `gram_norm`
-    = G N, whose column j is p * nu(e_j)."""
+    N = sum_s sigma^s, so that alpha^0 = N alpha / p, `gram_norm`
+    = G N, whose column j is p * nu(e_j), and its reduced generating
+    set (`reduce_generating_set`) once first asked for."""
 
     def __init__(self, gram, sigma):
         gram = [list(map(int, row)) for row in gram]
@@ -125,7 +126,12 @@ class TwistedLattice:
 
     def reduce_generating_set(self) -> "OrbitDecomposition":
         """Generating set closed under sigma with the minimal number of
-        nonzero-degree orbits; the nonzero degrees form a Z-basis of nu(Lambda)."""
+        nonzero-degree orbits; the nonzero degrees form a Z-basis of nu(Lambda).
+        Computed once: every caller shares the lattice's one object."""
+        return self._generating_set
+
+    @cached_property
+    def _generating_set(self) -> "OrbitDecomposition":
         l = self.rank
         # the integer degree matrix G N: column j = p * nu(e_j)
         h, u = hnf_columns([list(r) for r in self.gram_norm])

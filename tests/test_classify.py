@@ -20,7 +20,7 @@ from twistlab.classify import (
 from twistlab import classify, cocycle
 from twistlab.cocycle import TwistData
 from twistlab.fock import FockModule, RegularOmega
-from twistlab.lattice import TwistedLattice
+from twistlab.lattice import OrbitDecomposition, TwistedLattice
 from twistlab.linalg import det_int
 from twistlab.oracle import oracle_bicharacter_blocks, oracle_dual_coset_count
 from twistlab.scalar import ONE, as_scalar, root_of_unity
@@ -177,6 +177,20 @@ def test_algebra_zero_on_relation_mismatch():
     assert "E" not in vars(A.presentation)
 
 
+def test_algebra_refuses_a_foreign_generating_set():
+    # the algebra is presented on its lattice's own generating set: an
+    # equal copy, or the equal set of an equal lattice, is refused
+    T = twist([[2, 0], [0, 2]], ROT)
+    dec = T.lattice.reduce_generating_set()
+    copy = OrbitDecomposition(T.lattice, dec.orbits)
+    other = TwistedLattice([[2, 0], [0, 2]], ROT).reduce_generating_set()
+    for foreign in (copy, other):
+        assert foreign.pi == dec.pi
+        with pytest.raises(ClassifyError, match="generating set"):
+            PresentedAlgebraA(T, foreign, (ONE,))
+    assert PresentedAlgebraA(T, dec, (ONE,)).dec is dec
+
+
 def test_derived_mu_matches_choice():
     T = twist([[2, 0], [0, 2]], ROT)
     dec = T.lattice.reduce_generating_set()
@@ -214,6 +228,14 @@ def test_decompose_matches_oracle(gram, mu_sign):
     assert dA.count == count
     assert set(dA.dims) == {dim}
     assert sum(d * d for d in dA.dims) == size == A.dim_B0
+
+
+def test_failed_block_certificate_raises(monkeypatch):
+    # a block rank that is not a square fails the certificate, and the
+    # enumeration names the failed check instead of listing the classes
+    monkeypatch.setattr(classify, "field_rank", lambda rows, one: 2)
+    with pytest.raises(ClassifyError, match="certificate: dims_square$"):
+        enumerate_simple_twisted(twist([[2, 1], [1, 2]], neg(2)))
 
 
 def test_decompose_trivial_group():
@@ -333,6 +355,41 @@ def test_naive_module_fails_on_obstruction():
     assert conditions_status(reports) == "fail"
 
 
+@pytest.mark.parametrize("gram,sigma", [
+    ([[2, 1], [1, 2]], neg(2)),
+    ([[2, 0], [0, 4]], [[1, 0], [0, -1]]),
+])
+def test_instantiate_class_reuses_the_enumerated_algebra(monkeypatch, gram,
+                                                         sigma):
+    # after an enumeration on the same twist, instantiating its classes
+    # builds no algebra and no block decomposition, and gives the
+    # vacuum lines and weights of a fresh twist
+    T = twist(gram, sigma)
+    res = enumerate_simple_twisted(T)
+    assert res.classes
+    built = []
+    real_init, real_rank = PresentedAlgebraA.__init__, classify.field_rank
+
+    def counting_init(self, *args):
+        built.append("algebra")
+        real_init(self, *args)
+
+    def counting_rank(*args):
+        built.append("blocks")
+        return real_rank(*args)
+
+    monkeypatch.setattr(PresentedAlgebraA, "__init__", counting_init)
+    monkeypatch.setattr(classify, "field_rank", counting_rank)
+    modules = [instantiate_class(T, cls, trunc=2) for cls in res.classes]
+    monkeypatch.undo()
+    assert built == []
+    for cls, M in zip(res.classes, modules):
+        fresh = instantiate_class(twist(gram, sigma), cls, trunc=2).omega
+        assert M.omega.lines == fresh.lines
+        assert [M.omega.xi(i) for i in range(M.omega.size)] == \
+            [fresh.xi(i) for i in range(fresh.size)]
+
+
 def test_class_dimensions_match_blocks():
     T = twist([[2, 1], [1, 2]], neg(2))
     res = enumerate_simple_twisted(T)
@@ -445,18 +502,18 @@ def test_enumeration_builds_one_presentation(monkeypatch):
 
     def scanned():
         T = twist(gram, sigma)
-        dec = T.lattice.reduce_generating_set()
-        T.obstruction_check(dec)
+        T.obstruction_check()
         calls.clear()
-        return T, dec
+        return T
 
-    T, dec = scanned()
-    res = enumerate_simple_twisted(T, dec)
+    T = scanned()
+    res = enumerate_simple_twisted(T)
     assert len(res.entries) == 4
     enumerated = len(calls)
     (entry,) = [e for e in res.entries if e.admissible]
-    T, dec = scanned()
-    decompose_A(PresentedAlgebraA(T, dec, entry.mu_choice))
+    T = scanned()
+    decompose_A(PresentedAlgebraA(T, T.lattice.reduce_generating_set(),
+                                  entry.mu_choice))
     assert enumerated == len(calls) > 0
 
 

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 import twistlab
-from twistlab import cli
+from twistlab import classify, cli
 from twistlab.classify import ClassifyError
 from twistlab.cli import (
     EXIT_INPUT,
@@ -462,3 +462,15 @@ def test_classify_error_exit_1(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, EX2, "classify") == EXIT_INVARIANT
     err = capsys.readouterr().err
     assert err.splitlines() == ["invariant failure: subgroup lift mismatch"]
+
+
+def test_failed_block_certificate_exit_1(tmp_path, capsys, monkeypatch):
+    # a block decomposition that fails its certificate is an invariant
+    # failure: exit 1, one line naming the failed check, no report
+    monkeypatch.setattr(classify, "field_rank", lambda rows, one: 2)
+    assert run(tmp_path, EX1_L2, "classify") == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    (line,) = captured.err.splitlines()
+    assert line.startswith("invariant failure: block decomposition")
+    assert line.endswith("certificate: dims_square")
+    assert captured.out == ""

@@ -282,14 +282,13 @@ def test_obstruction_scan_matches_brute_force(monkeypatch):
     assert 0 < obstructed < 60
 
 
-def test_obstruction_check_scans_once_per_generating_set(monkeypatch):
+def test_obstruction_check_scans_once_per_twist(monkeypatch):
     lat = TwistedLattice(A1x2, ROT4)
     td = TwistData(lat)
-    dec = lat.reduce_generating_set()
-    first = td.obstruction_check(dec)
+    first = td.obstruction_check()
     calls = _count_m_values(monkeypatch)
-    assert td.obstruction_check(dec) == first
-    assert td.obstruction_check(lat.reduce_generating_set()) == first
+    assert td.obstruction_check() == first
+    assert td.obstruction_check() == first
     assert calls == []
 
 

@@ -351,9 +351,7 @@ def test_product_coefficients_stop_at_poison():
     # a(n)b(m) is the first term of both products, and a(n) poisons it
     a = _recording_series(M, "a", calls, poison_slot=2)
     b = _recording_series(M, "b", calls, poison_slot=None)
-    meta = {"ca0": a.shift_base, "cb0": b.shift_base, "pa": 0, "pb": 0}
-    op = M.alg.integral_product_coeff(a.component(0), b.component(0), 2, 0,
-                                      meta)
+    op = M.alg.integral_product_coeff(a, b, Fraction(0), Fraction(0), 2, 0)
     assert op.apply(v) == poisoned
     assert calls == [("b", 0)]
     # fresh series: coefficients remember their results on v

@@ -143,6 +143,31 @@ def test_reduce_generating_set_rotation():
     assert sorted(dec.pi) == sorted([(1, 0), (0, 1), (-1, 0), (0, -1)])
 
 
+def test_generating_set_is_built_once(monkeypatch):
+    # the lattice keeps one generating set: the obstruction scan, the
+    # presentation and the enumeration all read it, and its Hermite
+    # reduction runs once
+    from twistlab import lattice
+    from twistlab.classify import enumerate_simple_twisted
+    from twistlab.cocycle import TwistData
+
+    calls = []
+    real = lattice.hnf_columns
+
+    def counting(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(lattice, "hnf_columns", counting)
+    lat = TwistedLattice([[2, 0], [0, 4]], [[1, 0], [0, -1]])
+    dec = lat.reduce_generating_set()
+    T = TwistData(lat)
+    assert enumerate_simple_twisted(T).classes
+    assert lat.reduce_generating_set() is dec
+    assert T.presentation.dec is dec
+    assert len(calls) == 1
+
+
 def test_reduced_degrees_form_basis():
     rng = random.Random(9)
     for _ in range(20):
