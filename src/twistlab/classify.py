@@ -15,7 +15,6 @@ from .lattice import TwistedLattice
 from .linalg import (
     IntegerCoords,
     field_inverse,
-    field_rank,
     field_solve,
     hnf_columns,
     kernel_basis,
@@ -535,29 +534,33 @@ class PresentedAlgebraA:
 
     @cached_property
     def block_decomposition(self) -> ADecomposition:
-        """Simple blocks of the degree-zero component B_0, as explicit
-        central idempotents indexed by characters of the bicharacter
-        radical, with exact certification that they are orthogonal
-        idempotents summing to one and that the block dimensions square-sum
-        to dim B_0.  Homogeneous invertible elements carry the block
-        decomposition from B_0 to graded ideals of the whole algebra."""
+        """Simple blocks of the degree-zero component B_0, one per
+        character of the bicharacter radical, each of dimension
+        sqrt(|E| / |radical|).  The blocks' central idempotents are the
+        character projectors over the radical, certified exactly: the
+        radical is central, each projector is idempotent, the projectors
+        sum to one, and |E| / |radical| is a square.  Homogeneous
+        invertible elements carry the block decomposition from B_0 to
+        graded ideals of the whole algebra."""
         if self.zero:
             raise ClassifyError("the zero algebra has no block decomposition")
         E = self.E
-        rad = self.presentation.radical
-        lifts = _GroupScalars(self, rad)
-        blocks = []
-        zero_g = tuple(0 for _ in E.divisors)
-        one = {zero_g: ONE}
-        total = {}
+        lifts = _GroupScalars(self, self.presentation.radical)
+        units = [_unit(E.rank, i) for i in range(E.rank)]
+        quotient, rest = divmod(E.size, lifts.q.size)
+        d = math.isqrt(quotient)
+        # Orthogonality needs no check of its own: the projectors lie in
+        # the commutative semisimple span of the y_r, r in the radical,
+        # where idempotents that sum to one are orthogonal.
         certified = {
+            "central": all(self.bichar(rk, e) == ONE
+                           for rk, _ok, _nk in lifts.gens for e in units),
             "idempotent": True,
-            "orthogonal": True,
             "sum_to_one": True,
-            "dims_square": True,
+            "dims_square": not rest and d * d == quotient,
         }
-        elements = list(E.elements())
-        dims = []
+        blocks = []
+        total = {}
         for label in lifts.labels():
             coeffs = lifts.projector(label)
             if _b0_mul(self, coeffs, coeffs) != coeffs:
@@ -569,26 +572,10 @@ class PresentedAlgebraA:
                     total[g] = s
                 elif g in total:
                     del total[g]
-            rows = []
-            for h in elements:
-                prod = _b0_mul(self, coeffs, {h: ONE})
-                rows.append([prod.get(g, as_scalar(0)) for g in elements])
-            rank = field_rank(rows, ONE)
-            d = math.isqrt(rank)
-            if d * d != rank:
-                certified["dims_square"] = False
-            dims.append(d)
-            blocks.append(Block(label, coeffs, d, rank))
-        for i in range(len(blocks)):
-            for j in range(i + 1, len(blocks)):
-                if _b0_mul(self, blocks[i].idempotent, blocks[j].idempotent):
-                    certified["orthogonal"] = False
-        if total != one:
+            blocks.append(Block(label, coeffs, d))
+        if total != {tuple(0 for _ in E.divisors): ONE}:
             certified["sum_to_one"] = False
-        if sum(b.rank for b in blocks) != E.size:
-            certified["dims_square"] = False
-        return ADecomposition(self, rad, blocks, len(blocks), tuple(dims),
-                              certified)
+        return ADecomposition(blocks, certified)
 
 
 def build_algebra_A(T: TwistData, mu_choice=None) -> PresentedAlgebraA:
@@ -694,16 +681,11 @@ class Block:
     label: tuple
     idempotent: dict
     dim: int
-    rank: int
 
 
 @dataclass
 class ADecomposition:
-    algebra: PresentedAlgebraA
-    radical: FiniteQuotient
     blocks: list
-    count: int
-    dims: tuple
     certified: dict
 
 
@@ -858,13 +840,12 @@ def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
             raise ClassifyError(
                 f"block decomposition at mu {mu_choice} fails its "
                 f"certificate: {', '.join(failed)}")
-        entry = MuEntry(mu_choice, True, xi0, A.dim_B0, dec_A.count,
-                        dec_A.dims)
-        for ideal_index in range(dec_A.count):
+        entry = MuEntry(mu_choice, True, xi0, A.dim_B0, len(dec_A.blocks),
+                        tuple(b.dim for b in dec_A.blocks))
+        for ideal_index, block in enumerate(dec_A.blocks):
             for ei, eta in enumerate(reps):
                 cls = SimpleModuleClass(
-                    mu_choice, ideal_index, eta,
-                    dec_A.blocks[ideal_index].dim, xi0, ei)
+                    mu_choice, ideal_index, eta, block.dim, xi0, ei)
                 entry.classes.append(cls)
                 classes.append(cls)
         entries.append(entry)

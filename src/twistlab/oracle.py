@@ -5,8 +5,8 @@ using a deliberately different algorithm: the product oracle expands
 its projection kernel monomial by monomial straight from the defining
 double sum (no kernel-polynomial arithmetic, no closed forms), the
 block oracle reads the structure of a twisted group algebra off its
-full multiplication table, and the coset oracle counts dual-lattice
-cosets by direct enumeration.
+full multiplication table, and the coset oracle counts the sigma-fixed
+dual-lattice cosets by a breadth-first search over all cosets.
 """
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .fdist import FdistError, GenSeries, _residue, gen_binom
 from .fock import FockOp, FockVector
-from .linalg import field_inverse, lcm_list
+from .linalg import field_inverse
 from .scalar import ONE, as_scalar
 
 
@@ -203,24 +203,29 @@ def oracle_bicharacter_blocks(orders, comm):
 # Dual-coset counting oracle
 # ---------------------------------------------------------------------
 
-def oracle_dual_coset_count(gram) -> int:
-    """|Lambda' / Lambda| by brute-force coset enumeration.
+def oracle_dual_coset_count(gram, sigma) -> int:
+    """|(Lambda' / Lambda)^sigma|, the number of cosets of the dual
+    lattice that sigma fixes, by breadth-first search.
 
     The dual lattice is spanned by the columns of the inverse Gram
-    matrix; e times any dual vector is integral for e the lcm of the
-    inverse's denominators, so coefficient tuples in range(e) reach
-    every coset.  Cosets are keyed by the fractional parts of the
-    standard coordinates."""
+    matrix, so its cosets are the sums of those columns mod Z^l.  They
+    are kept in integers: scaled by the exponent D of the dual quotient
+    (the lcm of the inverse's denominators), a coset is an integer
+    vector mod D, and it is fixed when sigma x - x is 0 mod D."""
     l = len(gram)
-    g = [[Fraction(x) for x in row] for row in gram]
-    inv = field_inverse(g, Fraction(1))
-    # |det G| * inv is integral, so it bounds the coefficient range
-    det = abs(lcm_list([x.denominator for row in inv for x in row]))
-    seen = set()
-    for coeffs in itertools.product(range(det), repeat=l):
-        vec = [
-            sum(Fraction(c) * inv[i][j] for j, c in enumerate(coeffs))
-            for i in range(l)
-        ]
-        seen.add(tuple(x - _floor_int(x) for x in vec))
-    return len(seen)
+    inv = field_inverse([[Fraction(x) for x in row] for row in gram],
+                        Fraction(1))
+    D = math.lcm(*(x.denominator for row in inv for x in row))
+    cols = [tuple(int(inv[i][j] * D) for i in range(l)) for j in range(l)]
+    queue = [(0,) * l]
+    seen = set(queue)
+    for x in queue:
+        for col in cols:
+            y = tuple((a + b) % D for a, b in zip(x, col))
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return sum(
+        all((sum(s * v for s, v in zip(row, x)) - xi) % D == 0
+            for row, xi in zip(sigma, x))
+        for x in seen)

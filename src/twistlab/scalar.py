@@ -304,9 +304,6 @@ class CycScalar:
     def is_zero(self) -> bool:
         return not self.num
 
-    def is_rational(self) -> bool:
-        return self.n == 1
-
     def rational_value(self) -> Fraction:
         if self.n != 1:
             raise ScalarError(f"not rational: {self}")

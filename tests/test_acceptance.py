@@ -335,10 +335,11 @@ def test_criterion_7_identity_sigma_count():
         if abs(det_int(gram)) > 40:
             continue
         produced += 1
-        T = _twist(gram, [[1 if i == j else 0 for j in range(l)]
-                          for i in range(l)])
+        identity = [[1 if i == j else 0 for j in range(l)] for i in range(l)]
+        T = _twist(gram, identity)
         res = enumerate_simple_twisted(T)
-        if res.obstructed or len(res.classes) != oracle_dual_coset_count(gram):
+        if res.obstructed or \
+                len(res.classes) != oracle_dual_coset_count(gram, identity):
             ok = False
     _report(7, ok)
 
@@ -358,9 +359,10 @@ def test_criterion_8_negation_algebra():
                 ok = False
                 continue
             dA = decompose_A(A)
+            dims = [b.dim for b in dA.blocks]
             if not all(dA.certified.values()):
                 ok = False
-            if sum(d * d for d in dA.dims) != 2 ** l:
+            if sum(d * d for d in dims) != 2 ** l:
                 ok = False
             count, dim, size = oracle_bicharacter_blocks(
                 A.E.divisors,
@@ -371,7 +373,7 @@ def test_criterion_8_negation_algebra():
                  for g in (tuple(1 if k == i else 0
                                  for k in range(A.E.rank))
                            for i in range(A.E.rank))])
-            if (dA.count, set(dA.dims)) != (count, {dim}):
+            if (len(dims), set(dims)) != (count, {dim}):
                 ok = False
     _report(8, ok)
 

@@ -1,3 +1,5 @@
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,9 +23,11 @@ from twistlab import classify, cocycle
 from twistlab.cocycle import TwistData
 from twistlab.fock import FockModule, RegularOmega
 from twistlab.lattice import OrbitDecomposition, TwistedLattice
-from twistlab.linalg import det_int
+from twistlab.linalg import det_int, field_rank
 from twistlab.oracle import oracle_bicharacter_blocks, oracle_dual_coset_count
 from twistlab.scalar import ONE, as_scalar, root_of_unity
+
+from test_lattice import random_twisted_lattice
 
 
 def twist(gram, sigma, phi=None):
@@ -210,31 +214,69 @@ def _oracle_args(A):
     return A.E.divisors, comm
 
 
-@pytest.mark.parametrize("gram,mu_sign", [
+DECOMPOSE_CASES = [
     ([[2, 0], [0, 4]], 1),
     ([[2, 0], [0, 4]], -1),
     ([[2, 1], [1, 2]], 1),
     ([[2, 1], [1, 2]], -1),
-])
-def test_decompose_matches_oracle(gram, mu_sign):
+]
+
+
+def _negation_algebra(gram, mu_sign):
     T = twist(gram, neg(2))
     dec = T.lattice.reduce_generating_set()
     mu = tuple(T.mu_roots(orb)[0 if mu_sign == 1 else 1]
                for orb in dec.orbits)
-    A = PresentedAlgebraA(T, dec, mu)
+    return PresentedAlgebraA(T, dec, mu)
+
+
+def _dims(dA):
+    return tuple(b.dim for b in dA.blocks)
+
+
+@pytest.mark.parametrize("gram,mu_sign", DECOMPOSE_CASES)
+def test_decompose_matches_oracle(gram, mu_sign):
+    A = _negation_algebra(gram, mu_sign)
     dA = decompose_A(A)
     assert all(dA.certified.values())
     count, dim, size = oracle_bicharacter_blocks(*_oracle_args(A))
-    assert dA.count == count
-    assert set(dA.dims) == {dim}
-    assert sum(d * d for d in dA.dims) == size == A.dim_B0
+    assert len(dA.blocks) == count
+    assert set(_dims(dA)) == {dim}
+    assert sum(d * d for d in _dims(dA)) == size == A.dim_B0
+
+
+@pytest.mark.parametrize("gram,mu_sign", DECOMPOSE_CASES)
+def test_blocks_pass_the_full_b0_certificate(gram, mu_sign):
+    # the certificate the closed form replaced, run inside the whole of
+    # B_0: e_chi B_0 has rank dim^2, and distinct idempotents multiply
+    # to zero
+    A = _negation_algebra(gram, mu_sign)
+    blocks = decompose_A(A).blocks
+    elements = list(A.E.elements())
+    assert len(elements) <= 16
+    for block in blocks:
+        rows = []
+        for h in elements:
+            prod = classify._b0_mul(A, block.idempotent, {h: ONE})
+            rows.append([prod.get(g, as_scalar(0)) for g in elements])
+        assert field_rank(rows, ONE) == block.dim ** 2
+    for i, x in enumerate(blocks):
+        for y in blocks[i + 1:]:
+            assert classify._b0_mul(A, x.idempotent, y.idempotent) == {}
 
 
 def test_failed_block_certificate_raises(monkeypatch):
-    # a block rank that is not a square fails the certificate, and the
-    # enumeration names the failed check instead of listing the classes
-    monkeypatch.setattr(classify, "field_rank", lambda rows, one: 2)
-    with pytest.raises(ClassifyError, match="certificate: dims_square$"):
+    # projectors at twice their value are not idempotent and do not sum
+    # to one, and the enumeration names the failed checks instead of
+    # listing the classes
+    real = classify._GroupScalars.projector
+
+    def doubled(self, label):
+        return {g: c + c for g, c in real(self, label).items()}
+
+    monkeypatch.setattr(classify._GroupScalars, "projector", doubled)
+    with pytest.raises(ClassifyError,
+                       match="certificate: idempotent, sum_to_one$"):
         enumerate_simple_twisted(twist([[2, 1], [1, 2]], neg(2)))
 
 
@@ -242,7 +284,7 @@ def test_decompose_trivial_group():
     T = twist([[2]], [[1]])
     A = build_algebra_A(T)
     dA = decompose_A(A)
-    assert A.dim_B0 == 1 and dA.count == 1 and dA.dims == (1,)
+    assert A.dim_B0 == 1 and len(dA.blocks) == 1 and _dims(dA) == (1,)
     assert all(dA.certified.values())
 
 
@@ -257,7 +299,8 @@ def test_eta_cosets_identity_sigma(gram):
     lat = TwistedLattice(gram, [[1 if i == j else 0 for j in range(l)]
                                 for i in range(l)])
     reps, q = eta_cosets(lat)
-    assert len(reps) == abs(det_int(gram)) == oracle_dual_coset_count(gram)
+    assert len(reps) == abs(det_int(gram)) == \
+        oracle_dual_coset_count(gram, lat.sigma)
     # representatives are distinct as weight functionals
     assert len(set(reps)) == len(reps)
 
@@ -361,25 +404,27 @@ def test_naive_module_fails_on_obstruction():
 ])
 def test_instantiate_class_reuses_the_enumerated_algebra(monkeypatch, gram,
                                                          sigma):
-    # after an enumeration on the same twist, instantiating its classes
-    # builds no algebra and no block decomposition, and gives the
-    # vacuum lines and weights of a fresh twist
+    # the enumeration builds the algebras and block decompositions, and
+    # instantiating its classes on the same twist then builds neither
+    # again, and gives the vacuum lines and weights of a fresh twist
     T = twist(gram, sigma)
-    res = enumerate_simple_twisted(T)
-    assert res.classes
     built = []
-    real_init, real_rank = PresentedAlgebraA.__init__, classify.field_rank
+    real_init, real_dec = PresentedAlgebraA.__init__, classify.ADecomposition
 
     def counting_init(self, *args):
         built.append("algebra")
         real_init(self, *args)
 
-    def counting_rank(*args):
+    def counting_dec(*args):
         built.append("blocks")
-        return real_rank(*args)
+        return real_dec(*args)
 
     monkeypatch.setattr(PresentedAlgebraA, "__init__", counting_init)
-    monkeypatch.setattr(classify, "field_rank", counting_rank)
+    monkeypatch.setattr(classify, "ADecomposition", counting_dec)
+    res = enumerate_simple_twisted(T)
+    assert res.classes
+    assert "algebra" in built and "blocks" in built
+    built.clear()
     modules = [instantiate_class(T, cls, trunc=2) for cls in res.classes]
     monkeypatch.undo()
     assert built == []
@@ -519,15 +564,63 @@ def test_enumeration_builds_one_presentation(monkeypatch):
 
 # Unobstructed lattices on which enumeration finds no class: every root
 # choice collapses with a non-central relation, against the existence
-# criterion.  Strict, so that mending the fault forces removing the mark.
-@pytest.mark.xfail(strict=True, reason="unobstructed lattice with no class")
-@pytest.mark.parametrize("gram,sigma", [
-    ([[4, -3, 2, 2], [-3, -8, 2, 4], [2, 2, 4, -3], [2, 4, -3, -8]],
-     [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]),
+# criterion.  By the fixed dual-coset count, a mend should give them 25,
+# 7 and 73 classes per admissible root choice.
+FAULT_LATTICES = [
+    FAULT,
     ([[-8, 3, 0, 0], [3, 0, 2, 0], [0, 2, 0, -3], [0, 0, -3, -8]],
      [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]),
-])
+    ([[-8, -4, -3, 4], [-4, -8, -4, 3], [-3, -4, 6, 4], [4, 3, 4, 6]],
+     [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]),
+]
+
+
+# Strict, so that mending the fault forces removing the mark.
+@pytest.mark.xfail(strict=True, reason="unobstructed lattice with no class")
+@pytest.mark.parametrize("gram,sigma", FAULT_LATTICES)
 def test_unobstructed_has_a_class(gram, sigma):
     res = enumerate_simple_twisted(twist(gram, sigma))
     assert not res.obstructed
     assert res.classes
+
+
+def _property_lattices():
+    """The split fixtures, whose blocks include dimension 2, then seeded
+    random lattices of orders 2, 3, 4 and 6, ten each with at most 16
+    root choices, whose blocks all have dimension 1."""
+    for gram, sigma in SPLIT_FIXTURES:
+        yield TwistedLattice(gram, sigma)
+    rng = random.Random(2024)
+    need = {2: 10, 3: 10, 4: 10, 6: 10}
+    while any(need.values()):
+        lat = random_twisted_lattice(rng, rank_max=4)
+        if need.get(lat.p) and \
+                math.prod(lat.reduce_generating_set().lengths) <= 16:
+            need[lat.p] -= 1
+            yield lat
+
+
+def test_class_count_matches_fixed_dual_cosets():
+    # every admissible root choice gives |(Lambda'/Lambda)^sigma| classes
+    # and the blocks of the bicharacter oracle, and an unobstructed
+    # lattice has a class; the fault lattices are left out
+    checked = set()
+    for lat in _property_lattices():
+        gram, sigma = [list(r) for r in lat.gram], [list(r) for r in lat.sigma]
+        if (gram, sigma) in FAULT_LATTICES:
+            continue
+        T = TwistData(lat)
+        res = enumerate_simple_twisted(T)
+        assert res.obstructed or res.classes
+        target = oracle_dual_coset_count(gram, sigma)
+        for entry in res.entries:
+            if not entry.admissible:
+                continue
+            assert len(entry.classes) == target
+            A = T.presentation.algebra(entry.mu_choice)
+            count, dim, size = oracle_bicharacter_blocks(*_oracle_args(A))
+            assert (entry.block_count, set(entry.block_dims), entry.dim_B0) \
+                == (count, {dim}, size)
+            checked.add((lat.p, dim))
+    assert {p for p, _dim in checked} == {2, 3, 4, 6}
+    assert {1, 2} <= {dim for _p, dim in checked}

@@ -466,11 +466,18 @@ def test_classify_error_exit_1(tmp_path, capsys, monkeypatch):
 
 def test_failed_block_certificate_exit_1(tmp_path, capsys, monkeypatch):
     # a block decomposition that fails its certificate is an invariant
-    # failure: exit 1, one line naming the failed check, no report
-    monkeypatch.setattr(classify, "field_rank", lambda rows, one: 2)
+    # failure: exit 1, one line naming the failed checks, no report;
+    # projectors at twice their value are not idempotent and do not sum
+    # to one
+    real = classify._GroupScalars.projector
+
+    def doubled(self, label):
+        return {g: c + c for g, c in real(self, label).items()}
+
+    monkeypatch.setattr(classify._GroupScalars, "projector", doubled)
     assert run(tmp_path, EX1_L2, "classify") == EXIT_INVARIANT
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()
     assert line.startswith("invariant failure: block decomposition")
-    assert line.endswith("certificate: dims_square")
+    assert line.endswith("certificate: idempotent, sum_to_one")
     assert captured.out == ""

@@ -116,7 +116,27 @@ def test_blocks_rejects_bad_input():
 
 
 def test_dual_coset_count():
-    assert oracle_dual_coset_count([[1]]) == 1
-    assert oracle_dual_coset_count([[2]]) == 2
-    assert oracle_dual_coset_count([[2, -1], [-1, 2]]) == 3
-    assert oracle_dual_coset_count([[2, 0], [0, 4]]) == 8
+    i1, i2 = [[1]], [[1, 0], [0, 1]]
+    assert oracle_dual_coset_count([[1]], i1) == 1
+    assert oracle_dual_coset_count([[2]], i1) == 2
+    assert oracle_dual_coset_count([[2, -1], [-1, 2]], i2) == 3
+    assert oracle_dual_coset_count([[2, 0], [0, 4]], i2) == 8
+
+
+def test_dual_coset_count_fixed_by_sigma():
+    a2 = [[2, -1], [-1, 2]]
+    # -1 fixes both cosets of Z/2; the order-3 rotation of A2 fixes
+    # all of Z/3 and the order-6 one only 0; the quarter turn of 2*I_2
+    # fixes (0, 0) and (1/2, 1/2) of (Z/2)^2
+    assert oracle_dual_coset_count([[2]], [[-1]]) == 2
+    assert oracle_dual_coset_count(a2, [[0, -1], [1, -1]]) == 3
+    assert oracle_dual_coset_count(a2, [[1, -1], [1, 0]]) == 1
+    assert oracle_dual_coset_count([[2, 0], [0, 2]], [[0, -1], [1, 0]]) == 2
+    # rank 4 with exponent 120: the search visits each of the 960
+    # cosets once (a search over coefficient boxes would visit 120^4
+    # tuples); -1 fixes the 2-torsion
+    gram = [[2, 0, 0, 0], [0, 2, 0, 0], [0, 0, 2, 0], [0, 0, 0, 120]]
+    identity = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+    negation = [[-x for x in row] for row in identity]
+    assert oracle_dual_coset_count(gram, identity) == 960
+    assert oracle_dual_coset_count(gram, negation) == 16
