@@ -538,8 +538,9 @@ class PresentedAlgebraA:
         character of the bicharacter radical, each of dimension
         sqrt(|E| / |radical|).  The blocks' central idempotents are the
         character projectors over the radical, certified exactly: the
-        radical is central, each projector is idempotent, the projectors
-        sum to one, and |E| / |radical| is a square.  Homogeneous
+        radical is central, the lift psi is a homomorphism (so each
+        projector is idempotent), the projectors sum to one, and
+        |E| / |radical| is a square.  Homogeneous
         invertible elements carry the block decomposition from B_0 to
         graded ideals of the whole algebra."""
         if self.zero:
@@ -555,7 +556,7 @@ class PresentedAlgebraA:
         certified = {
             "central": all(self.bichar(rk, e) == ONE
                            for rk, _ok, _nk in lifts.gens for e in units),
-            "idempotent": True,
+            "idempotent": lifts.is_homomorphism(),
             "sum_to_one": True,
             "dims_square": not rest and d * d == quotient,
         }
@@ -563,8 +564,6 @@ class PresentedAlgebraA:
         total = {}
         for label in lifts.labels():
             coeffs = lifts.projector(label)
-            if _b0_mul(self, coeffs, coeffs) != coeffs:
-                certified["idempotent"] = False
             for g, c in coeffs.items():
                 s = total.get(g)
                 s = c if s is None else s + c
@@ -655,6 +654,25 @@ class _GroupScalars:
                 g = _e_add(g, rk, A.E.divisors)
         return g, s
 
+    @cached_property
+    def table(self) -> dict:
+        """psi of every element of the subgroup, by its coordinates."""
+        return {a: self.psi(a) for a in self.q.elements()}
+
+    def is_homomorphism(self) -> bool:
+        """psi(a) psi(b) = psi(a + b) in B_0 for all a, b: |S|^2
+        products, and then every character projector is idempotent."""
+        A = self.A
+        divisors = A.E.divisors
+        table = self.table
+        for a, (ga, sa) in table.items():
+            for b, (gb, sb) in table.items():
+                gc, sc = table[_e_add(a, b, self.q.divisors)]
+                if _e_add(ga, gb, divisors) != gc or \
+                        sa * sb * A.tau(ga, gb) != sc:
+                    return False
+        return True
+
     def character(self, label, coords) -> CycScalar:
         out = ONE
         for (rk, ok, nk), t, a in zip(self.gens, label, coords):
@@ -669,8 +687,7 @@ class _GroupScalars:
         as coefficients over E."""
         inv_size = CycScalar.rational(Fraction(1, self.q.size))
         coeffs = {}
-        for a in self.q.elements():
-            g, s = self.psi(a)
+        for a, (g, s) in self.table.items():
             c = self.character(label, a).inverse() * s * inv_size
             coeffs[g] = coeffs.get(g, as_scalar(0)) + c
         return {g: c for g, c in coeffs.items() if c}
@@ -991,7 +1008,7 @@ class ClassOmega:
         t2 = self.coset_rep[gt]
         h = _e_sub(gt, t2, E.divisors)
         hc = self.H.coords(h)
-        gh, sh = self.h_lifts.psi(hc)
+        gh, sh = self.h_lifts.table[hc]
         if gh != h:
             raise ClassifyError("subgroup lift mismatch")
         lam = self.h_lifts.character(self.h_label, hc) / sh

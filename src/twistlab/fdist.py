@@ -2,7 +2,9 @@
 
 Series with rational exponents (denominator dividing a conductor) whose
 coefficients live either in a presented Lie algebra (the twisted affine
-case) or act as operators on a truncated Fock module.  Products are
+case) or act as operators on a truncated Fock module.  Every exponent a
+series meets lies on one grid (1/D)Z, fixed by its coefficient algebra,
+so inside a series a slot n is the integer n*D.  Products are
 computed componentwise through the homogeneous decomposition; the
 integral products use the explicit two-sum coefficient formula with
 super-signs.  The module also houses the Delta / F_p kernels and the
@@ -10,6 +12,7 @@ coefficientwise axiom checker.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -42,6 +45,11 @@ def _frac(x) -> Fraction:
 
 def _residue(n: Fraction) -> Fraction:
     return n - (n.numerator // n.denominator)
+
+
+def _grid_int(x: Fraction, grid: int) -> int:
+    """x times grid, for x on the grid (1/grid)Z."""
+    return x.numerator * (grid // x.denominator)
 
 
 @lru_cache(maxsize=None)
@@ -168,6 +176,7 @@ class LieAlg:
 
     def __init__(self, space: QuadraticSpace):
         self.space = space
+        self.grid = math.lcm(*(d.denominator for d in space.degrees))
 
     def zero(self) -> LieElement:
         return LieElement(self.space)
@@ -210,18 +219,20 @@ class LieAlg:
     def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
         """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
         components a0(k) = a(k + ra), b0(k) = b(k + rb), with Lie
-        coefficients: sum_s (-1)^s binom(n,s) [a0(n-s), b0(m+s)]."""
+        coefficients: sum_s (-1)^s binom(n,s) [a0(n-s), b0(m+s)].
+        The residues ra, rb are on the common grid of a and b."""
         if n < 0:
             raise FdistError(
                 "normal ordering is undefined for Lie-algebra coefficients"
             )
+        D = a.grid
         total = self.zero()
         for s in range(n + 1):
             c = gen_binom(Fraction(n), s)
             if not c:
                 continue
-            x = a.coeff(n - s + ra)
-            y = b.coeff(m + s + rb)
+            x = a._at((n - s) * D + ra)
+            y = b._at((m + s) * D + rb)
             if x is UNKNOWN or y is UNKNOWN:
                 return UNKNOWN
             term = self.bracket(x, y)
@@ -244,29 +255,87 @@ class GenSeries:
     For operator-valued series, `shift_base` c records that the
     coefficient at slot n shifts module degree by exactly c - n; it is
     required for the normally-ordered infinite sums to terminate.
+
+    Slots live on the grid (1/grid)Z: the algebra's grid, refined to
+    the lcm with the denominators of the residues and the shift when
+    one falls off it.  Inside, a slot n is the integer k = n*grid: the
+    memo is keyed by k, `res_k` holds the residues k mod grid and
+    `shift_k` the shift, and `_at(k)` reads a coefficient.  Fraction
+    enters only at the edge: `coeff` takes an int or a Fraction,
+    `residues` and `shift_base` read back as Fractions, and a slot
+    function handed to the constructor gets its slot as a Fraction.
     """
 
     def __init__(self, alg, fn, residues, parity: int = 0, shift_base=None):
+        residues = [_frac(r) for r in residues]
+        sb = _frac(shift_base) if shift_base is not None else None
+        grid = math.lcm(alg.grid, *(r.denominator for r in residues),
+                        sb.denominator if sb is not None else 1)
+        self._init(alg, grid, lambda k: fn(Fraction(k, grid)),
+                   {_grid_int(r, grid) % grid for r in residues}, parity,
+                   _grid_int(sb, grid) if sb is not None else None)
+
+    def _init(self, alg, grid, fn, res_k, parity, shift_k):
         self.alg = alg
+        self.grid = grid
         self._fn = fn
-        self.residues = frozenset(_residue(_frac(r)) for r in residues)
+        self.res_k = frozenset(res_k)
         self.parity = parity % 2
-        self.shift_base = _frac(shift_base) if shift_base is not None else None
+        self.shift_k = shift_k
         self._memo = {}
 
+    @classmethod
+    def on_grid(cls, alg, grid, fn, res_k, parity=0, shift_k=None):
+        """A series whose slot function takes the integer slot k = n*grid,
+        with residues and shift given on the grid as well."""
+        out = cls.__new__(cls)
+        out._init(alg, grid, fn, res_k, parity, shift_k)
+        return out
+
+    @property
+    def residues(self):
+        return frozenset(Fraction(r, self.grid) for r in self.res_k)
+
+    @property
+    def shift_base(self):
+        if self.shift_k is None:
+            return None
+        return Fraction(self.shift_k, self.grid)
+
     def coeff(self, n):
+        """The coefficient at slot n, an int or a Fraction; a slot off
+        the grid has no residue of the series, so it is zero."""
+        if type(n) is int:
+            return self._at(n * self.grid)
         n = _frac(n)
+        step, rem = divmod(self.grid, n.denominator)
+        if rem:
+            return self.alg.zero()
+        return self._at(n.numerator * step)
+
+    def _at(self, k):
+        """The coefficient at the integer slot k on the grid."""
         # off-residue slots never enter the memo, so a hit is on a residue
-        x = self._memo.get(n, _MISSING)
+        x = self._memo.get(k, _MISSING)
         if x is not _MISSING:
             return x
-        if _residue(n) not in self.residues:
+        if k % self.grid not in self.res_k:
             return self.alg.zero()
-        x = self._fn(n)
+        x = self._fn(k)
         if x is not UNKNOWN:
             x = self.alg.remember(x)
-        self._memo[n] = x
+        self._memo[k] = x
         return x
+
+    def _refine(self, grid):
+        """The series on the grid (1/grid)Z, a multiple of its own."""
+        if grid == self.grid:
+            return self
+        q = grid // self.grid
+        return GenSeries.on_grid(
+            self.alg, grid, lambda k: self._at(k // q),
+            {r * q for r in self.res_k}, self.parity,
+            self.shift_k * q if self.shift_k is not None else None)
 
     @classmethod
     def from_dict(cls, alg, entries, lo=None, hi=None, parity=0,
@@ -288,35 +357,36 @@ class GenSeries:
     def shift(self, e):
         """z^e times the series."""
         e = _frac(e)
-        return GenSeries(
-            self.alg,
-            lambda n: self.coeff(n + e),
-            {r - e for r in self.residues},
-            parity=self.parity,
-            shift_base=self.shift_base - e if self.shift_base is not None else None,
-        )
+        a = self._refine(math.lcm(self.grid, e.denominator))
+        ek = _grid_int(e, a.grid)
+        return GenSeries.on_grid(
+            a.alg, a.grid, lambda k: a._at(k + ek),
+            {(r - ek) % a.grid for r in a.res_k}, a.parity,
+            a.shift_k - ek if a.shift_k is not None else None)
 
     def _combine(self, other, op):
         if self.alg is not other.alg:
             raise FdistError("series live over different coefficient algebras")
         if self.parity != other.parity:
             raise FdistError("cannot add series of different parity")
+        grid = math.lcm(self.grid, other.grid)
+        a, b = self._refine(grid), other._refine(grid)
         sb = None
-        if self.shift_base is not None and other.shift_base is not None:
-            if self.shift_base != other.shift_base:
+        if a.shift_k is not None and b.shift_k is not None:
+            if a.shift_k != b.shift_k:
                 raise FdistError(
                     "cannot add operator series with different degree shifts"
                 )
-            sb = self.shift_base
+            sb = a.shift_k
 
-        def fn(n):
-            x, y = self.coeff(n), other.coeff(n)
+        def fn(k):
+            x, y = a._at(k), b._at(k)
             if x is UNKNOWN or y is UNKNOWN:
                 return UNKNOWN
             return op(x, y)
 
-        return GenSeries(self.alg, fn, self.residues | other.residues,
-                         parity=self.parity, shift_base=sb)
+        return GenSeries.on_grid(a.alg, grid, fn, a.res_k | b.res_k,
+                                 a.parity, sb)
 
     def __add__(self, other):
         return self._combine(other, lambda x, y: x + y)
@@ -330,17 +400,17 @@ class GenSeries:
     def scale(self, s):
         s = s if isinstance(s, CycScalar) else as_scalar(s)
 
-        def fn(n):
-            x = self.coeff(n)
+        def fn(k):
+            x = self._at(k)
             return x if x is UNKNOWN else x.scale(s)
 
-        return GenSeries(self.alg, fn, self.residues, parity=self.parity,
-                         shift_base=self.shift_base)
+        return GenSeries.on_grid(self.alg, self.grid, fn, self.res_k,
+                                 self.parity, self.shift_k)
 
 
 def zero_series(alg, parity: int = 0):
-    return GenSeries(alg, lambda n: alg.zero(), {Fraction(0)}, parity=parity,
-                     shift_base=None)
+    return GenSeries.on_grid(alg, alg.grid, lambda k: alg.zero(), {0},
+                             parity)
 
 
 def sum_series(alg, terms, parity: int = 0):
@@ -351,50 +421,61 @@ def sum_series(alg, terms, parity: int = 0):
     return out if out is not None else zero_series(alg, parity)
 
 
+def _common_grid(a: GenSeries, b: GenSeries, *more: int):
+    """a and b on their common grid, refined by the further steps."""
+    if a.alg is not b.alg:
+        raise FdistError("series live over different coefficient algebras")
+    grid = math.lcm(a.grid, b.grid, *more)
+    return a._refine(grid), b._refine(grid), grid
+
+
 def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
     """The n-th product via the homogeneous-component expansion:
     contributions binom(-rho_a, j) (a_0 [n+j] b_0) shifted by
     z^(-rho_a - rho_b - j), the j-sum cut off by the locality order."""
     alg = a.alg
-    if a.alg is not b.alg:
-        raise FdistError("series live over different coefficient algebras")
-    pairs = [(ra, rb) for ra in sorted(a.residues) for rb in sorted(b.residues)]
-    residues = {_residue(ra + rb) for ra, rb in pairs} or {Fraction(0)}
+    a, b, D = _common_grid(a, b)
+    # per residue of a, the nonzero binom(-rho_a, j) of the j-sum
+    coefs = {ra: [(j, as_scalar(c)) for j in range(max(0, locality - n))
+                  if (c := gen_binom(Fraction(-ra, D), j))]
+             for ra in a.res_k}
+    pairs = [(ra, rb, coefs[ra])
+             for ra in sorted(a.res_k) for rb in sorted(b.res_k)]
+    residues = {(ra + rb) % D for ra, rb, _c in pairs} or {0}
     parity = (a.parity + b.parity) % 2
-    if a.shift_base is not None and b.shift_base is not None:
-        shift_base = a.shift_base + b.shift_base - n
+    if a.shift_k is not None and b.shift_k is not None:
+        shift_k = a.shift_k + b.shift_k - n * D
     else:
-        shift_base = None
+        shift_k = None
 
     def fn(t):
         total = alg.zero()
-        for ra, rb in pairs:
-            for j in range(max(0, locality - n)):
-                mp = t - ra - rb - j
-                if mp.denominator != 1:
-                    continue
-                coef = gen_binom(-ra, j)
-                if not coef:
-                    continue
-                term = alg.integral_product_coeff(a, b, ra, rb, n + j, int(mp))
+        for ra, rb, cj in pairs:
+            mp, off = divmod(t - ra - rb, D)
+            if off:
+                continue
+            for j, coef in cj:
+                term = alg.integral_product_coeff(a, b, ra, rb, n + j, mp - j)
                 if term is UNKNOWN:
                     return UNKNOWN
                 total = total + term.scale(coef)
         return total
 
-    return GenSeries(alg, fn, residues, parity=parity, shift_base=shift_base)
+    return GenSeries.on_grid(alg, D, fn, residues, parity, shift_k)
 
 
 def derive(a: GenSeries) -> GenSeries:
     """d/dz of the series: (Da)(m) = -m a(m-1)."""
-    def fn(m):
-        x = a.coeff(m - 1)
+    D = a.grid
+
+    def fn(k):
+        x = a._at(k - D)
         if x is UNKNOWN:
             return UNKNOWN
-        return x.scale(-m)
+        return x.scale(Fraction(-k, D))
 
-    sb = a.shift_base + 1 if a.shift_base is not None else None
-    return GenSeries(a.alg, fn, a.residues, parity=a.parity, shift_base=sb)
+    sb = a.shift_k + D if a.shift_k is not None else None
+    return GenSeries.on_grid(a.alg, D, fn, a.res_k, a.parity, sb)
 
 
 def iterated_derive(a: GenSeries, i: int) -> GenSeries:
@@ -719,13 +800,6 @@ class KernelPoly:
             out[i + j] = out.get(i + j, Fraction(0)) + v
         return {k: v for k, v in out.items() if v}
 
-    def exponents(self):
-        """Terms as (w-exponent, z-exponent, coeff) with Fraction exponents."""
-        return [
-            (Fraction(i, self.p), Fraction(j, self.p), v)
-            for (i, j), v in sorted(self.terms.items())
-        ]
-
 
 def kernel_F(p: int, m: int) -> KernelPoly:
     """The polynomial F_p(m), from its displayed double-sum formula."""
@@ -804,24 +878,26 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
     alg = a.alg
     if not alg.is_fock:
         raise FdistError("kernel product route requires operator coefficients")
-    terms = kernel.exponents()
     parity = (a.parity + b.parity) % 2
     sign = -1 if (a.parity and b.parity) else 1
-    if a.shift_base is None or b.shift_base is None:
+    if a.shift_k is None or b.shift_k is None:
         raise FdistError("kernel product route requires degree shifts")
-    shift_base = a.shift_base + b.shift_base - n
-    residues = {
-        _residue(ra + rb) for ra in a.residues for rb in b.residues
-    }
+    a, b, D = _common_grid(a, b, kernel.p)
+    # kernel exponents i/p, j/p on the grid, in sorted order
+    step = D // kernel.p
+    terms = [(i * step, j * step, as_scalar(c))
+             for (i, j), c in sorted(kernel.terms.items())]
+    shift_k = a.shift_k + b.shift_k - n * D
+    residues = {(ra + rb) % D for ra in a.res_k for rb in b.res_k}
     # kernel may move slots off the naive grid; include its shifts
     residues = {
-        _residue(r - u - v) for r in residues for (u, v, _c) in terms
+        (r - u - v) % D for r in residues for (u, v, _c) in terms
     } | residues
 
     def fn(t):
         return alg.residue_product_coeff(a, b, n, t, terms, sign)
 
-    return GenSeries(alg, fn, residues, parity=parity, shift_base=shift_base)
+    return GenSeries.on_grid(alg, D, fn, residues, parity, shift_k)
 
 
 def weight(phi: GenSeries, d_op, slots, probes):

@@ -9,6 +9,7 @@ passed.
 """
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cocycle import TwistData, locality_order
@@ -17,7 +18,7 @@ from .fdist import (
     WindowUnderflow,
     _factorial,
     _frac,
-    _residue,
+    _grid_int,
     coeff_is_zero,
     compare_status,
     derive,
@@ -213,7 +214,11 @@ class FockVector:
         return self._hash
 
     def max_degree(self):
-        return max(self.module.term_degree(k) for k in self.terms)
+        return Fraction(self.max_degree_k(), self.module.grid)
+
+    def max_degree_k(self) -> int:
+        """max_degree on the module's grid: the degree times grid."""
+        return max(map(self.module.term_degree_k, self.terms))
 
     def ratio_to(self, other):
         """Scalar r with self = r * other, or None."""
@@ -299,6 +304,7 @@ class FockAlg:
 
     def __init__(self, module):
         self.module = module
+        self.grid = module.grid
 
     def zero(self):
         m = self.module
@@ -326,37 +332,48 @@ class FockAlg:
         out.parity = (x.parity + y.parity) % 2
         return out
 
+    def _grid_floor(self, D: int):
+        """(D // module grid, the module's floor degree on the grid D)
+        for series on the grid D, a multiple of the module's."""
+        q = D // self.grid
+        return q, self.module.floor_k * q
+
     def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
         """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
-        components a0(k) = a(k + ra), b0(k) = b(k + rb)."""
+        components a0(k) = a(k + ra), b0(k) = b(k + rb).  The residues
+        ra, rb are on the common grid D of a and b, and so are the
+        degree bounds below."""
         mod = self.module
-        if a.shift_base is None or b.shift_base is None:
+        if a.shift_k is None or b.shift_k is None:
             raise FockError("operator products need degree-shift data")
-        ca0, cb0 = a.shift_base - ra, b.shift_base - rb
+        D = a.grid
+        q, fl = self._grid_floor(D)
+        ca0, cb0 = a.shift_k - ra - fl, b.shift_k - rb - fl
         super_sign = -1 if (a.parity and b.parity) else 1
 
         def summands(v):
-            d = v.max_degree()
-            fl = mod.floor
-            smax = _floor_int(d + cb0 - fl - m)
+            d = v.max_degree_k() * q
+            smax = (d + cb0) // D - m
             if n >= 0:
                 smax = min(smax, n)
             for s in range(smax + 1):
-                c = gen_binom(n, s)
+                c = as_scalar(gen_binom(n, s))
                 if not c:
                     continue
-                w = a.coeff(n - s + ra).apply(b.coeff(m + s + rb).apply(v))
+                w = a._at((n - s) * D + ra).apply(
+                    b._at((m + s) * D + rb).apply(v))
                 yield w.scale(c if s % 2 == 0 else -c)
-            low = n - _floor_int(d + ca0 - fl)
+            low = n - (d + ca0) // D
             if n >= 0:
                 low = max(low, 0)
             for s in range(low, n + 1):
-                c = gen_binom(n, n - s)
+                c = as_scalar(gen_binom(n, n - s))
                 if not c:
                     continue
-                w = b.coeff(m + s + rb).apply(a.coeff(n - s + ra).apply(v))
+                w = b._at((m + s) * D + rb).apply(
+                    a._at((n - s) * D + ra).apply(v))
                 sgn = -super_sign * (1 if s % 2 == 0 else -1)
-                yield w.scale(sgn * c)
+                yield w.scale(c if sgn > 0 else -c)
 
         def fn(v):
             out = FockVector(mod, {}, v.poisoned)
@@ -366,34 +383,37 @@ class FockAlg:
 
     def residue_product_coeff(self, a, b, n: int, t, terms, sign):
         """Slot-t coefficient of the residue-form product with explicit
-        kernel terms (w-exponent, z-exponent, coefficient)."""
+        kernel terms (w-exponent, z-exponent, coefficient); the slot
+        and the exponents are on the common grid D of a and b."""
         mod = self.module
-        ca, cb = a.shift_base, b.shift_base
+        D = a.grid
+        q, fl = self._grid_floor(D)
+        ca, cb = a.shift_k - fl, b.shift_k - fl
 
         def summands(v):
-            d = v.max_degree()
-            fl = mod.floor
+            d = v.max_degree_k() * q
             for (u, ve, kc) in terms:
-                imax = _floor_int(d + cb - fl - t - ve)
+                imax = (d + cb - t - ve) // D
                 if n >= 0:
                     imax = min(imax, n)
                 for i in range(imax + 1):
-                    c = gen_binom(n, i) * kc
+                    c = kc * gen_binom(n, i)
                     if not c:
                         continue
-                    w = a.coeff(n - i + u).apply(b.coeff(t + i + ve).apply(v))
+                    w = a._at((n - i) * D + u).apply(
+                        b._at(t + i * D + ve).apply(v))
                     yield w.scale(c if i % 2 == 0 else -c)
-                imax2 = _floor_int(d + ca - fl - u)
+                imax2 = (d + ca - u) // D
                 if n >= 0:
                     imax2 = min(imax2, n)
                 for i in range(imax2 + 1):
-                    c = gen_binom(n, i) * kc
+                    c = kc * gen_binom(n, i)
                     if not c:
                         continue
-                    w = b.coeff(t + n - i + ve).apply(
-                        a.coeff(i + u).apply(v))
+                    w = b._at(t + (n - i) * D + ve).apply(
+                        a._at(i * D + u).apply(v))
                     sgn = -sign * (1 if (n + i) % 2 == 0 else -1)
-                    yield w.scale(sgn * c)
+                    yield w.scale(c if sgn > 0 else -c)
 
         def fn(v):
             out = FockVector(mod, {}, v.poisoned)
@@ -415,7 +435,6 @@ class FockModule:
         self.basis = GradedBasis(self.lattice)
         self.omega = omega
         self.trunc = _frac(trunc)
-        self.alg = FockAlg(self)
         self.p = self.lattice.p
         # the largest creation degree of a term, in modes scaled by p
         self.cap = _floor_int(self.trunc * self.p)
@@ -440,6 +459,27 @@ class FockModule:
         self.omega_degrees = degs
         self._vertex_exps = {}
         self.floor = min(degs) if degs else Fraction(0)
+        # the grid (1/grid)Z of every slot and degree of the module: 2p
+        # holds (alpha'|alpha')/2 for integral alpha, the vacuum lines'
+        # xi entries hold xi(alpha(0)), and their degrees the rest; an
+        # irrational xi entry is refused where an exponent reads it
+        dens = [d.denominator for d in degs]
+        for i in range(omega.size):
+            for x in omega.xi(i):
+                try:
+                    dens.append(x.rational_value().denominator)
+                except ScalarError:
+                    pass
+        self.grid = math.lcm(2 * self.p, *dens)
+        # the degree of a Heisenberg mode step 1/p, and the degrees of
+        # the vacuum lines and their least, all on the grid
+        self.mode_step = self.grid // self.p
+        self.degree_k = [_grid_int(d, self.grid) for d in degs]
+        self.floor_k = _grid_int(self.floor, self.grid)
+        self.alg = FockAlg(self)
+        # the vertex and Heisenberg series of each lattice vector, built
+        # once: their coefficient memos serve every check on the module
+        self._series = {}
 
     # -- vectors ------------------------------------------------------
 
@@ -450,13 +490,17 @@ class FockModule:
         return FockVector(self, {((), i): ONE})
 
     def term_degree(self, key):
+        return Fraction(self.term_degree_k(key), self.grid)
+
+    def term_degree_k(self, key) -> int:
         # inside this module a Heisenberg mode m is the integer m*p:
         # word keys store it, and the mode grids, residue tests and
-        # creation caps work on it; Fraction enters only at heis_act,
-        # mode_op and the degrees returned here
+        # creation caps work on it; a degree is the integer degree*grid
+        # (term_degree_k, max_degree_k, floor_k); Fraction enters only
+        # at heis_act, mode_op and the degrees term_degree returns
         word, iota = key
-        return Fraction(-sum(m for m, _ in word), self.p) + \
-            self.omega_degrees[iota]
+        return -sum(m for m, _ in word) * self.mode_step + \
+            self.degree_k[iota]
 
     def basis_vectors(self, max_degree):
         """All monomial basis vectors of creation degree <= max_degree."""
@@ -574,24 +618,41 @@ class FockModule:
 
     # -- series builders ----------------------------------------------
 
+    def _kept(self, alpha, kind, build) -> GenSeries:
+        """The series of the given kind of a lattice vector, built on
+        the first request and kept for the module's lifetime."""
+        alpha = tuple(alpha)
+        kept = self._series.setdefault(alpha, {})
+        out = kept.get(kind)
+        if out is None:
+            out = kept[kind] = build(alpha)
+        return out
+
     def tilde(self, alpha) -> GenSeries:
         """The Heisenberg series of a lattice vector."""
-        return self.eigen_tilde(self.lattice_coords(alpha))
+        return self._kept(
+            alpha, "tilde",
+            lambda a: self.eigen_tilde(self.lattice_coords(a)))
 
     def eigen_tilde(self, coords) -> GenSeries:
-        residues = {self.basis.residues[j]
-                    for j, c in enumerate(coords) if c} or {Fraction(0)}
-        return GenSeries(self.alg, lambda m: self.mode_op(coords, m),
-                         residues, parity=0, shift_base=Fraction(0))
+        step = self.mode_step
+        residues = {q * step for q, c in zip(self.basis.qs, coords) if c}
+
+        def fn(k):
+            ms = k // step
+            return FockOp(self, lambda v: self.mode_apply(coords, ms, v), 0)
+
+        return GenSeries.on_grid(self.alg, self.grid, fn, residues or {0},
+                                 shift_k=0)
 
     def identity_series(self) -> GenSeries:
         ident = FockOp(self, lambda v: v, 0)
+        grid = self.grid
 
-        def fn(m):
-            return ident if m == -1 else self.alg.zero()
+        def fn(k):
+            return ident if k == -grid else self.alg.zero()
 
-        return GenSeries(self.alg, fn, {Fraction(0)}, parity=0,
-                         shift_base=Fraction(-1))
+        return GenSeries.on_grid(self.alg, grid, fn, {0}, shift_k=-grid)
 
     def upsilon(self) -> GenSeries:
         """Virasoro series (1/2) sum_i alpha~_i [-1] beta~_i."""
@@ -629,7 +690,7 @@ class FockModule:
             return out
         p = self.p
         # the largest d - fl and the offset k, in modes scaled by p
-        top = _floor_int((v.max_degree() - self.floor) * p)
+        top = (v.max_degree_k() - self.floor_k) // self.mode_step
         kp = k * p
         l = self.lattice.rank
 
@@ -670,7 +731,7 @@ class FockModule:
             return [(v, 0)]
         p = self.p
         qs = self.basis.qs
-        top = _floor_int((v.max_degree() - self.floor) * p)
+        top = (v.max_degree_k() - self.floor_k) // self.mode_step
         results = [(v, 0)]
         for n in range(1, top + 1):
             if any(c and qs[j] == n % p for j, c in enumerate(coords)):
@@ -750,43 +811,49 @@ class FockModule:
         return out
 
     def vertex_coeff(self, alpha, m) -> FockOp:
-        alpha = tuple(alpha)
-        m = _frac(m)
+        """The coefficient X_alpha(m), read off the kept vertex series."""
+        return self.vertex_series(alpha).coeff(m)
+
+    def vertex_series(self, alpha) -> GenSeries:
+        """The vertex series X_alpha(z), built once per lattice vector."""
+        return self._kept(alpha, "vertex", self._vertex_series)
+
+    def _vertex_series(self, alpha) -> GenSeries:
+        p = self.p
+        exps = [self.vertex_exponent(alpha, iota)
+                for iota in range(self.omega.size)]
+        # the vertex exponents lie on the module's grid (see __init__);
+        # one off it would refine the series' grid
+        D = math.lcm(self.grid, *(e.denominator for e in exps))
+        exps = [_grid_int(e, D) for e in exps]
+        step = D // p
+        residues = {(-D - e + t * step) % D for e in set(exps)
+                    for t in range(p)}
         coords = self.lattice_coords(alpha)
         e_alpha = self.e_op(alpha)
+        norm = self.lattice.pairing(alpha, alpha)
 
-        def summands(v):
+        def summands(v, k):
             for (word, iota), coeff in v.terms.items():
                 # creation degree = -m - 1 - a_exp + annihilation
                 # degree; scaled by p it must be an integer
-                low = (-m - 1 - self.vertex_exponent(alpha, iota)) * self.p
-                if low.denominator != 1:
+                low, off = divmod(-k - D - exps[iota], step)
+                if off:
                     continue
-                low = low.numerator
                 base = FockVector(self, {(word, iota): coeff})
                 for (v1, eplus) in self._ann_expand(coords, base):
                     if low + eplus >= 0:
                         v2 = self._cre_expand(coords, v1, low + eplus)
                         yield e_alpha.apply(v2)
 
-        def fn(v):
-            return _absorbing_sum(FockVector(self, {}, v.poisoned),
-                                  summands(v))
+        def fn(k):
+            return FockOp(
+                self, lambda v: _absorbing_sum(
+                    FockVector(self, {}, v.poisoned), summands(v, k)),
+                norm)
 
-        par = self.lattice.pairing(alpha, alpha) % 2
-        return FockOp(self, fn, par)
-
-    def vertex_series(self, alpha) -> GenSeries:
-        alpha = tuple(alpha)
-        residues = set()
-        for iota in range(self.omega.size):
-            a_exp = self.vertex_exponent(alpha, iota)
-            for t in range(self.p):
-                residues.add(_residue(-1 - a_exp + Fraction(t, self.p)))
-        norm = self.lattice.pairing(alpha, alpha)
-        return GenSeries(
-            self.alg, lambda m: self.vertex_coeff(alpha, m), residues,
-            parity=norm % 2, shift_base=Fraction(norm, 2) - 1)
+        return GenSeries.on_grid(self.alg, D, fn, residues, norm,
+                                 norm * D // 2 - D)
 
 
 # ---------------------------------------------------------------------

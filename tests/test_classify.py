@@ -266,15 +266,16 @@ def test_blocks_pass_the_full_b0_certificate(gram, mu_sign):
 
 
 def test_failed_block_certificate_raises(monkeypatch):
-    # projectors at twice their value are not idempotent and do not sum
-    # to one, and the enumeration names the failed checks instead of
-    # listing the classes
-    real = classify._GroupScalars.projector
+    # a lift psi at twice its value is no homomorphism, and its
+    # projectors, at twice their value, do not sum to one; the
+    # enumeration names the failed checks instead of listing the classes
+    real = classify._GroupScalars.psi
 
-    def doubled(self, label):
-        return {g: c + c for g, c in real(self, label).items()}
+    def doubled(self, coords):
+        g, s = real(self, coords)
+        return g, s + s
 
-    monkeypatch.setattr(classify._GroupScalars, "projector", doubled)
+    monkeypatch.setattr(classify._GroupScalars, "psi", doubled)
     with pytest.raises(ClassifyError,
                        match="certificate: idempotent, sum_to_one$"):
         enumerate_simple_twisted(twist([[2, 1], [1, 2]], neg(2)))

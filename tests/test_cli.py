@@ -179,15 +179,22 @@ def test_check_deep_oracle(tmp_path, capsys):
 NEG2 = {"gram": [[2]], "sigma": [[-1]], "trunc": 2, "bound": 1}
 SWAP1 = {"gram": [[2, 0], [0, 2]], "sigma": [[0, 1], [1, 0]],
          "trunc": 1, "bound": 1}
+# order 3 and order 4: vertex exponents with denominator 2p > 4
+A2_ROT3 = {"gram": [[2, -1], [-1, 2]], "sigma": [[0, -1], [1, -1]],
+           "trunc": 1, "bound": 1}
+I2_ROT4 = {"gram": [[2, 0], [0, 2]], "sigma": [[0, -1], [1, 0]],
+           "trunc": 1, "bound": 1}
 STATUSES = ("pass", "untestable", "fail")
 
 
 @pytest.fixture(scope="module")
 def check_texts(tmp_path_factory):
-    """The check reports of NEG2 and SWAP1, each run once."""
+    """The check reports of NEG2, SWAP1, A2_ROT3 and I2_ROT4, each run
+    once."""
     tmp = tmp_path_factory.mktemp("check")
     out = {}
-    for name, spec in (("NEG2", NEG2), ("SWAP1", SWAP1)):
+    for name, spec in (("NEG2", NEG2), ("SWAP1", SWAP1),
+                       ("A2_ROT3", A2_ROT3), ("I2_ROT4", I2_ROT4)):
         report = tmp / f"{name}.txt"
         path = write_spec(tmp, spec, f"{name}.json")
         assert main(["--spec", path, "--cmd", "check",
@@ -198,7 +205,7 @@ def check_texts(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def check_reports(check_texts):
-    """The check report lines of NEG2 and SWAP1."""
+    """The check report lines of the specs of check_texts."""
     return {name: text.splitlines() for name, text in check_texts.items()}
 
 
@@ -232,7 +239,9 @@ def test_check_report_separator(check_reports, name):
 
 # the full check reports of NEG2 and SWAP1, taken from the version that
 # summed every term of a poisoned Fock sum: stopping at the first
-# poisoned term must leave each untestable line as it was
+# poisoned term must leave each untestable line as it was; those of
+# A2_ROT3 and I2_ROT4 were taken from the version that kept every series
+# slot as a Fraction, before slots moved to an integer grid
 PINNED_CHECK_REPORTS = {
     "NEG2": (
         "check: rank 1, order 2, trunc 2\n"
@@ -314,10 +323,120 @@ PINNED_CHECK_REPORTS = {
         "fl:lprod | X(0,1)[-2]X(0,1) | untestable\n"
         "result: untestable\n"
     ),
+    "A2_ROT3": (
+        "check: rank 2, order 3, trunc 1\n"
+        "fl:F | delta kernel p=3 n=-2 | pass\n"
+        "fl:F | delta kernel p=3 n=-1 | pass\n"
+        "fl:F | delta kernel p=3 n=0 | pass\n"
+        "fl:F | delta kernel p=3 n=1 | pass\n"
+        "fl:eps | e(1, 0)e(1, 0) | untestable\n"
+        "fl:comm | e(1, 0)e(1, 0) | untestable\n"
+        "fl:eps | e(1, 0)e(0, 1) | pass\n"
+        "fl:comm | e(1, 0)e(0, 1) | pass\n"
+        "fl:eps | e(0, 1)e(1, 0) | pass\n"
+        "fl:comm | e(0, 1)e(1, 0) | pass\n"
+        "fl:eps | e(0, 1)e(0, 1) | untestable\n"
+        "fl:comm | e(0, 1)e(0, 1) | untestable\n"
+        "fl:Dvir | ups[2]ups = 0 | untestable\n"
+        "fl:Dvir | ups[3]ups = (rank/2)id | untestable\n"
+        "fl:Dvir | ups(0) = D | untestable\n"
+        "fl:Dvir | ups(1) = degree | pass\n"
+        "fl:Dvir | ups(1) series = degree + anomaly | untestable\n"
+        "fl:Dvir | ups[0]X(1, 0) = DX | untestable\n"
+        "fl:Dvir | ups[1]X(1, 0) = ((a|a)/2)X | untestable\n"
+        "fl:Dvir | weight X(1, 0) = 0 | pass\n"
+        "fl:Dvir | ups[0]X(0, 1) = DX | untestable\n"
+        "fl:Dvir | ups[1]X(0, 1) = ((a|a)/2)X | untestable\n"
+        "fl:Dvir | weight X(0, 1) = 0 | pass\n"
+        "fl:aff | [(1, 0)(0), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(1), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(1/3), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(0), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(1), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(1/3), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(0), e(0, 1)] | pass\n"
+        "fl:aff | [(1, 0)(1), e(0, 1)] | pass\n"
+        "fl:aff | [(1, 0)(1/3), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(0), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(1), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(1/3), e(0, 1)] | pass\n"
+        "fl:voprod | X(1,0)[-3]X(1,0) | untestable\n"
+        "fl:lprod | X(1,0)[-3]X(1,0) | untestable\n"
+        "fl:voprod | X(1,0)[-2]X(1,0) | untestable\n"
+        "fl:lprod | X(1,0)[-2]X(1,0) | untestable\n"
+        "fl:voprod | X(1,0)[0]X(0,1) | pass\n"
+        "fl:lprod | X(1,0)[0]X(0,1) | pass\n"
+        "fl:voprod | X(1,0)[1]X(0,1) | pass\n"
+        "fl:lprod | X(1,0)[1]X(0,1) | pass\n"
+        "fl:voprod | X(0,1)[0]X(1,0) | pass\n"
+        "fl:lprod | X(0,1)[0]X(1,0) | pass\n"
+        "fl:voprod | X(0,1)[1]X(1,0) | pass\n"
+        "fl:lprod | X(0,1)[1]X(1,0) | pass\n"
+        "fl:voprod | X(0,1)[-3]X(0,1) | untestable\n"
+        "fl:lprod | X(0,1)[-3]X(0,1) | untestable\n"
+        "fl:voprod | X(0,1)[-2]X(0,1) | untestable\n"
+        "fl:lprod | X(0,1)[-2]X(0,1) | untestable\n"
+        "result: untestable\n"
+    ),
+    "I2_ROT4": (
+        "check: rank 2, order 4, trunc 1\n"
+        "fl:F | delta kernel p=4 n=-2 | pass\n"
+        "fl:F | delta kernel p=4 n=-1 | pass\n"
+        "fl:F | delta kernel p=4 n=0 | pass\n"
+        "fl:F | delta kernel p=4 n=1 | pass\n"
+        "fl:eps | e(1, 0)e(1, 0) | untestable\n"
+        "fl:comm | e(1, 0)e(1, 0) | untestable\n"
+        "fl:eps | e(1, 0)e(0, 1) | pass\n"
+        "fl:comm | e(1, 0)e(0, 1) | pass\n"
+        "fl:eps | e(0, 1)e(1, 0) | pass\n"
+        "fl:comm | e(0, 1)e(1, 0) | pass\n"
+        "fl:eps | e(0, 1)e(0, 1) | untestable\n"
+        "fl:comm | e(0, 1)e(0, 1) | untestable\n"
+        "fl:Dvir | ups[2]ups = 0 | untestable\n"
+        "fl:Dvir | ups[3]ups = (rank/2)id | untestable\n"
+        "fl:Dvir | ups(0) = D | untestable\n"
+        "fl:Dvir | ups(1) = degree | pass\n"
+        "fl:Dvir | ups(1) series = degree + anomaly | untestable\n"
+        "fl:Dvir | ups[0]X(1, 0) = DX | untestable\n"
+        "fl:Dvir | ups[1]X(1, 0) = ((a|a)/2)X | untestable\n"
+        "fl:Dvir | weight X(1, 0) = 0 | pass\n"
+        "fl:Dvir | ups[0]X(0, 1) = DX | untestable\n"
+        "fl:Dvir | ups[1]X(0, 1) = ((a|a)/2)X | untestable\n"
+        "fl:Dvir | weight X(0, 1) = 0 | pass\n"
+        "fl:aff | [(1, 0)(0), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(1), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(1/4), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(0), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(1), e(1, 0)] | pass\n"
+        "fl:aff | [(0, 1)(1/4), e(1, 0)] | pass\n"
+        "fl:aff | [(1, 0)(0), e(0, 1)] | pass\n"
+        "fl:aff | [(1, 0)(1), e(0, 1)] | pass\n"
+        "fl:aff | [(1, 0)(1/4), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(0), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(1), e(0, 1)] | pass\n"
+        "fl:aff | [(0, 1)(1/4), e(0, 1)] | pass\n"
+        "fl:voprod | X(1,0)[-3]X(1,0) | untestable\n"
+        "fl:lprod | X(1,0)[-3]X(1,0) | untestable\n"
+        "fl:voprod | X(1,0)[-2]X(1,0) | untestable\n"
+        "fl:lprod | X(1,0)[-2]X(1,0) | untestable\n"
+        "fl:voprod | X(1,0)[-1]X(0,1) | untestable\n"
+        "fl:lprod | X(1,0)[-1]X(0,1) | untestable\n"
+        "fl:voprod | X(1,0)[0]X(0,1) | untestable\n"
+        "fl:lprod | X(1,0)[0]X(0,1) | untestable\n"
+        "fl:voprod | X(0,1)[-1]X(1,0) | untestable\n"
+        "fl:lprod | X(0,1)[-1]X(1,0) | untestable\n"
+        "fl:voprod | X(0,1)[0]X(1,0) | untestable\n"
+        "fl:lprod | X(0,1)[0]X(1,0) | untestable\n"
+        "fl:voprod | X(0,1)[-3]X(0,1) | untestable\n"
+        "fl:lprod | X(0,1)[-3]X(0,1) | untestable\n"
+        "fl:voprod | X(0,1)[-2]X(0,1) | untestable\n"
+        "fl:lprod | X(0,1)[-2]X(0,1) | untestable\n"
+        "result: untestable\n"
+    ),
 }
 
 
-@pytest.mark.parametrize("name", ["NEG2", "SWAP1"])
+@pytest.mark.parametrize("name", sorted(PINNED_CHECK_REPORTS))
 def test_check_report_bytes(check_texts, name):
     assert check_texts[name] == PINNED_CHECK_REPORTS[name]
 
@@ -466,15 +585,16 @@ def test_classify_error_exit_1(tmp_path, capsys, monkeypatch):
 
 def test_failed_block_certificate_exit_1(tmp_path, capsys, monkeypatch):
     # a block decomposition that fails its certificate is an invariant
-    # failure: exit 1, one line naming the failed checks, no report;
-    # projectors at twice their value are not idempotent and do not sum
-    # to one
-    real = classify._GroupScalars.projector
+    # failure: exit 1, one line naming the failed checks, no report; a
+    # lift psi at twice its value is no homomorphism, and its projectors
+    # do not sum to one
+    real = classify._GroupScalars.psi
 
-    def doubled(self, label):
-        return {g: c + c for g, c in real(self, label).items()}
+    def doubled(self, coords):
+        g, s = real(self, coords)
+        return g, s + s
 
-    monkeypatch.setattr(classify._GroupScalars, "projector", doubled)
+    monkeypatch.setattr(classify._GroupScalars, "psi", doubled)
     assert run(tmp_path, EX1_L2, "classify") == EXIT_INVARIANT
     captured = capsys.readouterr()
     (line,) = captured.err.splitlines()

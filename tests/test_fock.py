@@ -582,3 +582,165 @@ def test_vertex_exponent_kept_per_line_and_irrational_refused():
             M.vertex_exponent((1,), 0)
     with pytest.raises(FockError, match="z-exponent"):
         M.vertex_series((1,))
+
+
+# ---------------------------------------------------------------------
+# Series kept per lattice vector, and slots on the module's grid
+# ---------------------------------------------------------------------
+
+def test_series_kept_per_lattice_vector():
+    M = order3_module()
+    assert M.vertex_series((1, 0)) is M.vertex_series([1, 0])
+    assert M.tilde((1, 0)) is M.tilde([1, 0])
+    assert M.vertex_series((1, 0)) is not M.vertex_series((0, 1))
+    assert M.vertex_coeff((1, 0), Fraction(-2, 3)) \
+        is M.vertex_series((1, 0)).coeff(Fraction(-2, 3))
+
+
+def test_second_product_check_builds_no_vertex_coefficient(monkeypatch):
+    # count the vertex coefficients the kept series build, through the
+    # slot function of each vertex series
+    built = []
+    real = FockModule._vertex_series
+
+    def counting(self, alpha):
+        series = real(self, alpha)
+        fn = series._fn
+
+        def counted(k):
+            built.append((alpha, k))
+            return fn(k)
+
+        series._fn = counted
+        return series
+
+    monkeypatch.setattr(FockModule, "_vertex_series", counting)
+    M = negation_module(trunc=3)
+    slots = [Fraction(k, 2) for k in range(0, 3)]
+    first = product_check(M, (1,), (1,), -3, slots, [vac(M)])
+    assert built
+    built.clear()
+    second = product_check(M, (1,), (1,), -3, slots, [vac(M)])
+    assert built == []
+    assert second == first
+
+
+# one lattice per automorphism order 1, 2, 3, 4, 6
+GRID_LATTICES = {
+    1: ([[2]], [[1]]),
+    2: ([[2]], [[-1]]),
+    3: ([[2, -1], [-1, 2]], [[0, -1], [1, -1]]),
+    4: ([[2, 0], [0, 2]], [[0, -1], [1, 0]]),
+    6: ([[2, -1], [-1, 2]], [[1, -1], [1, 0]]),
+}
+
+
+def _grid_module(p):
+    gram, sigma = GRID_LATTICES[p]
+    td = TwistData(TwistedLattice(gram, sigma))
+    return FockModule(td, RegularOmega(td, bound=1), trunc=3)
+
+
+def _off_grid_slot(rng, grid):
+    """A slot whose denominator does not divide the grid."""
+    den = next(d for d in (3, 5, 7, 9, 11) if grid % d)
+    return Fraction(rng.randrange(1, den) + den * rng.randrange(-2, 2), den)
+
+
+@pytest.mark.parametrize("p", sorted(GRID_LATTICES))
+def test_grid_slots_match_oracle_and_fresh_module(p):
+    import random
+
+    from twistlab.oracle import oracle_product
+
+    rng = random.Random(9100 + p)
+    M = _grid_module(p)
+    assert M.grid % (2 * p) == 0
+    l = M.lattice.rank
+    units = [tuple(int(i == j) for j in range(l)) for i in range(l)]
+    low = [v for v in M.basis_vectors(1) if v.max_degree() - M.floor <= 1]
+    probes = rng.sample(low, min(6, len(low)))
+    for _ in range(4):
+        alpha, beta = rng.choice(units), rng.choice(units)
+        n = rng.randrange(-1, 2)
+        a, b = M.tilde(alpha), M.tilde(beta)
+        main = nth_product(a, b, n, 2)
+        orc = oracle_product(a, b, n, 2)
+        fresh = _grid_module(p)
+        fresh_main = nth_product(fresh.tilde(alpha), fresh.tilde(beta), n, 2)
+        x = M.vertex_series(alpha)
+        fresh_x = fresh.vertex_series(alpha)
+        for _ in range(4):
+            t = Fraction(rng.randrange(-2 * p, p + 1), p)
+            for v in probes:
+                got = main.coeff(t).apply(v)
+                want = orc.coeff(t).apply(v)
+                # the oracle sums past the truncation more often: compare
+                # the values both routes decide
+                if not (got.poisoned or want.poisoned):
+                    assert got == want
+                assert got == fresh_main.coeff(t).apply(v)
+                assert x.coeff(t).apply(v) == fresh_x.coeff(t).apply(v)
+            off = _off_grid_slot(rng, M.grid)
+            for series in (main, orc, x):
+                for v in probes:
+                    w = series.coeff(off).apply(v)
+                    assert w.is_zero() and not w.poisoned, (series, off)
+
+
+@pytest.mark.parametrize("p", sorted(GRID_LATTICES))
+def test_from_dict_window_off_the_grid(p):
+    import random
+
+    rng = random.Random(9200 + p)
+    M = _grid_module(p)
+    v = vac(M)
+    op = M.mode_op((ONE,) + (ZERO,) * (M.lattice.rank - 1), 0)
+    on = Fraction(rng.randrange(-p, p + 1), p)
+    off = _off_grid_slot(rng, M.grid)
+    # a window with an entry on the module's grid only
+    s = GenSeries.from_dict(M.alg, {on: op}, lo=-3, hi=3, shift_base=0)
+    assert s.grid == M.grid
+    assert s.coeff(on).apply(v) == op.apply(v)
+    assert s.coeff(off).apply(v) == M.zero_vec()
+    # an entry off the module's grid refines the series' grid
+    s = GenSeries.from_dict(M.alg, {on: op, off: op}, lo=-3, hi=3,
+                            shift_base=0)
+    assert s.grid % M.grid == 0 and s.grid % off.denominator == 0
+    assert s.coeff(off).apply(v) == op.apply(v)
+    assert s.coeff(on).apply(v) == op.apply(v)
+    assert s.coeff(on + Fraction(1, s.grid)).apply(v) == M.zero_vec()
+    assert s.residues >= {on - (on.numerator // on.denominator),
+                          off - (off.numerator // off.denominator)}
+
+
+@pytest.mark.parametrize("p", sorted(GRID_LATTICES))
+def test_series_on_a_finer_grid_combine_and_multiply(p):
+    # a zero series with a residue off the module's grid puts sums and
+    # products on the lcm grid; the values on the module's grid must not
+    # move, and the Fock product bounds must scale with the finer grid
+    import random
+
+    rng = random.Random(9300 + p)
+    M = _grid_module(p)
+    l = M.lattice.rank
+    off = _off_grid_slot(rng, M.grid)
+    fine = GenSeries.from_dict(M.alg, {off: M.alg.zero()}, shift_base=0)
+    assert fine.grid > M.grid
+    low = [v for v in M.basis_vectors(1) if v.max_degree() - M.floor <= 1]
+    probes = rng.sample(low, min(6, len(low)))
+    for _ in range(3):
+        alpha = tuple(int(i == rng.randrange(l)) for i in range(l))
+        beta = tuple(int(i == rng.randrange(l)) for i in range(l))
+        n = rng.randrange(-1, 2)
+        a, b = M.tilde(alpha), M.tilde(beta)
+        plain = nth_product(a, b, n, 2)
+        refined = nth_product(a, b + fine, n, 2)
+        assert refined.grid == fine.grid
+        shifted = a.shift(off)
+        for _ in range(3):
+            t = Fraction(rng.randrange(-2 * p, p + 1), p)
+            for v in probes:
+                assert refined.coeff(t).apply(v) == plain.coeff(t).apply(v)
+                assert shifted.coeff(t - off).apply(v) == \
+                    a.coeff(t).apply(v)
