@@ -18,7 +18,6 @@ from .linalg import (
     field_solve,
     hnf_columns,
     kernel_basis,
-    lcm_list,
     snf,
     solve_int,
 )
@@ -57,13 +56,11 @@ def root_exponent(mu: CycScalar) -> Fraction:
     """The rational r/k in [0, 1) with mu = zeta_k^r, for mu a root of
     unity."""
     mu = as_scalar(mu)
-    k = mu.order()
-    if k is None:
+    root = mu.decompose_positive_root()
+    if root is None or root[0] != 1:
         raise UnsupportedScalar(f"{mu} is not a root of unity")
-    for r in range(k):
-        if root_of_unity(k, r) == mu:
-            return Fraction(r, k)
-    raise UnsupportedScalar(f"{mu} has no discrete logarithm")  # pragma: no cover
+    _q, k, r = root
+    return Fraction(r, k)
 
 
 def _unit(l: int, k: int):
@@ -231,7 +228,7 @@ class Presentation:
         # scalar relations must commute with the whole group algebra
         for d in self.dvecs:
             for k in range(l):
-                if commutator_map(lat, d, _unit(l, k)) != ONE:
+                if lat.commutator_exponent(d, _unit(l, k)):
                     self.witness = ("non-central relation", (d, k))
                     return
         # the kernel vectors, with the mu-independent factor of the
@@ -375,14 +372,17 @@ class Presentation:
     @cached_property
     def radical(self) -> FiniteQuotient:
         """Radical of the commutator bicharacter on E, via Smith normal
-        form of the exponent matrix."""
+        form of the exponent matrix b(g_i, g_j) = zeta_P^(b_ij), P the
+        least common order."""
         E = self.E
         r = E.rank
-        gens = [_unit(r, i) for i in range(r)]
-        exps = [[root_exponent(self.bichar(gens[i], gens[j]))
+        lat = self.lattice
+        lifts = [E.lift(_unit(r, i)) for i in range(r)]
+        exps = [[lat.commutator_exponent(lifts[i], lifts[j])
                  for j in range(r)] for i in range(r)]
-        P = lcm_list([e.denominator for row in exps for e in row])
-        b = [[int(e * P) for e in row] for row in exps]
+        g = math.gcd(2 * lat.p, *(k for row in exps for k in row))
+        P = 2 * lat.p // g
+        b = [[k // g for k in row] for row in exps]
         stacked = [b[i] + [P if k == i else 0 for k in range(r)]
                    for i in range(r)]
         basis = kernel_basis(stacked)

@@ -2,6 +2,7 @@
 constants kappa, the extension cocycle phi, and the obstruction test."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from functools import cached_property
 
@@ -13,20 +14,15 @@ class CocycleError(Exception):
     pass
 
 
-def _commutator_value(p: int, norms: int, ms) -> CycScalar:
-    """C = (-1)^(norms + sum m_s) * omega^(-sum s*m_s), where
-    norms = (a|a)(b|b) and ms are the m-values of (a, b)."""
-    weighted = sum(s * ms[s] for s in range(1, p))
-    value = root_of_unity(p, (-weighted) % p)
-    return -value if (norms + sum(ms)) % 2 else value
+def _zeta(n: int, k: int) -> CycScalar:
+    """zeta_n^k, looked up in lowest terms."""
+    g = math.gcd(n, k)
+    return root_of_unity(n // g, k // g)
 
 
 def commutator_map(lattice: TwistedLattice, alpha, beta) -> CycScalar:
     """C(alpha, beta) = (-1)^((a|a)(b|b) + sum m_s) * omega^(-sum s*m_s)."""
-    return _commutator_value(
-        lattice.p,
-        lattice.pairing(alpha, alpha) * lattice.pairing(beta, beta),
-        lattice.m_values(alpha, beta))
+    return _zeta(2 * lattice.p, lattice.commutator_exponent(alpha, beta))
 
 
 def locality_order(lattice: TwistedLattice, alpha, beta) -> int:
@@ -54,20 +50,38 @@ class TwistData:
     """Cocycle data attached to a twisted lattice: the epsilon seed and
     the 1-cocycle phi defining the lift of sigma.
 
-    The seeds are fixed at construction and must not be changed
-    afterwards: phi keeps its value per vector, the obstruction scan
-    keeps its one verdict on the lattice's generating set, and
-    `presentation` is the classifier's presentation of the algebra A,
-    built once, for as long as the object lives."""
+    epsilon is bimultiplicative with root-of-unity seeds, so it is kept
+    as one integer matrix: epsilon(a, b) = zeta_N^(a^T E b), with N
+    (`eps_order`) the lcm of the seed orders and E (`eps_exponents`)
+    the seeds' exponents on that grid.  The seeds are fixed at
+    construction and must not be changed afterwards: phi keeps its
+    value per vector, the obstruction scan keeps its one verdict on the
+    lattice's generating set, and `presentation` is the classifier's
+    presentation of the algebra A, built once, for as long as the
+    object lives."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
-        self.eps_seed = dict(eps_seed) if eps_seed is not None else build_epsilon(lattice)
-        for (i, j), v in self.eps_seed.items():
+        l = lattice.rank
+        seeds = dict(eps_seed) if eps_seed is not None else build_epsilon(lattice)
+        # validate each seed and take its discrete log in one pass
+        self.eps_seed = {}
+        logs = {}
+        for (i, j), v in seeds.items():
             value = as_scalar(v)
-            if value.order() is None:
+            root = value.decompose_positive_root()
+            if root is None or root[0] != 1:
                 raise CocycleError(f"eps_seed[{i},{j}] must be a root of unity")
             self.eps_seed[(i, j)] = value
+            logs[(i, j)] = root[1:]
+        for i in range(l):
+            for j in range(l):
+                if (i, j) not in logs:
+                    raise CocycleError(f"eps_seed[{i},{j}] is missing")
+        n = self.eps_order = math.lcm(*(m for m, _ in logs.values()))
+        self.eps_exponents = tuple(
+            tuple(logs[(i, j)][1] * (n // logs[(i, j)][0]) for j in range(l))
+            for i in range(l))
         if phi_seed is None:
             phi_seed = {
                 i: self.phi_zero(self._basis_vector(i))
@@ -90,16 +104,23 @@ class TwistData:
 
     # -- epsilon and friends ------------------------------------------
 
-    def epsilon(self, alpha, beta) -> CycScalar:
-        out = ONE
+    @staticmethod
+    def _form(matrix, alpha, beta) -> int:
+        """alpha^T matrix beta over the nonzero entries."""
+        out = 0
         for i, a in enumerate(alpha):
             if not a:
                 continue
+            row = matrix[i]
             for j, b in enumerate(beta):
-                if not b:
-                    continue
-                out = out * self.eps_seed[(i, j)] ** (a * b)
+                if b:
+                    out += a * b * row[j]
         return out
+
+    def epsilon(self, alpha, beta) -> CycScalar:
+        """epsilon(a, b) = zeta_N^(a^T E b)."""
+        return _zeta(self.eps_order,
+                     self._form(self.eps_exponents, alpha, beta) % self.eps_order)
 
     def commutator(self, alpha, beta) -> CycScalar:
         return commutator_map(self.lattice, alpha, beta)
@@ -118,18 +139,32 @@ class TwistData:
 
     # -- the cocycle phi ----------------------------------------------
 
+    @cached_property
+    def _ratio_exponents(self):
+        """R = sigma^T E sigma - E: eps(sigma a, sigma b)/eps(a, b) =
+        zeta_N^(a^T R b)."""
+        sig, e = self.lattice.sigma, self.eps_exponents
+        l = self.lattice.rank
+        return tuple(
+            tuple(sum(sig[x][i] * e[x][y] * sig[y][j]
+                      for x in range(l) for y in range(l)) - e[i][j]
+                  for j in range(l))
+            for i in range(l))
+
+    def _ratio_exponent(self, alpha, beta) -> int:
+        return self._form(self._ratio_exponents, alpha, beta) % self.eps_order
+
     def sigma_ratio(self, alpha, beta) -> CycScalar:
         """g(a,b) = eps(sigma a, sigma b)/eps(a,b) = kappa(sigma a, sigma b)/kappa(a,b)."""
-        sa = self.lattice.apply_sigma(alpha)
-        sb = self.lattice.apply_sigma(beta)
-        return self.epsilon(sa, sb) / self.epsilon(alpha, beta)
+        return _zeta(self.eps_order, self._ratio_exponent(alpha, beta))
 
     def phi_zero(self, alpha) -> CycScalar:
-        """Canonical square root of eps(sigma a, sigma a)/eps(a, a)."""
-        ratio = self.sigma_ratio(alpha, alpha)
-        if ratio.decompose_positive_root() is None:
-            raise CocycleError(f"unsupported scalar form for phi_zero at {alpha}")
-        return canonical_root(ratio, 2)
+        """Canonical square root of eps(sigma a, sigma a)/eps(a, a): of
+        zeta_M^k in lowest terms, zeta_(2M)^k."""
+        n = self.eps_order
+        k = self._ratio_exponent(alpha, alpha)
+        g = math.gcd(n, k)
+        return root_of_unity(2 * n // g, k // g)
 
     def phi(self, alpha) -> CycScalar:
         """The 1-cocycle: extension of the seed values with dphi(a,b) =
@@ -140,24 +175,21 @@ class TwistData:
         return self._phi[alpha]
 
     def _phi_from_seeds(self, alpha) -> CycScalar:
-        l = self.lattice.rank
+        """prod_i phi(e_i)^(a_i) times g(e_i, e_i)^(a_i (a_i - 1)/2) and
+        g(e_i, e_j)^(a_i a_j) for i < j, the g factors summed as one
+        exponent of zeta_N."""
+        r = self._ratio_exponents
         out = ONE
-        for i in range(l):
-            a = alpha[i]
+        k = 0
+        for i, a in enumerate(alpha):
             if not a:
                 continue
             out = out * self.phi_seed[i] ** a
-            gii = self.sigma_ratio(self._basis_vector(i), self._basis_vector(i))
-            out = out * gii ** (a * (a - 1) // 2)
-        for i in range(l):
-            if not alpha[i]:
-                continue
-            for j in range(i + 1, l):
-                if not alpha[j]:
-                    continue
-                gij = self.sigma_ratio(self._basis_vector(i), self._basis_vector(j))
-                out = out * gij ** (alpha[i] * alpha[j])
-        return out
+            k += r[i][i] * (a * (a - 1) // 2)
+            for j in range(i + 1, len(alpha)):
+                if alpha[j]:
+                    k += r[i][j] * a * alpha[j]
+        return out * _zeta(self.eps_order, k % self.eps_order)
 
     # -- roots mu and eigen-coefficients k_s --------------------------
 
@@ -174,12 +206,13 @@ class TwistData:
         return tuple(base * root_of_unity(p_a, j) for j in range(p_a))
 
     def k_coeffs(self, orbit, mu: CycScalar):
-        """k_s = mu^-s phi(a) phi(sigma a) ... phi(sigma^(s-1) a), k_0 = 1."""
+        """k_s = mu^-s phi(a) phi(sigma a) ... phi(sigma^(s-1) a), k_0 = 1,
+        each from the last: k_s = k_(s-1) mu^-1 phi(sigma^(s-1) a)."""
         out = [ONE]
-        acc = ONE
-        for s in range(1, len(orbit)):
-            acc = acc * self.phi(orbit[s - 1])
-            out.append(mu ** (-s) * acc)
+        if len(orbit) > 1:
+            inv = mu.inverse()
+            for v in orbit[:-1]:
+                out.append(out[-1] * inv * self.phi(v))
         return tuple(out)
 
     # -- obstruction --------------------------------------------------
@@ -199,18 +232,23 @@ class TwistData:
     @cached_property
     def _obstruction(self):
         lat = self.lattice
+        p = lat.p
         pi = lat.reduce_generating_set().pi
         candidates = list(pi) + [
             tuple(u + v for u, v in zip(pi[x], pi[y]))
             for x in range(len(pi)) for y in range(x + 1, len(pi))]
+        # C(a, sigma^j a) = zeta_(2p)^k with k = p ((a|a)^2 + sum_s m_s)
+        # - 2 sum_s s m_(s+j), m the m-values of (a, a); the first part
+        # is the same for every j and only its parity counts
         ms = []
-        for j in range(lat.p):
+        for j in range(p):
             for i, a in enumerate(candidates):
                 if i == len(ms):
-                    ms.append(lat.m_values(a, a))
-                m = ms[i]
-                if _commutator_value(lat.p, m[0] * m[0],
-                                     m[j:] + m[:j]) != ONE:
+                    m = lat.m_values(a, a)
+                    ms.append((m, p * (m[0] + sum(m))))
+                m, base = ms[i]
+                weighted = sum(s * m[(s + j) % p] for s in range(1, p))
+                if (base - 2 * weighted) % (2 * p):
                     return True, (a, j)
         return False, None
 

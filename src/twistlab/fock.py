@@ -67,15 +67,20 @@ class GradedBasis:
         self.lattice = lattice
         p, l = lattice.p, lattice.rank
         self.p = p
-        omega = root_of_unity(p) if p > 1 else ONE
         pows = lattice.sigma_pows
-        inv_p = CycScalar.rational(Fraction(1, p))
         qs, vecs = [], []
         for q in range(p):
-            # the transposed eigenprojector (1/p) sum_s omega^(-qs) sigma^s
-            rows = [[sum((omega ** ((-q * s) % p) * pows[s][i][k]
-                          for s in range(p)), ZERO) * inv_p
-                     for i in range(l)] for k in range(l)]
+            # the transposed eigenprojector (1/p) sum_s omega^(-qs) sigma^s,
+            # each entry one integer vector over the powers of omega
+            rows = []
+            for k in range(l):
+                row = []
+                for i in range(l):
+                    dense = [0] * p
+                    for s in range(p):
+                        dense[(-q * s) % p] += pows[s][i][k]
+                    row.append(CycScalar(p, [Fraction(c, p) for c in dense]))
+                rows.append(row)
             rref, pivots = field_rref(rows, ONE)
             for r in rref[:len(pivots)]:
                 qs.append(q)

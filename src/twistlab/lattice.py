@@ -21,8 +21,11 @@ class TwistedLattice:
     The lattice keeps its sigma data for its lifetime: the powers
     `sigma_pows` (sigma^s for 0 <= s < p), the norm map
     N = sum_s sigma^s, so that alpha^0 = N alpha / p, `gram_norm`
-    = G N, whose column j is p * nu(e_j), and its reduced generating
-    set (`reduce_generating_set`) once first asked for."""
+    = G N, whose column j is p * nu(e_j), `gram_weight` = G sum_s s
+    sigma^s and the parities `diag_parity` of the diagonal of G, which
+    give the commutator phase as an integer (`commutator_exponent`),
+    and its reduced generating set (`reduce_generating_set`) once
+    first asked for."""
 
     def __init__(self, gram, sigma):
         gram = [list(map(int, row)) for row in gram]
@@ -56,6 +59,11 @@ class TwistedLattice:
                 for i in range(l)]
         self.norm = tuple(tuple(r) for r in norm)
         self.gram_norm = tuple(tuple(r) for r in mat_mul(gram, norm))
+        weight = [[sum(s * m[i][j] for s, m in enumerate(powers))
+                   for j in range(l)] for i in range(l)]
+        self.gram_weight = tuple(tuple(r) for r in mat_mul(gram, weight))
+        # (a|a) = sum_i a_i^2 G_ii + 2 (...) = sum_i a_i G_ii mod 2
+        self.diag_parity = tuple(gram[i][i] % 2 for i in range(l))
 
     # -- basic pairings -----------------------------------------------
 
@@ -80,6 +88,29 @@ class TwistedLattice:
             sum(ga * sum(c * b for c, b in zip(row, beta))
                 for ga, row in zip(g_alpha, m))
             for m in self.sigma_pows)
+
+    def commutator_exponent(self, alpha, beta) -> int:
+        """k mod 2p with C(alpha, beta) = zeta_(2p)^k.
+
+        C = (-1)^((a|a)(b|b) + sum_s m_s) omega^(-sum_s s m_s), where
+        sum_s m_s = (a | N b) and sum_s s m_s = a^T gram_weight b, so
+        k = p ((a|a)(b|b) + (a | N b)) - 2 a^T gram_weight b."""
+        gn, gw, par = self.gram_norm, self.gram_weight, self.diag_parity
+        n = w = pa = 0
+        for i, a in enumerate(alpha):
+            if not a:
+                continue
+            pa += a * par[i]
+            rn, rw = gn[i], gw[i]
+            for j, b in enumerate(beta):
+                if b:
+                    ab = a * b
+                    n += ab * rn[j]
+                    w += ab * rw[j]
+        if pa % 2:
+            n += sum(b * x for b, x in zip(beta, par))
+        p = self.p
+        return (p * n - 2 * w) % (2 * p)
 
     def prime_pairing(self, alpha, beta) -> Fraction:
         """Pairing of the components orthogonal to the fixed space:

@@ -480,22 +480,14 @@ class CycScalar:
             if q > 0:
                 return q, 1, 0
             return -q, 2, 1
-        n = self.n
-        units = [(j, False) for j in range(n)]
-        if n % 2 == 1:
-            units += [(j, True) for j in range(n)]
-        for j, negate in units:
-            u = root_of_unity(n, j)
-            if negate:
-                u = -u
-            b = self * u.inverse()
+        # every root of unity in Q(zeta_n) is zeta_N^e, N = n for even
+        # n and 2n for odd n
+        n = self.n if self.n % 2 == 0 else 2 * self.n
+        for e in range(n):
+            b = self * root_of_unity(n, -e)
             if b.n == 1 and b.num[0] > 0:
-                q = b.rational_value()
-                m = u.order()
-                for k in range(m):
-                    if math.gcd(k, m) == 1 or (k == 0 and m == 1):
-                        if root_of_unity(m, k) == u:
-                            return q, m, k
+                g = math.gcd(n, e)
+                return b.rational_value(), n // g, e // g
         return None
 
     # -- conversions --------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -601,3 +602,42 @@ def test_failed_block_certificate_exit_1(tmp_path, capsys, monkeypatch):
     assert line.startswith("invariant failure: block decomposition")
     assert line.endswith("certificate: idempotent, sum_to_one")
     assert captured.out == ""
+
+
+# epsilon seeds of order 8 on an order-2 lattice, so that epsilon lives
+# on zeta_8 and not on the zeta_(2p) = zeta_4 of the default seeds; they
+# realize C, and the reports were taken from the seed-power product
+# definition of epsilon
+EPS8 = {"gram": [[2, 1], [1, 4]], "sigma": [[-1, 0], [0, -1]],
+        "eps": {"0,1": "z(8)^1", "1,0": "z(8)^5"},
+        "alpha": [1, 1], "beta": [2, -1], "trunc": 2, "bound": 1}
+EPS8_KAPPA = (
+    "alpha (1,1) beta (2,-1)\n"
+    "fl:comm | C(alpha,beta) = -1\n"
+    "fl:kappa | kappa(alpha,beta) = 1/4*z(8)^1\n"
+    "fl:locality | N(alpha,beta) = 1\n")
+EPS8_CLASSIFY = (
+    "classify: rank 2, order 2, orbit lengths [2, 2]\n"
+    "eta cosets: 1\n"
+    "mu (1,1) | dim B0 4 | blocks [2] | classes 1\n"
+    "  class | ideal 0 | eta (0,0) | dim 2\n"
+    "mu (1,-1) | inadmissible | ('no weight satisfies the congruence', "
+    "1, Fraction(3, 2))\n"
+    "mu (-1,1) | inadmissible | ('no weight satisfies the congruence', "
+    "0, Fraction(1, 2))\n"
+    "mu (-1,-1) | inadmissible | ('no weight satisfies the congruence', "
+    "0, Fraction(1, 2))\n"
+    "1 classes\n")
+EPS8_CHECK_SHA256 = (
+    "3ffb01997ea341f0f0aee20348aa9aea953c4dd5689d977a4a266dc71a770e17")
+
+
+def test_eps_override_of_order_8_reports(tmp_path, capsys):
+    assert run(tmp_path, EPS8, "kappa") == EXIT_OK
+    assert capsys.readouterr().out == EPS8_KAPPA
+    assert run(tmp_path, EPS8, "classify") == EXIT_OK
+    assert capsys.readouterr().out == EPS8_CLASSIFY
+    assert run(tmp_path, EPS8, "check") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "fl:eps | e(1, 0)e(0, 1) | pass\n" in out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EPS8_CHECK_SHA256

@@ -12,7 +12,7 @@ from twistlab.cocycle import (
     locality_order,
 )
 from twistlab.lattice import LatticeError, TwistedLattice
-from twistlab.scalar import CycScalar, ONE, root_of_unity
+from twistlab.scalar import CycScalar, ONE, canonical_root, root_of_unity
 
 from test_lattice import A1x2, ROT4, neg_identity, random_twisted_lattice
 
@@ -301,3 +301,149 @@ def test_phi_memo_matches_fresh_twist():
         assert td.phi(list(v)) is td.phi(v)
     for v in box:
         assert td.phi(v) == TwistData(lat).phi(v)
+
+
+# -- the integer phase rules against their product definitions ----------
+
+CYCLE3 = [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
+# the random draws are even lattices with signed-permutation sigma; these
+# add odd lattices, where (a|a)(b|b) can be odd, and automorphisms that
+# are not signed permutations, where eps(sigma a, sigma a) != eps(a, a)
+RULE_FIXTURES = [
+    ([[1, 0], [0, 3]], neg_identity(2)),
+    ([[3, 1], [1, 3]], [[0, 1], [1, 0]]),
+    ([[1, 0], [0, 1]], ROT4),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], CYCLE3),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[-x for x in r] for r in CYCLE3]),
+    ([[2, -1], [-1, 2]], [[0, -1], [1, -1]]),
+    ([[2, -1], [-1, 2]], [[1, -1], [1, 0]]),
+    ([[2, -1, 0], [-1, 2, -1], [0, -1, 2]], [[0, 0, -1], [0, -1, 0], [-1, 0, 0]]),
+]
+
+
+def _rule_lattices(seed, per_order=4):
+    """The fixtures above, then seeded random draws, per_order each of
+    orders 1, 2, 3, 4 and 6."""
+    rng = random.Random(seed)
+    need = {p: per_order for p in (1, 2, 3, 4, 6)}
+    out = [TwistedLattice(g, s) for g, s in RULE_FIXTURES]
+    while any(need.values()):
+        lat = random_twisted_lattice(rng)
+        if need.get(lat.p):
+            need[lat.p] -= 1
+            out.append(lat)
+    return out
+
+
+def _product_commutator(lat, a, b):
+    """C(a, b) as the product (-1)^((a|a)(b|b) + sum m_s) prod_s
+    omega^(-s m_s) over the m-values."""
+    ms = lat.m_values(a, b)
+    omega = root_of_unity(lat.p)
+    value = ONE
+    for s in range(1, lat.p):
+        value = value * omega ** (-s * ms[s])
+    if (lat.pairing(a, a) * lat.pairing(b, b) + sum(ms)) % 2:
+        value = -value
+    return value
+
+
+def _product_epsilon(td, a, b):
+    """epsilon(a, b) as the product of seed powers eps_ij^(a_i b_j)."""
+    out = ONE
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out = out * td.eps_seed[(i, j)] ** (x * y)
+    return out
+
+
+def _product_phi(td, a):
+    """phi(a) = prod_i phi(e_i)^(a_i) g(e_i, e_i)^(a_i (a_i - 1)/2)
+    prod_(i<j) g(e_i, e_j)^(a_i a_j), each g a ratio of products."""
+    lat = td.lattice
+    e = [tuple(1 if k == i else 0 for k in range(lat.rank))
+         for i in range(lat.rank)]
+
+    def g(u, v):
+        return _product_epsilon(td, lat.apply_sigma(u), lat.apply_sigma(v)) \
+            / _product_epsilon(td, u, v)
+
+    out = ONE
+    for i, x in enumerate(a):
+        out = out * td.phi_seed[i] ** x * g(e[i], e[i]) ** (x * (x - 1) // 2)
+        for j in range(i + 1, lat.rank):
+            out = out * g(e[i], e[j]) ** (x * a[j])
+    return out
+
+
+def test_commutator_exponent_matches_m_value_product():
+    rng = random.Random(37)
+    for lat in _rule_lattices(31):
+        for _ in range(12):
+            a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
+            k = lat.commutator_exponent(a, b)
+            assert 0 <= k < 2 * lat.p
+            expect = _product_commutator(lat, a, b)
+            assert root_of_unity(2 * lat.p, k) == expect
+            assert commutator_map(lat, a, b) == expect
+
+
+def test_epsilon_exponents_match_seed_powers():
+    rng = random.Random(41)
+    for lat in _rule_lattices(43):
+        td = TwistData(lat)
+        # the default seeds are 2p-th roots of unity
+        assert (2 * lat.p) % td.eps_order == 0
+        # fourth roots on the diagonal keep C and make the ratios
+        # eps(sigma e_i, sigma e_i)/eps(e_i, e_i) nontrivial
+        seeds = dict(td.eps_seed)
+        for i in range(lat.rank):
+            seeds[(i, i)] = root_of_unity(4, i + 1)
+        for td in (td, TwistData(lat, eps_seed=seeds)):
+            for _ in range(6):
+                a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
+                eps = _product_epsilon(td, a, b)
+                assert td.epsilon(a, b) == eps
+                assert eps / _product_epsilon(td, b, a) == \
+                    _product_commutator(lat, a, b)
+                ratio = _product_epsilon(
+                    td, lat.apply_sigma(a), lat.apply_sigma(b)) / eps
+                assert td.sigma_ratio(a, b) == ratio
+                self_ratio = _product_epsilon(
+                    td, lat.apply_sigma(a), lat.apply_sigma(a)) \
+                    / _product_epsilon(td, a, a)
+                assert td.phi_zero(a) == canonical_root(self_ratio, 2)
+                assert td.phi(a) == _product_phi(td, a)
+
+
+def test_eps_override_of_order_8_on_an_order_2_lattice():
+    # seeds of order 8 on sigma = -1 (p = 2): the exponent grid is
+    # N = 8, not 2p = 4, and the seeds still realize C
+    lat = TwistedLattice([[2, 1], [1, 4]], neg_identity(2))
+    seeds = build_epsilon(lat)
+    seeds[(0, 1)] = root_of_unity(8)
+    seeds[(1, 0)] = root_of_unity(8, 5)
+    td = TwistData(lat, eps_seed=seeds)
+    assert (lat.p, td.eps_order) == (2, 8)
+    rng = random.Random(53)
+    conductors = set()
+    for _ in range(40):
+        a, b = rnd_vec(rng, 2), rnd_vec(rng, 2)
+        eps = _product_epsilon(td, a, b)
+        assert td.epsilon(a, b) == eps
+        assert eps / _product_epsilon(td, b, a) == td.commutator(a, b)
+        assert td.phi(a) == _product_phi(td, a)
+        conductors.add(eps.n)
+    assert conductors == {1, 4, 8}
+
+
+def test_eps_seeds_must_be_roots_of_unity_and_complete():
+    lat = TwistedLattice(A1x2, ROT4)
+    seeds = build_epsilon(lat)
+    with pytest.raises(CocycleError, match=r"eps_seed\[1,0\] must be a root"):
+        TwistData(lat, eps_seed={**seeds, (1, 0): CycScalar.rational(2)})
+    with pytest.raises(CocycleError, match=r"eps_seed\[0,1\] must be a root"):
+        TwistData(lat, eps_seed={**seeds, (0, 1): ONE + root_of_unity(5)})
+    del seeds[(1, 1)]
+    with pytest.raises(CocycleError, match=r"eps_seed\[1,1\] is missing"):
+        TwistData(lat, eps_seed=seeds)

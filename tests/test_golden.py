@@ -1,5 +1,6 @@
-"""Golden outputs: the check reports of every benchmark spec and the
-verdicts of a fixed twisted_ops job list, hashed.
+"""Golden outputs: the check reports of every benchmark spec, the
+verdicts of a fixed twisted_ops job list and the classification
+summaries of the classify_stream pool, hashed.
 
 The inputs come from perfbench/workloads.py, read as it stands.  A
 change that moves any report byte, exit code or verdict moves a hash;
@@ -23,6 +24,8 @@ CHECK_REPORTS_SHA256 = (
     "516b65ce759df28746115b8d85948094f7cf148e664c527acfd3da46a7b7f2ab")
 OPS_VERDICTS_SHA256 = (
     "ac5cd1450f9d214a872e5d7bc31a96535f15f417c343a5edbb08237ec0e18e4a")
+CLASSIFY_SUMMARIES_SHA256 = (
+    "d2f85ea72828067962794cb33dc211cbd3a328b886851330a0d2bf9252f4e051")
 
 
 def _workloads():
@@ -64,3 +67,14 @@ def test_twisted_ops_verdicts_seed_3():
     verdicts = [W.run_ops_job(TL, job) for job in jobs]
     assert len(verdicts) == 225
     assert _sha256(verdicts) == OPS_VERDICTS_SHA256
+
+
+def test_classify_summaries_of_the_stream_pool():
+    # one round of the classify_stream pool, unshuffled: the fixtures,
+    # the random pool, then the known-fault lattices
+    members = W.CLASSIFY_FIXTURES + W.classify_pool(TL) + W.KNOWN_FAULTS
+    summaries = [
+        W.summarize_classify(W.run_classify_job(TL, {"gram": g, "sigma": s}))
+        for g, s in members]
+    assert len(summaries) == 52
+    assert _sha256(summaries) == CLASSIFY_SUMMARIES_SHA256

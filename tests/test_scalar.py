@@ -1,3 +1,4 @@
+import cmath
 import math
 import random
 from fractions import Fraction
@@ -342,3 +343,45 @@ def test_half_conductor_values(n):
     assert str(vals[0] * vals[2]) == prod
     assert str((vals[0] - 2) * (vals[1] + Fraction(1, 3))) == mix
     assert str(CycScalar(n, [1, Fraction(1, 2), -3, 0, 2])) == dense
+
+
+# the lowest forms (M, k) of the roots of unity of order M <= 24
+_LOWEST_ROOTS = [(m, k) for m in range(1, 25) for k in range(m)
+                 if m == 1 or math.gcd(k, m) == 1]
+
+
+def _brute_force_root(x):
+    """(q, M, k) with x = q * zeta_M^k, q > 0, by search over M <= 24
+    and k coprime to M; None if there is none.  Floating point only
+    picks the candidates; each is confirmed exactly."""
+    z = complex(x)
+    for m, k in _LOWEST_ROOTS:
+        w = z / cmath.exp(2j * math.pi * k / m)
+        if abs(w.imag) < 1e-9 and w.real > 1e-9:
+            q = Fraction(w.real).limit_denominator(1000)
+            if x == CycScalar.rational(q) * root_of_unity(m, k):
+                return q, m, k
+    return None
+
+
+def test_decompose_positive_root_matches_brute_force():
+    rng = random.Random(59)
+    values = [ZERO, ONE, CycScalar.rational(-3), ONE + root_of_unity(5)]
+    for _ in range(100):
+        # q * zeta_m^k with q of either sign and a root of order <= 24
+        m = rng.randint(1, 24)
+        sign = rng.choice((1, -1)) if m <= 12 or m % 2 == 0 else 1
+        q = Fraction(sign * rng.randint(1, 9), rng.randint(1, 9))
+        values.append(CycScalar.rational(q) * root_of_unity(m, rng.randrange(m)))
+    for _ in range(100):
+        # sums of two roots: some are rational multiples of a root of
+        # unity (of order at most 24), most are not
+        m = rng.randint(1, 12)
+        values.append(root_of_unity(m, rng.randrange(m))
+                      + root_of_unity(m, rng.randrange(m)))
+    found = 0
+    for x in values:
+        expect = _brute_force_root(x)
+        assert x.decompose_positive_root() == expect
+        found += expect is not None
+    assert 100 < found < len(values)
