@@ -3,9 +3,10 @@ spec, run the invariant suite, and emit classification reports.
 
 Output is deterministic structured text: identical specs produce
 byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
-2 input error, 3 refused: unsupported scalar, the constant conductor cap
-720 reached, or the classifier's one work cap (root choices times |E|^2)
-exceeded.
+2 input error (a malformed spec, a spec file that cannot be read as
+UTF-8 text, or an --out file that cannot be written), 3 refused:
+unsupported scalar, the constant conductor cap 720 reached, or the
+classifier's one work cap (root choices times |E|^2) exceeded.
 """
 from __future__ import annotations
 
@@ -91,14 +92,15 @@ def _int_matrix(data, name):
             any(not isinstance(r, list) for r in data):
         raise InputError(f"{name} must be a non-empty list of rows")
     for row in data:
-        if len(row) != len(data) or any(not isinstance(x, int) for x in row):
+        # by exact type: JSON true and false load as bool, an int subclass
+        if len(row) != len(data) or any(type(x) is not int for x in row):
             raise InputError(f"{name} must be a square integer matrix")
     return [list(r) for r in data]
 
 
 def _int_vector(data, l, name):
     if not isinstance(data, list) or len(data) != l or \
-            any(not isinstance(x, int) for x in data):
+            any(type(x) is not int for x in data):
         raise InputError(f"{name} must be an integer vector of length {l}")
     return list(data)
 
@@ -152,7 +154,7 @@ def parse_job(text: str) -> JobSpec:
         spec.mu = [str(x) for x in data["mu"]]
     for name in ("trunc", "bound"):
         if name in data:
-            if not isinstance(data[name], int) or data[name] < 1:
+            if type(data[name]) is not int or data[name] < 1:
                 raise InputError(f"{name} must be a positive integer")
             setattr(spec, name, data[name])
     for name in ("alpha", "beta"):
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
@@ -388,8 +390,12 @@ def main(argv=None) -> int:
 
     report = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(report)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(report)
+        except OSError as exc:
+            print(f"input error: {exc}", file=sys.stderr)
+            return EXIT_INPUT
     else:
         sys.stdout.write(report)
     return code

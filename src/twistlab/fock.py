@@ -108,6 +108,9 @@ class GradedBasis:
         self.duals = tuple(
             tuple(minv[i][j] for i in range(l)) for j in range(l))
         self.residues = tuple(Fraction(q, p) for q in qs)
+        # the eigen-coordinates of each h_j alone
+        self.units = tuple(tuple(ONE if j == i else ZERO for j in range(l))
+                           for i in range(l))
         self._decomp_cache = {}
 
     def decompose(self, vec):
@@ -444,24 +447,26 @@ class FockModule:
         # the largest creation degree of a term, in modes scaled by p
         self.cap = _floor_int(self.trunc * self.p)
         l = self.lattice.rank
+        basis = self.basis
+        fixed = [j for j in range(l) if basis.qs[j] == 0]
+        # xi(h_j) on each vacuum line, for the sigma-fixed h_j: the zero
+        # mode h_j(0) multiplies the line by it, and the line's degree is
+        # half of sum_j xi(h_j) xi(beta_j) over these (the dual beta_j of
+        # a sigma-fixed h_j is sigma-fixed too)
+        self.zero_weights = []
         degs = []
         for i in range(omega.size):
             xi = omega.xi(i)
-            total = ZERO
-            for j in range(l):
-                if self.basis.qs[j] % self.p != 0:
-                    continue
-                xa = sum((self.basis.vecs[j][k] * xi[k] for k in range(l)),
-                         ZERO)
-                xb = sum((self.basis.duals[j][i]
-                          * self.basis.vecs[i][k] * xi[k]
-                          for i in range(l) for k in range(l)), ZERO)
-                total = total + xa * xb
+            w = {j: sum((basis.vecs[j][k] * xi[k] for k in range(l)), ZERO)
+                 for j in fixed}
+            self.zero_weights.append(w)
+            total = sum((w[j] * sum((basis.duals[j][t] * w[t] for t in fixed),
+                                    ZERO)
+                         for j in fixed), ZERO)
             try:
                 degs.append(total.rational_value() / 2)
             except ScalarError:
                 raise FockError("vacuum-space degrees must be rational")
-        self.omega_degrees = degs
         self._vertex_exps = {}
         self.floor = min(degs) if degs else Fraction(0)
         # the grid (1/grid)Z of every slot and degree of the module: 2p
@@ -494,15 +499,12 @@ class FockModule:
     def vacuum(self, i=0):
         return FockVector(self, {((), i): ONE})
 
-    def term_degree(self, key):
-        return Fraction(self.term_degree_k(key), self.grid)
-
     def term_degree_k(self, key) -> int:
         # inside this module a Heisenberg mode m is the integer m*p:
         # word keys store it, and the mode grids, residue tests and
         # creation caps work on it; a degree is the integer degree*grid
         # (term_degree_k, max_degree_k, floor_k); Fraction enters only
-        # at heis_act, mode_op and the degrees term_degree returns
+        # at heis_act, mode_op and the degrees max_degree returns
         word, iota = key
         return -sum(m for m, _ in word) * self.mode_step + \
             self.degree_k[iota]
@@ -533,66 +535,54 @@ class FockModule:
 
     def heis_act(self, j: int, m, v: FockVector) -> FockVector:
         """h_j(m) applied to v, for an int or Fraction mode m."""
-        return self._heis_act(j, _scaled(m, self.p), v)
+        return self.mode_apply(self.basis.units[j], _scaled(m, self.p), v)
 
-    def _heis_act(self, j: int, ms, v: FockVector) -> FockVector:
-        """h_j(ms/p) applied to v, for the mode scaled by p (_scaled)."""
-        p = self.p
-        if ms % p != self.basis.qs[j]:
-            return FockVector(self, {}, v.poisoned)
+    def mode_apply(self, coords, ms, v: FockVector) -> FockVector:
+        """h(ms/p) applied to v for h = sum_j coords_j h_j and the mode
+        scaled by p (_scaled): the one Heisenberg action of the module.
+        Only the h_j with ms = q_j mod p act.  A creation (ms < 0) adds
+        the mode to each word, an annihilation (ms > 0) removes each
+        creation (-ms/p, h_jj), once per occurrence, with the factor
+        (h|h_jj) ms/p, and the zero mode multiplies each line by xi(h)."""
+        qs = self.basis.qs
+        res = ms % self.p
+        active = [(j, c) for j, c in enumerate(coords) if c and qs[j] == res]
         out = {}
-        poisoned = v.poisoned
-        pairing = self.basis.pairing
-        cap = self.cap
-        fm = None
-        for (word, iota), coeff in v.terms.items():
-            if ms < 0:
+        if not active or not v.terms:
+            return FockVector(self, out, v.poisoned)
+        if ms < 0:
+            cap = self.cap
+            for (word, iota), coeff in v.terms.items():
                 if -sum(mm for mm, _ in word) - ms > cap:
-                    poisoned = True
-                    continue
-                key = (tuple(sorted(word + ((ms, j),))), iota)
-                out[key] = out.get(key, ZERO) + coeff
-            elif ms > 0:
-                if fm is None:
-                    fm = CycScalar.rational(Fraction(ms, p))
+                    return FockVector(self, {}, True)
+                for j, c in active:
+                    key = (tuple(sorted(word + ((ms, j),))), iota)
+                    out[key] = out.get(key, ZERO) + coeff * c
+        elif ms > 0:
+            pairing = self.basis.pairing
+            fm = CycScalar.rational(Fraction(ms, self.p))
+            facs = {}
+            for (word, iota), coeff in v.terms.items():
                 for pos, (mm, jj) in enumerate(word):
                     if mm != -ms:
                         continue
-                    fac = pairing[j][jj]
-                    if not fac:
-                        continue
-                    key = (word[:pos] + word[pos + 1:], iota)
-                    val = coeff * fac * fm
-                    out[key] = out.get(key, ZERO) + val
-            else:
-                xi = self.omega.xi(iota)
-                l = self.lattice.rank
-                val = sum((self.basis.vecs[j][k] * xi[k] for k in range(l)),
-                          ZERO)
-                if val:
-                    key = (word, iota)
-                    out[key] = out.get(key, ZERO) + coeff * val
-        return FockVector(self, out, poisoned)
-
-    def mode_apply(self, coords, ms, v: FockVector) -> FockVector:
-        """(sum_j coords_j h_j)(ms/p) applied to v, for the mode scaled
-        by p (_scaled)."""
-        res = ms % self.p
-        qs = self.basis.qs
-        out = {}
-        poisoned = v.poisoned
-        for j, c in enumerate(coords):
-            if not c or res != qs[j]:
-                continue
-            w = self._heis_act(j, ms, v)
-            poisoned = poisoned or w.poisoned
-            for k, val in w.terms.items():
-                s = out.get(k, ZERO) + val * c
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return FockVector(self, out, poisoned)
+                    fac = facs.get(jj)
+                    if fac is None:
+                        fac = facs[jj] = fm * sum(
+                            (c * pairing[j][jj] for j, c in active), ZERO)
+                    if fac:
+                        key = (word[:pos] + word[pos + 1:], iota)
+                        out[key] = out.get(key, ZERO) + coeff * fac
+        else:
+            lines = {}
+            for (word, iota), coeff in v.terms.items():
+                x = lines.get(iota)
+                if x is None:
+                    w = self.zero_weights[iota]
+                    x = lines[iota] = sum((c * w[j] for j, c in active), ZERO)
+                if x:
+                    out[(word, iota)] = coeff * x
+        return FockVector(self, out)
 
     def lattice_coords(self, alpha):
         return self.basis.decompose(alpha)
@@ -664,8 +654,7 @@ class FockModule:
         l = self.lattice.rank
         terms = []
         for i in range(l):
-            unit = tuple(ONE if j == i else ZERO for j in range(l))
-            a = self.eigen_tilde(unit)
+            a = self.eigen_tilde(self.basis.units[i])
             b = self.eigen_tilde(self.basis.duals[i])
             terms.append(nth_product(a, b, -1, 2))
         return sum_series(self.alg, terms).scale(Fraction(1, 2))
@@ -701,7 +690,7 @@ class FockModule:
 
         def summands():
             for i in range(l):
-                unit = tuple(ONE if j == i else ZERO for j in range(l))
+                unit = self.basis.units[i]
                 dual = self.basis.duals[i]
                 q = self.basis.qs[i]
                 # s < 0: alpha_i(s) beta_i(-s-k); beta annihilates once

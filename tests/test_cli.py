@@ -67,6 +67,16 @@ def test_parse_errors():
     with pytest.raises(InputError, match="alpha"):
         parse_job(json.dumps({"gram": [[2]], "sigma": [[1]],
                               "alpha": [1, 2]}))
+    # JSON booleans are not integers, though Python's bool is an int
+    for field, val, match in (("gram", [[True]], "gram"),
+                              ("sigma", [[True]], "sigma"),
+                              ("trunc", True, "trunc"),
+                              ("bound", False, "bound"),
+                              ("alpha", [True], "alpha"),
+                              ("beta", [False], "beta")):
+        data = {"gram": [[2]], "sigma": [[1]], field: val}
+        with pytest.raises(InputError, match=match):
+            parse_job(json.dumps(data))
 
 
 def test_classify_rotation(tmp_path, capsys):
@@ -149,6 +159,26 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
     assert main(["--spec", str(path), "--cmd", "orbits"]) == EXIT_INPUT
     err = capsys.readouterr().err
     assert "line" in err
+    # a spec file that is not UTF-8 text
+    assert main(["--spec", _non_utf8_spec(tmp_path),
+                 "--cmd", "orbits"]) == EXIT_INPUT
+    assert capsys.readouterr().err.startswith("input error: ")
+    # an --out that cannot be written: a missing directory, a directory
+    good = write_spec(tmp_path, EX2)
+    for out in (tmp_path / "nope" / "x.txt", tmp_path):
+        assert main(["--spec", good, "--cmd", "orbits",
+                     "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+
+
+def _non_utf8_spec(tmp_path):
+    """A spec file opening with the UTF-16 byte-order mark ff fe."""
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + json.dumps(EX2).encode("utf-16-le"))
+    return str(path)
 
 
 def test_conductor_cap_exit_3(tmp_path, monkeypatch):
@@ -537,18 +567,37 @@ def test_cyclotomic_report_bytes(tmp_path, name, cmd):
     assert report.read_text() == PINNED_REPORTS[(name, cmd)]
 
 
+def _cli_subprocess(*args):
+    """`twistlab` with the given arguments, in a fresh interpreter with
+    a fixed timeout."""
+    src = os.path.dirname(os.path.dirname(twistlab.__file__))
+    return subprocess.run(
+        [sys.executable, "-m", "twistlab.cli", *args],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=src))
+
+
 def _classify_negation_subprocess(tmp_path, l):
-    """`twistlab --cmd classify` with sigma = -1 on 2*I_l, in a fresh
-    interpreter with a fixed timeout."""
+    """`twistlab --cmd classify` with sigma = -1 on 2*I_l."""
     spec = {"gram": [[2 if i == j else 0 for j in range(l)] for i in range(l)],
             "sigma": [[-1 if i == j else 0 for j in range(l)]
                       for i in range(l)]}
-    src = os.path.dirname(os.path.dirname(twistlab.__file__))
-    return subprocess.run(
-        [sys.executable, "-m", "twistlab.cli",
-         "--spec", write_spec(tmp_path, spec), "--cmd", "classify"],
-        capture_output=True, text=True, timeout=60,
-        env=dict(os.environ, PYTHONPATH=src))
+    return _cli_subprocess("--spec", write_spec(tmp_path, spec),
+                           "--cmd", "classify")
+
+
+def test_unreadable_spec_and_unwritable_out_exit_2(tmp_path):
+    # both end in one input-error line at the process boundary, not in
+    # a traceback
+    good = write_spec(tmp_path, EX2)
+    for args in (("--spec", _non_utf8_spec(tmp_path)),
+                 ("--spec", good, "--out", str(tmp_path / "nope" / "x.txt")),
+                 ("--spec", good, "--out", str(tmp_path))):
+        proc = _cli_subprocess(*args, "--cmd", "orbits")
+        assert proc.returncode == EXIT_INPUT
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("input error: ")
+        assert proc.stdout == ""
 
 
 def test_size_cap_exit_3(tmp_path):

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -31,7 +32,7 @@ from twistlab.fdist import (
     series_compare,
 )
 from twistlab.lattice import TwistedLattice
-from twistlab.scalar import CycScalar, ONE, ZERO
+from twistlab.scalar import CycScalar, ONE, ZERO, root_of_unity
 
 from test_lattice import A1x2, ROT4
 
@@ -67,7 +68,6 @@ def test_graded_basis_eigen_structure():
     gb = M.basis
     assert gb.qs == (1, 3)
     assert gb.residues == (Fraction(1, 4), Fraction(3, 4))
-    from twistlab.scalar import root_of_unity
     lat = M.lattice
     for j, vec in enumerate(gb.vecs):
         img = [sum((CycScalar.rational(lat.sigma[i][k]) * vec[k]
@@ -198,6 +198,66 @@ def test_creation_past_trunc_poisons(make, deep, ok):
     assert not kept.poisoned and not kept.is_zero()
     # the creation degree counts the modes already in the word
     assert M.heis_act(j, ok, kept).poisoned
+
+
+# one lattice of each order 1, 2, 3, 4, 6: the identity on A2 and, on
+# 2*I_3, the swap of e1, e2 with e3 -> -e3 (two eigenvectors on one
+# residue); the 3-cycle on 2*I_3 and the rotation of A1x2 plus a fixed
+# line (a zero mode beside twisted ones); the order-3 rotation of A2
+# plus -1 on a line (no zero mode)
+MIXED_RESIDUES = [
+    ([[2, -1], [-1, 2]], [[1, 0], [0, 1]]),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 1, 0], [1, 0, 0], [0, 0, -1]]),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+    ([[2, -1, 0], [-1, 2, 0], [0, 0, 2]],
+     [[0, -1, 0], [1, -1, 0], [0, 0, -1]]),
+]
+
+
+@pytest.mark.parametrize("gram, sigma", MIXED_RESIDUES)
+def test_mode_apply_heisenberg_relations(gram, sigma):
+    # on every basis vector: [h(m), h'(n)] = m delta_(m+n,0) (h|h'),
+    # where only the components of h and h' on the eigenvectors that act
+    # at m and n pair; h(0) multiplies each line by xi(h); and the action
+    # is linear in the eigen-coordinates
+    lat = TwistedLattice(gram, sigma)
+    td = TwistData(lat)
+    M = FockModule(td, RegularOmega(td, bound=1), trunc=3)
+    p, l = M.p, lat.rank
+    gb = M.basis
+    rng = random.Random(14 * p)
+
+    def draw():
+        return tuple(CycScalar.rational(rng.choice((-3, -2, -1, 2, 3)))
+                     * root_of_unity(p, rng.randrange(p)) for _ in range(l))
+
+    def pair(c, d, m, n):
+        return sum((c[j] * d[k] * gb.pairing[j][k]
+                    for j in range(l) if gb.qs[j] == m % p
+                    for k in range(l) if gb.qs[k] == n % p), ZERO)
+
+    h, h2 = draw(), draw()
+    a, b = draw()[0], draw()[0]
+    combo = tuple(a * x + b * y for x, y in zip(h, h2))
+    modes = range(-p, p + 1)
+    for v in M.basis_vectors(1):
+        # scaled modes: creation and annihilation stay inside trunc 3
+        for m in modes:
+            for n in {-m, rng.choice(modes), rng.choice(modes)}:
+                lhs = M.mode_apply(h, m, M.mode_apply(h2, n, v)) \
+                    - M.mode_apply(h2, n, M.mode_apply(h, m, v))
+                assert not lhs.poisoned
+                c = pair(h, h2, m, n) * Fraction(m, p) if m + n == 0 else 0
+                assert lhs == v.scale(c)
+            assert M.mode_apply(combo, m, v) == \
+                M.mode_apply(h, m, v).scale(a) + M.mode_apply(h2, m, v).scale(b)
+        (_, iota), = v.terms
+        xi = M.omega.xi(iota)
+        xi_h = sum((h[j] * gb.vecs[j][k] * xi[k]
+                    for j in range(l) if gb.qs[j] == 0
+                    for k in range(l)), ZERO)
+        assert M.mode_apply(h, 0, v) == v.scale(xi_h)
 
 
 # ---------------------------------------------------------------------
