@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -335,6 +336,17 @@ def cmd_orbits(spec: JobSpec):
 # Entry point
 # ---------------------------------------------------------------------
 
+def _out_problem(path: str):
+    """Why a report cannot be written to path, or None: it names a
+    directory, or its parent directory does not exist."""
+    if os.path.isdir(path):
+        return f"--out {path!r} is a directory"
+    parent = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(parent):
+        return f"--out {path!r}: no such directory {parent!r}"
+    return None
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="twistlab",
@@ -357,6 +369,14 @@ def main(argv=None) -> int:
     except (OSError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+
+    # refuse an --out that cannot be opened before any work is done;
+    # the write below still catches what this cannot foresee
+    if args.out:
+        problem = _out_problem(args.out)
+        if problem:
+            print(f"input error: {problem}", file=sys.stderr)
+            return EXIT_INPUT
 
     try:
         spec = parse_job(text)

@@ -6,6 +6,15 @@ weight functional and a group-algebra action e(alpha).  All operators
 act exactly; creations beyond the truncation degree flag the result as
 poisoned, which downstream checks report as untestable rather than
 passed.
+
+A vector with no terms, zero or poisoned, is a fixed point of every
+operator: FockOp.apply and FockModule.mode_apply return it unchanged.
+Every Fock linear combination (an operator sum, difference or multiple,
+a product coefficient, a vertex-operator coefficient, the Virasoro
+double sum) adds its scaled summands into one dict (_summed); the first
+poisoned summand is the result, and the summands after it are never
+evaluated.  Operator sums are flat lists of (operator, coefficient)
+parts, not nested closures.
 """
 from __future__ import annotations
 
@@ -35,6 +44,9 @@ from .fdist import (
 )
 from .linalg import field_inverse, field_rref, field_solve
 from .scalar import CycScalar, ONE, ZERO, ScalarError, as_scalar, root_of_unity
+
+
+MINUS_ONE = CycScalar.rational(-1)
 
 
 class FockError(Exception):
@@ -168,8 +180,10 @@ class RegularOmega:
 class FockVector:
     """A vector of the truncated module: terms {(word, iota): scalar}.
 
-    Vectors are values: only __init__ writes `terms`, so a vector can
-    key the memo of a series coefficient (FockAlg.remember)."""
+    Vectors are values: nothing writes `terms` once the vector is
+    built, so a vector can key the memo of a series coefficient
+    (FockAlg.remember), and a sum or scale that changes nothing hands
+    back its operand itself."""
 
     __slots__ = ("module", "terms", "poisoned", "_hash")
 
@@ -186,30 +200,40 @@ class FockVector:
                     self.terms[key] = val
         self.poisoned = poisoned
 
+    @classmethod
+    def _of(cls, module, terms, poisoned=False):
+        """The vector owning terms, a fresh dict of nonzero values (empty
+        when poisoned): __init__ without its copy and zero test."""
+        out = object.__new__(cls)
+        out.module = module
+        out.terms = terms
+        out.poisoned = poisoned
+        out._hash = None
+        return out
+
     def is_zero(self):
         return not self.terms
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return FockVector(self.module, out,
-                          self.poisoned or other.poisoned)
+        if other.poisoned or not self.terms:
+            return self if self.poisoned else other
+        if not other.terms:
+            return self
+        return _summed(self.module, ((self, ONE), (other, ONE)))
 
     def __sub__(self, other):
-        return self + other.scale(CycScalar.rational(-1))
+        return self + other.scale(MINUS_ONE)
 
     def scale(self, s):
+        if not self.terms:
+            return self
         s = s if isinstance(s, CycScalar) else as_scalar(s)
         if not s:
-            return FockVector(self.module, {}, self.poisoned)
-        return FockVector(self.module,
-                          {k: v * s for k, v in self.terms.items()},
-                          self.poisoned)
+            return FockVector._of(self.module, {})
+        if s == ONE:
+            return self
+        return FockVector._of(self.module,
+                              {k: v * s for k, v in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, FockVector)
@@ -248,61 +272,107 @@ class FockVector:
         return (" + ".join(bits) or "0") + tag
 
 
-def _absorbing_sum(out: FockVector, summands) -> FockVector:
-    """out plus the vectors that summands yields, taken one at a time.
-    A poisoned vector has no terms and poisons every sum it enters, so
-    the first poisoned partial sum is the result: the summands after it
-    are never evaluated."""
-    if out.poisoned:
-        return out
-    for w in summands:
-        out = out + w
-        if out.poisoned:
-            break
-    return out
+def _add_term(out: dict, key, x) -> None:
+    """Add the nonzero scalar x at key of out, dropping a zero sum."""
+    y = out.get(key)
+    if y is None:
+        out[key] = x
+    else:
+        y = y + x
+        if y:
+            out[key] = y
+        else:
+            del out[key]
 
 
-def _applied(op, v: FockVector, negate: bool = False):
-    """op applied to v, or its negative, evaluated only when the sum
-    asks for it."""
-    w = op.apply(v)
-    yield w.scale(CycScalar.rational(-1)) if negate else w
+def _summed(module, pairs, poisoned=False) -> FockVector:
+    """The linear combination of the (vector, coefficient) pairs that
+    pairs yields, summed in one dict.  A poisoned vector has no terms
+    and poisons every sum it enters, so the first poisoned vector is
+    the result and the pairs after it are never drawn; poisoned=True
+    stops the sum before the first.  A coefficient that is the object
+    ONE multiplies nothing."""
+    if poisoned:
+        return FockVector._of(module, {}, True)
+    out = {}
+    for w, c in pairs:
+        if w.poisoned:
+            return w
+        if c:
+            for key, x in w.terms.items():
+                _add_term(out, key, x if c is ONE else x * c)
+    return FockVector._of(module, out)
+
+
+def _int_binom(n: int, k: int) -> int:
+    """binom(n, k) for integers n and k: zero for k < 0, and
+    (-1)^k binom(k - n - 1, k) for n < 0."""
+    if k < 0:
+        return 0
+    if n >= 0:
+        return math.comb(n, k)
+    c = math.comb(k - n - 1, k)
+    return -c if k % 2 else c
 
 
 class FockOp:
-    __slots__ = ("module", "fn", "parity")
+    """An operator on a FockModule: a function of vectors (fn), or a
+    flat linear combination (parts, a list of (operator, coefficient)
+    pairs) that +, -, scale and negation build.  A vector with no
+    terms, zero or poisoned, is a fixed point of every operator, so
+    apply hands it back without evaluating anything."""
+
+    __slots__ = ("module", "fn", "parts", "parity")
 
     def __init__(self, module, fn, parity=0):
         self.module = module
         self.fn = fn
+        self.parts = None
         self.parity = parity % 2
 
+    @classmethod
+    def _combination(cls, module, parts, parity):
+        out = cls(module, None, parity)
+        out.parts = parts
+        return out
+
+    def _as_parts(self):
+        return self.parts if self.parts is not None else [(self, ONE)]
+
     def apply(self, v: FockVector) -> FockVector:
-        return self.fn(v)
+        return self._eval(v) if v.terms else v
+
+    def _eval(self, v: FockVector) -> FockVector:
+        """The operator on v, with no fixed-point shortcut."""
+        parts = self.parts
+        if parts is None:
+            return self.fn(v)
+        return _summed(self.module, ((op.apply(v), c) for op, c in parts),
+                       v.poisoned)
 
     def compose(self, other):
         return FockOp(self.module, lambda v: self.apply(other.apply(v)),
                       self.parity + other.parity)
 
     def __add__(self, other):
-        return FockOp(self.module,
-                      lambda v: _absorbing_sum(self.apply(v),
-                                               _applied(other, v)),
-                      self.parity)
+        return FockOp._combination(
+            self.module, self._as_parts() + other._as_parts(), self.parity)
 
     def __sub__(self, other):
-        return FockOp(self.module,
-                      lambda v: _absorbing_sum(self.apply(v),
-                                               _applied(other, v, True)),
-                      self.parity)
+        return FockOp._combination(
+            self.module,
+            self._as_parts() + [(op, -c) for op, c in other._as_parts()],
+            self.parity)
 
     def __neg__(self):
-        return self.scale(CycScalar.rational(-1))
+        return self.scale(MINUS_ONE)
 
     def scale(self, s):
         s = s if isinstance(s, CycScalar) else as_scalar(s)
-        return FockOp(self.module, lambda v: self.apply(v).scale(s),
-                      self.parity)
+        return FockOp._combination(
+            self.module,
+            [(op, s if c is ONE else c * s) for op, c in self._as_parts()],
+            self.parity)
 
 
 class FockAlg:
@@ -315,15 +385,14 @@ class FockAlg:
         self.grid = module.grid
 
     def zero(self):
-        m = self.module
-        return FockOp(m, lambda v: FockVector(m, {}, v.poisoned), 0)
+        return FockOp._combination(self.module, [], 0)
 
     def remember(self, op):
         """op with its result on each vector kept for the life of op.
         GenSeries.coeff hands out these, so a product applying the same
         coefficient to the same vector on every slot and probe computes
         the operator tree below it once."""
-        fn = op.fn
+        fn = op._eval
         seen = {}
 
         def apply(v):
@@ -365,27 +434,26 @@ class FockAlg:
             if n >= 0:
                 smax = min(smax, n)
             for s in range(smax + 1):
-                c = as_scalar(gen_binom(n, s))
+                c = _int_binom(n, s)
                 if not c:
                     continue
                 w = a._at((n - s) * D + ra).apply(
                     b._at((m + s) * D + rb).apply(v))
-                yield w.scale(c if s % 2 == 0 else -c)
+                yield w, CycScalar.rational(c if s % 2 == 0 else -c)
             low = n - (d + ca0) // D
             if n >= 0:
                 low = max(low, 0)
             for s in range(low, n + 1):
-                c = as_scalar(gen_binom(n, n - s))
+                c = _int_binom(n, n - s)
                 if not c:
                     continue
                 w = b._at((m + s) * D + rb).apply(
                     a._at((n - s) * D + ra).apply(v))
                 sgn = -super_sign * (1 if s % 2 == 0 else -1)
-                yield w.scale(c if sgn > 0 else -c)
+                yield w, CycScalar.rational(c if sgn > 0 else -c)
 
         def fn(v):
-            out = FockVector(mod, {}, v.poisoned)
-            return _absorbing_sum(out, summands(v)) if v.terms else out
+            return _summed(mod, summands(v)) if v.terms else v
 
         return FockOp(mod, fn, a.parity + b.parity)
 
@@ -405,27 +473,26 @@ class FockAlg:
                 if n >= 0:
                     imax = min(imax, n)
                 for i in range(imax + 1):
-                    c = kc * gen_binom(n, i)
+                    c = kc * _int_binom(n, i)
                     if not c:
                         continue
                     w = a._at((n - i) * D + u).apply(
                         b._at(t + i * D + ve).apply(v))
-                    yield w.scale(c if i % 2 == 0 else -c)
+                    yield w, (c if i % 2 == 0 else -c)
                 imax2 = (d + ca - u) // D
                 if n >= 0:
                     imax2 = min(imax2, n)
                 for i in range(imax2 + 1):
-                    c = kc * gen_binom(n, i)
+                    c = kc * _int_binom(n, i)
                     if not c:
                         continue
                     w = b._at(t + (n - i) * D + ve).apply(
                         a._at(i * D + u).apply(v))
                     sgn = -sign * (1 if (n + i) % 2 == 0 else -1)
-                    yield w.scale(c if sgn > 0 else -c)
+                    yield w, (c if sgn > 0 else -c)
 
         def fn(v):
-            out = FockVector(mod, {}, v.poisoned)
-            return _absorbing_sum(out, summands(v)) if v.terms else out
+            return _summed(mod, summands(v)) if v.terms else v
 
         return FockOp(mod, fn, a.parity + b.parity)
 
@@ -544,20 +611,22 @@ class FockModule:
         the mode to each word, an annihilation (ms > 0) removes each
         creation (-ms/p, h_jj), once per occurrence, with the factor
         (h|h_jj) ms/p, and the zero mode multiplies each line by xi(h)."""
+        if not v.terms:
+            return v
         qs = self.basis.qs
         res = ms % self.p
         active = [(j, c) for j, c in enumerate(coords) if c and qs[j] == res]
         out = {}
-        if not active or not v.terms:
-            return FockVector(self, out, v.poisoned)
+        if not active:
+            return FockVector._of(self, out)
         if ms < 0:
             cap = self.cap
             for (word, iota), coeff in v.terms.items():
                 if -sum(mm for mm, _ in word) - ms > cap:
-                    return FockVector(self, {}, True)
+                    return FockVector._of(self, {}, True)
                 for j, c in active:
                     key = (tuple(sorted(word + ((ms, j),))), iota)
-                    out[key] = out.get(key, ZERO) + coeff * c
+                    _add_term(out, key, coeff * c)
         elif ms > 0:
             pairing = self.basis.pairing
             fm = CycScalar.rational(Fraction(ms, self.p))
@@ -572,7 +641,7 @@ class FockModule:
                             (c * pairing[j][jj] for j, c in active), ZERO)
                     if fac:
                         key = (word[:pos] + word[pos + 1:], iota)
-                        out[key] = out.get(key, ZERO) + coeff * fac
+                        _add_term(out, key, coeff * fac)
         else:
             lines = {}
             for (word, iota), coeff in v.terms.items():
@@ -582,7 +651,7 @@ class FockModule:
                     x = lines[iota] = sum((c * w[j] for j, c in active), ZERO)
                 if x:
                     out[(word, iota)] = coeff * x
-        return FockVector(self, out)
+        return FockVector._of(self, out)
 
     def lattice_coords(self, alpha):
         return self.basis.decompose(alpha)
@@ -679,9 +748,8 @@ class FockModule:
         ordered.  The bilinear sum over dual bases counts each pair
         twice, hence the 1/2.  Offset k = 0 gives the degree operator,
         k = 1 the translation operator D."""
-        out = FockVector(self, {}, v.poisoned)
         if not v.terms:
-            return out
+            return v
         p = self.p
         # the largest d - fl and the offset k, in modes scaled by p
         top = (v.max_degree_k() - self.floor_k) // self.mode_step
@@ -697,14 +765,14 @@ class FockModule:
                 # -s-k > d-fl, i.e. keep s >= -(d-fl)-k
                 for s in self._mode_grid(q, -top - kp, -1):
                     w = self.mode_apply(dual, -s - kp, v)
-                    yield self.mode_apply(unit, s, w)
+                    yield self.mode_apply(unit, s, w), ONE
                 # s >= 0: beta_i(-s-k) alpha_i(s); alpha annihilates,
                 # s <= d-fl
                 for s in self._mode_grid(q, 0, top):
                     w = self.mode_apply(unit, s, v)
-                    yield self.mode_apply(dual, -s - kp, w)
+                    yield self.mode_apply(dual, -s - kp, w), ONE
 
-        return _absorbing_sum(out, summands()).scale(Fraction(1, 2))
+        return _summed(self, summands()).scale(Fraction(1, 2))
 
     def virasoro_one(self, v: FockVector):
         """Degree operator from its normally-ordered double sum."""
@@ -753,7 +821,7 @@ class FockModule:
         if target == 0:
             return v
         if not v.terms:
-            return FockVector(self, {}, v.poisoned)
+            return v
         used = max(-sum(m for m, _ in word) for (word, _i) in v.terms)
         if used + target > self.cap:
             return FockVector(self, {}, True)
@@ -834,16 +902,15 @@ class FockModule:
                 low, off = divmod(-k - D - exps[iota], step)
                 if off:
                     continue
-                base = FockVector(self, {(word, iota): coeff})
+                base = FockVector._of(self, {(word, iota): coeff})
                 for (v1, eplus) in self._ann_expand(coords, base):
                     if low + eplus >= 0:
                         v2 = self._cre_expand(coords, v1, low + eplus)
-                        yield e_alpha.apply(v2)
+                        yield e_alpha.apply(v2), ONE
 
         def fn(k):
             return FockOp(
-                self, lambda v: _absorbing_sum(
-                    FockVector(self, {}, v.poisoned), summands(v, k)),
+                self, lambda v: _summed(self, summands(v, k), v.poisoned),
                 norm)
 
         return GenSeries.on_grid(self.alg, D, fn, residues, norm,

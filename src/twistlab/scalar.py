@@ -332,9 +332,10 @@ class CycScalar:
         return dense
 
     def __add__(self, other) -> CycScalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if self.n == 1 and other.n == 1:
             return _rational_sum(self, other, 1)
         m = _lcm_checked(self.n, other.n)
@@ -383,9 +384,10 @@ class CycScalar:
         return other + (-self)
 
     def __mul__(self, other) -> CycScalar:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         if other.n == 1:
             if not other.num:
                 return ZERO

@@ -174,6 +174,27 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_unwritable_out_refused_before_the_command(tmp_path, capsys,
+                                                   monkeypatch):
+    # a missing parent directory or a directory as --out ends the run
+    # before cmd_check is reached, and leaves no file behind
+    def never(*_args, **_kwargs):
+        raise AssertionError("cmd_check ran")
+
+    monkeypatch.setattr(cli, "cmd_check", never)
+    good = write_spec(tmp_path, EX0)
+    before = sorted(os.listdir(tmp_path))
+    for out in (tmp_path / "nope" / "x.txt", tmp_path):
+        assert main(["--spec", good, "--cmd", "check",
+                     "--out", str(out)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: ")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+    assert sorted(os.listdir(tmp_path)) == before
+    assert not (tmp_path / "nope").exists()
+
+
 def _non_utf8_spec(tmp_path):
     """A spec file opening with the UTF-16 byte-order mark ff fe."""
     path = tmp_path / "utf16.json"

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from twistlab.cocycle import TwistData
+from twistlab.cocycle import TwistData, locality_order
 from twistlab.fock import (
     FockError,
     FockModule,
@@ -12,6 +12,7 @@ from twistlab.fock import (
     FockVector,
     GradedBasis,
     RegularOmega,
+    _int_binom,
     e_group_checks,
     heisenberg_commutation_check,
     pair_expansion_check,
@@ -26,6 +27,7 @@ from twistlab.fdist import (
     QuadraticSpace,
     compare_status,
     derive,
+    gen_binom,
     kernel_Delta,
     nth_product,
     nth_product_kernel,
@@ -435,6 +437,105 @@ def test_out_of_window_product_coefficients_are_poisoned():
     for t in (Fraction(0), Fraction(1, 2), Fraction(1)):
         for series in (expand, kernel):
             assert series.coeff(t).apply(vac(M)) == poisoned
+
+
+# ---------------------------------------------------------------------
+# Empty vectors are fixed points; operator sums are flat combinations
+# ---------------------------------------------------------------------
+
+def _slots_of(series, width=2):
+    """A few slots on each residue of the series."""
+    return [r + k for r in sorted(series.residues)
+            for k in range(-width, width + 1)]
+
+
+def _operators(M):
+    """(name, operator) for every kind of operator the checks apply."""
+    alpha = (1,) + (0,) * (M.lattice.rank - 1)
+    coords = M.lattice_coords(alpha)
+    ops = [(f"mode {m}", M.mode_op(coords, m))
+           for m in (Fraction(-1), Fraction(0), Fraction(1),
+                     Fraction(-1, M.p), Fraction(1, M.p))]
+    ops.append(("e", M.e_op(alpha)))
+    sa = M.vertex_series(alpha)
+    ops += [(f"X({t})", sa.coeff(t)) for t in _slots_of(sa)]
+    tilde = M.tilde(alpha)
+    ops += [(f"tilde({t})", tilde.coeff(t)) for t in _slots_of(tilde)]
+    N = locality_order(M.lattice, alpha, alpha)
+    for n in (N - 1, -1):
+        expand = nth_product(sa, sa, n, N)
+        nk = max(N, n + 1)
+        kernel = nth_product_kernel(sa, sa, n, nk, kernel_Delta(M.p, n, nk))
+        ops += [(f"X[{n}]X({t})", expand.coeff(t))
+                for t in _slots_of(expand, 1)]
+        ops += [(f"X[{n}]X kernel({t})", kernel.coeff(t))
+                for t in _slots_of(kernel, 1)]
+    ident = M.identity_series()
+    ops += [(f"id({t})", ident.coeff(t)) for t in (-1, 0)]
+    ops.append(("D", M.upsilon_zero_op()))
+    ops.append(("zero", M.alg.zero()))
+    return ops
+
+
+@pytest.mark.parametrize("make", [untwisted_module, negation_module,
+                                  order3_module])
+def test_empty_vectors_are_fixed_points(make, monkeypatch):
+    M = make(trunc=2, bound=1)
+    zero, poisoned = FockVector(M, {}), FockVector(M, {}, poisoned=True)
+    coords = M.lattice_coords((1,) + (0,) * (M.lattice.rank - 1))
+    for z in (zero, poisoned):
+        for ms in (-M.p, 0, M.p, 1, -1):
+            assert M.mode_apply(coords, ms, z) is z
+    ops = _operators(M)
+    for name, op in ops:
+        for z in (zero, poisoned):
+            assert op.apply(z) is z, name
+    # with the shortcut lifted, every operator still maps each empty
+    # vector to an equal one, so the shortcut changes no result
+    monkeypatch.setattr(FockOp, "apply", FockOp._eval)
+    for name, op in _operators(M):
+        for z in (zero, poisoned):
+            assert op.apply(z) == z, name
+
+
+@pytest.mark.parametrize("make", [untwisted_module, negation_module,
+                                  order3_module])
+def test_flat_combination_matches_vector_sums(make):
+    M = make(trunc=3, bound=1)
+    rng = random.Random(1500 + M.p)
+    rank = M.lattice.rank
+    alpha = (1,) + (0,) * (rank - 1)
+    coords = M.lattice_coords(alpha)
+    sa = M.vertex_series(alpha)
+    pool = ([M.mode_op(coords, m) for m in (Fraction(-1, M.p), Fraction(0),
+                                            Fraction(1, M.p))]
+            + [M.e_op(alpha)]
+            + [sa.coeff(t) for t in _slots_of(sa, 1)])
+    basis = M.basis_vectors(1)
+    clean = cancelled = 0
+    for _ in range(12):
+        A, B, C = (rng.choice(pool) for _ in range(3))
+        c = CycScalar.rational(Fraction(rng.choice((-3, -1, 2, 5)),
+                                        rng.choice((1, 2, 3))))
+        picked = rng.sample(basis, min(3, len(basis)))
+        v = picked[0]
+        for w in picked[1:]:
+            v = v + w.scale(rng.choice((-2, 1, 3)))
+        ab = (A.apply(v) + B.apply(v)).scale(c)
+        want = ab - C.apply(v)
+        assert ((A + B).scale(c) - C).apply(v) == want
+        clean += not want.poisoned and not want.is_zero()
+        # the same combination built another way cancels to zero
+        cancel = ((A + B).scale(c) - (A.scale(c) + B.scale(c))).apply(v)
+        assert cancel == FockVector(M, {}, poisoned=ab.poisoned)
+        cancelled += not ab.poisoned and not ab.is_zero()
+    assert clean and cancelled
+
+
+def test_int_binom_matches_gen_binom():
+    for n in range(-8, 9):
+        for k in range(-1, 11):
+            assert _int_binom(n, k) == gen_binom(Fraction(n), k), (n, k)
 
 
 # ---------------------------------------------------------------------
