@@ -1,6 +1,7 @@
 """Golden outputs: the check reports of every benchmark spec, the
-verdicts of a fixed twisted_ops job list and the classification
-summaries of the classify_stream pool, hashed.
+verdicts of a fixed twisted_ops job list, the classification
+summaries of the classify_stream pool and the enumerations of 300
+random lattices, hashed.
 
 The inputs come from perfbench/workloads.py, read as it stands.  A
 change that moves any report byte, exit code or verdict moves a hash;
@@ -26,6 +27,8 @@ OPS_VERDICTS_SHA256 = (
     "ac5cd1450f9d214a872e5d7bc31a96535f15f417c343a5edbb08237ec0e18e4a")
 CLASSIFY_SUMMARIES_SHA256 = (
     "d2f85ea72828067962794cb33dc211cbd3a328b886851330a0d2bf9252f4e051")
+RANDOM_ENUMERATIONS_SHA256 = (
+    "b34f3e76a03bb098f80586e996d4dbf64a0ec7fdb4281e54bbf0301477bbd5a5")
 
 
 def _workloads():
@@ -78,3 +81,20 @@ def test_classify_summaries_of_the_stream_pool():
         for g, s in members]
     assert len(summaries) == 52
     assert _sha256(summaries) == CLASSIFY_SUMMARIES_SHA256
+
+
+def test_enumerations_of_300_random_lattices():
+    # the summary, the eta representatives and each admissible entry's
+    # base weight xi0, exactly, for 300 draws of the benchmark's
+    # random lattice generator
+    rng = random.Random(4242)
+    digests = []
+    for _ in range(300):
+        lat = W.random_twisted_lattice(rng, TL)
+        res = classify.enumerate_simple_twisted(cocycle.TwistData(lat))
+        digests.append([
+            W.summarize_classify(res),
+            [[str(x) for x in eta] for eta in res.eta_reps],
+            [[str(x) for x in e.detail] if e.admissible else None
+             for e in res.entries]])
+    assert _sha256(digests) == RANDOM_ENUMERATIONS_SHA256
