@@ -14,12 +14,13 @@ from .fdist import vector_status, worst_status
 from .lattice import TwistedLattice
 from .linalg import (
     IntegerCoords,
-    field_inverse,
-    field_solve,
     hnf_columns,
     kernel_basis,
+    mat_mul,
+    mat_vec,
     snf,
     solve_int,
+    transpose,
 )
 from .scalar import (
     CycScalar,
@@ -52,14 +53,21 @@ class UnsupportedScalar(ClassifyError):
     not rational)."""
 
 
-def root_exponent(mu: CycScalar) -> Fraction:
-    """The rational r/k in [0, 1) with mu = zeta_k^r, for mu a root of
-    unity."""
+def _root_parts(mu: CycScalar):
+    """(r, k) with mu = zeta_k^r in lowest terms, 0 <= r < k, for mu a
+    root of unity."""
     mu = as_scalar(mu)
     root = mu.decompose_positive_root()
     if root is None or root[0] != 1:
         raise UnsupportedScalar(f"{mu} is not a root of unity")
     _q, k, r = root
+    return r, k
+
+
+def root_exponent(mu: CycScalar) -> Fraction:
+    """The rational r/k in [0, 1) with mu = zeta_k^r, for mu a root of
+    unity."""
+    r, k = _root_parts(mu)
     return Fraction(r, k)
 
 
@@ -85,25 +93,30 @@ def _vec_scale(a, c):
 
 class FiniteQuotient:
     """The finite quotient of two full-rank lattices, given by ambient
-    basis columns (rationals allowed) and sublattice columns inside the
-    ambient span.  Provides cyclic-factor divisors, generator vectors,
-    canonical coordinates and lifts."""
+    basis columns and sublattice columns inside the ambient span, both
+    as numerators over `den` (rationals allowed).  The columns are kept
+    as integers over one denominator D (`self.den`): coordinates come
+    from one integer Smith form of the ambient columns, and a lift is an
+    integer sum divided by D at the end.  Provides cyclic-factor
+    divisors, generator vectors, canonical coordinates and lifts."""
 
-    def __init__(self, ambient_cols, sub_cols, dim: int):
+    def __init__(self, ambient_cols, sub_cols, dim: int, den: int = 1):
         self.dim = dim
         self.rank = len(ambient_cols)
         self._lifts = {}
-        self.ambient = [tuple(Fraction(x) for x in col) for col in ambient_cols]
         if self.rank == 0:
+            self.den = den
             self.divisors = ()
             self.gens = ()
+            self._gen_nums = ()
             self.size = 1
-            self._u = []
             return
         try:
-            self._solver = IntegerCoords(self.ambient, dim)
+            self._solver = IntegerCoords(ambient_cols, dim)
         except ValueError:
             raise ClassifyError("quotient is infinite") from None
+        self._den_in = den
+        self.den = den * self._solver.scale
         w_cols = []
         for col in sub_cols:
             x = self._solver.solve(col)
@@ -111,7 +124,7 @@ class FiniteQuotient:
                 raise ClassifyError("sublattice not contained in the ambient")
             w_cols.append(x)
         w = [[c[i] for c in w_cols] for i in range(self.rank)]
-        d, u, _v = snf(w)
+        d, u, v = snf(w)
         divisors = []
         for i in range(self.rank):
             di = d[i][i] if i < len(d) and i < len(d[i]) else 0
@@ -119,23 +132,31 @@ class FiniteQuotient:
                 raise ClassifyError("quotient is infinite")
             divisors.append(di)
         self.divisors = tuple(divisors)
-        uinv = field_inverse([[Fraction(x) for x in row] for row in u],
-                             Fraction(1))
-        self.gens = tuple(
-            tuple(
-                sum(uinv[j][i] * self.ambient[j][k] for j in range(self.rank))
-                for k in range(dim)
-            )
-            for i in range(self.rank)
-        )
+        # generator i is column i of u^-1 in ambient coordinates; from
+        # u w v = d, w v = u^-1 d, so that column is (w v)_i / d_i
+        wv = mat_mul(w, v)
+        ambient = self._solver.columns
+        self._gen_nums = tuple(
+            tuple(sum(wv[j][i] // divisors[i] * ambient[j][k]
+                      for j in range(self.rank))
+                  for k in range(dim))
+            for i in range(self.rank))
+        self.gens = tuple(self._divide(g) for g in self._gen_nums)
         self._u = u
         self.size = math.prod(divisors)
+
+    def _divide(self, nums):
+        """The vector nums / den: integers when integral, else Fractions."""
+        den = self.den
+        if den == 1 or all(x % den == 0 for x in nums):
+            return tuple(x // den for x in nums)
+        return tuple(Fraction(x, den) for x in nums)
 
     def coords(self, vec):
         """Canonical coordinates of vec + sub in the cyclic factors."""
         if self.rank == 0:
             return ()
-        x = self._solver.solve(vec)
+        x = self._solver.solve(vec, self._den_in)
         if x is None:
             raise ClassifyError("vector outside the ambient lattice")
         return tuple(
@@ -144,19 +165,22 @@ class FiniteQuotient:
             for i in range(self.rank)
         )
 
+    def lift_nums(self, coords):
+        """den * sum_i coords_i gens_i, as integers."""
+        out = [0] * self.dim
+        for c, g in zip(coords, self._gen_nums):
+            if c:
+                for k, x in enumerate(g):
+                    out[k] += c * x
+        return out
+
     def lift(self, coords):
         """The vector sum_i coords_i gens_i (integers when integral),
         remembered per coordinate tuple."""
         key = tuple(coords)
         out = self._lifts.get(key)
         if out is None:
-            out = tuple(
-                sum(Fraction(c) * self.gens[i][k] for i, c in enumerate(key))
-                for k in range(self.dim)
-            )
-            if all(v.denominator == 1 for v in out):
-                out = tuple(int(v) for v in out)
-            self._lifts[key] = out
+            out = self._lifts[key] = self._divide(self.lift_nums(key))
         return out
 
     def elements(self):
@@ -225,11 +249,16 @@ class Presentation:
         self._k_parts = {}
         self._e_parts = {}
         self._tau_parts = {}
-        # scalar relations must commute with the whole group algebra
-        for d in self.dvecs:
-            for k in range(l):
-                if lat.commutator_exponent(d, _unit(l, k)):
-                    self.witness = ("non-central relation", (d, k))
+        # scalar relations must commute with the whole group algebra:
+        # C(sigma^s a - a, e_k) = zeta_p^(-s (a^T G N)_k), so the first
+        # orbit whose rep has (a^T G N)_k != 0 mod p fails at s = 1
+        for orb in self.dec.orbits:
+            if len(orb) > 1:
+                k = next((k for k, x in enumerate(lat.nu_p(orb[0]))
+                          if x % lat.p), None)
+                if k is not None:
+                    self.witness = ("non-central relation",
+                                    (_vec_sub(orb[1], orb[0]), k))
                     return
         # the kernel vectors, with the mu-independent factor of the
         # A-image of e(sum_i ker_i d_i), which must be one for every mu
@@ -333,7 +362,9 @@ class Presentation:
 
     @cached_property
     def grading(self):
-        return tuple(self.lattice.nu(rep) for rep in self.dec.reps)
+        """The degrees of the orbit representatives on the grid p:
+        p * nu(rep), as integers."""
+        return tuple(self.lattice.nu_p(rep) for rep in self.dec.reps)
 
     @cached_property
     def efolds(self):
@@ -625,8 +656,7 @@ class _GroupScalars:
         self.gens = []
         for i in range(quotient.rank):
             rk = tuple(
-                int(x) % d for x, d in zip(
-                    quotient.gens[i], A.E.divisors))
+                x % d for x, d in zip(quotient.gens[i], A.E.divisors))
             ok = quotient.divisors[i]
             c = ONE
             g = tuple(0 for _ in A.E.divisors)
@@ -719,67 +749,73 @@ def admissible_base_weight(A: PresentedAlgebraA):
     """A weight xi with xi(alpha(0)) = (alpha'|alpha')/2 - lambda(alpha)
     mod Z over an integer basis, or a witness that none exists.
 
+    The right-hand sides are integer numerators over one denominator D
+    (the lcm of 2p and the root orders), solved through the Smith form
+    of the fixed pairing; Fractions are built only for the result.
+
     Returns (True, xi values at the standard basis) or (False, witness)."""
-    T = A.twist
     lat = A.lattice
-    l = lat.rank
-    c = []
-    for k in range(l):
-        e = _unit(l, k)
-        lam = root_exponent(A.derived_mu(e))
-        c.append(lat.prime_pairing(e, e) / 2 - lam)
+    l, p = lat.rank, lat.p
+    roots = [_root_parts(A.derived_mu(_unit(l, k))) for k in range(l)]
+    D = math.lcm(2 * p, *(k for _r, k in roots))
+    c = [lat.prime_pairing_p(_unit(l, k), _unit(l, k)) * (D // (2 * p))
+         - r * (D // q) for k, (r, q) in enumerate(roots)]
     F = lat.fixed_basis
     f = len(F)
     if f == 0:
         for k in range(l):
-            if c[k].denominator != 1:
-                return False, ("no weight satisfies the congruence", k, c[k])
+            if c[k] % D:
+                return False, ("no weight satisfies the congruence", k,
+                               Fraction(c[k], D))
         return True, tuple(Fraction(0) for _ in range(l))
     M = lat.fixed_pairing
     d, u, v = snf([list(r) for r in M])
-    uc = [sum(Fraction(u[i][j]) * c[j] for j in range(l)) for i in range(l)]
-    z = [Fraction(0)] * f
+    uc = mat_vec(u, c)
+    diag = [d[i][i] if i < min(l, f) else 0 for i in range(l)]
     for i in range(l):
-        di = d[i][i] if i < min(l, f) else 0
-        if di:
-            z[i] = uc[i] / di
-        elif uc[i].denominator != 1:
-            return False, ("no weight satisfies the congruence", i, uc[i])
-    y = [sum(Fraction(v[i][j]) * z[j] for j in range(f)) for i in range(f)]
-    xi0 = tuple(
-        sum(M[k][i] * y[i] for i in range(f)) for k in range(l))
-    return True, xi0
+        if not diag[i] and uc[i] % D:
+            return False, ("no weight satisfies the congruence", i,
+                           Fraction(uc[i], D))
+    # z_i = uc_i / d_i, on the grid D * L with L the lcm of the d_i
+    L = math.lcm(*(x for x in diag if x))
+    z = [uc[i] * (L // diag[i]) if diag[i] else 0 for i in range(f)]
+    y = mat_vec(v, z)
+    return True, tuple(
+        Fraction(sum(M[k][i] * y[i] for i in range(f)), D * L)
+        for k in range(l))
 
 
 def eta_cosets(lat: TwistedLattice):
     """Representatives of the quotient of the fixed sublattice's dual
     by the degree lattice nu(Lambda), as weight-value tuples at the
     standard basis.  Representatives use the canonical cyclic-factor
-    coordinates of the Smith decomposition."""
+    coordinates of the Smith decomposition.
+
+    In the fixed basis F with Gram matrix G_F, the dual is spanned by
+    the columns of G_F^-1 and proj0(e_k) has coordinates
+    G_F^-1 F^T G N e_k / p.  With u G_F v = d its Smith form and L its
+    last invariant factor, L G_F^-1 = v (L / d) u is an integer matrix,
+    so the quotient is built over the one denominator L p."""
     F = lat.fixed_basis
     f = len(F)
     l = lat.rank
     if f == 0:
         return [tuple(Fraction(0) for _ in range(l))], FiniteQuotient([], [], 0)
+    p = lat.p
     gf = [[lat.pairing(F[i], F[j]) for j in range(f)] for i in range(f)]
-    gf_inv = field_inverse([[Fraction(x) for x in row] for row in gf],
-                           Fraction(1))
-    ambient = [tuple(gf_inv[i][j] for i in range(f)) for j in range(f)]
-    fmat = [[Fraction(F[i][j]) for i in range(f)] for j in range(l)]
-    sub = []
-    for k in range(l):
-        x = field_solve(fmat, [Fraction(v) for v in lat.proj0(_unit(l, k))],
-                        Fraction(1))
-        if x is None:
-            raise ClassifyError("projection outside the fixed span")
-        sub.append(tuple(x))
-    Q = FiniteQuotient(ambient, sub, f)
+    d, u, v = snf(gf)
+    L = d[f - 1][f - 1]
+    ginv = mat_mul(v, [[(L // d[i][i]) * x for x in u[i]] for i in range(f)])
+    ambient = [tuple(p * ginv[i][j] for i in range(f)) for j in range(f)]
+    sub = transpose(mat_mul(ginv, mat_mul(
+        [list(b) for b in F], [list(r) for r in lat.gram_norm])))
+    Q = FiniteQuotient(ambient, sub, f, L * p)
     M = lat.fixed_pairing
     reps = []
     for cds in Q.elements():
-        y = Q.lift(cds)
+        y = Q.lift_nums(cds)
         reps.append(tuple(
-            sum(Fraction(M[k][i]) * Fraction(y[i]) for i in range(f))
+            Fraction(sum(M[k][i] * y[i] for i in range(f)), Q.den)
             for k in range(l)))
     return reps, Q
 
@@ -881,7 +917,7 @@ def _maximal_isotropic(A: PresentedAlgebraA, rad: FiniteQuotient):
     members = set()
     for a in rad.elements():
         vec = rad.lift(a)
-        members.add(tuple(int(x) % d for x, d in zip(vec, E.divisors)))
+        members.add(tuple(x % d for x, d in zip(vec, E.divisors)))
     changed = True
     elements = list(E.elements())
     while changed:
@@ -967,16 +1003,15 @@ class ClassOmega:
         self.lines = [(tuple(k), t) for k in grid for t in self.transversal]
         self.lookup = {line: i for i, line in enumerate(self.lines)}
         self.size = len(self.lines)
-        lat_rank = lat.rank
+        base = [x + y for x, y in zip(xi0, eta)]
         self._xis = []
         for (k, t) in self.lines:
-            lk = self._lift_vec(k)
-            nu = lat.nu(lk)
+            nu = lat.nu_p(self._lift_vec(k))
             self._xis.append(tuple(
-                as_scalar(xi0[i] + eta[i] + nu[i]) for i in range(lat_rank)))
-        # degree coordinates: nu over the nonzero-degree reps
+                as_scalar(b + Fraction(x, lat.p)) for b, x in zip(base, nu)))
+        # degree coordinates: p * nu over that of the nonzero-degree reps
         self._degrees = IntegerCoords(
-            [lat.nu(A.reps[i]) for i in range(self.mm)], lat_rank)
+            [A.grading[i] for i in range(self.mm)], lat.rank)
 
     def _lift_vec(self, k):
         lat = self.A.lattice
@@ -987,7 +1022,7 @@ class ClassOmega:
 
     def _grading_coords(self, alpha):
         lat = self.A.lattice
-        nu = lat.nu(alpha)
+        nu = lat.nu_p(alpha)
         if self.mm == 0:
             if any(nu):
                 raise ClassifyError("nonzero degree in a trivially graded case")

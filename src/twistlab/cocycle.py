@@ -222,10 +222,12 @@ class TwistData:
 
         Scanning pi and pairwise sums of pi elements suffices: the
         quadratic map a -> C(a, sigma^j a) is generated by its values on
-        generators and generator sums.  Since
-        m_s(a, sigma^j a) = (a | sigma^(s+j) a), the m-values of
-        (a, sigma^j a) are those of (a, a) rotated by j, so each
-        candidate needs them once.  The verdict is computed once.
+        generators and generator sums.  Since C(a, a) = 1 and
+        C(sigma^j a - a, b) = zeta_p^(-j a^T G N b), C(a, sigma^j a) =
+        zeta_p^(j a^T G N a): it is never 1 for j = 0 and differs from 1
+        for some j exactly when it does for j = 1, that is when
+        a^T G N a != 0 mod p.  The witness is the first such candidate
+        with j = 1.  The verdict is computed once.
         """
         return self._obstruction
 
@@ -237,19 +239,9 @@ class TwistData:
         candidates = list(pi) + [
             tuple(u + v for u, v in zip(pi[x], pi[y]))
             for x in range(len(pi)) for y in range(x + 1, len(pi))]
-        # C(a, sigma^j a) = zeta_(2p)^k with k = p ((a|a)^2 + sum_s m_s)
-        # - 2 sum_s s m_(s+j), m the m-values of (a, a); the first part
-        # is the same for every j and only its parity counts
-        ms = []
-        for j in range(p):
-            for i, a in enumerate(candidates):
-                if i == len(ms):
-                    m = lat.m_values(a, a)
-                    ms.append((m, p * (m[0] + sum(m))))
-                m, base = ms[i]
-                weighted = sum(s * m[(s + j) % p] for s in range(1, p))
-                if (base - 2 * weighted) % (2 * p):
-                    return True, (a, j)
+        for a in candidates:
+            if sum(x * y for x, y in zip(a, lat.nu_p(a))) % p:
+                return True, (a, 1)
         return False, None
 
     @cached_property

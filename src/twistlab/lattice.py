@@ -112,21 +112,30 @@ class TwistedLattice:
         p = self.p
         return (p * n - 2 * w) % (2 * p)
 
+    def prime_pairing_p(self, alpha, beta) -> int:
+        """p * prime_pairing(alpha, beta), an integer:
+        p (alpha|beta) - alpha^T G N beta."""
+        gnb = mat_vec(self.gram_norm, beta)
+        return self.p * self.pairing(alpha, beta) - sum(
+            a * x for a, x in zip(alpha, gnb))
+
     def prime_pairing(self, alpha, beta) -> Fraction:
         """Pairing of the components orthogonal to the fixed space:
         (alpha|beta) - (alpha|N beta)/p."""
-        gnb = mat_vec(self.gram_norm, beta)
-        return Fraction(self.pairing(alpha, beta)) - Fraction(
-            sum(a * x for a, x in zip(alpha, gnb)), self.p)
+        return Fraction(self.prime_pairing_p(alpha, beta), self.p)
 
     def proj0(self, alpha):
         """Projection onto the sigma-fixed subspace, rational coords."""
         return tuple(Fraction(x, self.p) for x in mat_vec(self.norm, alpha))
 
+    def nu_p(self, alpha):
+        """p * nu(alpha), integers for an integer alpha: G N alpha."""
+        return tuple(sum(g * a for g, a in zip(row, alpha) if a)
+                     for row in self.gram_norm)
+
     def nu(self, alpha):
         """Degree of alpha: values (alpha^[0] | e_k) over the standard basis."""
-        return tuple(Fraction(x, self.p)
-                     for x in mat_vec(self.gram_norm, alpha))
+        return tuple(Fraction(x, self.p) for x in self.nu_p(alpha))
 
     @cached_property
     def fixed_basis(self):
@@ -199,7 +208,7 @@ class OrbitDecomposition:
         self.lengths = tuple(len(orb) for orb in self.orbits)
         self.pi = tuple(v for orb in self.orbits for v in orb)
         self.m = sum(
-            1 for orb in self.orbits if any(lattice.nu(orb[0]))
+            1 for orb in self.orbits if any(lattice.nu_p(orb[0]))
         )
 
     def __repr__(self):

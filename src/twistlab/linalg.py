@@ -1,8 +1,7 @@
-"""Small exact linear algebra: integer normal forms and generic field
-elimination used throughout the package."""
+"""Small exact linear algebra: integer normal forms, integer coordinates
+in a lattice and generic field elimination used throughout the package."""
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 
@@ -270,42 +269,59 @@ def field_inverse(a, one):
     return [row[n:] for row in rref]
 
 
+def _numerators(values, scale: int):
+    """The integers scale * x for rationals x (int or Fraction), or None
+    when one of them is not an integer."""
+    out = []
+    for x in values:
+        num, den = x.numerator * scale, x.denominator
+        if num % den:
+            return None
+        out.append(num // den)
+    return out
+
+
 class IntegerCoords:
     """Integer coordinates of vectors in linearly independent rational
-    columns, from one elimination: [C | I] reduces to [R | P] with
-    P·C = R, so the first rows of P, scaled to integers by one common
-    denominator, give den·x for v = C·x, and the other rows vanish
-    exactly on the span of the columns."""
+    columns C, from one integer Smith form.  With s the common
+    denominator of the entries of C, A = s C is integer and u A v = d;
+    w = C x has an integer solution exactly when b = s w is integer,
+    (u b)_i is divisible by d_i for the r columns and vanishes below
+    them, and then x = v y with y_i = (u b)_i / d_i.  Columns and
+    vectors given as integer numerators over one common denominator
+    are solved in integers throughout."""
 
     def __init__(self, cols, n: int):
-        one = Fraction(1)
-        r = len(cols)
-        aug = [[Fraction(c[i]) for c in cols]
-               + [one if i == j else one - one for j in range(n)]
-               for i in range(n)]
-        rref, pivots = field_rref(aug, one)
-        if pivots[:r] != list(range(r)):
+        self.rank = r = len(cols)
+        if r > n:
             raise ValueError("columns are linearly dependent")
-        left = [row[r:] for row in rref[:r]]
-        self.den = lcm_list([x.denominator for row in left for x in row])
-        self._left = [[int(x * self.den) for x in row] for row in left]
-        self._null = []
-        for row in rref[r:]:
-            scale = lcm_list([x.denominator for x in row[r:]])
-            self._null.append([int(x * scale) for x in row[r:]])
+        self.scale = lcm_list([x.denominator for c in cols for x in c])
+        # the integer columns s C
+        self.columns = [_numerators(c, self.scale) for c in cols]
+        d, self._u, self._v = snf(
+            [[c[i] for c in self.columns] for i in range(n)])
+        self._diag = [d[i][i] for i in range(r)]
+        if not all(self._diag):
+            raise ValueError("columns are linearly dependent")
 
-    def solve(self, vec):
-        """The integer x with C·x = vec, or None when vec is outside the
-        span or its coordinates are not integers."""
-        if any(sum(a * v for a, v in zip(row, vec)) for row in self._null):
+    def solve(self, vec, den: int = 1):
+        """The integer x with C·x = den·vec, or None when den·vec is
+        outside the span or its coordinates are not integers."""
+        b = _numerators(vec, self.scale * den)
+        if b is None:
             return None
-        out = []
-        for row in self._left:
-            num = sum(a * v for a, v in zip(row, vec))
-            if num % self.den:
+        y = []
+        for i, row in enumerate(self._u):
+            num = sum(c * x for c, x in zip(row, b) if c)
+            if i >= self.rank:
+                if num:
+                    return None
+                continue
+            q, rem = divmod(num, self._diag[i])
+            if rem:
                 return None
-            out.append(int(num // self.den))
-        return out
+            y.append(q)
+        return [sum(c * x for c, x in zip(row, y)) for row in self._v]
 
 
 def field_rank(a, one) -> int:

@@ -625,3 +625,85 @@ def test_class_count_matches_fixed_dual_cosets():
             checked.add((lat.p, dim))
     assert {p for p, _dim in checked} == {2, 3, 4, 6}
     assert {1, 2} <= {dim for _p, dim in checked}
+
+
+# ---------------------------------------------------------------------
+# the integer front end against independent routes
+# ---------------------------------------------------------------------
+
+def _pool_lattices():
+    """The classify_stream pool: its fixtures, the random pool and the
+    known-fault lattices."""
+    from test_golden import TL, W
+
+    for gram, sigma in W.CLASSIFY_FIXTURES + W.classify_pool(TL) \
+            + W.KNOWN_FAULTS:
+        yield TwistedLattice(gram, sigma)
+
+
+def _centrality_lattices():
+    yield from _pool_lattices()
+    for gram, sigma in SPLIT_FIXTURES + FAULT_LATTICES:
+        yield TwistedLattice(gram, sigma)
+    rng = random.Random(4711)
+    for _ in range(150):
+        yield random_twisted_lattice(rng, rank_max=4)
+
+
+def test_centrality_witness_matches_commutator_loop():
+    # the first difference vector d = sigma^s a - a of the generating
+    # orbits, s ascending, with some C(d, e_k) != 1, and its first k,
+    # found with the commutator exponent itself
+    seen = {"none": 0, "witness": 0}
+    for lat in _centrality_lattices():
+        T = TwistData(lat)
+        if T.obstruction_check()[0]:
+            continue
+        l = lat.rank
+        expect = next(
+            ((tuple(x - y for x, y in zip(orb[s], orb[0])), k)
+             for orb in lat.reduce_generating_set().orbits
+             for s in range(1, len(orb))
+             for k in range(l)
+             if lat.commutator_exponent(
+                 tuple(x - y for x, y in zip(orb[s], orb[0])),
+                 tuple(1 if i == k else 0 for i in range(l)))),
+            None)
+        witness = T.presentation.witness
+        if expect is None:
+            assert witness is None
+            seen["none"] += 1
+        else:
+            assert witness == ("non-central relation", expect)
+            seen["witness"] += 1
+    assert seen["none"] > 100 and seen["witness"] >= 3
+
+
+def _fixture_quotients():
+    """The E, radical and eta quotients of the pool and split fixtures."""
+    for lat in list(_pool_lattices()) + [TwistedLattice(g, s)
+                                         for g, s in SPLIT_FIXTURES]:
+        yield "eta", eta_cosets(lat)[1]
+        P = TwistData(lat).presentation
+        if P.witness is None:
+            yield "E", P.E
+            yield "radical", P.radical
+
+
+def test_finite_quotient_lifts_and_coords():
+    kinds = set()
+    for kind, Q in _fixture_quotients():
+        for cds in Q.elements():
+            lift = Q.lift(cds)
+            assert Q.coords(lift) == cds
+            assert lift == tuple(
+                sum((Fraction(c) * Fraction(g[k])
+                     for c, g in zip(cds, Q.gens)), Fraction(0))
+                for k in range(Q.dim))
+        # generator i has order divisors_i in the quotient
+        zero = tuple(0 for _ in Q.divisors)
+        for d, g in zip(Q.divisors, Q.gens):
+            assert Q.coords(tuple(d * x for x in g)) == zero
+        if Q.size > 1:
+            kinds.add(kind)
+    assert kinds == {"eta", "E", "radical"}

@@ -239,23 +239,24 @@ def test_obstructed_instance_exists():
     assert found
 
 
-def _count_m_values(monkeypatch):
-    """Record the arguments of every TwistedLattice.m_values call."""
+def _count_calls(monkeypatch, name):
+    """Record the arguments of every call of the TwistedLattice method
+    name, each argument as a tuple."""
     calls = []
-    real = TwistedLattice.m_values
+    real = getattr(TwistedLattice, name)
 
-    def counting(self, alpha, beta):
-        calls.append((tuple(alpha), tuple(beta)))
-        return real(self, alpha, beta)
+    def counting(self, *args):
+        calls.append(tuple(tuple(a) for a in args))
+        return real(self, *args)
 
-    monkeypatch.setattr(TwistedLattice, "m_values", counting)
+    monkeypatch.setattr(TwistedLattice, name, counting)
     return calls
 
 
 def test_obstruction_scan_matches_brute_force(monkeypatch):
     # the first hit of C(a, sigma^j a) != 1, scanning j outermost and
-    # the generators before their pairwise sums; the scan computes the
-    # m-values of each candidate once and rotates them for every j
+    # the generators before their pairwise sums; the scan reads
+    # a^T G N a mod p and computes no m-values
     rng = random.Random(29)
     obstructed = 0
     for _ in range(60):
@@ -269,24 +270,24 @@ def test_obstruction_scan_matches_brute_force(monkeypatch):
              if commutator_map(lat, a, lat.apply_sigma(a, j)) != ONE),
             None)
         td = TwistData(lat)
-        calls = _count_m_values(monkeypatch)
+        calls = _count_calls(monkeypatch, "m_values")
         result = td.obstruction_check()
         monkeypatch.undo()
         assert result == (expect is not None, expect)
         obstructed += expect is not None
-        # one m_values(a, a) per candidate, in scan order, up to the hit
-        n = len(candidates)
-        if expect is not None and expect[1] == 0:
-            n = candidates.index(expect[0]) + 1
-        assert calls == [(a, a) for a in candidates[:n]]
+        # no m_values call: the scan reads the degree matrix G N
+        assert calls == []
     assert 0 < obstructed < 60
 
 
 def test_obstruction_check_scans_once_per_twist(monkeypatch):
     lat = TwistedLattice(A1x2, ROT4)
     td = TwistData(lat)
+    calls = _count_calls(monkeypatch, "nu_p")
     first = td.obstruction_check()
-    calls = _count_m_values(monkeypatch)
+    # the scan reads p * nu of its candidates, and only the first time
+    assert calls
+    calls.clear()
     assert td.obstruction_check() == first
     assert td.obstruction_check() == first
     assert calls == []
