@@ -25,10 +25,9 @@ from .linalg import (
 from .scalar import (
     CycScalar,
     ONE,
+    RootPair,
     ScalarError,
     as_scalar,
-    canonical_root,
-    root_of_unity,
 )
 
 # a bound on the work of one enumeration: root choices times |E|^2, the
@@ -53,21 +52,23 @@ class UnsupportedScalar(ClassifyError):
     not rational)."""
 
 
-def _root_parts(mu: CycScalar):
+def _root_parts(mu: RootPair):
     """(r, k) with mu = zeta_k^r in lowest terms, 0 <= r < k, for mu a
     root of unity."""
-    mu = as_scalar(mu)
-    root = mu.decompose_positive_root()
-    if root is None or root[0] != 1:
+    if mu.q != 1:
         raise UnsupportedScalar(f"{mu} is not a root of unity")
-    _q, k, r = root
+    k, r = mu.lowest()
     return r, k
 
 
 def root_exponent(mu: CycScalar) -> Fraction:
     """The rational r/k in [0, 1) with mu = zeta_k^r, for mu a root of
     unity."""
-    r, k = _root_parts(mu)
+    mu = as_scalar(mu)
+    pair = RootPair.of(mu)
+    if pair is None:
+        raise UnsupportedScalar(f"{mu} is not a root of unity")
+    r, k = _root_parts(pair)
     return Fraction(r, k)
 
 
@@ -210,19 +211,21 @@ class Presentation:
     constants and degrees of the orbit representatives, the epsilon
     folds of the power relations, the degree-zero component
     E = Lambda_0 / K and the radical of its commutator bicharacter.
-    The collapse every root choice shares is decided here: `witness` is
-    the commutator obstruction of the generating set or a non-central
-    relation, else None.  The commutation constants, E and the radical
-    are computed when first asked for and raise their errors each time
-    they are asked for, so a root choice that collapses earlier never
-    meets their checks or caps.  `algebra` keeps the algebra of each
-    root choice."""
+    Its scalars are `RootPair`s on the twist's grid.  The collapse every
+    root choice shares is decided here: `witness` is the commutator
+    obstruction of the generating set or a non-central relation, else
+    None.  The commutation constants, E and the radical are computed
+    when first asked for and raise their errors each time they are
+    asked for, so a root choice that collapses earlier never meets their
+    checks or caps.  `algebra` keeps the algebra of each root choice,
+    and `mu_parts` the mu-independent part of each derived root."""
 
     def __init__(self, twist: TwistData):
         self.twist = twist
         self.lattice = lat = twist.lattice
         self.dec = lat.reduce_generating_set()
         self._algebras = {}
+        self._mu_parts = {}
         self.obstructed, wit = twist.obstruction_check()
         self.witness = None
         if self.obstructed:
@@ -237,7 +240,7 @@ class Presentation:
                 d = _vec_sub(orb[s], orb[0])
                 self.dvecs.append(d)
                 self.dslots.append((j, s))
-                self.deps.append(twist.epsilon(d, orb[0]))
+                self.deps.append(twist.epsilon_pair(d, orb[0]))
         self._dmat = [[d[i] for d in self.dvecs] for i in range(l)]
         self._khnf = []
         if self.dvecs:
@@ -277,25 +280,24 @@ class Presentation:
 
     # -- scalar bookkeeping -------------------------------------------
 
-    def _fold(self, combo) -> CycScalar:
+    def _fold(self, combo) -> RootPair:
         """The mu-independent factor of the A-image of
         e(sum_i combo_i d_i), folded stepwise: the epsilon factors of
         the partial sums, and epsilon(d, -d) for each negative step.
         The image is this factor times prod_i e(d_i)^combo_i."""
         twist = self.twist
         cur = (0,) * self.lattice.rank
-        cfold = ONE
-        sprod = ONE
+        cfold = sprod = twist.one
         for idx, mult in enumerate(combo):
             if not mult:
                 continue
             d = self.dvecs[idx]
             v = d if mult > 0 else _vec_scale(d, -1)
             for _ in range(abs(mult)):
-                cfold = cfold * twist.epsilon(cur, v)
+                cfold = cfold * twist.epsilon_pair(cur, v)
                 cur = _vec_add(cur, v)
                 if mult < 0:
-                    sprod = sprod * twist.epsilon(d, v)
+                    sprod = sprod * twist.epsilon_pair(d, v)
         return sprod / cfold
 
     def k_parts(self, kvec):
@@ -324,9 +326,28 @@ class Presentation:
         if gamma not in self._e_parts:
             rep = self.rep_of(gamma)
             d = _vec_sub(gamma, rep)
-            self._e_parts[gamma] = (self.twist.epsilon(d, rep).inverse(),
-                                    d, rep)
+            self._e_parts[gamma] = (
+                self.twist.epsilon_pair(d, rep).inverse(), d, rep)
         return self._e_parts[gamma]
+
+    def mu_parts(self, gamma):
+        """(factor, d, length, product) with the root forced at gamma
+        equal to factor * e(d), d = sigma gamma - gamma in K (None when
+        gamma is fixed), and mu^length = product over its orbit."""
+        gamma = tuple(gamma)
+        parts = self._mu_parts.get(gamma)
+        if parts is None:
+            twist, lat = self.twist, self.lattice
+            d = _vec_sub(lat.apply_sigma(gamma), gamma)
+            factor = twist.phi_pair(gamma)
+            if any(d):
+                factor = twist.epsilon_pair(d, gamma).inverse() * factor
+            else:
+                d = None
+            orb = lat.orbit(gamma)
+            parts = self._mu_parts[gamma] = (
+                factor, d, len(orb), twist.orbit_product_pair(orb))
+        return parts
 
     def tau_parts(self, g, h):
         """(factor, delta) with tau(g, h) = factor * e(delta), delta in K."""
@@ -337,8 +358,8 @@ class Presentation:
             tgh = E.lift(_e_add(g, h, E.divisors))
             delta = _vec_sub(_vec_add(tg, th), tgh)
             self._tau_parts[key] = (
-                self.twist.epsilon(tg, th)
-                * self.twist.epsilon(delta, tgh).inverse(), delta)
+                self.twist.epsilon_pair(tg, th)
+                * self.twist.epsilon_pair(delta, tgh).inverse(), delta)
         return self._tau_parts[key]
 
     # -- generating-set invariants, computed on first use --------------
@@ -348,14 +369,14 @@ class Presentation:
         """Commutation constants of the orbit representatives."""
         reps = self.dec.reps
         n = len(reps)
-        c = [[self.twist.commutator(reps[i], reps[j]) for j in range(n)]
+        c = [[self.twist.commutator_pair(reps[i], reps[j]) for j in range(n)]
              for i in range(n)]
         for i in range(n):
             for j in range(n):
-                if c[i][j] * c[j][i] != ONE:
+                if c[i][j] * c[j][i] != self.twist.one:
                     raise ClassifyError("commutation constants not antisymmetric")
                 if (i >= self.dec.m or j >= self.dec.m) and \
-                        c[i][j] ** self.lattice.p != ONE:
+                        c[i][j] ** self.lattice.p != self.twist.one:
                     raise ClassifyError(
                         "degree-zero commutation constant is not a p-th root")
         return c
@@ -372,9 +393,10 @@ class Presentation:
         out = []
         for j in range(self.dec.m, len(self.dec.reps)):
             rep = self.dec.reps[j]
-            efold = ONE
+            efold = self.twist.one
             for i in range(1, self.dec.lengths[j]):
-                efold = efold * self.twist.epsilon(_vec_scale(rep, i), rep)
+                efold = efold * self.twist.epsilon_pair(_vec_scale(rep, i),
+                                                        rep)
             out.append(efold)
         return out
 
@@ -399,6 +421,10 @@ class Presentation:
         """Commutator bicharacter on E: b(g, h) with
         y_g y_h = b(g, h) y_h y_g."""
         return commutator_map(self.lattice, self.E.lift(g), self.E.lift(h))
+
+    def bichar_exponent(self, g, h) -> int:
+        """k with b(g, h) = zeta_(2p)^k, 0 <= k < 2p."""
+        return self.lattice.commutator_exponent(self.E.lift(g), self.E.lift(h))
 
     @cached_property
     def radical(self) -> FiniteQuotient:
@@ -436,9 +462,11 @@ class PresentedAlgebraA:
     (`presentation`), which keeps this object per root choice
     (`Presentation.algebra`).  This object holds the coefficients k_s,
     the relation scalars, the power relations, the scalars k_image,
-    e_image and tau, and its block decomposition.  The zero marker is
-    set when the relations force 1 = theta for some scalar theta != 1
-    (the obstructed case)."""
+    e_image and tau, and its block decomposition.  The scalars are
+    `RootPair`s on the twist's grid; `ks`, the power relations,
+    `derived_mu` and the block idempotents are CycScalars.  The zero
+    marker is set when the relations force 1 = theta for some scalar
+    theta != 1 (the obstructed case)."""
 
     def __init__(self, twist: TwistData, decomposition, mu_choice):
         self.twist = twist
@@ -459,11 +487,12 @@ class PresentedAlgebraA:
         self.reps = decomposition.reps
         self.lengths = decomposition.lengths
         self.m = decomposition.m
-        self.ks = []
+        self._ks = []
         for orb, mu in zip(decomposition.orbits, self.mu_choice):
-            if mu ** len(orb) != twist.orbit_phi_product(orb):
+            mu = RootPair.of(mu, twist.grid)
+            if mu is None or mu ** len(orb) != twist.orbit_product_pair(orb):
                 raise ClassifyError("mu choice is not an orbit root")
-            self.ks.append(twist.k_coeffs(orb, mu))
+            self._ks.append(twist.k_pairs(orb, mu))
         self._k_cache = {}
         self._e_cache = {}
         self._tau_cache = {}
@@ -471,11 +500,11 @@ class PresentedAlgebraA:
             self.zero, self.witness = True, P.witness
             return
         # the scalar images e(d) of the difference vectors
-        self._dscalars = [eps * self.ks[j][s].inverse()
+        self._dscalars = [eps * self._ks[j][s].inverse()
                           for eps, (j, s) in zip(P.deps, P.dslots)]
         # the scalar image of a K-vector must not depend on the combo
         for ker, factor in P.kernel:
-            if self._image(ker, factor) != ONE:
+            if self._image(ker, factor) != twist.one:
                 self.zero = True
                 self.witness = ("inconsistent relation scalars", ker)
                 return
@@ -487,18 +516,24 @@ class PresentedAlgebraA:
             pj = self.lengths[j]
             theta = efold * self.k_image(_vec_scale(self.reps[j], pj))
             try:
-                normalizer = canonical_root(theta, pj).inverse()
+                normalizer = theta.root(pj).inverse()
             except ScalarError as exc:
                 raise UnsupportedScalar(
                     f"power relation scalar {theta} has no canonical "
                     f"{pj}-th root") from exc
-            self.power_relations.append(PowerRelation(j, pj, theta, normalizer))
+            self.power_relations.append(PowerRelation(
+                j, pj, theta.scalar(), normalizer.scalar()))
         self.E = P.E
         self.dim_B0 = self.E.size
 
+    @cached_property
+    def ks(self):
+        """The coefficients k_s of each generating orbit, as CycScalars."""
+        return [tuple(k.scalar() for k in ks) for ks in self._ks]
+
     # -- scalar bookkeeping -------------------------------------------
 
-    def _image(self, combo, factor) -> CycScalar:
+    def _image(self, combo, factor) -> RootPair:
         """A-image scalar of e(sum_i combo_i d_i), given the
         mu-independent factor of its fold."""
         out = factor
@@ -507,12 +542,12 @@ class PresentedAlgebraA:
                 out = out * s ** mult
         return out
 
-    def k_image(self, kvec) -> CycScalar:
+    def k_image(self, kvec) -> RootPair:
         """The scalar that e(kvec) equals in A, for kvec in K."""
         kvec = tuple(kvec)
         if kvec not in self._k_cache:
             if not any(kvec):
-                self._k_cache[kvec] = ONE
+                self._k_cache[kvec] = self.twist.one
             else:
                 parts = self.presentation.k_parts(kvec)
                 if parts is None:
@@ -530,27 +565,25 @@ class PresentedAlgebraA:
 
     def derived_mu(self, gamma) -> CycScalar:
         """The root mu(gamma) forced by the relations, for any gamma."""
-        lat = self.lattice
-        d = _vec_sub(lat.apply_sigma(gamma), gamma)
-        if any(d):
-            mu = self.twist.epsilon(d, gamma).inverse() * self.k_image(d) \
-                * self.twist.phi(gamma)
-        else:
-            mu = self.twist.phi(gamma)
-        orb = lat.orbit(gamma)
-        if mu ** len(orb) != self.twist.orbit_phi_product(orb):
+        return self.derived_mu_pair(gamma).scalar()
+
+    def derived_mu_pair(self, gamma) -> RootPair:
+        """`derived_mu` on the twist's grid."""
+        factor, d, length, product = self.presentation.mu_parts(gamma)
+        mu = factor if d is None else factor * self.k_image(d)
+        if mu ** length != product:
             raise ClassifyError(f"derived root at {gamma} is not an orbit root")
         return mu
 
     # -- degree-zero component arithmetic -----------------------------
 
-    def y_scalar(self, g) -> CycScalar:
+    def y_scalar(self, g) -> RootPair:
         """Scalar s with y_g = s^(-1) * [rep], the normalized basis of
         the degree-zero component (y_g = image of e(lift(g)))."""
         s, _rep = self.e_image(self.E.lift(g))
         return s
 
-    def tau(self, g, h) -> CycScalar:
+    def tau(self, g, h) -> RootPair:
         """Multiplication scalar: y_g y_h = tau(g, h) y_(g+h)."""
         key = (tuple(g), tuple(h))
         if key not in self._tau_cache:
@@ -585,7 +618,7 @@ class PresentedAlgebraA:
         # the commutative semisimple span of the y_r, r in the radical,
         # where idempotents that sum to one are orthogonal.
         certified = {
-            "central": all(self.bichar(rk, e) == ONE
+            "central": all(self.presentation.bichar_exponent(rk, e) == 0
                            for rk, _ok, _nk in lifts.gens for e in units),
             "idempotent": lifts.is_homomorphism(),
             "sum_to_one": True,
@@ -632,7 +665,7 @@ def _b0_mul(A: PresentedAlgebraA, x: dict, y: dict) -> dict:
     out = {}
     for g, cx in x.items():
         for h, cy in y.items():
-            c = cx * cy * A.tau(g, h)
+            c = cx * cy * A.tau(g, h).scalar()
             if not c:
                 continue
             key = _e_add(g, h, A.E.divisors)
@@ -648,7 +681,8 @@ def _b0_mul(A: PresentedAlgebraA, x: dict, y: dict) -> dict:
 class _GroupScalars:
     """Multiplicative lift of a subgroup S of E on which the y-basis
     commutes: normalized generators (n_k y_(r_k))^(o_k) = 1 give a
-    homomorphism psi with psi(a) = scalar(a) * y_(elem(a))."""
+    homomorphism psi with psi(a) = scalar(a) * y_(elem(a)), the scalars
+    `RootPair`s."""
 
     def __init__(self, A: PresentedAlgebraA, quotient: FiniteQuotient):
         self.A = A
@@ -658,7 +692,7 @@ class _GroupScalars:
             rk = tuple(
                 x % d for x, d in zip(quotient.gens[i], A.E.divisors))
             ok = quotient.divisors[i]
-            c = ONE
+            c = A.twist.one
             g = tuple(0 for _ in A.E.divisors)
             for _ in range(ok):
                 c = c * A.tau(g, rk)
@@ -666,7 +700,7 @@ class _GroupScalars:
             if any(g):
                 raise ClassifyError("subgroup generator order mismatch")
             try:
-                nk = canonical_root(c, ok).inverse()
+                nk = c.root(ok).inverse()
             except ScalarError as exc:
                 raise UnsupportedScalar(
                     f"group scalar {c} has no canonical {ok}-th root") from exc
@@ -677,7 +711,7 @@ class _GroupScalars:
         given subgroup coordinates."""
         A = self.A
         g = tuple(0 for _ in A.E.divisors)
-        s = ONE
+        s = A.twist.one
         for (rk, ok, nk), a in zip(self.gens, coords):
             for _ in range(a % ok):
                 s = s * nk * A.tau(g, rk)
@@ -703,11 +737,12 @@ class _GroupScalars:
                     return False
         return True
 
-    def character(self, label, coords) -> CycScalar:
-        out = ONE
-        for (rk, ok, nk), t, a in zip(self.gens, label, coords):
-            out = out * root_of_unity(ok, (t * a) % ok)
-        return out
+    def character(self, label, coords) -> RootPair:
+        """chi_label(coords) = prod_k zeta_(o_k)^(t_k a_k), one exponent
+        on the grid lcm(o_k)."""
+        n = math.lcm(*(ok for _rk, ok, _nk in self.gens))
+        return RootPair(1, sum(t * a * (n // ok) for (_rk, ok, _nk), t, a
+                               in zip(self.gens, label, coords)), n)
 
     def labels(self):
         return itertools.product(*(range(ok) for _rk, ok, _nk in self.gens))
@@ -715,10 +750,10 @@ class _GroupScalars:
     def projector(self, label) -> dict:
         """The character idempotent (1/|S|) sum_a chi_label(a)^(-1) psi(a),
         as coefficients over E."""
-        inv_size = CycScalar.rational(Fraction(1, self.q.size))
+        inv_size = RootPair(Fraction(1, self.q.size), 0, 1)
         coeffs = {}
         for a, (g, s) in self.table.items():
-            c = self.character(label, a).inverse() * s * inv_size
+            c = (self.character(label, a).inverse() * s * inv_size).scalar()
             coeffs[g] = coeffs.get(g, as_scalar(0)) + c
         return {g: c for g, c in coeffs.items() if c}
 
@@ -756,7 +791,7 @@ def admissible_base_weight(A: PresentedAlgebraA):
     Returns (True, xi values at the standard basis) or (False, witness)."""
     lat = A.lattice
     l, p = lat.rank, lat.p
-    roots = [_root_parts(A.derived_mu(_unit(l, k))) for k in range(l)]
+    roots = [_root_parts(A.derived_mu_pair(_unit(l, k))) for k in range(l)]
     D = math.lcm(2 * p, *(k for _r, k in roots))
     c = [lat.prime_pairing_p(_unit(l, k), _unit(l, k)) * (D // (2 * p))
          - r * (D // q) for k, (r, q) in enumerate(roots)]
@@ -925,7 +960,8 @@ def _maximal_isotropic(A: PresentedAlgebraA, rad: FiniteQuotient):
         for g in elements:
             if g in members:
                 continue
-            if all(A.bichar(g, h) == ONE for h in members):
+            if all(A.presentation.bichar_exponent(g, h) == 0
+                   for h in members):
                 # close under the subgroup operation
                 new = set(members)
                 frontier = {g}
@@ -1047,8 +1083,7 @@ class ClassOmega:
         if gh != h:
             raise ClassifyError("subgroup lift mismatch")
         lam = self.h_lifts.character(self.h_label, hc) / sh
-        scalar = A.tau(g, t) * A.tau(t2, h).inverse() * lam
-        return t2, scalar
+        return t2, A.tau(g, t) * A.tau(t2, h).inverse() * lam
 
     def e_act(self, alpha, i):
         A = self.A
@@ -1065,9 +1100,9 @@ class ClassOmega:
         s1, _rep = A.e_image(delta)
         sg = A.y_scalar(g)
         t2, smod = self._y_act(g, t)
-        total = twist.epsilon(alpha, lk) * \
-            twist.epsilon(lk2, delta).inverse() * s1 / sg * smod
-        return [(self.lookup[(k2, t2)], total)]
+        total = twist.epsilon_pair(alpha, lk) * \
+            twist.epsilon_pair(lk2, delta).inverse() * s1 / sg * smod
+        return [(self.lookup[(k2, t2)], total.scalar())]
 
 
 def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):
@@ -1116,7 +1151,7 @@ def _check_weight_ii(T, module, gamma, mu):
         lam = root_exponent(mu)
     except UnsupportedScalar:
         return "fail", (gamma, "irrational exponent")
-    target = lat.prime_pairing(gamma, gamma) / 2 - lam
+    target = Fraction(lat.prime_pairing_p(gamma, gamma), 2 * lat.p) - lam
     for i in range(module.omega.size):
         xi = module.omega.xi(i)
         val = sum(

@@ -324,7 +324,7 @@ def cmd_orbits(spec: JobSpec):
     dec = lat.reduce_generating_set()
     lines = [f"orbits: {len(dec.orbits)} (nonzero degree: {dec.m})"]
     for j, orb in enumerate(dec.orbits):
-        deg = lat.nu(orb[0])
+        deg = tuple(Fraction(x, lat.p) for x in lat.nu_p(orb[0]))
         kind = "graded" if j < dec.m else "degree-zero"
         lines.append(
             f"orbit {j} | rep {_vec(orb[0])} | length {dec.lengths[j]} | "

@@ -7,7 +7,14 @@ from fractions import Fraction
 from functools import cached_property
 
 from .lattice import TwistedLattice
-from .scalar import CycScalar, ONE, as_scalar, canonical_root, root_of_unity
+from .scalar import (
+    CycScalar,
+    ONE,
+    RootPair,
+    ScalarError,
+    as_scalar,
+    root_of_unity,
+)
 
 
 class CocycleError(Exception):
@@ -53,12 +60,17 @@ class TwistData:
     epsilon is bimultiplicative with root-of-unity seeds, so it is kept
     as one integer matrix: epsilon(a, b) = zeta_N^(a^T E b), with N
     (`eps_order`) the lcm of the seed orders and E (`eps_exponents`)
-    the seeds' exponents on that grid.  The seeds are fixed at
+    the seeds' exponents on that grid.  The classifier's scalars are
+    `RootPair`s on one grid per twist, `grid` = p * lcm(2, eps_order,
+    the root orders of the phi seeds): it holds C (a 2p-th root), every
+    epsilon and phi value, every orbit product of phi and every root mu
+    of one (mu^p_a = product, p_a | p).  The `_pair` methods give those
+    values; the others are their CycScalars.  The seeds are fixed at
     construction and must not be changed afterwards: phi keeps its
-    value per vector, the obstruction scan keeps its one verdict on the
-    lattice's generating set, and `presentation` is the classifier's
-    presentation of the algebra A, built once, for as long as the
-    object lives."""
+    value per vector and its product per orbit, the obstruction scan
+    keeps its one verdict on the lattice's generating set, and
+    `presentation` is the classifier's presentation of the algebra A,
+    built once, for as long as the object lives."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
@@ -69,11 +81,11 @@ class TwistData:
         logs = {}
         for (i, j), v in seeds.items():
             value = as_scalar(v)
-            root = value.decompose_positive_root()
-            if root is None or root[0] != 1:
+            root = RootPair.of(value)
+            if root is None or root.q != 1:
                 raise CocycleError(f"eps_seed[{i},{j}] must be a root of unity")
             self.eps_seed[(i, j)] = value
-            logs[(i, j)] = root[1:]
+            logs[(i, j)] = root.lowest()
         for i in range(l):
             for j in range(l):
                 if (i, j) not in logs:
@@ -87,17 +99,29 @@ class TwistData:
                 i: self.phi_zero(self._basis_vector(i))
                 for i in range(lattice.rank)
             }
-        self.phi_seed = {i: self._check_phi_value(v) for i, v in phi_seed.items()}
+        self.phi_seed = {}
+        pairs = {}
+        for i, v in phi_seed.items():
+            self.phi_seed[i] = as_scalar(v)
+            pairs[i] = self._check_phi_value(v)
+        self.grid = lattice.p * math.lcm(2, n, *(x.n for x in pairs.values()))
+        self._eps_step = self.grid // n
+        # the value 1 on the grid
+        self.one = RootPair(1, 0, self.grid)
+        self._phi_seeds = {i: x * self.one for i, x in pairs.items()}
+        self._phi_pairs = {}
         self._phi = {}
+        self._orbit_products = {}
 
     @staticmethod
-    def _check_phi_value(v) -> CycScalar:
-        v = as_scalar(v)
-        if v.decompose_positive_root() is None:
+    def _check_phi_value(v) -> RootPair:
+        """The seed value v as a pair in lowest terms."""
+        pair = RootPair.of(v)
+        if pair is None:
             raise CocycleError(
                 "phi values must be positive rationals times roots of unity"
             )
-        return v
+        return pair
 
     def _basis_vector(self, i):
         return tuple(1 if k == i else 0 for k in range(self.lattice.rank))
@@ -121,6 +145,17 @@ class TwistData:
         """epsilon(a, b) = zeta_N^(a^T E b)."""
         return _zeta(self.eps_order,
                      self._form(self.eps_exponents, alpha, beta) % self.eps_order)
+
+    def epsilon_pair(self, alpha, beta) -> RootPair:
+        """epsilon(a, b) on the twist's grid."""
+        return RootPair(1, self._form(self.eps_exponents, alpha, beta)
+                        * self._eps_step, self.grid)
+
+    def commutator_pair(self, alpha, beta) -> RootPair:
+        """C(a, b) on the twist's grid."""
+        grid = self.grid
+        return RootPair(1, self.lattice.commutator_exponent(alpha, beta)
+                        * (grid // (2 * self.lattice.p)), grid)
 
     def commutator(self, alpha, beta) -> CycScalar:
         return commutator_map(self.lattice, alpha, beta)
@@ -170,49 +205,86 @@ class TwistData:
         """The 1-cocycle: extension of the seed values with dphi(a,b) =
         eps(sigma a, sigma b)/eps(a, b)."""
         alpha = tuple(alpha)
-        if alpha not in self._phi:
-            self._phi[alpha] = self._phi_from_seeds(alpha)
-        return self._phi[alpha]
+        out = self._phi.get(alpha)
+        if out is None:
+            out = self._phi[alpha] = self.phi_pair(alpha).scalar()
+        return out
 
-    def _phi_from_seeds(self, alpha) -> CycScalar:
+    def phi_pair(self, alpha) -> RootPair:
+        """phi(alpha) on the twist's grid, kept per vector."""
+        alpha = tuple(alpha)
+        out = self._phi_pairs.get(alpha)
+        if out is None:
+            out = self._phi_pairs[alpha] = self._phi_from_seeds(alpha)
+        return out
+
+    def _phi_from_seeds(self, alpha) -> RootPair:
         """prod_i phi(e_i)^(a_i) times g(e_i, e_i)^(a_i (a_i - 1)/2) and
-        g(e_i, e_j)^(a_i a_j) for i < j, the g factors summed as one
-        exponent of zeta_N."""
+        g(e_i, e_j)^(a_i a_j) for i < j, all of it one exponent sum on
+        the grid and one rational product."""
         r = self._ratio_exponents
-        out = ONE
+        q = 1
         k = 0
+        g = 0
         for i, a in enumerate(alpha):
             if not a:
                 continue
-            out = out * self.phi_seed[i] ** a
-            k += r[i][i] * (a * (a - 1) // 2)
+            seed = self._phi_seeds[i]
+            k += seed.k * a
+            if seed.q != 1:
+                q *= Fraction(seed.q) ** a
+            g += r[i][i] * (a * (a - 1) // 2)
             for j in range(i + 1, len(alpha)):
                 if alpha[j]:
-                    k += r[i][j] * a * alpha[j]
-        return out * _zeta(self.eps_order, k % self.eps_order)
+                    g += r[i][j] * a * alpha[j]
+        return RootPair(q, k + g * self._eps_step, self.grid)
 
     # -- roots mu and eigen-coefficients k_s --------------------------
 
     def orbit_phi_product(self, orbit) -> CycScalar:
-        out = ONE
-        for v in orbit:
-            out = out * self.phi(v)
+        return self.orbit_product_pair(orbit).scalar()
+
+    def orbit_product_pair(self, orbit) -> RootPair:
+        """prod_s phi(sigma^s a) on the twist's grid, kept per orbit."""
+        orbit = tuple(orbit)
+        out = self._orbit_products.get(orbit)
+        if out is None:
+            out = self.one
+            for v in orbit:
+                out = out * self.phi_pair(v)
+            self._orbit_products[orbit] = out
         return out
 
     def mu_roots(self, orbit):
         """All p_alpha-th roots mu with mu^p_alpha = prod_s phi(sigma^s a)."""
+        return tuple(mu.scalar() for mu in self.mu_pairs(orbit))
+
+    def mu_pairs(self, orbit):
+        """The roots mu of `mu_roots` on the twist's grid: the canonical
+        root of the orbit product times the p_alpha-th roots of one."""
         p_a = len(orbit)
-        base = canonical_root(self.orbit_phi_product(orbit), p_a)
-        return tuple(base * root_of_unity(p_a, j) for j in range(p_a))
+        base = self.orbit_product_pair(orbit).root(p_a)
+        step = self.grid // p_a
+        return tuple(base * RootPair(1, j * step, self.grid)
+                     for j in range(p_a))
 
     def k_coeffs(self, orbit, mu: CycScalar):
         """k_s = mu^-s phi(a) phi(sigma a) ... phi(sigma^(s-1) a), k_0 = 1,
-        each from the last: k_s = k_(s-1) mu^-1 phi(sigma^(s-1) a)."""
-        out = [ONE]
+        for mu a positive rational times a root of unity."""
+        pair = RootPair.of(mu, self.grid)
+        if pair is None:
+            raise ScalarError(
+                f"{mu} is not a positive rational times a root of unity")
+        return tuple(k.scalar() for k in self.k_pairs(orbit, pair))
+
+    def k_pairs(self, orbit, mu: RootPair):
+        """The k_s of `k_coeffs` for the pair mu, each from the last:
+        k_s = k_(s-1) mu^-1 phi(sigma^(s-1) a)."""
+        out = [self.one]
         if len(orbit) > 1:
             inv = mu.inverse()
             for v in orbit[:-1]:
-                out.append(out[-1] * inv * self.phi(v))
+                out.append(out[-1] * inv * self.phi_pair(v))
         return tuple(out)
 
     # -- obstruction --------------------------------------------------

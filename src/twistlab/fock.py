@@ -158,7 +158,8 @@ class RegularOmega:
             itertools.product(range(-bound, bound + 1), repeat=lat.rank))
         self.lookup = {b: i for i, b in enumerate(self.index)}
         self.size = len(self.index)
-        self._xi = [tuple(as_scalar(x) for x in lat.nu(b))
+        p = lat.p
+        self._xi = [tuple(as_scalar(Fraction(x, p)) for x in lat.nu_p(b))
                     for b in self.index]
 
     def xi(self, i):
@@ -868,7 +869,8 @@ class FockModule:
             except ScalarError:
                 raise FockError(
                     "z-exponent of a vertex operator must be rational")
-            out = x0 - self.lattice.prime_pairing(alpha, alpha) / 2
+            lat = self.lattice
+            out = x0 - Fraction(lat.prime_pairing_p(alpha, alpha), 2 * lat.p)
             self._vertex_exps[key] = out
         return out
 
@@ -1055,7 +1057,9 @@ def heisenberg_commutation_check(M: FockModule, alphas, hs, modes, probes):
                 if n == 0:
                     # only the sigma-fixed part of h has a zero mode:
                     # (h^0 | alpha) = sum_k nu(h)_k alpha_k
-                    pair0 = sum(x * a for x, a in zip(M.lattice.nu(h), alpha))
+                    pair0 = Fraction(
+                        sum(x * a for x, a in zip(M.lattice.nu_p(h), alpha)),
+                        M.lattice.p)
                     comm = comm - ea.scale(pair0)
                 st = coeff_is_zero(M.alg, comm, probes)
                 report.append((f"[{tuple(h)}({n}), e{alpha}]", st))

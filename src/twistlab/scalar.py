@@ -6,6 +6,11 @@ cyclotomic polynomial, over one positive denominator coprime to it, so
 two equal elements always have identical representations.  All of the
 arithmetic is on ints; Fraction appears only where rationals enter or
 leave (rational(), rational_value(), the dense constructor, to_string).
+
+A RootPair is the narrower value q * zeta_n^k, q > 0 rational, kept as
+the integer exponent k on a grid n: products add exponents.  The
+classifier computes in pairs and builds a CycScalar only for a value it
+hands out (RootPair.scalar).
 """
 from __future__ import annotations
 
@@ -475,22 +480,11 @@ class CycScalar:
         Returns (q, M, k) with u = zeta_M^k in lowest form, or None if
         self is not of that shape.
         """
-        if not self.num:
+        parts = _positive_root_parts(self)
+        if parts is None:
             return None
-        if self.n == 1:
-            q = self.rational_value()
-            if q > 0:
-                return q, 1, 0
-            return -q, 2, 1
-        # every root of unity in Q(zeta_n) is zeta_N^e, N = n for even
-        # n and 2n for odd n
-        n = self.n if self.n % 2 == 0 else 2 * self.n
-        for e in range(n):
-            b = self * root_of_unity(n, -e)
-            if b.n == 1 and b.num[0] > 0:
-                g = math.gcd(n, e)
-                return b.rational_value(), n // g, e // g
-        return None
+        c, m, k = parts
+        return Fraction(c, self.den), m, k
 
     # -- conversions --------------------------------------------------
 
@@ -588,6 +582,162 @@ def _rational_nth_root(q: Fraction, r: int) -> Fraction:
     return Fraction(int_root(q.numerator), int_root(q.denominator))
 
 
+def _lowest(k: int, n: int):
+    """(M, j) with zeta_n^k = zeta_M^j in lowest terms, for 0 <= k < n."""
+    g = math.gcd(k, n)
+    return n // g, k // g
+
+
+@lru_cache(maxsize=None)
+def _root_table(n: int) -> dict:
+    """The roots of unity of minimal conductor n > 1, keyed by their
+    numerator tuple: num -> (M, j), zeta_M^j in lowest terms.  They are
+    the +-zeta_n^i with conductor n; every root of unity of Q(zeta_n)
+    lies on the grid N = n (n even) or N = 2n (n odd)."""
+    field = _field(n)
+    big = n if n % 2 == 0 else 2 * n
+    table = {}
+    for i in range(n):
+        root = _canonical(n, _reduce(field, [0] * i + [1]), 1)
+        if root.n != n:
+            continue
+        e = i * (big // n)
+        table[root.num] = _lowest(e, big)
+        if n % 2:
+            # -zeta_n^i = zeta_2n^(2i + n); for even n it is zeta_n^i'
+            table[tuple(-c for c in root.num)] = _lowest((e + n) % big, big)
+    return table
+
+
+def _positive_root_parts(x: CycScalar):
+    """(c, M, j) with x = (c / x.den) * zeta_M^j, c > 0 the content (the
+    gcd) of x.num and zeta_M^j in lowest terms, or None when x is not a
+    positive rational times a root of unity: one table lookup of the
+    primitive numerator num / c."""
+    num = x.num
+    if not num:
+        return None
+    if x.n == 1:
+        c = num[0]
+        return (c, 1, 0) if c > 0 else (-c, 2, 1)
+    c = math.gcd(*num)
+    if c != 1:
+        num = tuple(v // c for v in num)
+    root = _root_table(x.n).get(num)
+    return None if root is None else (c,) + root
+
+
+def _pair(q, k: int, n: int) -> RootPair:
+    s = object.__new__(RootPair)
+    s.q = q
+    s.k = k
+    s.n = n
+    return s
+
+
+class RootPair:
+    """The scalar q * zeta_n^k as the pair (q, k) on the grid n: q > 0
+    rational (an int, usually 1, or a Fraction) and 0 <= k < n.
+
+    The grid is not reduced, so values built on one grid multiply by
+    adding exponents, invert by negating them and take powers by
+    multiplying them; a product of two grids lies on their lcm.
+    Equality compares the value, whatever the grids.  The canonical
+    r-th root is that of `canonical_root`.  `scalar()` builds the
+    CycScalar, and that is where CONDUCTOR_CAP applies: nothing else
+    here meets it."""
+
+    __slots__ = ("q", "k", "n")
+
+    def __init__(self, q, k: int, n: int):
+        if n < 1:
+            raise ScalarError("root order must be positive")
+        if q <= 0:
+            raise ScalarError("the rational part must be positive")
+        self.q = q
+        self.k = k % n
+        self.n = n
+
+    @staticmethod
+    def of(x, grid: int = 1):
+        """x = q * zeta_M^j as a pair on the grid lcm(grid, M), or None
+        when x is not a positive rational times a root of unity."""
+        x = as_scalar(x)
+        parts = _positive_root_parts(x)
+        if parts is None:
+            return None
+        c, m, j = parts
+        q = c if x.den == 1 else Fraction(c, x.den)
+        n = grid if grid % m == 0 else grid * m // math.gcd(grid, m)
+        return _pair(q, j * (n // m), n)
+
+    def __mul__(self, other) -> RootPair:
+        n = self.n
+        if other.n == n:
+            k = self.k + other.k
+            return _pair(self.q * other.q, k - n if k >= n else k, n)
+        m = n * other.n // math.gcd(n, other.n)
+        return _pair(self.q * other.q,
+                     (self.k * (m // n) + other.k * (m // other.n)) % m, m)
+
+    def inverse(self) -> RootPair:
+        q = self.q
+        return _pair(q if q == 1 else 1 / Fraction(q), -self.k % self.n,
+                     self.n)
+
+    def __truediv__(self, other) -> RootPair:
+        return self * other.inverse()
+
+    def __pow__(self, e: int) -> RootPair:
+        q = self.q
+        return _pair(q if q == 1 else Fraction(q) ** e, self.k * e % self.n,
+                     self.n)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not RootPair:
+            return NotImplemented
+        if self.n == other.n:
+            return self.k == other.k and self.q == other.q
+        return self.k * other.n == other.k * self.n and self.q == other.q
+
+    def __hash__(self):
+        return hash((self.q,) + self.lowest())
+
+    def lowest(self):
+        """(M, j) with zeta_n^k = zeta_M^j in lowest terms."""
+        return _lowest(self.k, self.n)
+
+    def root(self, r: int) -> RootPair:
+        """The canonical r-th root q^(1/r) * zeta_(rM)^j of
+        q * zeta_M^j (lowest terms), on the grid lcm(n, rM): no new grid
+        when r divides gcd(n, k).  Raises ScalarError when q has no
+        exact rational r-th root."""
+        if r < 1:
+            raise ScalarError("root index must be positive")
+        q = self.q if self.q == 1 else _rational_nth_root(Fraction(self.q), r)
+        m, j = self.lowest()
+        rm = r * m
+        n = self.n if self.n % rm == 0 else self.n * rm // math.gcd(self.n, rm)
+        return _pair(q, j * (n // rm), n)
+
+    def scalar(self) -> CycScalar:
+        """The CycScalar of the value; raises ConductorOverflow when the
+        order of its root of unity, in lowest terms, exceeds
+        CONDUCTOR_CAP."""
+        m, j = self.lowest()
+        if m > CONDUCTOR_CAP:
+            raise ConductorOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
+        if self.q == 1:
+            return root_of_unity(m, j)
+        return CycScalar.rational(self.q) * root_of_unity(m, j)
+
+    def __repr__(self):
+        return f"RootPair({self.q}, {self.k}, {self.n})"
+
+    def __str__(self):
+        return str(self.scalar())
+
+
 def canonical_root(a: CycScalar, r: int) -> CycScalar:
     """The canonical r-th root of a = q * zeta_M^k: q^(1/r) * zeta_(rM)^k.
 
@@ -597,12 +747,10 @@ def canonical_root(a: CycScalar, r: int) -> CycScalar:
     if r < 1:
         raise ScalarError("root index must be positive")
     a = as_scalar(a)
-    data = a.decompose_positive_root()
-    if data is None:
+    pair = RootPair.of(a)
+    if pair is None:
         raise ScalarError(f"{a} is not a positive rational times a root of unity")
-    q, m, k = data
-    qr = _rational_nth_root(q, r)
-    return CycScalar.rational(qr) * root_of_unity(r * m, k)
+    return pair.root(r).scalar()
 
 
 _TERM_RE = re.compile(

@@ -25,7 +25,14 @@ from twistlab.fock import FockModule, RegularOmega
 from twistlab.lattice import OrbitDecomposition, TwistedLattice
 from twistlab.linalg import det_int, field_rank
 from twistlab.oracle import oracle_bicharacter_blocks, oracle_dual_coset_count
-from twistlab.scalar import ONE, as_scalar, root_of_unity
+from twistlab.scalar import (
+    ONE,
+    CycScalar,
+    RootPair,
+    as_scalar,
+    canonical_root,
+    root_of_unity,
+)
 
 from test_lattice import random_twisted_lattice
 
@@ -273,7 +280,7 @@ def test_failed_block_certificate_raises(monkeypatch):
 
     def doubled(self, coords):
         g, s = real(self, coords)
-        return g, s + s
+        return g, s * RootPair(2, 0, 1)
 
     monkeypatch.setattr(classify._GroupScalars, "psi", doubled)
     with pytest.raises(ClassifyError,
@@ -533,18 +540,17 @@ def test_tau_memo_matches_fresh_algebra(monkeypatch):
 
 def test_enumeration_builds_one_presentation(monkeypatch):
     # sigma = -1 on A1 + A1 twisted: 4 root choices, one admissible; the
-    # enumeration makes the commutator calls of a single root choice
-    # once the obstruction scan is done
+    # enumeration makes the commutator calls (commutator_exponent) of a
+    # single root choice once the obstruction scan is done
     gram, sigma = [[2, 1], [1, 2]], neg(2)
     calls = []
-    real = cocycle.commutator_map
+    real = TwistedLattice.commutator_exponent
 
     def counted(*args):
         calls.append(args)
         return real(*args)
 
-    monkeypatch.setattr(cocycle, "commutator_map", counted)
-    monkeypatch.setattr(classify, "commutator_map", counted)
+    monkeypatch.setattr(TwistedLattice, "commutator_exponent", counted)
 
     def scanned():
         T = twist(gram, sigma)
@@ -707,3 +713,208 @@ def test_finite_quotient_lifts_and_coords():
         if Q.size > 1:
             kinds.add(kind)
     assert kinds == {"eta", "E", "radical"}
+
+
+# ---------------------------------------------------------------------
+# the classifier's scalars against their definitions
+# ---------------------------------------------------------------------
+
+def _scalar_lattices():
+    """The classify_stream pool and 100 random draws."""
+    yield from _pool_lattices()
+    rng = random.Random(5150)
+    for _ in range(100):
+        yield random_twisted_lattice(rng, rank_max=4)
+
+
+def _check_algebra_scalars(T, A, rng):
+    """k_image, e_image, tau, derived_mu and the power relations of A,
+    each against its defining identity in the twisted group algebra,
+    e(a) e(b) = epsilon(a, b) e(a + b), recomputed from the public
+    CycScalars epsilon, phi and k_coeffs.  Returns the number of power
+    relations checked."""
+    lat, P = T.lattice, A.presentation
+    eps = T.epsilon
+    l = lat.rank
+
+    def e_scalar(gamma):
+        s, rep = A.e_image(gamma)
+        return s.scalar(), rep
+
+    # e(d) = epsilon(d, a) k_s^-1 for d = sigma^s a - a on each orbit
+    for j, (orb, mu) in enumerate(zip(A.dec.orbits, A.mu_choice)):
+        ks = T.k_coeffs(orb, mu)
+        assert ks == A.ks[j]
+        for s in range(1, len(orb)):
+            d = tuple(x - y for x, y in zip(orb[s], orb[0]))
+            assert A.k_image(d).scalar() == eps(d, orb[0]) * ks[s].inverse()
+    # the image of K is a twisted character: chi(x) chi(y) =
+    # epsilon(x, y) chi(x + y)
+    kvecs = [tuple(c) for c in P._khnf] or [(0,) * l]
+
+    def in_k():
+        coeffs = [rng.randint(-2, 2) for _ in kvecs]
+        return tuple(sum(a * c[i] for a, c in zip(coeffs, kvecs))
+                     for i in range(l))
+
+    for _ in range(6):
+        x, y = in_k(), in_k()
+        xy = tuple(a + b for a, b in zip(x, y))
+        assert (A.k_image(x) * A.k_image(y)).scalar() == \
+            eps(x, y) * A.k_image(xy).scalar()
+    # e_image respects the group law: e(g1) e(g2) = eps(g1, g2) e(g1 + g2)
+    for _ in range(6):
+        g1 = tuple(rng.randint(-3, 3) for _ in range(l))
+        g2 = tuple(rng.randint(-3, 3) for _ in range(l))
+        s1, r1 = e_scalar(g1)
+        s2, r2 = e_scalar(g2)
+        s12, r12 = e_scalar(tuple(a + b for a, b in zip(g1, g2)))
+        sr, rr = e_scalar(tuple(a + b for a, b in zip(r1, r2)))
+        assert rr == r12
+        assert s1 * s2 * eps(r1, r2) * sr == eps(g1, g2) * s12
+    # the root forced at gamma: e(sigma gamma) = (mu(gamma) / phi(gamma))
+    # e(gamma), and mu(rep_j) is the chosen root
+    for k in range(l):
+        gamma = tuple(1 if i == k else 0 for i in range(l))
+        s_sigma, rep_sigma = e_scalar(lat.apply_sigma(gamma))
+        s_gamma, rep_gamma = e_scalar(gamma)
+        assert rep_sigma == rep_gamma
+        assert A.derived_mu(gamma) == \
+            T.phi(gamma) * s_sigma * s_gamma.inverse()
+    for rep, mu in zip(A.reps, A.mu_choice):
+        assert A.derived_mu(rep) == mu
+    # power relations: e(a)^p = prod_(0<i<p) eps(i a, a) e(p a), with
+    # p a in K
+    for rel in A.power_relations:
+        rep = A.reps[rel.index]
+        theta, rest = e_scalar(tuple(rel.power * x for x in rep))
+        assert not any(rest)
+        for i in range(1, rel.power):
+            theta = theta * eps(tuple(i * x for x in rep), rep)
+        assert rel.theta == theta
+        assert rel.normalizer == canonical_root(theta, rel.power).inverse()
+        assert rel.normalizer ** -rel.power == theta
+    # tau: y_g y_h = tau(g, h) y_(g+h) for y_g = e(lift g)
+    E = A.E
+    elements = list(E.elements())
+    for _ in range(6):
+        g, h = rng.choice(elements), rng.choice(elements)
+        gh = classify._e_add(g, h, E.divisors)
+        tg, th, tgh = E.lift(g), E.lift(h), E.lift(gh)
+        s_sum, rep_sum = e_scalar(tuple(a + b for a, b in zip(tg, th)))
+        s_gh, rep_gh = e_scalar(tgh)
+        assert rep_sum == rep_gh
+        assert A.tau(g, h).scalar() == \
+            eps(tg, th) * s_sum * s_gh.inverse()
+    return len(A.power_relations)
+
+
+def _check_class_e_action(T, A, omega, rng):
+    """ClassOmega.e_act against e(a) e(b) = eps(a, b) e(a + b) and
+    relation (i), e(sigma^s a) = k_s^-1 e(a), on the vacuum lines."""
+    lat = T.lattice
+    l = lat.rank
+    seen = 0
+    for _ in range(12):
+        i = rng.randrange(omega.size)
+        a = tuple(rng.randint(-1, 1) for _ in range(l))
+        b = tuple(rng.randint(-1, 1) for _ in range(l))
+        ab = tuple(x + y for x, y in zip(a, b))
+        first = omega.e_act(b, i)
+        whole = omega.e_act(ab, i)
+        if first is None or whole is None:
+            continue
+        ((j, sb),) = first
+        second = omega.e_act(a, j)
+        if second is None:
+            continue
+        ((m, sa),) = second
+        ((m2, sab),) = whole
+        assert m == m2
+        assert sa * sb == T.epsilon(a, b) * sab
+        seen += 1
+    for orb, mu in zip(A.dec.orbits, A.mu_choice):
+        ks = T.k_coeffs(orb, mu)
+        for i in range(omega.size):
+            base = omega.e_act(orb[0], i)
+            if base is None:
+                continue
+            ((j, s0),) = base
+            for s in range(1, len(orb)):
+                moved = omega.e_act(orb[s], i)
+                if moved is not None:
+                    ((js, ss),) = moved
+                    assert js == j and ss == ks[s].inverse() * s0
+                    seen += 1
+    return seen
+
+
+def _symmetric_twist(lat, rng):
+    """The twist of lat whose epsilon seeds are the default ones times a
+    random symmetric matrix of eighth roots of unity: the commutator map
+    is the same, and epsilon is no longer +-1 on K x Lambda."""
+    seeds = cocycle.build_epsilon(lat)
+    for i in range(lat.rank):
+        for j in range(i, lat.rank):
+            z = root_of_unity(8, rng.randrange(8))
+            seeds[(i, j)] = seeds[(i, j)] * z
+            if i != j:
+                seeds[(j, i)] = seeds[(j, i)] * z
+    return TwistData(lat, eps_seed=seeds)
+
+
+def test_classifier_scalars_match_their_definitions():
+    rng = random.Random(77)
+    algebras = relations = modules = actions = 0
+    for lat in _scalar_lattices():
+        T = _symmetric_twist(lat, rng) if rng.random() < 0.5 \
+            else TwistData(lat)
+        try:
+            res = enumerate_simple_twisted(T)
+        except (ClassifyError, UnsupportedScalar):
+            continue
+        for entry in res.entries:
+            if entry.admissible:
+                relations += _check_algebra_scalars(
+                    T, T.presentation.algebra(entry.mu_choice), rng)
+                algebras += 1
+        if res.classes:
+            cls = res.classes[0]
+            A = T.presentation.algebra(cls.mu_choice)
+            omega = classify.ClassOmega(A, cls.ideal_index, cls.base_weight,
+                                        cls.eta)
+            actions += _check_class_e_action(T, A, omega, rng)
+            modules += 1
+    assert algebras > 150 and relations > 50
+    assert modules > 120 and actions > 2000
+
+
+def test_enumeration_makes_no_cyc_scalar_products(monkeypatch):
+    # on the A2 order-3 fixture the enumeration multiplies, inverts and
+    # raises to powers only RootPairs; CycScalars are built only for the
+    # values it hands out (RootPair.scalar)
+    T = twist(A2, [[0, -1], [1, -1]])
+    outside = []
+    depth = [0]
+    for name in ("__mul__", "inverse", "__pow__"):
+        real = getattr(CycScalar, name)
+
+        def counted(*args, _real=real, _name=name):
+            if not depth[0]:
+                outside.append(_name)
+            return _real(*args)
+
+        monkeypatch.setattr(CycScalar, name, counted)
+    real_scalar = RootPair.scalar
+
+    def converting(self):
+        depth[0] += 1
+        try:
+            return real_scalar(self)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(RootPair, "scalar", converting)
+    res = enumerate_simple_twisted(T)
+    assert len(res.classes) == 3
+    assert outside == []

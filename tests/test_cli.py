@@ -9,6 +9,7 @@ import pytest
 import twistlab
 from twistlab import classify, cli
 from twistlab.classify import ClassifyError
+from twistlab.scalar import RootPair
 from twistlab.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -663,7 +664,7 @@ def test_failed_block_certificate_exit_1(tmp_path, capsys, monkeypatch):
 
     def doubled(self, coords):
         g, s = real(self, coords)
-        return g, s + s
+        return g, s * RootPair(2, 0, 1)
 
     monkeypatch.setattr(classify._GroupScalars, "psi", doubled)
     assert run(tmp_path, EX1_L2, "classify") == EXIT_INVARIANT

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import pytest
 
+from twistlab import scalar as scalar_module
 from twistlab.scalar import (
     ONE,
     ZERO,
     ConductorOverflow,
     CycScalar,
+    RootPair,
     ScalarError,
     canonical_root,
     cyclotomic_poly,
@@ -385,3 +387,119 @@ def test_decompose_positive_root_matches_brute_force():
         assert x.decompose_positive_root() == expect
         found += expect is not None
     assert 100 < found < len(values)
+
+
+def _scan_decompose(x):
+    """The search decompose_positive_root used to make: every root of
+    unity of Q(zeta_n) lies on the grid N = n (n even) or 2n (n odd),
+    so try x * zeta_N^(-e) for e = 0..N-1 until the product is a
+    positive rational."""
+    if x.is_zero():
+        return None
+    if x.n == 1:
+        q = x.rational_value()
+        return (q, 1, 0) if q > 0 else (-q, 2, 1)
+    n = x.n if x.n % 2 == 0 else 2 * x.n
+    for e in range(n):
+        b = x * root_of_unity(n, -e)
+        if b.n == 1 and b.num[0] > 0:
+            g = math.gcd(n, e)
+            return b.rational_value(), n // g, e // g
+    return None
+
+
+def test_decompose_positive_root_matches_the_old_scan():
+    # the closed form (content, then one table lookup per conductor)
+    # against the scan, on q * zeta_M^k for every M <= 60, each k and
+    # q in {1, 2, 1/3}
+    for m in range(1, 61):
+        for k in range(m):
+            root = root_of_unity(m, k)
+            for q in (1, 2, Fraction(1, 3)):
+                x = root * q
+                got = x.decompose_positive_root()
+                assert got == _scan_decompose(x)
+                assert got[0] == q and got[1:] == (m // math.gcd(m, k),
+                                                   k // math.gcd(m, k))
+    for x in (ONE + root_of_unity(5), ZERO):
+        assert x.decompose_positive_root() is None
+        assert _scan_decompose(x) is None
+
+
+def _random_pair(rng, grid):
+    """A random pair on the grid, with q = 1 half of the time."""
+    q = 1 if rng.random() < 0.5 else Fraction(rng.randint(1, 9),
+                                              rng.randint(1, 9))
+    return RootPair(q, rng.randrange(grid), grid)
+
+
+def _cyc(pair):
+    """q * zeta_n^k by CycScalar arithmetic."""
+    return CycScalar.rational(pair.q) * root_of_unity(pair.n, pair.k)
+
+
+def test_root_pair_arithmetic_matches_cyc_scalar():
+    # each pair operation against the same operation on CycScalars, the
+    # independent route; grids are mixed so products change grid
+    rng = random.Random(61)
+    grids = (1, 2, 3, 4, 6, 8, 12, 24, 30, 40)
+    for _ in range(300):
+        a = _random_pair(rng, rng.choice(grids))
+        b = _random_pair(rng, rng.choice(grids))
+        ca, cb = _cyc(a), _cyc(b)
+        assert a.scalar() == ca
+        assert str(a) == str(ca)
+        assert RootPair.of(ca) == a
+        assert RootPair.of(ca, 120).n == 120
+        e = rng.randint(-5, 5)
+        for pair, value in ((a * b, ca * cb), (a / b, ca / cb),
+                            (a.inverse(), ca.inverse()), (a ** e, ca ** e)):
+            assert 0 <= pair.k < pair.n
+            assert pair.scalar() == value
+            assert pair == RootPair.of(value, pair.n)
+        assert (a == b) == (ca == cb)
+        assert (a * b == b * a) and hash(a * b) == hash(b * a)
+        # the same value on a finer grid is equal and hashes alike
+        finer = a * RootPair(1, 0, 7 * a.n)
+        assert finer.n == 7 * a.n and finer == a and hash(finer) == hash(a)
+        for r in (1, 2, 3, 4):
+            if a.q == 1 or all(round(x ** (1 / r)) ** r == x
+                               for x in (a.q.numerator, a.q.denominator)):
+                root = a.root(r)
+                assert root.scalar() == canonical_root(ca, r)
+                assert root ** r == a
+    assert RootPair.of(ONE + root_of_unity(5)) is None
+    assert RootPair.of(ZERO) is None
+
+
+def test_root_pair_rational_parts():
+    # q != 1: the phi seed 2 of an identity twist, its inverse and its
+    # exact and inexact roots
+    two = RootPair.of(CycScalar.rational(2), 4)
+    assert (two.q, two.k, two.n) == (2, 0, 4)
+    assert (two * two).scalar() == CycScalar.rational(4)
+    assert two.inverse().scalar() == CycScalar.rational(Fraction(1, 2))
+    assert (two ** -3).scalar() == CycScalar.rational(Fraction(1, 8))
+    four_i = RootPair(4, 1, 4)
+    assert four_i.root(2).scalar() == CycScalar.rational(2) * root_of_unity(8)
+    with pytest.raises(ScalarError, match="no exact integer 2-th root"):
+        two.root(2)
+    with pytest.raises(ScalarError, match="no exact integer 3-th root"):
+        RootPair(Fraction(1, 2), 1, 3).root(3)
+    with pytest.raises(ScalarError):
+        RootPair(0, 1, 3)
+
+
+def test_root_pair_conversion_meets_the_conductor_cap(monkeypatch):
+    # the cap applies where a pair becomes a CycScalar, to the order of
+    # its root in lowest terms, not to the grid the pair is kept on
+    monkeypatch.setattr(scalar_module, "CONDUCTOR_CAP", 4)
+    quarter = RootPair(1, 3, 12)
+    assert quarter.scalar() == root_of_unity(4, 1)
+    # products and roots on the grid do not meet the cap
+    assert (quarter * RootPair(1, 1, 12)).k == 4
+    assert quarter.root(3).n == 12
+    with pytest.raises(ConductorOverflow):
+        RootPair(1, 1, 12).scalar()
+    with pytest.raises(ConductorOverflow):
+        canonical_root(root_of_unity(4, 1), 2)
