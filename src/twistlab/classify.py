@@ -217,8 +217,9 @@ class Presentation:
     None.  The commutation constants, E and the radical are computed
     when first asked for and raise their errors each time they are
     asked for, so a root choice that collapses earlier never meets their
-    checks or caps.  `algebra` keeps the algebra of each root choice,
-    and `mu_parts` the mu-independent part of each derived root."""
+    checks or caps.  It keeps what the root choices share: the algebra
+    of each root choice (`algebra`), and the mu-independent parts of
+    the relation scalars (`k_parts`) and derived roots (`mu_parts`)."""
 
     def __init__(self, twist: TwistData):
         self.twist = twist
@@ -250,8 +251,6 @@ class Presentation:
                 if any(col):
                     self._khnf.append(tuple(col))
         self._k_parts = {}
-        self._e_parts = {}
-        self._tau_parts = {}
         # scalar relations must commute with the whole group algebra:
         # C(sigma^s a - a, e_k) = zeta_p^(-s (a^T G N)_k), so the first
         # orbit whose rep has (a^T G N)_k != 0 mod p fails at s = 1
@@ -320,16 +319,6 @@ class Presentation:
                     g[i] -= q * col[i]
         return tuple(g)
 
-    def e_parts(self, gamma):
-        """(factor, d, rep) with e(gamma) = factor * e(d) * e(rep), d in
-        K and rep the canonical representative."""
-        if gamma not in self._e_parts:
-            rep = self.rep_of(gamma)
-            d = _vec_sub(gamma, rep)
-            self._e_parts[gamma] = (
-                self.twist.epsilon_pair(d, rep).inverse(), d, rep)
-        return self._e_parts[gamma]
-
     def mu_parts(self, gamma):
         """(factor, d, length, product) with the root forced at gamma
         equal to factor * e(d), d = sigma gamma - gamma in K (None when
@@ -348,19 +337,6 @@ class Presentation:
             parts = self._mu_parts[gamma] = (
                 factor, d, len(orb), twist.orbit_product_pair(orb))
         return parts
-
-    def tau_parts(self, g, h):
-        """(factor, delta) with tau(g, h) = factor * e(delta), delta in K."""
-        key = (g, h)
-        if key not in self._tau_parts:
-            E = self.E
-            tg, th = E.lift(g), E.lift(h)
-            tgh = E.lift(_e_add(g, h, E.divisors))
-            delta = _vec_sub(_vec_add(tg, th), tgh)
-            self._tau_parts[key] = (
-                self.twist.epsilon_pair(tg, th)
-                * self.twist.epsilon_pair(delta, tgh).inverse(), delta)
-        return self._tau_parts[key]
 
     # -- generating-set invariants, computed on first use --------------
 
@@ -416,11 +392,6 @@ class Presentation:
                 f"{E.size}^2 of the degree-zero component exceed the "
                 f"work cap {MAX_WORK}")
         return E
-
-    def bichar(self, g, h) -> CycScalar:
-        """Commutator bicharacter on E: b(g, h) with
-        y_g y_h = b(g, h) y_h y_g."""
-        return commutator_map(self.lattice, self.E.lift(g), self.E.lift(h))
 
     def bichar_exponent(self, g, h) -> int:
         """k with b(g, h) = zeta_(2p)^k, 0 <= k < 2p."""
@@ -559,8 +530,11 @@ class PresentedAlgebraA:
         """(scalar, rep) with e(gamma) = scalar * e(rep) in A."""
         gamma = tuple(gamma)
         if gamma not in self._e_cache:
-            factor, d, rep = self.presentation.e_parts(gamma)
-            self._e_cache[gamma] = (factor * self.k_image(d), rep)
+            rep = self.presentation.rep_of(gamma)
+            d = _vec_sub(gamma, rep)
+            self._e_cache[gamma] = (
+                self.twist.epsilon_pair(d, rep).inverse() * self.k_image(d),
+                rep)
         return self._e_cache[gamma]
 
     def derived_mu(self, gamma) -> CycScalar:
@@ -587,14 +561,21 @@ class PresentedAlgebraA:
         """Multiplication scalar: y_g y_h = tau(g, h) y_(g+h)."""
         key = (tuple(g), tuple(h))
         if key not in self._tau_cache:
-            factor, delta = self.presentation.tau_parts(*key)
-            self._tau_cache[key] = factor * self.k_image(delta)
+            E, twist = self.presentation.E, self.twist
+            tg, th = E.lift(key[0]), E.lift(key[1])
+            tgh = E.lift(_e_add(*key, E.divisors))
+            delta = _vec_sub(_vec_add(tg, th), tgh)
+            self._tau_cache[key] = (
+                twist.epsilon_pair(tg, th)
+                * twist.epsilon_pair(delta, tgh).inverse()
+                * self.k_image(delta))
         return self._tau_cache[key]
 
     def bichar(self, g, h) -> CycScalar:
         """Commutator bicharacter on E: b(g, h) with
         y_g y_h = b(g, h) y_h y_g."""
-        return self.presentation.bichar(g, h)
+        E = self.presentation.E
+        return commutator_map(self.lattice, E.lift(g), E.lift(h))
 
     @cached_property
     def block_decomposition(self) -> ADecomposition:
@@ -804,7 +785,7 @@ def admissible_base_weight(A: PresentedAlgebraA):
                                Fraction(c[k], D))
         return True, tuple(Fraction(0) for _ in range(l))
     M = lat.fixed_pairing
-    d, u, v = snf([list(r) for r in M])
+    d, u, v = lat.fixed_pairing_snf
     uc = mat_vec(u, c)
     diag = [d[i][i] if i < min(l, f) else 0 for i in range(l)]
     for i in range(l):

@@ -67,10 +67,10 @@ class TwistData:
     of one (mu^p_a = product, p_a | p).  The `_pair` methods give those
     values; the others are their CycScalars.  The seeds are fixed at
     construction and must not be changed afterwards: phi keeps its
-    value per vector and its product per orbit, the obstruction scan
-    keeps its one verdict on the lattice's generating set, and
-    `presentation` is the classifier's presentation of the algebra A,
-    built once, for as long as the object lives."""
+    value per vector as its pair (`phi_pair`) and its product per
+    orbit, the obstruction scan keeps its one verdict on the lattice's
+    generating set, and `presentation` is the classifier's presentation
+    of the algebra A, built once, for as long as the object lives."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
@@ -110,7 +110,6 @@ class TwistData:
         self.one = RootPair(1, 0, self.grid)
         self._phi_seeds = {i: x * self.one for i, x in pairs.items()}
         self._phi_pairs = {}
-        self._phi = {}
         self._orbit_products = {}
 
     @staticmethod
@@ -204,11 +203,7 @@ class TwistData:
     def phi(self, alpha) -> CycScalar:
         """The 1-cocycle: extension of the seed values with dphi(a,b) =
         eps(sigma a, sigma b)/eps(a, b)."""
-        alpha = tuple(alpha)
-        out = self._phi.get(alpha)
-        if out is None:
-            out = self._phi[alpha] = self.phi_pair(alpha).scalar()
-        return out
+        return self.phi_pair(alpha).scalar()
 
     def phi_pair(self, alpha) -> RootPair:
         """phi(alpha) on the twist's grid, kept per vector."""

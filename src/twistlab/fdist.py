@@ -632,8 +632,8 @@ def verify_axioms(family, which, slots, locality, probes=None):
                         for i in range(nloc - n + 1):
                             term = iterated_derive(
                                 prod(sb, sa, n + i, nb, na), i
-                            ).scale(Fraction(
-                                (-1) ** (n + i + 1) * sign, _factorial(i)))
+                            ).scale(Fraction((-1) ** (n + i + 1) * sign,
+                                             math.factorial(i)))
                             terms.append(term)
                         rhs = sum_series(sa.alg, terms, parity=lhs.parity)
                         pairs = series_compare(lhs, rhs, slots, probes)
@@ -668,14 +668,6 @@ def verify_axioms(family, which, slots, locality, probes=None):
         else:
             raise FdistError(f"unknown axiom tag {tag}")
     return report
-
-
-@lru_cache(maxsize=None)
-def _factorial(n: int) -> int:
-    out = 1
-    for i in range(2, n + 1):
-        out *= i
-    return out
 
 
 def _assoc_check(sa, sb, sc, n, m, loc, na, nb, nc, slots, probes):

@@ -11,10 +11,11 @@ A vector with no terms, zero or poisoned, is a fixed point of every
 operator: FockOp.apply and FockModule.mode_apply return it unchanged.
 Every Fock linear combination (an operator sum, difference or multiple,
 a product coefficient, a vertex-operator coefficient, the Virasoro
-double sum) adds its scaled summands into one dict (_summed); the first
-poisoned summand is the result, and the summands after it are never
-evaluated.  Operator sums are flat lists of (operator, coefficient)
-parts, not nested closures.
+double sum, e(alpha) on the vacuum lines, the creation exponential, the
+reconstruction and pair-expansion sums) adds its scaled summands into
+one dict (_summed); the first poisoned summand is the result, and the
+summands after it are never evaluated.  Operator sums are flat lists of
+(operator, coefficient) parts, not nested closures.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from .cocycle import TwistData, locality_order
 from .fdist import (
     GenSeries,
     WindowUnderflow,
-    _factorial,
     _frac,
     _grid_int,
     coeff_is_zero,
@@ -662,24 +662,22 @@ class FockModule:
         return FockOp(self, lambda v: self.mode_apply(coords, ms, v), 0)
 
     def e_op(self, alpha) -> FockOp:
+        """e(alpha): each line moved by the vacuum space's action; a
+        line that leaves the window poisons the result."""
         alpha = tuple(alpha)
 
-        def fn(v):
-            out = {}
-            poisoned = v.poisoned
+        def summands(v):
             for (word, iota), coeff in v.terms.items():
                 images = self.omega.e_act(alpha, iota)
                 if images is None:
-                    poisoned = True
-                    continue
+                    yield FockVector._of(self, {}, True), ONE
+                    return
                 for iota2, s in images:
-                    key = (word, iota2)
-                    val = coeff * s
-                    out[key] = out.get(key, ZERO) + val
-            return FockVector(self, out, poisoned)
+                    yield FockVector._of(self, {(word, iota2): coeff * s}), ONE
 
         par = self.lattice.pairing(alpha, alpha) % 2
-        return FockOp(self, fn, par)
+        return FockOp(
+            self, lambda v: _summed(self, summands(v), v.poisoned), par)
 
     # -- series builders ----------------------------------------------
 
@@ -809,7 +807,7 @@ class FockModule:
                         cur = self.mode_apply(coords, n, cur)
                         if cur.is_zero() and not cur.poisoned:
                             break
-                        coef = ratio ** k / _factorial(k)
+                        coef = ratio ** k / math.factorial(k)
                         new.append((cur.scale(coef), e + k * n))
                         k += 1
                 results = new
@@ -830,17 +828,15 @@ class FockModule:
         qs = self.basis.qs
         modes = [u for u in range(1, target + 1)
                  if any(c and qs[j] == -u % p for j, c in enumerate(coords))]
-        out = FockVector(self, {})
 
-        def rec(idx, cur, left, scale):
-            nonlocal out
+        def summands(idx, cur, left, scale):
             if left == 0:
-                out = out + cur.scale(scale)
+                yield cur, as_scalar(scale)
                 return
             if idx >= len(modes):
                 return
             u = modes[idx]
-            rec(idx + 1, cur, left, scale)
+            yield from summands(idx + 1, cur, left, scale)
             ratio = Fraction(sign * p, u)
             k = 1
             acc = cur
@@ -848,12 +844,11 @@ class FockModule:
                 acc = self.mode_apply(coords, -u, acc)
                 if acc.is_zero() and not acc.poisoned:
                     break
-                rec(idx + 1, acc, left - k * u,
-                    scale * ratio ** k / _factorial(k))
+                yield from summands(idx + 1, acc, left - k * u,
+                                    scale * ratio ** k / math.factorial(k))
                 k += 1
 
-        rec(0, v, target, Fraction(1))
-        return out
+        return _summed(self, summands(0, v, target, Fraction(1)))
 
     def vertex_exponent(self, alpha, iota) -> Fraction:
         """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line,
@@ -962,7 +957,7 @@ def partition_rhs(M: FockModule, alpha, beta, n: int):
             r = part[j]
             for _ in range(r):
                 s = nth_product(at, s, -j, 2)
-            coef *= Fraction(1, j) ** r / _factorial(r)
+            coef *= Fraction(1, j) ** r / math.factorial(r)
         pieces.append(s.scale(coef))
     out = sum_series(M.alg, pieces, parity=base.parity)
     return out.scale(M.twist.kappa(alpha, beta))
@@ -1088,27 +1083,28 @@ def e_group_checks(M: FockModule, pairs, probes):
 def _reconstruct_coeff(M: FockModule, alpha, coords, e, v: FockVector):
     """z^e coefficient of E_-^(-1) X_alpha(z) E_+^(-1) z^(-alpha(0))
     z^((alpha'|alpha')/2) applied to v."""
-    out = FockVector(M, {}, v.poisoned)
     p = M.p
-    for (word, iota), coeff in v.terms.items():
-        base = FockVector(M, {(word, iota): coeff})
-        b_exp = -M.vertex_exponent(alpha, iota)
-        # e1 and f2 are scaled by p
-        for (v1, e1) in M._ann_expand(coords, base, sign=1):
-            if v1.is_zero():
-                continue
-            bound = _floor_int((e + v1.max_degree() - M.floor) * p) + e1
-            for f2 in range(bound + 1):
-                if f2 > M.cap:
-                    # genuinely contributing creations past the
-                    # truncation cannot be evaluated
-                    out = FockVector(M, out.terms, True)
-                    break
-                m = -1 - e + b_exp + Fraction(f2 - e1, p)
-                v2 = M.vertex_coeff(alpha, m).apply(v1)
-                v3 = M._cre_expand(coords, v2, f2, sign=-1)
-                out = out + v3
-    return out
+
+    def summands():
+        for (word, iota), coeff in v.terms.items():
+            base = FockVector(M, {(word, iota): coeff})
+            b_exp = -M.vertex_exponent(alpha, iota)
+            # e1 and f2 are scaled by p
+            for (v1, e1) in M._ann_expand(coords, base, sign=1):
+                if v1.is_zero():
+                    continue
+                bound = _floor_int((e + v1.max_degree() - M.floor) * p) + e1
+                for f2 in range(bound + 1):
+                    if f2 > M.cap:
+                        # genuinely contributing creations past the
+                        # truncation cannot be evaluated
+                        yield FockVector._of(M, {}, True), ONE
+                        return
+                    m = -1 - e + b_exp + Fraction(f2 - e1, p)
+                    v2 = M.vertex_coeff(alpha, m).apply(v1)
+                    yield M._cre_expand(coords, v2, f2, sign=-1), ONE
+
+    return _summed(M, summands(), v.poisoned)
 
 
 def reconstruct_e(M: FockModule, alpha, exps, probes):
@@ -1153,12 +1149,7 @@ def _pair_kernel_terms(M: FockModule, alpha, beta, kz_max):
             for (vw, vz), c2 in fac.items():
                 if uz + vz > kz_max:
                     continue
-                key = (uw + vw, uz + vz)
-                val = new.get(key, ZERO) + c1 * c2
-                if val:
-                    new[key] = val
-                elif key in new:
-                    del new[key]
+                _add_term(new, (uw + vw, uz + vz), c1 * c2)
         terms = new
     return [(k[0], k[1], v) for k, v in terms.items()]
 
@@ -1184,6 +1175,25 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
            for zs in zslots for az in azs])
     kterms = _pair_kernel_terms(M, alpha, beta, kz_bound)
     p = M.p
+
+    def summands(v, wsf, zsf):
+        for (word, iota), coeff in v.terms.items():
+            base = FockVector(M, {(word, iota): coeff})
+            az, aw = azs[iota], aws[iota]
+            # e1, e2, f1, f2 are scaled by p
+            for (v1, e1) in M._ann_expand(cb, base):
+                for (v2, e2) in M._ann_expand(ca, v1):
+                    for (kw, kz, kc) in kterms:
+                        f1 = (-zsf - 1 - az - kz) * p + e1
+                        if f1 < 0 or f1.denominator != 1:
+                            continue
+                        f2 = (-wsf - 1 - aw - kw) * p + e2
+                        if f2 < 0 or f2.denominator != 1:
+                            continue
+                        v3 = M._cre_expand(cb, v2, f1.numerator)
+                        v4 = M._cre_expand(ca, v3, f2.numerator)
+                        yield e_ab.apply(v4), kc
+
     report = []
     for ws in wslots:
         for zs in zslots:
@@ -1192,23 +1202,7 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
             for v in probes:
                 lhs = M.vertex_coeff(alpha, wsf).apply(
                     M.vertex_coeff(beta, zsf).apply(v))
-                rhs = FockVector(M, {}, v.poisoned)
-                for (word, iota), coeff in v.terms.items():
-                    base = FockVector(M, {(word, iota): coeff})
-                    az, aw = azs[iota], aws[iota]
-                    # e1, e2, f1, f2 are scaled by p
-                    for (v1, e1) in M._ann_expand(cb, base):
-                        for (v2, e2) in M._ann_expand(ca, v1):
-                            for (kw, kz, kc) in kterms:
-                                f1 = (-zsf - 1 - az - kz) * p + e1
-                                if f1 < 0 or f1.denominator != 1:
-                                    continue
-                                f2 = (-wsf - 1 - aw - kw) * p + e2
-                                if f2 < 0 or f2.denominator != 1:
-                                    continue
-                                v3 = M._cre_expand(cb, v2, f1.numerator)
-                                v4 = M._cre_expand(ca, v3, f2.numerator)
-                                rhs = rhs + e_ab.apply(v4).scale(kc)
+                rhs = _summed(M, summands(v, wsf, zsf), v.poisoned)
                 statuses.append(vector_status(lhs - rhs.scale(eps)))
             report.append(((wsf, zsf), worst_status(statuses)))
     return report

@@ -5,7 +5,8 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property
 
-from .linalg import det_int, hnf_columns, identity, kernel_basis, mat_mul, mat_vec
+from .linalg import (
+    det_int, hnf_columns, identity, kernel_basis, mat_mul, mat_vec, snf)
 
 MAX_ORDER_SEARCH = 10000
 
@@ -154,6 +155,11 @@ class TwistedLattice:
             tuple(sum(f[j] * self.gram[j][k] for j in range(self.rank))
                   for f in F)
             for k in range(self.rank))
+
+    @cached_property
+    def fixed_pairing_snf(self):
+        """The Smith form (d, u, v) of `fixed_pairing`: u M v = d."""
+        return snf([list(r) for r in self.fixed_pairing])
 
     def orbit(self, alpha):
         """The sigma-orbit of alpha as a tuple, starting at alpha."""

@@ -2,7 +2,7 @@
 in a lattice and generic field elimination used throughout the package."""
 from __future__ import annotations
 
-from math import gcd
+import math
 
 
 # -- integer matrices (lists of lists of int) -------------------------
@@ -295,7 +295,7 @@ class IntegerCoords:
         self.rank = r = len(cols)
         if r > n:
             raise ValueError("columns are linearly dependent")
-        self.scale = lcm_list([x.denominator for c in cols for x in c])
+        self.scale = math.lcm(*(x.denominator for c in cols for x in c))
         # the integer columns s C
         self.columns = [_numerators(c, self.scale) for c in cols]
         d, self._u, self._v = snf(
@@ -329,10 +329,3 @@ def field_rank(a, one) -> int:
         return 0
     _, pivots = field_rref(a, one)
     return len(pivots)
-
-
-def lcm_list(xs) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // gcd(out, x)
-    return out

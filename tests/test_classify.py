@@ -20,6 +20,7 @@ from twistlab.classify import (
     twisted_conditions,
 )
 from twistlab import classify, cocycle
+from twistlab import lattice as lattice_module
 from twistlab.cocycle import TwistData
 from twistlab.fock import FockModule, RegularOmega
 from twistlab.lattice import OrbitDecomposition, TwistedLattice
@@ -329,6 +330,27 @@ def test_admissibility_filters_roots():
     ok_minus, _wit = admissible_base_weight(
         PresentedAlgebraA(T, dec, (as_scalar(-1),)))
     assert not ok_minus
+
+
+def test_enumeration_takes_one_fixed_pairing_smith_form(monkeypatch):
+    # the swap of A1 + A1 fixes (1, 1) and has two admissible root
+    # choices; the Smith form of the fixed pairing is the lattice's, so
+    # the enumeration takes it once, not once per admissible choice
+    T = twist([[2, 0], [0, 2]], [[0, 1], [1, 0]])
+    M = [list(r) for r in T.lattice.fixed_pairing]
+    calls = []
+    real = lattice_module.snf
+
+    def counted(a):
+        calls.append(a)
+        return real(a)
+
+    monkeypatch.setattr(lattice_module, "snf", counted)
+    monkeypatch.setattr(classify, "snf", counted)
+    res = enumerate_simple_twisted(T)
+    assert sum(e.admissible for e in res.entries) == 2
+    assert calls.count(M) == 1
+    assert T.lattice.fixed_pairing_snf is T.lattice.fixed_pairing_snf
 
 
 # ---------------------------------------------------------------------

@@ -300,6 +300,7 @@ def test_phi_memo_matches_fresh_twist():
     for v in box:
         assert td.phi(v) is td.phi(v)
         assert td.phi(list(v)) is td.phi(v)
+        assert td.phi_pair(v) is td.phi_pair(v)
     for v in box:
         assert td.phi(v) == TwistData(lat).phi(v)
 

@@ -392,6 +392,33 @@ def test_operator_sum_stops_at_poison():
     assert calls == ["Q", "Q"]
 
 
+def test_e_op_stops_at_the_first_line_outside_the_window():
+    M = untwisted_module(trunc=2, bound=1)
+    omega = M.omega
+    lines = [omega.lookup[(b,)] for b in (1, 0, -1)]
+    calls = []
+    real = omega.e_act
+
+    def e_act(alpha, i):
+        calls.append(omega.index[i])
+        return real(alpha, i)
+
+    omega.e_act = e_act
+    e = M.e_op((1,))
+    # e(1) moves the line (1,) out of the window: the lines after it
+    # are never moved
+    v = FockVector(M, {((), i): ONE for i in lines})
+    assert e.apply(v) == FockVector(M, {}, poisoned=True)
+    assert calls == [(1,)]
+    # lines that stay inside are all moved
+    calls.clear()
+    w = FockVector(M, {((), i): ONE for i in lines[1:]})
+    eps = M.twist.epsilon
+    assert e.apply(w) == (M.vacuum(lines[0]).scale(eps((1,), (0,)))
+                          + M.vacuum(lines[1]).scale(eps((1,), (-1,))))
+    assert calls == [(0,), (-1,)]
+
+
 def _recording_series(M, name, calls, poison_slot):
     """Series whose slot-k coefficient records ('name', k) when applied,
     except at poison_slot, where it creates past the truncation."""
