@@ -19,6 +19,7 @@ summands after it are never evaluated.  Operator sums are flat lists of
 """
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -42,7 +43,7 @@ from .fdist import (
     worst_status,
     zero_series,
 )
-from .linalg import field_inverse, field_rref, field_solve
+from .linalg import field_inverse, field_rref
 from .scalar import CycScalar, ONE, ZERO, ScalarError, as_scalar, root_of_unity
 
 
@@ -73,7 +74,9 @@ def _scaled(m, p: int):
 class GradedBasis:
     """Eigenbasis h_1..h_l of the complexified lattice space with
     sigma h_j = omega^(q_j) h_j, the pairing matrix in that basis, and
-    dual bases for the Virasoro sums."""
+    dual bases for the Virasoro sums.  Everything is built once from
+    the lattice's integer tables; the only eliminations are the RREF
+    of each eigenprojector and the inverse of the pairing."""
 
     def __init__(self, lattice):
         self.lattice = lattice
@@ -91,7 +94,7 @@ class GradedBasis:
                     dense = [0] * p
                     for s in range(p):
                         dense[(-q * s) % p] += pows[s][i][k]
-                    row.append(CycScalar(p, [Fraction(c, p) for c in dense]))
+                    row.append(CycScalar.from_ints(p, dense, p))
                 rows.append(row)
             rref, pivots = field_rref(rows, ONE)
             for r in rref[:len(pivots)]:
@@ -101,10 +104,12 @@ class GradedBasis:
             raise FockError("automorphism is not semisimple over Q(omega)")
         self.qs = tuple(qs)
         self.vecs = tuple(vecs)
+        # G h_j, each entry the lattice pairing (e_a | h_j)
         g = lattice.gram
+        gh = [[sum((h[b] * g[a][b] for b in range(l) if g[a][b]), ZERO)
+               for a in range(l)] for h in vecs]
         self.pairing = [
-            [sum((vecs[i][a] * as_scalar(g[a][b]) * vecs[j][b]
-                  for a in range(l) for b in range(l)), ZERO)
+            [sum((vecs[i][a] * gh[j][a] for a in range(l)), ZERO)
              for j in range(l)] for i in range(l)]
         for i in range(l):
             for j in range(l):
@@ -119,6 +124,11 @@ class GradedBasis:
         # minv[i][j] h_i, so that (h_i | beta_j) = delta_ij
         self.duals = tuple(
             tuple(minv[i][j] for i in range(l)) for j in range(l))
+        # a lattice vector v = sum_j c_j h_j has c_j = (v | beta_j) =
+        # sum_a v_a (e_a | beta_j): row j holds the (e_a | beta_j)
+        self.coord_rows = tuple(
+            tuple(sum((gh[i][a] * minv[i][j] for i in range(l)), ZERO)
+                  for a in range(l)) for j in range(l))
         self.residues = tuple(Fraction(q, p) for q in qs)
         # the eigen-coordinates of each h_j alone
         self.units = tuple(tuple(ONE if j == i else ZERO for j in range(l))
@@ -126,17 +136,15 @@ class GradedBasis:
         self._decomp_cache = {}
 
     def decompose(self, vec):
-        """Coordinates of a lattice-basis vector in the eigenbasis."""
+        """Coordinates of a lattice-basis vector in the eigenbasis, kept
+        per vector."""
         key = tuple(vec)
-        if key not in self._decomp_cache:
-            l = self.lattice.rank
-            h = [[self.vecs[j][k] for j in range(l)] for k in range(l)]
-            b = [as_scalar(x) for x in vec]
-            sol = field_solve(h, b, ONE)
-            if sol is None:
-                raise FockError("eigenbasis does not span")
-            self._decomp_cache[key] = tuple(sol)
-        return self._decomp_cache[key]
+        out = self._decomp_cache.get(key)
+        if out is None:
+            out = self._decomp_cache[key] = tuple(
+                sum((c * x for c, x in zip(row, key) if x), ZERO)
+                for row in self.coord_rows)
+        return out
 
 
 # ---------------------------------------------------------------------
@@ -152,14 +160,12 @@ class RegularOmega:
         self.twist = twist
         lat = twist.lattice
         self.bound = bound
-        import itertools
-
         self.index = list(
             itertools.product(range(-bound, bound + 1), repeat=lat.rank))
         self.lookup = {b: i for i, b in enumerate(self.index)}
         self.size = len(self.index)
         p = lat.p
-        self._xi = [tuple(as_scalar(Fraction(x, p)) for x in lat.nu_p(b))
+        self._xi = [tuple(CycScalar.from_ints(1, [x], p) for x in lat.nu_p(b))
                     for b in self.index]
 
     def xi(self, i):
@@ -630,7 +636,7 @@ class FockModule:
                     _add_term(out, key, coeff * c)
         elif ms > 0:
             pairing = self.basis.pairing
-            fm = CycScalar.rational(Fraction(ms, self.p))
+            fm = CycScalar.from_ints(1, [ms], self.p)
             facs = {}
             for (word, iota), coeff in v.terms.items():
                 for pos, (mm, jj) in enumerate(word):

@@ -5,7 +5,8 @@ the element is an integer numerator vector, reduced modulo the N-th
 cyclotomic polynomial, over one positive denominator coprime to it, so
 two equal elements always have identical representations.  All of the
 arithmetic is on ints; Fraction appears only where rationals enter or
-leave (rational(), rational_value(), the dense constructor, to_string).
+leave (rational(), rational_value(), the dense constructor, to_string);
+from_ints builds an element from integer coordinates directly.
 
 A RootPair is the narrower value q * zeta_n^k, q > 0 rational, kept as
 the integer exponent k on a grid n: products add exponents.  The
@@ -290,11 +291,18 @@ class CycScalar:
         """The element sum_k dense[k] zeta_n^k, for any rationals."""
         dense = [Fraction(x) for x in dense]
         den = math.lcm(*(x.denominator for x in dense))
-        vec = _reduce(_field(n), [int(x * den) for x in dense])
-        s = _canonical(n, vec, den)
+        s = CycScalar.from_ints(n, [int(x * den) for x in dense], den)
         self.n, self.num, self.den = s.n, s.num, s.den
 
     # -- constructors -------------------------------------------------
+
+    @staticmethod
+    def from_ints(n: int, dense: list[int], den: int = 1) -> CycScalar:
+        """The element (sum_k dense[k] zeta_n^k) / den for integers
+        dense[k] and den > 0: reduced mod Phi_n, then canonical."""
+        if n == 1:
+            return _rational(sum(dense), den)
+        return _canonical(n, _reduce(_field(n), list(dense)), den)
 
     @staticmethod
     def rational(q) -> CycScalar:

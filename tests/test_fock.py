@@ -33,9 +33,12 @@ from twistlab.fdist import (
     nth_product_kernel,
     series_compare,
 )
+from twistlab import fock, linalg
 from twistlab.lattice import TwistedLattice
-from twistlab.scalar import CycScalar, ONE, ZERO, root_of_unity
+from twistlab.linalg import field_inverse, field_rref, field_solve
+from twistlab.scalar import CycScalar, ONE, ZERO, as_scalar, root_of_unity
 
+from test_golden import TL, W
 from test_lattice import A1x2, ROT4
 
 
@@ -104,6 +107,96 @@ def test_graded_basis_duals_are_dual():
 def test_graded_basis_rejects_degenerate_pairing():
     with pytest.raises(Exception):
         GradedBasis(TwistedLattice([[0]], [[1]]))
+
+
+def _witness_basis(lat):
+    """qs, vecs, pairing and duals by the elimination route: projector
+    entries as Fraction-dense CycScalars, their RREF, the pairing as an
+    l^4 double sum, and its inverse."""
+    p, l = lat.p, lat.rank
+    qs, vecs = [], []
+    for q in range(p):
+        rows = []
+        for k in range(l):
+            row = []
+            for i in range(l):
+                dense = [Fraction(0)] * p
+                for s in range(p):
+                    dense[(-q * s) % p] += Fraction(lat.sigma_pows[s][i][k], p)
+                row.append(CycScalar(p, dense))
+            rows.append(row)
+        rref, pivots = field_rref(rows, ONE)
+        for r in rref[:len(pivots)]:
+            qs.append(q)
+            vecs.append(tuple(r))
+    g = lat.gram
+    pairing = [[sum((vecs[i][a] * as_scalar(g[a][b]) * vecs[j][b]
+                     for a in range(l) for b in range(l)), ZERO)
+                for j in range(l)] for i in range(l)]
+    minv = field_inverse(pairing, ONE)
+    duals = tuple(tuple(minv[i][j] for i in range(l)) for j in range(l))
+    return tuple(qs), tuple(vecs), pairing, duals
+
+
+def _witness_coords(vecs, v):
+    """The eigen-coordinates of v by one field_solve."""
+    l = len(vecs)
+    h = [[vecs[j][k] for j in range(l)] for k in range(l)]
+    return tuple(field_solve(h, [as_scalar(x) for x in v], ONE))
+
+
+def _witness_lattices():
+    """The lattices this file builds modules on, and 50 random twisted
+    lattices of orders 1 to 6 from the benchmark's generator."""
+    lats = [TwistedLattice(g, s) for g, s in
+            [([[2]], [[1]]), ([[2]], [[-1]]), (A1x2, ROT4)]
+            + list(GRID_LATTICES.values()) + MIXED_RESIDUES]
+    rng = random.Random(1907)
+    drawn = 0
+    while drawn < 50:
+        lat = W.random_twisted_lattice(rng, TL)
+        if lat.p <= 6:
+            lats.append(lat)
+            drawn += 1
+    return lats
+
+
+def test_graded_basis_matches_elimination_witness():
+    rng = random.Random(1908)
+    for lat in _witness_lattices():
+        l = lat.rank
+        gb = GradedBasis(lat)
+        qs, vecs, pairing, duals = _witness_basis(lat)
+        assert gb.qs == qs
+        assert gb.vecs == vecs
+        assert gb.pairing == pairing
+        # the pairing is symmetric, so its inverse is too: the duals and
+        # the coordinate matrix may read it either way round
+        assert pairing == [list(col) for col in zip(*pairing)]
+        assert gb.duals == duals
+        units = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+        small = [tuple(rng.randint(-3, 3) for _ in range(l))
+                 for _ in range(10)]
+        for v in units + small:
+            assert gb.decompose(v) == _witness_coords(vecs, v), (lat, v)
+
+
+def test_module_and_product_solve_no_linear_system(monkeypatch):
+    # the eigen-coordinates are read off the basis' kept matrix
+    calls = []
+    real = linalg.field_solve
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    for mod in (linalg, fock):
+        if hasattr(mod, "field_solve"):
+            monkeypatch.setattr(mod, "field_solve", counting)
+    M = rotation_module(trunc=3)
+    slots = [Fraction(k, 4) for k in range(2, 7)]
+    product_check(M, (1, 0), (-1, 0), 1, slots, [vac(M)])
+    assert calls == []
 
 
 # ---------------------------------------------------------------------
