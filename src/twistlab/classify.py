@@ -1029,6 +1029,7 @@ class ClassOmega:
         # degree coordinates: p * nu over that of the nonzero-degree reps
         self._degrees = IntegerCoords(
             [A.grading[i] for i in range(self.mm)], lat.rank)
+        self._e_acts = {}
 
     def _lift_vec(self, k):
         lat = self.A.lattice
@@ -1067,6 +1068,18 @@ class ClassOmega:
         return t2, A.tau(g, t) * A.tau(t2, h).inverse() * lam
 
     def e_act(self, alpha, i):
+        """e(alpha) on the line i: ((line, scalar),), or None when the
+        image leaves the window; kept per (alpha, line) for the life of
+        the vacuum space, exits included."""
+        key = (tuple(alpha), i)
+        try:
+            return self._e_acts[key]
+        except KeyError:
+            out = self._e_acts[key] = self._e_image(*key)
+            return out
+
+    def _e_image(self, alpha, i):
+        """e_act computed afresh."""
         A = self.A
         twist = A.twist
         k, t = self.lines[i]
@@ -1083,7 +1096,7 @@ class ClassOmega:
         t2, smod = self._y_act(g, t)
         total = twist.epsilon_pair(alpha, lk) * \
             twist.epsilon_pair(lk2, delta).inverse() * s1 / sg * smod
-        return [(self.lookup[(k2, t2)], total.scalar())]
+        return ((self.lookup[(k2, t2)], total.scalar()),)
 
 
 def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):

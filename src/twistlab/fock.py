@@ -28,11 +28,9 @@ from .fdist import (
     GenSeries,
     WindowUnderflow,
     _frac,
-    _grid_int,
     coeff_is_zero,
     compare_status,
     derive,
-    gen_binom,
     kernel_Delta,
     nth_product,
     nth_product_kernel,
@@ -44,7 +42,7 @@ from .fdist import (
     zero_series,
 )
 from .linalg import field_inverse, field_rref
-from .scalar import CycScalar, ONE, ZERO, ScalarError, as_scalar, root_of_unity
+from .scalar import CycScalar, ONE, ZERO, as_scalar, root_of_unity
 
 
 MINUS_ONE = CycScalar.rational(-1)
@@ -56,6 +54,20 @@ class FockError(Exception):
 
 def _floor_int(x: Fraction) -> int:
     return x.numerator // x.denominator
+
+
+def _rational_pair(x: CycScalar):
+    """(numerator, denominator) of a rational scalar in lowest terms, or
+    None for an irrational one."""
+    if x.n != 1:
+        return None
+    return (x.num[0] if x.num else 0), x.den
+
+
+def _grid_slot(x: Fraction, grid: int):
+    """x times grid, or None for x off the grid (1/grid)Z."""
+    q, off = divmod(grid, x.denominator)
+    return None if off else x.numerator * q
 
 
 def _scaled(m, p: int):
@@ -177,7 +189,7 @@ class RegularOmega:
         j = self.lookup.get(target)
         if j is None:
             return None
-        return [(j, self.twist.epsilon(alpha, beta))]
+        return ((j, self.twist.epsilon(alpha, beta)),)
 
 
 # ---------------------------------------------------------------------
@@ -528,42 +540,46 @@ class FockModule:
         # half of sum_j xi(h_j) xi(beta_j) over these (the dual beta_j of
         # a sigma-fixed h_j is sigma-fixed too)
         self.zero_weights = []
-        degs = []
+        # each line's degree and xi entries as (numerator, denominator)
+        # pairs, None for an irrational xi entry
+        degs, xis = [], []
         for i in range(omega.size):
             xi = omega.xi(i)
             w = {j: sum((basis.vecs[j][k] * xi[k] for k in range(l)), ZERO)
                  for j in fixed}
             self.zero_weights.append(w)
-            total = sum((w[j] * sum((basis.duals[j][t] * w[t] for t in fixed),
-                                    ZERO)
-                         for j in fixed), ZERO)
-            try:
-                degs.append(total.rational_value() / 2)
-            except ScalarError:
+            total = _rational_pair(sum(
+                (w[j] * sum((basis.duals[j][t] * w[t] for t in fixed), ZERO)
+                 for j in fixed), ZERO))
+            if total is None:
                 raise FockError("vacuum-space degrees must be rational")
-        self._vertex_exps = {}
-        self.floor = min(degs) if degs else Fraction(0)
+            num, den = total[0], 2 * total[1]
+            g = math.gcd(num, den)
+            degs.append((num // g, den // g))
+            xis.append([_rational_pair(x) for x in xi])
         # the grid (1/grid)Z of every slot and degree of the module: 2p
         # holds (alpha'|alpha')/2 for integral alpha, the vacuum lines'
         # xi entries hold xi(alpha(0)), and their degrees the rest; an
         # irrational xi entry is refused where an exponent reads it
-        dens = [d.denominator for d in degs]
-        for i in range(omega.size):
-            for x in omega.xi(i):
-                try:
-                    dens.append(x.rational_value().denominator)
-                except ScalarError:
-                    pass
-        self.grid = math.lcm(2 * self.p, *dens)
-        # the degree of a Heisenberg mode step 1/p, and the degrees of
-        # the vacuum lines and their least, all on the grid
-        self.mode_step = self.grid // self.p
-        self.degree_k = [_grid_int(d, self.grid) for d in degs]
-        self.floor_k = _grid_int(self.floor, self.grid)
+        self.grid = grid = math.lcm(
+            2 * self.p, *(d for _n, d in degs),
+            *(x[1] for row in xis for x in row if x is not None))
+        # the degree of a Heisenberg mode step 1/p, the degrees of the
+        # vacuum lines and their least, and the xi entries (None where
+        # irrational), all on the grid
+        self.mode_step = grid // self.p
+        self.degree_k = [n * (grid // d) for n, d in degs]
+        self.floor_k = min(self.degree_k, default=0)
+        self.floor = Fraction(self.floor_k, grid)
+        self._xi_k = [tuple(None if x is None else x[0] * (grid // x[1])
+                            for x in row) for row in xis]
         self.alg = FockAlg(self)
-        # the vertex and Heisenberg series of each lattice vector, built
-        # once: their coefficient memos serve every check on the module
+        # the vertex and Heisenberg series of each lattice vector and its
+        # vertex exponents, built once: the series' coefficient memos
+        # serve every check on the module
         self._series = {}
+        # the annihilation expansions, per (lattice vector, sign, vector)
+        self._anns = {}
 
     # -- vectors ------------------------------------------------------
 
@@ -687,9 +703,10 @@ class FockModule:
 
     # -- series builders ----------------------------------------------
 
-    def _kept(self, alpha, kind, build) -> GenSeries:
-        """The series of the given kind of a lattice vector, built on
-        the first request and kept for the module's lifetime."""
+    def _kept(self, alpha, kind, build):
+        """The series (or exponents) of the given kind of a lattice
+        vector, built on the first request and kept for the module's
+        lifetime."""
         alpha = tuple(alpha)
         kept = self._series.setdefault(alpha, {})
         out = kept.get(kind)
@@ -791,19 +808,23 @@ class FockModule:
 
     # -- exponential factors and vertex operators ---------------------
 
-    def _ann_expand(self, coords, v: FockVector, sign: int = -1):
-        """Expansion of exp(sum_(n>0) sign*coords(n)/n z^(-n)) on v:
-        list of (vector, total annihilation degree times p)."""
+    def _ann_expand(self, alpha, v: FockVector, sign: int = -1):
+        """Expansion of exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for
+        the lattice vector alpha (an int tuple): a tuple of (vector,
+        total annihilation degree times p), kept per (alpha, sign, v)."""
         if not v.terms:
-            return [(v, 0)]
+            return ((v, 0),)
+        key = (alpha, sign, v)
+        out = self._anns.get(key)
+        if out is not None:
+            return out
         p = self.p
         qs = self.basis.qs
+        coords = self.lattice_coords(alpha)
         top = (v.max_degree_k() - self.floor_k) // self.mode_step
         results = [(v, 0)]
         for n in range(1, top + 1):
             if any(c and qs[j] == n % p for j, c in enumerate(coords)):
-                # sign / (n/p), the factor of each mode applied
-                ratio = Fraction(sign * p, n)
                 new = []
                 for (v0, e) in results:
                     new.append((v0, e))
@@ -813,11 +834,14 @@ class FockModule:
                         cur = self.mode_apply(coords, n, cur)
                         if cur.is_zero() and not cur.poisoned:
                             break
-                        coef = ratio ** k / math.factorial(k)
+                        # (sign / (n/p))^k / k!, each mode's factor
+                        coef = CycScalar.from_ints(
+                            1, [(sign * p) ** k], n ** k * math.factorial(k))
                         new.append((cur.scale(coef), e + k * n))
                         k += 1
                 results = new
-        return results
+        out = self._anns[key] = tuple(results)
+        return out
 
     def _cre_expand(self, coords, v: FockVector, target: int,
                     sign: int = 1):
@@ -829,51 +853,61 @@ class FockModule:
             return v
         used = max(-sum(m for m, _ in word) for (word, _i) in v.terms)
         if used + target > self.cap:
-            return FockVector(self, {}, True)
+            return FockVector._of(self, {}, True)
         p = self.p
         qs = self.basis.qs
         modes = [u for u in range(1, target + 1)
                  if any(c and qs[j] == -u % p for j, c in enumerate(coords))]
 
-        def summands(idx, cur, left, scale):
+        def summands(idx, cur, left, num, den):
+            # num / den: the product of the factors of the modes applied
             if left == 0:
-                yield cur, as_scalar(scale)
+                yield cur, (ONE if num == den
+                            else CycScalar.from_ints(1, [num], den))
                 return
             if idx >= len(modes):
                 return
             u = modes[idx]
-            yield from summands(idx + 1, cur, left, scale)
-            ratio = Fraction(sign * p, u)
+            yield from summands(idx + 1, cur, left, num, den)
             k = 1
             acc = cur
             while k * u <= left:
                 acc = self.mode_apply(coords, -u, acc)
                 if acc.is_zero() and not acc.poisoned:
                     break
+                # (sign / (u/p))^k / k!
                 yield from summands(idx + 1, acc, left - k * u,
-                                    scale * ratio ** k / math.factorial(k))
+                                    num * (sign * p) ** k,
+                                    den * u ** k * math.factorial(k))
                 k += 1
 
-        return _summed(self, summands(0, v, target, Fraction(1)))
+        return _summed(self, summands(0, v, target, 1, 1))
 
     def vertex_exponent(self, alpha, iota) -> Fraction:
-        """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line,
-        kept per (alpha, line)."""
-        key = (tuple(alpha), iota)
-        out = self._vertex_exps.get(key)
-        if out is None:
-            xi = self.omega.xi(iota)
-            val = sum((as_scalar(a) * xi[k] for k, a in enumerate(alpha)),
-                      ZERO)
-            try:
-                x0 = val.rational_value()
-            except ScalarError:
-                raise FockError(
-                    "z-exponent of a vertex operator must be rational")
-            lat = self.lattice
-            out = x0 - Fraction(lat.prime_pairing_p(alpha, alpha), 2 * lat.p)
-            self._vertex_exps[key] = out
-        return out
+        """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line."""
+        return Fraction(self.vertex_exponents_k(alpha)[iota], self.grid)
+
+    def vertex_exponents_k(self, alpha) -> tuple:
+        """vertex_exponent on every vacuum line, on the module's grid
+        (the exponent times grid), kept per lattice vector."""
+        return self._kept(alpha, "exps", self._vertex_exponents_k)
+
+    def _vertex_exponents_k(self, alpha) -> tuple:
+        """vertex_exponents_k computed afresh; an irrational xi entry
+        that alpha reads is refused."""
+        half_norm = self.lattice.prime_pairing_p(alpha, alpha) * (
+            self.grid // (2 * self.p))
+        reads = [(k, a) for k, a in enumerate(alpha) if a]
+        out = []
+        for xi in self._xi_k:
+            total = -half_norm
+            for k, a in reads:
+                if xi[k] is None:
+                    raise FockError(
+                        "z-exponent of a vertex operator must be rational")
+                total += a * xi[k]
+            out.append(total)
+        return tuple(out)
 
     def vertex_coeff(self, alpha, m) -> FockOp:
         """The coefficient X_alpha(m), read off the kept vertex series."""
@@ -884,14 +918,8 @@ class FockModule:
         return self._kept(alpha, "vertex", self._vertex_series)
 
     def _vertex_series(self, alpha) -> GenSeries:
-        p = self.p
-        exps = [self.vertex_exponent(alpha, iota)
-                for iota in range(self.omega.size)]
-        # the vertex exponents lie on the module's grid (see __init__);
-        # one off it would refine the series' grid
-        D = math.lcm(self.grid, *(e.denominator for e in exps))
-        exps = [_grid_int(e, D) for e in exps]
-        step = D // p
+        p, D, step = self.p, self.grid, self.mode_step
+        exps = self.vertex_exponents_k(alpha)
         residues = {(-D - e + t * step) % D for e in set(exps)
                     for t in range(p)}
         coords = self.lattice_coords(alpha)
@@ -906,7 +934,7 @@ class FockModule:
                 if off:
                     continue
                 base = FockVector._of(self, {(word, iota): coeff})
-                for (v1, eplus) in self._ann_expand(coords, base):
+                for (v1, eplus) in self._ann_expand(alpha, base):
                     if low + eplus >= 0:
                         v2 = self._cre_expand(coords, v1, low + eplus)
                         yield e_alpha.apply(v2), ONE
@@ -1088,26 +1116,36 @@ def e_group_checks(M: FockModule, pairs, probes):
 
 def _reconstruct_coeff(M: FockModule, alpha, coords, e, v: FockVector):
     """z^e coefficient of E_-^(-1) X_alpha(z) E_+^(-1) z^(-alpha(0))
-    z^((alpha'|alpha')/2) applied to v."""
-    p = M.p
+    z^((alpha'|alpha')/2) applied to v, for a Fraction e."""
+    p, grid = M.p, M.grid
+    series = M.vertex_series(alpha)
+    exps = M.vertex_exponents_k(alpha)
+    en, ed = e.numerator, e.denominator
+    # off the grid no vertex coefficient is nonzero
+    ek = _grid_slot(e, grid)
 
     def summands():
         for (word, iota), coeff in v.terms.items():
-            base = FockVector(M, {(word, iota): coeff})
-            b_exp = -M.vertex_exponent(alpha, iota)
-            # e1 and f2 are scaled by p
-            for (v1, e1) in M._ann_expand(coords, base, sign=1):
+            base = FockVector._of(M, {(word, iota): coeff})
+            a_exp = exps[iota]
+            # e1 and f2 are scaled by p, the slot and degrees by grid
+            for (v1, e1) in M._ann_expand(alpha, base, sign=1):
                 if v1.is_zero():
                     continue
-                bound = _floor_int((e + v1.max_degree() - M.floor) * p) + e1
+                # floor(p (e + deg v1 - floor)) + e1
+                bound = p * (en * grid + (v1.max_degree_k() - M.floor_k) * ed)
+                bound = bound // (grid * ed) + e1
                 for f2 in range(bound + 1):
                     if f2 > M.cap:
                         # genuinely contributing creations past the
                         # truncation cannot be evaluated
                         yield FockVector._of(M, {}, True), ONE
                         return
-                    m = -1 - e + b_exp + Fraction(f2 - e1, p)
-                    v2 = M.vertex_coeff(alpha, m).apply(v1)
+                    if ek is None:
+                        continue
+                    # the slot -1 - e - a_exp + (f2 - e1)/p
+                    k = -grid - ek - a_exp + (f2 - e1) * M.mode_step
+                    v2 = series._at(k).apply(v1)
                     yield M._cre_expand(coords, v2, f2, sign=-1), ONE
 
     return _summed(M, summands(), v.poisoned)
@@ -1132,24 +1170,25 @@ def reconstruct_e(M: FockModule, alpha, exps, probes):
     return report
 
 
-def _pair_kernel_terms(M: FockModule, alpha, beta, kz_max):
+def _pair_kernel_terms(M: FockModule, alpha, beta, kz_max: int):
     """Expansion of i_{w,z} prod_s (w^(1/p) - om^s z^(1/p))^(m_s) as
-    (w-exponent, z-exponent, coeff) terms with z-exponent <= kz_max."""
+    (w-exponent, z-exponent, coeff) terms, the exponents in 1/p units
+    (times p, as KernelPoly keys them), with z-exponent <= kz_max >= 0,
+    in 1/p units too."""
     p = M.p
     ms = M.lattice.m_values(alpha, beta)
-    terms = {(Fraction(0), Fraction(0)): ONE}
-    minus_one = CycScalar.rational(-1)
+    terms = {(0, 0): ONE}
     for s in range(p):
         m = ms[s]
-        om = root_of_unity(p, s) if p > 1 else ONE
-        kmax = m if m >= 0 else max(0, _floor_int(kz_max * p))
+        kmax = m if m >= 0 else kz_max
         fac = {}
         for k in range(kmax + 1):
-            c = gen_binom(Fraction(m), k)
+            c = _int_binom(m, k)
             if not c:
                 continue
-            fac[(Fraction(m - k, p), Fraction(k, p))] = \
-                as_scalar(c) * (minus_one * om) ** k
+            # binom(m, k) (-om^s)^k
+            fac[(m - k, k)] = root_of_unity(p, s * k % p) * (
+                -c if k % 2 else c)
         new = {}
         for (uw, uz), c1 in terms.items():
             for (vw, vz), c2 in fac.items():
@@ -1171,44 +1210,58 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
     eps = M.twist.epsilon(alpha, beta)
     gamma = tuple(a + b for a, b in zip(alpha, beta))
     e_ab = M.e_op(gamma)
-    azs = [M.vertex_exponent(beta, i) for i in range(M.omega.size)]
-    aws = [M.vertex_exponent(alpha, i) for i in range(M.omega.size)]
-    maxdeg = max((v.max_degree() for v in probes if v.terms),
-                 default=Fraction(0))
-    kz_bound = max(
-        [Fraction(0)]
-        + [-_frac(zs) - 1 - az + (maxdeg - M.floor)
-           for zs in zslots for az in azs])
+    p, grid, step = M.p, M.grid, M.mode_step
+    # the exponents and degrees below are on the module's grid
+    azs = M.vertex_exponents_k(beta)
+    aws = M.vertex_exponents_k(alpha)
+    top = max((v.max_degree_k() for v in probes if v.terms),
+              default=0) - M.floor_k
+    # the largest z-exponent of a kernel term that can contribute,
+    # floor(p max(0, -zs - 1 - az + top)), in 1/p units
+    kz_bound = 0
+    for zs in zslots:
+        zs = _frac(zs)
+        zn, zd = zs.numerator, zs.denominator
+        for az in azs:
+            kz_bound = max(kz_bound, p * (zd * (top - az - grid) - zn * grid)
+                           // (zd * grid))
     kterms = _pair_kernel_terms(M, alpha, beta, kz_bound)
-    p = M.p
 
-    def summands(v, wsf, zsf):
+    def summands(v, wk, zk):
+        if wk is None or zk is None:
+            # a slot off the grid: no f1 or f2 below is an integer
+            return
         for (word, iota), coeff in v.terms.items():
-            base = FockVector(M, {(word, iota): coeff})
-            az, aw = azs[iota], aws[iota]
-            # e1, e2, f1, f2 are scaled by p
-            for (v1, e1) in M._ann_expand(cb, base):
-                for (v2, e2) in M._ann_expand(ca, v1):
+            # f1 = g1 - kz + e1 and f2 = g2 - kw + e2 are the creation
+            # degrees, scaled by p like e1, e2 and the kernel exponents
+            g1, r1 = divmod(-zk - grid - azs[iota], step)
+            g2, r2 = divmod(-wk - grid - aws[iota], step)
+            if r1 or r2:
+                continue
+            base = FockVector._of(M, {(word, iota): coeff})
+            for (v1, e1) in M._ann_expand(beta, base):
+                for (v2, e2) in M._ann_expand(alpha, v1):
                     for (kw, kz, kc) in kterms:
-                        f1 = (-zsf - 1 - az - kz) * p + e1
-                        if f1 < 0 or f1.denominator != 1:
+                        f1 = g1 - kz + e1
+                        if f1 < 0:
                             continue
-                        f2 = (-wsf - 1 - aw - kw) * p + e2
-                        if f2 < 0 or f2.denominator != 1:
+                        f2 = g2 - kw + e2
+                        if f2 < 0:
                             continue
-                        v3 = M._cre_expand(cb, v2, f1.numerator)
-                        v4 = M._cre_expand(ca, v3, f2.numerator)
+                        v3 = M._cre_expand(cb, v2, f1)
+                        v4 = M._cre_expand(ca, v3, f2)
                         yield e_ab.apply(v4), kc
 
     report = []
     for ws in wslots:
         for zs in zslots:
             wsf, zsf = _frac(ws), _frac(zs)
+            wk, zk = _grid_slot(wsf, grid), _grid_slot(zsf, grid)
             statuses = []
             for v in probes:
                 lhs = M.vertex_coeff(alpha, wsf).apply(
                     M.vertex_coeff(beta, zsf).apply(v))
-                rhs = _summed(M, summands(v, wsf, zsf), v.poisoned)
+                rhs = _summed(M, summands(v, wk, zk), v.poisoned)
                 statuses.append(vector_status(lhs - rhs.scale(eps)))
             report.append(((wsf, zsf), worst_status(statuses)))
     return report

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -22,7 +23,7 @@ from twistlab.classify import (
 from twistlab import classify, cocycle
 from twistlab import lattice as lattice_module
 from twistlab.cocycle import TwistData
-from twistlab.fock import FockModule, RegularOmega
+from twistlab.fock import FockModule, RegularOmega, product_check
 from twistlab.lattice import OrbitDecomposition, TwistedLattice
 from twistlab.linalg import det_int, field_rank
 from twistlab.oracle import oracle_bicharacter_blocks, oracle_dual_coset_count
@@ -558,6 +559,76 @@ def test_tau_memo_matches_fresh_algebra(monkeypatch):
     assert orders == {2, 3, 4, 6}
     assert witnesses == {"inconsistent relation scalars",
                          "non-central relation"}
+
+
+# class modules of orders 2, 3, 4 and 6: the four twisted_ops lattices,
+# whose vacuum spaces have one degree line, and two with a fixed line,
+# whose degree windows e(alpha) can leave
+E_ACT_FIXTURES = [
+    (A2, [[0, -1], [1, -1]]),
+    (A2, [[1, -1], [1, 0]]),
+    ([[2, 0], [0, 2]], ROT),
+    ([[4, -2], [-2, 4]], [[0, -1], [1, -1]]),
+    ([[2, 0], [0, 4]], [[1, 0], [0, -1]]),
+    ([[2, 0, 0], [0, 2, 0], [0, 0, 2]], [[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+]
+
+
+def test_kept_class_e_action_matches_a_fresh_one():
+    # on every line of every class module, for the basis vectors, their
+    # negatives and their pairwise sums: the kept action is handed back
+    # again, and equals a memo-free computation on a second vacuum space
+    moved = exits = 0
+    for gram, sigma in E_ACT_FIXTURES:
+        T = twist(gram, sigma)
+        l = T.lattice.rank
+        units = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+        basis = units + [tuple(-x for x in u) for u in units]
+        alphas = basis + [tuple(a + b for a, b in zip(u, v))
+                          for u, v in itertools.combinations(basis, 2)]
+        for cls in enumerate_simple_twisted(T).classes:
+            A = T.presentation.algebra(cls.mu_choice)
+            args = (A, cls.ideal_index, cls.base_weight, cls.eta)
+            omega, fresh = classify.ClassOmega(*args), classify.ClassOmega(*args)
+            for alpha in alphas:
+                for i in range(omega.size):
+                    kept = omega.e_act(alpha, i)
+                    assert omega.e_act(list(alpha), i) is kept
+                    assert kept == fresh._e_image(alpha, i), (alpha, i)
+                    if kept is None:
+                        exits += 1
+                    else:
+                        moved += 1
+    assert moved > 600 and exits > 60
+
+
+def test_product_check_computes_each_class_e_action_once(monkeypatch):
+    # one product check on a class module of the rescaled A2 asks for
+    # e(alpha) on a line again and again; each (alpha, line) is computed
+    # once, counted by the degree coordinates every computation reads
+    T = twist([[4, -2], [-2, 4]], [[0, -1], [1, -1]])
+    M = instantiate_class(T, enumerate_simple_twisted(T).classes[0], trunc=2)
+    asked, computed = [], []
+    real_act, real_coords = classify.ClassOmega.e_act, \
+        classify.ClassOmega._grading_coords
+
+    def e_act(self, alpha, i):
+        asked.append((tuple(alpha), i))
+        return real_act(self, alpha, i)
+
+    def grading_coords(self, alpha):
+        computed.append(tuple(alpha))
+        return real_coords(self, alpha)
+
+    monkeypatch.setattr(classify.ClassOmega, "e_act", e_act)
+    monkeypatch.setattr(classify.ClassOmega, "_grading_coords",
+                        grading_coords)
+    slots = [Fraction(k, 3) for k in range(1, 5)]
+    report = product_check(M, (1, 0), (0, 1), -T.lattice.pairing(
+        (1, 0), (0, 1)) - 1, slots, [M.vacuum(0)])
+    assert set(report.values()) == {"pass"}
+    assert len(asked) > 2 * len(set(asked))
+    assert len(computed) == len(set(asked))
 
 
 def test_enumeration_builds_one_presentation(monkeypatch):

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -784,6 +785,23 @@ def test_reconstruct_e():
         assert all(st == "pass" for _, st in rep), rep
 
 
+def test_reconstruct_e_on_probes_with_creations():
+    # a probe with a creation mode has a nontrivial annihilation
+    # expansion, whose degree the slot of each term reads
+    statuses = []
+    for make in (untwisted_module, negation_module, rotation_module,
+                 order3_module):
+        M = make()
+        a = (1,) + (0,) * (M.lattice.rank - 1)
+        exps = [Fraction(k, M.p) for k in range(-2, 3)]
+        probes = [v for v in M.basis_vectors(1)
+                  if any(word for (word, _i) in v.terms)][:6]
+        for v in probes:
+            statuses += [st for _e, st in reconstruct_e(M, a, exps, [v])]
+    assert "fail" not in statuses
+    assert len(statuses) == 120 and statuses.count("pass") >= 100
+
+
 # ---------------------------------------------------------------------
 # Two-variable expansion
 # ---------------------------------------------------------------------
@@ -847,7 +865,10 @@ def test_derive_matches_translation():
 def test_vertex_exponent_kept_per_line_and_irrational_refused():
     T = TwistData(TwistedLattice([[2]], [[-1]]))
     M = FockModule(T, RegularOmega(T, 1), 2)
-    assert M.vertex_exponent((1,), 0) is M.vertex_exponent([1], 0)
+    # the exponents of all lines are kept per lattice vector, on the
+    # grid; vertex_exponent reads one back as a Fraction
+    assert M.vertex_exponents_k((1,)) is M.vertex_exponents_k([1])
+    assert M.vertex_exponent((1,), 0) == M.vertex_exponent([1], 0)
     assert M.vertex_exponent((1,), 0) == -1  # -(alpha|alpha)/2
 
     class IrrationalOmega:
@@ -863,6 +884,179 @@ def test_vertex_exponent_kept_per_line_and_irrational_refused():
             M.vertex_exponent((1,), 0)
     with pytest.raises(FockError, match="z-exponent"):
         M.vertex_series((1,))
+
+
+# ---------------------------------------------------------------------
+# Exponential factors: kept expansions and integer coefficients
+# ---------------------------------------------------------------------
+
+def _fraction_ann_expand(M, coords, v, sign):
+    """The annihilation exponential with its coefficients formed as
+    Fractions: the route before the coefficients were integers."""
+    if not v.terms:
+        return [(v, 0)]
+    p, qs = M.p, M.basis.qs
+    top = (v.max_degree_k() - M.floor_k) // M.mode_step
+    results = [(v, 0)]
+    for n in range(1, top + 1):
+        if any(c and qs[j] == n % p for j, c in enumerate(coords)):
+            ratio = Fraction(sign * p, n)
+            new = []
+            for (v0, e) in results:
+                new.append((v0, e))
+                cur = v0
+                k = 1
+                while True:
+                    cur = M.mode_apply(coords, n, cur)
+                    if cur.is_zero() and not cur.poisoned:
+                        break
+                    coef = ratio ** k / math.factorial(k)
+                    new.append((cur.scale(coef), e + k * n))
+                    k += 1
+            results = new
+    return results
+
+
+def _fraction_cre_expand(M, coords, v, target, sign):
+    """The creation exponential's z^(target/p) coefficient with its
+    coefficients formed as Fractions, summed term by term."""
+    if target == 0 or not v.terms:
+        return v
+    used = max(-sum(m for m, _ in word) for (word, _i) in v.terms)
+    if used + target > M.cap:
+        return FockVector(M, {}, True)
+    p, qs = M.p, M.basis.qs
+    modes = [u for u in range(1, target + 1)
+             if any(c and qs[j] == -u % p for j, c in enumerate(coords))]
+    out = FockVector(M, {})
+
+    def rec(idx, cur, left, scale):
+        nonlocal out
+        if left == 0:
+            out = out + cur.scale(as_scalar(scale))
+            return
+        if idx >= len(modes):
+            return
+        u = modes[idx]
+        rec(idx + 1, cur, left, scale)
+        ratio = Fraction(sign * p, u)
+        k = 1
+        acc = cur
+        while k * u <= left:
+            acc = M.mode_apply(coords, -u, acc)
+            if acc.is_zero() and not acc.poisoned:
+                break
+            rec(idx + 1, acc, left - k * u,
+                scale * ratio ** k / math.factorial(k))
+            k += 1
+
+    rec(0, v, target, Fraction(1))
+    return out
+
+
+def _expansion_cases(seed):
+    """(module, lattice vectors, probe vectors) on the file's twisted
+    lattices: basis vectors of creation degree <= 1, a few scaled, and
+    sums of two."""
+    rng = random.Random(seed)
+    for gram, sigma in list(GRID_LATTICES.values()) + MIXED_RESIDUES:
+        td = TwistData(TwistedLattice(gram, sigma))
+        M = FockModule(td, RegularOmega(td, bound=1), trunc=3)
+        l = M.lattice.rank
+        alphas = [tuple(rng.randint(-1, 1) for _ in range(l))
+                  for _ in range(3)] + [(1,) + (0,) * (l - 1)]
+        basis = M.basis_vectors(1)
+        vecs = rng.sample(basis, min(6, len(basis)))
+        vecs += [v.scale(Fraction(rng.choice((-3, 2, 5)), 3))
+                 for v in vecs[:2]]
+        vecs += [vecs[0] + vecs[1].scale(2), vecs[2] - vecs[3]]
+        yield M, alphas, vecs
+
+
+def test_kept_annihilation_expansion_matches_a_fresh_one():
+    # both signs, on every case: the second request hands back the kept
+    # tuple, and it equals the expansion formed afresh with Fraction
+    # coefficients, on the module and on a second, fresh module
+    seen = 0
+    for M, alphas, vecs in _expansion_cases(2001):
+        fresh = FockModule(M.twist, RegularOmega(M.twist, bound=1), trunc=3)
+        for alpha in alphas:
+            coords = M.lattice_coords(alpha)
+            for v in vecs:
+                for sign in (-1, 1):
+                    kept = M._ann_expand(alpha, v, sign)
+                    assert M._ann_expand(alpha, v, sign) is kept
+                    want = _fraction_ann_expand(M, coords, v, sign)
+                    assert list(kept) == want, (alpha, v, sign)
+                    assert list(fresh._ann_expand(alpha, v, sign)) == want
+                    seen += len(want) > 1
+    assert seen > 100
+
+
+def test_creation_coefficients_match_the_fraction_formula():
+    nontrivial = poisoned = 0
+    for M, alphas, vecs in _expansion_cases(2002):
+        for alpha in alphas:
+            coords = M.lattice_coords(alpha)
+            for v in vecs:
+                for target in list(range(2 * M.p + 1)) + [M.cap]:
+                    for sign in (-1, 1):
+                        got = M._cre_expand(coords, v, target, sign)
+                        want = _fraction_cre_expand(M, coords, v, target,
+                                                    sign)
+                        assert got == want, (alpha, v, target, sign)
+                        nontrivial += len(got.terms) > 1
+                        poisoned += got.poisoned
+    assert nontrivial > 100 and poisoned > 10
+
+
+def _fraction_kernel_terms(M, alpha, beta, kz_max):
+    """_pair_kernel_terms with Fraction exponents and binomials."""
+    p = M.p
+    ms = M.lattice.m_values(alpha, beta)
+    terms = {(Fraction(0), Fraction(0)): ONE}
+    for s in range(p):
+        m = ms[s]
+        om = root_of_unity(p, s)
+        kmax = m if m >= 0 else max(0, math.floor(kz_max * p))
+        fac = {}
+        for k in range(kmax + 1):
+            c = gen_binom(Fraction(m), k)
+            if c:
+                fac[(Fraction(m - k, p), Fraction(k, p))] = \
+                    as_scalar(c) * (-om) ** k
+        new = {}
+        for (uw, uz), c1 in terms.items():
+            for (vw, vz), c2 in fac.items():
+                if uz + vz <= kz_max:
+                    key = (uw + vw, uz + vz)
+                    new[key] = new.get(key, ZERO) + c1 * c2
+        terms = {k: v for k, v in new.items() if v}
+    return terms
+
+
+def test_kernel_terms_and_vertex_exponents_on_the_grid():
+    # the pair kernel in 1/p units and the vertex exponents on the
+    # module's grid equal their Fraction forms
+    rng = random.Random(2003)
+    for M, alphas, _vecs in _expansion_cases(2003):
+        p, grid = M.p, M.grid
+        for alpha in alphas:
+            beta = rng.choice(alphas)
+            for kz in (0, 1, p + 1, 2 * p):
+                got = fock._pair_kernel_terms(M, alpha, beta, kz)
+                want = _fraction_kernel_terms(M, alpha, beta,
+                                              Fraction(kz, p))
+                assert {(Fraction(w, p), Fraction(z, p)): c
+                        for w, z, c in got} == want
+            exps = M.vertex_exponents_k(alpha)
+            half = Fraction(M.lattice.prime_pairing(alpha, alpha), 2)
+            for i in range(M.omega.size):
+                xi = sum((as_scalar(a) * x
+                          for a, x in zip(alpha, M.omega.xi(i))), ZERO)
+                want = xi.rational_value() - half
+                assert Fraction(exps[i], grid) == want
+                assert M.vertex_exponent(alpha, i) == want
 
 
 # ---------------------------------------------------------------------
