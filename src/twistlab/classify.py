@@ -14,12 +14,12 @@ from .fdist import vector_status, worst_status
 from .lattice import TwistedLattice
 from .linalg import (
     IntegerCoords,
+    SmithForm,
     hnf_columns,
     kernel_basis,
     mat_mul,
     mat_vec,
     snf,
-    solve_int,
     transpose,
 )
 from .scalar import (
@@ -33,6 +33,8 @@ from .scalar import (
 # a bound on the work of one enumeration: root choices times |E|^2, the
 # number of multiplication scalars tau over all root choices
 MAX_WORK = 2 ** 16
+# a bound on the lines of a regular vacuum space: (2 bound + 1)^rank
+MAX_WINDOW = 2 ** 16
 # the degree window of a class vacuum space: lifts k with |k_i| <= WINDOW
 WINDOW = 2
 
@@ -43,7 +45,8 @@ class ClassifyError(Exception):
 
 class SizeCapExceeded(ClassifyError):
     """Raised when the work over the root choices of an enumeration,
-    root choices times |E|^2, would exceed MAX_WORK."""
+    root choices times |E|^2, would exceed MAX_WORK, or the lines of a
+    regular vacuum window would exceed MAX_WINDOW."""
 
 
 class UnsupportedScalar(ClassifyError):
@@ -207,7 +210,9 @@ class Presentation:
 
     The relation lattice K is spanned by the difference vectors
     d = sigma^s a - a of the orbits; this object keeps them with their
-    factors epsilon(d, a), the HNF of K and its kernel, the commutation
+    factors epsilon(d, a), the HNF of K, the one Smith form of the
+    matrix of the d (its kernel and every `k_parts` solve read it),
+    the prime-pairing diagonal of the base weight, the commutation
     constants and degrees of the orbit representatives, the epsilon
     folds of the power relations, the degree-zero component
     E = Lambda_0 / K and the radical of its commutator bicharacter.
@@ -265,7 +270,7 @@ class Presentation:
         # the kernel vectors, with the mu-independent factor of the
         # A-image of e(sum_i ker_i d_i), which must be one for every mu
         self.kernel = [(ker, self._fold(ker))
-                       for ker in (kernel_basis(self._dmat)
+                       for ker in (self._dsmith.kernel()
                                    if self.dvecs else [])]
 
     def algebra(self, mu_choice) -> PresentedAlgebraA:
@@ -299,11 +304,17 @@ class Presentation:
                     sprod = sprod * twist.epsilon_pair(d, v)
         return sprod / cfold
 
+    @cached_property
+    def _dsmith(self) -> SmithForm:
+        """The Smith form of the relation matrix (columns d_i), which
+        gives both the kernel and every `k_parts` combination."""
+        return SmithForm(self._dmat)
+
     def k_parts(self, kvec):
         """(combo, factor) for a nonzero kvec = sum_i combo_i d_i, or
         None when kvec is not in K."""
         if kvec not in self._k_parts:
-            combo = solve_int(self._dmat, list(kvec))
+            combo = self._dsmith.solve(list(kvec))
             self._k_parts[kvec] = None if combo is None else \
                 (combo, self._fold(combo))
         return self._k_parts[kvec]
@@ -362,6 +373,14 @@ class Presentation:
         """The degrees of the orbit representatives on the grid p:
         p * nu(rep), as integers."""
         return tuple(self.lattice.nu_p(rep) for rep in self.dec.reps)
+
+    @cached_property
+    def prime_diagonal(self):
+        """p (e_k'|e_k') per standard basis vector e_k: the part of the
+        base weight's right-hand side that no root choice changes."""
+        lat = self.lattice
+        units = [_unit(lat.rank, k) for k in range(lat.rank)]
+        return tuple(lat.prime_pairing_p(e, e) for e in units)
 
     @cached_property
     def efolds(self):
@@ -578,6 +597,13 @@ class PresentedAlgebraA:
         return commutator_map(self.lattice, E.lift(g), E.lift(h))
 
     @cached_property
+    def radical_lifts(self) -> _GroupScalars:
+        """The lift psi of the bicharacter radical into B_0, whose
+        characters label the blocks; the class vacuum spaces read the
+        block's character off it."""
+        return _GroupScalars(self, self.presentation.radical)
+
+    @cached_property
     def block_decomposition(self) -> ADecomposition:
         """Simple blocks of the degree-zero component B_0, one per
         character of the bicharacter radical, each of dimension
@@ -591,7 +617,7 @@ class PresentedAlgebraA:
         if self.zero:
             raise ClassifyError("the zero algebra has no block decomposition")
         E = self.E
-        lifts = _GroupScalars(self, self.presentation.radical)
+        lifts = self.radical_lifts
         units = [_unit(E.rank, i) for i in range(E.rank)]
         quotient, rest = divmod(E.size, lifts.q.size)
         d = math.isqrt(quotient)
@@ -730,13 +756,11 @@ class _GroupScalars:
 
     def projector(self, label) -> dict:
         """The character idempotent (1/|S|) sum_a chi_label(a)^(-1) psi(a),
-        as coefficients over E."""
+        as coefficients over E: S embeds in E, so each element a gives
+        the one nonzero coefficient at elem(a)."""
         inv_size = RootPair(Fraction(1, self.q.size), 0, 1)
-        coeffs = {}
-        for a, (g, s) in self.table.items():
-            c = (self.character(label, a).inverse() * s * inv_size).scalar()
-            coeffs[g] = coeffs.get(g, as_scalar(0)) + c
-        return {g: c for g, c in coeffs.items() if c}
+        return {g: (self.character(label, a).inverse() * s * inv_size).scalar()
+                for a, (g, s) in self.table.items()}
 
 
 @dataclass
@@ -774,8 +798,8 @@ def admissible_base_weight(A: PresentedAlgebraA):
     l, p = lat.rank, lat.p
     roots = [_root_parts(A.derived_mu_pair(_unit(l, k))) for k in range(l)]
     D = math.lcm(2 * p, *(k for _r, k in roots))
-    c = [lat.prime_pairing_p(_unit(l, k), _unit(l, k)) * (D // (2 * p))
-         - r * (D // q) for k, (r, q) in enumerate(roots)]
+    c = [x * (D // (2 * p)) - r * (D // q)
+         for x, (r, q) in zip(A.presentation.prime_diagonal, roots)]
     F = lat.fixed_basis
     f = len(F)
     if f == 0:
@@ -978,6 +1002,35 @@ def _subgroup_quotient(A: PresentedAlgebraA, members) -> FiniteQuotient:
     return FiniteQuotient(basis, sub, r)
 
 
+def _block_character(A: PresentedAlgebraA, block, H: FiniteQuotient,
+                     h_lifts: _GroupScalars):
+    """The first label, in h_lifts.labels() order, of a character chi
+    of H (a subgroup of E containing the radical, lifted by h_lifts)
+    whose projector f lies under the block's idempotent e, confirmed
+    by one product e f = f.  On a radical generator r,
+    psi_H(r) = (s_H / s_rad)(r) psi_rad(r), so f lies under e exactly
+    when (s_rad / s_H)(r) chi(r) = chi_block(r) for each r: exponent
+    arithmetic on the block's label, with no projector per label."""
+    rad = A.radical_lifts
+    tests = []
+    for i in range(len(rad.gens)):
+        unit = _unit(len(rad.gens), i)
+        rk, s_rad = rad.psi(unit)
+        hc = H.coords(rk)
+        tests.append((hc, s_rad / h_lifts.table[hc][1],
+                      rad.character(block.label, unit)))
+    label = next((label for label in h_lifts.labels()
+                  if all(ratio * h_lifts.character(label, hc) == target
+                         for hc, ratio, target in tests)), None)
+    if label is None:
+        raise ClassifyError("no subgroup character matches the block")
+    f = h_lifts.projector(label)
+    if _b0_mul(A, block.idempotent, f) != f:
+        raise ClassifyError(
+            "the subgroup character's projector is not in the block")
+    return label
+
+
 class ClassOmega:
     """Vacuum space of an enumerated class: a window of degree lifts
     tensored with a simple module of the degree-zero component, with
@@ -1005,15 +1058,7 @@ class ClassOmega:
         self.transversal = sorted(set(self.coset_rep.values()))
         self.members = members
         # pick a character of H whose induced module lies in the block
-        self.h_label = None
-        for label in self.h_lifts.labels():
-            f = self.h_lifts.projector(label)
-            if _b0_mul(A, self.block.idempotent, f) == f:
-                self.h_label = label
-                self.f = f
-                break
-        if self.h_label is None:
-            raise ClassifyError("no subgroup character matches the block")
+        self.h_label = _block_character(A, self.block, self.H, self.h_lifts)
         self.mm = A.m
         grid = itertools.product(
             *(range(-WINDOW, WINDOW + 1) for _ in range(self.mm)))

@@ -5,8 +5,10 @@ Output is deterministic structured text: identical specs produce
 byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
 2 input error (a malformed spec, a spec file that cannot be read as
 UTF-8 text, or an --out file that cannot be written), 3 refused:
-unsupported scalar, the constant conductor cap 720 reached, or the
-classifier's one work cap (root choices times |E|^2) exceeded.
+unsupported scalar, the constant conductor cap 720 reached, the
+classifier's one work cap (root choices times |E|^2) exceeded, or a
+`check` vacuum window of more than 65536 lines, (2 bound + 1)^rank
+(`twistlab.classify.MAX_WINDOW`), refused before it is built.
 """
 from __future__ import annotations
 

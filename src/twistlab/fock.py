@@ -23,6 +23,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from .classify import MAX_WINDOW, SizeCapExceeded
 from .cocycle import TwistData, locality_order
 from .fdist import (
     GenSeries,
@@ -41,7 +42,7 @@ from .fdist import (
     worst_status,
     zero_series,
 )
-from .linalg import field_inverse, field_rref
+from .linalg import field_inverse
 from .scalar import CycScalar, ONE, ZERO, as_scalar, root_of_unity
 
 
@@ -83,35 +84,73 @@ def _scaled(m, p: int):
 # Eigenbasis of the automorphism
 # ---------------------------------------------------------------------
 
+def _projector_sum(p: int, q: int, entries) -> CycScalar:
+    """(1/p) sum_s omega^(-qs) entries[s] for integers entries[s]."""
+    dense = [0] * p
+    for s, x in enumerate(entries):
+        dense[(-q * s) % p] += x
+    return CycScalar.from_ints(p, dense, p)
+
+
+def _eigenspace_rref(lattice, q: int, mult: int):
+    """The RREF rows of the omega^q-eigenspace of sigma, of dimension
+    mult > 0.  Row k of the transposed eigenprojector
+    P = (1/p) sum_s omega^(-qs) sigma^s is P e_k, an eigenvector; the
+    rows are taken in order, each reduced at the pivots found so far
+    and kept when it is not in their span, until mult are found.  The
+    kept rows, each with a one at its pivot and zeros at the others',
+    sorted by pivot, are the RREF, which is unique: the same rows a
+    full elimination of P gives, with no row reduced past the last
+    one needed."""
+    p, l, pows = lattice.p, lattice.rank, lattice.sigma_pows
+    found = {}
+    for k in range(l):
+        row = [_projector_sum(p, q, [m[i][k] for m in pows])
+               for i in range(l)]
+        for c, b in found.items():
+            f = row[c]
+            if f:
+                row = [x - f * y for x, y in zip(row, b)]
+        c = next((i for i, x in enumerate(row) if x), None)
+        if c is None:
+            continue
+        inv = row[c].inverse()
+        row = [x * inv for x in row]
+        for c2, b in found.items():
+            f = b[c]
+            if f:
+                found[c2] = [x - f * y for x, y in zip(b, row)]
+        found[c] = row
+        if len(found) == mult:
+            break
+    return [tuple(found[c]) for c in sorted(found)]
+
+
 class GradedBasis:
     """Eigenbasis h_1..h_l of the complexified lattice space with
     sigma h_j = omega^(q_j) h_j, the pairing matrix in that basis, and
     dual bases for the Virasoro sums.  Everything is built once from
-    the lattice's integer tables; the only eliminations are the RREF
-    of each eigenprojector and the inverse of the pairing."""
+    the lattice's integer tables.  The multiplicity of each eigenvalue
+    omega^q is the trace of its eigenprojector, (1/p) sum_s omega^(-qs)
+    tr sigma^s, from the integer traces; an eigenvalue of multiplicity
+    zero costs nothing more, and each other eigenspace is read off as
+    many projector rows as its multiplicity needs (`_eigenspace_rref`).
+    The one full elimination is the inverse of the pairing."""
 
     def __init__(self, lattice):
         self.lattice = lattice
         p, l = lattice.p, lattice.rank
         self.p = p
-        pows = lattice.sigma_pows
+        traces = [sum(m[i][i] for i in range(l)) for m in lattice.sigma_pows]
         qs, vecs = [], []
         for q in range(p):
-            # the transposed eigenprojector (1/p) sum_s omega^(-qs) sigma^s,
-            # each entry one integer vector over the powers of omega
-            rows = []
-            for k in range(l):
-                row = []
-                for i in range(l):
-                    dense = [0] * p
-                    for s in range(p):
-                        dense[(-q * s) % p] += pows[s][i][k]
-                    row.append(CycScalar.from_ints(p, dense, p))
-                rows.append(row)
-            rref, pivots = field_rref(rows, ONE)
-            for r in rref[:len(pivots)]:
+            # the trace of a projector: an integer, its rank
+            mult = _projector_sum(p, q, traces)
+            if not mult:
+                continue
+            for r in _eigenspace_rref(lattice, q, mult.num[0]):
                 qs.append(q)
-                vecs.append(tuple(r))
+                vecs.append(r)
         if len(vecs) != l:
             raise FockError("automorphism is not semisimple over Q(omega)")
         self.qs = tuple(qs)
@@ -120,14 +159,14 @@ class GradedBasis:
         g = lattice.gram
         gh = [[sum((h[b] * g[a][b] for b in range(l) if g[a][b]), ZERO)
                for a in range(l)] for h in vecs]
-        self.pairing = [
-            [sum((vecs[i][a] * gh[j][a] for a in range(l)), ZERO)
-             for j in range(l)] for i in range(l)]
+        # (h_i|h_j) is symmetric, and zero unless q_i + q_j = 0 mod p,
+        # since sigma preserves the form (the lattice checks that)
+        self.pairing = [[ZERO] * l for _ in range(l)]
         for i in range(l):
-            for j in range(l):
-                if (qs[i] + qs[j]) % p != 0 and self.pairing[i][j]:
-                    raise FockError(
-                        "pairing must vanish across incompatible degrees")
+            for j in range(i, l):
+                if (qs[i] + qs[j]) % p == 0:
+                    self.pairing[i][j] = self.pairing[j][i] = sum(
+                        (vecs[i][a] * gh[j][a] for a in range(l)), ZERO)
         try:
             minv = field_inverse(self.pairing, ONE)
         except ValueError:
@@ -166,11 +205,17 @@ class GradedBasis:
 class RegularOmega:
     """Vacuum space spanned by symbols indexed by lattice vectors in a
     box window; e(alpha) acts by the 2-cocycle and shifts the index.
-    Leaving the window poisons the computation."""
+    Leaving the window poisons the computation.  A window of more than
+    MAX_WINDOW lines is refused (SizeCapExceeded) before it is listed."""
 
     def __init__(self, twist: TwistData, bound: int):
         self.twist = twist
         lat = twist.lattice
+        lines = (2 * bound + 1) ** lat.rank
+        if lines > MAX_WINDOW:
+            raise SizeCapExceeded(
+                f"a vacuum window of radius {bound} in rank {lat.rank} "
+                f"has {lines} lines, above the cap {MAX_WINDOW}")
         self.bound = bound
         self.index = list(
             itertools.product(range(-bound, bound + 1), repeat=lat.rank))
@@ -594,7 +639,7 @@ class FockModule:
         # word keys store it, and the mode grids, residue tests and
         # creation caps work on it; a degree is the integer degree*grid
         # (term_degree_k, max_degree_k, floor_k); Fraction enters only
-        # at heis_act, mode_op and the degrees max_degree returns
+        # at mode_op and the degrees max_degree returns
         word, iota = key
         return -sum(m for m, _ in word) * self.mode_step + \
             self.degree_k[iota]
@@ -622,10 +667,6 @@ class FockModule:
         return out
 
     # -- Heisenberg action --------------------------------------------
-
-    def heis_act(self, j: int, m, v: FockVector) -> FockVector:
-        """h_j(m) applied to v, for an int or Fraction mode m."""
-        return self.mode_apply(self.basis.units[j], _scaled(m, self.p), v)
 
     def mode_apply(self, coords, ms, v: FockVector) -> FockVector:
         """h(ms/p) applied to v for h = sum_j coords_j h_j and the mode

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 
 from .linalg import (
     det_int, hnf_columns, identity, kernel_basis, mat_mul, mat_vec, snf)
@@ -15,6 +16,16 @@ class LatticeError(Exception):
     pass
 
 
+def _row_product(m, a, b) -> int:
+    """a^T m b for integer vectors: the rows of m at the nonzero entries
+    of a, each applied to b once."""
+    out = 0
+    for x, row in zip(a, m):
+        if x:
+            out += x * sum(map(mul, row, b))
+    return out
+
+
 class TwistedLattice:
     """Lattice Z^l with symmetric nondegenerate integer form and an
     automorphism sigma of finite order p preserving the form.
@@ -22,7 +33,8 @@ class TwistedLattice:
     The lattice keeps its sigma data for its lifetime: the powers
     `sigma_pows` (sigma^s for 0 <= s < p), the norm map
     N = sum_s sigma^s, so that alpha^0 = N alpha / p, `gram_norm`
-    = G N, whose column j is p * nu(e_j), `gram_weight` = G sum_s s
+    = G N, whose column j is p * nu(e_j), `gram_prime` = p G - G N,
+    the primed pairing on the grid p, `gram_weight` = G sum_s s
     sigma^s and the parities `diag_parity` of the diagonal of G, which
     give the commutator phase as an integer (`commutator_exponent`),
     and its reduced generating set (`reduce_generating_set`) once
@@ -60,6 +72,9 @@ class TwistedLattice:
                 for i in range(l)]
         self.norm = tuple(tuple(r) for r in norm)
         self.gram_norm = tuple(tuple(r) for r in mat_mul(gram, norm))
+        self.gram_prime = tuple(
+            tuple(self.p * g - x for g, x in zip(rg, rn))
+            for rg, rn in zip(gram, self.gram_norm))
         weight = [[sum(s * m[i][j] for s, m in enumerate(powers))
                    for j in range(l)] for i in range(l)]
         self.gram_weight = tuple(tuple(r) for r in mat_mul(gram, weight))
@@ -69,12 +84,8 @@ class TwistedLattice:
     # -- basic pairings -----------------------------------------------
 
     def pairing(self, a, b) -> int:
-        return sum(
-            self.gram[i][j] * a[i] * b[j]
-            for i in range(self.rank)
-            for j in range(self.rank)
-            if a[i] and b[j]
-        )
+        """(a|b) = a^T G b."""
+        return _row_product(self.gram, a, b)
 
     def apply_sigma(self, v, s: int = 1):
         m = self.sigma_pows[s % self.p]
@@ -115,10 +126,8 @@ class TwistedLattice:
 
     def prime_pairing_p(self, alpha, beta) -> int:
         """p * prime_pairing(alpha, beta), an integer:
-        p (alpha|beta) - alpha^T G N beta."""
-        gnb = mat_vec(self.gram_norm, beta)
-        return self.p * self.pairing(alpha, beta) - sum(
-            a * x for a, x in zip(alpha, gnb))
+        alpha^T (p G - G N) beta, one row product with the kept matrix."""
+        return _row_product(self.gram_prime, alpha, beta)
 
     def prime_pairing(self, alpha, beta) -> Fraction:
         """Pairing of the components orthogonal to the fixed space:

@@ -176,37 +176,49 @@ def snf(a):
     return d, u, v
 
 
+class SmithForm:
+    """The Smith form u·a·v = d of an integer matrix a, made once: its
+    integer kernel and the integer solutions of a·x = b are read off
+    it, for as many right-hand sides as asked."""
+
+    def __init__(self, a):
+        rows = len(a)
+        self.cols = len(a[0]) if rows else 0
+        d, self._u, self._v = snf(a)
+        self._diag = [d[i][i] for i in range(min(rows, self.cols))]
+
+    def kernel(self):
+        """Basis of the integer kernel {x : a·x = 0} as a list of
+        vectors."""
+        v, r = self._v, len(self._diag)
+        return [[v[i][j] for i in range(self.cols)] for j in range(self.cols)
+                if j >= r or not self._diag[j]]
+
+    def solve(self, b):
+        """An integer solution x of a·x = b, or None."""
+        ub = mat_vec(self._u, b)
+        y = [0] * self.cols
+        for i, x in enumerate(ub):
+            diag = self._diag[i] if i < len(self._diag) else 0
+            if diag:
+                if x % diag:
+                    return None
+                y[i] = x // diag
+            elif x:
+                return None
+        return mat_vec(self._v, y)
+
+
 def kernel_basis(a):
     """Basis of the integer kernel {x : a·x = 0} as a list of vectors."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    if cols == 0:
+    if not a or not a[0]:
         return []
-    d, _, v = snf(a)
-    out = []
-    for j in range(cols):
-        diag = d[j][j] if j < min(rows, cols) else 0
-        if j >= rows or diag == 0:
-            out.append([v[i][j] for i in range(cols)])
-    return out
+    return SmithForm(a).kernel()
 
 
 def solve_int(a, b):
     """An integer solution x of a·x = b, or None."""
-    rows = len(a)
-    cols = len(a[0]) if rows else 0
-    d, u, v = snf(a)
-    ub = mat_vec(u, b)
-    y = [0] * cols
-    for i in range(rows):
-        diag = d[i][i] if i < min(rows, cols) else 0
-        if diag:
-            if ub[i] % diag:
-                return None
-            y[i] = ub[i] // diag
-        elif ub[i]:
-            return None
-    return mat_vec(v, y)
+    return SmithForm(a).solve(b)
 
 
 # -- generic field elimination ---------------------------------------

@@ -482,18 +482,6 @@ class CycScalar:
                 return d
         return bound
 
-    def decompose_positive_root(self):
-        """Write self = q * u with q > 0 rational and u a root of unity.
-
-        Returns (q, M, k) with u = zeta_M^k in lowest form, or None if
-        self is not of that shape.
-        """
-        parts = _positive_root_parts(self)
-        if parts is None:
-            return None
-        c, m, k = parts
-        return Fraction(c, self.den), m, k
-
     # -- conversions --------------------------------------------------
 
     def __complex__(self) -> complex:

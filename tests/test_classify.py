@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import random
@@ -20,7 +21,7 @@ from twistlab.classify import (
     root_exponent,
     twisted_conditions,
 )
-from twistlab import classify, cocycle
+from twistlab import classify, cocycle, linalg
 from twistlab import lattice as lattice_module
 from twistlab.cocycle import TwistData
 from twistlab.fock import FockModule, RegularOmega, product_check
@@ -1011,3 +1012,116 @@ def test_enumeration_makes_no_cyc_scalar_products(monkeypatch):
     res = enumerate_simple_twisted(T)
     assert len(res.classes) == 3
     assert outside == []
+
+
+# ---------------------------------------------------------------------
+# what the presentation and the class vacuum space keep
+# ---------------------------------------------------------------------
+
+def _classify_test_lattices():
+    """The lattices this file enumerates: its fixtures and the property
+    lattices of orders 2, 3, 4 and 6."""
+    seen = set()
+    fixtures = [TwistedLattice(g, s) for g, s in
+                SPLIT_FIXTURES + E_ACT_FIXTURES + FAULT_LATTICES]
+    for lat in fixtures + list(_property_lattices()):
+        key = (lat.gram, lat.sigma)
+        if key not in seen:
+            seen.add(key)
+            yield lat
+
+
+def test_relation_matrix_takes_one_smith_form(monkeypatch):
+    # every relation combination k_parts hands out during enumeration
+    # equals linalg.solve_int on a fresh copy of the relation matrix,
+    # and each presentation puts its matrix in Smith form once, counted
+    # by the matrix object linalg.snf is handed
+    real_snf, real_k_parts = linalg.snf, classify.Presentation.k_parts
+    handed, asked = [], []
+
+    def snf(a):
+        handed.append(a)
+        return real_snf(a)
+
+    def k_parts(self, kvec):
+        out = real_k_parts(self, kvec)
+        asked.append((self, kvec, out))
+        return out
+
+    monkeypatch.setattr(linalg, "snf", snf)
+    monkeypatch.setattr(classify.Presentation, "k_parts", k_parts)
+    presentations = []
+    for lat in _classify_test_lattices():
+        T = TwistData(lat)
+        enumerate_simple_twisted(T)
+        if not T.presentation.obstructed:
+            presentations.append(T.presentation)
+    monkeypatch.undo()
+    solved = set()
+    for P, kvec, parts in asked:
+        combo = linalg.solve_int([list(r) for r in P._dmat], list(kvec))
+        assert (None if parts is None else parts[0]) == combo
+        if combo is not None:
+            assert tuple(sum(c * d[i] for c, d in zip(combo, P.dvecs))
+                         for i in range(P.lattice.rank)) == kvec
+            solved.add((id(P), kvec))
+    for P in presentations:
+        takes = sum(1 for a in handed if a is P._dmat)
+        assert takes == (1 if P.dvecs and P.witness is None else 0)
+    assert len(solved) > 150
+    assert sum(1 for P in presentations if P.dvecs) > 30
+
+
+def _searched_h_label(A, block, lifts):
+    """The character of H whose projector f lies under the block's
+    idempotent e, e f = f, searched label by label in labels() order."""
+    for label in lifts.labels():
+        f = lifts.projector(label)
+        if classify._b0_mul(A, block.idempotent, f) == f:
+            return label
+    return None
+
+
+def _renormalized(lifts, k):
+    """A second lift of the same subgroup: generator k's normalizer
+    times zeta_(o_k), still a homomorphism, so its character labels
+    shift against the radical's lift."""
+    out = copy.copy(lifts)
+    out.__dict__.pop("table", None)
+    out.gens = [(rk, ok, nk * RootPair(1, 1, ok)) if i == k else
+                (rk, ok, nk) for i, (rk, ok, nk) in enumerate(lifts.gens)]
+    return out
+
+
+def test_class_character_matches_the_projector_search():
+    # on every class module of the property lattices (orders 2, 3, 4
+    # and 6), the H-character read off the block's radical character is
+    # the one the projector search finds; on the order-2 split fixtures
+    # H is larger than the radical and the blocks have dimension 2.
+    # Each generator's normalizer is also turned by a root of unity, so
+    # that the lifts of H and of the radical differ by a character of
+    # order 2 or 3 on it
+    modules, larger, turned = 0, set(), set()
+    for lat in _property_lattices():
+        T = TwistData(lat)
+        for cls in enumerate_simple_twisted(T).classes:
+            A = T.presentation.algebra(cls.mu_choice)
+            omega = classify.ClassOmega(A, cls.ideal_index, cls.base_weight,
+                                        cls.eta)
+            block, H = omega.block, omega.H
+            assert omega.h_label == _searched_h_label(A, block,
+                                                      omega.h_lifts)
+            modules += 1
+            if H.size > A.presentation.radical.size:
+                larger.add((lat.p, omega.d))
+            for k, (_rk, ok, _nk) in enumerate(omega.h_lifts.gens):
+                if ok == 1:
+                    continue
+                lifts = _renormalized(omega.h_lifts, k)
+                label = classify._block_character(A, block, H, lifts)
+                assert label == _searched_h_label(A, block, lifts)
+                if label != omega.h_label:
+                    turned.add(ok)
+    assert modules > 400
+    assert (2, 2) in larger
+    assert {2, 3} <= turned

@@ -3,11 +3,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import twistlab
-from twistlab import classify, cli
+from twistlab import classify, cli, fock
 from twistlab.classify import ClassifyError
 from twistlab.scalar import RootPair
 from twistlab.cli import (
@@ -641,6 +642,26 @@ def test_work_cap_exit_3(tmp_path):
     assert "Traceback" not in proc.stderr
     assert "work cap" in proc.stderr
     assert proc.stdout == ""
+
+
+def test_oversized_vacuum_window_exit_3(tmp_path, capsys, monkeypatch):
+    # a radius-10^9 window would list 2*10^9 + 1 lines; it is refused
+    # before any is built, with the window's size in the message
+    spec = {"gram": [[2]], "sigma": [[1]], "bound": 1000000000}
+    t0 = time.perf_counter()
+    assert run(tmp_path, spec, "check") == EXIT_SCALAR
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
+        "refused: a vacuum window of radius 1000000000 in rank 1 has "
+        f"2000000001 lines, above the cap {classify.MAX_WINDOW}"]
+    # the cap counts lines: 3 in rank 1 at radius 1, 25 in rank 2 at 2
+    monkeypatch.setattr(fock, "MAX_WINDOW", 24)
+    assert run(tmp_path, dict(EX0, bound=1), "check") == EXIT_OK
+    assert run(tmp_path, dict(EX2, bound=2, trunc=1), "check") == EXIT_SCALAR
+    monkeypatch.setattr(fock, "MAX_WINDOW", 25)
+    assert run(tmp_path, dict(EX2, bound=2, trunc=1), "check") == EXIT_OK
 
 
 def test_classify_error_exit_1(tmp_path, capsys, monkeypatch):

@@ -65,6 +65,12 @@ def vac(M):
     return M.vacuum(M.omega.lookup[(0,) * M.lattice.rank])
 
 
+def heis(M, j, m, v):
+    """h_j(m) applied to v, for an int or Fraction mode m: the module's
+    one Heisenberg action on the unit eigen-coordinates of h_j."""
+    return M.mode_apply(M.basis.units[j], fock._scaled(m, M.p), v)
+
+
 # ---------------------------------------------------------------------
 # Graded eigenbasis
 # ---------------------------------------------------------------------
@@ -182,6 +188,74 @@ def test_graded_basis_matches_elimination_witness():
             assert gb.decompose(v) == _witness_coords(vecs, v), (lat, v)
 
 
+def _full_elimination_basis(lat):
+    """qs, vecs, pairing, duals and coord_rows as GradedBasis built them
+    with a full elimination: the transposed eigenprojector of every
+    residue q, multiplicity zero included, in integer-built CycScalars,
+    its field_rref, the pairing with its vanishing check, its inverse
+    and the coordinate matrix."""
+    p, l = lat.p, lat.rank
+    pows = lat.sigma_pows
+    qs, vecs = [], []
+    for q in range(p):
+        rows = []
+        for k in range(l):
+            row = []
+            for i in range(l):
+                dense = [0] * p
+                for s in range(p):
+                    dense[(-q * s) % p] += pows[s][i][k]
+                row.append(CycScalar.from_ints(p, dense, p))
+            rows.append(row)
+        rref, pivots = field_rref(rows, ONE)
+        for r in rref[:len(pivots)]:
+            qs.append(q)
+            vecs.append(tuple(r))
+    g = lat.gram
+    gh = [[sum((h[b] * g[a][b] for b in range(l) if g[a][b]), ZERO)
+           for a in range(l)] for h in vecs]
+    pairing = [[sum((vecs[i][a] * gh[j][a] for a in range(l)), ZERO)
+                for j in range(l)] for i in range(l)]
+    for i in range(l):
+        for j in range(l):
+            assert (qs[i] + qs[j]) % p == 0 or not pairing[i][j]
+    minv = field_inverse(pairing, ONE)
+    duals = tuple(tuple(minv[i][j] for i in range(l)) for j in range(l))
+    coord_rows = tuple(
+        tuple(sum((gh[i][a] * minv[i][j] for i in range(l)), ZERO)
+              for a in range(l)) for j in range(l))
+    return tuple(qs), tuple(vecs), pairing, duals, coord_rows
+
+
+# rank-3 lattices in a skewed basis, where a later projector row has
+# the smaller pivot, or an earlier row must be reduced at a later pivot
+SKEWED = [
+    ([[0, -12, 4], [-12, -12, 10], [4, 10, -6]],
+     [[1, 2, -1], [2, 1, -1], [4, 4, -3]]),
+    ([[-10, 18, -5], [18, -48, 16], [-5, 16, -8]],
+     [[1, 0, 0], [1, -1, 0], [2, -4, 1]]),
+    ([[-2, 3, -9], [3, 4, -1], [-9, -1, -4]],
+     [[0, 0, -1], [-1, -1, 1], [-1, 0, 0]]),
+]
+
+
+def test_graded_basis_matches_the_full_elimination():
+    # the multiplicities read off the traces and the eigenspaces read
+    # off as many projector rows as they need give the very basis the
+    # full elimination of every eigenprojector gave, on lattices with
+    # eigenspaces of dimension 1, 2 and 3 and with eigenvalues missing
+    dims, missing = set(), 0
+    skewed = [TwistedLattice(g, s) for g, s in SKEWED]
+    for lat in _witness_lattices() + skewed:
+        gb = GradedBasis(lat)
+        qs, vecs, pairing, duals, coord_rows = _full_elimination_basis(lat)
+        assert (gb.qs, gb.vecs, gb.pairing, gb.duals, gb.coord_rows) == \
+            (qs, vecs, pairing, duals, coord_rows)
+        dims.update(qs.count(q) for q in set(qs))
+        missing += lat.p - len(set(qs))
+    assert {1, 2, 3} <= dims and missing > 20
+
+
 def test_module_and_product_solve_no_linear_system(monkeypatch):
     # the eigen-coordinates are read off the basis' kept matrix
     calls = []
@@ -208,7 +282,7 @@ def test_heis_act_annihilates_vacuum():
     M = negation_module()
     v = vac(M)
     for m in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
-        assert M.heis_act(0, m, v).is_zero()
+        assert heis(M, 0, m, v).is_zero()
 
 
 def test_heis_act_bracket_contraction():
@@ -216,8 +290,8 @@ def test_heis_act_bracket_contraction():
     M = negation_module()
     v = vac(M)
     n = Fraction(1, 2)
-    created = M.heis_act(0, -n, v)
-    back = M.heis_act(0, n, created)
+    created = heis(M, 0, -n, v)
+    back = heis(M, 0, n, created)
     # (h_0|h_0) = 2 in the eigenbasis here
     assert back == v.scale(n * 2)
 
@@ -226,30 +300,30 @@ def test_heis_act_zero_mode_weight():
     M = untwisted_module()
     i = M.omega.lookup[(1,)]
     v = M.vacuum(i)
-    got = M.heis_act(0, 0, v)
+    got = heis(M, 0, 0, v)
     assert got == v.scale(M.omega.xi(i)[0])
 
 
 def test_heis_act_truncation_poisons():
     M = untwisted_module(trunc=2)
     v = vac(M)
-    deep = M.heis_act(0, Fraction(-3), v)
+    deep = heis(M, 0, Fraction(-3), v)
     assert deep.poisoned and deep.is_zero()
 
 
 def test_mode_residue_mismatch_is_zero():
     M = negation_module()
     v = vac(M)
-    assert M.heis_act(0, -1, v).is_zero()
-    assert not M.heis_act(0, -1, v).poisoned
+    assert heis(M, 0, -1, v).is_zero()
+    assert not heis(M, 0, -1, v).poisoned
     # modes off the grid (1/p)Z match no residue: zero, and the input's
     # poison flag carried over
     for N, m in ((M, Fraction(1, 3)), (M, Fraction(-5, 3)),
                  (untwisted_module(), Fraction(1, 2)),
                  (untwisted_module(), Fraction(-1, 2))):
         w = vac(N)
-        assert N.heis_act(0, m, w) == FockVector(N, {})
-        assert N.heis_act(0, m, FockVector(N, {}, poisoned=True)) == \
+        assert heis(N, 0, m, w) == FockVector(N, {})
+        assert heis(N, 0, m, FockVector(N, {}, poisoned=True)) == \
             FockVector(N, {}, poisoned=True)
         assert N.mode_op((ONE,), m).apply(w) == FockVector(N, {})
 
@@ -268,12 +342,12 @@ def test_heis_act_int_and_fraction_modes_agree(make):
     for v in M.basis_vectors(1):
         for j in range(M.lattice.rank):
             for m in range(-2, 3):
-                assert M.heis_act(j, m, v) == M.heis_act(j, Fraction(m), v)
+                assert heis(M, j, m, v) == heis(M, j, Fraction(m), v)
             for ms in range(-2 * p, 2 * p + 1):
                 # the same mode as a Fraction and as an int times p
-                got = M.heis_act(j, Fraction(ms, p), v)
+                got = heis(M, j, Fraction(ms, p), v)
                 if ms % p == 0:
-                    assert got == M.heis_act(j, ms // p, v)
+                    assert got == heis(M, j, ms // p, v)
                 if ms % p != M.basis.qs[j]:
                     assert got == FockVector(M, {})
 
@@ -288,12 +362,12 @@ def test_creation_past_trunc_poisons(make, deep, ok):
     v = vac(M)
     j = next(j for j, q in enumerate(M.basis.qs)
              if q == deep.numerator % M.p)
-    got = M.heis_act(j, deep, v)
+    got = heis(M, j, deep, v)
     assert got.poisoned and got.is_zero()
-    kept = M.heis_act(j, ok, v)
+    kept = heis(M, j, ok, v)
     assert not kept.poisoned and not kept.is_zero()
     # the creation degree counts the modes already in the word
-    assert M.heis_act(j, ok, kept).poisoned
+    assert heis(M, j, ok, kept).poisoned
 
 
 # one lattice of each order 1, 2, 3, 4, 6: the identity on A2 and, on
@@ -385,7 +459,7 @@ def test_vertex_coeff_untwisted_vacuum_values():
     assert M.vertex_coeff(alpha, Fraction(0)).apply(v).is_zero()
     assert M.vertex_coeff(alpha, Fraction(-1)).apply(v) == ket_a
     assert M.vertex_coeff(alpha, Fraction(-2)).apply(v) == \
-        M.heis_act(0, Fraction(-1), ket_a)
+        heis(M, 0, Fraction(-1), ket_a)
 
 
 def test_vertex_commutator_with_heisenberg():
@@ -769,7 +843,7 @@ def test_e_group_law_and_commutation():
 
 def test_e_identity():
     M = negation_module()
-    v = M.heis_act(0, Fraction(-1, 2), vac(M))
+    v = heis(M, 0, Fraction(-1, 2), vac(M))
     assert M.e_op((0,)).apply(v) == v
 
 
@@ -809,7 +883,7 @@ def test_reconstruct_e_on_probes_with_creations():
 def test_pair_expansion_untwisted():
     M = untwisted_module()
     v0 = vac(M)
-    v1 = M.heis_act(0, Fraction(-1), v0)
+    v1 = heis(M, 0, Fraction(-1), v0)
     slots = [Fraction(-1), Fraction(0), Fraction(1)]
     rep = pair_expansion_check(M, (1,), (-1,), slots, slots, [v0, v1])
     assert all(st == "pass" for _, st in rep), rep

@@ -106,6 +106,35 @@ def test_prime_pairing():
         )
 
 
+def _double_sum_pairing(gram, a, b):
+    """(a|b) as the double sum over the Gram entries."""
+    l = len(gram)
+    return sum(gram[i][j] * a[i] * b[j] for i in range(l) for j in range(l))
+
+
+def test_pairing_row_product_matches_the_double_sum():
+    # on random vectors of ranks 1 to 4, zero and sparse ones included,
+    # the pairing and p times the primed pairing against the double sums
+    # p (a|b) - (a | N b)
+    rng = random.Random(2718)
+    ranks = set()
+    for _ in range(60):
+        lat = random_twisted_lattice(rng, rank_max=4)
+        l, p, g = lat.rank, lat.p, lat.gram
+        ranks.add(l)
+        vecs = [tuple(rng.randint(-3, 3) for _ in range(l)) for _ in range(6)]
+        vecs += [(0,) * l, tuple(int(i == l - 1) for i in range(l))]
+        for a in vecs:
+            for b in vecs:
+                assert lat.pairing(a, b) == _double_sum_pairing(g, a, b)
+                nb = [sum(lat.norm[i][j] * b[j] for j in range(l))
+                      for i in range(l)]
+                assert lat.prime_pairing_p(a, b) == \
+                    p * _double_sum_pairing(g, a, b) \
+                    - _double_sum_pairing(g, a, nb)
+    assert ranks == {1, 2, 3, 4}
+
+
 def test_nu():
     l2 = TwistedLattice(A1x2, neg_identity(2))
     assert l2.nu((1, 0)) == (0, 0)

@@ -13,6 +13,7 @@ from twistlab.scalar import (
     CycScalar,
     RootPair,
     ScalarError,
+    _positive_root_parts,
     canonical_root,
     cyclotomic_poly,
     parse_scalar,
@@ -366,6 +367,16 @@ def _brute_force_root(x):
     return None
 
 
+def _decompose(x):
+    """(q, M, k) with x = q * zeta_M^k, q > 0 rational and zeta_M^k in
+    lowest terms, from `_positive_root_parts`, or None."""
+    parts = _positive_root_parts(x)
+    if parts is None:
+        return None
+    c, m, k = parts
+    return Fraction(c, x.den), m, k
+
+
 def test_decompose_positive_root_matches_brute_force():
     rng = random.Random(59)
     values = [ZERO, ONE, CycScalar.rational(-3), ONE + root_of_unity(5)]
@@ -384,13 +395,13 @@ def test_decompose_positive_root_matches_brute_force():
     found = 0
     for x in values:
         expect = _brute_force_root(x)
-        assert x.decompose_positive_root() == expect
+        assert _decompose(x) == expect
         found += expect is not None
     assert 100 < found < len(values)
 
 
 def _scan_decompose(x):
-    """The search decompose_positive_root used to make: every root of
+    """The search the positive-root decomposition used to make: every root of
     unity of Q(zeta_n) lies on the grid N = n (n even) or 2n (n odd),
     so try x * zeta_N^(-e) for e = 0..N-1 until the product is a
     positive rational."""
@@ -417,12 +428,12 @@ def test_decompose_positive_root_matches_the_old_scan():
             root = root_of_unity(m, k)
             for q in (1, 2, Fraction(1, 3)):
                 x = root * q
-                got = x.decompose_positive_root()
+                got = _decompose(x)
                 assert got == _scan_decompose(x)
                 assert got[0] == q and got[1:] == (m // math.gcd(m, k),
                                                    k // math.gcd(m, k))
     for x in (ONE + root_of_unity(5), ZERO):
-        assert x.decompose_positive_root() is None
+        assert _decompose(x) is None
         assert _scan_decompose(x) is None
 
 
