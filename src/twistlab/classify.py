@@ -8,8 +8,8 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .cocycle import TwistData, commutator_map
 from .fdist import vector_status, worst_status
 from .lattice import TwistedLattice
 from .linalg import (
@@ -29,6 +29,9 @@ from .scalar import (
     ScalarError,
     as_scalar,
 )
+
+if TYPE_CHECKING:
+    from .cocycle import TwistData
 
 # a bound on the work of one enumeration: root choices times |E|^2, the
 # number of multiplication scalars tau over all root choices
@@ -64,15 +67,10 @@ def _root_parts(mu: RootPair):
     return r, k
 
 
-def root_exponent(mu: CycScalar) -> Fraction:
+def root_exponent(mu: RootPair) -> Fraction:
     """The rational r/k in [0, 1) with mu = zeta_k^r, for mu a root of
     unity."""
-    mu = as_scalar(mu)
-    pair = RootPair.of(mu)
-    if pair is None:
-        raise UnsupportedScalar(f"{mu} is not a root of unity")
-    r, k = _root_parts(pair)
-    return Fraction(r, k)
+    return Fraction(*_root_parts(mu))
 
 
 def _unit(l: int, k: int):
@@ -199,8 +197,8 @@ class FiniteQuotient:
 class PowerRelation:
     index: int
     power: int
-    theta: CycScalar
-    normalizer: CycScalar
+    theta: RootPair
+    normalizer: RootPair
 
 
 class Presentation:
@@ -246,7 +244,7 @@ class Presentation:
                 d = _vec_sub(orb[s], orb[0])
                 self.dvecs.append(d)
                 self.dslots.append((j, s))
-                self.deps.append(twist.epsilon_pair(d, orb[0]))
+                self.deps.append(twist.epsilon(d, orb[0]))
         self._dmat = [[d[i] for d in self.dvecs] for i in range(l)]
         self._khnf = []
         if self.dvecs:
@@ -298,10 +296,10 @@ class Presentation:
             d = self.dvecs[idx]
             v = d if mult > 0 else _vec_scale(d, -1)
             for _ in range(abs(mult)):
-                cfold = cfold * twist.epsilon_pair(cur, v)
+                cfold = cfold * twist.epsilon(cur, v)
                 cur = _vec_add(cur, v)
                 if mult < 0:
-                    sprod = sprod * twist.epsilon_pair(d, v)
+                    sprod = sprod * twist.epsilon(d, v)
         return sprod / cfold
 
     @cached_property
@@ -339,14 +337,14 @@ class Presentation:
         if parts is None:
             twist, lat = self.twist, self.lattice
             d = _vec_sub(lat.apply_sigma(gamma), gamma)
-            factor = twist.phi_pair(gamma)
+            factor = twist.phi(gamma)
             if any(d):
-                factor = twist.epsilon_pair(d, gamma).inverse() * factor
+                factor = twist.epsilon(d, gamma).inverse() * factor
             else:
                 d = None
             orb = lat.orbit(gamma)
             parts = self._mu_parts[gamma] = (
-                factor, d, len(orb), twist.orbit_product_pair(orb))
+                factor, d, len(orb), twist.orbit_product(orb))
         return parts
 
     # -- generating-set invariants, computed on first use --------------
@@ -356,7 +354,7 @@ class Presentation:
         """Commutation constants of the orbit representatives."""
         reps = self.dec.reps
         n = len(reps)
-        c = [[self.twist.commutator_pair(reps[i], reps[j]) for j in range(n)]
+        c = [[self.twist.commutator(reps[i], reps[j]) for j in range(n)]
              for i in range(n)]
         for i in range(n):
             for j in range(n):
@@ -390,8 +388,7 @@ class Presentation:
             rep = self.dec.reps[j]
             efold = self.twist.one
             for i in range(1, self.dec.lengths[j]):
-                efold = efold * self.twist.epsilon_pair(_vec_scale(rep, i),
-                                                        rep)
+                efold = efold * self.twist.epsilon(_vec_scale(rep, i), rep)
             out.append(efold)
         return out
 
@@ -450,13 +447,14 @@ class PresentedAlgebraA:
     The generating set is the lattice's own (`reduce_generating_set`).
     What does not depend on mu lives on the twist's Presentation
     (`presentation`), which keeps this object per root choice
-    (`Presentation.algebra`).  This object holds the coefficients k_s,
-    the relation scalars, the power relations, the scalars k_image,
-    e_image and tau, and its block decomposition.  The scalars are
-    `RootPair`s on the twist's grid; `ks`, the power relations,
-    `derived_mu` and the block idempotents are CycScalars.  The zero
-    marker is set when the relations force 1 = theta for some scalar
-    theta != 1 (the obstructed case)."""
+    (`Presentation.algebra`).  This object holds the root choice
+    `mu_choice`, the coefficients k_s of each orbit (`ks`), the relation
+    scalars, the power relations, the scalars k_image, e_image, tau and
+    derived_mu, and its block decomposition.  Each of those scalars is
+    a `RootPair` on the twist's grid; `bichar` and the block
+    idempotents, which go to CycScalar code or hold sums, are
+    CycScalars.  The zero marker is set when the relations force
+    1 = theta for some scalar theta != 1 (the obstructed case)."""
 
     def __init__(self, twist: TwistData, decomposition, mu_choice):
         self.twist = twist
@@ -477,12 +475,11 @@ class PresentedAlgebraA:
         self.reps = decomposition.reps
         self.lengths = decomposition.lengths
         self.m = decomposition.m
-        self._ks = []
+        self.ks = []
         for orb, mu in zip(decomposition.orbits, self.mu_choice):
-            mu = RootPair.of(mu, twist.grid)
-            if mu is None or mu ** len(orb) != twist.orbit_product_pair(orb):
+            if mu ** len(orb) != twist.orbit_product(orb):
                 raise ClassifyError("mu choice is not an orbit root")
-            self._ks.append(twist.k_pairs(orb, mu))
+            self.ks.append(twist.k_coeffs(orb, mu))
         self._k_cache = {}
         self._e_cache = {}
         self._tau_cache = {}
@@ -490,7 +487,7 @@ class PresentedAlgebraA:
             self.zero, self.witness = True, P.witness
             return
         # the scalar images e(d) of the difference vectors
-        self._dscalars = [eps * self._ks[j][s].inverse()
+        self._dscalars = [eps * self.ks[j][s].inverse()
                           for eps, (j, s) in zip(P.deps, P.dslots)]
         # the scalar image of a K-vector must not depend on the combo
         for ker, factor in P.kernel:
@@ -511,15 +508,10 @@ class PresentedAlgebraA:
                 raise UnsupportedScalar(
                     f"power relation scalar {theta} has no canonical "
                     f"{pj}-th root") from exc
-            self.power_relations.append(PowerRelation(
-                j, pj, theta.scalar(), normalizer.scalar()))
+            self.power_relations.append(
+                PowerRelation(j, pj, theta, normalizer))
         self.E = P.E
         self.dim_B0 = self.E.size
-
-    @cached_property
-    def ks(self):
-        """The coefficients k_s of each generating orbit, as CycScalars."""
-        return [tuple(k.scalar() for k in ks) for ks in self._ks]
 
     # -- scalar bookkeeping -------------------------------------------
 
@@ -552,16 +544,12 @@ class PresentedAlgebraA:
             rep = self.presentation.rep_of(gamma)
             d = _vec_sub(gamma, rep)
             self._e_cache[gamma] = (
-                self.twist.epsilon_pair(d, rep).inverse() * self.k_image(d),
+                self.twist.epsilon(d, rep).inverse() * self.k_image(d),
                 rep)
         return self._e_cache[gamma]
 
-    def derived_mu(self, gamma) -> CycScalar:
+    def derived_mu(self, gamma) -> RootPair:
         """The root mu(gamma) forced by the relations, for any gamma."""
-        return self.derived_mu_pair(gamma).scalar()
-
-    def derived_mu_pair(self, gamma) -> RootPair:
-        """`derived_mu` on the twist's grid."""
         factor, d, length, product = self.presentation.mu_parts(gamma)
         mu = factor if d is None else factor * self.k_image(d)
         if mu ** length != product:
@@ -585,8 +573,8 @@ class PresentedAlgebraA:
             tgh = E.lift(_e_add(*key, E.divisors))
             delta = _vec_sub(_vec_add(tg, th), tgh)
             self._tau_cache[key] = (
-                twist.epsilon_pair(tg, th)
-                * twist.epsilon_pair(delta, tgh).inverse()
+                twist.epsilon(tg, th)
+                * twist.epsilon(delta, tgh).inverse()
                 * self.k_image(delta))
         return self._tau_cache[key]
 
@@ -594,7 +582,7 @@ class PresentedAlgebraA:
         """Commutator bicharacter on E: b(g, h) with
         y_g y_h = b(g, h) y_h y_g."""
         E = self.presentation.E
-        return commutator_map(self.lattice, E.lift(g), E.lift(h))
+        return self.twist.commutator(E.lift(g), E.lift(h)).scalar()
 
     @cached_property
     def radical_lifts(self) -> _GroupScalars:
@@ -796,7 +784,7 @@ def admissible_base_weight(A: PresentedAlgebraA):
     Returns (True, xi values at the standard basis) or (False, witness)."""
     lat = A.lattice
     l, p = lat.rank, lat.p
-    roots = [_root_parts(A.derived_mu_pair(_unit(l, k))) for k in range(l)]
+    roots = [_root_parts(A.derived_mu(_unit(l, k))) for k in range(l)]
     D = math.lcm(2 * p, *(k for _r, k in roots))
     c = [x * (D // (2 * p)) - r * (D // q)
          for x, (r, q) in zip(A.presentation.prime_diagonal, roots)]
@@ -1139,8 +1127,8 @@ class ClassOmega:
         s1, _rep = A.e_image(delta)
         sg = A.y_scalar(g)
         t2, smod = self._y_act(g, t)
-        total = twist.epsilon_pair(alpha, lk) * \
-            twist.epsilon_pair(lk2, delta).inverse() * s1 / sg * smod
+        total = twist.epsilon(alpha, lk) * \
+            twist.epsilon(lk2, delta).inverse() * s1 / sg * smod
         return ((self.lookup[(k2, t2)], total.scalar()),)
 
 
@@ -1171,7 +1159,8 @@ def _check_relation_i(T, module, gamma, mu, probes):
     ks = T.k_coeffs(orb, mu)
     status, wit = "pass", None
     for s in range(1, len(orb)):
-        diff = module.e_op(orb[s]) - module.e_op(gamma).scale(ks[s].inverse())
+        diff = module.e_op(orb[s]) - module.e_op(gamma).scale(
+            ks[s].inverse().scalar())
         decided = False
         for v in probes:
             st = vector_status(diff.apply(v))

@@ -43,7 +43,7 @@ from .fock import (
     virasoro_element_checks,
 )
 from .lattice import LatticeError, TwistedLattice
-from .scalar import ConductorOverflow, ScalarError, parse_scalar
+from .scalar import ConductorOverflow, RootPair, ScalarError, parse_scalar
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -280,7 +280,7 @@ def cmd_classify(spec: JobSpec):
     entries = res.entries
     if spec.mu is not None:
         try:
-            wanted = tuple(parse_scalar(t) for t in spec.mu)
+            wanted = tuple(RootPair.of(parse_scalar(t)) for t in spec.mu)
         except ScalarError as exc:
             raise InputError(str(exc)) from exc
         entries = [e for e in entries if e.mu_choice == wanted]

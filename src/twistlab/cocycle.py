@@ -6,12 +6,12 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+from .classify import Presentation
 from .lattice import TwistedLattice
 from .scalar import (
     CycScalar,
     ONE,
     RootPair,
-    ScalarError,
     as_scalar,
     root_of_unity,
 )
@@ -60,15 +60,17 @@ class TwistData:
     epsilon is bimultiplicative with root-of-unity seeds, so it is kept
     as one integer matrix: epsilon(a, b) = zeta_N^(a^T E b), with N
     (`eps_order`) the lcm of the seed orders and E (`eps_exponents`)
-    the seeds' exponents on that grid.  The classifier's scalars are
-    `RootPair`s on one grid per twist, `grid` = p * lcm(2, eps_order,
+    the seeds' exponents on that grid.  Each value is a positive
+    rational times a root of unity and is returned, by one method, as a
+    `RootPair` on one grid per twist, `grid` = p * lcm(2, eps_order,
     the root orders of the phi seeds): it holds C (a 2p-th root), every
-    epsilon and phi value, every orbit product of phi and every root mu
-    of one (mu^p_a = product, p_a | p).  The `_pair` methods give those
-    values; the others are their CycScalars.  The seeds are fixed at
-    construction and must not be changed afterwards: phi keeps its
-    value per vector as its pair (`phi_pair`) and its product per
-    orbit, the obstruction scan keeps its one verdict on the lattice's
+    epsilon and phi value, every orbit product of phi, every root mu of
+    one (mu^p_a = product, p_a | p) and every k_s.  A caller that sums
+    values, or hands one to CycScalar code, converts it with
+    `RootPair.scalar()`; kappa, a product of sums, is a CycScalar.  The
+    seeds are fixed at construction and must not be changed afterwards:
+    phi keeps its value per vector and its product per orbit, the
+    obstruction scan keeps its one verdict on the lattice's
     generating set, and `presentation` is the classifier's presentation
     of the algebra A, built once, for as long as the object lives."""
 
@@ -140,30 +142,22 @@ class TwistData:
                     out += a * b * row[j]
         return out
 
-    def epsilon(self, alpha, beta) -> CycScalar:
-        """epsilon(a, b) = zeta_N^(a^T E b)."""
-        return _zeta(self.eps_order,
-                     self._form(self.eps_exponents, alpha, beta) % self.eps_order)
-
-    def epsilon_pair(self, alpha, beta) -> RootPair:
-        """epsilon(a, b) on the twist's grid."""
+    def epsilon(self, alpha, beta) -> RootPair:
+        """epsilon(a, b) = zeta_N^(a^T E b) on the twist's grid."""
         return RootPair(1, self._form(self.eps_exponents, alpha, beta)
                         * self._eps_step, self.grid)
 
-    def commutator_pair(self, alpha, beta) -> RootPair:
+    def commutator(self, alpha, beta) -> RootPair:
         """C(a, b) on the twist's grid."""
         grid = self.grid
         return RootPair(1, self.lattice.commutator_exponent(alpha, beta)
                         * (grid // (2 * self.lattice.p)), grid)
 
-    def commutator(self, alpha, beta) -> CycScalar:
-        return commutator_map(self.lattice, alpha, beta)
-
     def kappa(self, alpha, beta) -> CycScalar:
         """kappa(a,b) = eps(a,b) p^-(a|b) prod_s (1 - omega^s)^(m_s)."""
         lat = self.lattice
         ms = lat.m_values(alpha, beta)
-        out = self.epsilon(alpha, beta) * (
+        out = self.epsilon(alpha, beta).scalar() * (
             Fraction(lat.p) ** (-lat.pairing(alpha, beta))
         )
         omega = root_of_unity(lat.p)
@@ -200,13 +194,10 @@ class TwistData:
         g = math.gcd(n, k)
         return root_of_unity(2 * n // g, k // g)
 
-    def phi(self, alpha) -> CycScalar:
-        """The 1-cocycle: extension of the seed values with dphi(a,b) =
+    def phi(self, alpha) -> RootPair:
+        """The 1-cocycle on the twist's grid, kept per vector: the
+        extension of the seed values with dphi(a,b) =
         eps(sigma a, sigma b)/eps(a, b)."""
-        return self.phi_pair(alpha).scalar()
-
-    def phi_pair(self, alpha) -> RootPair:
-        """phi(alpha) on the twist's grid, kept per vector."""
         alpha = tuple(alpha)
         out = self._phi_pairs.get(alpha)
         if out is None:
@@ -236,50 +227,35 @@ class TwistData:
 
     # -- roots mu and eigen-coefficients k_s --------------------------
 
-    def orbit_phi_product(self, orbit) -> CycScalar:
-        return self.orbit_product_pair(orbit).scalar()
-
-    def orbit_product_pair(self, orbit) -> RootPair:
+    def orbit_product(self, orbit) -> RootPair:
         """prod_s phi(sigma^s a) on the twist's grid, kept per orbit."""
         orbit = tuple(orbit)
         out = self._orbit_products.get(orbit)
         if out is None:
             out = self.one
             for v in orbit:
-                out = out * self.phi_pair(v)
+                out = out * self.phi(v)
             self._orbit_products[orbit] = out
         return out
 
     def mu_roots(self, orbit):
-        """All p_alpha-th roots mu with mu^p_alpha = prod_s phi(sigma^s a)."""
-        return tuple(mu.scalar() for mu in self.mu_pairs(orbit))
-
-    def mu_pairs(self, orbit):
-        """The roots mu of `mu_roots` on the twist's grid: the canonical
-        root of the orbit product times the p_alpha-th roots of one."""
+        """All p_alpha-th roots mu with mu^p_alpha = prod_s phi(sigma^s a)
+        on the twist's grid: the canonical root of the orbit product
+        times the p_alpha-th roots of one."""
         p_a = len(orbit)
-        base = self.orbit_product_pair(orbit).root(p_a)
+        base = self.orbit_product(orbit).root(p_a)
         step = self.grid // p_a
         return tuple(base * RootPair(1, j * step, self.grid)
                      for j in range(p_a))
 
-    def k_coeffs(self, orbit, mu: CycScalar):
+    def k_coeffs(self, orbit, mu: RootPair):
         """k_s = mu^-s phi(a) phi(sigma a) ... phi(sigma^(s-1) a), k_0 = 1,
-        for mu a positive rational times a root of unity."""
-        pair = RootPair.of(mu, self.grid)
-        if pair is None:
-            raise ScalarError(
-                f"{mu} is not a positive rational times a root of unity")
-        return tuple(k.scalar() for k in self.k_pairs(orbit, pair))
-
-    def k_pairs(self, orbit, mu: RootPair):
-        """The k_s of `k_coeffs` for the pair mu, each from the last:
-        k_s = k_(s-1) mu^-1 phi(sigma^(s-1) a)."""
+        each from the last: k_s = k_(s-1) mu^-1 phi(sigma^(s-1) a)."""
         out = [self.one]
         if len(orbit) > 1:
             inv = mu.inverse()
             for v in orbit[:-1]:
-                out.append(out[-1] * inv * self.phi_pair(v))
+                out.append(out[-1] * inv * self.phi(v))
         return tuple(out)
 
     # -- obstruction --------------------------------------------------
@@ -312,9 +288,7 @@ class TwistData:
         return False, None
 
     @cached_property
-    def presentation(self):
+    def presentation(self) -> Presentation:
         """The classifier's presentation of the algebra A on the
-        lattice's generating set (`classify.Presentation`)."""
-        from .classify import Presentation
-
+        lattice's generating set."""
         return Presentation(self)

@@ -234,7 +234,7 @@ class RegularOmega:
         j = self.lookup.get(target)
         if j is None:
             return None
-        return ((j, self.twist.epsilon(alpha, beta)),)
+        return ((j, self.twist.epsilon(alpha, beta).scalar()),)
 
 
 # ---------------------------------------------------------------------
@@ -1146,11 +1146,10 @@ def e_group_checks(M: FockModule, pairs, probes):
         ab = tuple(x + y for x, y in zip(alpha, beta))
         ea, eb = M.e_op(alpha), M.e_op(beta)
         lhs = ea.compose(eb)
-        st1 = coeff_is_zero(
-            M.alg, lhs - M.e_op(ab).scale(td.epsilon(alpha, beta)), probes)
-        st2 = coeff_is_zero(
-            M.alg, lhs - eb.compose(ea).scale(td.commutator(alpha, beta)),
-            probes)
+        eps = td.epsilon(alpha, beta).scalar()
+        comm = td.commutator(alpha, beta).scalar()
+        st1 = coeff_is_zero(M.alg, lhs - M.e_op(ab).scale(eps), probes)
+        st2 = coeff_is_zero(M.alg, lhs - eb.compose(ea).scale(comm), probes)
         report.append((f"e{alpha}e{beta}", st1, st2))
     return report
 
@@ -1248,7 +1247,7 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
     alpha, beta = tuple(alpha), tuple(beta)
     ca = M.lattice_coords(alpha)
     cb = M.lattice_coords(beta)
-    eps = M.twist.epsilon(alpha, beta)
+    eps = M.twist.epsilon(alpha, beta).scalar()
     gamma = tuple(a + b for a, b in zip(alpha, beta))
     e_ab = M.e_op(gamma)
     p, grid, step = M.p, M.grid, M.mode_step

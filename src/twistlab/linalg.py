@@ -196,9 +196,9 @@ class SmithForm:
 
     def solve(self, b):
         """An integer solution x of a·x = b, or None."""
-        ub = mat_vec(self._u, b)
         y = [0] * self.cols
-        for i, x in enumerate(ub):
+        for i, row in enumerate(self._u):
+            x = sum(c * v for c, v in zip(row, b) if c)
             diag = self._diag[i] if i < len(self._diag) else 0
             if diag:
                 if x % diag:
@@ -296,24 +296,21 @@ def _numerators(values, scale: int):
 class IntegerCoords:
     """Integer coordinates of vectors in linearly independent rational
     columns C, from one integer Smith form.  With s the common
-    denominator of the entries of C, A = s C is integer and u A v = d;
-    w = C x has an integer solution exactly when b = s w is integer,
-    (u b)_i is divisible by d_i for the r columns and vanishes below
-    them, and then x = v y with y_i = (u b)_i / d_i.  Columns and
-    vectors given as integer numerators over one common denominator
-    are solved in integers throughout."""
+    denominator of the entries of C, A = s C is integer; w = C x has an
+    integer solution exactly when b = s w is integer and A x = b has
+    one, which the Smith form of A gives.  Columns and vectors given as
+    integer numerators over one common denominator are solved in
+    integers throughout."""
 
     def __init__(self, cols, n: int):
-        self.rank = r = len(cols)
-        if r > n:
+        if len(cols) > n:
             raise ValueError("columns are linearly dependent")
         self.scale = math.lcm(*(x.denominator for c in cols for x in c))
         # the integer columns s C
         self.columns = [_numerators(c, self.scale) for c in cols]
-        d, self._u, self._v = snf(
+        self._smith = SmithForm(
             [[c[i] for c in self.columns] for i in range(n)])
-        self._diag = [d[i][i] for i in range(r)]
-        if not all(self._diag):
+        if self._smith.kernel():
             raise ValueError("columns are linearly dependent")
 
     def solve(self, vec, den: int = 1):
@@ -322,18 +319,7 @@ class IntegerCoords:
         b = _numerators(vec, self.scale * den)
         if b is None:
             return None
-        y = []
-        for i, row in enumerate(self._u):
-            num = sum(c * x for c, x in zip(row, b) if c)
-            if i >= self.rank:
-                if num:
-                    return None
-                continue
-            q, rem = divmod(num, self._diag[i])
-            if rem:
-                return None
-            y.append(q)
-        return [sum(c * x for c, x in zip(row, y)) for row in self._v]
+        return self._smith.solve(b)
 
 
 def field_rank(a, one) -> int:

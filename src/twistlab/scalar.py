@@ -10,8 +10,9 @@ from_ints builds an element from integer coordinates directly.
 
 A RootPair is the narrower value q * zeta_n^k, q > 0 rational, kept as
 the integer exponent k on a grid n: products add exponents.  The
-classifier computes in pairs and builds a CycScalar only for a value it
-hands out (RootPair.scalar).
+cocycle and classifier layers return each of their values as a pair,
+by one method, and build a CycScalar (RootPair.scalar) only where a sum
+is formed or a value goes to CycScalar code.
 """
 from __future__ import annotations
 

@@ -57,12 +57,15 @@ ROT = [[0, -1], [1, 0]]
 # ---------------------------------------------------------------------
 
 def test_root_exponent():
-    assert root_exponent(as_scalar(1)) == 0
-    assert root_exponent(as_scalar(-1)) == Fraction(1, 2)
-    assert root_exponent(root_of_unity(3)) == Fraction(1, 3)
-    assert root_exponent(root_of_unity(8, 5)) == Fraction(5, 8)
+    def exponent(x):
+        return root_exponent(RootPair.of(x))
+
+    assert exponent(as_scalar(1)) == 0
+    assert exponent(as_scalar(-1)) == Fraction(1, 2)
+    assert exponent(root_of_unity(3)) == Fraction(1, 3)
+    assert exponent(root_of_unity(8, 5)) == Fraction(5, 8)
     with pytest.raises(UnsupportedScalar):
-        root_exponent(as_scalar(2))
+        exponent(as_scalar(2))
 
 
 def test_finite_quotient_basic():
@@ -118,11 +121,13 @@ def _eigen_relations_hold(T, orb, mu, ks):
     """The recipes Y_j = sum_s w^(-js) k_s X_(sigma^s a) are eigenvectors
     of the lift: coeffs_s phi(sigma^s a) = mu w^j coeffs_(s+1)."""
     pa = len(orb)
+    ks = [k.scalar() for k in ks]
     for j in range(pa):
         coeffs = [root_of_unity(pa, (-j * s) % pa) * ks[s] for s in range(pa)]
-        eig = mu * root_of_unity(pa, j)
+        eig = mu.scalar() * root_of_unity(pa, j)
         for s in range(pa):
-            if coeffs[s] * T.phi(orb[s]) != eig * coeffs[(s + 1) % pa]:
+            if coeffs[s] * T.phi(orb[s]).scalar() != \
+                    eig * coeffs[(s + 1) % pa]:
                 return False
     return True
 
@@ -134,10 +139,10 @@ def _check_root_choices(T, length):
     roots = T.mu_roots(orb)
     assert len(set(roots)) == length
     # for the canonical cocycle values the lift has the order of sigma
-    assert T.orbit_phi_product(orb) ** (T.lattice.p // length) == ONE
+    assert T.orbit_product(orb) ** (T.lattice.p // length) == T.one
     for mu in roots:
         (ks,) = PresentedAlgebraA(T, dec, (mu,)).ks
-        assert ks[0] == ONE
+        assert ks[0] == T.one
         assert _eigen_relations_hold(T, orb, mu, ks)
     return roots
 
@@ -183,7 +188,7 @@ def test_algebra_zero_on_relation_mismatch():
     # rotation with mu = i: the folded relation scalars are inconsistent
     T = twist([[2, 0], [0, 2]], ROT)
     dec = T.lattice.reduce_generating_set()
-    A = PresentedAlgebraA(T, dec, (root_of_unity(4),))
+    A = PresentedAlgebraA(T, dec, (RootPair(1, 1, 4),))
     assert A.zero
     kind, _wit = A.witness
     assert kind == "inconsistent relation scalars"
@@ -201,16 +206,16 @@ def test_algebra_refuses_a_foreign_generating_set():
     for foreign in (copy, other):
         assert foreign.pi == dec.pi
         with pytest.raises(ClassifyError, match="generating set"):
-            PresentedAlgebraA(T, foreign, (ONE,))
-    assert PresentedAlgebraA(T, dec, (ONE,)).dec is dec
+            PresentedAlgebraA(T, foreign, (T.one,))
+    assert PresentedAlgebraA(T, dec, (T.one,)).dec is dec
 
 
 def test_derived_mu_matches_choice():
     T = twist([[2, 0], [0, 2]], ROT)
     dec = T.lattice.reduce_generating_set()
-    A = PresentedAlgebraA(T, dec, (ONE,))
+    A = PresentedAlgebraA(T, dec, (T.one,))
     for rep in A.reps:
-        assert A.derived_mu(rep) == ONE
+        assert A.derived_mu(rep) == T.one
 
 
 # ---------------------------------------------------------------------
@@ -327,10 +332,10 @@ def test_admissibility_filters_roots():
     T = twist([[2, 0], [0, 2]], ROT)
     dec = T.lattice.reduce_generating_set()
     ok_plus, xi0 = admissible_base_weight(
-        PresentedAlgebraA(T, dec, (ONE,)))
+        PresentedAlgebraA(T, dec, (T.one,)))
     assert ok_plus and xi0 == (Fraction(0), Fraction(0))
     ok_minus, _wit = admissible_base_weight(
-        PresentedAlgebraA(T, dec, (as_scalar(-1),)))
+        PresentedAlgebraA(T, dec, (RootPair(1, 1, 2),)))
     assert not ok_minus
 
 
@@ -666,13 +671,20 @@ def test_enumeration_builds_one_presentation(monkeypatch):
 # Unobstructed lattices on which enumeration finds no class: every root
 # choice collapses with a non-central relation, against the existence
 # criterion.  By the fixed dual-coset count, a mend should give them 25,
-# 7 and 73 classes per admissible root choice.
+# 7, 73, 3 and 7 classes per admissible root choice.  The last two are
+# A2 + A2 and [[2, 1], [1, 4]] + itself, each with the swap of its two
+# summands.
+SUMMAND_SWAP = [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
 FAULT_LATTICES = [
     FAULT,
     ([[-8, 3, 0, 0], [3, 0, 2, 0], [0, 2, 0, -3], [0, 0, -3, -8]],
      [[0, 0, 0, 1], [0, 0, -1, 0], [0, -1, 0, 0], [1, 0, 0, 0]]),
     ([[-8, -4, -3, 4], [-4, -8, -4, 3], [-3, -4, 6, 4], [4, 3, 4, 6]],
      [[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 0, -1], [0, 0, -1, 0]]),
+    ([[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+     SUMMAND_SWAP),
+    ([[2, 1, 0, 0], [1, 4, 0, 0], [0, 0, 2, 1], [0, 0, 1, 4]],
+     SUMMAND_SWAP),
 ]
 
 
@@ -825,11 +837,13 @@ def _check_algebra_scalars(T, A, rng):
     """k_image, e_image, tau, derived_mu and the power relations of A,
     each against its defining identity in the twisted group algebra,
     e(a) e(b) = epsilon(a, b) e(a + b), recomputed from the public
-    CycScalars epsilon, phi and k_coeffs.  Returns the number of power
-    relations checked."""
+    values of epsilon, phi and k_coeffs, as CycScalars.  Returns the
+    number of power relations checked."""
     lat, P = T.lattice, A.presentation
-    eps = T.epsilon
     l = lat.rank
+
+    def eps(a, b):
+        return T.epsilon(a, b).scalar()
 
     def e_scalar(gamma):
         s, rep = A.e_image(gamma)
@@ -841,7 +855,8 @@ def _check_algebra_scalars(T, A, rng):
         assert ks == A.ks[j]
         for s in range(1, len(orb)):
             d = tuple(x - y for x, y in zip(orb[s], orb[0]))
-            assert A.k_image(d).scalar() == eps(d, orb[0]) * ks[s].inverse()
+            assert A.k_image(d).scalar() == \
+                eps(d, orb[0]) * ks[s].inverse().scalar()
     # the image of K is a twisted character: chi(x) chi(y) =
     # epsilon(x, y) chi(x + y)
     kvecs = [tuple(c) for c in P._khnf] or [(0,) * l]
@@ -873,8 +888,8 @@ def _check_algebra_scalars(T, A, rng):
         s_sigma, rep_sigma = e_scalar(lat.apply_sigma(gamma))
         s_gamma, rep_gamma = e_scalar(gamma)
         assert rep_sigma == rep_gamma
-        assert A.derived_mu(gamma) == \
-            T.phi(gamma) * s_sigma * s_gamma.inverse()
+        assert A.derived_mu(gamma).scalar() == \
+            T.phi(gamma).scalar() * s_sigma * s_gamma.inverse()
     for rep, mu in zip(A.reps, A.mu_choice):
         assert A.derived_mu(rep) == mu
     # power relations: e(a)^p = prod_(0<i<p) eps(i a, a) e(p a), with
@@ -885,9 +900,10 @@ def _check_algebra_scalars(T, A, rng):
         assert not any(rest)
         for i in range(1, rel.power):
             theta = theta * eps(tuple(i * x for x in rep), rep)
-        assert rel.theta == theta
-        assert rel.normalizer == canonical_root(theta, rel.power).inverse()
-        assert rel.normalizer ** -rel.power == theta
+        assert rel.theta.scalar() == theta
+        assert rel.normalizer.scalar() == \
+            canonical_root(theta, rel.power).inverse()
+        assert (rel.normalizer ** -rel.power).scalar() == theta
     # tau: y_g y_h = tau(g, h) y_(g+h) for y_g = e(lift g)
     E = A.E
     elements = list(E.elements())
@@ -925,10 +941,10 @@ def _check_class_e_action(T, A, omega, rng):
         ((m, sa),) = second
         ((m2, sab),) = whole
         assert m == m2
-        assert sa * sb == T.epsilon(a, b) * sab
+        assert sa * sb == T.epsilon(a, b).scalar() * sab
         seen += 1
     for orb, mu in zip(A.dec.orbits, A.mu_choice):
-        ks = T.k_coeffs(orb, mu)
+        ks = [k.scalar() for k in T.k_coeffs(orb, mu)]
         for i in range(omega.size):
             base = omega.e_act(orb[0], i)
             if base is None:

@@ -108,6 +108,15 @@ def test_classify_mu_filter(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "2 classes" in out
     assert "inadmissible" not in out
+    # a root choice is matched by its value, whatever its notation:
+    # z(8)^2 selects the entry printed as z(4)^1
+    spec["mu"] = ["z(8)^2"]
+    assert run(tmp_path, spec, "classify") == EXIT_OK
+    lines = capsys.readouterr().out.splitlines()
+    assert [ln for ln in lines if ln.startswith("mu ")] == [
+        "mu (z(4)^1) | inadmissible | "
+        "('inconsistent relation scalars', [1, -1, 1])"]
+    assert lines[-1] == "0 classes"
     # a selection matching no root choice is an input error
     spec["mu"] = ["2"]
     assert run(tmp_path, spec, "classify") == EXIT_INPUT

@@ -12,7 +12,13 @@ from twistlab.cocycle import (
     locality_order,
 )
 from twistlab.lattice import LatticeError, TwistedLattice
-from twistlab.scalar import CycScalar, ONE, canonical_root, root_of_unity
+from twistlab.scalar import (
+    CycScalar,
+    ONE,
+    RootPair,
+    canonical_root,
+    root_of_unity,
+)
 
 from test_lattice import A1x2, ROT4, neg_identity, random_twisted_lattice
 
@@ -57,7 +63,7 @@ def test_build_epsilon_convention_and_comm():
             assert td.epsilon(a, b) / td.epsilon(b, a) == td.commutator(a, b)
             checked += 1
     zero = (0,) * lat.rank
-    assert td.epsilon(zero, b) == ONE
+    assert td.epsilon(zero, b).scalar() == ONE
 
 
 def test_epsilon_bimultiplicative():
@@ -77,7 +83,7 @@ def test_kappa_p1_reduces_to_epsilon():
     rng = random.Random(4)
     for _ in range(10):
         a, b = rnd_vec(rng, 2), rnd_vec(rng, 2)
-        assert td.kappa(a, b) == td.epsilon(a, b)
+        assert td.kappa(a, b) == td.epsilon(a, b).scalar()
 
 
 def test_kappa_commutator_identity():
@@ -146,7 +152,8 @@ def test_phi_cocycle_property():
         td = TwistData(lat)
         a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
         ab = tuple(x + y for x, y in zip(a, b))
-        assert td.phi(ab) / (td.phi(a) * td.phi(b)) == td.sigma_ratio(a, b)
+        assert (td.phi(ab) / (td.phi(a) * td.phi(b))).scalar() == \
+            td.sigma_ratio(a, b)
 
 
 def test_phi_rejects_bad_values():
@@ -160,9 +167,9 @@ def test_example2_rotation_trivial_cocycle():
     td = TwistData(lat)
     for a in itertools.product(range(-2, 3), repeat=2):
         for b in itertools.product(range(-2, 3), repeat=2):
-            assert td.commutator(a, b) == ONE
+            assert td.commutator(a, b) == td.one
         assert td.phi_zero(a) == ONE
-        assert td.phi(a) == ONE
+        assert td.phi(a) == td.one
     obstructed, _ = td.obstruction_check()
     assert not obstructed
 
@@ -174,15 +181,16 @@ def test_mu_roots():
     orbit = dec.orbits[0]
     roots = td.mu_roots(orbit)
     assert len(roots) == 4
-    assert set(roots) == {root_of_unity(4, j) for j in range(4)}
+    assert {mu.scalar() for mu in roots} == \
+        {root_of_unity(4, j) for j in range(4)}
     # negation example: orbit length 2, phi = 1 on basis => mu = +-1
     lat1 = TwistedLattice([[2]], [[-1]])
     td1 = TwistData(lat1)
     dec1 = lat1.reduce_generating_set()
     roots1 = td1.mu_roots(dec1.orbits[0])
-    assert set(roots1) == {ONE, CycScalar.rational(-1)}
+    assert {mu.scalar() for mu in roots1} == {ONE, CycScalar.rational(-1)}
     for orbit, td_ in ((dec.orbits[0], td), (dec1.orbits[0], td1)):
-        target = td_.orbit_phi_product(orbit)
+        target = td_.orbit_product(orbit)
         for mu in td_.mu_roots(orbit):
             assert mu ** len(orbit) == target
 
@@ -192,12 +200,12 @@ def test_k_coeffs():
     td = TwistData(lat)
     orbit = lat.reduce_generating_set().orbits[0]
     mu = root_of_unity(4)
-    ks = td.k_coeffs(orbit, mu)
+    ks = [k.scalar() for k in td.k_coeffs(orbit, RootPair.of(mu))]
     assert ks[0] == ONE
     for s in range(1, len(orbit)):
         acc = ONE
         for t in range(s):
-            acc = acc * td.phi(orbit[t])
+            acc = acc * td.phi(orbit[t]).scalar()
         assert ks[s] == mu ** (-s) * acc
 
 
@@ -221,7 +229,7 @@ def test_obstructed_instance_exists():
     obstructed, witness = td.obstruction_check()
     assert obstructed
     alpha, j = witness
-    assert td.commutator(alpha, lat.apply_sigma(alpha, j)) != ONE
+    assert td.commutator(alpha, lat.apply_sigma(alpha, j)) != td.one
 
     found = False
     for a, b in itertools.product(range(-3, 4), repeat=2):
@@ -300,7 +308,6 @@ def test_phi_memo_matches_fresh_twist():
     for v in box:
         assert td.phi(v) is td.phi(v)
         assert td.phi(list(v)) is td.phi(v)
-        assert td.phi_pair(v) is td.phi_pair(v)
     for v in box:
         assert td.phi(v) == TwistData(lat).phi(v)
 
@@ -405,7 +412,7 @@ def test_epsilon_exponents_match_seed_powers():
             for _ in range(6):
                 a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
                 eps = _product_epsilon(td, a, b)
-                assert td.epsilon(a, b) == eps
+                assert td.epsilon(a, b).scalar() == eps
                 assert eps / _product_epsilon(td, b, a) == \
                     _product_commutator(lat, a, b)
                 ratio = _product_epsilon(
@@ -415,7 +422,7 @@ def test_epsilon_exponents_match_seed_powers():
                     td, lat.apply_sigma(a), lat.apply_sigma(a)) \
                     / _product_epsilon(td, a, a)
                 assert td.phi_zero(a) == canonical_root(self_ratio, 2)
-                assert td.phi(a) == _product_phi(td, a)
+                assert td.phi(a).scalar() == _product_phi(td, a)
 
 
 def test_eps_override_of_order_8_on_an_order_2_lattice():
@@ -432,9 +439,10 @@ def test_eps_override_of_order_8_on_an_order_2_lattice():
     for _ in range(40):
         a, b = rnd_vec(rng, 2), rnd_vec(rng, 2)
         eps = _product_epsilon(td, a, b)
-        assert td.epsilon(a, b) == eps
-        assert eps / _product_epsilon(td, b, a) == td.commutator(a, b)
-        assert td.phi(a) == _product_phi(td, a)
+        assert td.epsilon(a, b).scalar() == eps
+        assert eps / _product_epsilon(td, b, a) == \
+            td.commutator(a, b).scalar()
+        assert td.phi(a).scalar() == _product_phi(td, a)
         conductors.add(eps.n)
     assert conductors == {1, 4, 8}
 

@@ -581,7 +581,9 @@ def test_e_op_stops_at_the_first_line_outside_the_window():
     # lines that stay inside are all moved
     calls.clear()
     w = FockVector(M, {((), i): ONE for i in lines[1:]})
-    eps = M.twist.epsilon
+    def eps(a, b):
+        return M.twist.epsilon(a, b).scalar()
+
     assert e.apply(w) == (M.vacuum(lines[0]).scale(eps((1,), (0,)))
                           + M.vacuum(lines[1]).scale(eps((1,), (-1,))))
     assert calls == [(0,), (-1,)]
