@@ -167,6 +167,11 @@ class FiniteQuotient:
             for i in range(self.rank)
         )
 
+    def __contains__(self, vec) -> bool:
+        """Whether vec lies in the ambient lattice, so names an element."""
+        return self.rank == 0 or \
+            self._solver.solve(vec, self._den_in) is not None
+
     def lift_nums(self, coords):
         """den * sum_i coords_i gens_i, as integers."""
         out = [0] * self.dim
@@ -938,56 +943,36 @@ def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
 # Concrete vacuum spaces and module instantiation
 # ---------------------------------------------------------------------
 
-def _maximal_isotropic(A: PresentedAlgebraA, rad: FiniteQuotient):
-    """A maximal subgroup of E containing the radical on which the
-    bicharacter is trivial, as a set of E-coordinates."""
-    E = A.E
-    members = set()
-    for a in rad.elements():
-        vec = rad.lift(a)
-        members.add(tuple(x % d for x, d in zip(vec, E.divisors)))
-    changed = True
-    elements = list(E.elements())
-    while changed:
-        changed = False
-        for g in elements:
-            if g in members:
-                continue
-            if all(A.presentation.bichar_exponent(g, h) == 0
-                   for h in members):
-                # close under the subgroup operation
-                new = set(members)
-                frontier = {g}
-                while frontier:
-                    x = frontier.pop()
-                    if x in new:
-                        continue
-                    new.add(x)
-                    for h in list(new):
-                        frontier.add(_e_add(x, h, E.divisors))
-                members = new
-                changed = True
-                break
-    return members
-
-
-def _subgroup_quotient(A: PresentedAlgebraA, members) -> FiniteQuotient:
-    """Structure of a subgroup of E given by its coordinate set."""
+def _subgroup_quotient(A: PresentedAlgebraA, gens) -> FiniteQuotient:
+    """The subgroup of E generated by the given E-coordinate columns."""
     E = A.E
     r = E.rank
-    cols = [tuple(g) for g in sorted(members)]
-    cols += [tuple(E.divisors[i] if k == i else 0 for k in range(r))
-             for i in range(r)]
-    mat = [[c[i] for c in cols] for i in range(r)]
-    h, _u = hnf_columns(mat)
-    basis = []
-    for j in range(len(cols)):
-        col = tuple(h[i][j] for i in range(r))
-        if any(col):
-            basis.append(col)
     sub = [tuple(E.divisors[i] if k == i else 0 for k in range(r))
            for i in range(r)]
-    return FiniteQuotient(basis, sub, r)
+    cols = [tuple(g) for g in gens] + sub
+    h, _u = hnf_columns([[c[i] for c in cols] for i in range(r)])
+    return FiniteQuotient([col for col in zip(*h) if any(col)], sub, r)
+
+
+def _maximal_isotropic(A: PresentedAlgebraA):
+    """A maximal subgroup H of E containing the radical on which the
+    bicharacter is trivial, and its lift: one pass over E in order adds
+    each element outside H that pairs trivially with the elements added
+    so far.  The radical pairs trivially with all of E and the
+    bicharacter is multiplicative, so that is pairing trivially with
+    all of H.  With nothing added, H is the algebra's radical and the
+    lift its own."""
+    rad = A.presentation.radical
+    H, added = rad, []
+    for g in A.E.elements():
+        if g in H or any(A.presentation.bichar_exponent(g, h)
+                         for h in added):
+            continue
+        added.append(g)
+        H = _subgroup_quotient(A, list(rad.gens) + added)
+    if not added:
+        return rad, A.radical_lifts
+    return H, _GroupScalars(A, H)
 
 
 def _block_character(A: PresentedAlgebraA, block, H: FiniteQuotient,
@@ -1021,30 +1006,34 @@ def _block_character(A: PresentedAlgebraA, block, H: FiniteQuotient,
 
 class ClassOmega:
     """Vacuum space of an enumerated class: a window of degree lifts
-    tensored with a simple module of the degree-zero component, with
-    the e-action computed through the relation-quotient algebra.  The
-    action poisons (returns None) when it leaves the degree window
-    |k_i| <= WINDOW."""
+    tensored with a simple module of the degree-zero component, induced
+    from a character of a maximal isotropic subgroup H of E, one line
+    per coset of H.  The e-action, computed through the
+    relation-quotient algebra, maps a line to one line times a scalar,
+    (line, scalar), and poisons (returns None) when it leaves the
+    degree window |k_i| <= WINDOW."""
 
     def __init__(self, A: PresentedAlgebraA, ideal_index: int, xi0, eta):
         self.A = A
         lat = A.lattice
         E = A.E
         self.block = A.block_decomposition.blocks[ideal_index]
-        members = _maximal_isotropic(A, A.presentation.radical)
-        self.H = _subgroup_quotient(A, members)
-        self.h_lifts = _GroupScalars(A, self.H)
-        if E.size % len(members):
+        self.H, self.h_lifts = _maximal_isotropic(A)
+        if E.size % self.H.size:
             raise ClassifyError("isotropic subgroup size does not divide |E|")
-        self.d = E.size // len(members)
+        self.d = E.size // self.H.size
         if self.d != self.block.dim:
             raise ClassifyError("isotropic index does not match the block dim")
-        # transversal of the subgroup in E, canonical minimal representatives
-        self.coset_rep = {
-            g: min(_e_add(g, h, E.divisors) for h in members)
-            for g in E.elements()}
-        self.transversal = sorted(set(self.coset_rep.values()))
-        self.members = members
+        # the cosets of H, each represented by its least element: E's
+        # elements come in sorted order, so a coset's first is its least
+        self.coset_rep = {}
+        self.transversal = []
+        members = [g for g, _s in self.h_lifts.table.values()]
+        for g in E.elements():
+            if g not in self.coset_rep:
+                self.transversal.append(g)
+                for h in members:
+                    self.coset_rep[_e_add(g, h, E.divisors)] = g
         # pick a character of H whose induced module lies in the block
         self.h_label = _block_character(A, self.block, self.H, self.h_lifts)
         self.mm = A.m
@@ -1101,7 +1090,7 @@ class ClassOmega:
         return t2, A.tau(g, t) * A.tau(t2, h).inverse() * lam
 
     def e_act(self, alpha, i):
-        """e(alpha) on the line i: ((line, scalar),), or None when the
+        """e(alpha) on the line i: (line, scalar), or None when the
         image leaves the window; kept per (alpha, line) for the life of
         the vacuum space, exits included."""
         key = (tuple(alpha), i)
@@ -1129,7 +1118,7 @@ class ClassOmega:
         t2, smod = self._y_act(g, t)
         total = twist.epsilon(alpha, lk) * \
             twist.epsilon(lk2, delta).inverse() * s1 / sg * smod
-        return ((self.lookup[(k2, t2)], total.scalar()),)
+        return self.lookup[(k2, t2)], total.scalar()
 
 
 def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):

@@ -43,6 +43,7 @@ from .fock import (
     virasoro_element_checks,
 )
 from .lattice import LatticeError, TwistedLattice
+from .oracle import oracle_product
 from .scalar import ConductorOverflow, RootPair, ScalarError, parse_scalar
 
 EXIT_OK = 0
@@ -249,8 +250,6 @@ def cmd_check(spec: JobSpec, deep: bool = False):
                      res["expand_vs_kernel"])
 
     if deep:
-        from .oracle import oracle_product
-
         # a Heisenberg field is local of order 2 with itself
         for alpha in basis:
             a = M.tilde(alpha)

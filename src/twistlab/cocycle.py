@@ -8,6 +8,7 @@ from functools import cached_property
 
 from .classify import Presentation
 from .lattice import TwistedLattice
+from .linalg import _bilinear
 from .scalar import (
     CycScalar,
     ONE,
@@ -129,22 +130,9 @@ class TwistData:
 
     # -- epsilon and friends ------------------------------------------
 
-    @staticmethod
-    def _form(matrix, alpha, beta) -> int:
-        """alpha^T matrix beta over the nonzero entries."""
-        out = 0
-        for i, a in enumerate(alpha):
-            if not a:
-                continue
-            row = matrix[i]
-            for j, b in enumerate(beta):
-                if b:
-                    out += a * b * row[j]
-        return out
-
     def epsilon(self, alpha, beta) -> RootPair:
         """epsilon(a, b) = zeta_N^(a^T E b) on the twist's grid."""
-        return RootPair(1, self._form(self.eps_exponents, alpha, beta)
+        return RootPair(1, _bilinear(self.eps_exponents, alpha, beta)
                         * self._eps_step, self.grid)
 
     def commutator(self, alpha, beta) -> RootPair:
@@ -180,7 +168,7 @@ class TwistData:
             for i in range(l))
 
     def _ratio_exponent(self, alpha, beta) -> int:
-        return self._form(self._ratio_exponents, alpha, beta) % self.eps_order
+        return _bilinear(self._ratio_exponents, alpha, beta) % self.eps_order
 
     def sigma_ratio(self, alpha, beta) -> CycScalar:
         """g(a,b) = eps(sigma a, sigma b)/eps(a,b) = kappa(sigma a, sigma b)/kappa(a,b)."""

@@ -11,11 +11,11 @@ A vector with no terms, zero or poisoned, is a fixed point of every
 operator: FockOp.apply and FockModule.mode_apply return it unchanged.
 Every Fock linear combination (an operator sum, difference or multiple,
 a product coefficient, a vertex-operator coefficient, the Virasoro
-double sum, e(alpha) on the vacuum lines, the creation exponential, the
-reconstruction and pair-expansion sums) adds its scaled summands into
-one dict (_summed); the first poisoned summand is the result, and the
-summands after it are never evaluated.  Operator sums are flat lists of
-(operator, coefficient) parts, not nested closures.
+double sum, the creation exponential, the reconstruction and
+pair-expansion sums) adds its scaled summands into one dict (_summed);
+the first poisoned summand is the result, and the summands after it are
+never evaluated.  Operator sums are flat lists of (operator,
+coefficient) parts, not nested closures.
 """
 from __future__ import annotations
 
@@ -94,14 +94,14 @@ def _projector_sum(p: int, q: int, entries) -> CycScalar:
 
 def _eigenspace_rref(lattice, q: int, mult: int):
     """The RREF rows of the omega^q-eigenspace of sigma, of dimension
-    mult > 0.  Row k of the transposed eigenprojector
-    P = (1/p) sum_s omega^(-qs) sigma^s is P e_k, an eigenvector; the
-    rows are taken in order, each reduced at the pivots found so far
-    and kept when it is not in their span, until mult are found.  The
-    kept rows, each with a one at its pivot and zeros at the others',
-    sorted by pivot, are the RREF, which is unique: the same rows a
-    full elimination of P gives, with no row reduced past the last
-    one needed."""
+    mult > 0, as (pivot, row) pairs.  Row k of the transposed
+    eigenprojector P = (1/p) sum_s omega^(-qs) sigma^s is P e_k, an
+    eigenvector; the rows are taken in order, each reduced at the
+    pivots found so far and kept when it is not in their span, until
+    mult are found.  The kept rows, each with a one at its pivot and
+    zeros at the others', sorted by pivot, are the RREF, which is
+    unique: the same rows a full elimination of P gives, with no row
+    reduced past the last one needed."""
     p, l, pows = lattice.p, lattice.rank, lattice.sigma_pows
     found = {}
     for k in range(l):
@@ -123,7 +123,7 @@ def _eigenspace_rref(lattice, q: int, mult: int):
         found[c] = row
         if len(found) == mult:
             break
-    return [tuple(found[c]) for c in sorted(found)]
+    return [(c, tuple(found[c])) for c in sorted(found)]
 
 
 class GradedBasis:
@@ -135,21 +135,25 @@ class GradedBasis:
     tr sigma^s, from the integer traces; an eigenvalue of multiplicity
     zero costs nothing more, and each other eigenspace is read off as
     many projector rows as its multiplicity needs (`_eigenspace_rref`).
-    The one full elimination is the inverse of the pairing."""
+    Each h_j is one at its pivot and zero at the other pivots of its
+    eigenspace, so the eigen-coordinates of a vector are entries of its
+    projections: the coordinate rows are projector rows.  The one full
+    elimination is the inverse of the pairing, for the duals."""
 
     def __init__(self, lattice):
         self.lattice = lattice
         p, l = lattice.p, lattice.rank
         self.p = p
         traces = [sum(m[i][i] for i in range(l)) for m in lattice.sigma_pows]
-        qs, vecs = [], []
+        qs, vecs, pivots = [], [], []
         for q in range(p):
             # the trace of a projector: an integer, its rank
             mult = _projector_sum(p, q, traces)
             if not mult:
                 continue
-            for r in _eigenspace_rref(lattice, q, mult.num[0]):
+            for c, r in _eigenspace_rref(lattice, q, mult.num[0]):
                 qs.append(q)
+                pivots.append(c)
                 vecs.append(r)
         if len(vecs) != l:
             raise FockError("automorphism is not semisimple over Q(omega)")
@@ -175,11 +179,13 @@ class GradedBasis:
         # minv[i][j] h_i, so that (h_i | beta_j) = delta_ij
         self.duals = tuple(
             tuple(minv[i][j] for i in range(l)) for j in range(l))
-        # a lattice vector v = sum_j c_j h_j has c_j = (v | beta_j) =
-        # sum_a v_a (e_a | beta_j): row j holds the (e_a | beta_j)
+        # a lattice vector v = sum_j c_j h_j has c_j = (P_(q_j) v)_(pivot
+        # of h_j), P_q the eigenprojector: row j holds that row of
+        # P_(q_j), an integer sum over the sigma powers
+        pows = lattice.sigma_pows
         self.coord_rows = tuple(
-            tuple(sum((gh[i][a] * minv[i][j] for i in range(l)), ZERO)
-                  for a in range(l)) for j in range(l))
+            tuple(_projector_sum(p, q, [m[c][a] for m in pows])
+                  for a in range(l)) for q, c in zip(qs, pivots))
         self.residues = tuple(Fraction(q, p) for q in qs)
         # the eigen-coordinates of each h_j alone
         self.units = tuple(tuple(ONE if j == i else ZERO for j in range(l))
@@ -204,9 +210,11 @@ class GradedBasis:
 
 class RegularOmega:
     """Vacuum space spanned by symbols indexed by lattice vectors in a
-    box window; e(alpha) acts by the 2-cocycle and shifts the index.
-    Leaving the window poisons the computation.  A window of more than
-    MAX_WINDOW lines is refused (SizeCapExceeded) before it is listed."""
+    box window; e(alpha) acts by the 2-cocycle and shifts the index,
+    mapping a line to one line times a scalar, (line, scalar), or to
+    None when the shift leaves the window, which poisons the
+    computation.  A window of more than MAX_WINDOW lines is refused
+    (SizeCapExceeded) before it is listed."""
 
     def __init__(self, twist: TwistData, bound: int):
         self.twist = twist
@@ -234,7 +242,7 @@ class RegularOmega:
         j = self.lookup.get(target)
         if j is None:
             return None
-        return ((j, self.twist.epsilon(alpha, beta).scalar()),)
+        return j, self.twist.epsilon(alpha, beta).scalar()
 
 
 # ---------------------------------------------------------------------
@@ -725,22 +733,24 @@ class FockModule:
         return FockOp(self, lambda v: self.mode_apply(coords, ms, v), 0)
 
     def e_op(self, alpha) -> FockOp:
-        """e(alpha): each line moved by the vacuum space's action; a
-        line that leaves the window poisons the result."""
+        """e(alpha): each line moved by the vacuum space's action, which
+        maps a line to one line times a scalar, (line, scalar), or to
+        None when it leaves the window; such a line poisons the result.
+        Distinct lines have distinct images, so no two terms meet and
+        the image is written into one dict."""
         alpha = tuple(alpha)
 
-        def summands(v):
+        def fn(v):
+            out = {}
             for (word, iota), coeff in v.terms.items():
-                images = self.omega.e_act(alpha, iota)
-                if images is None:
-                    yield FockVector._of(self, {}, True), ONE
-                    return
-                for iota2, s in images:
-                    yield FockVector._of(self, {(word, iota2): coeff * s}), ONE
+                image = self.omega.e_act(alpha, iota)
+                if image is None:
+                    return FockVector._of(self, {}, True)
+                iota2, s = image
+                out[(word, iota2)] = coeff * s
+            return FockVector._of(self, out, v.poisoned)
 
-        par = self.lattice.pairing(alpha, alpha) % 2
-        return FockOp(
-            self, lambda v: _summed(self, summands(v), v.poisoned), par)
+        return FockOp(self, fn, self.lattice.pairing(alpha, alpha) % 2)
 
     # -- series builders ----------------------------------------------
 

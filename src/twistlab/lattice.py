@@ -4,26 +4,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
 
 from .linalg import (
-    det_int, hnf_columns, identity, kernel_basis, mat_mul, mat_vec, snf)
+    _bilinear, det_int, hnf_columns, identity, kernel_basis, mat_mul,
+    mat_vec, snf)
 
 MAX_ORDER_SEARCH = 10000
 
 
 class LatticeError(Exception):
     pass
-
-
-def _row_product(m, a, b) -> int:
-    """a^T m b for integer vectors: the rows of m at the nonzero entries
-    of a, each applied to b once."""
-    out = 0
-    for x, row in zip(a, m):
-        if x:
-            out += x * sum(map(mul, row, b))
-    return out
 
 
 class TwistedLattice:
@@ -85,7 +75,7 @@ class TwistedLattice:
 
     def pairing(self, a, b) -> int:
         """(a|b) = a^T G b."""
-        return _row_product(self.gram, a, b)
+        return _bilinear(self.gram, a, b)
 
     def apply_sigma(self, v, s: int = 1):
         m = self.sigma_pows[s % self.p]
@@ -126,8 +116,8 @@ class TwistedLattice:
 
     def prime_pairing_p(self, alpha, beta) -> int:
         """p * prime_pairing(alpha, beta), an integer:
-        alpha^T (p G - G N) beta, one row product with the kept matrix."""
-        return _row_product(self.gram_prime, alpha, beta)
+        alpha^T (p G - G N) beta, one form of the kept matrix."""
+        return _bilinear(self.gram_prime, alpha, beta)
 
     def prime_pairing(self, alpha, beta) -> Fraction:
         """Pairing of the components orthogonal to the fixed space:

@@ -30,6 +30,19 @@ def mat_vec(a, v):
     return [sum(c * x for c, x in zip(row, v)) for row in a]
 
 
+def _bilinear(m, a, b) -> int:
+    """a^T m b over the nonzero entries of a and b."""
+    out = 0
+    for i, x in enumerate(a):
+        if not x:
+            continue
+        row = m[i]
+        for j, y in enumerate(b):
+            if y:
+                out += x * y * row[j]
+    return out
+
+
 def transpose(a):
     return [list(col) for col in zip(*a)]
 

@@ -656,17 +656,15 @@ class RootPair:
         self.n = n
 
     @staticmethod
-    def of(x, grid: int = 1):
-        """x = q * zeta_M^j as a pair on the grid lcm(grid, M), or None
-        when x is not a positive rational times a root of unity."""
+    def of(x):
+        """x = q * zeta_M^j as a pair on the grid M, or None when x is
+        not a positive rational times a root of unity."""
         x = as_scalar(x)
         parts = _positive_root_parts(x)
         if parts is None:
             return None
         c, m, j = parts
-        q = c if x.den == 1 else Fraction(c, x.den)
-        n = grid if grid % m == 0 else grid * m // math.gcd(grid, m)
-        return _pair(q, j * (n // m), n)
+        return _pair(c if x.den == 1 else Fraction(c, x.den), j, m)
 
     def __mul__(self, other) -> RootPair:
         n = self.n

@@ -91,6 +91,11 @@ def test_finite_quotient_exact_membership():
     assert half.coords((Fraction(5, 2),)) == half.coords((Fraction(1, 2),))
     with pytest.raises(ClassifyError, match="outside the ambient"):
         half.coords((Fraction(1, 4),))
+    # membership agrees with coords
+    assert (3, 3) in q and (Fraction(5, 2),) in half
+    assert (1, 0) not in q and (Fraction(1, 2), Fraction(1, 2)) not in q
+    assert (Fraction(1, 4),) not in half
+    assert () in FiniteQuotient([], [], 0)
 
 
 def test_grading_coords_exact():
@@ -739,6 +744,89 @@ def test_class_count_matches_fixed_dual_cosets():
     assert {1, 2} <= {dim for _p, dim in checked}
 
 
+def _closure_isotropic(A):
+    """The maximal isotropic subgroup of E and its coset representatives
+    by a search over sets: from the radical's members, take the first
+    element of E outside the set that pairs trivially with every
+    member, close the set under addition and start over; an element's
+    representative is the least element of its coset."""
+    E = A.E
+    rad = A.presentation.radical
+    members = {tuple(x % d for x, d in zip(rad.lift(a), E.divisors))
+               for a in rad.elements()}
+    elements = list(E.elements())
+    grown = True
+    while grown:
+        grown = False
+        for g in elements:
+            if g in members or any(A.presentation.bichar_exponent(g, h)
+                                   for h in members):
+                continue
+            frontier = {g}
+            while frontier:
+                x = frontier.pop()
+                if x not in members:
+                    members.add(x)
+                    frontier.update(classify._e_add(x, h, E.divisors)
+                                    for h in members)
+            grown = True
+            break
+    coset_rep = {g: min(classify._e_add(g, h, E.divisors) for h in members)
+                 for g in elements}
+    return members, sorted(set(coset_rep.values())), coset_rep
+
+
+# Gram matrices of A3, A4, D4, D5 and A2 + A2: under the negation, the
+# maximal isotropic subgroup of E is 2, 4, 2, 4 and 4 times the radical
+ISOTROPIC_GRAMS = [
+    [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
+    [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    [[2, -1, 0, 0, 0], [-1, 2, -1, 0, 0], [0, -1, 2, -1, -1],
+     [0, 0, -1, 2, 0], [0, 0, -1, 0, 2]],
+    [[2, -1, 0, 0], [-1, 2, 0, 0], [0, 0, 2, -1], [0, 0, -1, 2]],
+]
+
+
+def test_isotropic_subgroup_and_cosets_match_the_closure_search():
+    # per admissible root choice of the property lattices and of the
+    # negated root lattices above: the subgroup grown from the radical
+    # in one ordered pass, and the cosets of a second pass, are the set
+    # search's; a split fixture and the root lattices have a subgroup
+    # larger than the radical
+    from test_golden import W
+
+    algebras = larger = 0
+    for lat in itertools.chain(
+            _property_lattices(),
+            (TwistedLattice(g, neg(len(g))) for g in ISOTROPIC_GRAMS)):
+        T = TwistData(lat)
+        for entry in enumerate_simple_twisted(T).entries:
+            if not entry.classes:
+                continue
+            cls = entry.classes[0]
+            A = T.presentation.algebra(cls.mu_choice)
+            omega = classify.ClassOmega(A, cls.ideal_index, cls.base_weight,
+                                        cls.eta)
+            members = {g for g, _s in omega.h_lifts.table.values()}
+            assert (members, omega.transversal, omega.coset_rep) == \
+                _closure_isotropic(A)
+            algebras += 1
+            larger += omega.H.size > A.presentation.radical.size
+    assert algebras > 50 and larger == 6
+    # on the twisted_ops lattices H is the radical, kept with its lift
+    # by the algebra, and every class module has one coset
+    for gram, sigma in W.OPS_LATTICES.values():
+        T = twist(gram, sigma)
+        for cls in enumerate_simple_twisted(T).classes:
+            A = T.presentation.algebra(cls.mu_choice)
+            omega = classify.ClassOmega(A, cls.ideal_index, cls.base_weight,
+                                        cls.eta)
+            assert omega.H is A.presentation.radical
+            assert omega.h_lifts is A.radical_lifts
+            assert len(omega.transversal) == 1
+
+
 # ---------------------------------------------------------------------
 # the integer front end against independent routes
 # ---------------------------------------------------------------------
@@ -934,12 +1022,12 @@ def _check_class_e_action(T, A, omega, rng):
         whole = omega.e_act(ab, i)
         if first is None or whole is None:
             continue
-        ((j, sb),) = first
+        j, sb = first
         second = omega.e_act(a, j)
         if second is None:
             continue
-        ((m, sa),) = second
-        ((m2, sab),) = whole
+        m, sa = second
+        m2, sab = whole
         assert m == m2
         assert sa * sb == T.epsilon(a, b).scalar() * sab
         seen += 1
@@ -949,11 +1037,11 @@ def _check_class_e_action(T, A, omega, rng):
             base = omega.e_act(orb[0], i)
             if base is None:
                 continue
-            ((j, s0),) = base
+            j, s0 = base
             for s in range(1, len(orb)):
                 moved = omega.e_act(orb[s], i)
                 if moved is not None:
-                    ((js, ss),) = moved
+                    js, ss = moved
                     assert js == j and ss == ks[s].inverse() * s0
                     seen += 1
     return seen
