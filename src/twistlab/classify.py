@@ -983,8 +983,15 @@ def _block_character(A: PresentedAlgebraA, block, H: FiniteQuotient,
     by one product e f = f.  On a radical generator r,
     psi_H(r) = (s_H / s_rad)(r) psi_rad(r), so f lies under e exactly
     when (s_rad / s_H)(r) chi(r) = chi_block(r) for each r: exponent
-    arithmetic on the block's label, with no projector per label."""
+    arithmetic on the block's label, with no projector per label.
+    When H is the radical with its own lift, that character is the
+    block's label and f = e, and e e = e is the `idempotent`
+    certificate of the block decomposition: nothing to compute."""
     rad = A.radical_lifts
+    if h_lifts is rad:
+        if not A.block_decomposition.certified["idempotent"]:
+            raise ClassifyError("the radical's projectors are not idempotent")
+        return block.label
     tests = []
     for i in range(len(rad.gens)):
         unit = _unit(len(rad.gens), i)

@@ -793,60 +793,86 @@ class KernelPoly:
         return {k: v for k, v in out.items() if v}
 
 
-def kernel_F(p: int, m: int) -> KernelPoly:
-    """The polynomial F_p(m), from its displayed double-sum formula."""
+def _F_numerators(p: int, m: int):
+    """F_p(m) as integer numerators over one denominator p^m m!: a
+    term of the double sum is (-1)^(l+q+kp) binom(-q/p + k, m)
+    binom(m + 1, l + q - kp), and binom(-q/p + k, m) is
+    prod_(t<m) (-q + (k - t) p) / (p^m m!)."""
     out = {}
     for l in range(1 - p, 1 - p + m + 1):
-        total = Fraction(0)
+        total = 0
         for q in range(p):
             k = 0
             while l + q - k * p >= 0:
                 inner = l + q - k * p
                 if inner <= m + 1:
-                    sign = -1 if (l + q + k * p) % 2 else 1
-                    total += sign * gen_binom(Fraction(-q, p) + k, m) * \
-                        gen_binom(Fraction(m + 1), inner)
+                    num = math.comb(m + 1, inner)
+                    for t in range(m):
+                        num *= -q + (k - t) * p
+                    total += -num if (l + q + k * p) % 2 else num
                 k += 1
         if total:
             # exponents in 1/p units: w^((m-l+1)/p - 1), z^(l/p - m)
             out[(m - l + 1 - p, l - m * p)] = total
-    return KernelPoly(p, out)
+    return out, p ** m * math.factorial(m)
 
 
-def _binom_expand_w_minus_z(p: int, j: int) -> KernelPoly:
-    """(w - z)^j as a KernelPoly, j >= 0."""
-    out = {}
-    for i in range(j + 1):
-        c = gen_binom(Fraction(j), i) * ((-1) ** i)
-        out[((j - i) * p, i * p)] = c
-    return KernelPoly(p, out)
+def kernel_F(p: int, m: int) -> KernelPoly:
+    """The polynomial F_p(m), from its displayed double-sum formula."""
+    num, den = _F_numerators(p, m)
+    return KernelPoly(p, {key: Fraction(c, den) for key, c in num.items()})
 
 
 def kernel_Delta(p: int, n: int, N: int) -> KernelPoly:
     """Delta(w, z) from its definition: sum over degrees q/p and
-    0 <= j <= N-n-1 of binom(-q/p, j) w^(q/p) z^(-q/p-j) (w-z)^j."""
-    out = KernelPoly(p)
+    0 <= j <= N-n-1 of binom(-q/p, j) w^(q/p) z^(-q/p-j) (w-z)^j.
+    With J = N-n-1, binom(-q/p, j) = prod_(t<j) (-q - tp) / (p^j j!)
+    is an integer numerator over the one denominator p^J J!."""
+    J = N - n - 1
+    if J < 0:
+        return KernelPoly(p)
+    out = {}
     for q in range(p):
-        for j in range(0, N - n):
-            c = gen_binom(Fraction(-q, p), j)
+        c = 1  # prod_(t<j) (-q - tp), zero from j = 1 on when q = 0
+        for j in range(J + 1):
+            scaled = c * p ** (J - j) * (math.factorial(J) //
+                                         math.factorial(j))
+            # w^(q/p) z^(-q/p-j) times (w-z)^j, term by term
+            for i in range(j + 1):
+                key = (q + (j - i) * p, -q - (j - i) * p)
+                term = scaled * math.comb(j, i)
+                out[key] = out.get(key, 0) + (-term if i % 2 else term)
+            c *= -q - j * p
             if not c:
-                continue
-            mono = KernelPoly.monomial(p, q, -q - j * p, c)
-            out = out + mono * _binom_expand_w_minus_z(p, j)
-    return out
-
-
-def prefactor(p: int) -> KernelPoly:
-    """(w - z)/(w^(1/p) - z^(1/p)) = sum_i w^(i/p) z^((p-1-i)/p)."""
-    return KernelPoly(p, {(i, p - 1 - i): 1 for i in range(p)})
+                break
+    den = p ** J * math.factorial(J)
+    return KernelPoly(p, {key: Fraction(c, den) for key, c in out.items()})
 
 
 def kernel_Delta_via_F(p: int, n: int, N: int) -> KernelPoly:
-    """Delta(w, z) through the F_p factorization."""
+    """Delta(w, z) through the F_p factorization: the prefactor
+    (w - z)/(w^(1/p) - z^(1/p)) = sum_i w^(i/p) z^((p-1-i)/p) to the
+    power m + 1, times F_p(m), with m = N-n-1."""
     m = N - n - 1
     if m < 0:
         return KernelPoly(p)
-    return prefactor(p) ** (m + 1) * kernel_F(p, m)
+    # the prefactor's power: the coefficient of w^(a/p) counts the ways
+    # to write a as m + 1 parts in 0..p-1
+    power = [1]
+    for _ in range(m + 1):
+        nxt = [0] * (len(power) + p - 1)
+        for a, c in enumerate(power):
+            for i in range(p):
+                nxt[a + i] += c
+        power = nxt
+    top = (m + 1) * (p - 1)
+    num, den = _F_numerators(p, m)
+    out = {}
+    for a, c in enumerate(power):
+        for (i, j), f in num.items():
+            key = (a + i, top - a + j)
+            out[key] = out.get(key, 0) + c * f
+    return KernelPoly(p, {key: Fraction(c, den) for key, c in out.items()})
 
 
 def kernel_delta_check(p: int, n: int, N: int):

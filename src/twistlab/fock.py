@@ -854,8 +854,10 @@ class FockModule:
     def upsilon_zero_op(self) -> FockOp:
         """Translation operator D from its normally-ordered double sum;
         it matches the series coefficient of the Virasoro element
-        exactly (checked in the tests)."""
-        return FockOp(self, lambda v: self._normal_ordered_sum(v, 1), 0)
+        exactly (checked in the tests).  D keeps its result on each
+        vector for its own life (FockAlg.remember)."""
+        return self.alg.remember(
+            FockOp(self, lambda v: self._normal_ordered_sum(v, 1), 0))
 
     # -- exponential factors and vertex operators ---------------------
 

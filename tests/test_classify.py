@@ -827,6 +827,33 @@ def test_isotropic_subgroup_and_cosets_match_the_closure_search():
             assert len(omega.transversal) == 1
 
 
+def test_class_module_on_the_radical_builds_no_projector(monkeypatch):
+    # on the twisted_ops lattices H is the radical with its own lift,
+    # so the class character is the block's label and a class module
+    # builds no character projector and multiplies nothing in B_0
+    from test_golden import W
+
+    def forbidden(*args):
+        raise AssertionError("a class module on the radical computed this")
+
+    modules = 0
+    for gram, sigma in W.OPS_LATTICES.values():
+        T = twist(gram, sigma)
+        classes = enumerate_simple_twisted(T).classes
+        algebras = [T.presentation.algebra(cls.mu_choice) for cls in classes]
+        for A in algebras:
+            A.block_decomposition
+        with monkeypatch.context() as m:
+            m.setattr(classify._GroupScalars, "projector", forbidden)
+            m.setattr(classify, "_b0_mul", forbidden)
+            for cls, A in zip(classes, algebras):
+                omega = classify.ClassOmega(A, cls.ideal_index,
+                                            cls.base_weight, cls.eta)
+                assert omega.h_label == omega.block.label
+                modules += 1
+    assert modules > 0
+
+
 # ---------------------------------------------------------------------
 # the integer front end against independent routes
 # ---------------------------------------------------------------------

@@ -258,11 +258,69 @@ def test_kernel_F_diagonal_identity():
 
 
 def test_kernel_delta_two_routes_agree():
-    for p in range(1, 5):
+    for p in range(1, 9):
         for n in range(-2, 3):
-            for N in range(max(n + 1, 0), n + 4):
+            for N in range(max(n + 1, 0), n + 7):
                 agree, d1, d2 = kernel_delta_check(p, n, N)
                 assert agree, (p, n, N)
+
+
+# The kernels in Fraction and KernelPoly arithmetic, term for term as
+# the paper writes them: oracles for the integer builders of fdist.
+
+def _oracle_F(p, m):
+    out = {}
+    for l in range(1 - p, 1 - p + m + 1):
+        total = Fraction(0)
+        for q in range(p):
+            k = 0
+            while l + q - k * p >= 0:
+                inner = l + q - k * p
+                if inner <= m + 1:
+                    sign = -1 if (l + q + k * p) % 2 else 1
+                    total += sign * gen_binom(Fraction(-q, p) + k, m) * \
+                        gen_binom(Fraction(m + 1), inner)
+                k += 1
+        if total:
+            out[(m - l + 1 - p, l - m * p)] = total
+    return KernelPoly(p, out)
+
+
+def _oracle_w_minus_z(p, j):
+    return KernelPoly(p, {((j - i) * p, i * p):
+                          gen_binom(Fraction(j), i) * (-1) ** i
+                          for i in range(j + 1)})
+
+
+def _oracle_Delta(p, n, N):
+    out = KernelPoly(p)
+    for q in range(p):
+        for j in range(0, N - n):
+            c = gen_binom(Fraction(-q, p), j)
+            if c:
+                out = out + KernelPoly.monomial(p, q, -q - j * p, c) * \
+                    _oracle_w_minus_z(p, j)
+    return out
+
+
+def _oracle_Delta_via_F(p, n, N):
+    m = N - n - 1
+    if m < 0:
+        return KernelPoly(p)
+    prefactor = KernelPoly(p, {(i, p - 1 - i): 1 for i in range(p)})
+    return prefactor ** (m + 1) * _oracle_F(p, m)
+
+
+def test_kernels_match_their_fraction_oracles():
+    for p in range(1, 9):
+        for m in range(5):
+            assert kernel_F(p, m).terms == _oracle_F(p, m).terms, (p, m)
+        for n in range(-4, 4):
+            for N in range(6):
+                assert kernel_Delta(p, n, N).terms == \
+                    _oracle_Delta(p, n, N).terms, (p, n, N)
+                assert kernel_Delta_via_F(p, n, N).terms == \
+                    _oracle_Delta_via_F(p, n, N).terms, (p, n, N)
 
 
 def test_kernel_delta_p1():

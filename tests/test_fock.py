@@ -440,6 +440,27 @@ def test_virasoro_one_is_degree():
             assert M.virasoro_one(v) == v.scale(v.max_degree())
 
 
+def test_translation_operator_remembers_each_vector(monkeypatch):
+    # D evaluates its double sum once per vector, however often it is
+    # applied, and keeps exactly the double sum's value
+    for M in (untwisted_module(), negation_module(), rotation_module()):
+        fresh = M._normal_ordered_sum
+        calls = []
+
+        def spy(v, k):
+            calls.append((v, k))
+            return fresh(v, k)
+
+        monkeypatch.setattr(M, "_normal_ordered_sum", spy)
+        d_op = M.upsilon_zero_op()
+        vectors = [v for v in M.basis_vectors(2) if v.terms]
+        first = [d_op.apply(v) for v in vectors]
+        second = [d_op.apply(v) for v in vectors]
+        assert calls == [(v, 1) for v in vectors]
+        assert all(x is y for x, y in zip(first, second))
+        assert first == [fresh(v, 1) for v in vectors]
+
+
 def test_weight_anomaly_values():
     assert untwisted_module().weight_anomaly() == 0
     assert negation_module().weight_anomaly() == Fraction(1, 16)

@@ -112,7 +112,7 @@ def _double_sum_pairing(gram, a, b):
     return sum(gram[i][j] * a[i] * b[j] for i in range(l) for j in range(l))
 
 
-def test_pairing_row_product_matches_the_double_sum():
+def test_pairing_bilinear_form_matches_the_double_sum():
     # on random vectors of ranks 1 to 4, zero and sparse ones included,
     # the pairing and p times the primed pairing against the double sums
     # p (a|b) - (a | N b)
