@@ -429,6 +429,22 @@ def _common_grid(a: GenSeries, b: GenSeries, *more: int):
     return a._refine(grid), b._refine(grid), grid
 
 
+def _neg_binoms(r: int, D: int, J: int):
+    """The nonzero binom(-r/D, j) for 0 <= j < J, as (j, scalar) pairs:
+    the integer numerator prod_(t<j) (-r - tD) over D^j j!.  The unit
+    binom(-r/D, 0) is the object ONE, which scales nothing."""
+    out = []
+    num, den = 1, 1
+    for j in range(J):
+        if not num:
+            break
+        out.append((j, ONE if num == den else
+                    CycScalar.from_ints(1, [num], den)))
+        num *= -r - j * D
+        den *= D * (j + 1)
+    return out
+
+
 def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
     """The n-th product via the homogeneous-component expansion:
     contributions binom(-rho_a, j) (a_0 [n+j] b_0) shifted by
@@ -436,9 +452,7 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
     alg = a.alg
     a, b, D = _common_grid(a, b)
     # per residue of a, the nonzero binom(-rho_a, j) of the j-sum
-    coefs = {ra: [(j, as_scalar(c)) for j in range(max(0, locality - n))
-                  if (c := gen_binom(Fraction(-ra, D), j))]
-             for ra in a.res_k}
+    coefs = {ra: _neg_binoms(ra, D, locality - n) for ra in a.res_k}
     pairs = [(ra, rb, coefs[ra])
              for ra in sorted(a.res_k) for rb in sorted(b.res_k)]
     residues = {(ra + rb) % D for ra, rb, _c in pairs} or {0}

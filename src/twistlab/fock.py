@@ -15,7 +15,19 @@ double sum, the creation exponential, the reconstruction and
 pair-expansion sums) adds its scaled summands into one dict (_summed);
 the first poisoned summand is the result, and the summands after it are
 never evaluated.  Operator sums are flat lists of (operator,
-coefficient) parts, not nested closures.
+coefficient) parts, not nested closures, and add no empty layer: a sum
+with the empty sum (FockAlg.zero) is the other operand, with its
+parity, and a scale by one is the operator itself.
+
+The Heisenberg modes h(n), n in (1/p)Z, are the module's kernel: every
+operator above reduces to them.  The module keeps the plan of each
+(coordinates, mode) for its own life: the acting eigenvectors of a
+creation, the nonzero contraction factors of an annihilation, and the
+weight of the zero mode on each vacuum line as lines are met; a factor
+equal to one multiplies nothing.  The Virasoro double sums (the degree
+operator and D) skip each term whose first operator annihilates a mode
+that no word of the vector holds: such a term is exactly zero and
+cannot poison.
 """
 from __future__ import annotations
 
@@ -357,6 +369,20 @@ def _add_term(out: dict, key, x) -> None:
             del out[key]
 
 
+def _unit(x: CycScalar) -> CycScalar:
+    """x, or the object ONE when x equals one."""
+    return ONE if x == ONE else x
+
+
+def _times(x: CycScalar, c: CycScalar) -> CycScalar:
+    """x * c, with no multiply when either factor is the object ONE."""
+    if c is ONE:
+        return x
+    if x is ONE:
+        return c
+    return x * c
+
+
 def _summed(module, pairs, poisoned=False) -> FockVector:
     """The linear combination of the (vector, coefficient) pairs that
     pairs yields, summed in one dict.  A poisoned vector has no terms
@@ -392,7 +418,9 @@ class FockOp:
     flat linear combination (parts, a list of (operator, coefficient)
     pairs) that +, -, scale and negation build.  A vector with no
     terms, zero or poisoned, is a fixed point of every operator, so
-    apply hands it back without evaluating anything."""
+    apply hands it back without evaluating anything.  Operators are
+    values: a sum with the empty sum (FockAlg.zero) is the other
+    operand, and a scale by one the operator itself."""
 
     __slots__ = ("module", "fn", "parts", "parity")
 
@@ -427,10 +455,20 @@ class FockOp:
                       self.parity + other.parity)
 
     def __add__(self, other):
+        # the empty sum (FockAlg.zero) adds no layer: the sum is the
+        # other operand, with its parity
+        if other.parts == []:
+            return self
+        if self.parts == []:
+            return other
         return FockOp._combination(
             self.module, self._as_parts() + other._as_parts(), self.parity)
 
     def __sub__(self, other):
+        if other.parts == []:
+            return self
+        if self.parts == []:
+            return -other
         return FockOp._combination(
             self.module,
             self._as_parts() + [(op, -c) for op, c in other._as_parts()],
@@ -441,6 +479,8 @@ class FockOp:
 
     def scale(self, s):
         s = s if isinstance(s, CycScalar) else as_scalar(s)
+        if s == ONE:
+            return self
         return FockOp._combination(
             self.module,
             [(op, s if c is ONE else c * s) for op, c in self._as_parts()],
@@ -463,7 +503,10 @@ class FockAlg:
         """op with its result on each vector kept for the life of op.
         GenSeries.coeff hands out these, so a product applying the same
         coefficient to the same vector on every slot and probe computes
-        the operator tree below it once."""
+        the operator tree below it once.  The empty sum has nothing to
+        remember and stays itself, so sums still drop it."""
+        if op.parts == []:
+            return op
         fn = op._eval
         seen = {}
 
@@ -477,9 +520,7 @@ class FockAlg:
 
     def bracket(self, x, y):
         sign = -1 if (x.parity and y.parity) else 1
-        out = x.compose(y) - y.compose(x).scale(sign)
-        out.parity = (x.parity + y.parity) % 2
-        return out
+        return x.compose(y) - y.compose(x).scale(sign)
 
     def _grid_floor(self, D: int):
         """(D // module grid, the module's floor degree on the grid D)
@@ -633,6 +674,8 @@ class FockModule:
         self._series = {}
         # the annihilation expansions, per (lattice vector, sign, vector)
         self._anns = {}
+        # the plan of each Heisenberg mode, per (coords, scaled mode)
+        self._plans = {}
 
     # -- vectors ------------------------------------------------------
 
@@ -676,53 +719,76 @@ class FockModule:
 
     # -- Heisenberg action --------------------------------------------
 
+    def _mode_plan(self, coords, ms):
+        """What h(ms/p) does, for h = sum_j coords_j h_j: () when no
+        h_j acts (ms off the grid, or no coordinate on its residue);
+        for a creation the acting (j, c) pairs; for an annihilation the
+        nonzero factors (h|h_jj) ms/p, keyed by jj; for the zero mode
+        the acting pairs and a dict of xi(h) per vacuum line, filled as
+        mode_apply meets the lines.  A value equal to one is the object
+        ONE, so mode_apply can skip its multiply."""
+        qs = self.basis.qs
+        res = ms % self.p
+        active = tuple((j, _unit(c)) for j, c in enumerate(coords)
+                       if c and qs[j] == res)
+        if not active:
+            return ()
+        if ms < 0:
+            return active
+        if ms == 0:
+            return active, {}
+        pairing = self.basis.pairing
+        fm = CycScalar.from_ints(1, [ms], self.p)
+        facs = {}
+        for jj, q in enumerate(qs):
+            if (q + res) % self.p == 0:
+                fac = fm * sum((c * pairing[j][jj] for j, c in active), ZERO)
+                if fac:
+                    facs[jj] = _unit(fac)
+        return facs or ()
+
     def mode_apply(self, coords, ms, v: FockVector) -> FockVector:
         """h(ms/p) applied to v for h = sum_j coords_j h_j and the mode
         scaled by p (_scaled): the one Heisenberg action of the module.
         Only the h_j with ms = q_j mod p act.  A creation (ms < 0) adds
         the mode to each word, an annihilation (ms > 0) removes each
         creation (-ms/p, h_jj), once per occurrence, with the factor
-        (h|h_jj) ms/p, and the zero mode multiplies each line by xi(h)."""
+        (h|h_jj) ms/p, and the zero mode multiplies each line by xi(h).
+        The module keeps the plan of each (coords, ms) (_mode_plan)."""
         if not v.terms:
             return v
-        qs = self.basis.qs
-        res = ms % self.p
-        active = [(j, c) for j, c in enumerate(coords) if c and qs[j] == res]
+        plan = self._plans.get((coords, ms))
+        if plan is None:
+            plan = self._plans[coords, ms] = self._mode_plan(coords, ms)
         out = {}
-        if not active:
+        if not plan:
             return FockVector._of(self, out)
         if ms < 0:
             cap = self.cap
             for (word, iota), coeff in v.terms.items():
                 if -sum(mm for mm, _ in word) - ms > cap:
                     return FockVector._of(self, {}, True)
-                for j, c in active:
+                for j, c in plan:
                     key = (tuple(sorted(word + ((ms, j),))), iota)
-                    _add_term(out, key, coeff * c)
+                    _add_term(out, key, _times(coeff, c))
         elif ms > 0:
-            pairing = self.basis.pairing
-            fm = CycScalar.from_ints(1, [ms], self.p)
-            facs = {}
             for (word, iota), coeff in v.terms.items():
                 for pos, (mm, jj) in enumerate(word):
-                    if mm != -ms:
-                        continue
-                    fac = facs.get(jj)
-                    if fac is None:
-                        fac = facs[jj] = fm * sum(
-                            (c * pairing[j][jj] for j, c in active), ZERO)
-                    if fac:
-                        key = (word[:pos] + word[pos + 1:], iota)
-                        _add_term(out, key, coeff * fac)
+                    if mm == -ms:
+                        fac = plan.get(jj)
+                        if fac is not None:
+                            key = (word[:pos] + word[pos + 1:], iota)
+                            _add_term(out, key, _times(coeff, fac))
         else:
-            lines = {}
+            active, lines = plan
             for (word, iota), coeff in v.terms.items():
                 x = lines.get(iota)
                 if x is None:
                     w = self.zero_weights[iota]
-                    x = lines[iota] = sum((c * w[j] for j, c in active), ZERO)
+                    x = lines[iota] = _unit(
+                        sum((c * w[j] for j, c in active), ZERO))
                 if x:
-                    out[(word, iota)] = coeff * x
+                    out[(word, iota)] = _times(coeff, x)
         return FockVector._of(self, out)
 
     def lattice_coords(self, alpha):
@@ -820,7 +886,9 @@ class FockModule:
         the eigenbasis alpha_i and its duals beta_i, each pair normally
         ordered.  The bilinear sum over dual bases counts each pair
         twice, hence the 1/2.  Offset k = 0 gives the degree operator,
-        k = 1 the translation operator D."""
+        k = 1 the translation operator D.  A term whose first operator
+        annihilates a mode that no word of v holds is exactly zero, and
+        not poisoned, so it is skipped."""
         if not v.terms:
             return v
         p = self.p
@@ -828,6 +896,8 @@ class FockModule:
         top = (v.max_degree_k() - self.floor_k) // self.mode_step
         kp = k * p
         l = self.lattice.rank
+        # the annihilation modes that can act on v: its creations, negated
+        held = {-mm for word, _iota in v.terms for mm, _j in word}
 
         def summands():
             for i in range(l):
@@ -837,11 +907,16 @@ class FockModule:
                 # s < 0: alpha_i(s) beta_i(-s-k); beta annihilates once
                 # -s-k > d-fl, i.e. keep s >= -(d-fl)-k
                 for s in self._mode_grid(q, -top - kp, -1):
-                    w = self.mode_apply(dual, -s - kp, v)
+                    m = -s - kp
+                    if m > 0 and m not in held:
+                        continue
+                    w = self.mode_apply(dual, m, v)
                     yield self.mode_apply(unit, s, w), ONE
                 # s >= 0: beta_i(-s-k) alpha_i(s); alpha annihilates,
                 # s <= d-fl
                 for s in self._mode_grid(q, 0, top):
+                    if s and s not in held:
+                        continue
                     w = self.mode_apply(unit, s, v)
                     yield self.mode_apply(dual, -s - kp, w), ONE
 

@@ -12,6 +12,7 @@ from twistlab.fdist import (
     QuadraticSpace,
     UNKNOWN,
     WindowUnderflow,
+    _neg_binoms,
     coeff_is_zero,
     compare_status,
     derive,
@@ -32,7 +33,7 @@ from twistlab.fdist import (
 from twistlab.cocycle import TwistData
 from twistlab.fock import FockModule, FockOp, RegularOmega
 from twistlab.lattice import TwistedLattice
-from twistlab.scalar import CycScalar, ONE
+from twistlab.scalar import CycScalar, ONE, as_scalar
 
 
 def test_gen_binom():
@@ -45,6 +46,19 @@ def test_gen_binom():
             assert gen_binom(Fraction(n), j) == math.comb(n, j)
     assert gen_binom(Fraction(3), 5) == 0
     assert gen_binom(Fraction(-2), 3) == -4
+
+
+def test_product_binomials_match_gen_binom():
+    # binom(-r/D, j) from integer numerators, for every residue r of the
+    # grids D 1..12 and j 0..5; the unit at j = 0 is the object ONE
+    for D in range(1, 13):
+        for r in range(D):
+            want = [(j, as_scalar(c)) for j in range(6)
+                    if (c := gen_binom(Fraction(-r, D), j))]
+            got = _neg_binoms(r, D, 6)
+            assert got == want, (r, D)
+            assert got[0][1] is ONE
+            assert _neg_binoms(r, D, 0) == []
 
 
 def test_quadratic_space_validation():

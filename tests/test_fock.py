@@ -33,6 +33,7 @@ from twistlab.fdist import (
     nth_product,
     nth_product_kernel,
     series_compare,
+    zero_series,
 )
 from twistlab import fock, linalg
 from twistlab.lattice import TwistedLattice
@@ -278,14 +279,14 @@ def test_module_and_product_solve_no_linear_system(monkeypatch):
 # Heisenberg action
 # ---------------------------------------------------------------------
 
-def test_heis_act_annihilates_vacuum():
+def test_mode_apply_annihilates_vacuum():
     M = negation_module()
     v = vac(M)
     for m in (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2)):
         assert heis(M, 0, m, v).is_zero()
 
 
-def test_heis_act_bracket_contraction():
+def test_mode_apply_bracket_contraction():
     # [h(n), h(-n)] v = n (h^[n] | h^[-n]) v with c = 1
     M = negation_module()
     v = vac(M)
@@ -296,7 +297,7 @@ def test_heis_act_bracket_contraction():
     assert back == v.scale(n * 2)
 
 
-def test_heis_act_zero_mode_weight():
+def test_mode_apply_zero_mode_weight():
     M = untwisted_module()
     i = M.omega.lookup[(1,)]
     v = M.vacuum(i)
@@ -304,7 +305,7 @@ def test_heis_act_zero_mode_weight():
     assert got == v.scale(M.omega.xi(i)[0])
 
 
-def test_heis_act_truncation_poisons():
+def test_mode_apply_truncation_poisons():
     M = untwisted_module(trunc=2)
     v = vac(M)
     deep = heis(M, 0, Fraction(-3), v)
@@ -336,7 +337,7 @@ def order3_module(trunc=2, bound=1):
 
 @pytest.mark.parametrize("make", [untwisted_module, negation_module,
                                   order3_module, rotation_module])
-def test_heis_act_int_and_fraction_modes_agree(make):
+def test_mode_apply_int_and_fraction_modes_agree(make):
     M = make(trunc=2)
     p = M.p
     for v in M.basis_vectors(1):
@@ -428,6 +429,180 @@ def test_mode_apply_heisenberg_relations(gram, sigma):
                     for j in range(l) if gb.qs[j] == 0
                     for k in range(l)), ZERO)
         assert M.mode_apply(h, 0, v) == v.scale(xi_h)
+
+
+def _mode_apply_oracle(M, coords, ms, v):
+    """h(ms/p) on v with no kept plan: the acting pairs, annihilation
+    factors and line weights are rebuilt on every call."""
+    if not v.terms:
+        return v
+    qs = M.basis.qs
+    res = ms % M.p
+    active = [(j, c) for j, c in enumerate(coords) if c and qs[j] == res]
+    out = {}
+    if not active:
+        return FockVector._of(M, out)
+    if ms < 0:
+        cap = M.cap
+        for (word, iota), coeff in v.terms.items():
+            if -sum(mm for mm, _ in word) - ms > cap:
+                return FockVector._of(M, {}, True)
+            for j, c in active:
+                key = (tuple(sorted(word + ((ms, j),))), iota)
+                fock._add_term(out, key, coeff * c)
+    elif ms > 0:
+        pairing = M.basis.pairing
+        fm = CycScalar.from_ints(1, [ms], M.p)
+        facs = {}
+        for (word, iota), coeff in v.terms.items():
+            for pos, (mm, jj) in enumerate(word):
+                if mm != -ms:
+                    continue
+                fac = facs.get(jj)
+                if fac is None:
+                    fac = facs[jj] = fm * sum(
+                        (c * pairing[j][jj] for j, c in active), ZERO)
+                if fac:
+                    key = (word[:pos] + word[pos + 1:], iota)
+                    fock._add_term(out, key, coeff * fac)
+    else:
+        lines = {}
+        for (word, iota), coeff in v.terms.items():
+            x = lines.get(iota)
+            if x is None:
+                w = M.zero_weights[iota]
+                x = lines[iota] = sum((c * w[j] for j, c in active), ZERO)
+            if x:
+                out[(word, iota)] = coeff * x
+    return FockVector._of(M, out)
+
+
+def _normal_ordered_oracle(M, v, k):
+    """(1/2) sum_i sum_s :alpha_i(s) beta_i(-s-k): on v, every s of the
+    window evaluated through the plan-free mode oracle."""
+    if not v.terms:
+        return v
+    p = M.p
+    top = (v.max_degree_k() - M.floor_k) // M.mode_step
+    kp = k * p
+    total = FockVector(M, {})
+    for i in range(M.lattice.rank):
+        unit, dual, q = M.basis.units[i], M.basis.duals[i], M.basis.qs[i]
+        for s in M._mode_grid(q, -top - kp, -1):
+            w = _mode_apply_oracle(M, dual, -s - kp, v)
+            total = total + _mode_apply_oracle(M, unit, s, w)
+        for s in M._mode_grid(q, 0, top):
+            w = _mode_apply_oracle(M, unit, s, v)
+            total = total + _mode_apply_oracle(M, dual, -s - kp, w)
+    return total.scale(Fraction(1, 2))
+
+
+def order6_module(trunc=2, bound=1):
+    td = TwistData(TwistedLattice(*GRID_LATTICES[6]))
+    return FockModule(td, RegularOmega(td, bound=bound), trunc=trunc)
+
+
+def class_module(trunc=2):
+    # a class module with a sigma-fixed and a twisted eigenvector
+    from twistlab.classify import enumerate_simple_twisted, instantiate_class
+
+    td = TwistData(TwistedLattice([[2, 0], [0, 4]], [[1, 0], [0, -1]]))
+    return instantiate_class(td, enumerate_simple_twisted(td).classes[0],
+                             trunc=trunc)
+
+
+KERNEL_MODULES = [untwisted_module, negation_module, order3_module,
+                  rotation_module, order6_module, class_module]
+
+
+@pytest.mark.parametrize("make", KERNEL_MODULES)
+def test_mode_apply_matches_the_plan_free_oracle(make):
+    # the kept plans change no result, poisoned flag included: on every
+    # basis vector, for units, duals and lattice coordinates, every
+    # scaled mode -2p..2p, a mode off the grid and a poisoned input;
+    # each plan is read again once it is kept
+    M = make(trunc=2)
+    p, l = M.p, M.lattice.rank
+    coords = list(M.basis.units) + list(M.basis.duals) + [
+        M.lattice_coords(a) for a in
+        [tuple(int(i == j) for i in range(l)) for j in range(l)]
+        + [(1,) * l, (2,) + (-1,) * (l - 1)]]
+    modes = list(range(-2 * p, 2 * p + 1)) + [fock._scaled(
+        Fraction(1, 2 * p + 1), p)]
+    poisoned = FockVector(M, {}, poisoned=True)
+    vectors = M.basis_vectors(1)
+    seen = set()
+    for c in coords:
+        for ms in modes:
+            assert M.mode_apply(c, ms, poisoned) is poisoned
+            for v in vectors:
+                want = _mode_apply_oracle(M, c, ms, v)
+                for _ in range(2):
+                    got = M.mode_apply(c, ms, v)
+                    assert got == want, (c, ms, v)
+                    assert got.poisoned == want.poisoned
+                seen.add((want.poisoned, want.is_zero()))
+    assert seen == {(False, False), (False, True), (True, True)}
+
+
+@pytest.mark.parametrize("make", KERNEL_MODULES)
+def test_normal_ordered_sum_matches_the_full_double_sum(make):
+    # the held-mode rule skips only terms that are exactly zero
+    M = make(trunc=2)
+    for v in M.basis_vectors(2):
+        for k in (0, 1):
+            assert M._normal_ordered_sum(v, k) == \
+                _normal_ordered_oracle(M, v, k), (v, k)
+
+
+def test_product_coefficients_carry_the_series_parity():
+    # an odd vertex series X on the lattice [[1]]: the coefficients of
+    # alpha~ [-1] X are odd, so the bracket with X's coefficients is
+    # their anticommutator, which differs from the commutator on six
+    # slot pairs of [-3, 3]^2
+    td = TwistData(TwistedLattice([[1]], [[1]]))
+    M = FockModule(td, RegularOmega(td, bound=2), trunc=3)
+    x = M.vertex_series((1,))
+    prod = nth_product(M.tilde((1,)), x, -1, 2)
+    assert prod.parity == x.parity == 1
+    v = vac(M)
+    differ = 0
+    for m, n in itertools.product(range(-3, 4), repeat=2):
+        a, b = prod.coeff(m), x.coeff(n)
+        assert a.parity == 1
+        anti = (a.compose(b) + b.compose(a)).apply(v)
+        comm = (a.compose(b) - b.compose(a)).apply(v)
+        assert M.alg.bracket(a, b).apply(v) == anti, (m, n)
+        differ += anti != comm
+    assert differ == 6
+
+
+def test_coefficient_parity_is_the_series_parity():
+    td = TwistData(TwistedLattice([[1]], [[1]]))
+    M = FockModule(td, RegularOmega(td, bound=2), trunc=3)
+    x, h = M.vertex_series((1,)), M.tilde((1,))
+    prod = nth_product(h, x, -1, 2)
+    family = [
+        x, prod, nth_product(h, x, 0, 2), nth_product(h, h, -1, 2),
+        nth_product(x, x, -2, 1), prod.scale(3), prod.scale(1),
+        prod + prod.scale(2), prod - prod, zero_series(M.alg, 1) + prod,
+        zero_series(M.alg, 1) - prod, derive(prod), derive(x)]
+    parities = [s.parity for s in family]
+    assert 0 in parities and 1 in parities
+    for s in family:
+        for t in range(-3, 4):
+            assert s.coeff(t).parity == s.parity, (s, t)
+
+
+def test_empty_sum_and_unit_scale_add_no_layer():
+    M = negation_module()
+    op, zero = M.mode_op(M.basis.units[0], Fraction(-1, 2)), M.alg.zero()
+    assert op.scale(ONE) is op and op.scale(1) is op
+    assert op + zero is op and zero + op is op and op - zero is op
+    assert M.alg.remember(zero) is zero
+    v = vac(M)
+    assert (zero - op).apply(v) == op.apply(v).scale(-1)
+    assert (zero + zero).apply(v) == FockVector(M, {})
 
 
 # ---------------------------------------------------------------------
