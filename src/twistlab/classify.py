@@ -10,6 +10,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
+from ._kept import kept
 from .fdist import vector_status, worst_status
 from .lattice import TwistedLattice
 from .linalg import (
@@ -105,7 +106,6 @@ class FiniteQuotient:
     def __init__(self, ambient_cols, sub_cols, dim: int, den: int = 1):
         self.dim = dim
         self.rank = len(ambient_cols)
-        self._lifts = {}
         if self.rank == 0:
             self.den = den
             self.divisors = ()
@@ -181,14 +181,11 @@ class FiniteQuotient:
                     out[k] += c * x
         return out
 
+    @kept
     def lift(self, coords):
         """The vector sum_i coords_i gens_i (integers when integral),
-        remembered per coordinate tuple."""
-        key = tuple(coords)
-        out = self._lifts.get(key)
-        if out is None:
-            out = self._lifts[key] = self._divide(self.lift_nums(key))
-        return out
+        kept per coordinate tuple."""
+        return self._divide(self.lift_nums(coords))
 
     def elements(self):
         return itertools.product(*(range(d) for d in self.divisors))
@@ -233,8 +230,6 @@ class Presentation:
         self.twist = twist
         self.lattice = lat = twist.lattice
         self.dec = lat.reduce_generating_set()
-        self._algebras = {}
-        self._mu_parts = {}
         self.obstructed, wit = twist.obstruction_check()
         self.witness = None
         if self.obstructed:
@@ -258,7 +253,6 @@ class Presentation:
                 col = [cols[i][jc] for i in range(l)]
                 if any(col):
                     self._khnf.append(tuple(col))
-        self._k_parts = {}
         # scalar relations must commute with the whole group algebra:
         # C(sigma^s a - a, e_k) = zeta_p^(-s (a^T G N)_k), so the first
         # orbit whose rep has (a^T G N)_k != 0 mod p fails at s = 1
@@ -276,14 +270,10 @@ class Presentation:
                        for ker in (self._dsmith.kernel()
                                    if self.dvecs else [])]
 
+    @kept
     def algebra(self, mu_choice) -> PresentedAlgebraA:
         """The algebra A of one root choice, kept once built."""
-        mu_choice = tuple(mu_choice)
-        A = self._algebras.get(mu_choice)
-        if A is None:
-            A = self._algebras[mu_choice] = PresentedAlgebraA(
-                self.twist, self.dec, mu_choice)
-        return A
+        return PresentedAlgebraA(self.twist, self.dec, mu_choice)
 
     # -- scalar bookkeeping -------------------------------------------
 
@@ -313,14 +303,12 @@ class Presentation:
         gives both the kernel and every `k_parts` combination."""
         return SmithForm(self._dmat)
 
+    @kept
     def k_parts(self, kvec):
         """(combo, factor) for a nonzero kvec = sum_i combo_i d_i, or
         None when kvec is not in K."""
-        if kvec not in self._k_parts:
-            combo = self._dsmith.solve(list(kvec))
-            self._k_parts[kvec] = None if combo is None else \
-                (combo, self._fold(combo))
-        return self._k_parts[kvec]
+        combo = self._dsmith.solve(list(kvec))
+        return None if combo is None else (combo, self._fold(combo))
 
     def rep_of(self, gamma):
         """Canonical representative of gamma + K."""
@@ -333,24 +321,20 @@ class Presentation:
                     g[i] -= q * col[i]
         return tuple(g)
 
+    @kept
     def mu_parts(self, gamma):
         """(factor, d, length, product) with the root forced at gamma
         equal to factor * e(d), d = sigma gamma - gamma in K (None when
         gamma is fixed), and mu^length = product over its orbit."""
-        gamma = tuple(gamma)
-        parts = self._mu_parts.get(gamma)
-        if parts is None:
-            twist, lat = self.twist, self.lattice
-            d = _vec_sub(lat.apply_sigma(gamma), gamma)
-            factor = twist.phi(gamma)
-            if any(d):
-                factor = twist.epsilon(d, gamma).inverse() * factor
-            else:
-                d = None
-            orb = lat.orbit(gamma)
-            parts = self._mu_parts[gamma] = (
-                factor, d, len(orb), twist.orbit_product(orb))
-        return parts
+        twist, lat = self.twist, self.lattice
+        d = _vec_sub(lat.apply_sigma(gamma), gamma)
+        factor = twist.phi(gamma)
+        if any(d):
+            factor = twist.epsilon(d, gamma).inverse() * factor
+        else:
+            d = None
+        orb = lat.orbit(gamma)
+        return factor, d, len(orb), twist.orbit_product(orb)
 
     # -- generating-set invariants, computed on first use --------------
 
@@ -485,9 +469,6 @@ class PresentedAlgebraA:
             if mu ** len(orb) != twist.orbit_product(orb):
                 raise ClassifyError("mu choice is not an orbit root")
             self.ks.append(twist.k_coeffs(orb, mu))
-        self._k_cache = {}
-        self._e_cache = {}
-        self._tau_cache = {}
         if P.witness is not None:
             self.zero, self.witness = True, P.witness
             return
@@ -529,29 +510,22 @@ class PresentedAlgebraA:
                 out = out * s ** mult
         return out
 
+    @kept
     def k_image(self, kvec) -> RootPair:
         """The scalar that e(kvec) equals in A, for kvec in K."""
-        kvec = tuple(kvec)
-        if kvec not in self._k_cache:
-            if not any(kvec):
-                self._k_cache[kvec] = self.twist.one
-            else:
-                parts = self.presentation.k_parts(kvec)
-                if parts is None:
-                    raise ClassifyError(f"{kvec} is not in the relation lattice")
-                self._k_cache[kvec] = self._image(*parts)
-        return self._k_cache[kvec]
+        if not any(kvec):
+            return self.twist.one
+        parts = self.presentation.k_parts(kvec)
+        if parts is None:
+            raise ClassifyError(f"{kvec} is not in the relation lattice")
+        return self._image(*parts)
 
+    @kept
     def e_image(self, gamma):
         """(scalar, rep) with e(gamma) = scalar * e(rep) in A."""
-        gamma = tuple(gamma)
-        if gamma not in self._e_cache:
-            rep = self.presentation.rep_of(gamma)
-            d = _vec_sub(gamma, rep)
-            self._e_cache[gamma] = (
-                self.twist.epsilon(d, rep).inverse() * self.k_image(d),
-                rep)
-        return self._e_cache[gamma]
+        rep = self.presentation.rep_of(gamma)
+        d = _vec_sub(gamma, rep)
+        return self.twist.epsilon(d, rep).inverse() * self.k_image(d), rep
 
     def derived_mu(self, gamma) -> RootPair:
         """The root mu(gamma) forced by the relations, for any gamma."""
@@ -569,19 +543,15 @@ class PresentedAlgebraA:
         s, _rep = self.e_image(self.E.lift(g))
         return s
 
+    @kept
     def tau(self, g, h) -> RootPair:
         """Multiplication scalar: y_g y_h = tau(g, h) y_(g+h)."""
-        key = (tuple(g), tuple(h))
-        if key not in self._tau_cache:
-            E, twist = self.presentation.E, self.twist
-            tg, th = E.lift(key[0]), E.lift(key[1])
-            tgh = E.lift(_e_add(*key, E.divisors))
-            delta = _vec_sub(_vec_add(tg, th), tgh)
-            self._tau_cache[key] = (
-                twist.epsilon(tg, th)
-                * twist.epsilon(delta, tgh).inverse()
+        E, twist = self.presentation.E, self.twist
+        tg, th = E.lift(g), E.lift(h)
+        tgh = E.lift(_e_add(g, h, E.divisors))
+        delta = _vec_sub(_vec_add(tg, th), tgh)
+        return (twist.epsilon(tg, th) * twist.epsilon(delta, tgh).inverse()
                 * self.k_image(delta))
-        return self._tau_cache[key]
 
     def bichar(self, g, h) -> CycScalar:
         """Commutator bicharacter on E: b(g, h) with
@@ -1058,7 +1028,6 @@ class ClassOmega:
         # degree coordinates: p * nu over that of the nonzero-degree reps
         self._degrees = IntegerCoords(
             [A.grading[i] for i in range(self.mm)], lat.rank)
-        self._e_acts = {}
 
     def _lift_vec(self, k):
         lat = self.A.lattice
@@ -1096,19 +1065,11 @@ class ClassOmega:
         lam = self.h_lifts.character(self.h_label, hc) / sh
         return t2, A.tau(g, t) * A.tau(t2, h).inverse() * lam
 
+    @kept
     def e_act(self, alpha, i):
         """e(alpha) on the line i: (line, scalar), or None when the
         image leaves the window; kept per (alpha, line) for the life of
         the vacuum space, exits included."""
-        key = (tuple(alpha), i)
-        try:
-            return self._e_acts[key]
-        except KeyError:
-            out = self._e_acts[key] = self._e_image(*key)
-            return out
-
-    def _e_image(self, alpha, i):
-        """e_act computed afresh."""
         A = self.A
         twist = A.twist
         k, t = self.lines[i]
@@ -1118,7 +1079,7 @@ class ClassOmega:
             return None
         lk = self._lift_vec(k)
         lk2 = self._lift_vec(k2)
-        delta = _vec_sub(_vec_add(tuple(alpha), lk), lk2)
+        delta = _vec_sub(_vec_add(alpha, lk), lk2)
         g = A.E.coords(delta)
         s1, _rep = A.e_image(delta)
         sg = A.y_scalar(g)

@@ -173,15 +173,10 @@ def build_twist(spec: JobSpec) -> TwistData:
     except LatticeError as exc:
         raise InputError(str(exc)) from exc
     eps_seed = build_epsilon(lat)
-    phi_seed = None
     try:
         for (i, j), text in spec.eps.items():
             eps_seed[(i, j)] = parse_scalar(text)
-        if spec.phi:
-            base = TwistData(lat, eps_seed=eps_seed)
-            phi_seed = dict(base.phi_seed)
-            for i, text in spec.phi.items():
-                phi_seed[i] = parse_scalar(text)
+        phi_seed = {i: parse_scalar(text) for i, text in spec.phi.items()}
         return TwistData(lat, eps_seed=eps_seed, phi_seed=phi_seed)
     except ScalarError as exc:
         raise InputError(str(exc)) from exc

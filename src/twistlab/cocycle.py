@@ -6,6 +6,7 @@ import math
 from fractions import Fraction
 from functools import cached_property
 
+from ._kept import kept
 from .classify import Presentation
 from .lattice import TwistedLattice
 from .linalg import _bilinear
@@ -97,14 +98,14 @@ class TwistData:
         self.eps_exponents = tuple(
             tuple(logs[(i, j)][1] * (n // logs[(i, j)][0]) for j in range(l))
             for i in range(l))
-        if phi_seed is None:
-            phi_seed = {
-                i: self.phi_zero(self._basis_vector(i))
-                for i in range(lattice.rank)
-            }
+        # a basis vector without a phi seed takes the default phi_zero(e_i)
+        seeds = dict(phi_seed or {})
+        for i in range(l):
+            if i not in seeds:
+                seeds[i] = self.phi_zero(self._basis_vector(i))
         self.phi_seed = {}
         pairs = {}
-        for i, v in phi_seed.items():
+        for i, v in seeds.items():
             self.phi_seed[i] = as_scalar(v)
             pairs[i] = self._check_phi_value(v)
         self.grid = lattice.p * math.lcm(2, n, *(x.n for x in pairs.values()))
@@ -112,8 +113,6 @@ class TwistData:
         # the value 1 on the grid
         self.one = RootPair(1, 0, self.grid)
         self._phi_seeds = {i: x * self.one for i, x in pairs.items()}
-        self._phi_pairs = {}
-        self._orbit_products = {}
 
     @staticmethod
     def _check_phi_value(v) -> RootPair:
@@ -182,20 +181,14 @@ class TwistData:
         g = math.gcd(n, k)
         return root_of_unity(2 * n // g, k // g)
 
+    @kept
     def phi(self, alpha) -> RootPair:
         """The 1-cocycle on the twist's grid, kept per vector: the
         extension of the seed values with dphi(a,b) =
-        eps(sigma a, sigma b)/eps(a, b)."""
-        alpha = tuple(alpha)
-        out = self._phi_pairs.get(alpha)
-        if out is None:
-            out = self._phi_pairs[alpha] = self._phi_from_seeds(alpha)
-        return out
-
-    def _phi_from_seeds(self, alpha) -> RootPair:
-        """prod_i phi(e_i)^(a_i) times g(e_i, e_i)^(a_i (a_i - 1)/2) and
-        g(e_i, e_j)^(a_i a_j) for i < j, all of it one exponent sum on
-        the grid and one rational product."""
+        eps(sigma a, sigma b)/eps(a, b), that is prod_i phi(e_i)^(a_i)
+        times g(e_i, e_i)^(a_i (a_i - 1)/2) and g(e_i, e_j)^(a_i a_j)
+        for i < j, all of it one exponent sum on the grid and one
+        rational product."""
         r = self._ratio_exponents
         q = 1
         k = 0
@@ -215,15 +208,12 @@ class TwistData:
 
     # -- roots mu and eigen-coefficients k_s --------------------------
 
+    @kept
     def orbit_product(self, orbit) -> RootPair:
         """prod_s phi(sigma^s a) on the twist's grid, kept per orbit."""
-        orbit = tuple(orbit)
-        out = self._orbit_products.get(orbit)
-        if out is None:
-            out = self.one
-            for v in orbit:
-                out = out * self.phi(v)
-            self._orbit_products[orbit] = out
+        out = self.one
+        for v in orbit:
+            out = out * self.phi(v)
         return out
 
     def mu_roots(self, orbit):

@@ -22,12 +22,12 @@ parity, and a scale by one is the operator itself.
 The Heisenberg modes h(n), n in (1/p)Z, are the module's kernel: every
 operator above reduces to them.  The module keeps the plan of each
 (coordinates, mode) for its own life: the acting eigenvectors of a
-creation, the nonzero contraction factors of an annihilation, and the
-weight of the zero mode on each vacuum line as lines are met; a factor
-equal to one multiplies nothing.  The Virasoro double sums (the degree
-operator and D) skip each term whose first operator annihilates a mode
-that no word of the vector holds: such a term is exactly zero and
-cannot poison.
+creation or of the zero mode, and the nonzero contraction factors of an
+annihilation, and the weight of the zero mode per (coordinates, vacuum
+line) as lines are met; a factor equal to one multiplies nothing.  The
+Virasoro double sums (the degree operator and D) skip each term whose
+first operator annihilates a mode that no word of the vector holds:
+such a term is exactly zero and cannot poison.
 """
 from __future__ import annotations
 
@@ -35,6 +35,7 @@ import itertools
 import math
 from fractions import Fraction
 
+from ._kept import kept
 from .classify import MAX_WINDOW, SizeCapExceeded
 from .cocycle import TwistData, locality_order
 from .fdist import (
@@ -202,18 +203,13 @@ class GradedBasis:
         # the eigen-coordinates of each h_j alone
         self.units = tuple(tuple(ONE if j == i else ZERO for j in range(l))
                            for i in range(l))
-        self._decomp_cache = {}
 
+    @kept
     def decompose(self, vec):
         """Coordinates of a lattice-basis vector in the eigenbasis, kept
         per vector."""
-        key = tuple(vec)
-        out = self._decomp_cache.get(key)
-        if out is None:
-            out = self._decomp_cache[key] = tuple(
-                sum((c * x for c, x in zip(row, key) if x), ZERO)
-                for row in self.coord_rows)
-        return out
+        return tuple(sum((c * x for c, x in zip(row, vec) if x), ZERO)
+                     for row in self.coord_rows)
 
 
 # ---------------------------------------------------------------------
@@ -496,8 +492,9 @@ class FockAlg:
         self.module = module
         self.grid = module.grid
 
-    def zero(self):
-        return FockOp._combination(self.module, [], 0)
+    def zero(self, parity: int = 0):
+        """The empty sum, of the given parity."""
+        return FockOp._combination(self.module, [], parity)
 
     def remember(self, op):
         """op with its result on each vector kept for the life of op.
@@ -508,6 +505,7 @@ class FockAlg:
         if op.parts == []:
             return op
         fn = op._eval
+        # a memo by hand: an operator value holds it, not a method's owner
         seen = {}
 
         def apply(v):
@@ -668,14 +666,6 @@ class FockModule:
         self._xi_k = [tuple(None if x is None else x[0] * (grid // x[1])
                             for x in row) for row in xis]
         self.alg = FockAlg(self)
-        # the vertex and Heisenberg series of each lattice vector and its
-        # vertex exponents, built once: the series' coefficient memos
-        # serve every check on the module
-        self._series = {}
-        # the annihilation expansions, per (lattice vector, sign, vector)
-        self._anns = {}
-        # the plan of each Heisenberg mode, per (coords, scaled mode)
-        self._plans = {}
 
     # -- vectors ------------------------------------------------------
 
@@ -719,24 +709,20 @@ class FockModule:
 
     # -- Heisenberg action --------------------------------------------
 
+    @kept
     def _mode_plan(self, coords, ms):
         """What h(ms/p) does, for h = sum_j coords_j h_j: () when no
         h_j acts (ms off the grid, or no coordinate on its residue);
-        for a creation the acting (j, c) pairs; for an annihilation the
-        nonzero factors (h|h_jj) ms/p, keyed by jj; for the zero mode
-        the acting pairs and a dict of xi(h) per vacuum line, filled as
-        mode_apply meets the lines.  A value equal to one is the object
-        ONE, so mode_apply can skip its multiply."""
+        for a creation or the zero mode the acting (j, c) pairs; for an
+        annihilation the nonzero factors (h|h_jj) ms/p, keyed by jj.  A
+        value equal to one is the object ONE, so mode_apply can skip
+        its multiply."""
         qs = self.basis.qs
         res = ms % self.p
         active = tuple((j, _unit(c)) for j, c in enumerate(coords)
                        if c and qs[j] == res)
-        if not active:
-            return ()
-        if ms < 0:
+        if ms <= 0 or not active:
             return active
-        if ms == 0:
-            return active, {}
         pairing = self.basis.pairing
         fm = CycScalar.from_ints(1, [ms], self.p)
         facs = {}
@@ -757,9 +743,7 @@ class FockModule:
         The module keeps the plan of each (coords, ms) (_mode_plan)."""
         if not v.terms:
             return v
-        plan = self._plans.get((coords, ms))
-        if plan is None:
-            plan = self._plans[coords, ms] = self._mode_plan(coords, ms)
+        plan = self._mode_plan(coords, ms)
         out = {}
         if not plan:
             return FockVector._of(self, out)
@@ -780,16 +764,19 @@ class FockModule:
                             key = (word[:pos] + word[pos + 1:], iota)
                             _add_term(out, key, _times(coeff, fac))
         else:
-            active, lines = plan
             for (word, iota), coeff in v.terms.items():
-                x = lines.get(iota)
-                if x is None:
-                    w = self.zero_weights[iota]
-                    x = lines[iota] = _unit(
-                        sum((c * w[j] for j, c in active), ZERO))
+                x = self._line_weight(coords, iota)
                 if x:
                     out[(word, iota)] = _times(coeff, x)
         return FockVector._of(self, out)
+
+    @kept
+    def _line_weight(self, coords, iota):
+        """xi(h) on the vacuum line iota, for h = sum_j coords_j h_j:
+        the factor of the zero mode h(0) there, ONE when it is one."""
+        w = self.zero_weights[iota]
+        return _unit(sum((c * w[j] for j, c in self._mode_plan(coords, 0)),
+                         ZERO))
 
     def lattice_coords(self, alpha):
         return self.basis.decompose(alpha)
@@ -820,22 +807,11 @@ class FockModule:
 
     # -- series builders ----------------------------------------------
 
-    def _kept(self, alpha, kind, build):
-        """The series (or exponents) of the given kind of a lattice
-        vector, built on the first request and kept for the module's
-        lifetime."""
-        alpha = tuple(alpha)
-        kept = self._series.setdefault(alpha, {})
-        out = kept.get(kind)
-        if out is None:
-            out = kept[kind] = build(alpha)
-        return out
-
+    @kept
     def tilde(self, alpha) -> GenSeries:
-        """The Heisenberg series of a lattice vector."""
-        return self._kept(
-            alpha, "tilde",
-            lambda a: self.eigen_tilde(self.lattice_coords(a)))
+        """The Heisenberg series of a lattice vector, built once: its
+        coefficient memo serves every check on the module."""
+        return self.eigen_tilde(self.lattice_coords(alpha))
 
     def eigen_tilde(self, coords) -> GenSeries:
         step = self.mode_step
@@ -936,16 +912,13 @@ class FockModule:
 
     # -- exponential factors and vertex operators ---------------------
 
-    def _ann_expand(self, alpha, v: FockVector, sign: int = -1):
+    @kept
+    def _ann_expand(self, alpha, v: FockVector, sign: int):
         """Expansion of exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for
         the lattice vector alpha (an int tuple): a tuple of (vector,
-        total annihilation degree times p), kept per (alpha, sign, v)."""
+        total annihilation degree times p), kept per (alpha, v, sign)."""
         if not v.terms:
             return ((v, 0),)
-        key = (alpha, sign, v)
-        out = self._anns.get(key)
-        if out is not None:
-            return out
         p = self.p
         qs = self.basis.qs
         coords = self.lattice_coords(alpha)
@@ -968,8 +941,7 @@ class FockModule:
                         new.append((cur.scale(coef), e + k * n))
                         k += 1
                 results = new
-        out = self._anns[key] = tuple(results)
-        return out
+        return tuple(results)
 
     def _cre_expand(self, coords, v: FockVector, target: int,
                     sign: int = 1):
@@ -1015,14 +987,11 @@ class FockModule:
         """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line."""
         return Fraction(self.vertex_exponents_k(alpha)[iota], self.grid)
 
+    @kept
     def vertex_exponents_k(self, alpha) -> tuple:
         """vertex_exponent on every vacuum line, on the module's grid
-        (the exponent times grid), kept per lattice vector."""
-        return self._kept(alpha, "exps", self._vertex_exponents_k)
-
-    def _vertex_exponents_k(self, alpha) -> tuple:
-        """vertex_exponents_k computed afresh; an irrational xi entry
-        that alpha reads is refused."""
+        (the exponent times grid), kept per lattice vector; an
+        irrational xi entry that alpha reads is refused."""
         half_norm = self.lattice.prime_pairing_p(alpha, alpha) * (
             self.grid // (2 * self.p))
         reads = [(k, a) for k, a in enumerate(alpha) if a]
@@ -1041,11 +1010,10 @@ class FockModule:
         """The coefficient X_alpha(m), read off the kept vertex series."""
         return self.vertex_series(alpha).coeff(m)
 
+    @kept
     def vertex_series(self, alpha) -> GenSeries:
-        """The vertex series X_alpha(z), built once per lattice vector."""
-        return self._kept(alpha, "vertex", self._vertex_series)
-
-    def _vertex_series(self, alpha) -> GenSeries:
+        """The vertex series X_alpha(z), built once per lattice vector:
+        its coefficient memo serves every check on the module."""
         p, D, step = self.p, self.grid, self.mode_step
         exps = self.vertex_exponents_k(alpha)
         residues = {(-D - e + t * step) % D for e in set(exps)
@@ -1062,7 +1030,7 @@ class FockModule:
                 if off:
                     continue
                 base = FockVector._of(self, {(word, iota): coeff})
-                for (v1, eplus) in self._ann_expand(alpha, base):
+                for (v1, eplus) in self._ann_expand(alpha, base, -1):
                     if low + eplus >= 0:
                         v2 = self._cre_expand(coords, v1, low + eplus)
                         yield e_alpha.apply(v2), ONE
@@ -1256,7 +1224,7 @@ def _reconstruct_coeff(M: FockModule, alpha, coords, e, v: FockVector):
             base = FockVector._of(M, {(word, iota): coeff})
             a_exp = exps[iota]
             # e1 and f2 are scaled by p, the slot and degrees by grid
-            for (v1, e1) in M._ann_expand(alpha, base, sign=1):
+            for (v1, e1) in M._ann_expand(alpha, base, 1):
                 if v1.is_zero():
                     continue
                 # floor(p (e + deg v1 - floor)) + e1
@@ -1366,8 +1334,8 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
             if r1 or r2:
                 continue
             base = FockVector._of(M, {(word, iota): coeff})
-            for (v1, e1) in M._ann_expand(beta, base):
-                for (v2, e2) in M._ann_expand(alpha, v1):
+            for (v1, e1) in M._ann_expand(beta, base, -1):
+                for (v2, e2) in M._ann_expand(alpha, v1, -1):
                     for (kw, kz, kc) in kterms:
                         f1 = g1 - kz + e1
                         if f1 < 0:

@@ -132,6 +132,18 @@ def test_classify_deterministic(tmp_path):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_classify_partial_phi_seed(tmp_path, capsys):
+    # a phi seed left out takes its default, so giving it explicitly
+    # prints the same report
+    partial = dict(EX2, phi={"0": "z(4)^1"})
+    full = dict(EX2, phi={"0": "z(4)^1", "1": "1"})
+    assert run(tmp_path, partial, "classify") == EXIT_OK
+    out = capsys.readouterr().out
+    assert run(tmp_path, full, "classify") == EXIT_OK
+    assert capsys.readouterr().out == out
+    assert out.endswith("2 classes\n")
+
+
 def test_kappa_output(tmp_path, capsys):
     assert run(tmp_path, EX1, "kappa") == EXIT_OK
     out = capsys.readouterr().out

@@ -11,6 +11,7 @@ from twistlab.cocycle import (
     commutator_map,
     locality_order,
 )
+from twistlab.classify import enumerate_simple_twisted
 from twistlab.lattice import LatticeError, TwistedLattice
 from twistlab.scalar import (
     CycScalar,
@@ -299,6 +300,23 @@ def test_obstruction_check_scans_once_per_twist(monkeypatch):
     assert td.obstruction_check() == first
     assert td.obstruction_check() == first
     assert calls == []
+
+
+def test_partial_phi_seed_takes_the_default_for_the_rest():
+    # a basis vector without a seed takes phi_zero(e_i): the twist equals
+    # the one given the full dict, down to every phi value and the
+    # enumeration of its simple twisted modules
+    lat = TwistedLattice(A1x2, ROT4)
+    box = list(itertools.product(range(-2, 3), repeat=2))
+    for seed in (ONE, root_of_unity(4)):
+        partial = TwistData(lat, phi_seed={0: seed})
+        full = TwistData(lat, phi_seed={
+            0: seed, 1: TwistData(lat).phi_zero((0, 1))})
+        assert partial.phi_seed == full.phi_seed
+        assert partial.grid == full.grid
+        assert [partial.phi(v) for v in box] == [full.phi(v) for v in box]
+        assert enumerate_simple_twisted(partial) == \
+            enumerate_simple_twisted(full)
 
 
 def test_phi_memo_matches_fresh_twist():

@@ -33,9 +33,11 @@ from twistlab.fdist import (
     nth_product,
     nth_product_kernel,
     series_compare,
+    verify_axioms,
     zero_series,
 )
 from twistlab import fock, linalg
+from twistlab._kept import kept
 from twistlab.lattice import TwistedLattice
 from twistlab.linalg import field_inverse, field_rref, field_solve
 from twistlab.scalar import CycScalar, ONE, ZERO, as_scalar, root_of_unity
@@ -586,12 +588,38 @@ def test_coefficient_parity_is_the_series_parity():
         x, prod, nth_product(h, x, 0, 2), nth_product(h, h, -1, 2),
         nth_product(x, x, -2, 1), prod.scale(3), prod.scale(1),
         prod + prod.scale(2), prod - prod, zero_series(M.alg, 1) + prod,
-        zero_series(M.alg, 1) - prod, derive(prod), derive(x)]
+        zero_series(M.alg, 1) - prod, derive(prod), derive(x),
+        zero_series(M.alg, 1)]
     parities = [s.parity for s in family]
     assert 0 in parities and 1 in parities
+    # the residue slots, and the half-integral slots off every residue
+    slots = list(range(-3, 4)) + [Fraction(2 * t + 1, 2)
+                                  for t in range(-3, 3)]
     for s in family:
-        for t in range(-3, 4):
+        for t in slots:
             assert s.coeff(t).parity == s.parity, (s, t)
+
+
+@pytest.mark.parametrize("gram, sigma, v3, v4", [
+    ([[2]], [[-1]], {"pass": 7, "untestable": 1}, {"pass": 4}),
+    (A1x2, ROT4, {"pass": 24, "untestable": 40},
+     {"pass": 16, "untestable": 16}),
+])
+def test_heisenberg_family_meets_v3_and_v4(gram, sigma, v3, v4):
+    # the associativity (V3) and commutator (V4) axioms on the Heisenberg
+    # series of the basis, at the slots 0 .. 1/2 on the grid 1/p
+    td = TwistData(TwistedLattice(gram, sigma))
+    M = FockModule(td, RegularOmega(td, bound=1), trunc=3)
+    l = M.lattice.rank
+    family = [(f"h{j}", M.tilde(tuple(int(i == j) for i in range(l))))
+              for j in range(l)]
+    slots = [Fraction(k, M.p) for k in range(M.p // 2 + 1)]
+    for tag, want in (("V3", v3), ("V4", v4)):
+        report = verify_axioms(family, [tag], slots, lambda a, b: 2,
+                               [vac(M)])
+        statuses = [status for _tag, _inst, status in report]
+        assert "fail" not in statuses and "pass" in statuses
+        assert {s: statuses.count(s) for s in set(statuses)} == want
 
 
 def test_empty_sum_and_unit_scale_add_no_layer():
@@ -1348,7 +1376,7 @@ def test_second_product_check_builds_no_vertex_coefficient(monkeypatch):
     # count the vertex coefficients the kept series build, through the
     # slot function of each vertex series
     built = []
-    real = FockModule._vertex_series
+    real = FockModule.vertex_series.__wrapped__
 
     def counting(self, alpha):
         series = real(self, alpha)
@@ -1361,7 +1389,7 @@ def test_second_product_check_builds_no_vertex_coefficient(monkeypatch):
         series._fn = counted
         return series
 
-    monkeypatch.setattr(FockModule, "_vertex_series", counting)
+    monkeypatch.setattr(FockModule, "vertex_series", kept(counting))
     M = negation_module(trunc=3)
     slots = [Fraction(k, 2) for k in range(0, 3)]
     first = product_check(M, (1,), (1,), -3, slots, [vac(M)])

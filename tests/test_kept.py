@@ -1,0 +1,63 @@
+import types
+
+from twistlab._kept import kept
+from twistlab.classify import (
+    ClassOmega,
+    FiniteQuotient,
+    Presentation,
+    PresentedAlgebraA,
+)
+from twistlab.cocycle import TwistData
+from twistlab.fock import FockModule, GradedBasis
+
+import pytest
+
+# every method kept by the helper, per class; the benchmark's tracer
+# wraps only plain-function class attributes, and counts the spans of
+# PresentedAlgebraA.tau, FiniteQuotient.lift and FockModule.mode_apply
+KEPT = {
+    GradedBasis: ("decompose",),
+    FiniteQuotient: ("lift",),
+    Presentation: ("algebra", "k_parts", "mu_parts"),
+    PresentedAlgebraA: ("k_image", "e_image", "tau"),
+    ClassOmega: ("e_act",),
+    TwistData: ("phi", "orbit_product"),
+    FockModule: ("tilde", "vertex_series", "vertex_exponents_k",
+                 "_ann_expand", "_mode_plan", "_line_weight"),
+}
+
+
+class Owner:
+    def __init__(self):
+        self.calls = []
+
+    @kept
+    def f(self, x, y=0):
+        """Records each computation; None for a negative x."""
+        self.calls.append((x, y))
+        return None if x and x[0] < 0 else [x, y]
+
+
+def test_kept_contract():
+    a, b = Owner(), Owner()
+    # a list argument is keyed, and handed on, as a tuple
+    out = a.f([1, 2], 3)
+    assert a.f((1, 2), 3) is out and out == [(1, 2), 3]
+    # a None result is computed once
+    assert a.f((-1,), 0) is None and a.f([-1], 0) is None
+    assert a.calls == [((1, 2), 3), ((-1,), 0)]
+    # two owners do not share a memo
+    assert b.f((1, 2), 3) is not out and b.calls == [((1, 2), 3)]
+    # keyword arguments are refused
+    with pytest.raises(TypeError):
+        a.f((1, 2), y=3)
+    # __wrapped__ gives the fresh value, and keeps nothing
+    fresh = Owner.f.__wrapped__(a, (1, 2), 3)
+    assert fresh == out and fresh is not out
+    assert a.f((1, 2), 3) is out
+    assert Owner.f.__name__ == "f" and "Records" in Owner.f.__doc__
+    for cls, names in KEPT.items():
+        for name in names:
+            attr = cls.__dict__[name]
+            assert isinstance(attr, types.FunctionType), (cls, name)
+            assert isinstance(attr.__wrapped__, types.FunctionType)
