@@ -44,7 +44,7 @@ from .fock import (
 )
 from .lattice import LatticeError, TwistedLattice
 from .oracle import oracle_product
-from .scalar import ConductorOverflow, RootPair, ScalarError, parse_scalar
+from .scalar import RootPair, ScalarError, parse_scalar
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -391,7 +391,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (ConductorOverflow, UnsupportedScalar) as exc:
+    except (ScalarError, UnsupportedScalar) as exc:
         print(f"unsupported scalar: {exc}", file=sys.stderr)
         return EXIT_SCALAR
     except SizeCapExceeded as exc:

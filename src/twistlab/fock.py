@@ -22,9 +22,11 @@ parity, and a scale by one is the operator itself.
 The Heisenberg modes h(n), n in (1/p)Z, are the module's kernel: every
 operator above reduces to them.  The module keeps the plan of each
 (coordinates, mode) for its own life: the acting eigenvectors of a
-creation or of the zero mode, and the nonzero contraction factors of an
-annihilation, and the weight of the zero mode per (coordinates, vacuum
-line) as lines are met; a factor equal to one multiplies nothing.  The
+creation, the nonzero contraction factors of an annihilation, and the
+zero mode's weight xi(h) on every vacuum line; a factor equal to one
+multiplies nothing.  Both exponentials of a vertex operator are one
+product of mode exponentials (_exp_terms), cut at a degree bound.  A
+remembered operator keeps its results itself (FockOp.seen).  The
 Virasoro double sums (the degree operator and D) skip each term whose
 first operator annihilates a mode that no word of the vector holds:
 such a term is exactly zero and cannot poison.
@@ -64,10 +66,6 @@ MINUS_ONE = CycScalar.rational(-1)
 
 class FockError(Exception):
     pass
-
-
-def _floor_int(x: Fraction) -> int:
-    return x.numerator // x.denominator
 
 
 def _rational_pair(x: CycScalar):
@@ -416,15 +414,17 @@ class FockOp:
     terms, zero or poisoned, is a fixed point of every operator, so
     apply hands it back without evaluating anything.  Operators are
     values: a sum with the empty sum (FockAlg.zero) is the other
-    operand, and a scale by one the operator itself."""
+    operand, and a scale by one the operator itself.  A remembered
+    operator (FockAlg.remember) keeps its result per vector in seen."""
 
-    __slots__ = ("module", "fn", "parts", "parity")
+    __slots__ = ("module", "fn", "parts", "parity", "seen")
 
     def __init__(self, module, fn, parity=0):
         self.module = module
         self.fn = fn
         self.parts = None
         self.parity = parity % 2
+        self.seen = None
 
     @classmethod
     def _combination(cls, module, parts, parity):
@@ -433,10 +433,18 @@ class FockOp:
         return out
 
     def _as_parts(self):
-        return self.parts if self.parts is not None else [(self, ONE)]
+        # a remembered operator stays one part, so that sums keep its memo
+        plain = self.parts is not None and self.seen is None
+        return self.parts if plain else [(self, ONE)]
 
     def apply(self, v: FockVector) -> FockVector:
-        return self._eval(v) if v.terms else v
+        seen = self.seen
+        if seen is None or not v.terms:
+            return self._eval(v) if v.terms else v
+        out = seen.get(v)
+        if out is None:
+            out = seen[v] = self._eval(v)
+        return out
 
     def _eval(self, v: FockVector) -> FockVector:
         """The operator on v, with no fixed-point shortcut."""
@@ -497,24 +505,14 @@ class FockAlg:
         return FockOp._combination(self.module, [], parity)
 
     def remember(self, op):
-        """op with its result on each vector kept for the life of op.
-        GenSeries.coeff hands out these, so a product applying the same
-        coefficient to the same vector on every slot and probe computes
-        the operator tree below it once.  The empty sum has nothing to
-        remember and stays itself, so sums still drop it."""
-        if op.parts == []:
-            return op
-        fn = op._eval
-        # a memo by hand: an operator value holds it, not a method's owner
-        seen = {}
-
-        def apply(v):
-            out = seen.get(v)
-            if out is None:
-                out = seen[v] = fn(v)
-            return out
-
-        return FockOp(op.module, apply, op.parity)
+        """op itself, keeping its result per vector for its own life
+        (FockOp.seen).  GenSeries.coeff hands out these, so a product
+        applying the same coefficient to the same vector on every slot
+        and probe computes the operator tree below it once.  The empty
+        sum stays as it is, and a second call keeps the one memo."""
+        if op.parts != [] and op.seen is None:
+            op.seen = {}
+        return op
 
     def bracket(self, x, y):
         sign = -1 if (x.parity and y.parity) else 1
@@ -550,7 +548,7 @@ class FockAlg:
                     continue
                 w = a._at((n - s) * D + ra).apply(
                     b._at((m + s) * D + rb).apply(v))
-                yield w, CycScalar.rational(c if s % 2 == 0 else -c)
+                yield w, (c if s % 2 == 0 else -c)
             low = n - (d + ca0) // D
             if n >= 0:
                 low = max(low, 0)
@@ -561,7 +559,7 @@ class FockAlg:
                 w = b._at((m + s) * D + rb).apply(
                     a._at((n - s) * D + ra).apply(v))
                 sgn = -super_sign * (1 if s % 2 == 0 else -1)
-                yield w, CycScalar.rational(c if sgn > 0 else -c)
+                yield w, (c if sgn > 0 else -c)
 
         def fn(v):
             return _summed(mod, summands(v)) if v.terms else v
@@ -623,7 +621,7 @@ class FockModule:
         self.trunc = _frac(trunc)
         self.p = self.lattice.p
         # the largest creation degree of a term, in modes scaled by p
-        self.cap = _floor_int(self.trunc * self.p)
+        self.cap = math.floor(self.trunc * self.p)
         l = self.lattice.rank
         basis = self.basis
         fixed = [j for j in range(l) if basis.qs[j] == 0]
@@ -713,16 +711,19 @@ class FockModule:
     def _mode_plan(self, coords, ms):
         """What h(ms/p) does, for h = sum_j coords_j h_j: () when no
         h_j acts (ms off the grid, or no coordinate on its residue);
-        for a creation or the zero mode the acting (j, c) pairs; for an
-        annihilation the nonzero factors (h|h_jj) ms/p, keyed by jj.  A
-        value equal to one is the object ONE, so mode_apply can skip
-        its multiply."""
+        for a creation the acting (j, c) pairs; for the zero mode xi(h)
+        on each vacuum line (zero_weights); for an annihilation the
+        nonzero factors (h|h_jj) ms/p, keyed by jj.  A value equal to
+        one is the object ONE, so mode_apply can skip its multiply."""
         qs = self.basis.qs
         res = ms % self.p
         active = tuple((j, _unit(c)) for j, c in enumerate(coords)
                        if c and qs[j] == res)
-        if ms <= 0 or not active:
+        if ms < 0 or not active:
             return active
+        if ms == 0:
+            return tuple(_unit(sum((c * w[j] for j, c in active), ZERO))
+                         for w in self.zero_weights)
         pairing = self.basis.pairing
         fm = CycScalar.from_ints(1, [ms], self.p)
         facs = {}
@@ -765,24 +766,19 @@ class FockModule:
                             _add_term(out, key, _times(coeff, fac))
         else:
             for (word, iota), coeff in v.terms.items():
-                x = self._line_weight(coords, iota)
+                x = plan[iota]
                 if x:
                     out[(word, iota)] = _times(coeff, x)
         return FockVector._of(self, out)
-
-    @kept
-    def _line_weight(self, coords, iota):
-        """xi(h) on the vacuum line iota, for h = sum_j coords_j h_j:
-        the factor of the zero mode h(0) there, ONE when it is one."""
-        w = self.zero_weights[iota]
-        return _unit(sum((c * w[j] for j, c in self._mode_plan(coords, 0)),
-                         ZERO))
 
     def lattice_coords(self, alpha):
         return self.basis.decompose(alpha)
 
     def mode_op(self, coords, m) -> FockOp:
-        ms = _scaled(m, self.p)
+        return self._mode_op(coords, _scaled(m, self.p))
+
+    def _mode_op(self, coords, ms) -> FockOp:
+        """h(ms/p) as an operator, the mode scaled by p (_scaled)."""
         return FockOp(self, lambda v: self.mode_apply(coords, ms, v), 0)
 
     def e_op(self, alpha) -> FockOp:
@@ -818,8 +814,7 @@ class FockModule:
         residues = {q * step for q, c in zip(self.basis.qs, coords) if c}
 
         def fn(k):
-            ms = k // step
-            return FockOp(self, lambda v: self.mode_apply(coords, ms, v), 0)
+            return self._mode_op(coords, k // step)
 
         return GenSeries.on_grid(self.alg, self.grid, fn, residues or {0},
                                  shift_k=0)
@@ -912,76 +907,60 @@ class FockModule:
 
     # -- exponential factors and vertex operators ---------------------
 
+    def _exp_terms(self, coords, v: FockVector, sign: int, modes,
+                   bound: int):
+        """The terms of prod_m exp(sign (p/|m|) h(m/p)) on v, for
+        h = sum_j coords_j h_j and the scaled modes m in order, as
+        (vector, degree, num, den): the powers k_m of the modes applied,
+        of degree sum_m k_m |m| <= bound, and their factor prod_m
+        (sign p/|m|)^(k_m)/k_m! = num/den, not yet applied."""
+        terms = [(v, 0, 1, 1)]
+        for m in modes:
+            if not self._mode_plan(coords, m):
+                continue
+            u, new = abs(m), []
+            for cur, deg, num, den in terms:
+                new.append((cur, deg, num, den))
+                k = 1
+                while deg + k * u <= bound:
+                    cur = self.mode_apply(coords, m, cur)
+                    if not cur.terms and not cur.poisoned:
+                        break
+                    num, den = num * sign * self.p, den * u * k
+                    new.append((cur, deg + k * u, num, den))
+                    k += 1
+            terms = new
+        return terms
+
     @kept
     def _ann_expand(self, alpha, v: FockVector, sign: int):
-        """Expansion of exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for
-        the lattice vector alpha (an int tuple): a tuple of (vector,
-        total annihilation degree times p), kept per (alpha, v, sign)."""
-        if not v.terms:
-            return ((v, 0),)
-        p = self.p
-        qs = self.basis.qs
-        coords = self.lattice_coords(alpha)
-        top = (v.max_degree_k() - self.floor_k) // self.mode_step
-        results = [(v, 0)]
-        for n in range(1, top + 1):
-            if any(c and qs[j] == n % p for j, c in enumerate(coords)):
-                new = []
-                for (v0, e) in results:
-                    new.append((v0, e))
-                    cur = v0
-                    k = 1
-                    while True:
-                        cur = self.mode_apply(coords, n, cur)
-                        if cur.is_zero() and not cur.poisoned:
-                            break
-                        # (sign / (n/p))^k / k!, each mode's factor
-                        coef = CycScalar.from_ints(
-                            1, [(sign * p) ** k], n ** k * math.factorial(k))
-                        new.append((cur.scale(coef), e + k * n))
-                        k += 1
-                results = new
-        return tuple(results)
+        """exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for the lattice
+        vector alpha (an int tuple), as (vector, annihilation degree
+        times p) pairs, kept per (alpha, v, sign); the degree is at most
+        v's over the floor, as no more can act (_exp_terms)."""
+        top = 0 if not v.terms else (
+            v.max_degree_k() - self.floor_k) // self.mode_step
+        return tuple(
+            (w if num == den else w.scale(CycScalar.from_ints(1, [num], den)),
+             e) for w, e, num, den in self._exp_terms(
+                self.lattice_coords(alpha), v, sign, range(1, top + 1), top))
 
     def _cre_expand(self, coords, v: FockVector, target: int,
                     sign: int = 1):
         """Coefficient of z^(target/p) of exp(sum_(n<0) -sign*coords(n)/n
-        z^(-n)) applied to v (creation side); target is scaled by p."""
-        if target == 0:
-            return v
-        if not v.terms:
+        z^(-n)) applied to v (creation side), target scaled by p: the
+        terms of degree target (_exp_terms), or poisoned when a word of
+        v would pass the cap."""
+        if target == 0 or not v.terms:
             return v
         used = max(-sum(m for m, _ in word) for (word, _i) in v.terms)
         if used + target > self.cap:
             return FockVector._of(self, {}, True)
-        p = self.p
-        qs = self.basis.qs
-        modes = [u for u in range(1, target + 1)
-                 if any(c and qs[j] == -u % p for j, c in enumerate(coords))]
-
-        def summands(idx, cur, left, num, den):
-            # num / den: the product of the factors of the modes applied
-            if left == 0:
-                yield cur, (ONE if num == den
-                            else CycScalar.from_ints(1, [num], den))
-                return
-            if idx >= len(modes):
-                return
-            u = modes[idx]
-            yield from summands(idx + 1, cur, left, num, den)
-            k = 1
-            acc = cur
-            while k * u <= left:
-                acc = self.mode_apply(coords, -u, acc)
-                if acc.is_zero() and not acc.poisoned:
-                    break
-                # (sign / (u/p))^k / k!
-                yield from summands(idx + 1, acc, left - k * u,
-                                    num * (sign * p) ** k,
-                                    den * u ** k * math.factorial(k))
-                k += 1
-
-        return _summed(self, summands(0, v, target, 1, 1))
+        return _summed(self, (
+            (w, ONE if num == den else CycScalar.from_ints(1, [num], den))
+            for w, e, num, den in self._exp_terms(
+                coords, v, sign, range(-1, -target - 1, -1), target)
+            if e == target))
 
     def vertex_exponent(self, alpha, iota) -> Fraction:
         """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line."""

@@ -568,13 +568,20 @@ ONE = CycScalar.rational(1)
 
 def _rational_nth_root(q: Fraction, r: int) -> Fraction:
     def int_root(m: int) -> int:
-        if m in (0, 1):
-            return m
-        x = round(m ** (1.0 / r))
-        for cand in (x - 1, x, x + 1):
-            if cand >= 0 and cand ** r == m:
-                return cand
-        raise ScalarError(f"{m} has no exact integer {r}-th root")
+        # the floor of m^(1/r) in integers: isqrt, or Newton steps down
+        # from a power of two above it
+        if r == 2 or m < 2:
+            x = math.isqrt(m)
+        else:
+            x = 1 << -(-m.bit_length() // r)
+            while True:
+                y = ((r - 1) * x + m // x ** (r - 1)) // r
+                if y >= x:
+                    break
+                x = y
+        if x ** r != m:
+            raise ScalarError(f"{m} has no exact integer {r}-th root")
+        return x
 
     return Fraction(int_root(q.numerator), int_root(q.denominator))
 

@@ -230,6 +230,24 @@ def test_conductor_cap_exit_3(tmp_path, monkeypatch):
     assert run(tmp_path, EX2, "classify") == EXIT_SCALAR
 
 
+@pytest.mark.parametrize("phi, message", [
+    # the swap's orbit product needs a square root of the seed 2
+    ("2", "2 has no exact integer 2-th root"),
+    # a seed of 401 digits: its square root is exact, and it is refused
+    # as no root of unity, not as a float overflow
+    ("1" + "0" * 400, "is not a root of unity"),
+], ids=["inexact-root", "huge-seed"])
+def test_unsupported_phi_seed_exit_3(tmp_path, capsys, phi, message):
+    spec = {"gram": [[2, 0], [0, 2]], "sigma": [[0, 1], [1, 0]],
+            "phi": {"0": phi}}
+    assert run(tmp_path, spec, "classify") == EXIT_SCALAR
+    err = capsys.readouterr()
+    assert err.out == ""
+    lines = err.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("unsupported scalar: ")
+    assert message in lines[0]
+
+
 def test_check_untwisted(tmp_path, capsys):
     assert run(tmp_path, EX0, "check") == EXIT_OK
     out = capsys.readouterr().out

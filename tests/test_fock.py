@@ -748,6 +748,33 @@ def test_series_coefficient_remembers_its_action():
     assert len(calls) == 1
 
 
+def test_remember_keeps_the_memo_on_the_operator():
+    # remember hands back the operator itself, which from then on keeps
+    # its result per vector; sums and multiples keep using that memo,
+    # and remembering twice keeps the one memo
+    M = untwisted_module()
+    calls = []
+
+    def act(v):
+        calls.append(v)
+        return v.scale(2)
+
+    op, zero = FockOp(M, act), M.alg.zero()
+    assert M.alg.remember(op) is op
+    memo = op.seen
+    assert M.alg.remember(op) is op and op.seen is memo
+    assert op + zero is op and zero + op is op and op.scale(ONE) is op
+    # a remembered sum stays one part of the sums built from it
+    total = M.alg.remember(op + op.scale(3))
+    vectors = [vac(M), M.vacuum(1), vac(M).scale(5)]
+    for _ in range(2):
+        for v in vectors:
+            assert op.apply(v) == v.scale(2)
+            assert (op.scale(3) - op).apply(v) == v.scale(4)
+            assert (total + zero + op).apply(v) == v.scale(10)
+    assert calls == vectors and len(memo) == 3 and len(total.seen) == 3
+
+
 def test_lie_series_coefficients_unwrapped():
     alg = LieAlg(QuadraticSpace(["h"], [0], [[2]]))
     elt = alg.gen_mode(0, 1)

@@ -23,7 +23,7 @@ KEPT = {
     ClassOmega: ("e_act",),
     TwistData: ("phi", "orbit_product"),
     FockModule: ("tilde", "vertex_series", "vertex_exponents_k",
-                 "_ann_expand", "_mode_plan", "_line_weight"),
+                 "_ann_expand", "_mode_plan"),
 }
 
 

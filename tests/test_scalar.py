@@ -501,6 +501,21 @@ def test_root_pair_rational_parts():
         RootPair(0, 1, 3)
 
 
+def test_rational_roots_are_exact_past_float_range():
+    # integer roots above 2^53, and above the largest float, are found
+    # exactly; a non-power is still refused
+    for base, r in ((10**20 + 12345, 2), (3**40 + 7, 3),
+                    (10**200 + 3, 2), (Fraction(7**30, 11**25), 5)):
+        assert scalar_module._rational_nth_root(Fraction(base) ** r, r) == base
+    assert len(str((10**200 + 3) ** 2)) == 401
+    for q, r in (((10**20 + 12345) ** 2 + 1, 2), ((3**40 + 7) ** 3 - 1, 3),
+                 (10**401, 2), (2**64 * 3, 4)):
+        with pytest.raises(ScalarError, match="no exact integer"):
+            scalar_module._rational_nth_root(Fraction(q), r)
+    square = RootPair((10**20 + 12345) ** 2, 1, 3)
+    assert square.root(2).q == 10**20 + 12345
+
+
 def test_root_pair_conversion_meets_the_conductor_cap(monkeypatch):
     # the cap applies where a pair becomes a CycScalar, to the order of
     # its root in lowest terms, not to the grid the pair is kept on
