@@ -39,6 +39,8 @@ if TYPE_CHECKING:
 MAX_WORK = 2 ** 16
 # a bound on the lines of a regular vacuum space: (2 bound + 1)^rank
 MAX_WINDOW = 2 ** 16
+# a bound on the creation words of a Fock module up to its truncation
+MAX_BASIS = 2 ** 16
 # the degree window of a class vacuum space: lifts k with |k_i| <= WINDOW
 WINDOW = 2
 
@@ -49,8 +51,9 @@ class ClassifyError(Exception):
 
 class SizeCapExceeded(ClassifyError):
     """Raised when the work over the root choices of an enumeration,
-    root choices times |E|^2, would exceed MAX_WORK, or the lines of a
-    regular vacuum window would exceed MAX_WINDOW."""
+    root choices times |E|^2, would exceed MAX_WORK, the lines of a
+    regular vacuum window would exceed MAX_WINDOW, or the creation words
+    of a Fock module up to its truncation would exceed MAX_BASIS."""
 
 
 class UnsupportedScalar(ClassifyError):

@@ -6,13 +6,17 @@ byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
 2 input error (a malformed spec, a spec file that cannot be read as
 UTF-8 text, or an --out file that cannot be written), 3 refused:
 unsupported scalar, the constant conductor cap 720 reached, the
-classifier's one work cap (root choices times |E|^2) exceeded, or a
+classifier's one work cap (root choices times |E|^2) exceeded, a
 `check` vacuum window of more than 65536 lines, (2 bound + 1)^rank
-(`twistlab.classify.MAX_WINDOW`), refused before it is built.
+(`twistlab.classify.MAX_WINDOW`), refused before it is built, or a
+`check` creation basis of more than 65536 words up to the truncation
+(`twistlab.classify.MAX_BASIS`), counted and refused before any check
+runs.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -200,6 +204,9 @@ def cmd_check(spec: JobSpec, deep: bool = False):
     l, p = lat.rank, lat.p
     lines = [f"check: rank {l}, order {p}, trunc {spec.trunc}"]
     statuses = []
+    # an oversized window or creation basis is refused here, before
+    # any check runs
+    M = FockModule(T, RegularOmega(T, spec.bound), spec.trunc)
 
     def emit(tag, instance, status):
         statuses.append(status)
@@ -210,7 +217,6 @@ def cmd_check(spec: JobSpec, deep: bool = False):
         ok, _d1, _d2 = kernel_delta_check(p, n, max(2, n + 2))
         emit("fl:F", f"delta kernel p={p} n={n}", "pass" if ok else "fail")
 
-    M = FockModule(T, RegularOmega(T, spec.bound), spec.trunc)
     # probe from the center of the vacuum window: edge probes leave the
     # truncation box under e-shifts and test nothing
     center = M.omega.lookup.get((0,) * l, 0)
@@ -343,7 +349,11 @@ def _out_problem(path: str):
     return None
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and kept for
+    the life of the process: a program that calls main many times
+    in one process builds it once."""
     parser = argparse.ArgumentParser(
         prog="twistlab",
         description="Exact checks and classification for twisted lattice "
@@ -357,7 +367,11 @@ def main(argv=None) -> int:
                         help="report file (default: stdout)")
     parser.add_argument("--deep", action="store_true",
                         help="also run the slow oracle cross-checks")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     try:
         with open(args.spec, "r", encoding="utf-8") as fh:

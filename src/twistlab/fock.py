@@ -30,6 +30,13 @@ remembered operator keeps its results itself (FockOp.seen).  The
 Virasoro double sums (the degree operator and D) skip each term whose
 first operator annihilates a mode that no word of the vector holds:
 such a term is exactly zero and cannot poison.
+
+Vectors are values, so a vector keeps its hash and its degree
+(max_degree_k) beside its terms once computed.  Each vacuum space keeps
+e(alpha) on a line per (alpha, line), window exits included.  A module
+whose creation basis up to its truncation has more than MAX_BASIS
+words is refused (SizeCapExceeded) before any vector is built; the
+words are counted in integers.
 """
 from __future__ import annotations
 
@@ -38,7 +45,7 @@ import math
 from fractions import Fraction
 
 from ._kept import kept
-from .classify import MAX_WINDOW, SizeCapExceeded
+from .classify import MAX_BASIS, MAX_WINDOW, SizeCapExceeded
 from .cocycle import TwistData, locality_order
 from .fdist import (
     GenSeries,
@@ -242,7 +249,11 @@ class RegularOmega:
     def xi(self, i):
         return self._xi[i]
 
+    @kept
     def e_act(self, alpha, i):
+        """e(alpha) on the line i: (line, scalar), or None when the
+        shift leaves the window; kept per (alpha, line) for the life of
+        the vacuum space, exits included."""
         beta = self.index[i]
         target = tuple(a + b for a, b in zip(alpha, beta))
         j = self.lookup.get(target)
@@ -261,13 +272,14 @@ class FockVector:
     Vectors are values: nothing writes `terms` once the vector is
     built, so a vector can key the memo of a series coefficient
     (FockAlg.remember), and a sum or scale that changes nothing hands
-    back its operand itself."""
+    back its operand itself, and a vector keeps its hash and its
+    degree (max_degree_k) once computed."""
 
-    __slots__ = ("module", "terms", "poisoned", "_hash")
+    __slots__ = ("module", "terms", "poisoned", "_hash", "_degree")
 
     def __init__(self, module, terms=None, poisoned=False):
         self.module = module
-        self._hash = None
+        self._hash = self._degree = None
         self.terms = {}
         # a poisoned vector is untestable wherever it is consumed, so
         # its terms can never influence a verdict: drop them and spare
@@ -286,7 +298,7 @@ class FockVector:
         out.module = module
         out.terms = terms
         out.poisoned = poisoned
-        out._hash = None
+        out._hash = out._degree = None
         return out
 
     def is_zero(self):
@@ -310,8 +322,11 @@ class FockVector:
             return FockVector._of(self.module, {})
         if s == ONE:
             return self
-        return FockVector._of(self.module,
-                              {k: v * s for k, v in self.terms.items()})
+        out = FockVector._of(self.module,
+                             {k: v * s for k, v in self.terms.items()})
+        # a nonzero multiple has the same terms, so the same degree
+        out._degree = self._degree
+        return out
 
     def __eq__(self, other):
         return (isinstance(other, FockVector)
@@ -327,8 +342,13 @@ class FockVector:
         return Fraction(self.max_degree_k(), self.module.grid)
 
     def max_degree_k(self) -> int:
-        """max_degree on the module's grid: the degree times grid."""
-        return max(map(self.module.term_degree_k, self.terms))
+        """max_degree on the module's grid: the degree times grid, kept
+        on the vector."""
+        d = self._degree
+        if d is None:
+            d = self._degree = max(map(self.module.term_degree_k,
+                                       self.terms))
+        return d
 
     def ratio_to(self, other):
         """Scalar r with self = r * other, or None."""
@@ -394,6 +414,24 @@ def _summed(module, pairs, poisoned=False) -> FockVector:
             for key, x in w.terms.items():
                 _add_term(out, key, x if c is ONE else x * c)
     return FockVector._of(module, out)
+
+
+def _word_count(qs, p: int, cap: int, limit: int) -> int:
+    """The number of creation words of degree at most cap, scaled by p,
+    or a number above limit once they pass it.  The modes of h_j weigh
+    p - q_j + t p, t >= 0, scaled; the words of degree s are counted
+    in integers by n a(n) = sum_(k=1..n) c(k) a(n - k), c(k) the sum of
+    the mode weights that divide k."""
+    rs = [(p - q) % p for q in qs]
+    a, c, total = [1], [0], 1
+    for s in range(1, cap + 1):
+        c.append(sum(d for d in range(1, s + 1) if s % d == 0
+                     for r in rs if d % p == r))
+        a.append(sum(c[k] * a[s - k] for k in range(1, s + 1)) // s)
+        total += a[s]
+        if total > limit:
+            break
+    return total
 
 
 def _int_binom(n: int, k: int) -> int:
@@ -622,6 +660,12 @@ class FockModule:
         self.p = self.lattice.p
         # the largest creation degree of a term, in modes scaled by p
         self.cap = math.floor(self.trunc * self.p)
+        words = _word_count(self.basis.qs, self.p, self.cap, MAX_BASIS)
+        if words > MAX_BASIS:
+            raise SizeCapExceeded(
+                f"a creation basis of degree at most {self.trunc} in rank "
+                f"{self.lattice.rank} has more than {MAX_BASIS} words, the "
+                f"cap")
         l = self.lattice.rank
         basis = self.basis
         fixed = [j for j in range(l) if basis.qs[j] == 0]
@@ -684,7 +728,9 @@ class FockModule:
             self.degree_k[iota]
 
     def basis_vectors(self, max_degree):
-        """All monomial basis vectors of creation degree <= max_degree."""
+        """All monomial basis vectors of creation degree <= max_degree,
+        each word in depth-first order of its modes, with every vacuum
+        line."""
         out = []
         modes = []
         l = self.lattice.rank
@@ -695,14 +741,18 @@ class FockModule:
             while -m <= cap:
                 modes.append((m, j))
                 m -= self.p
-        def rec(start, word, left):
+        # (first mode index, word, degree left); a word's extensions are
+        # pushed last first, so they are popped in mode order
+        stack = [(0, (), cap)]
+        while stack:
+            start, word, left = stack.pop()
+            key = tuple(sorted(word))
             for iota in range(self.omega.size):
-                out.append(FockVector(self, {(tuple(sorted(word)), iota): ONE}))
-            for k in range(start, len(modes)):
+                out.append(FockVector(self, {(key, iota): ONE}))
+            for k in range(len(modes) - 1, start - 1, -1):
                 m, j = modes[k]
                 if -m <= left:
-                    rec(k, word + [(m, j)], left + m)
-        rec(0, [], cap)
+                    stack.append((k, word + ((m, j),), left + m))
         return out
 
     # -- Heisenberg action --------------------------------------------

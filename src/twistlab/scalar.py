@@ -327,9 +327,10 @@ class CycScalar:
         return bool(self.num)
 
     def __eq__(self, other) -> bool:
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
+        if type(other) is not CycScalar:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
         return (self.n == other.n and self.den == other.den
                 and self.num == other.num)
 
@@ -397,22 +398,27 @@ class CycScalar:
             return NotImplemented
         return other + (-self)
 
+    def _times_rational(self, p: int, r: int) -> CycScalar:
+        """self * p / r for integers p and r > 0: each numerator
+        coordinate scaled by p, with no reduction or descent."""
+        if not p or not self.num:
+            return ZERO
+        if self.n == 1:
+            return _rational(self.num[0] * p, self.den * r)
+        return _canonical(self.n, [c * p for c in self.num],
+                          self.den * r, descend=False)
+
     def __mul__(self, other) -> CycScalar:
         if type(other) is not CycScalar:
+            if type(other) is int:
+                # a plain int multiplies as it is; a bool coerces
+                return self._times_rational(other, 1)
             other = _coerce(other)
             if other is None:
                 return NotImplemented
         if other.n == 1:
-            if not other.num:
-                return ZERO
-            if self.n == 1:
-                if not self.num:
-                    return ZERO
-                return _rational(self.num[0] * other.num[0],
-                                 self.den * other.den)
-            p = other.num[0]
-            return _canonical(self.n, [c * p for c in self.num],
-                              self.den * other.den, descend=False)
+            return self._times_rational(
+                other.num[0] if other.num else 0, other.den)
         if self.n == 1:
             return other * self
         m = _lcm_checked(self.n, other.n)

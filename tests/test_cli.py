@@ -703,6 +703,48 @@ def test_oversized_vacuum_window_exit_3(tmp_path, capsys, monkeypatch):
     assert run(tmp_path, dict(EX2, bound=2, trunc=1), "check") == EXIT_OK
 
 
+def test_oversized_creation_basis_exit_3(tmp_path, capsys, monkeypatch):
+    # trunc 1000 in rank 1 has far more creation words than the cap: the
+    # count is made in integers and refused before any check runs, where
+    # the listing used to recurse into a RecursionError
+    spec = {"gram": [[2]], "sigma": [[1]], "trunc": 1000}
+    t0 = time.perf_counter()
+    assert run(tmp_path, spec, "check") == EXIT_SCALAR
+    assert time.perf_counter() - t0 < 5
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
+        "refused: a creation basis of degree at most 1000 in rank 1 has "
+        f"more than {classify.MAX_BASIS} words, the cap"]
+    proc = _cli_subprocess("--spec", write_spec(tmp_path, spec),
+                           "--cmd", "check")
+    assert proc.returncode == EXIT_SCALAR
+    assert proc.stderr.splitlines() == err.err.splitlines()
+    assert proc.stdout == ""
+    # the cap counts words: rank 1 at trunc 3 has 1 + 1 + 2 + 3 of them
+    monkeypatch.setattr(fock, "MAX_BASIS", 6)
+    assert run(tmp_path, EX0, "check") == EXIT_SCALAR
+    monkeypatch.setattr(fock, "MAX_BASIS", 7)
+    assert run(tmp_path, EX0, "check") == EXIT_OK
+
+
+def test_parser_kept_across_calls_and_errors(tmp_path, capsys):
+    # the parser is built once per process; an argparse error on the
+    # way leaves the next call's report as a fresh process prints it
+    path = write_spec(tmp_path, EX0)
+    assert cli._parser() is cli._parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["--spec", path, "--cmd", "nope"])
+    assert exc.value.code == EXIT_INPUT
+    assert "invalid choice: 'nope'" in capsys.readouterr().err
+    assert main(["--spec", path, "--cmd", "check"]) == EXIT_OK
+    out = capsys.readouterr()
+    proc = _cli_subprocess("--spec", path, "--cmd", "check")
+    assert proc.returncode == EXIT_OK
+    assert (out.out, out.err) == (proc.stdout, proc.stderr)
+    assert out.out.startswith("check: rank 1, order 1, trunc 3\n")
+
+
 def test_classify_error_exit_1(tmp_path, capsys, monkeypatch):
     # any other classifier error is an invariant failure: exit 1 and a
     # one-line message

@@ -557,6 +557,74 @@ def test_normal_ordered_sum_matches_the_full_double_sum(make):
                 _normal_ordered_oracle(M, v, k), (v, k)
 
 
+def _recursive_basis(M, max_degree):
+    """The (word, line) keys of the creation basis of degree at most
+    max_degree, listed by recursion: the witness of basis_vectors."""
+    modes, cap = [], max_degree * M.p
+    for j in range(M.lattice.rank):
+        m = M.basis.qs[j] - M.p
+        while -m <= cap:
+            modes.append((m, j))
+            m -= M.p
+    out = []
+
+    def rec(start, word, left):
+        out.extend((tuple(sorted(word)), i) for i in range(M.omega.size))
+        for k in range(start, len(modes)):
+            m, j = modes[k]
+            if -m <= left:
+                rec(k, word + [(m, j)], left + m)
+
+    rec(0, [], cap)
+    return out
+
+
+@pytest.mark.parametrize("make", KERNEL_MODULES)
+def test_basis_listing_and_word_count_match_the_recursion(make):
+    # the loop lists the recursion's vectors in its order, and the
+    # integer count of the words agrees with both, also when it is cut
+    M = make(trunc=2)
+    for d in range(3):
+        want = _recursive_basis(M, d)
+        got = M.basis_vectors(d)
+        assert [list(v.terms.items()) for v in got] == \
+            [[(k, ONE)] for k in want]
+        words = len(want) // M.omega.size
+        qs, cap = M.basis.qs, d * M.p
+        assert fock._word_count(qs, M.p, cap, words) == words
+        assert fock._word_count(qs, M.p, cap, words - 1) > words - 1
+
+
+@pytest.mark.parametrize("make", [negation_module, order3_module,
+                                  class_module])
+def test_vector_keeps_its_degree(make):
+    # the degree kept beside the hash equals a fresh maximum over the
+    # terms, for vectors from every constructor, read once and again
+    M = make(trunc=2)
+    made = []
+    for v in M.basis_vectors(1):
+        made += [v, FockVector._of(M, dict(v.terms))]
+        for ms in range(-2 * M.p, 2 * M.p + 1):
+            made.append(M.mode_apply(M.basis.units[0], ms, v))
+    live = [w for w in made if w.terms]
+    made.append(fock._summed(M, ((w, k - 3) for k, w in enumerate(live))))
+    made.append(fock._summed(M, ((w, ONE) for w in live[::3])))
+    # a multiple made before its source's degree is read, and after
+    made += [w.scale(root_of_unity(3, 1)) for w in made]
+    for w in made:
+        if w.terms:
+            w.max_degree_k()
+    made += [w.scale(-2) for w in made if w.terms]
+    checked = 0
+    for w in made:
+        if w.terms:
+            fresh = max(M.term_degree_k(k) for k in w.terms)
+            assert w.max_degree_k() == fresh
+            assert w.max_degree_k() == fresh and w._degree == fresh
+            checked += 1
+    assert checked > 20
+
+
 def test_product_coefficients_carry_the_series_parity():
     # an odd vertex series X on the lattice [[1]]: the coefficients of
     # alpha~ [-1] X are odd, so the bracket with X's coefficients is

@@ -8,7 +8,8 @@ from twistlab.classify import (
     PresentedAlgebraA,
 )
 from twistlab.cocycle import TwistData
-from twistlab.fock import FockModule, GradedBasis
+from twistlab.fock import FockModule, GradedBasis, RegularOmega
+from twistlab.lattice import TwistedLattice
 
 import pytest
 
@@ -21,6 +22,7 @@ KEPT = {
     Presentation: ("algebra", "k_parts", "mu_parts"),
     PresentedAlgebraA: ("k_image", "e_image", "tau"),
     ClassOmega: ("e_act",),
+    RegularOmega: ("e_act",),
     TwistData: ("phi", "orbit_product"),
     FockModule: ("tilde", "vertex_series", "vertex_exponents_k",
                  "_ann_expand", "_mode_plan"),
@@ -61,3 +63,16 @@ def test_kept_contract():
             attr = cls.__dict__[name]
             assert isinstance(attr, types.FunctionType), (cls, name)
             assert isinstance(attr.__wrapped__, types.FunctionType)
+
+
+def test_regular_vacuum_keeps_its_e_action_and_window_exits():
+    twist = TwistData(TwistedLattice([[2]], [[1]]))
+    omega = RegularOmega(twist, 1)
+    edge, inner = omega.lookup[(1,)], omega.lookup[(0,)]
+    assert omega.e_act((1,), edge) is None
+    hit = omega.e_act([1], inner)
+    assert hit == (edge, twist.epsilon((1,), (0,)).scalar())
+    # a second lookup reads the memo: recomputing would fail here
+    omega.index = None
+    assert omega.e_act((1,), edge) is None
+    assert omega.e_act((1,), inner) is hit

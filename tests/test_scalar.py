@@ -204,6 +204,54 @@ def test_rational_add_sub_fast_path():
                 assert hash(got) == hash(ref)
 
 
+def _fields(x):
+    return x.n, x.num, x.den
+
+
+def _copy(y):
+    """A fresh CycScalar equal to y, not the same object."""
+    return CycScalar.from_ints(y.n, list(y.num), y.den)
+
+
+INT_FACTORS = (0, 1, -1, 10 ** 30, -10 ** 30)
+FAST_PATH_VALUES = (
+    CycScalar.rational(Fraction(-10, 21)),
+    root_of_unity(12, 5) * CycScalar.rational(Fraction(4, 9))
+    + CycScalar.rational(Fraction(1, 6)),
+    ZERO,
+)
+
+
+@pytest.mark.parametrize("x", FAST_PATH_VALUES, ids=["rational", "cyc", "zero"])
+def test_int_and_scalar_fast_paths_match_the_coerced_route(x, monkeypatch):
+    # an int multiplies without becoming a scalar; the product must be
+    # the canonical element the general constructor gives, on both sides
+    for n in INT_FACTORS:
+        want = CycScalar.from_ints(x.n, [c * n for c in x.num], x.den)
+        for got in (x * n, n * x, x * CycScalar.rational(n)):
+            assert _fields(got) == _fields(want)
+            assert hash(got) == hash(want)
+    # == on two scalars compares fields, as the coerced route did
+    for y in FAST_PATH_VALUES + (ONE, CycScalar.rational(-1)):
+        assert (x == y) == (_fields(x) == _fields(y))
+        assert (x == y) == (x == _copy(y))
+    coerced = []
+    real = scalar_module._coerce
+
+    def counting(v):
+        coerced.append(v)
+        return real(v)
+
+    monkeypatch.setattr(scalar_module, "_coerce", counting)
+    assert _fields(x * 3) == _fields(3 * x)
+    assert x == x and not coerced
+    # a bool is an int subclass: it still goes through _coerce
+    assert _fields(x * True) == _fields(x) and coerced == [True]
+    assert x.__eq__("1") is NotImplemented and x != "1"
+    assert x.__eq__(None) is NotImplemented
+    assert (ZERO == 0) is True and (ONE == Fraction(1)) is True
+
+
 # -- seeded property test ---------------------------------------------
 
 # each base puts its elements in fields with q^2 | n or q || n for
