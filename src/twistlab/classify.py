@@ -28,7 +28,6 @@ from .scalar import (
     ONE,
     RootPair,
     ScalarError,
-    as_scalar,
 )
 
 if TYPE_CHECKING:
@@ -37,10 +36,6 @@ if TYPE_CHECKING:
 # a bound on the work of one enumeration: root choices times |E|^2, the
 # number of multiplication scalars tau over all root choices
 MAX_WORK = 2 ** 16
-# a bound on the lines of a regular vacuum space: (2 bound + 1)^rank
-MAX_WINDOW = 2 ** 16
-# a bound on the creation words of a Fock module up to its truncation
-MAX_BASIS = 2 ** 16
 # the degree window of a class vacuum space: lifts k with |k_i| <= WINDOW
 WINDOW = 2
 
@@ -51,9 +46,9 @@ class ClassifyError(Exception):
 
 class SizeCapExceeded(ClassifyError):
     """Raised when the work over the root choices of an enumeration,
-    root choices times |E|^2, would exceed MAX_WORK, the lines of a
-    regular vacuum window would exceed MAX_WINDOW, or the creation words
-    of a Fock module up to its truncation would exceed MAX_BASIS."""
+    root choices times |E|^2, would exceed MAX_WORK, or when the basis
+    vectors of a Fock module up to its truncation, creation words times
+    vacuum lines, would exceed `twistlab.fock.MAX_BASIS`."""
 
 
 class UnsupportedScalar(ClassifyError):
@@ -991,7 +986,8 @@ class ClassOmega:
     per coset of H.  The e-action, computed through the
     relation-quotient algebra, maps a line to one line times a scalar,
     (line, scalar), and poisons (returns None) when it leaves the
-    degree window |k_i| <= WINDOW."""
+    degree window |k_i| <= WINDOW.  Its size is stated without listing
+    anything; its lines, lookup and weights are listed on first use."""
 
     def __init__(self, A: PresentedAlgebraA, ideal_index: int, xi0, eta):
         self.A = A
@@ -1017,17 +1013,8 @@ class ClassOmega:
         # pick a character of H whose induced module lies in the block
         self.h_label = _block_character(A, self.block, self.H, self.h_lifts)
         self.mm = A.m
-        grid = itertools.product(
-            *(range(-WINDOW, WINDOW + 1) for _ in range(self.mm)))
-        self.lines = [(tuple(k), t) for k in grid for t in self.transversal]
-        self.lookup = {line: i for i, line in enumerate(self.lines)}
-        self.size = len(self.lines)
-        base = [x + y for x, y in zip(xi0, eta)]
-        self._xis = []
-        for (k, t) in self.lines:
-            nu = lat.nu_p(self._lift_vec(k))
-            self._xis.append(tuple(
-                as_scalar(b + Fraction(x, lat.p)) for b, x in zip(base, nu)))
+        self.size = (2 * WINDOW + 1) ** self.mm * self.d
+        self.base = [x + y for x, y in zip(xi0, eta)]
         # degree coordinates: p * nu over that of the nonzero-degree reps
         self._degrees = IntegerCoords(
             [A.grading[i] for i in range(self.mm)], lat.rank)
@@ -1051,8 +1038,29 @@ class ClassOmega:
             raise ClassifyError("degree outside the grading lattice")
         return tuple(x)
 
+    @cached_property
+    def lines(self):
+        window = itertools.product(
+            *(range(-WINDOW, WINDOW + 1) for _ in range(self.mm)))
+        return [(tuple(k), t) for k in window for t in self.transversal]
+
+    @cached_property
+    def lookup(self):
+        return {line: i for i, line in enumerate(self.lines)}
+
+    @cached_property
+    def weights(self):
+        """(D, rows) as for the regular vacuum space: the line (k, t) is
+        shifted from the base weight by nu_p(the lift of k) / p."""
+        p = self.A.lattice.p
+        D = math.lcm(p, *(b.denominator for b in self.base))
+        base = [b.numerator * (D // b.denominator) for b in self.base]
+        nu = [self.A.lattice.nu_p(self._lift_vec(k)) for k, _t in self.lines]
+        return D, [[b + x * (D // p) for b, x in zip(base, n)] for n in nu]
+
     def xi(self, i):
-        return self._xis[i]
+        D, rows = self.weights
+        return tuple(Fraction(n, D) for n in rows[i])
 
     def _y_act(self, g, t):
         """y_g applied to the module line v_t: (t', scalar)."""
@@ -1141,13 +1149,7 @@ def _check_weight_ii(T, module, gamma, mu):
         return "fail", (gamma, "irrational exponent")
     target = Fraction(lat.prime_pairing_p(gamma, gamma), 2 * lat.p) - lam
     for i in range(module.omega.size):
-        xi = module.omega.xi(i)
-        val = sum(
-            (as_scalar(a) * xi[k] for k, a in enumerate(gamma)), as_scalar(0))
-        try:
-            q = val.rational_value()
-        except ScalarError:
-            return "fail", (gamma, i, "irrational weight")
+        q = sum(a * x for a, x in zip(gamma, module.omega.xi(i)))
         if (q - target).denominator != 1:
             return "fail", (gamma, i, q - target)
     return "pass", None

@@ -3,15 +3,15 @@ spec, run the invariant suite, and emit classification reports.
 
 Output is deterministic structured text: identical specs produce
 byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
-2 input error (a malformed spec, a spec file that cannot be read as
-UTF-8 text, or an --out file that cannot be written), 3 refused:
-unsupported scalar, the constant conductor cap 720 reached, the
-classifier's one work cap (root choices times |E|^2) exceeded, a
-`check` vacuum window of more than 65536 lines, (2 bound + 1)^rank
-(`twistlab.classify.MAX_WINDOW`), refused before it is built, or a
-`check` creation basis of more than 65536 words up to the truncation
-(`twistlab.classify.MAX_BASIS`), counted and refused before any check
-runs.
+2 input error (a malformed spec, malformed scalar text in a seed, a
+spec file that cannot be read as UTF-8 text, or an --out file that
+cannot be written), 3 refused: unsupported scalar, the constant
+conductor cap 720 reached (a well-formed seed above it included), the
+classifier's one work cap (root choices times |E|^2) exceeded, or a
+Fock module of more than 262144 basis vectors up to the truncation,
+creation words times the (2 bound + 1)^rank vacuum lines
+(`twistlab.fock.MAX_BASIS`), counted in integers and refused before
+any line is listed or any check runs.
 """
 from __future__ import annotations
 
@@ -48,7 +48,7 @@ from .fock import (
 )
 from .lattice import LatticeError, TwistedLattice
 from .oracle import oracle_product
-from .scalar import RootPair, ScalarError, parse_scalar
+from .scalar import ConductorOverflow, RootPair, ScalarError, parse_scalar
 
 EXIT_OK = 0
 EXIT_INVARIANT = 1
@@ -171,21 +171,23 @@ def parse_job(text: str) -> JobSpec:
     return spec
 
 
-def build_twist(spec: JobSpec) -> TwistData:
+def _parsed(text: str):
+    """A seed's scalar; only malformed text is an input error."""
     try:
-        lat = TwistedLattice(spec.gram, spec.sigma)
-    except LatticeError as exc:
-        raise InputError(str(exc)) from exc
-    eps_seed = build_epsilon(lat)
-    try:
-        for (i, j), text in spec.eps.items():
-            eps_seed[(i, j)] = parse_scalar(text)
-        phi_seed = {i: parse_scalar(text) for i, text in spec.phi.items()}
-        return TwistData(lat, eps_seed=eps_seed, phi_seed=phi_seed)
+        return parse_scalar(text)
+    except ConductorOverflow:
+        raise
     except ScalarError as exc:
         raise InputError(str(exc)) from exc
-    except CocycleError as exc:
-        raise InputError(str(exc)) from exc
+
+
+def build_twist(spec: JobSpec) -> TwistData:
+    lat = TwistedLattice(spec.gram, spec.sigma)
+    eps_seed = build_epsilon(lat)
+    for (i, j), text in spec.eps.items():
+        eps_seed[(i, j)] = _parsed(text)
+    phi_seed = {i: _parsed(text) for i, text in spec.phi.items()}
+    return TwistData(lat, eps_seed=eps_seed, phi_seed=phi_seed)
 
 
 def _vec(v) -> str:
@@ -204,8 +206,7 @@ def cmd_check(spec: JobSpec, deep: bool = False):
     l, p = lat.rank, lat.p
     lines = [f"check: rank {l}, order {p}, trunc {spec.trunc}"]
     statuses = []
-    # an oversized window or creation basis is refused here, before
-    # any check runs
+    # an oversized module is refused here, before any check runs
     M = FockModule(T, RegularOmega(T, spec.bound), spec.trunc)
 
     def emit(tag, instance, status):
@@ -279,10 +280,7 @@ def cmd_classify(spec: JobSpec):
     lines.append(f"eta cosets: {res.eta_count}")
     entries = res.entries
     if spec.mu is not None:
-        try:
-            wanted = tuple(RootPair.of(parse_scalar(t)) for t in spec.mu)
-        except ScalarError as exc:
-            raise InputError(str(exc)) from exc
+        wanted = tuple(RootPair.of(_parsed(t)) for t in spec.mu)
         entries = [e for e in entries if e.mu_choice == wanted]
         if not entries:
             raise InputError("mu selection matches no root choice")

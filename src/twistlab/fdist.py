@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .scalar import CycScalar, ONE, ZERO, as_scalar
 
@@ -52,7 +51,17 @@ def _grid_int(x: Fraction, grid: int) -> int:
     return x.numerator * (grid // x.denominator)
 
 
-@lru_cache(maxsize=None)
+def _int_binom(n: int, k: int) -> int:
+    """binom(n, k) for integers n and k: zero for k < 0, and
+    (-1)^k binom(k - n - 1, k) for n < 0."""
+    if k < 0:
+        return 0
+    if n >= 0:
+        return math.comb(n, k)
+    c = math.comb(k - n - 1, k)
+    return -c if k % 2 else c
+
+
 def gen_binom(lam: Fraction, j: int) -> Fraction:
     """Generalized binomial coefficient lam(lam-1)...(lam-j+1)/j!."""
     if j < 0:
@@ -229,7 +238,7 @@ class LieAlg:
         D = a.grid
         total = self.zero()
         for s in range(n + 1):
-            c = gen_binom(Fraction(n), s)
+            c = _int_binom(n, s)
             if not c:
                 continue
             x = a._at((n - s) * D + ra)
@@ -526,7 +535,7 @@ def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes=None) -> boo
         n, m = _frac(n), _frac(m)
         total = alg.zero()
         for s in range(N + 1):
-            c = gen_binom(Fraction(N), s)
+            c = _int_binom(N, s)
             x, y = a.coeff(n - s), b.coeff(m + s)
             if x is UNKNOWN or y is UNKNOWN:
                 raise WindowUnderflow(f"locality sum untestable at ({n},{m})")
@@ -702,7 +711,7 @@ def _assoc_check(sa, sb, sc, n, m, loc, na, nb, nc, slots, probes):
     # cutoff comes from b[m+i]c = 0 once m + i >= nbc.
     imax = n if n >= 0 else max(0, nbc - m - 1)
     for i in range(0, imax + 1):
-        c1 = gen_binom(Fraction(n), i)
+        c1 = _int_binom(n, i)
         if not c1:
             continue
         term = nth_product(sa, nth_product(sb, sc, m + i, nbc), n - i, nac)
@@ -710,7 +719,7 @@ def _assoc_check(sa, sb, sc, n, m, loc, na, nb, nc, slots, probes):
     # second sum: i <= n; for n < 0 cut off by a[n-i]c = 0 once n-i >= nac
     low = n - nac + 1 if n < 0 else 0
     for i in range(low, n + 1):
-        c2 = gen_binom(Fraction(n), n - i)
+        c2 = _int_binom(n, n - i)
         if not c2:
             continue
         term = nth_product(sb, nth_product(sa, sc, n - i, nac), m + i, nbc)
@@ -733,7 +742,7 @@ def _comm_check(sa, sb, sc, m, n, loc, na, nb, nc, slots, probes):
     alg = sa.alg
     terms = []
     for i in range(0, nab):
-        c1 = gen_binom(Fraction(m), i)
+        c1 = _int_binom(m, i)
         if not c1:
             continue
         term = nth_product(nth_product(sa, sb, i, nab), sc, m + n - i,

@@ -28,29 +28,36 @@ multiplies nothing.  Both exponentials of a vertex operator are one
 product of mode exponentials (_exp_terms), cut at a degree bound.  A
 remembered operator keeps its results itself (FockOp.seen).  The
 Virasoro double sums (the degree operator and D) skip each term whose
-first operator annihilates a mode that no word of the vector holds:
-such a term is exactly zero and cannot poison.
+first operator annihilates a mode that no word of the vector holds,
+exactly zero and never poisoned, and stop at the largest held mode:
+a line of high degree costs no more than the lowest.
 
 Vectors are values, so a vector keeps its hash and its degree
-(max_degree_k) beside its terms once computed.  Each vacuum space keeps
-e(alpha) on a line per (alpha, line), window exits included.  A module
-whose creation basis up to its truncation has more than MAX_BASIS
-words is refused (SizeCapExceeded) before any vector is built; the
-words are counted in integers.
+(max_degree_k) beside its terms once computed.  Both vacuum spaces,
+RegularOmega and classify.ClassOmega, state their size without listing
+anything, list their lines, lookup and weights (integer rows over one
+denominator, read by xi(i) as plain rationals: a weight lies in a
+rational coset of the dual of the sigma-fixed lattice) on first use,
+and keep e(alpha) per (alpha, line), exits included.  A module of more than MAX_BASIS basis vectors up to its
+truncation, creation words (counted in integers) times vacuum lines,
+is refused (SizeCapExceeded) before any line or vector is built;
+otherwise it reads each weight once, as an integer on its grid.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from fractions import Fraction
+from functools import cached_property
 
 from ._kept import kept
-from .classify import MAX_BASIS, MAX_WINDOW, SizeCapExceeded
+from .classify import SizeCapExceeded
 from .cocycle import TwistData, locality_order
 from .fdist import (
     GenSeries,
     WindowUnderflow,
     _frac,
+    _int_binom,
     coeff_is_zero,
     compare_status,
     derive,
@@ -69,18 +76,22 @@ from .scalar import CycScalar, ONE, ZERO, as_scalar, root_of_unity
 
 
 MINUS_ONE = CycScalar.rational(-1)
+# a bound on the basis vectors of a Fock module up to its truncation,
+# creation words times vacuum lines, the product `check` lists: the
+# slowest specs measured under it (rank 1 at trunc 35 or sigma = -1 at
+# trunc 29, bound 1) check in about 50 s on a 2-core machine
+MAX_BASIS = 2 ** 18
 
 
 class FockError(Exception):
     pass
 
 
-def _rational_pair(x: CycScalar):
-    """(numerator, denominator) of a rational scalar in lowest terms, or
-    None for an irrational one."""
-    if x.n != 1:
-        return None
-    return (x.num[0] if x.num else 0), x.den
+def _integer_rows(rows):
+    """(D, the rows times D) for rows of rationals, D their least common
+    denominator."""
+    D = math.lcm(*(x.denominator for r in rows for x in r))
+    return D, [[x.numerator * (D // x.denominator) for x in r] for r in rows]
 
 
 def _grid_slot(x: Fraction, grid: int):
@@ -222,39 +233,45 @@ class GradedBasis:
 # ---------------------------------------------------------------------
 
 class RegularOmega:
-    """Vacuum space spanned by symbols indexed by lattice vectors in a
-    box window; e(alpha) acts by the 2-cocycle and shifts the index,
-    mapping a line to one line times a scalar, (line, scalar), or to
-    None when the shift leaves the window, which poisons the
-    computation.  A window of more than MAX_WINDOW lines is refused
-    (SizeCapExceeded) before it is listed."""
+    """Vacuum space spanned by symbols indexed by the lattice vectors of
+    a box window, |b_k| <= bound; e(alpha) acts by the 2-cocycle and
+    shifts the index, mapping a line to one line times a scalar, (line,
+    scalar), or to None when the shift leaves the window, which poisons
+    the computation.  Its size is (2 bound + 1)^rank; its lines, lookup
+    and weights are listed on first use."""
 
     def __init__(self, twist: TwistData, bound: int):
         self.twist = twist
-        lat = twist.lattice
-        lines = (2 * bound + 1) ** lat.rank
-        if lines > MAX_WINDOW:
-            raise SizeCapExceeded(
-                f"a vacuum window of radius {bound} in rank {lat.rank} "
-                f"has {lines} lines, above the cap {MAX_WINDOW}")
         self.bound = bound
-        self.index = list(
-            itertools.product(range(-bound, bound + 1), repeat=lat.rank))
-        self.lookup = {b: i for i, b in enumerate(self.index)}
-        self.size = len(self.index)
-        p = lat.p
-        self._xi = [tuple(CycScalar.from_ints(1, [x], p) for x in lat.nu_p(b))
-                    for b in self.index]
+        self.size = (2 * bound + 1) ** twist.lattice.rank
+
+    @cached_property
+    def lines(self):
+        b = self.bound
+        return list(itertools.product(range(-b, b + 1),
+                                      repeat=self.twist.lattice.rank))
+
+    @cached_property
+    def lookup(self):
+        return {b: i for i, b in enumerate(self.lines)}
+
+    @cached_property
+    def weights(self):
+        """(D, rows): xi(e_k(0)) on the line i is rows[i][k] / D; on the
+        line of b it is (e_k^0|b) = nu_p(b)_k / p."""
+        lat = self.twist.lattice
+        return lat.p, [lat.nu_p(b) for b in self.lines]
 
     def xi(self, i):
-        return self._xi[i]
+        D, rows = self.weights
+        return tuple(Fraction(n, D) for n in rows[i])
 
     @kept
     def e_act(self, alpha, i):
         """e(alpha) on the line i: (line, scalar), or None when the
         shift leaves the window; kept per (alpha, line) for the life of
         the vacuum space, exits included."""
-        beta = self.index[i]
+        beta = self.lines[i]
         target = tuple(a + b for a, b in zip(alpha, beta))
         j = self.lookup.get(target)
         if j is None:
@@ -432,17 +449,6 @@ def _word_count(qs, p: int, cap: int, limit: int) -> int:
         if total > limit:
             break
     return total
-
-
-def _int_binom(n: int, k: int) -> int:
-    """binom(n, k) for integers n and k: zero for k < 0, and
-    (-1)^k binom(k - n - 1, k) for n < 0."""
-    if k < 0:
-        return 0
-    if n >= 0:
-        return math.comb(n, k)
-    c = math.comb(k - n - 1, k)
-    return -c if k % 2 else c
 
 
 class FockOp:
@@ -660,53 +666,46 @@ class FockModule:
         self.p = self.lattice.p
         # the largest creation degree of a term, in modes scaled by p
         self.cap = math.floor(self.trunc * self.p)
-        words = _word_count(self.basis.qs, self.p, self.cap, MAX_BASIS)
-        if words > MAX_BASIS:
-            raise SizeCapExceeded(
-                f"a creation basis of degree at most {self.trunc} in rank "
-                f"{self.lattice.rank} has more than {MAX_BASIS} words, the "
-                f"cap")
         l = self.lattice.rank
+        lines = omega.size
+        words = _word_count(self.basis.qs, self.p, self.cap,
+                            MAX_BASIS // lines)
+        if words * lines > MAX_BASIS:
+            raise SizeCapExceeded(
+                f"a module of degree at most {self.trunc} in rank {l} on "
+                f"{lines} vacuum lines has more than {MAX_BASIS} basis "
+                f"vectors, the cap")
         basis = self.basis
         fixed = [j for j in range(l) if basis.qs[j] == 0]
-        # xi(h_j) on each vacuum line, for the sigma-fixed h_j: the zero
-        # mode h_j(0) multiplies the line by it, and the line's degree is
-        # half of sum_j xi(h_j) xi(beta_j) over these (the dual beta_j of
-        # a sigma-fixed h_j is sigma-fixed too)
-        self.zero_weights = []
-        # each line's degree and xi entries as (numerator, denominator)
-        # pairs, None for an irrational xi entry
-        degs, xis = [], []
-        for i in range(omega.size):
-            xi = omega.xi(i)
-            w = {j: sum((basis.vecs[j][k] * xi[k] for k in range(l)), ZERO)
-                 for j in fixed}
-            self.zero_weights.append(w)
-            total = _rational_pair(sum(
-                (w[j] * sum((basis.duals[j][t] * w[t] for t in fixed), ZERO)
-                 for j in fixed), ZERO))
-            if total is None:
-                raise FockError("vacuum-space degrees must be rational")
-            num, den = total[0], 2 * total[1]
-            g = math.gcd(num, den)
-            degs.append((num // g, den // g))
-            xis.append([_rational_pair(x) for x in xi])
-        # the grid (1/grid)Z of every slot and degree of the module: 2p
-        # holds (alpha'|alpha')/2 for integral alpha, the vacuum lines'
-        # xi entries hold xi(alpha(0)), and their degrees the rest; an
-        # irrational xi entry is refused where an exponent reads it
+        # the lines' xi entries, integer rows over X, and the rational
+        # sigma-fixed h_j and their duals, made integer rows over V, U
+        X, xis = omega.weights
+        V, vecs = _integer_rows(
+            [[x.rational_value() for x in basis.vecs[j]] for j in fixed])
+        U, duals = _integer_rows([[basis.duals[j][t].rational_value()
+                                   for t in fixed] for j in fixed])
+        # xi(h_j) on each vacuum line, for the sigma-fixed h_j, over V X:
+        # the zero mode h_j(0) multiplies the line by it, and the line's
+        # degree, half of sum_j xi(h_j) xi(beta_j), is over 2 U (V X)^2
+        nums = [[sum(v * x for v, x in zip(row, xi) if v) for row in vecs]
+                for xi in xis]
+        self.zero_weights = [{j: Fraction(n, V * X) for j, n in zip(fixed, ns)}
+                             for ns in nums]
+        dd = 2 * U * (V * X) ** 2
+        degs = [sum(n * sum(d * m for d, m in zip(row, ns) if d)
+                    for n, row in zip(ns, duals)) for ns in nums]
+        # the grid (1/grid)Z of every slot and degree: 2p holds
+        # (alpha'|alpha')/2, the xi entries xi(alpha(0)), the degrees the rest
         self.grid = grid = math.lcm(
-            2 * self.p, *(d for _n, d in degs),
-            *(x[1] for row in xis for x in row if x is not None))
-        # the degree of a Heisenberg mode step 1/p, the degrees of the
-        # vacuum lines and their least, and the xi entries (None where
-        # irrational), all on the grid
+            2 * self.p, *(X // math.gcd(x, X) for xi in xis for x in xi),
+            *(dd // math.gcd(n, dd) for n in degs))
+        # the degree of a mode step 1/p, the line degrees and their
+        # least, and the xi entries, all on the grid
         self.mode_step = grid // self.p
-        self.degree_k = [n * (grid // d) for n, d in degs]
+        self.degree_k = [n * grid // dd for n in degs]
         self.floor_k = min(self.degree_k, default=0)
         self.floor = Fraction(self.floor_k, grid)
-        self._xi_k = [tuple(None if x is None else x[0] * (grid // x[1])
-                            for x in row) for row in xis]
+        self._xi_k = [tuple(x * grid // X for x in xi) for xi in xis]
         self.alg = FockAlg(self)
 
     # -- vectors ------------------------------------------------------
@@ -909,16 +908,16 @@ class FockModule:
         twice, hence the 1/2.  Offset k = 0 gives the degree operator,
         k = 1 the translation operator D.  A term whose first operator
         annihilates a mode that no word of v holds is exactly zero, and
-        not poisoned, so it is skipped."""
+        not poisoned, so it is skipped, and the scans stop at the largest
+        held mode: a line of high degree costs no more than the lowest."""
         if not v.terms:
             return v
         p = self.p
-        # the largest d - fl and the offset k, in modes scaled by p
-        top = (v.max_degree_k() - self.floor_k) // self.mode_step
-        kp = k * p
-        l = self.lattice.rank
         # the annihilation modes that can act on v: its creations, negated
         held = {-mm for word, _iota in v.terms for mm, _j in word}
+        top = max(held, default=0)
+        kp = k * p
+        l = self.lattice.rank
 
         def summands():
             for i in range(l):
@@ -926,15 +925,15 @@ class FockModule:
                 dual = self.basis.duals[i]
                 q = self.basis.qs[i]
                 # s < 0: alpha_i(s) beta_i(-s-k); beta annihilates once
-                # -s-k > d-fl, i.e. keep s >= -(d-fl)-k
+                # -s-k > 0, only a held mode, so keep s >= -top-k
                 for s in self._mode_grid(q, -top - kp, -1):
                     m = -s - kp
                     if m > 0 and m not in held:
                         continue
                     w = self.mode_apply(dual, m, v)
                     yield self.mode_apply(unit, s, w), ONE
-                # s >= 0: beta_i(-s-k) alpha_i(s); alpha annihilates,
-                # s <= d-fl
+                # s >= 0: beta_i(-s-k) alpha_i(s); alpha annihilates a
+                # held mode, s <= top
                 for s in self._mode_grid(q, 0, top):
                     if s and s not in held:
                         continue
@@ -1019,21 +1018,12 @@ class FockModule:
     @kept
     def vertex_exponents_k(self, alpha) -> tuple:
         """vertex_exponent on every vacuum line, on the module's grid
-        (the exponent times grid), kept per lattice vector; an
-        irrational xi entry that alpha reads is refused."""
+        (the exponent times grid), kept per lattice vector."""
         half_norm = self.lattice.prime_pairing_p(alpha, alpha) * (
             self.grid // (2 * self.p))
         reads = [(k, a) for k, a in enumerate(alpha) if a]
-        out = []
-        for xi in self._xi_k:
-            total = -half_norm
-            for k, a in reads:
-                if xi[k] is None:
-                    raise FockError(
-                        "z-exponent of a vertex operator must be rational")
-                total += a * xi[k]
-            out.append(total)
-        return tuple(out)
+        return tuple(sum((a * xi[k] for k, a in reads), -half_norm)
+                     for xi in self._xi_k)
 
     def vertex_coeff(self, alpha, m) -> FockOp:
         """The coefficient X_alpha(m), read off the kept vertex series."""

@@ -410,9 +410,9 @@ class CycScalar:
 
     def __mul__(self, other) -> CycScalar:
         if type(other) is not CycScalar:
-            if type(other) is int:
-                # a plain int multiplies as it is; a bool coerces
-                return self._times_rational(other, 1)
+            if type(other) is int or type(other) is Fraction:
+                # an int or Fraction multiplies as it is; a bool coerces
+                return self._times_rational(other.numerator, other.denominator)
             other = _coerce(other)
             if other is None:
                 return NotImplemented

@@ -248,6 +248,27 @@ def test_unsupported_phi_seed_exit_3(tmp_path, capsys, phi, message):
     assert message in lines[0]
 
 
+# a well-formed root of unity above the conductor cap, in each seed a
+# spec may hold, is refused as an unsupported scalar (exit 3), like any
+# other conductor overflow; malformed text in the same seed stays an
+# input error (exit 2); only classify reads mu
+@pytest.mark.parametrize("seed, cmd", [
+    ({"phi": {"0": "z(1000)^1"}}, "check"),
+    ({"eps": {"1,0": "z(1000)^1"}}, "check"),
+    ({"mu": ["z(1000)^1"]}, "classify"),
+], ids=["phi", "eps", "mu"])
+def test_seed_above_the_conductor_cap_exit_3(tmp_path, capsys, seed, cmd):
+    assert run(tmp_path, dict(EX1_L2, **seed), cmd) == EXIT_SCALAR
+    err = capsys.readouterr()
+    assert err.out == ""
+    assert err.err.splitlines() == [
+        "unsupported scalar: conductor 1000 exceeds cap 720"]
+    malformed = json.loads(json.dumps(seed).replace("z(1000)^1", "abc"))
+    assert run(tmp_path, dict(EX1_L2, **malformed), cmd) == EXIT_INPUT
+    assert capsys.readouterr().err.splitlines() == [
+        "input error: malformed scalar term: 'abc'"]
+
+
 def test_check_untwisted(tmp_path, capsys):
     assert run(tmp_path, EX0, "check") == EXIT_OK
     out = capsys.readouterr().out
@@ -629,13 +650,13 @@ def test_cyclotomic_report_bytes(tmp_path, name, cmd):
     assert report.read_text() == PINNED_REPORTS[(name, cmd)]
 
 
-def _cli_subprocess(*args):
+def _cli_subprocess(*args, timeout=60):
     """`twistlab` with the given arguments, in a fresh interpreter with
     a fixed timeout."""
     src = os.path.dirname(os.path.dirname(twistlab.__file__))
     return subprocess.run(
         [sys.executable, "-m", "twistlab.cli", *args],
-        capture_output=True, text=True, timeout=60,
+        capture_output=True, text=True, timeout=timeout,
         env=dict(os.environ, PYTHONPATH=src))
 
 
@@ -693,13 +714,16 @@ def test_oversized_vacuum_window_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr()
     assert err.out == ""
     assert err.err.splitlines() == [
-        "refused: a vacuum window of radius 1000000000 in rank 1 has "
-        f"2000000001 lines, above the cap {classify.MAX_WINDOW}"]
-    # the cap counts lines: 3 in rank 1 at radius 1, 25 in rank 2 at 2
-    monkeypatch.setattr(fock, "MAX_WINDOW", 24)
+        "refused: a module of degree at most 4 in rank 1 on 2000000001 "
+        f"vacuum lines has more than {fock.MAX_BASIS} basis vectors, the "
+        "cap"]
+    # the cap counts basis vectors, words times lines: 7 * 3 in rank 1
+    # at trunc 3, radius 1, and 7 * 25 in rank 2, order 4, at trunc 1,
+    # radius 2
+    monkeypatch.setattr(fock, "MAX_BASIS", 174)
     assert run(tmp_path, dict(EX0, bound=1), "check") == EXIT_OK
     assert run(tmp_path, dict(EX2, bound=2, trunc=1), "check") == EXIT_SCALAR
-    monkeypatch.setattr(fock, "MAX_WINDOW", 25)
+    monkeypatch.setattr(fock, "MAX_BASIS", 175)
     assert run(tmp_path, dict(EX2, bound=2, trunc=1), "check") == EXIT_OK
 
 
@@ -714,18 +738,35 @@ def test_oversized_creation_basis_exit_3(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr()
     assert err.out == ""
     assert err.err.splitlines() == [
-        "refused: a creation basis of degree at most 1000 in rank 1 has "
-        f"more than {classify.MAX_BASIS} words, the cap"]
+        "refused: a module of degree at most 1000 in rank 1 on 3 vacuum "
+        f"lines has more than {fock.MAX_BASIS} basis vectors, the cap"]
     proc = _cli_subprocess("--spec", write_spec(tmp_path, spec),
                            "--cmd", "check")
     assert proc.returncode == EXIT_SCALAR
     assert proc.stderr.splitlines() == err.err.splitlines()
     assert proc.stdout == ""
-    # the cap counts words: rank 1 at trunc 3 has 1 + 1 + 2 + 3 of them
-    monkeypatch.setattr(fock, "MAX_BASIS", 6)
+    # rank 1 at trunc 3 has 1 + 1 + 2 + 3 words on each of 3 lines
+    monkeypatch.setattr(fock, "MAX_BASIS", 20)
     assert run(tmp_path, EX0, "check") == EXIT_SCALAR
-    monkeypatch.setattr(fock, "MAX_BASIS", 7)
+    monkeypatch.setattr(fock, "MAX_BASIS", 21)
     assert run(tmp_path, EX0, "check") == EXIT_OK
+
+
+def test_oversized_module_product_exit_3(tmp_path):
+    # each factor is small, 139 words and 40401 lines, but the check
+    # suite would list 74 x 40401 vectors: the one cap is on the
+    # product, so the module is refused at once
+    spec = {"gram": [[2, 0], [0, 2]], "sigma": [[1, 0], [0, 1]],
+            "trunc": 6, "bound": 100}
+    t0 = time.perf_counter()
+    proc = _cli_subprocess("--spec", write_spec(tmp_path, spec),
+                           "--cmd", "check", timeout=10)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == EXIT_SCALAR
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "refused: a module of degree at most 6 in rank 2 on 40401 vacuum "
+        f"lines has more than {fock.MAX_BASIS} basis vectors, the cap"]
 
 
 def test_parser_kept_across_calls_and_errors(tmp_path, capsys):

@@ -7,13 +7,11 @@ import pytest
 
 from twistlab.cocycle import TwistData, locality_order
 from twistlab.fock import (
-    FockError,
     FockModule,
     FockOp,
     FockVector,
     GradedBasis,
     RegularOmega,
-    _int_binom,
     e_group_checks,
     heisenberg_commutation_check,
     pair_expansion_check,
@@ -26,6 +24,7 @@ from twistlab.fdist import (
     GenSeries,
     LieAlg,
     QuadraticSpace,
+    _int_binom,
     compare_status,
     derive,
     gen_binom,
@@ -887,7 +886,7 @@ def test_e_op_stops_at_the_first_line_outside_the_window():
     real = omega.e_act
 
     def e_act(alpha, i):
-        calls.append(omega.index[i])
+        calls.append(omega.lines[i])
         return real(alpha, i)
 
     omega.e_act = e_act
@@ -1257,7 +1256,81 @@ def test_derive_matches_translation():
         series_compare(lhs, rhs, slots, [vac(M)])) == "pass"
 
 
-def test_vertex_exponent_kept_per_line_and_irrational_refused():
+def _cyc_scalar_weights(M):
+    """The vacuum weights of M through CycScalars, the route before the
+    weights were plain rationals: each xi entry a CycScalar, built as
+    the vacuum space built it, the zero weights and line degrees
+    CycScalar sums read back as (numerator, denominator) pairs.
+    Returns (zero_weights, degree_k, floor_k, xi_k, grid)."""
+    omega, basis, lat = M.omega, M.basis, M.lattice
+    l, p = lat.rank, lat.p
+    if isinstance(omega, RegularOmega):
+        xis = [tuple(CycScalar.from_ints(1, [x], p) for x in lat.nu_p(b))
+               for b in omega.lines]
+    else:
+        xis = [tuple(as_scalar(b + Fraction(x, p)) for b, x in
+                     zip(omega.base, lat.nu_p(omega._lift_vec(k))))
+               for k, _t in omega.lines]
+
+    def pair(x):
+        assert x.n == 1
+        return (x.num[0] if x.num else 0), x.den
+
+    fixed = [j for j in range(l) if basis.qs[j] == 0]
+    zero_weights, degs, xi_pairs = [], [], []
+    for xi in xis:
+        w = {j: sum((basis.vecs[j][k] * xi[k] for k in range(l)), ZERO)
+             for j in fixed}
+        zero_weights.append(w)
+        num, den = pair(sum(
+            (w[j] * sum((basis.duals[j][t] * w[t] for t in fixed), ZERO)
+             for j in fixed), ZERO))
+        g = math.gcd(num, 2 * den)
+        degs.append((num // g, 2 * den // g))
+        xi_pairs.append([pair(x) for x in xi])
+    grid = math.lcm(2 * p, *(d for _n, d in degs),
+                    *(x[1] for row in xi_pairs for x in row))
+    degree_k = [n * (grid // d) for n, d in degs]
+    xi_k = [tuple(n * (grid // d) for n, d in row) for row in xi_pairs]
+    return zero_weights, degree_k, min(degree_k), xi_k, grid
+
+
+def _weight_route_modules():
+    """The regular and class modules of the classify tests' lattices
+    and of the four twisted_ops lattices."""
+    from test_classify import A2, E_ACT_FIXTURES, ROT
+    from twistlab.classify import enumerate_simple_twisted, instantiate_class
+
+    lattices = [([[2]], [[1]]), ([[2]], [[-1]]),
+                ([[2, 1], [1, 2]], [[-1, 0], [0, -1]]),
+                ([[2, 0], [0, 2]], ROT), (A2, [[0, 1], [1, 0]])]
+    lattices += E_ACT_FIXTURES + list(W.OPS_LATTICES.values())
+    for gram, sigma in lattices:
+        T = TwistData(TwistedLattice(gram, sigma))
+        yield FockModule(T, RegularOmega(T, 2), 2)
+        res = enumerate_simple_twisted(T)
+        for cls in res.classes:
+            yield instantiate_class(T, cls, 2)
+
+
+def test_vacuum_weights_match_the_cyc_scalar_route():
+    # each vacuum weight is a plain rational, and the module reads the
+    # same zero weights, line degrees, floor, xi entries and grid off
+    # them as off the CycScalar weights the vacuum spaces built before
+    classes = 0
+    for M in _weight_route_modules():
+        classes += not isinstance(M.omega, RegularOmega)
+        for i in range(M.omega.size):
+            assert all(type(x) in (Fraction, int) for x in M.omega.xi(i))
+        zero_weights, degree_k, floor_k, xi_k, grid = _cyc_scalar_weights(M)
+        assert M.grid == grid
+        assert M.degree_k == degree_k and M.floor_k == floor_k
+        assert M._xi_k == xi_k
+        assert M.zero_weights == zero_weights
+    assert classes > 10
+
+
+def test_vertex_exponent_kept_per_line():
     T = TwistData(TwistedLattice([[2]], [[-1]]))
     M = FockModule(T, RegularOmega(T, 1), 2)
     # the exponents of all lines are kept per lattice vector, on the
@@ -1265,20 +1338,6 @@ def test_vertex_exponent_kept_per_line_and_irrational_refused():
     assert M.vertex_exponents_k((1,)) is M.vertex_exponents_k([1])
     assert M.vertex_exponent((1,), 0) == M.vertex_exponent([1], 0)
     assert M.vertex_exponent((1,), 0) == -1  # -(alpha|alpha)/2
-
-    class IrrationalOmega:
-        # one vacuum line whose weight is not rational
-        size = 1
-
-        def xi(self, _i):
-            return (CycScalar(4, (0, 1)),)
-
-    M = FockModule(T, IrrationalOmega(), 2)
-    for _ in range(2):
-        with pytest.raises(FockError, match="z-exponent"):
-            M.vertex_exponent((1,), 0)
-    with pytest.raises(FockError, match="z-exponent"):
-        M.vertex_series((1,))
 
 
 # ---------------------------------------------------------------------

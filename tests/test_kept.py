@@ -73,6 +73,6 @@ def test_regular_vacuum_keeps_its_e_action_and_window_exits():
     hit = omega.e_act([1], inner)
     assert hit == (edge, twist.epsilon((1,), (0,)).scalar())
     # a second lookup reads the memo: recomputing would fail here
-    omega.index = None
+    omega.lines = None
     assert omega.e_act((1,), edge) is None
     assert omega.e_act((1,), inner) is hit

@@ -231,6 +231,11 @@ def test_int_and_scalar_fast_paths_match_the_coerced_route(x, monkeypatch):
         for got in (x * n, n * x, x * CycScalar.rational(n)):
             assert _fields(got) == _fields(want)
             assert hash(got) == hash(want)
+    # so does a Fraction, as its scalar does
+    for f in (Fraction(-10, 21), Fraction(3, 4), Fraction(10 ** 30, 7)):
+        want = x * CycScalar.rational(f)
+        for got in (x * f, f * x):
+            assert _fields(got) == _fields(want)
     # == on two scalars compares fields, as the coerced route did
     for y in FAST_PATH_VALUES + (ONE, CycScalar.rational(-1)):
         assert (x == y) == (_fields(x) == _fields(y))
@@ -244,6 +249,7 @@ def test_int_and_scalar_fast_paths_match_the_coerced_route(x, monkeypatch):
 
     monkeypatch.setattr(scalar_module, "_coerce", counting)
     assert _fields(x * 3) == _fields(3 * x)
+    assert _fields(x * Fraction(1, 3)) == _fields(Fraction(1, 3) * x)
     assert x == x and not coerced
     # a bool is an int subclass: it still goes through _coerce
     assert _fields(x * True) == _fields(x) and coerced == [True]
