@@ -34,7 +34,8 @@ if TYPE_CHECKING:
     from .cocycle import TwistData
 
 # a bound on the work of one enumeration: root choices times |E|^2, the
-# number of multiplication scalars tau over all root choices
+# number of multiplication scalars tau over all root choices, and root
+# choices times the eta cosets, the classes of a one-block algebra
 MAX_WORK = 2 ** 16
 # the degree window of a class vacuum space: lifts k with |k_i| <= WINDOW
 WINDOW = 2
@@ -46,7 +47,8 @@ class ClassifyError(Exception):
 
 class SizeCapExceeded(ClassifyError):
     """Raised when the work over the root choices of an enumeration,
-    root choices times |E|^2, would exceed MAX_WORK, or when the basis
+    root choices times |E|^2 or root choices times the eta cosets,
+    would exceed MAX_WORK, or when the basis
     vectors of a Fock module up to its truncation, creation words times
     vacuum lines, would exceed `twistlab.fock.MAX_BASIS`."""
 
@@ -786,7 +788,7 @@ def admissible_base_weight(A: PresentedAlgebraA):
         for k in range(l))
 
 
-def eta_cosets(lat: TwistedLattice):
+def eta_cosets(lat: TwistedLattice, choices: int = 1):
     """Representatives of the quotient of the fixed sublattice's dual
     by the degree lattice nu(Lambda), as weight-value tuples at the
     standard basis.  Representatives use the canonical cyclic-factor
@@ -796,7 +798,9 @@ def eta_cosets(lat: TwistedLattice):
     the columns of G_F^-1 and proj0(e_k) has coordinates
     G_F^-1 F^T G N e_k / p.  With u G_F v = d its Smith form and L its
     last invariant factor, L G_F^-1 = v (L / d) u is an integer matrix,
-    so the quotient is built over the one denominator L p."""
+    so the quotient is built over the one denominator L p.  Its size,
+    read off its Smith form, times the `choices` root choices is refused
+    above MAX_WORK (SizeCapExceeded) before any coset is listed."""
     F = lat.fixed_basis
     f = len(F)
     l = lat.rank
@@ -811,6 +815,10 @@ def eta_cosets(lat: TwistedLattice):
     sub = transpose(mat_mul(ginv, mat_mul(
         [list(b) for b in F], [list(r) for r in lat.gram_norm])))
     Q = FiniteQuotient(ambient, sub, f, L * p)
+    if choices * Q.size > MAX_WORK:
+        raise SizeCapExceeded(
+            f"{choices} root choices times the {Q.size} eta cosets exceed "
+            f"the work cap {MAX_WORK}")
     M = lat.fixed_pairing
     reps = []
     for cds in Q.elements():
@@ -874,7 +882,7 @@ def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
     lengths = decomposition.lengths
     if obstructed:
         return EnumerationResult(True, wit, [], 0, [], [], lat.p, lengths)
-    reps, _Q = eta_cosets(lat)
+    reps, _Q = eta_cosets(lat, math.prod(lengths))
     entries = []
     classes = []
     for mu_choice in itertools.product(

@@ -7,7 +7,8 @@ byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
 spec file that cannot be read as UTF-8 text, or an --out file that
 cannot be written), 3 refused: unsupported scalar, the constant
 conductor cap 720 reached (a well-formed seed above it included), the
-classifier's one work cap (root choices times |E|^2) exceeded, or a
+classifier's one work cap (root choices times |E|^2, or root choices
+times the eta cosets, counted before any coset is listed) exceeded, or a
 Fock module of more than 262144 basis vectors up to the truncation,
 creation words times the (2 bound + 1)^rank vacuum lines
 (`twistlab.fock.MAX_BASIS`), counted in integers and refused before

@@ -46,9 +46,24 @@ def _residue(n: Fraction) -> Fraction:
     return n - (n.numerator // n.denominator)
 
 
-def _grid_int(x: Fraction, grid: int) -> int:
-    """x times grid, for x on the grid (1/grid)Z."""
-    return x.numerator * (grid // x.denominator)
+def grid_slot(x, grid: int):
+    """x times grid as an int, for an int or Fraction x on the grid
+    (1/grid)Z; None for x off it.  Every rational slot, shift or mode
+    becomes an integer here."""
+    if type(x) is int:
+        return x * grid
+    x = _frac(x)
+    q, off = divmod(grid, x.denominator)
+    return None if off else x.numerator * q
+
+
+def _on_grid(x, grid: int) -> int:
+    """grid_slot, refusing an x off the grid: a series has no other."""
+    k = grid_slot(x, grid)
+    if k is None:
+        raise FdistError(
+            f"{x} is off the grid (1/{grid})Z of the coefficient algebra")
+    return k
 
 
 def _int_binom(n: int, k: int) -> int:
@@ -230,7 +245,7 @@ class LieAlg:
         """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
         components a0(k) = a(k + ra), b0(k) = b(k + rb), with Lie
         coefficients: sum_s (-1)^s binom(n,s) [a0(n-s), b0(m+s)].
-        The residues ra, rb are on the common grid of a and b."""
+        The residues ra, rb are on the algebra's grid."""
         if n < 0:
             raise FdistError(
                 "normal ordering is undefined for Lie-algebra coefficients"
@@ -266,28 +281,26 @@ class GenSeries:
     coefficient at slot n shifts module degree by exactly c - n; it is
     required for the normally-ordered infinite sums to terminate.
 
-    Slots live on the grid (1/grid)Z: the algebra's grid, refined to
-    the lcm with the denominators of the residues and the shift when
-    one falls off it.  Inside, a slot n is the integer k = n*grid: the
-    memo is keyed by k, `res_k` holds the residues k mod grid and
-    `shift_k` the shift, and `_at(k)` reads a coefficient.  Fraction
-    enters only at the edge: `coeff` takes an int or a Fraction,
-    `residues` and `shift_base` read back as Fractions, and a slot
-    function handed to the constructor gets its slot as a Fraction.
+    Slots live on the algebra's grid (1/grid)Z, and a residue or shift
+    off it is refused (FdistError).  Inside, a slot n is the integer
+    k = n*grid (grid_slot): the memo is keyed by k, `res_k` holds the
+    residues k mod grid and `shift_k` the shift, and `_at(k)` reads a
+    coefficient.  Fraction enters only at the edge: `coeff` takes an
+    int or a Fraction, `residues` and `shift_base` read back as
+    Fractions, and a slot function handed to the constructor gets its
+    slot as a Fraction.
     """
 
     def __init__(self, alg, fn, residues, parity: int = 0, shift_base=None):
-        residues = [_frac(r) for r in residues]
-        sb = _frac(shift_base) if shift_base is not None else None
-        grid = math.lcm(alg.grid, *(r.denominator for r in residues),
-                        sb.denominator if sb is not None else 1)
-        self._init(alg, grid, lambda k: fn(Fraction(k, grid)),
-                   {_grid_int(r, grid) % grid for r in residues}, parity,
-                   _grid_int(sb, grid) if sb is not None else None)
+        grid = alg.grid
+        self._init(alg, lambda k: fn(Fraction(k, grid)),
+                   {_on_grid(r, grid) % grid for r in residues}, parity,
+                   _on_grid(shift_base, grid) if shift_base is not None
+                   else None)
 
-    def _init(self, alg, grid, fn, res_k, parity, shift_k):
+    def _init(self, alg, fn, res_k, parity, shift_k):
         self.alg = alg
-        self.grid = grid
+        self.grid = alg.grid
         self._fn = fn
         self.res_k = frozenset(res_k)
         self.parity = parity % 2
@@ -296,11 +309,11 @@ class GenSeries:
         self._memo = {}
 
     @classmethod
-    def on_grid(cls, alg, grid, fn, res_k, parity=0, shift_k=None):
+    def on_grid(cls, alg, fn, res_k, parity=0, shift_k=None):
         """A series whose slot function takes the integer slot k = n*grid,
         with residues and shift given on the grid as well."""
         out = cls.__new__(cls)
-        out._init(alg, grid, fn, res_k, parity, shift_k)
+        out._init(alg, fn, res_k, parity, shift_k)
         return out
 
     @property
@@ -316,13 +329,10 @@ class GenSeries:
     def coeff(self, n):
         """The coefficient at slot n, an int or a Fraction; a slot off
         the grid has no residue of the series, so it is zero."""
-        if type(n) is int:
-            return self._at(n * self.grid)
-        n = _frac(n)
-        step, rem = divmod(self.grid, n.denominator)
-        if rem:
+        k = grid_slot(n, self.grid)
+        if k is None:
             return self.alg.zero(self.parity)
-        return self._at(n.numerator * step)
+        return self._at(k)
 
     def _at(self, k):
         """The coefficient at the integer slot k on the grid."""
@@ -337,16 +347,6 @@ class GenSeries:
             x = self.alg.remember(x)
         self._memo[k] = x
         return x
-
-    def _refine(self, grid):
-        """The series on the grid (1/grid)Z, a multiple of its own."""
-        if grid == self.grid:
-            return self
-        q = grid // self.grid
-        return GenSeries.on_grid(
-            self.alg, grid, lambda k: self._at(k // q),
-            {r * q for r in self.res_k}, self.parity,
-            self.shift_k * q if self.shift_k is not None else None)
 
     @classmethod
     def from_dict(cls, alg, entries, lo=None, hi=None, parity=0,
@@ -366,38 +366,34 @@ class GenSeries:
         return cls(alg, fn, residues, parity=parity, shift_base=shift_base)
 
     def shift(self, e):
-        """z^e times the series."""
-        e = _frac(e)
-        a = self._refine(math.lcm(self.grid, e.denominator))
-        ek = _grid_int(e, a.grid)
+        """z^e times the series, for e on the algebra's grid."""
+        grid = self.grid
+        ek = _on_grid(e, grid)
         return GenSeries.on_grid(
-            a.alg, a.grid, lambda k: a._at(k + ek),
-            {(r - ek) % a.grid for r in a.res_k}, a.parity,
-            a.shift_k - ek if a.shift_k is not None else None)
+            self.alg, lambda k: self._at(k + ek),
+            {(r - ek) % grid for r in self.res_k}, self.parity,
+            self.shift_k - ek if self.shift_k is not None else None)
 
     def _combine(self, other, op):
-        if self.alg is not other.alg:
-            raise FdistError("series live over different coefficient algebras")
+        alg = _one_alg(self, other)
         if self.parity != other.parity:
             raise FdistError("cannot add series of different parity")
-        grid = math.lcm(self.grid, other.grid)
-        a, b = self._refine(grid), other._refine(grid)
         sb = None
-        if a.shift_k is not None and b.shift_k is not None:
-            if a.shift_k != b.shift_k:
+        if self.shift_k is not None and other.shift_k is not None:
+            if self.shift_k != other.shift_k:
                 raise FdistError(
                     "cannot add operator series with different degree shifts"
                 )
-            sb = a.shift_k
+            sb = self.shift_k
 
         def fn(k):
-            x, y = a._at(k), b._at(k)
+            x, y = self._at(k), other._at(k)
             if x is UNKNOWN or y is UNKNOWN:
                 return UNKNOWN
             return op(x, y)
 
-        return GenSeries.on_grid(a.alg, grid, fn, a.res_k | b.res_k,
-                                 a.parity, sb)
+        return GenSeries.on_grid(alg, fn, self.res_k | other.res_k,
+                                 self.parity, sb)
 
     def __add__(self, other):
         return self._combine(other, lambda x, y: x + y)
@@ -415,13 +411,12 @@ class GenSeries:
             x = self._at(k)
             return x if x is UNKNOWN else x.scale(s)
 
-        return GenSeries.on_grid(self.alg, self.grid, fn, self.res_k,
-                                 self.parity, self.shift_k)
+        return GenSeries.on_grid(self.alg, fn, self.res_k, self.parity,
+                                 self.shift_k)
 
 
 def zero_series(alg, parity: int = 0):
-    return GenSeries.on_grid(alg, alg.grid, lambda k: alg.zero(parity), {0},
-                             parity)
+    return GenSeries.on_grid(alg, lambda k: alg.zero(parity), {0}, parity)
 
 
 def sum_series(alg, terms, parity: int = 0):
@@ -432,12 +427,11 @@ def sum_series(alg, terms, parity: int = 0):
     return out if out is not None else zero_series(alg, parity)
 
 
-def _common_grid(a: GenSeries, b: GenSeries, *more: int):
-    """a and b on their common grid, refined by the further steps."""
+def _one_alg(a: GenSeries, b: GenSeries):
+    """The coefficient algebra, and so the grid, that a and b share."""
     if a.alg is not b.alg:
         raise FdistError("series live over different coefficient algebras")
-    grid = math.lcm(a.grid, b.grid, *more)
-    return a._refine(grid), b._refine(grid), grid
+    return a.alg
 
 
 def _neg_binoms(r: int, D: int, J: int):
@@ -460,8 +454,8 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
     """The n-th product via the homogeneous-component expansion:
     contributions binom(-rho_a, j) (a_0 [n+j] b_0) shifted by
     z^(-rho_a - rho_b - j), the j-sum cut off by the locality order."""
-    alg = a.alg
-    a, b, D = _common_grid(a, b)
+    alg = _one_alg(a, b)
+    D = alg.grid
     # per residue of a, the nonzero binom(-rho_a, j) of the j-sum
     coefs = {ra: _neg_binoms(ra, D, locality - n) for ra in a.res_k}
     pairs = [(ra, rb, coefs[ra])
@@ -486,7 +480,7 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
                 total = total + term.scale(coef)
         return total
 
-    return GenSeries.on_grid(alg, D, fn, residues, parity, shift_k)
+    return GenSeries.on_grid(alg, fn, residues, parity, shift_k)
 
 
 def derive(a: GenSeries) -> GenSeries:
@@ -500,7 +494,7 @@ def derive(a: GenSeries) -> GenSeries:
         return x.scale(Fraction(-k, D))
 
     sb = a.shift_k + D if a.shift_k is not None else None
-    return GenSeries.on_grid(a.alg, D, fn, a.res_k, a.parity, sb)
+    return GenSeries.on_grid(a.alg, fn, a.res_k, a.parity, sb)
 
 
 def iterated_derive(a: GenSeries, i: int) -> GenSeries:
@@ -918,16 +912,16 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
     coefficients a brackets-free composition is meaningless, so this
     route requires operator coefficients.
     """
-    alg = a.alg
+    alg = _one_alg(a, b)
     if not alg.is_fock:
         raise FdistError("kernel product route requires operator coefficients")
     parity = (a.parity + b.parity) % 2
     sign = -1 if (a.parity and b.parity) else 1
     if a.shift_k is None or b.shift_k is None:
         raise FdistError("kernel product route requires degree shifts")
-    a, b, D = _common_grid(a, b, kernel.p)
+    D = alg.grid
     # kernel exponents i/p, j/p on the grid, in sorted order
-    step = D // kernel.p
+    step = _on_grid(Fraction(1, kernel.p), D)
     terms = [(i * step, j * step, as_scalar(c))
              for (i, j), c in sorted(kernel.terms.items())]
     shift_k = a.shift_k + b.shift_k - n * D
@@ -940,7 +934,7 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
     def fn(t):
         return alg.residue_product_coeff(a, b, n, t, terms, sign)
 
-    return GenSeries.on_grid(alg, D, fn, residues, parity, shift_k)
+    return GenSeries.on_grid(alg, fn, residues, parity, shift_k)
 
 
 def weight(phi: GenSeries, d_op, slots, probes):

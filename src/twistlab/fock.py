@@ -20,17 +20,20 @@ with the empty sum (FockAlg.zero) is the other operand, with its
 parity, and a scale by one is the operator itself.
 
 The Heisenberg modes h(n), n in (1/p)Z, are the module's kernel: every
-operator above reduces to them.  The module keeps the plan of each
-(coordinates, mode) for its own life: the acting eigenvectors of a
-creation, the nonzero contraction factors of an annihilation, and the
-zero mode's weight xi(h) on every vacuum line; a factor equal to one
-multiplies nothing.  Both exponentials of a vertex operator are one
-product of mode exponentials (_exp_terms), cut at a degree bound.  A
-remembered operator keeps its results itself (FockOp.seen).  The
-Virasoro double sums (the degree operator and D) skip each term whose
-first operator annihilates a mode that no word of the vector holds,
-exactly zero and never poisoned, and stop at the largest held mode:
-a line of high degree costs no more than the lowest.
+operator above reduces to them.  Inside the module a mode is the int
+n*p (grid_slot), and a mode off (1/p)Z is the empty operator (mode_op).
+The module keeps the plan of each (coordinates, mode) for its own life:
+the acting eigenvectors of a creation, the nonzero contraction factors
+of an annihilation, and the zero mode's weight xi(h) on every vacuum
+line; a factor equal to one multiplies nothing.  Both exponentials of a
+vertex operator are one product of mode exponentials (_exp_terms), cut
+at a degree bound.  A remembered operator keeps its results itself
+(FockOp.seen).  An annihilation mode that no word of a vector holds
+sends it to zero, exactly and never poisoned (_held_modes): the
+annihilation exponential tries only the held modes, and the Virasoro
+double sums (the degree operator and D) skip each term whose first
+operator annihilates an unheld mode and stop at the largest held one,
+so a line of high degree costs no more than the lowest.
 
 Vectors are values, so a vector keeps its hash and its degree
 (max_degree_k) beside its terms once computed.  Both vacuum spaces,
@@ -61,6 +64,7 @@ from .fdist import (
     coeff_is_zero,
     compare_status,
     derive,
+    grid_slot,
     kernel_Delta,
     nth_product,
     nth_product_kernel,
@@ -94,19 +98,10 @@ def _integer_rows(rows):
     return D, [[x.numerator * (D // x.denominator) for x in r] for r in rows]
 
 
-def _grid_slot(x: Fraction, grid: int):
-    """x times grid, or None for x off the grid (1/grid)Z."""
-    q, off = divmod(grid, x.denominator)
-    return None if off else x.numerator * q
-
-
-def _scaled(m, p: int):
-    """The mode m times p: an int when m lies on the grid (1/p)Z, else
-    the non-integral Fraction, which matches no residue mod p."""
-    if type(m) is int:
-        return m * p
-    ms = _frac(m) * p
-    return ms.numerator if ms.denominator == 1 else ms
+def _held_modes(v) -> set:
+    """The annihilation modes, scaled by p, that can act on v: the
+    creations its words hold, negated; any other sends v to zero."""
+    return {-mm for word, _iota in v.terms for mm, _j in word}
 
 
 # ---------------------------------------------------------------------
@@ -562,27 +557,21 @@ class FockAlg:
         sign = -1 if (x.parity and y.parity) else 1
         return x.compose(y) - y.compose(x).scale(sign)
 
-    def _grid_floor(self, D: int):
-        """(D // module grid, the module's floor degree on the grid D)
-        for series on the grid D, a multiple of the module's."""
-        q = D // self.grid
-        return q, self.module.floor_k * q
-
     def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
         """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
         components a0(k) = a(k + ra), b0(k) = b(k + rb).  The residues
-        ra, rb are on the common grid D of a and b, and so are the
-        degree bounds below."""
+        ra, rb are on the module's grid D, and so are the degree bounds
+        below."""
         mod = self.module
         if a.shift_k is None or b.shift_k is None:
             raise FockError("operator products need degree-shift data")
-        D = a.grid
-        q, fl = self._grid_floor(D)
+        D = self.grid
+        fl = mod.floor_k
         ca0, cb0 = a.shift_k - ra - fl, b.shift_k - rb - fl
         super_sign = -1 if (a.parity and b.parity) else 1
 
         def summands(v):
-            d = v.max_degree_k() * q
+            d = v.max_degree_k()
             smax = (d + cb0) // D - m
             if n >= 0:
                 smax = min(smax, n)
@@ -613,14 +602,14 @@ class FockAlg:
     def residue_product_coeff(self, a, b, n: int, t, terms, sign):
         """Slot-t coefficient of the residue-form product with explicit
         kernel terms (w-exponent, z-exponent, coefficient); the slot
-        and the exponents are on the common grid D of a and b."""
+        and the exponents are on the module's grid D."""
         mod = self.module
-        D = a.grid
-        q, fl = self._grid_floor(D)
+        D = self.grid
+        fl = mod.floor_k
         ca, cb = a.shift_k - fl, b.shift_k - fl
 
         def summands(v):
-            d = v.max_degree_k() * q
+            d = v.max_degree_k()
             for (u, ve, kc) in terms:
                 imax = (d + cb - t - ve) // D
                 if n >= 0:
@@ -759,10 +748,10 @@ class FockModule:
     @kept
     def _mode_plan(self, coords, ms):
         """What h(ms/p) does, for h = sum_j coords_j h_j: () when no
-        h_j acts (ms off the grid, or no coordinate on its residue);
-        for a creation the acting (j, c) pairs; for the zero mode xi(h)
-        on each vacuum line (zero_weights); for an annihilation the
-        nonzero factors (h|h_jj) ms/p, keyed by jj.  A value equal to
+        h_j acts (no coordinate on the residue of ms); for a creation
+        the acting (j, c) pairs; for the zero mode xi(h) on each vacuum
+        line (zero_weights); for an annihilation the nonzero factors
+        (h|h_jj) ms/p, keyed by jj.  A value equal to
         one is the object ONE, so mode_apply can skip its multiply."""
         qs = self.basis.qs
         res = ms % self.p
@@ -784,8 +773,8 @@ class FockModule:
         return facs or ()
 
     def mode_apply(self, coords, ms, v: FockVector) -> FockVector:
-        """h(ms/p) applied to v for h = sum_j coords_j h_j and the mode
-        scaled by p (_scaled): the one Heisenberg action of the module.
+        """h(ms/p) applied to v for h = sum_j coords_j h_j and the int
+        mode ms scaled by p: the one Heisenberg action of the module.
         Only the h_j with ms = q_j mod p act.  A creation (ms < 0) adds
         the mode to each word, an annihilation (ms > 0) removes each
         creation (-ms/p, h_jj), once per occurrence, with the factor
@@ -824,10 +813,15 @@ class FockModule:
         return self.basis.decompose(alpha)
 
     def mode_op(self, coords, m) -> FockOp:
-        return self._mode_op(coords, _scaled(m, self.p))
+        """h(m) as an operator, for an int or Fraction mode m; off the
+        grid (1/p)Z no h_j acts, so it is the empty operator."""
+        ms = grid_slot(m, self.p)
+        if ms is None:
+            return self.alg.zero()
+        return self._mode_op(coords, ms)
 
     def _mode_op(self, coords, ms) -> FockOp:
-        """h(ms/p) as an operator, the mode scaled by p (_scaled)."""
+        """h(ms/p) as an operator, the int mode ms scaled by p."""
         return FockOp(self, lambda v: self.mode_apply(coords, ms, v), 0)
 
     def e_op(self, alpha) -> FockOp:
@@ -865,8 +859,7 @@ class FockModule:
         def fn(k):
             return self._mode_op(coords, k // step)
 
-        return GenSeries.on_grid(self.alg, self.grid, fn, residues or {0},
-                                 shift_k=0)
+        return GenSeries.on_grid(self.alg, fn, residues or {0}, shift_k=0)
 
     def identity_series(self) -> GenSeries:
         ident = FockOp(self, lambda v: v, 0)
@@ -875,7 +868,7 @@ class FockModule:
         def fn(k):
             return ident if k == -grid else self.alg.zero()
 
-        return GenSeries.on_grid(self.alg, grid, fn, {0}, shift_k=-grid)
+        return GenSeries.on_grid(self.alg, fn, {0}, shift_k=-grid)
 
     def upsilon(self) -> GenSeries:
         """Virasoro series (1/2) sum_i alpha~_i [-1] beta~_i."""
@@ -913,8 +906,7 @@ class FockModule:
         if not v.terms:
             return v
         p = self.p
-        # the annihilation modes that can act on v: its creations, negated
-        held = {-mm for word, _iota in v.terms for mm, _j in word}
+        held = _held_modes(v)
         top = max(held, default=0)
         kp = k * p
         l = self.lattice.rank
@@ -985,14 +977,16 @@ class FockModule:
     def _ann_expand(self, alpha, v: FockVector, sign: int):
         """exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for the lattice
         vector alpha (an int tuple), as (vector, annihilation degree
-        times p) pairs, kept per (alpha, v, sign); the degree is at most
-        v's over the floor, as no more can act (_exp_terms)."""
+        times p) pairs, kept per (alpha, v, sign).  Only the modes some
+        word of v holds act (_held_modes), and the degree is at most v's
+        over the floor, as no more can act (_exp_terms)."""
         top = 0 if not v.terms else (
             v.max_degree_k() - self.floor_k) // self.mode_step
         return tuple(
             (w if num == den else w.scale(CycScalar.from_ints(1, [num], den)),
              e) for w, e, num, den in self._exp_terms(
-                self.lattice_coords(alpha), v, sign, range(1, top + 1), top))
+                self.lattice_coords(alpha), v, sign,
+                sorted(_held_modes(v)), top))
 
     def _cre_expand(self, coords, v: FockVector, target: int,
                     sign: int = 1):
@@ -1059,7 +1053,7 @@ class FockModule:
                 self, lambda v: _summed(self, summands(v, k), v.poisoned),
                 norm)
 
-        return GenSeries.on_grid(self.alg, D, fn, residues, norm,
+        return GenSeries.on_grid(self.alg, fn, residues, norm,
                                  norm * D // 2 - D)
 
 
@@ -1236,7 +1230,7 @@ def _reconstruct_coeff(M: FockModule, alpha, coords, e, v: FockVector):
     exps = M.vertex_exponents_k(alpha)
     en, ed = e.numerator, e.denominator
     # off the grid no vertex coefficient is nonzero
-    ek = _grid_slot(e, grid)
+    ek = grid_slot(e, grid)
 
     def summands():
         for (word, iota), coeff in v.terms.items():
@@ -1370,7 +1364,7 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
     for ws in wslots:
         for zs in zslots:
             wsf, zsf = _frac(ws), _frac(zs)
-            wk, zk = _grid_slot(wsf, grid), _grid_slot(zsf, grid)
+            wk, zk = grid_slot(wsf, grid), grid_slot(zsf, grid)
             statuses = []
             for v in probes:
                 lhs = M.vertex_coeff(alpha, wsf).apply(

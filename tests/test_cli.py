@@ -704,6 +704,33 @@ def test_work_cap_exit_3(tmp_path):
     assert proc.stdout == ""
 
 
+def test_too_many_eta_cosets_exit_3(tmp_path, capsys, monkeypatch):
+    # [[10^6]] with sigma = 1 has 10^6 eta cosets, one class each: the
+    # quotient's size is read off its Smith form and refused before any
+    # coset is listed, where the listing printed 10^6 classes
+    spec = {"gram": [[1000000]], "sigma": [[1]]}
+    t0 = time.perf_counter()
+    proc = _cli_subprocess("--spec", write_spec(tmp_path, spec),
+                           "--cmd", "classify", timeout=30)
+    assert time.perf_counter() - t0 < 10
+    assert proc.returncode == EXIT_SCALAR
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "refused: 1 root choices times the 1000000 eta cosets exceed the "
+        f"work cap {classify.MAX_WORK}"]
+    # at the cap's edge: 2*I_2 with sigma = 1 has one root choice and
+    # 4 cosets
+    spec = {"gram": [[2, 0], [0, 2]], "sigma": [[1, 0], [0, 1]]}
+    monkeypatch.setattr(classify, "MAX_WORK", 4)
+    assert run(tmp_path, spec, "classify") == EXIT_OK
+    assert capsys.readouterr().out.endswith("\n4 classes\n")
+    monkeypatch.setattr(classify, "MAX_WORK", 3)
+    assert run(tmp_path, spec, "classify") == EXIT_SCALAR
+    assert capsys.readouterr().err.splitlines() == [
+        "refused: 1 root choices times the 4 eta cosets exceed the work "
+        "cap 3"]
+
+
 def test_oversized_vacuum_window_exit_3(tmp_path, capsys, monkeypatch):
     # a radius-10^9 window would list 2*10^9 + 1 lines; it is refused
     # before any is built, with the window's size in the message

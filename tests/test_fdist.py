@@ -17,6 +17,7 @@ from twistlab.fdist import (
     compare_status,
     derive,
     gen_binom,
+    grid_slot,
     kernel_Delta,
     kernel_Delta_via_F,
     kernel_F,
@@ -67,6 +68,35 @@ def test_quadratic_space_validation():
     with pytest.raises(FdistError):
         # nonzero pairing across incompatible degrees
         QuadraticSpace(["a", "b"], [0, Fraction(1, 2)], [[2, 1], [1, 2]])
+
+
+def test_grid_slot_unit_cases():
+    # the one rational-to-integer slot rule: x times grid as an int, or
+    # None off the grid (1/grid)Z
+    assert grid_slot(3, 4) == 12 and type(grid_slot(3, 4)) is int
+    assert grid_slot(-3, 4) == -12
+    assert grid_slot(0, 6) == 0
+    assert grid_slot(Fraction(5, 2), 6) == 15
+    assert grid_slot(Fraction(-5, 2), 6) == -15
+    assert grid_slot(Fraction(4, 2), 3) == 6
+    assert type(grid_slot(Fraction(5, 2), 6)) is int
+    assert grid_slot(Fraction(1, 4), 6) is None
+    assert grid_slot(Fraction(-1, 4), 6) is None
+    assert grid_slot(Fraction(7, 5), 1) is None
+
+
+def test_lie_series_off_the_grid_are_refused():
+    # a Lie algebra with degrees in (1/2)Z has the grid 2: a residue or
+    # shift in (1/3)Z is refused, and reading a slot there is zero
+    alg, series = heisenberg(Fraction(1, 2))
+    assert alg.grid == 2 and series.grid == 2
+    with pytest.raises(FdistError):
+        GenSeries(alg, lambda n: alg.gen_mode(0, n), {Fraction(1, 3)})
+    with pytest.raises(FdistError):
+        series.shift(Fraction(1, 3))
+    assert series.coeff(Fraction(1, 3)).is_zero()
+    assert series.shift(Fraction(1, 2)).coeff(0) == series.coeff(
+        Fraction(1, 2))
 
 
 def heisenberg(degree):

@@ -21,6 +21,7 @@ from twistlab.fock import (
     virasoro_element_checks,
 )
 from twistlab.fdist import (
+    FdistError,
     GenSeries,
     LieAlg,
     QuadraticSpace,
@@ -70,7 +71,7 @@ def vac(M):
 def heis(M, j, m, v):
     """h_j(m) applied to v, for an int or Fraction mode m: the module's
     one Heisenberg action on the unit eigen-coordinates of h_j."""
-    return M.mode_apply(M.basis.units[j], fock._scaled(m, M.p), v)
+    return M.mode_op(M.basis.units[j], m).apply(v)
 
 
 # ---------------------------------------------------------------------
@@ -520,20 +521,24 @@ KERNEL_MODULES = [untwisted_module, negation_module, order3_module,
 def test_mode_apply_matches_the_plan_free_oracle(make):
     # the kept plans change no result, poisoned flag included: on every
     # basis vector, for units, duals and lattice coordinates, every
-    # scaled mode -2p..2p, a mode off the grid and a poisoned input;
-    # each plan is read again once it is kept
+    # scaled mode -2p..2p and a poisoned input; each plan is read again
+    # once it is kept.  A mode off the grid is mode_op's empty operator
     M = make(trunc=2)
     p, l = M.p, M.lattice.rank
     coords = list(M.basis.units) + list(M.basis.duals) + [
         M.lattice_coords(a) for a in
         [tuple(int(i == j) for i in range(l)) for j in range(l)]
         + [(1,) * l, (2,) + (-1,) * (l - 1)]]
-    modes = list(range(-2 * p, 2 * p + 1)) + [fock._scaled(
-        Fraction(1, 2 * p + 1), p)]
+    modes = list(range(-2 * p, 2 * p + 1))
     poisoned = FockVector(M, {}, poisoned=True)
     vectors = M.basis_vectors(1)
     seen = set()
     for c in coords:
+        off = M.mode_op(c, Fraction(1, 2 * p + 1))
+        assert off.apply(poisoned) is poisoned
+        for v in vectors:
+            got = off.apply(v)
+            assert got.is_zero() and not got.poisoned, (c, v)
         for ms in modes:
             assert M.mode_apply(c, ms, poisoned) is poisoned
             for v in vectors:
@@ -1447,6 +1452,23 @@ def test_kept_annihilation_expansion_matches_a_fresh_one():
     assert seen > 100
 
 
+def test_annihilation_expansion_tries_only_held_modes(monkeypatch):
+    # a bare vacuum on a high line holds no mode, so its annihilation
+    # exponential is the vacuum alone, with no mode applied; the scan
+    # over every mode up to its degree took b^2 applications
+    td = TwistData(TwistedLattice([[2]], [[1]]))
+    M = FockModule(td, RegularOmega(td, bound=300), trunc=2)
+    v = M.vacuum(M.omega.lookup[(300,)])
+    assert (v.max_degree_k() - M.floor_k) // M.mode_step == 300 ** 2
+    calls = []
+    apply = M.mode_apply
+    monkeypatch.setattr(M, "mode_apply",
+                        lambda *args: calls.append(args) or apply(*args))
+    for sign in (-1, 1):
+        assert M._ann_expand((1,), v, sign) == ((v, 0),)
+    assert calls == []
+
+
 def test_creation_coefficients_match_the_fraction_formula():
     nontrivial = poisoned = 0
     for M, alphas, vecs in _expansion_cases(2002):
@@ -1632,44 +1654,44 @@ def test_from_dict_window_off_the_grid(p):
     assert s.grid == M.grid
     assert s.coeff(on).apply(v) == op.apply(v)
     assert s.coeff(off).apply(v) == M.zero_vec()
-    # an entry off the module's grid refines the series' grid
-    s = GenSeries.from_dict(M.alg, {on: op, off: op}, lo=-3, hi=3,
+    # an entry off the module's grid is refused
+    with pytest.raises(FdistError):
+        GenSeries.from_dict(M.alg, {on: op, off: op}, lo=-3, hi=3,
                             shift_base=0)
-    assert s.grid % M.grid == 0 and s.grid % off.denominator == 0
-    assert s.coeff(off).apply(v) == op.apply(v)
-    assert s.coeff(on).apply(v) == op.apply(v)
-    assert s.coeff(on + Fraction(1, s.grid)).apply(v) == M.zero_vec()
-    assert s.residues >= {on - (on.numerator // on.denominator),
-                          off - (off.numerator // off.denominator)}
 
 
 @pytest.mark.parametrize("p", sorted(GRID_LATTICES))
-def test_series_on_a_finer_grid_combine_and_multiply(p):
-    # a zero series with a residue off the module's grid puts sums and
-    # products on the lcm grid; the values on the module's grid must not
-    # move, and the Fock product bounds must scale with the finer grid
+def test_series_off_the_algebra_grid_are_refused(p):
+    # the algebra's grid is the only grid a series has: a residue, a
+    # shift, a from_dict entry, a shift by z^off or a kernel in 1/q with
+    # q not dividing the grid is refused; reading an off-grid slot is
+    # still the zero coefficient, and an off-grid mode the empty operator
     import random
 
     rng = random.Random(9300 + p)
     M = _grid_module(p)
-    l = M.lattice.rank
     off = _off_grid_slot(rng, M.grid)
-    fine = GenSeries.from_dict(M.alg, {off: M.alg.zero()}, shift_base=0)
-    assert fine.grid > M.grid
-    low = [v for v in M.basis_vectors(1) if v.max_degree() - M.floor <= 1]
-    probes = rng.sample(low, min(6, len(low)))
-    for _ in range(3):
-        alpha = tuple(int(i == rng.randrange(l)) for i in range(l))
-        beta = tuple(int(i == rng.randrange(l)) for i in range(l))
-        n = rng.randrange(-1, 2)
-        a, b = M.tilde(alpha), M.tilde(beta)
-        plain = nth_product(a, b, n, 2)
-        refined = nth_product(a, b + fine, n, 2)
-        assert refined.grid == fine.grid
-        shifted = a.shift(off)
-        for _ in range(3):
-            t = Fraction(rng.randrange(-2 * p, p + 1), p)
-            for v in probes:
-                assert refined.coeff(t).apply(v) == plain.coeff(t).apply(v)
-                assert shifted.coeff(t - off).apply(v) == \
-                    a.coeff(t).apply(v)
+    res = off - (off.numerator // off.denominator)
+    unit = M.basis.units[0]
+    op = M.mode_op(unit, 0)
+    with pytest.raises(FdistError):
+        GenSeries(M.alg, lambda n: op, {res}, shift_base=0)
+    with pytest.raises(FdistError):
+        GenSeries(M.alg, lambda n: op, {Fraction(0)}, shift_base=off)
+    with pytest.raises(FdistError):
+        GenSeries.from_dict(M.alg, {off: op}, shift_base=0)
+    a = M.tilde((1,) + (0,) * (M.lattice.rank - 1))
+    with pytest.raises(FdistError):
+        a.shift(off)
+    with pytest.raises(FdistError):
+        nth_product_kernel(a, a, 0, 2, kernel_Delta(off.denominator, 0, 2))
+    probes = M.basis_vectors(1)
+    poisoned = FockVector(M, {}, poisoned=True)
+    assert a.coeff(off).parts == []
+    empty = M.mode_op(unit, off)
+    assert empty.parts == []
+    assert empty.apply(poisoned) is poisoned
+    for v in probes:
+        assert a.coeff(off).apply(v) == M.zero_vec()
+        w = empty.apply(v)
+        assert w.is_zero() and not w.poisoned
