@@ -26,14 +26,6 @@ class WindowUnderflow(FdistError):
     pass
 
 
-class _Unknown:
-    __slots__ = ()
-
-    def __repr__(self):
-        return "UNKNOWN"
-
-
-UNKNOWN = _Unknown()
 # memo sentinel: no series coefficient is this object
 _MISSING = object()
 
@@ -221,8 +213,6 @@ class LieAlg:
         return LieElement(self.space, {"c": ONE})
 
     def bracket(self, x, y):
-        if x is UNKNOWN or y is UNKNOWN:
-            return UNKNOWN
         out = self.zero()
         sp = self.space
         for kx, cx in x.terms.items():
@@ -256,11 +246,8 @@ class LieAlg:
             c = _int_binom(n, s)
             if not c:
                 continue
-            x = a._at((n - s) * D + ra)
-            y = b._at((m + s) * D + rb)
-            if x is UNKNOWN or y is UNKNOWN:
-                return UNKNOWN
-            term = self.bracket(x, y)
+            term = self.bracket(a._at((n - s) * D + ra),
+                                b._at((m + s) * D + rb))
             total = total + term.scale(c if s % 2 == 0 else -c)
         return total
 
@@ -276,7 +263,6 @@ class GenSeries:
     each passed once through the coefficient algebra's `remember` (a
     Fock operator then keeps its result per input vector); slots whose
     residue mod 1 is outside `residues` are exactly zero.
-    A slot function may return UNKNOWN (outside a truncation window).
     For operator-valued series, `shift_base` c records that the
     coefficient at slot n shifts module degree by exactly c - n; it is
     required for the normally-ordered infinite sums to terminate.
@@ -342,28 +328,8 @@ class GenSeries:
             return x
         if k % self.grid not in self.res_k:
             return self.alg.zero(self.parity)
-        x = self._fn(k)
-        if x is not UNKNOWN:
-            x = self.alg.remember(x)
-        self._memo[k] = x
+        x = self._memo[k] = self.alg.remember(self._fn(k))
         return x
-
-    @classmethod
-    def from_dict(cls, alg, entries, lo=None, hi=None, parity=0,
-                  shift_base=None):
-        """Windowed series: explicit coefficients, zero elsewhere inside
-        [lo, hi] (on the listed residues), UNKNOWN outside the window."""
-        entries = {_frac(k): v for k, v in entries.items()}
-        residues = {_residue(k) for k in entries} or {Fraction(0)}
-        lo = _frac(lo) if lo is not None else None
-        hi = _frac(hi) if hi is not None else None
-
-        def fn(n):
-            if (lo is not None and n < lo) or (hi is not None and n > hi):
-                return UNKNOWN
-            return entries.get(n, alg.zero(parity))
-
-        return cls(alg, fn, residues, parity=parity, shift_base=shift_base)
 
     def shift(self, e):
         """z^e times the series, for e on the algebra's grid."""
@@ -386,13 +352,8 @@ class GenSeries:
                 )
             sb = self.shift_k
 
-        def fn(k):
-            x, y = self._at(k), other._at(k)
-            if x is UNKNOWN or y is UNKNOWN:
-                return UNKNOWN
-            return op(x, y)
-
-        return GenSeries.on_grid(alg, fn, self.res_k | other.res_k,
+        return GenSeries.on_grid(alg, lambda k: op(self._at(k), other._at(k)),
+                                 self.res_k | other.res_k,
                                  self.parity, sb)
 
     def __add__(self, other):
@@ -406,13 +367,8 @@ class GenSeries:
 
     def scale(self, s):
         s = s if isinstance(s, CycScalar) else as_scalar(s)
-
-        def fn(k):
-            x = self._at(k)
-            return x if x is UNKNOWN else x.scale(s)
-
-        return GenSeries.on_grid(self.alg, fn, self.res_k, self.parity,
-                                 self.shift_k)
+        return GenSeries.on_grid(self.alg, lambda k: self._at(k).scale(s),
+                                 self.res_k, self.parity, self.shift_k)
 
 
 def zero_series(alg, parity: int = 0):
@@ -475,8 +431,6 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
                 continue
             for j, coef in cj:
                 term = alg.integral_product_coeff(a, b, ra, rb, n + j, mp - j)
-                if term is UNKNOWN:
-                    return UNKNOWN
                 total = total + term.scale(coef)
         return total
 
@@ -486,15 +440,10 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
 def derive(a: GenSeries) -> GenSeries:
     """d/dz of the series: (Da)(m) = -m a(m-1)."""
     D = a.grid
-
-    def fn(k):
-        x = a._at(k - D)
-        if x is UNKNOWN:
-            return UNKNOWN
-        return x.scale(Fraction(-k, D))
-
     sb = a.shift_k + D if a.shift_k is not None else None
-    return GenSeries.on_grid(a.alg, fn, a.res_k, a.parity, sb)
+    return GenSeries.on_grid(
+        a.alg, lambda k: a._at(k - D).scale(Fraction(-k, D)), a.res_k,
+        a.parity, sb)
 
 
 def iterated_derive(a: GenSeries, i: int) -> GenSeries:
@@ -514,26 +463,21 @@ def lie_from_products(a: GenSeries, b: GenSeries, m, n, locality: int):
         if not c:
             continue
         term = nth_product(a, b, s, locality).coeff(m + n - s)
-        if term is UNKNOWN or total is UNKNOWN:
-            total = UNKNOWN
-            break
         total = total + term.scale(c)
     return direct, total
 
 
 def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes=None) -> bool:
     """True iff sum_s (-1)^s binom(N,s) [a(n-s), b(m+s)] = 0 for every
-    sampled (n, m); raises WindowUnderflow on untestable slots."""
+    sampled (n, m); raises WindowUnderflow when a sum is untestable (a
+    Fock probe left the truncation)."""
     alg = a.alg
     for n, m in slots:
         n, m = _frac(n), _frac(m)
         total = alg.zero()
         for s in range(N + 1):
             c = _int_binom(N, s)
-            x, y = a.coeff(n - s), b.coeff(m + s)
-            if x is UNKNOWN or y is UNKNOWN:
-                raise WindowUnderflow(f"locality sum untestable at ({n},{m})")
-            term = alg.bracket(x, y)
+            term = alg.bracket(a.coeff(n - s), b.coeff(m + s))
             total = total + term.scale(c if s % 2 == 0 else -c)
         verdict = coeff_is_zero(alg, total, probes)
         if verdict == "untestable":
@@ -568,9 +512,8 @@ def vector_status(v) -> str:
 
 
 def coeff_is_zero(alg, x, probes=None) -> str:
-    """'pass' / 'fail' / 'untestable' verdict that x is exactly zero."""
-    if x is UNKNOWN:
-        return "untestable"
+    """'pass' / 'fail' / 'untestable' verdict that x is exactly zero;
+    only a poisoned Fock probe result is 'untestable'."""
     if not alg.is_fock:
         return "pass" if x.is_zero() else "fail"
     if probes is None:
@@ -584,11 +527,8 @@ def series_compare(s1: GenSeries, s2: GenSeries, slots, probes=None):
     out = []
     for t in slots:
         t = _frac(t)
-        x, y = s1.coeff(t), s2.coeff(t)
-        if x is UNKNOWN or y is UNKNOWN:
-            out.append((t, "untestable"))
-            continue
-        out.append((t, coeff_is_zero(s1.alg, x - y, probes)))
+        out.append((t, coeff_is_zero(s1.alg, s1.coeff(t) - s2.coeff(t),
+                                     probes)))
     return out
 
 
@@ -607,8 +547,8 @@ def verify_axioms(family, which, slots, locality, probes=None):
     family: list of (name, GenSeries); which: iterable of axiom tags
     among C1, C2, C3, C4, V3, V4; slots: exponents to test;
     locality: callable (name_a, name_b) -> locality order.
-    Returns a list of (tag, instance, status) lines; slots outside
-    windows yield 'untestable', never 'passed'.
+    Returns a list of (tag, instance, status) lines; a probe that
+    leaves a Fock truncation yields 'untestable', never 'pass'.
     """
     report = []
     named = list(family)
@@ -940,7 +880,8 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
 def weight(phi: GenSeries, d_op, slots, probes):
     """Weight of an operator series against a module operator D:
     the scalar lam with (d/dz)phi - [D, phi] = lam z^(-1) phi, slotwise
-    on the probes; returns the string 'not homogeneous' on failure."""
+    on the probes; returns the string 'not homogeneous' on failure, and
+    raises WindowUnderflow when no slot and probe decide it."""
     alg = phi.alg
     if not alg.is_fock:
         raise FdistError("weight requires operator coefficients")

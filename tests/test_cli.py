@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -882,3 +884,58 @@ def test_eps_override_of_order_8_reports(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "fl:eps | e(1, 0)e(0, 1) | pass\n" in out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == EPS8_CHECK_SHA256
+
+
+def _readme_block(lang):
+    """The one fenced block of the given language in README.md."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8")
+    blocks = re.findall(rf"^```{lang}\n(.*?)^```$", text,
+                        flags=re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1, lang
+    return blocks[0]
+
+
+def test_readme_examples(tmp_path, capsys):
+    # the documented job spec runs cleanly under every command, and the
+    # documented session prints the class count its comment gives
+    spec = json.loads(_readme_block("json"))
+    for cmd in ("check", "classify", "kappa", "orbits"):
+        assert run(tmp_path, spec, cmd) == EXIT_OK, cmd
+        out = capsys.readouterr().out
+        assert out and "| fail" not in out, cmd
+    exec(_readme_block("python"), {})
+    assert capsys.readouterr().out == "2\n"
+
+
+# Lattices that classify calls obstructed, on which check still fails
+# fl:lprod lines (odd fields at even order); strict, so that deciding
+# them forces removing the mark
+OBSTRUCTED_CHECK_FAULTS = [
+    {"gram": [[1, 0], [0, 1]], "sigma": [[0, 1], [1, 0]],
+     "trunc": 2, "bound": 2},
+    {"gram": [[3, 0], [0, 3]], "sigma": [[0, 1], [1, 0]],
+     "trunc": 2, "bound": 2},
+    {"gram": [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]],
+     "sigma": [[0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]],
+     "trunc": 1, "bound": 1},
+]
+
+
+@pytest.mark.xfail(strict=True, reason="check on obstructed specs "
+                   "(ROADMAP direction 1): fl:lprod fails")
+@pytest.mark.parametrize("spec", OBSTRUCTED_CHECK_FAULTS,
+                         ids=["Z2-swap", "3x2-swap", "Z4-cycle"])
+def test_check_on_obstructed_spec_has_no_fail_line(tmp_path, capsys, spec):
+    code = run(tmp_path, spec, "check")
+    out = capsys.readouterr().out
+    assert "| fail" not in out
+    assert code == EXIT_OK
+
+
+@pytest.mark.parametrize("spec", OBSTRUCTED_CHECK_FAULTS,
+                         ids=["Z2-swap", "3x2-swap", "Z4-cycle"])
+def test_obstructed_check_faults_classify_obstructed(tmp_path, capsys, spec):
+    assert run(tmp_path, spec, "classify") == EXIT_OK
+    out = capsys.readouterr().out
+    assert "obstructed" in out and "witness" in out

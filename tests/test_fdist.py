@@ -10,7 +10,6 @@ from twistlab.fdist import (
     KernelPoly,
     LieAlg,
     QuadraticSpace,
-    UNKNOWN,
     WindowUnderflow,
     _neg_binoms,
     coeff_is_zero,
@@ -28,6 +27,7 @@ from twistlab.fdist import (
     series_compare,
     vector_status,
     verify_axioms,
+    weight,
     worst_status,
     zero_series,
 )
@@ -246,19 +246,24 @@ def test_derive_relation():
 
 
 def test_window_untestable():
-    alg = LieAlg(QuadraticSpace(["h"], [0], [[2]]))
-    entries = {n: alg.gen_mode(0, n) for n in range(-3, 4)}
-    s = GenSeries.from_dict(alg, entries, lo=-3, hi=3)
-    assert s.coeff(5) is UNKNOWN
-    assert s.coeff(Fraction(1, 2)).is_zero()
-    d = derive(s)
-    assert d.coeff(5) is UNKNOWN
-    assert d.coeff(2) == alg.gen_mode(0, 1).scale(-2)
-    pairs = series_compare(s, s, [0, 10])
-    assert dict(pairs)[Fraction(10)] == "untestable"
+    # a probe that leaves the Fock truncation is the only untestable
+    # signal: series_compare marks its slot, and locality_test and
+    # weight, with every probe out of the window, raise WindowUnderflow
+    # rather than pass
+    M, _coords, _create, vac, full = heisenberg_fock()
+    h = M.tilde((1,))
+    d_op = M.upsilon_zero_op()
+    pairs = series_compare(h, h.scale(1), [-1, 1], [full])
+    assert dict(pairs) == {Fraction(-1): "untestable", Fraction(1): "pass"}
     assert compare_status(pairs) == "untestable"
+    # the vacuum decides these
+    assert locality_test(h, h, 2, [(1, -1)], [vac])
+    assert weight(h, d_op, [0, 1], [vac]) == 0
+    # h(-1)h(-1) and h(-2) need two creations: no probe has room
     with pytest.raises(WindowUnderflow):
-        locality_test(s, s, 2, [(10, 0)])
+        locality_test(h, h, 2, [(-1, -1)], [vac, full])
+    with pytest.raises(WindowUnderflow):
+        weight(h, d_op, [-1], [vac, full])
 
 
 def test_verify_axioms_twisted_affine():
@@ -275,10 +280,12 @@ def test_verify_axioms_twisted_affine():
 
 
 def test_verify_axioms_untestable_marking():
-    alg = LieAlg(QuadraticSpace(["h"], [0], [[2]]))
-    entries = {n: alg.gen_mode(0, n) for n in range(-2, 3)}
-    s = GenSeries.from_dict(alg, entries, lo=-2, hi=2)
-    report = verify_axioms([("h", s)], ["C2"], [0, 50], lambda a, b: 2)
+    # on h(-1)|0>, with no room for a creation, a line whose products
+    # create is untestable, never pass
+    M, _coords, _create, _vac, full = heisenberg_fock()
+    h = M.tilde((1,))
+    report = verify_axioms([("h", h)], ["C1", "C2", "C3"], [-1, 0, 1],
+                           lambda a, b: 2, [full])
     assert all(status in ("pass", "untestable") for _, _, status in report)
     assert any(status == "untestable" for _, _, status in report)
 
@@ -448,4 +455,3 @@ def test_coeff_is_zero_lie_coefficients():
     assert coeff_is_zero(alg, alg.zero()) == "pass"
     assert coeff_is_zero(alg, alg.gen_mode(0, 1)) == "fail"
     assert coeff_is_zero(alg, alg.central()) == "fail"
-    assert coeff_is_zero(alg, UNKNOWN) == "untestable"

@@ -1640,32 +1640,11 @@ def test_grid_slots_match_oracle_and_fresh_module(p):
 
 
 @pytest.mark.parametrize("p", sorted(GRID_LATTICES))
-def test_from_dict_window_off_the_grid(p):
-    import random
-
-    rng = random.Random(9200 + p)
-    M = _grid_module(p)
-    v = vac(M)
-    op = M.mode_op((ONE,) + (ZERO,) * (M.lattice.rank - 1), 0)
-    on = Fraction(rng.randrange(-p, p + 1), p)
-    off = _off_grid_slot(rng, M.grid)
-    # a window with an entry on the module's grid only
-    s = GenSeries.from_dict(M.alg, {on: op}, lo=-3, hi=3, shift_base=0)
-    assert s.grid == M.grid
-    assert s.coeff(on).apply(v) == op.apply(v)
-    assert s.coeff(off).apply(v) == M.zero_vec()
-    # an entry off the module's grid is refused
-    with pytest.raises(FdistError):
-        GenSeries.from_dict(M.alg, {on: op, off: op}, lo=-3, hi=3,
-                            shift_base=0)
-
-
-@pytest.mark.parametrize("p", sorted(GRID_LATTICES))
 def test_series_off_the_algebra_grid_are_refused(p):
     # the algebra's grid is the only grid a series has: a residue, a
-    # shift, a from_dict entry, a shift by z^off or a kernel in 1/q with
-    # q not dividing the grid is refused; reading an off-grid slot is
-    # still the zero coefficient, and an off-grid mode the empty operator
+    # shift, a shift by z^off or a kernel in 1/q with q not dividing the
+    # grid is refused; reading an off-grid slot is still the zero
+    # coefficient, and an off-grid mode the empty operator
     import random
 
     rng = random.Random(9300 + p)
@@ -1678,8 +1657,6 @@ def test_series_off_the_algebra_grid_are_refused(p):
         GenSeries(M.alg, lambda n: op, {res}, shift_base=0)
     with pytest.raises(FdistError):
         GenSeries(M.alg, lambda n: op, {Fraction(0)}, shift_base=off)
-    with pytest.raises(FdistError):
-        GenSeries.from_dict(M.alg, {off: op}, shift_base=0)
     a = M.tilde((1,) + (0,) * (M.lattice.rank - 1))
     with pytest.raises(FdistError):
         a.shift(off)
