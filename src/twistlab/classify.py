@@ -195,14 +195,6 @@ class FiniteQuotient:
 # The relation-quotient algebra A
 # ---------------------------------------------------------------------
 
-@dataclass
-class PowerRelation:
-    index: int
-    power: int
-    theta: RootPair
-    normalizer: RootPair
-
-
 class Presentation:
     """The part of the algebra A that does not depend on the root choice
     mu, on the lattice's generating set of orbits; the twist keeps it
@@ -213,9 +205,9 @@ class Presentation:
     factors epsilon(d, a), the HNF of K, the one Smith form of the
     matrix of the d (its kernel and every `k_parts` solve read it),
     the prime-pairing diagonal of the base weight, the commutation
-    constants and degrees of the orbit representatives, the epsilon
-    folds of the power relations, the degree-zero component
-    E = Lambda_0 / K and the radical of its commutator bicharacter.
+    constants and degrees of the orbit representatives, the degree-zero
+    component E = Lambda_0 / K and the radical of its commutator
+    bicharacter, whose one exponent rule is `bichar_exponent`.
     Its scalars are `RootPair`s on the twist's grid.  The collapse every
     root choice shares is decided here: `witness` is the commutator
     obstruction of the generating set or a non-central relation, else
@@ -370,18 +362,6 @@ class Presentation:
         return tuple(lat.prime_pairing_p(e, e) for e in units)
 
     @cached_property
-    def efolds(self):
-        """prod_(0<i<p_j) epsilon(i a_j, a_j) per degree-zero orbit j."""
-        out = []
-        for j in range(self.dec.m, len(self.dec.reps)):
-            rep = self.dec.reps[j]
-            efold = self.twist.one
-            for i in range(1, self.dec.lengths[j]):
-                efold = efold * self.twist.epsilon(_vec_scale(rep, i), rep)
-            out.append(efold)
-        return out
-
-    @cached_property
     def E(self) -> FiniteQuotient:
         """The degree-zero component E = Lambda_0 / K, with Lambda_0 the
         kernel of the norm map, refused when the work over all root
@@ -409,12 +389,11 @@ class Presentation:
         least common order."""
         E = self.E
         r = E.rank
-        lat = self.lattice
-        lifts = [E.lift(_unit(r, i)) for i in range(r)]
-        exps = [[lat.commutator_exponent(lifts[i], lifts[j])
-                 for j in range(r)] for i in range(r)]
-        g = math.gcd(2 * lat.p, *(k for row in exps for k in row))
-        P = 2 * lat.p // g
+        units = [_unit(r, i) for i in range(r)]
+        exps = [[self.bichar_exponent(g, h) for h in units] for g in units]
+        two_p = 2 * self.lattice.p
+        g = math.gcd(two_p, *(k for row in exps for k in row))
+        P = two_p // g
         b = [[k // g for k in row] for row in exps]
         stacked = [b[i] + [P if k == i else 0 for k in range(r)]
                    for i in range(r)]
@@ -438,11 +417,12 @@ class PresentedAlgebraA:
     (`presentation`), which keeps this object per root choice
     (`Presentation.algebra`).  This object holds the root choice
     `mu_choice`, the coefficients k_s of each orbit (`ks`), the relation
-    scalars, the power relations, the scalars k_image, e_image, tau and
-    derived_mu, and its block decomposition.  Each of those scalars is
-    a `RootPair` on the twist's grid; `bichar` and the block
-    idempotents, which go to CycScalar code or hold sums, are
-    CycScalars.  The zero marker is set when the relations force
+    scalars, the scalars k_image, e_image, tau and derived_mu, and its
+    block decomposition.  Each of those scalars is a `RootPair` on the
+    twist's grid; `bichar` and the block idempotents, which go to
+    CycScalar code or hold sums, are CycScalars.  Normalizing roots in
+    B_0 are taken only by the lifts of subgroups of E (`_GroupScalars`,
+    `radical_lifts`).  The zero marker is set when the relations force
     1 = theta for some scalar theta != 1 (the obstructed case)."""
 
     def __init__(self, twist: TwistData, decomposition, mu_choice):
@@ -483,19 +463,6 @@ class PresentedAlgebraA:
                 return
         self.c = P.c
         self.grading = P.grading
-        # power relations on the degree-zero generators
-        self.power_relations = []
-        for j, efold in zip(range(self.m, len(self.reps)), P.efolds):
-            pj = self.lengths[j]
-            theta = efold * self.k_image(_vec_scale(self.reps[j], pj))
-            try:
-                normalizer = theta.root(pj).inverse()
-            except ScalarError as exc:
-                raise UnsupportedScalar(
-                    f"power relation scalar {theta} has no canonical "
-                    f"{pj}-th root") from exc
-            self.power_relations.append(
-                PowerRelation(j, pj, theta, normalizer))
         self.E = P.E
         self.dim_B0 = self.E.size
 
@@ -555,9 +522,10 @@ class PresentedAlgebraA:
 
     def bichar(self, g, h) -> CycScalar:
         """Commutator bicharacter on E: b(g, h) with
-        y_g y_h = b(g, h) y_h y_g."""
-        E = self.presentation.E
-        return self.twist.commutator(E.lift(g), E.lift(h)).scalar()
+        y_g y_h = b(g, h) y_h y_g, the root of
+        `Presentation.bichar_exponent`."""
+        return RootPair(1, self.presentation.bichar_exponent(g, h),
+                        2 * self.lattice.p).scalar()
 
     @cached_property
     def radical_lifts(self) -> _GroupScalars:

@@ -3,16 +3,18 @@ spec, run the invariant suite, and emit classification reports.
 
 Output is deterministic structured text: identical specs produce
 byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
-2 input error (a malformed spec, malformed scalar text in a seed, a
-spec file that cannot be read as UTF-8 text, or an --out file that
-cannot be written), 3 refused: unsupported scalar, the constant
-conductor cap 720 reached (a well-formed seed above it included), the
-classifier's one work cap (root choices times |E|^2, or root choices
-times the eta cosets, counted before any coset is listed) exceeded, or a
-Fock module of more than 262144 basis vectors up to the truncation,
-creation words times the (2 bound + 1)^rank vacuum lines
-(`twistlab.fock.MAX_BASIS`), counted in integers and refused before
-any line is listed or any check runs.
+2 input error (a malformed spec, malformed scalar text in a seed, an
+eps seed whose pair contradicts the commutator map, eps(e_i, e_j) /
+eps(e_j, e_i) != C(e_i, e_j), a spec file that cannot be read as
+UTF-8 text, or an --out file that cannot be written), 3 refused:
+unsupported scalar, the constant conductor cap 720 reached (a
+well-formed seed above it included), the classifier's one work cap
+(root choices times |E|^2, or root choices times the eta cosets,
+counted before any coset is listed) exceeded, or a Fock module of
+more than 262144 basis vectors up to the truncation, creation words
+times the (2 bound + 1)^rank vacuum lines (`twistlab.fock.MAX_BASIS`),
+counted in integers and refused before any line is listed or any
+check runs.
 """
 from __future__ import annotations
 
@@ -75,25 +77,6 @@ class JobSpec:
     bound: int = 1
     alpha: list | None = None
     beta: list | None = None
-
-    def to_dict(self) -> dict:
-        out = {"gram": self.gram, "sigma": self.sigma,
-               "trunc": self.trunc, "bound": self.bound}
-        if self.eps:
-            out["eps"] = {f"{i},{j}": v for (i, j), v in
-                          sorted(self.eps.items())}
-        if self.phi:
-            out["phi"] = {str(i): v for i, v in sorted(self.phi.items())}
-        if self.mu is not None:
-            out["mu"] = self.mu
-        if self.alpha is not None:
-            out["alpha"] = self.alpha
-        if self.beta is not None:
-            out["beta"] = self.beta
-        return out
-
-    def serialize(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
 
 
 def _int_matrix(data, name):
@@ -183,12 +166,24 @@ def _parsed(text: str):
 
 
 def build_twist(spec: JobSpec) -> TwistData:
+    """The spec's twist; a seeded pair whose epsilon does not realize
+    the commutator map, eps(e_i, e_j) / eps(e_j, e_i) != C(e_i, e_j),
+    is an input error."""
     lat = TwistedLattice(spec.gram, spec.sigma)
     eps_seed = build_epsilon(lat)
     for (i, j), text in spec.eps.items():
         eps_seed[(i, j)] = _parsed(text)
     phi_seed = {i: _parsed(text) for i, text in spec.phi.items()}
-    return TwistData(lat, eps_seed=eps_seed, phi_seed=phi_seed)
+    T = TwistData(lat, eps_seed=eps_seed, phi_seed=phi_seed)
+    basis = [tuple(1 if k == i else 0 for k in range(lat.rank))
+             for i in range(lat.rank)]
+    for i, j in sorted(spec.eps):
+        a, b = basis[i], basis[j]
+        if T.epsilon(a, b) / T.epsilon(b, a) != T.commutator(a, b):
+            raise InputError(
+                f"eps seed {i},{j} contradicts the commutator map: "
+                f"eps(e{i}, e{j}) / eps(e{j}, e{i}) != C(e{i}, e{j})")
+    return T
 
 
 def _vec(v) -> str:

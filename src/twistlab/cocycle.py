@@ -169,10 +169,6 @@ class TwistData:
     def _ratio_exponent(self, alpha, beta) -> int:
         return _bilinear(self._ratio_exponents, alpha, beta) % self.eps_order
 
-    def sigma_ratio(self, alpha, beta) -> CycScalar:
-        """g(a,b) = eps(sigma a, sigma b)/eps(a,b) = kappa(sigma a, sigma b)/kappa(a,b)."""
-        return _zeta(self.eps_order, self._ratio_exponent(alpha, beta))
-
     def phi_zero(self, alpha) -> CycScalar:
         """Canonical square root of eps(sigma a, sigma a)/eps(a, a): of
         zeta_M^k in lowest terms, zeta_(2M)^k."""

@@ -33,7 +33,6 @@ from twistlab.scalar import (
     CycScalar,
     RootPair,
     as_scalar,
-    canonical_root,
     root_of_unity,
 )
 
@@ -173,11 +172,12 @@ def test_algebra_negation_dimension_and_theta():
         T = twist(gram, neg(l))
         A = build_algebra_A(T)
         assert A.dim_B0 == 2 ** l
-        for rel in A.power_relations:
-            rep = A.reps[rel.index]
-            mu = A.mu_choice[rel.index]
-            assert rel.power == 2
-            assert rel.theta == mu * T.phi(rep)
+        assert A.m == 0 and len(A.reps) == l
+        # x_j^2 = e(a_j)^2 = eps(a_j, a_j) e(2 a_j), and 2 a_j is in K
+        for rep, mu in zip(A.reps, A.mu_choice):
+            scalar, rest = A.e_image(tuple(2 * x for x in rep))
+            assert not any(rest)
+            assert T.epsilon(rep, rep) * scalar == mu * T.phi(rep)
 
 
 def test_algebra_zero_on_obstruction():
@@ -532,10 +532,11 @@ def _assert_same_algebra(A, fresh):
         return
     assert A.ks == fresh.ks
     assert (A.c, A.grading) == (fresh.c, fresh.grading)
-    assert [(r.index, r.power, r.theta, r.normalizer)
-            for r in A.power_relations] == \
-        [(r.index, r.power, r.theta, r.normalizer)
-         for r in fresh.power_relations]
+    # e(p_j a_j) of each degree-zero generator
+    powers = [tuple(n * x for x in rep)
+              for rep, n in zip(A.reps[A.m:], A.lengths[A.m:])]
+    assert [A.e_image(v) for v in powers] == \
+        [fresh.e_image(v) for v in powers]
     assert A.E.divisors == fresh.E.divisors
     assert A.dim_B0 == fresh.dim_B0
     rad, rad_fresh = A.presentation.radical, fresh.presentation.radical
@@ -950,11 +951,11 @@ def _scalar_lattices():
 
 
 def _check_algebra_scalars(T, A, rng):
-    """k_image, e_image, tau, derived_mu and the power relations of A,
-    each against its defining identity in the twisted group algebra,
-    e(a) e(b) = epsilon(a, b) e(a + b), recomputed from the public
-    values of epsilon, phi and k_coeffs, as CycScalars.  Returns the
-    number of power relations checked."""
+    """k_image, e_image, tau, derived_mu and the power relations of the
+    degree-zero generators of A, each against its defining identity in
+    the twisted group algebra, e(a) e(b) = epsilon(a, b) e(a + b),
+    recomputed from the public values of epsilon, phi and k_coeffs, as
+    CycScalars.  Returns the number of power relations checked."""
     lat, P = T.lattice, A.presentation
     l = lat.rank
 
@@ -1008,18 +1009,26 @@ def _check_algebra_scalars(T, A, rng):
             T.phi(gamma).scalar() * s_sigma * s_gamma.inverse()
     for rep, mu in zip(A.reps, A.mu_choice):
         assert A.derived_mu(rep) == mu
-    # power relations: e(a)^p = prod_(0<i<p) eps(i a, a) e(p a), with
-    # p a in K
-    for rel in A.power_relations:
-        rep = A.reps[rel.index]
-        theta, rest = e_scalar(tuple(rel.power * x for x in rep))
+    # power relations of the degree-zero generators a, orbit a_0 = a,
+    # ..., a_(n-1) of sum zero: e(a)^n = prod_(0<i<n) eps(i a, a) e(n a),
+    # with n a in K, equals prod_s k_s eps(a_0 + ... + a_(s-1), a_s),
+    # the product of e over the orbit by relation (i)
+    degree_zero = range(A.m, len(A.reps))
+    for j in degree_zero:
+        orb = A.dec.orbits[j]
+        rep, n = orb[0], len(orb)
+        theta, rest = e_scalar(tuple(n * x for x in rep))
         assert not any(rest)
-        for i in range(1, rel.power):
+        for i in range(1, n):
             theta = theta * eps(tuple(i * x for x in rep), rep)
-        assert rel.theta.scalar() == theta
-        assert rel.normalizer.scalar() == \
-            canonical_root(theta, rel.power).inverse()
-        assert (rel.normalizer ** -rel.power).scalar() == theta
+        orbit_fold = ONE
+        partial = rep
+        for s in range(1, n):
+            orbit_fold = orbit_fold * A.ks[j][s].scalar() * \
+                eps(partial, orb[s])
+            partial = tuple(x + y for x, y in zip(partial, orb[s]))
+        assert not any(partial)
+        assert theta == orbit_fold
     # tau: y_g y_h = tau(g, h) y_(g+h) for y_g = e(lift g)
     E = A.E
     elements = list(E.elements())
@@ -1032,7 +1041,7 @@ def _check_algebra_scalars(T, A, rng):
         assert rep_sum == rep_gh
         assert A.tau(g, h).scalar() == \
             eps(tg, th) * s_sum * s_gh.inverse()
-    return len(A.power_relations)
+    return len(degree_zero)
 
 
 def _check_class_e_action(T, A, omega, rng):

@@ -50,10 +50,10 @@ def test_parse_serialize_round_trip():
         "trunc": 5, "bound": 2, "alpha": [1, 0], "beta": [0, 1],
     })
     spec = parse_job(text)
-    again = parse_job(spec.serialize())
-    assert again == spec
-    assert spec.eps == {(1, 0): "-1"}
-    assert spec.phi == {0: "1"}
+    assert spec == JobSpec(
+        [[2, 0], [0, 2]], [[0, -1], [1, 0]], eps={(1, 0): "-1"},
+        phi={0: "1"}, mu=["1"], trunc=5, bound=2, alpha=[1, 0],
+        beta=[0, 1])
 
 
 def test_parse_errors():
@@ -232,16 +232,22 @@ def test_conductor_cap_exit_3(tmp_path, monkeypatch):
     assert run(tmp_path, EX2, "classify") == EXIT_SCALAR
 
 
-@pytest.mark.parametrize("phi, message", [
+SWAP_2 = {"gram": [[2, 0], [0, 2]], "sigma": [[0, 1], [1, 0]]}
+
+
+@pytest.mark.parametrize("lattice, phi, message", [
     # the swap's orbit product needs a square root of the seed 2
-    ("2", "2 has no exact integer 2-th root"),
+    (SWAP_2, "2", "2 has no exact integer 2-th root"),
     # a seed of 401 digits: its square root is exact, and it is refused
     # as no root of unity, not as a float overflow
-    ("1" + "0" * 400, "is not a root of unity"),
-], ids=["inexact-root", "huge-seed"])
-def test_unsupported_phi_seed_exit_3(tmp_path, capsys, phi, message):
-    spec = {"gram": [[2, 0], [0, 2]], "sigma": [[0, 1], [1, 0]],
-            "phi": {"0": phi}}
+    (SWAP_2, "1" + "0" * 400, "is not a root of unity"),
+    # sigma = -1 on [2]: the degree-zero generator's normalizing root,
+    # which the lift of the bicharacter radical takes, is sqrt(2)
+    ({"gram": [[2]], "sigma": [[-1]]}, "2",
+     "unsupported scalar: group scalar 2 has no canonical 2-th root"),
+], ids=["inexact-root", "huge-seed", "degree-zero-root"])
+def test_unsupported_phi_seed_exit_3(tmp_path, capsys, lattice, phi, message):
+    spec = dict(lattice, phi={"0": phi})
     assert run(tmp_path, spec, "classify") == EXIT_SCALAR
     err = capsys.readouterr()
     assert err.out == ""
@@ -557,13 +563,48 @@ def test_check_report_bytes(check_texts, name):
     assert check_texts[name] == PINNED_CHECK_REPORTS[name]
 
 
-def test_check_invariant_failure(tmp_path, capsys):
-    # an epsilon seed that does not realize the commutator map
+def test_check_invariant_failure(tmp_path, capsys, monkeypatch):
+    # a failed line makes the run exit 1, after the whole report; the
+    # e-group family reports fail here on a spec that passes it
+    def failing(_M, pairs, _probes):
+        return [(f"e{a}e{b}", "fail", "pass") for a, b in pairs]
+
+    monkeypatch.setattr(cli, "e_group_checks", failing)
     spec = {"gram": [[2, 1], [1, 2]], "sigma": [[-1, 0], [0, -1]],
-            "trunc": 2, "bound": 1, "eps": {"1,0": "1"}}
+            "trunc": 2, "bound": 1}
     assert run(tmp_path, spec, "check") == EXIT_INVARIANT
-    out = capsys.readouterr().out
-    assert "fail" in out
+    captured = capsys.readouterr()
+    assert "fl:eps | e(1, 0)e(0, 1) | fail\n" in captured.out
+    assert captured.out.endswith("result: fail\n")
+    assert captured.err == ""
+
+
+# eps seeds that contradict the commutator map, eps(e_i, e_j) /
+# eps(e_j, e_i) != C(e_i, e_j): C(e_1, e_0) = -1 on [[2,1],[1,2]] with
+# sigma = -1, and 1 on [[2,0],[0,2]], the README's former example
+EPS_CONTRADICTIONS = [
+    ({"gram": [[2, 1], [1, 2]], "sigma": [[-1, 0], [0, -1]],
+      "trunc": 2, "bound": 1, "eps": {"1,0": "1"}, "alpha": [1, 0],
+      "beta": [0, 1]}, "1,0"),
+    ({"gram": [[2, 0], [0, 2]], "sigma": [[0, -1], [1, 0]],
+      "trunc": 4, "bound": 2, "eps": {"1,0": "-1"}, "phi": {"0": "z(4)^1"},
+      "mu": ["1"], "alpha": [1, 0], "beta": [0, 1]}, "1,0"),
+]
+
+
+@pytest.mark.parametrize("spec, pair", EPS_CONTRADICTIONS,
+                         ids=["A2-negation", "readme-rotation"])
+@pytest.mark.parametrize("cmd", ["check", "classify", "kappa", "orbits"])
+def test_eps_seed_contradicting_c_exit_2(tmp_path, capsys, spec, pair, cmd):
+    assert run(tmp_path, spec, cmd) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"input error: eps seed {pair} contradicts ")
+    # the other sign, which agrees with C, is accepted
+    agreed = {pair: "-1" if spec["eps"][pair] == "1" else "1"}
+    assert run(tmp_path, dict(spec, eps=agreed), cmd, "--trunc", "1") \
+        == EXIT_OK
 
 
 def test_trunc_flag_overrides(tmp_path):

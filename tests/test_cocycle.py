@@ -107,7 +107,8 @@ def test_kappa_sigma_ratio_simplification():
         td = TwistData(lat)
         a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
         sa, sb = lat.apply_sigma(a), lat.apply_sigma(b)
-        assert td.kappa(sa, sb) / td.kappa(a, b) == td.sigma_ratio(a, b)
+        assert td.kappa(sa, sb) / td.kappa(a, b) == \
+            (td.epsilon(sa, sb) / td.epsilon(a, b)).scalar()
 
 
 def test_locality_order():
@@ -153,8 +154,9 @@ def test_phi_cocycle_property():
         td = TwistData(lat)
         a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
         ab = tuple(x + y for x, y in zip(a, b))
-        assert (td.phi(ab) / (td.phi(a) * td.phi(b))).scalar() == \
-            td.sigma_ratio(a, b)
+        sa, sb = lat.apply_sigma(a), lat.apply_sigma(b)
+        assert td.phi(ab) / (td.phi(a) * td.phi(b)) == \
+            td.epsilon(sa, sb) / td.epsilon(a, b)
 
 
 def test_phi_rejects_bad_values():
@@ -435,7 +437,8 @@ def test_epsilon_exponents_match_seed_powers():
                     _product_commutator(lat, a, b)
                 ratio = _product_epsilon(
                     td, lat.apply_sigma(a), lat.apply_sigma(b)) / eps
-                assert td.sigma_ratio(a, b) == ratio
+                assert (td.epsilon(lat.apply_sigma(a), lat.apply_sigma(b))
+                        / td.epsilon(a, b)).scalar() == ratio
                 self_ratio = _product_epsilon(
                     td, lat.apply_sigma(a), lat.apply_sigma(a)) \
                     / _product_epsilon(td, a, a)
