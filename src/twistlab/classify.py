@@ -579,14 +579,6 @@ class PresentedAlgebraA:
         return ADecomposition(blocks, certified)
 
 
-def build_algebra_A(T: TwistData, mu_choice=None) -> PresentedAlgebraA:
-    """The twist's algebra A of mu_choice, by default the first roots."""
-    if mu_choice is None:
-        mu_choice = tuple(T.mu_roots(orb)[0]
-                          for orb in T.lattice.reduce_generating_set().orbits)
-    return T.presentation.algebra(mu_choice)
-
-
 # ---------------------------------------------------------------------
 # Block decomposition of the degree-zero component
 # ---------------------------------------------------------------------
@@ -705,11 +697,6 @@ class Block:
 class ADecomposition:
     blocks: list
     certified: dict
-
-
-def decompose_A(A: PresentedAlgebraA) -> ADecomposition:
-    """A's block decomposition (`PresentedAlgebraA.block_decomposition`)."""
-    return A.block_decomposition
 
 
 # ---------------------------------------------------------------------

@@ -1,21 +1,21 @@
 """Generalized formal-distribution calculus.
 
 Series with rational exponents (denominator dividing a conductor) whose
-coefficients live either in a presented Lie algebra (the twisted affine
-case) or act as operators on a truncated Fock module.  Every exponent a
-series meets lies on one grid (1/D)Z, fixed by its coefficient algebra,
-so inside a series a slot n is the integer n*D.  Products are
-computed componentwise through the homogeneous decomposition; the
-integral products use the explicit two-sum coefficient formula with
-super-signs.  The module also houses the Delta / F_p kernels and the
-coefficientwise axiom checker.
+coefficients act as operators on a truncated Fock module: the module's
+FockAlg is the one coefficient algebra, and a verdict on a coefficient
+is read on probe vectors.  Every exponent a series meets lies on one
+grid (1/D)Z, fixed by the module, so inside a series a slot n is the
+integer n*D.  Products are computed componentwise through the
+homogeneous decomposition; the integral products use the explicit
+two-sum coefficient formula with super-signs.  The module also houses
+the Delta / F_p kernels and the coefficientwise axiom checker.
 """
 from __future__ import annotations
 
 import math
 from fractions import Fraction
 
-from .scalar import CycScalar, ONE, ZERO, as_scalar
+from .scalar import CycScalar, ONE, as_scalar
 
 
 class FdistError(Exception):
@@ -81,178 +81,6 @@ def gen_binom(lam: Fraction, j: int) -> Fraction:
 
 
 # ---------------------------------------------------------------------
-# Coefficient algebra (a): linear combinations in a presented Lie algebra
-# ---------------------------------------------------------------------
-
-class QuadraticSpace:
-    """Graded space with invariant pairing and optional bracket table,
-    the input datum for a twisted affine Lie algebra.
-
-    generators: list of names; degrees: list of Fractions in [0, 1);
-    pairing: matrix of CycScalar with (g_i|g_j) = 0 unless deg_i+deg_j
-    is an integer; bracket: mapping (i, j) -> sequence of (k, CycScalar)
-    giving [g_i, g_j] (empty = abelian).
-    """
-
-    def __init__(self, names, degrees, pairing, bracket=None):
-        self.names = tuple(names)
-        self.degrees = tuple(_residue(_frac(d)) for d in degrees)
-        self.pairing = tuple(
-            tuple(as_scalar(x) for x in row) for row in pairing
-        )
-        k = len(self.names)
-        for i in range(k):
-            for j in range(k):
-                if self.pairing[i][j] != self.pairing[j][i]:
-                    raise FdistError("pairing must be symmetric")
-                if self.pairing[i][j] and (
-                    (self.degrees[i] + self.degrees[j]).denominator != 1
-                ):
-                    raise FdistError(
-                        "pairing must vanish unless degrees sum to an integer"
-                    )
-        self.bracket_table = {
-            key: tuple((k2, as_scalar(c)) for k2, c in val)
-            for key, val in (bracket or {}).items()
-        }
-        for (i, j), val in self.bracket_table.items():
-            if i == j and any(c for _, c in val):
-                raise FdistError("bracket table must satisfy [g, g] = 0")
-            rev = dict(self.bracket_table.get((j, i), ()))
-            for k2, c in val:
-                if rev.get(k2, ZERO) != -c:
-                    raise FdistError("bracket table must be antisymmetric")
-
-
-class LieElement:
-    """Element of the twisted affine Lie algebra: a combination of
-    symbols g_i(n) and the central element c."""
-
-    __slots__ = ("space", "terms")
-
-    def __init__(self, space: QuadraticSpace, terms=None):
-        self.space = space
-        clean = {}
-        for key, val in (terms or {}).items():
-            val = as_scalar(val)
-            if val:
-                clean[key] = clean.get(key, ZERO) + val if key in clean else val
-        self.terms = {k: v for k, v in clean.items() if v}
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElement)
-            and self.space is other.space
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for k, v in other.terms.items():
-            s = out.get(k, ZERO) + v
-            if s:
-                out[k] = s
-            elif k in out:
-                del out[k]
-        return LieElement(self.space, out)
-
-    def __neg__(self):
-        return LieElement(self.space, {k: -v for k, v in self.terms.items()})
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        s = as_scalar(s) if not isinstance(s, CycScalar) else s
-        if not s:
-            return LieElement(self.space)
-        return LieElement(self.space, {k: v * s for k, v in self.terms.items()})
-
-    def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms, key=str):
-            v = self.terms[key]
-            if key == "c":
-                bits.append(f"({v})*c")
-            else:
-                i, n = key
-                bits.append(f"({v})*{self.space.names[i]}({n})")
-        return " + ".join(bits)
-
-
-class LieAlg:
-    """Coefficient algebra of twisted affine symbols over a QuadraticSpace."""
-
-    is_fock = False
-
-    def __init__(self, space: QuadraticSpace):
-        self.space = space
-        self.grid = math.lcm(*(d.denominator for d in space.degrees))
-
-    def zero(self, parity: int = 0) -> LieElement:
-        """The zero element; Lie coefficients carry no parity."""
-        return LieElement(self.space)
-
-    def gen_mode(self, i: int, n) -> LieElement:
-        """g_i(n); zero unless n is congruent to the degree of g_i mod 1."""
-        n = _frac(n)
-        if _residue(n) != self.space.degrees[i]:
-            return self.zero()
-        return LieElement(self.space, {(i, n): ONE})
-
-    def remember(self, x) -> LieElement:
-        """Series coefficients are values here: nothing to remember."""
-        return x
-
-    def central(self) -> LieElement:
-        return LieElement(self.space, {"c": ONE})
-
-    def bracket(self, x, y):
-        out = self.zero()
-        sp = self.space
-        for kx, cx in x.terms.items():
-            if kx == "c":
-                continue
-            for ky, cy in y.terms.items():
-                if ky == "c":
-                    continue
-                (i, m), (j, n) = kx, ky
-                coeff = cx * cy
-                for k2, c2 in sp.bracket_table.get((i, j), ()):
-                    out = out + self.gen_mode(k2, m + n).scale(coeff * c2)
-                if m + n == 0 and sp.pairing[i][j]:
-                    out = out + self.central().scale(
-                        coeff * sp.pairing[i][j] * Fraction(m)
-                    )
-        return out
-
-    def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
-        """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
-        components a0(k) = a(k + ra), b0(k) = b(k + rb), with Lie
-        coefficients: sum_s (-1)^s binom(n,s) [a0(n-s), b0(m+s)].
-        The residues ra, rb are on the algebra's grid."""
-        if n < 0:
-            raise FdistError(
-                "normal ordering is undefined for Lie-algebra coefficients"
-            )
-        D = a.grid
-        total = self.zero()
-        for s in range(n + 1):
-            c = _int_binom(n, s)
-            if not c:
-                continue
-            term = self.bracket(a._at((n - s) * D + ra),
-                                b._at((m + s) * D + rb))
-            total = total + term.scale(c if s % 2 == 0 else -c)
-        return total
-
-
-# ---------------------------------------------------------------------
 # Generalized series
 # ---------------------------------------------------------------------
 
@@ -263,9 +91,9 @@ class GenSeries:
     each passed once through the coefficient algebra's `remember` (a
     Fock operator then keeps its result per input vector); slots whose
     residue mod 1 is outside `residues` are exactly zero.
-    For operator-valued series, `shift_base` c records that the
-    coefficient at slot n shifts module degree by exactly c - n; it is
-    required for the normally-ordered infinite sums to terminate.
+    `shift_base` c, when given, records that the coefficient at slot n
+    shifts module degree by exactly c - n; it is required for the
+    normally-ordered infinite sums to terminate.
 
     Slots live on the algebra's grid (1/grid)Z, and a residue or shift
     off it is refused (FdistError).  Inside, a slot n is the integer
@@ -467,7 +295,7 @@ def lie_from_products(a: GenSeries, b: GenSeries, m, n, locality: int):
     return direct, total
 
 
-def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes=None) -> bool:
+def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes) -> bool:
     """True iff sum_s (-1)^s binom(N,s) [a(n-s), b(m+s)] = 0 for every
     sampled (n, m); raises WindowUnderflow when a sum is untestable (a
     Fock probe left the truncation)."""
@@ -479,7 +307,7 @@ def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes=None) -> boo
             c = _int_binom(N, s)
             term = alg.bracket(a.coeff(n - s), b.coeff(m + s))
             total = total + term.scale(c if s % 2 == 0 else -c)
-        verdict = coeff_is_zero(alg, total, probes)
+        verdict = coeff_is_zero(total, probes)
         if verdict == "untestable":
             raise WindowUnderflow(f"locality sum untestable at ({n},{m})")
         if verdict == "fail":
@@ -511,24 +339,20 @@ def vector_status(v) -> str:
     return "pass" if v.is_zero() else "fail"
 
 
-def coeff_is_zero(alg, x, probes=None) -> str:
-    """'pass' / 'fail' / 'untestable' verdict that x is exactly zero;
-    only a poisoned Fock probe result is 'untestable'."""
-    if not alg.is_fock:
-        return "pass" if x.is_zero() else "fail"
-    if probes is None:
-        raise FdistError("operator comparison requires probe vectors")
+def coeff_is_zero(x, probes) -> str:
+    """'pass' / 'fail' / 'untestable' verdict that the operator x is
+    exactly zero on the probes; only a poisoned probe result is
+    'untestable'."""
     return worst_status(vector_status(x.apply(v)) for v in probes)
 
 
-def series_compare(s1: GenSeries, s2: GenSeries, slots, probes=None):
+def series_compare(s1: GenSeries, s2: GenSeries, slots, probes):
     """Per-slot verdicts that s1 and s2 agree; returns list of
     (slot, verdict)."""
     out = []
     for t in slots:
         t = _frac(t)
-        out.append((t, coeff_is_zero(s1.alg, s1.coeff(t) - s2.coeff(t),
-                                     probes)))
+        out.append((t, coeff_is_zero(s1.coeff(t) - s2.coeff(t), probes)))
     return out
 
 
@@ -541,14 +365,15 @@ def compare_status(pairs) -> str:
 # Axiom verification
 # ---------------------------------------------------------------------
 
-def verify_axioms(family, which, slots, locality, probes=None):
+def verify_axioms(family, which, slots, locality, probes):
     """Coefficientwise axiom checks on a family of named series.
 
     family: list of (name, GenSeries); which: iterable of axiom tags
     among C1, C2, C3, C4, V3, V4; slots: exponents to test;
-    locality: callable (name_a, name_b) -> locality order.
+    locality: callable (name_a, name_b) -> locality order; probes:
+    the Fock vectors each comparison is read on.
     Returns a list of (tag, instance, status) lines; a probe that
-    leaves a Fock truncation yields 'untestable', never 'pass'.
+    leaves the truncation yields 'untestable', never 'pass'.
     """
     report = []
     named = list(family)
@@ -848,13 +673,9 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
                           - (-1)^(p_a p_b) b(z)a(w) i_{z,w}(w-z)^n) K(w,z).
 
     The slot-t coefficient applied to a vector terminates because the
-    inner i-sums hit annihilation bounds (operator case); for Lie
-    coefficients a brackets-free composition is meaningless, so this
-    route requires operator coefficients.
+    inner i-sums hit annihilation bounds.
     """
     alg = _one_alg(a, b)
-    if not alg.is_fock:
-        raise FdistError("kernel product route requires operator coefficients")
     parity = (a.parity + b.parity) % 2
     sign = -1 if (a.parity and b.parity) else 1
     if a.shift_k is None or b.shift_k is None:
@@ -882,9 +703,6 @@ def weight(phi: GenSeries, d_op, slots, probes):
     the scalar lam with (d/dz)phi - [D, phi] = lam z^(-1) phi, slotwise
     on the probes; returns the string 'not homogeneous' on failure, and
     raises WindowUnderflow when no slot and probe decide it."""
-    alg = phi.alg
-    if not alg.is_fock:
-        raise FdistError("weight requires operator coefficients")
     dphi = derive(phi)
     lam = None
     tested = False

@@ -533,8 +533,6 @@ class FockOp:
 class FockAlg:
     """Coefficient-algebra adapter: operators on a FockModule."""
 
-    is_fock = True
-
     def __init__(self, module):
         self.module = module
         self.grid = module.grid
@@ -1144,7 +1142,7 @@ def virasoro_element_checks(M: FockModule, alphas, slots, probes):
 
     d_op = M.upsilon_zero_op()
     report.append(("ups(0) = D", coeff_is_zero(
-        M.alg, ups.coeff(Fraction(0)) - d_op, probes)))
+        ups.coeff(Fraction(0)) - d_op, probes)))
 
     direct, series = [], []
     c1 = ups.coeff(Fraction(1))
@@ -1199,7 +1197,7 @@ def heisenberg_commutation_check(M: FockModule, alphas, hs, modes, probes):
                         sum(x * a for x, a in zip(M.lattice.nu_p(h), alpha)),
                         M.lattice.p)
                     comm = comm - ea.scale(pair0)
-                st = coeff_is_zero(M.alg, comm, probes)
+                st = coeff_is_zero(comm, probes)
                 report.append((f"[{tuple(h)}({n}), e{alpha}]", st))
     return report
 
@@ -1216,8 +1214,8 @@ def e_group_checks(M: FockModule, pairs, probes):
         lhs = ea.compose(eb)
         eps = td.epsilon(alpha, beta).scalar()
         comm = td.commutator(alpha, beta).scalar()
-        st1 = coeff_is_zero(M.alg, lhs - M.e_op(ab).scale(eps), probes)
-        st2 = coeff_is_zero(M.alg, lhs - eb.compose(ea).scale(comm), probes)
+        st1 = coeff_is_zero(lhs - M.e_op(ab).scale(eps), probes)
+        st2 = coeff_is_zero(lhs - eb.compose(ea).scale(comm), probes)
         report.append((f"e{alpha}e{beta}", st1, st2))
     return report
 

@@ -62,13 +62,11 @@ def oracle_product(a: GenSeries, b: GenSeries, n: int,
                b(z)a(w) i_{z,w}(w-z)^n) K(w,z),
 
     with K the projection kernel of slack locality - n - 1, expanded by
-    projection_monomials.  Operator coefficients only; the inner sums
-    terminate at the annihilation bounds of the two factors."""
+    projection_monomials.  The inner sums terminate at the annihilation
+    bounds of the two factors."""
     alg = a.alg
     if a.alg is not b.alg:
         raise FdistError("series live over different coefficient algebras")
-    if not getattr(alg, "is_fock", False):
-        raise FdistError("the product oracle requires operator coefficients")
     if a.shift_base is None or b.shift_base is None:
         raise FdistError("the product oracle requires degree shifts")
     mod = alg.module

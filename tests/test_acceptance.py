@@ -8,18 +8,13 @@ import pytest
 
 from twistlab.classify import (
     PresentedAlgebraA,
-    build_algebra_A,
     conditions_status,
-    decompose_A,
     enumerate_simple_twisted,
     instantiate_class,
     twisted_conditions,
 )
 from twistlab.cocycle import TwistData, locality_order
 from twistlab.fdist import (
-    GenSeries,
-    LieAlg,
-    QuadraticSpace,
     compare_status,
     kernel_Delta,
     kernel_F,
@@ -27,7 +22,6 @@ from twistlab.fdist import (
     nth_product,
     nth_product_kernel,
     series_compare,
-    verify_axioms,
     zero_series,
 )
 from twistlab.fock import (
@@ -48,6 +42,7 @@ from twistlab.oracle import (
 )
 from twistlab.scalar import ONE, as_scalar
 
+from test_fdist import TAU_LATTICES, tau_lines
 from test_lattice import random_twisted_lattice
 
 A2 = [[2, -1], [-1, 2]]
@@ -135,60 +130,14 @@ def test_criterion_2_product_triangulation():
     _report(2, ok)
 
 
-def _random_quadratic_space(rng):
-    denom = rng.choice([2, 3, 4])
-    dim = rng.randint(2, 3)
-    degrees = [Fraction(rng.randrange(denom), denom) for _ in range(dim)]
-    pairing = [[0] * dim for _ in range(dim)]
-    for i in range(dim):
-        for j in range(i, dim):
-            if (degrees[i] + degrees[j]).denominator == 1:
-                pairing[i][j] = pairing[j][i] = rng.randint(-3, 3)
-    names = [f"g{i}" for i in range(dim)]
-    sp = QuadraticSpace(names, degrees, pairing)
-    alg = LieAlg(sp)
-    taus = [
-        GenSeries(alg, (lambda i: lambda n: alg.gen_mode(i, n))(i),
-                  {degrees[i]}).shift(degrees[i])
-        for i in range(dim)
-    ]
-    return alg, degrees, pairing, taus
-
-
-def _const(alg, value, slot):
-    return GenSeries(
-        alg, lambda n: value if n == Fraction(slot) else alg.zero(),
-        {Fraction(slot)})
-
-
 def test_criterion_3_conformal_axioms():
-    rng = random.Random(5)
+    # the paper's tau-product table and C1-C4 on the twisted Heisenberg
+    # fields tau_j = z^(q_j/p) h_j(z) of five twisted lattices
     ok = True
-    slots = [Fraction(k, 12) for k in range(-36, 37)]
-    for _space in range(3):
-        alg, degrees, pairing, taus = _random_quadratic_space(rng)
-        family = [(f"t{i}", t) for i, t in enumerate(taus)]
-        report = verify_axioms(family, ["C2", "C3", "C4"], slots,
-                               lambda a, b: 2)
-        if any(line[-1] == "fail" for line in report):
+    for gram, sigma in TAU_LATTICES:
+        table, axioms = tau_lines(gram, sigma)
+        if not table or any(line[2] != "pass" for line in table + axioms):
             ok = False
-        # displayed tau-products, exactly
-        for i, j in itertools.product(range(len(taus)), repeat=2):
-            lam, mu = degrees[i], degrees[j]
-            c = alg.central().scale(pairing[i][j])
-            if lam + mu == 0:
-                exp1 = _const(alg, c, -1)
-                exp0 = zero_series(alg)
-            elif lam + mu == 1:
-                exp1 = _const(alg, c, -2)
-                exp0 = _const(alg, c.scale(lam), -1)
-            else:
-                continue
-            for n, expect in ((1, exp1), (0, exp0)):
-                st = compare_status(series_compare(
-                    nth_product(taus[i], taus[j], n, 2), expect, slots))
-                if st != "pass":
-                    ok = False
     _report(3, ok)
 
 
@@ -358,7 +307,7 @@ def test_criterion_8_negation_algebra():
             if A.zero or A.dim_B0 != 2 ** l:
                 ok = False
                 continue
-            dA = decompose_A(A)
+            dA = A.block_decomposition
             dims = [b.dim for b in dA.blocks]
             if not all(dA.certified.values()):
                 ok = False

@@ -12,9 +12,7 @@ from twistlab.classify import (
     PresentedAlgebraA,
     UnsupportedScalar,
     admissible_base_weight,
-    build_algebra_A,
     conditions_status,
-    decompose_A,
     enumerate_simple_twisted,
     eta_cosets,
     instantiate_class,
@@ -46,6 +44,12 @@ def twist(gram, sigma, phi=None):
 
 def neg(l):
     return [[-1 if i == j else 0 for j in range(l)] for i in range(l)]
+
+
+def first_algebra(T):
+    """The twist's algebra A at the first root of each orbit."""
+    orbits = T.lattice.reduce_generating_set().orbits
+    return T.presentation.algebra(tuple(T.mu_roots(orb)[0] for orb in orbits))
 
 
 ROT = [[0, -1], [1, 0]]
@@ -170,7 +174,7 @@ def test_algebra_negation_dimension_and_theta():
         if gram is None:
             gram = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
         T = twist(gram, neg(l))
-        A = build_algebra_A(T)
+        A = first_algebra(T)
         assert A.dim_B0 == 2 ** l
         assert A.m == 0 and len(A.reps) == l
         # x_j^2 = e(a_j)^2 = eps(a_j, a_j) e(2 a_j), and 2 a_j is in K
@@ -183,7 +187,7 @@ def test_algebra_negation_dimension_and_theta():
 def test_algebra_zero_on_obstruction():
     # coordinate swap on the A2 gram: C(alpha, sigma alpha) = -1
     T = twist([[2, 1], [1, 2]], [[0, 1], [1, 0]])
-    A = build_algebra_A(T)
+    A = first_algebra(T)
     assert A.zero
     kind, _wit = A.witness
     assert kind == "commutator obstruction"
@@ -257,7 +261,7 @@ def _dims(dA):
 @pytest.mark.parametrize("gram,mu_sign", DECOMPOSE_CASES)
 def test_decompose_matches_oracle(gram, mu_sign):
     A = _negation_algebra(gram, mu_sign)
-    dA = decompose_A(A)
+    dA = A.block_decomposition
     assert all(dA.certified.values())
     count, dim, size = oracle_bicharacter_blocks(*_oracle_args(A))
     assert len(dA.blocks) == count
@@ -271,7 +275,7 @@ def test_blocks_pass_the_full_b0_certificate(gram, mu_sign):
     # B_0: e_chi B_0 has rank dim^2, and distinct idempotents multiply
     # to zero
     A = _negation_algebra(gram, mu_sign)
-    blocks = decompose_A(A).blocks
+    blocks = A.block_decomposition.blocks
     elements = list(A.E.elements())
     assert len(elements) <= 16
     for block in blocks:
@@ -303,8 +307,8 @@ def test_failed_block_certificate_raises(monkeypatch):
 
 def test_decompose_trivial_group():
     T = twist([[2]], [[1]])
-    A = build_algebra_A(T)
-    dA = decompose_A(A)
+    A = first_algebra(T)
+    dA = A.block_decomposition
     assert A.dim_B0 == 1 and len(dA.blocks) == 1 and _dims(dA) == (1,)
     assert all(dA.certified.values())
 
@@ -551,10 +555,10 @@ def _assert_same_algebra(A, fresh):
 def test_tau_memo_matches_fresh_algebra(monkeypatch):
     gram = [[2, 0, 0], [0, 2, 0], [0, 0, 4]]
     T = twist(gram, neg(3))
-    A = build_algebra_A(T)
+    A = first_algebra(T)
     assert len(list(A.E.elements())) == 8
-    _assert_same_algebra(A, build_algebra_A(twist(gram, neg(3)),
-                                            A.mu_choice))
+    _assert_same_algebra(
+        A, twist(gram, neg(3)).presentation.algebra(A.mu_choice))
     # every algebra of an enumeration, built on the twist's shared
     # presentation, equals one built alone on a fresh twist
     witnesses = set()
@@ -670,8 +674,8 @@ def test_enumeration_builds_one_presentation(monkeypatch):
     enumerated = len(calls)
     (entry,) = [e for e in res.entries if e.admissible]
     T = scanned()
-    decompose_A(PresentedAlgebraA(T, T.lattice.reduce_generating_set(),
-                                  entry.mu_choice))
+    PresentedAlgebraA(T, T.lattice.reduce_generating_set(),
+                      entry.mu_choice).block_decomposition
     assert enumerated == len(calls) > 0
 
 

@@ -1,15 +1,10 @@
 import itertools
-import random
 from fractions import Fraction
 
 import pytest
 
 from twistlab.fdist import (
-    FdistError,
-    GenSeries,
     KernelPoly,
-    LieAlg,
-    QuadraticSpace,
     WindowUnderflow,
     _neg_binoms,
     coeff_is_zero,
@@ -31,10 +26,10 @@ from twistlab.fdist import (
     worst_status,
     zero_series,
 )
-from twistlab.cocycle import TwistData
+from twistlab.cocycle import TwistData, locality_order
 from twistlab.fock import FockModule, FockOp, RegularOmega
 from twistlab.lattice import TwistedLattice
-from twistlab.scalar import CycScalar, ONE, as_scalar
+from twistlab.scalar import ONE, as_scalar
 
 
 def test_gen_binom():
@@ -62,14 +57,6 @@ def test_product_binomials_match_gen_binom():
             assert _neg_binoms(r, D, 0) == []
 
 
-def test_quadratic_space_validation():
-    with pytest.raises(FdistError):
-        QuadraticSpace(["a", "b"], [0, 0], [[0, 1], [2, 0]])  # not symmetric
-    with pytest.raises(FdistError):
-        # nonzero pairing across incompatible degrees
-        QuadraticSpace(["a", "b"], [0, Fraction(1, 2)], [[2, 1], [1, 2]])
-
-
 def test_grid_slot_unit_cases():
     # the one rational-to-integer slot rule: x times grid as an int, or
     # None off the grid (1/grid)Z
@@ -85,164 +72,268 @@ def test_grid_slot_unit_cases():
     assert grid_slot(Fraction(7, 5), 1) is None
 
 
-def test_lie_series_off_the_grid_are_refused():
-    # a Lie algebra with degrees in (1/2)Z has the grid 2: a residue or
-    # shift in (1/3)Z is refused, and reading a slot there is zero
-    alg, series = heisenberg(Fraction(1, 2))
-    assert alg.grid == 2 and series.grid == 2
-    with pytest.raises(FdistError):
-        GenSeries(alg, lambda n: alg.gen_mode(0, n), {Fraction(1, 3)})
-    with pytest.raises(FdistError):
-        series.shift(Fraction(1, 3))
-    assert series.coeff(Fraction(1, 3)).is_zero()
-    assert series.shift(Fraction(1, 2)).coeff(0) == series.coeff(
-        Fraction(1, 2))
+# ---------------------------------------------------------------------
+# The paper's tau-products and axioms on Fock fields
+# ---------------------------------------------------------------------
+
+A2 = [[2, -1], [-1, 2]]
+A2_ROT3 = [[0, -1], [1, -1]]
+ROT4 = [[0, -1], [1, 0]]
+SWAP = [[0, 1], [1, 0]]
+# [2] with sigma = +-1, 2 I_2 with the order-4 rotation and with the
+# swap, and A_2 with its order-3 rotation
+TAU_LATTICES = [([[2]], [[1]]), ([[2]], [[-1]]), ([[2, 0], [0, 2]], ROT4),
+                ([[2, 0], [0, 2]], SWAP), (A2, A2_ROT3)]
+# the tau fields have integral exponents; at truncation 3 these slots
+# keep every product on the centre vacuum inside the window
+TAU_SLOTS = list(range(-2, 4))
 
 
-def heisenberg(degree):
-    """One-generator twisted Heisenberg with (h|h) = 2."""
-    sp = QuadraticSpace(["h"], [degree], [[2]])
-    alg = LieAlg(sp)
-    series = GenSeries(alg, lambda n: alg.gen_mode(0, n), {degree})
-    return alg, series
+def fock_module(gram, sigma, trunc=3, bound=1):
+    T = TwistData(TwistedLattice(gram, sigma))
+    return FockModule(T, RegularOmega(T, bound), trunc)
 
 
-def two_heisenberg(la, mu, pair):
-    sp = QuadraticSpace(["a", "b"], [la, mu], [[0, pair], [pair, 0]])
-    alg = LieAlg(sp)
-    sa = GenSeries(alg, lambda n: alg.gen_mode(0, n), {la})
-    sb = GenSeries(alg, lambda n: alg.gen_mode(1, n), {mu})
-    return alg, sa, sb
+def centre_vacuum(M):
+    return M.vacuum(M.omega.lookup[(0,) * M.lattice.rank])
 
 
-def constant_series(alg, value, slot=-1):
-    return GenSeries(
-        alg,
-        lambda n: value if n == Fraction(slot) else alg.zero(),
-        {Fraction(slot)},
-    )
+def tau_fields(M):
+    """tau_j(z) = z^(q_j/p) h_j(z) for the eigenvectors h_j of sigma,
+    sigma h_j = omega^(q_j) h_j: the twisted Heisenberg fields with
+    integral exponents."""
+    B = M.basis
+    return [M.eigen_tilde(B.units[j]).shift(B.residues[j])
+            for j in range(M.lattice.rank)]
 
 
-def series_equal(s1, s2, slots):
-    return compare_status(series_compare(s1, s2, slots)) == "pass"
+def tau_expected(M, i, j, n):
+    """The paper's tau_i [n] tau_j for n in (0, 1), with the central
+    element c the identity series: for lam + mu = 0, tau[1]tau = (a|b)c
+    and tau[0]tau = 0; for lam + mu = 1, tau[1]tau = z (a|b)c and
+    tau[0]tau = lam (a|b)c.  None for the other pairs, whose pairing
+    vanishes."""
+    B = M.basis
+    lam, mu = B.residues[i], B.residues[j]
+    c = M.identity_series().scale(B.pairing[i][j])
+    if lam + mu == 0:
+        return c if n == 1 else zero_series(M.alg)
+    if lam + mu == 1:
+        return c.shift(1) if n == 1 else c.scale(lam)
+    return None
 
 
-SLOTS = [Fraction(n, 2) for n in range(-8, 9)]
+def tau_lines(gram, sigma):
+    """(table, axioms): one ('tau', instance, verdict) line per entry of
+    the tau-product table, and the verify_axioms C1-C4 lines of the tau
+    fields (locality order 2), all on the centre vacuum."""
+    M = fock_module(gram, sigma)
+    probes = [centre_vacuum(M)]
+    taus = tau_fields(M)
+    table = []
+    for (i, a), (j, b) in itertools.product(enumerate(taus), repeat=2):
+        for n in (1, 0):
+            expect = tau_expected(M, i, j, n)
+            if expect is not None:
+                table.append(("tau", f"t{i}[{n}]t{j}", compare_status(
+                    series_compare(nth_product(a, b, n, 2), expect,
+                                   TAU_SLOTS, probes))))
+    axioms = verify_axioms([(f"t{j}", t) for j, t in enumerate(taus)],
+                           ["C1", "C2", "C3", "C4"], TAU_SLOTS,
+                           lambda a, b: 2, probes)
+    return table, axioms
+
+
+def series_status(s1, s2, M):
+    return compare_status(series_compare(s1, s2, TAU_SLOTS,
+                                         [centre_vacuum(M)]))
 
 
 def test_affine_first_product_untwisted():
-    alg, sa, sb = two_heisenberg(0, 0, 3)
-    prod = nth_product(sa, sb, 1, 2)
-    expect = constant_series(alg, alg.central().scale(3))
-    assert series_equal(prod, expect, SLOTS)
-    # zeroth product vanishes for an abelian pair
-    assert series_equal(nth_product(sa, sb, 0, 2), zero_series(alg), SLOTS)
+    # [2], sigma = 1: lam = mu = 0, tau[1]tau = (h|h) c and tau[0]tau = 0
+    M = fock_module([[2]], [[1]])
+    (t,) = tau_fields(M)
+    assert M.basis.pairing[0][0] == 2
+    c = M.identity_series()
+    assert series_status(nth_product(t, t, 1, 2), c.scale(2), M) == "pass"
+    assert series_status(nth_product(t, t, 0, 2), zero_series(M.alg),
+                         M) == "pass"
+    # a wrong constant is caught
+    assert series_status(nth_product(t, t, 1, 2), c.scale(3), M) == "fail"
 
 
 def test_affine_first_product_twisted():
-    half = Fraction(1, 2)
-    alg, sa, sb = two_heisenberg(half, half, 5)
-    prod = nth_product(sa, sb, 1, 2)
-    expect = constant_series(alg, alg.central().scale(5))
-    assert series_equal(prod, expect, SLOTS)
+    # [2], sigma = -1: lam = mu = 1/2, tau[1]tau = z (h|h) c and
+    # tau[0]tau = lam (h|h) c
+    M = fock_module([[2]], [[-1]])
+    (t,) = tau_fields(M)
+    assert M.basis.residues == (Fraction(1, 2),)
+    c = M.identity_series()
+    assert series_status(nth_product(t, t, 1, 2), c.scale(2).shift(1),
+                         M) == "pass"
+    assert series_status(nth_product(t, t, 0, 2), c, M) == "pass"
+    # without the z the first product is wrong
+    assert series_status(nth_product(t, t, 1, 2), c.scale(2), M) == "fail"
 
 
 def test_tau_products_case_table():
-    half = Fraction(1, 2)
-    # lambda = mu = 0: tau[1]tau = (a|b) c
-    alg, sa, sb = two_heisenberg(0, 0, 7)
-    ta, tb = sa.shift(0), sb.shift(0)
-    assert series_equal(nth_product(ta, tb, 1, 2),
-                        constant_series(alg, alg.central().scale(7)), SLOTS)
-    # lambda + mu = 1: tau[1]tau = z (a|b) c  (slot -2)
-    alg, sa, sb = two_heisenberg(half, half, 7)
-    ta, tb = sa.shift(half), sb.shift(half)
-    assert series_equal(
-        nth_product(ta, tb, 1, 2),
-        constant_series(alg, alg.central().scale(7), slot=-2), SLOTS)
-    # lambda + mu >= 1, abelian: tau[0]tau = lambda (a|b) c
-    assert series_equal(
-        nth_product(ta, tb, 0, 2),
-        constant_series(alg, alg.central().scale(Fraction(7, 2))), SLOTS)
-    # lambda + mu < 1, abelian: tau[0]tau = tau_{[ab]} = 0
-    alg0, sa0, sb0 = two_heisenberg(0, 0, 7)
-    assert series_equal(nth_product(sa0.shift(0), sb0.shift(0), 0, 2),
-                        zero_series(alg0), SLOTS)
+    for gram, sigma in TAU_LATTICES:
+        table, _axioms = tau_lines(gram, sigma)
+        assert table, (gram, sigma)
+        bad = [line for line in table if line[2] != "pass"]
+        assert not bad, (gram, sigma, bad)
 
 
-def sl2_twisted():
-    """Twisted sl2 under the swap involution: u = e+f (degree 0),
-    v = e-f and h (degree 1/2); [u,v] = -2h, [h,u] = 2v, [h,v] = 2u;
-    form (u|u) = 2, (v|v) = -2, (h|h) = 2."""
-    half = Fraction(1, 2)
-    two = CycScalar.rational(2)
-    bracket = {
-        (0, 1): ((2, -two),), (1, 0): ((2, two),),
-        (2, 0): ((1, two),), (0, 2): ((1, -two),),
-        (2, 1): ((0, two),), (1, 2): ((0, -two),),
-    }
-    sp = QuadraticSpace(
-        ["u", "v", "h"], [0, half, half],
-        [[2, 0, 0], [0, -2, 0], [0, 0, 2]], bracket)
-    alg = LieAlg(sp)
-    su = GenSeries(alg, lambda n: alg.gen_mode(0, n), {Fraction(0)})
-    sv = GenSeries(alg, lambda n: alg.gen_mode(1, n), {half})
-    sh = GenSeries(alg, lambda n: alg.gen_mode(2, n), {half})
-    return alg, su, sv, sh
+def test_verify_axioms_twisted_affine():
+    for gram, sigma in TAU_LATTICES:
+        _table, axioms = tau_lines(gram, sigma)
+        assert {tag for tag, _i, _s in axioms} == {"C1", "C2", "C3", "C4"}
+        bad = [line for line in axioms if line[2] != "pass"]
+        assert not bad, (gram, sigma, bad)
+
+
+def sl2_family(sign):
+    """The A_1 lattice's X_alpha, X_-alpha and h = alpha~, the affine
+    sl_2 at level 1, on [2] with sigma = sign: the module at truncation
+    3 and bound 2, the family, and its locality orders (the lattice's
+    for two X fields, 2 with h)."""
+    M = fock_module([[2]], [[sign]], trunc=3, bound=2)
+    roots = {"xp": (1,), "xm": (-1,)}
+    family = [(name, M.vertex_series(a)) for name, a in roots.items()]
+    family.append(("h", M.tilde((1,))))
+
+    def loc(a, b):
+        if a in roots and b in roots:
+            return locality_order(M.lattice, roots[a], roots[b])
+        return 2
+
+    return M, family, loc
+
+
+def sl2_report(sign, which):
+    M, family, loc = sl2_family(sign)
+    slots = [Fraction(k, M.p) for k in range(-M.p, 2 * M.p + 1)]
+    report = verify_axioms(family, which, slots, loc, [centre_vacuum(M)])
+    return [status for _tag, _inst, status in report]
+
+
+def test_verify_axioms_sl2_c1_to_c3():
+    # a non-abelian family: every C1-C3 line passes untwisted, and the
+    # twisted lines either pass or are untestable, never fail
+    untwisted = sl2_report(1, ["C1", "C2", "C3"])
+    assert untwisted == ["pass"] * 64
+    twisted = sl2_report(-1, ["C1", "C2", "C3"])
+    assert (twisted.count("pass"), twisted.count("untestable"),
+            len(twisted)) == (54, 18, 72)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "_assoc_check and _comm_check take N(a, c) as the locality of a with "
+    "b[k]c; N(X_alpha, X_-alpha[0]X_alpha) is 1 where N(X_alpha, X_alpha) "
+    "is 0, so lines such as (xp[0]xm)[0]xp fail falsely"))
+def test_verify_axioms_sl2_c4_v3_v4_have_no_false_fail():
+    fails = {tag: sl2_report(1, [tag]).count("fail")
+             for tag in ("C4", "V3", "V4")}
+    assert fails == {"C4": 0, "V3": 0, "V4": 0}
 
 
 def test_tau_zeroth_product_with_bracket():
-    half = Fraction(1, 2)
-    alg, su, sv, sh = sl2_twisted()
-    tu, tv, th = su.shift(0), sv.shift(half), sh.shift(half)
-    # lambda + mu = 1/2 + 0 < 1: tau_h [0] tau_u = tau_{[h,u]} = 2 tau_v
-    assert series_equal(nth_product(th, tu, 0, 2), tv.scale(2), SLOTS)
-    # lambda + mu = 1 >= 1: tau_h [0] tau_h = z tau_{[h,h]} + lambda (h|h) c
-    assert series_equal(nth_product(th, th, 0, 2),
-                        constant_series(alg, alg.central()), SLOTS)
-    # lambda + mu = 1 with nonzero bracket: tau_h [0] tau_v = 2 z tau_u
-    got = nth_product(th, tv, 0, 2)
-    expect = tu.scale(2).shift(1)
-    assert series_equal(got, expect, SLOTS)
+    # untwisted affine sl_2 (lam = mu = 0): tau_a [0] tau_b = tau_[a,b],
+    # and tau_a [1] tau_b = (a|b) c
+    M, family, loc = sl2_family(1)
+    xp, xm, h = (s for _name, s in family)
+    eps = M.twist.epsilon((1,), (-1,)).scalar()
+    N = loc("xp", "xm")
+    # [h, e_+-alpha] = +-(h|alpha) e_+-alpha
+    assert series_status(nth_product(h, xp, 0, 2), xp.scale(2), M) == "pass"
+    assert series_status(nth_product(h, xm, 0, 2), xm.scale(-2), M) == "pass"
+    # [e_alpha, e_-alpha] = eps(alpha, -alpha) h
+    assert series_status(nth_product(xp, xm, 0, N), h.scale(eps),
+                         M) == "pass"
+    assert series_status(nth_product(xp, xm, 0, N), h.scale(-eps),
+                         M) == "fail"
+    assert series_status(nth_product(xp, xm, 1, N),
+                         M.identity_series().scale(eps), M) == "pass"
 
 
 def test_lie_from_products_heisenberg():
-    alg, s = heisenberg(Fraction(1, 2))
+    # [h(m), h(n)] = m (h|h) delta_(m+n,0) on [2] with sigma = -1
+    M = fock_module([[2]], [[-1]])
+    h = M.tilde((1,))
+    vac = centre_vacuum(M)
+    probes = [vac, h.coeff(Fraction(-1, 2)).apply(vac)]
     for m in [Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2)]:
-        direct, recovered = lie_from_products(s, s, m, -m, 2)
-        assert direct == recovered
-        assert direct == alg.central().scale(Fraction(2) * m)
+        direct, recovered = lie_from_products(h, h, m, -m, 2)
+        assert coeff_is_zero(direct - recovered, probes) == "pass"
+        assert coeff_is_zero(direct - FockOp(M, lambda v: v).scale(2 * m),
+                             probes) == "pass"
+        assert coeff_is_zero(direct, probes) == "fail"
     # m + n != 0: bracket vanishes
     direct, recovered = lie_from_products(
-        s, s, Fraction(1, 2), Fraction(1, 2), 2)
-    assert direct == recovered
-    assert direct.is_zero()
+        h, h, Fraction(1, 2), Fraction(1, 2), 2)
+    assert coeff_is_zero(direct, probes) == "pass"
+    assert coeff_is_zero(recovered, probes) == "pass"
 
 
 def test_lie_from_products_m_zero_single_term():
-    alg, su, sv, sh = sl2_twisted()
-    direct, recovered = lie_from_products(su, sh, 0, Fraction(1, 2), 2)
-    assert direct == recovered
-    prod0 = nth_product(su, sh, 0, 2)
-    assert direct == prod0.coeff(Fraction(1, 2))
-    assert direct == alg.gen_mode(1, Fraction(1, 2)).scale(-2)
+    # m = 0 leaves only the s = 0 term: [h(0), X(n)] = (h[0]X)(n)
+    M, family, _loc = sl2_family(1)
+    xp, _xm, h = (s for _name, s in family)
+    probes = [centre_vacuum(M)]
+    prod0 = nth_product(h, xp, 0, 2)
+    for n in (-2, -1, 0):
+        direct, recovered = lie_from_products(h, xp, 0, n, 2)
+        assert coeff_is_zero(direct - recovered, probes) == "pass"
+        assert coeff_is_zero(direct - prod0.coeff(n), probes) == "pass"
+        assert coeff_is_zero(direct - xp.coeff(n).scale(2), probes) == "pass"
+    assert coeff_is_zero(xp.coeff(-1), probes) == "fail"
+
+
+@pytest.mark.parametrize("gram,a,b", [
+    ([[1, 0], [0, 1]], (1, 0), (0, 1)),
+    ([[1]], (1,), (-1,)),
+])
+def test_lie_from_products_pins_the_super_sign(gram, a, b):
+    # odd X fields: FockAlg.bracket of their modes, with its super sign,
+    # against the bracket recovered from the products
+    l = len(gram)
+    M = fock_module(gram, [[int(i == j) for j in range(l)] for i in range(l)])
+    xa, xb = M.vertex_series(a), M.vertex_series(b)
+    assert xa.parity == xb.parity == 1
+    N = locality_order(M.lattice, a, b)
+    modes = [Fraction(k, M.p) for k in range(-2, 3)]
+    verdicts = []
+    for m, n in itertools.product(modes, repeat=2):
+        direct, recovered = lie_from_products(xa, xb, m, n, N)
+        verdicts.append(coeff_is_zero(direct - recovered,
+                                      [centre_vacuum(M)]))
+    assert verdicts == ["pass"] * 25
 
 
 def test_locality():
-    alg, s = heisenberg(Fraction(1, 2))
-    slots = [(Fraction(1, 2), Fraction(-1, 2)), (Fraction(3, 2), Fraction(1, 2))]
-    assert locality_test(s, s, 2, slots)
-    assert not locality_test(s, s, 1, slots)
+    M = fock_module([[2]], [[-1]])
+    h = M.tilde((1,))
+    probes = [centre_vacuum(M)]
+    slots = [(Fraction(1, 2), Fraction(-1, 2)),
+             (Fraction(3, 2), Fraction(1, 2))]
+    assert locality_test(h, h, 2, slots, probes)
+    assert not locality_test(h, h, 1, slots, probes)
     # commuting pair is local of order 0
-    alg2, sa, sb = two_heisenberg(0, 0, 0)
-    assert locality_test(sa, sb, 0, [(1, -1), (0, 2)])
+    M2 = fock_module([[2, 0], [0, 2]], [[1, 0], [0, 1]])
+    assert locality_test(M2.tilde((1, 0)), M2.tilde((0, 1)), 0,
+                         [(1, -1), (0, 2)], [centre_vacuum(M2)])
 
 
 def test_derive_relation():
-    alg, s = heisenberg(Fraction(1, 2))
-    d = derive(s)
-    for n in SLOTS:
-        assert d.coeff(n) == s.coeff(n - 1).scale(-n)
+    M = fock_module([[2]], [[-1]])
+    h = M.tilde((1,))
+    d = derive(h)
+    probes = [centre_vacuum(M)]
+    slots = [Fraction(n, 2) for n in range(-4, 5)]
+    for n in slots:
+        assert coeff_is_zero(d.coeff(n) - h.coeff(n - 1).scale(-n),
+                             probes) == "pass"
+    assert any(coeff_is_zero(d.coeff(n), probes) == "fail" for n in slots)
 
 
 def test_window_untestable():
@@ -264,19 +355,6 @@ def test_window_untestable():
         locality_test(h, h, 2, [(-1, -1)], [vac, full])
     with pytest.raises(WindowUnderflow):
         weight(h, d_op, [-1], [vac, full])
-
-
-def test_verify_axioms_twisted_affine():
-    half = Fraction(1, 2)
-    alg, su, sv, sh = sl2_twisted()
-    family = [("tu", su.shift(0)), ("tv", sv.shift(half)),
-              ("th", sh.shift(half))]
-    slots = list(range(-4, 5))
-    report = verify_axioms(family, ["C1", "C2", "C3", "C4"], slots,
-                           lambda a, b: 2)
-    assert report
-    bad = [line for line in report if line[2] != "pass"]
-    assert not bad, bad
 
 
 def test_verify_axioms_untestable_marking():
@@ -434,7 +512,7 @@ def test_coeff_is_zero_fail_beats_poisoned_in_any_order():
     # h(-1) is nonzero on the vacuum and leaves the window on h(-1)|0>
     M, _coords, create, vac, full = heisenberg_fock()
     for probes in ([vac, full], [full, vac]):
-        assert coeff_is_zero(M.alg, create, probes) == "fail"
+        assert coeff_is_zero(create, probes) == "fail"
 
 
 def test_coeff_is_zero_untestable_when_only_poisoned_probes_miss():
@@ -443,15 +521,7 @@ def test_coeff_is_zero_untestable_when_only_poisoned_probes_miss():
     M, coords, create, vac, full = heisenberg_fock()
     ann = M.mode_op(coords, 1)
     comm = M.alg.bracket(ann, create) - FockOp(M, lambda v: v).scale(2)
-    assert coeff_is_zero(M.alg, comm, [vac]) == "pass"
+    assert coeff_is_zero(comm, [vac]) == "pass"
     for probes in ([vac, full], [full, vac]):
-        assert coeff_is_zero(M.alg, comm, probes) == "untestable"
-    with pytest.raises(FdistError):
-        coeff_is_zero(M.alg, comm)
+        assert coeff_is_zero(comm, probes) == "untestable"
 
-
-def test_coeff_is_zero_lie_coefficients():
-    alg, _series = heisenberg(Fraction(0))
-    assert coeff_is_zero(alg, alg.zero()) == "pass"
-    assert coeff_is_zero(alg, alg.gen_mode(0, 1)) == "fail"
-    assert coeff_is_zero(alg, alg.central()) == "fail"

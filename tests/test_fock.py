@@ -23,8 +23,6 @@ from twistlab.fock import (
 from twistlab.fdist import (
     FdistError,
     GenSeries,
-    LieAlg,
-    QuadraticSpace,
     _int_binom,
     compare_status,
     derive,
@@ -847,13 +845,6 @@ def test_remember_keeps_the_memo_on_the_operator():
     assert calls == vectors and len(memo) == 3 and len(total.seen) == 3
 
 
-def test_lie_series_coefficients_unwrapped():
-    alg = LieAlg(QuadraticSpace(["h"], [0], [[2]]))
-    elt = alg.gen_mode(0, 1)
-    s = GenSeries(alg, lambda n: elt, {Fraction(0)})
-    assert s.coeff(1) is elt
-
-
 # ---------------------------------------------------------------------
 # Sums stop at their first poisoned term
 # ---------------------------------------------------------------------
@@ -1663,6 +1654,12 @@ def test_series_off_the_algebra_grid_are_refused(p):
     with pytest.raises(FdistError):
         nth_product_kernel(a, a, 0, 2, kernel_Delta(off.denominator, 0, 2))
     probes = M.basis_vectors(1)
+    # a shift on the grid round-trips: z^r a(z) at slot t is a at t + r
+    for r in a.residues | {Fraction(1, M.p)}:
+        shifted = a.shift(r)
+        for t in (0, -1):
+            for v in probes:
+                assert shifted.coeff(t).apply(v) == a.coeff(t + r).apply(v)
     poisoned = FockVector(M, {}, poisoned=True)
     assert a.coeff(off).parts == []
     empty = M.mode_op(unit, off)
