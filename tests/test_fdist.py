@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 
 from twistlab.fdist import (
+    FdistError,
+    GenSeries,
     KernelPoly,
     WindowUnderflow,
     _neg_binoms,
@@ -70,6 +72,27 @@ def test_grid_slot_unit_cases():
     assert grid_slot(Fraction(1, 4), 6) is None
     assert grid_slot(Fraction(-1, 4), 6) is None
     assert grid_slot(Fraction(7, 5), 1) is None
+
+
+def test_lie_series_off_the_grid_are_refused():
+    # the twisted Heisenberg field of sigma = -1 has its modes in
+    # (1/2)Z: a residue or shift in (1/3)Z is refused, reading a slot
+    # there is zero, and a shift by 1/2 reads the next slot
+    M = fock_module([[2]], [[-1]])
+    unit = M.basis.units[0]
+    series = M.eigen_tilde(unit)
+    assert series.residues == {Fraction(1, 2)}
+    assert M.grid % 2 == 0 and M.grid % 3 and series.grid == M.grid
+    with pytest.raises(FdistError):
+        GenSeries(M.alg, lambda n: M.mode_op(unit, n), {Fraction(1, 3)})
+    with pytest.raises(FdistError):
+        series.shift(Fraction(1, 3))
+    probes = M.basis_vectors(1)
+    shifted = series.shift(Fraction(1, 2))
+    for v in probes:
+        assert series.coeff(Fraction(1, 3)).apply(v) == M.zero_vec()
+        assert shifted.coeff(0).apply(v) == series.coeff(
+            Fraction(1, 2)).apply(v)
 
 
 # ---------------------------------------------------------------------
