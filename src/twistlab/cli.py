@@ -211,7 +211,7 @@ def cmd_check(spec: JobSpec, deep: bool = False):
 
     # kernel route: the delta kernel against its defining sum
     for n in range(-2, 2):
-        ok, _d1, _d2 = kernel_delta_check(p, n, max(2, n + 2))
+        ok = kernel_delta_check(p, n, max(2, n + 2))
         emit("fl:F", f"delta kernel p={p} n={n}", "pass" if ok else "fail")
 
     # probe from the center of the vacuum window: edge probes leave the

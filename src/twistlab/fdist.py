@@ -1,13 +1,14 @@
 """Generalized formal-distribution calculus.
 
 Series with rational exponents (denominator dividing a conductor) whose
-coefficients act as operators on a truncated Fock module: the module's
-FockAlg is the one coefficient algebra, and a verdict on a coefficient
-is read on probe vectors.  Every exponent a series meets lies on one
-grid (1/D)Z, fixed by the module, so inside a series a slot n is the
-integer n*D.  Products are computed componentwise through the
-homogeneous decomposition; the integral products use the explicit
-two-sum coefficient formula with super-signs.  The module also houses
+coefficients act as operators on a truncated Fock module: a series
+holds its module, the operators on it are the one coefficient algebra,
+and a verdict on a coefficient is read on probe vectors.  Every
+exponent a series meets lies on one grid (1/D)Z, fixed by the module,
+so inside a series a slot n is the integer n*D.  Products are computed
+componentwise through the homogeneous decomposition; the integral
+products use the explicit two-sum coefficient formula with
+super-signs.  The module also houses
 the Delta / F_p kernels and the coefficientwise axiom checker.
 """
 from __future__ import annotations
@@ -19,10 +20,6 @@ from .scalar import CycScalar, ONE, as_scalar
 
 
 class FdistError(Exception):
-    pass
-
-
-class WindowUnderflow(FdistError):
     pass
 
 
@@ -54,7 +51,7 @@ def _on_grid(x, grid: int) -> int:
     k = grid_slot(x, grid)
     if k is None:
         raise FdistError(
-            f"{x} is off the grid (1/{grid})Z of the coefficient algebra")
+            f"{x} is off the grid (1/{grid})Z of the module")
     return k
 
 
@@ -87,15 +84,15 @@ def gen_binom(lam: Fraction, j: int) -> Fraction:
 class GenSeries:
     """A series sum_n a(n) z^(-n-1) with exponents on a fractional grid.
 
-    Coefficients are produced lazily by a slot function and memoized,
-    each passed once through the coefficient algebra's `remember` (a
-    Fock operator then keeps its result per input vector); slots whose
-    residue mod 1 is outside `residues` are exactly zero.
+    Coefficients are operators on the series' Fock module, produced
+    lazily by a slot function and memoized, each remembered once
+    (FockOp.remembered: it then keeps its result per input vector);
+    slots whose residue mod 1 is outside `residues` are exactly zero.
     `shift_base` c, when given, records that the coefficient at slot n
     shifts module degree by exactly c - n; it is required for the
     normally-ordered infinite sums to terminate.
 
-    Slots live on the algebra's grid (1/grid)Z, and a residue or shift
+    Slots live on the module's grid (1/grid)Z, and a residue or shift
     off it is refused (FdistError).  Inside, a slot n is the integer
     k = n*grid (grid_slot): the memo is keyed by k, `res_k` holds the
     residues k mod grid and `shift_k` the shift, and `_at(k)` reads a
@@ -105,16 +102,17 @@ class GenSeries:
     slot as a Fraction.
     """
 
-    def __init__(self, alg, fn, residues, parity: int = 0, shift_base=None):
-        grid = alg.grid
-        self._init(alg, lambda k: fn(Fraction(k, grid)),
+    def __init__(self, module, fn, residues, parity: int = 0,
+                 shift_base=None):
+        grid = module.grid
+        self._init(module, lambda k: fn(Fraction(k, grid)),
                    {_on_grid(r, grid) % grid for r in residues}, parity,
                    _on_grid(shift_base, grid) if shift_base is not None
                    else None)
 
-    def _init(self, alg, fn, res_k, parity, shift_k):
-        self.alg = alg
-        self.grid = alg.grid
+    def _init(self, module, fn, res_k, parity, shift_k):
+        self.module = module
+        self.grid = module.grid
         self._fn = fn
         self.res_k = frozenset(res_k)
         self.parity = parity % 2
@@ -123,11 +121,11 @@ class GenSeries:
         self._memo = {}
 
     @classmethod
-    def on_grid(cls, alg, fn, res_k, parity=0, shift_k=None):
+    def on_grid(cls, module, fn, res_k, parity=0, shift_k=None):
         """A series whose slot function takes the integer slot k = n*grid,
         with residues and shift given on the grid as well."""
         out = cls.__new__(cls)
-        out._init(alg, fn, res_k, parity, shift_k)
+        out._init(module, fn, res_k, parity, shift_k)
         return out
 
     @property
@@ -145,7 +143,7 @@ class GenSeries:
         the grid has no residue of the series, so it is zero."""
         k = grid_slot(n, self.grid)
         if k is None:
-            return self.alg.zero(self.parity)
+            return self.module.zero_op(self.parity)
         return self._at(k)
 
     def _at(self, k):
@@ -155,21 +153,21 @@ class GenSeries:
         if x is not _MISSING:
             return x
         if k % self.grid not in self.res_k:
-            return self.alg.zero(self.parity)
-        x = self._memo[k] = self.alg.remember(self._fn(k))
+            return self.module.zero_op(self.parity)
+        x = self._memo[k] = self._fn(k).remembered()
         return x
 
     def shift(self, e):
-        """z^e times the series, for e on the algebra's grid."""
+        """z^e times the series, for e on the module's grid."""
         grid = self.grid
         ek = _on_grid(e, grid)
         return GenSeries.on_grid(
-            self.alg, lambda k: self._at(k + ek),
+            self.module, lambda k: self._at(k + ek),
             {(r - ek) % grid for r in self.res_k}, self.parity,
             self.shift_k - ek if self.shift_k is not None else None)
 
     def _combine(self, other, op):
-        alg = _one_alg(self, other)
+        mod = _one_module(self, other)
         if self.parity != other.parity:
             raise FdistError("cannot add series of different parity")
         sb = None
@@ -180,7 +178,7 @@ class GenSeries:
                 )
             sb = self.shift_k
 
-        return GenSeries.on_grid(alg, lambda k: op(self._at(k), other._at(k)),
+        return GenSeries.on_grid(mod, lambda k: op(self._at(k), other._at(k)),
                                  self.res_k | other.res_k,
                                  self.parity, sb)
 
@@ -195,27 +193,28 @@ class GenSeries:
 
     def scale(self, s):
         s = s if isinstance(s, CycScalar) else as_scalar(s)
-        return GenSeries.on_grid(self.alg, lambda k: self._at(k).scale(s),
+        return GenSeries.on_grid(self.module, lambda k: self._at(k).scale(s),
                                  self.res_k, self.parity, self.shift_k)
 
 
-def zero_series(alg, parity: int = 0):
-    return GenSeries.on_grid(alg, lambda k: alg.zero(parity), {0}, parity)
+def zero_series(module, parity: int = 0):
+    return GenSeries.on_grid(module, lambda k: module.zero_op(parity), {0},
+                             parity)
 
 
-def sum_series(alg, terms, parity: int = 0):
+def sum_series(module, terms, parity: int = 0):
     """Fold a possibly empty list of series into one."""
     out = None
     for t in terms:
         out = t if out is None else out + t
-    return out if out is not None else zero_series(alg, parity)
+    return out if out is not None else zero_series(module, parity)
 
 
-def _one_alg(a: GenSeries, b: GenSeries):
-    """The coefficient algebra, and so the grid, that a and b share."""
-    if a.alg is not b.alg:
-        raise FdistError("series live over different coefficient algebras")
-    return a.alg
+def _one_module(a: GenSeries, b: GenSeries):
+    """The module, and so the grid, that a and b share."""
+    if a.module is not b.module:
+        raise FdistError("series live over different modules")
+    return a.module
 
 
 def _neg_binoms(r: int, D: int, J: int):
@@ -238,8 +237,8 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
     """The n-th product via the homogeneous-component expansion:
     contributions binom(-rho_a, j) (a_0 [n+j] b_0) shifted by
     z^(-rho_a - rho_b - j), the j-sum cut off by the locality order."""
-    alg = _one_alg(a, b)
-    D = alg.grid
+    mod = _one_module(a, b)
+    D = mod.grid
     # per residue of a, the nonzero binom(-rho_a, j) of the j-sum
     coefs = {ra: _neg_binoms(ra, D, locality - n) for ra in a.res_k}
     pairs = [(ra, rb, coefs[ra])
@@ -252,17 +251,17 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
         shift_k = None
 
     def fn(t):
-        total = alg.zero()
+        total = mod.zero_op()
         for ra, rb, cj in pairs:
             mp, off = divmod(t - ra - rb, D)
             if off:
                 continue
             for j, coef in cj:
-                term = alg.integral_product_coeff(a, b, ra, rb, n + j, mp - j)
+                term = mod.integral_product_coeff(a, b, ra, rb, n + j, mp - j)
                 total = total + term.scale(coef)
         return total
 
-    return GenSeries.on_grid(alg, fn, residues, parity, shift_k)
+    return GenSeries.on_grid(mod, fn, residues, parity, shift_k)
 
 
 def derive(a: GenSeries) -> GenSeries:
@@ -270,7 +269,7 @@ def derive(a: GenSeries) -> GenSeries:
     D = a.grid
     sb = a.shift_k + D if a.shift_k is not None else None
     return GenSeries.on_grid(
-        a.alg, lambda k: a._at(k - D).scale(Fraction(-k, D)), a.res_k,
+        a.module, lambda k: a._at(k - D).scale(Fraction(-k, D)), a.res_k,
         a.parity, sb)
 
 
@@ -284,8 +283,8 @@ def lie_from_products(a: GenSeries, b: GenSeries, m, n, locality: int):
     """Bracket recovery: returns ([a(m), b(n)] direct,
     sum_s binom(m,s) (a [s] b)(m+n-s))."""
     m, n = _frac(m), _frac(n)
-    direct = a.alg.bracket(a.coeff(m), b.coeff(n))
-    total = a.alg.zero()
+    direct = a.coeff(m).bracket(b.coeff(n))
+    total = a.module.zero_op()
     for s in range(max(0, locality)):
         c = gen_binom(m, s)
         if not c:
@@ -295,24 +294,21 @@ def lie_from_products(a: GenSeries, b: GenSeries, m, n, locality: int):
     return direct, total
 
 
-def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes) -> bool:
-    """True iff sum_s (-1)^s binom(N,s) [a(n-s), b(m+s)] = 0 for every
-    sampled (n, m); raises WindowUnderflow when a sum is untestable (a
-    Fock probe left the truncation)."""
-    alg = a.alg
-    for n, m in slots:
+def locality_test(a: GenSeries, b: GenSeries, N: int, slots, probes) -> str:
+    """'pass' / 'fail' / 'untestable' verdict that
+    sum_s (-1)^s binom(N,s) [a(n-s), b(m+s)] = 0 for every sampled
+    (n, m): the worst_status of coeff_is_zero over the slot sums."""
+
+    def total(n, m):
         n, m = _frac(n), _frac(m)
-        total = alg.zero()
+        out = a.module.zero_op()
         for s in range(N + 1):
             c = _int_binom(N, s)
-            term = alg.bracket(a.coeff(n - s), b.coeff(m + s))
-            total = total + term.scale(c if s % 2 == 0 else -c)
-        verdict = coeff_is_zero(total, probes)
-        if verdict == "untestable":
-            raise WindowUnderflow(f"locality sum untestable at ({n},{m})")
-        if verdict == "fail":
-            return False
-    return True
+            term = a.coeff(n - s).bracket(b.coeff(m + s))
+            out = out + term.scale(c if s % 2 == 0 else -c)
+        return out
+
+    return worst_status(coeff_is_zero(total(n, m), probes) for n, m in slots)
 
 
 # ---------------------------------------------------------------------
@@ -391,7 +387,7 @@ def verify_axioms(family, which, slots, locality, probes):
                         # claimed locality order is a real check
                         pairs = series_compare(
                             nth_product(sa, sb, n, n0 + 3),
-                            zero_series(sa.alg), slots, probes)
+                            zero_series(sa.module), slots, probes)
                         report.append(
                             (tag, f"{na}[{n}]{nb} = 0", compare_status(pairs)))
         elif tag == "C2":
@@ -419,7 +415,7 @@ def verify_axioms(family, which, slots, locality, probes):
                             ).scale(Fraction((-1) ** (n + i + 1) * sign,
                                              math.factorial(i)))
                             terms.append(term)
-                        rhs = sum_series(sa.alg, terms, parity=lhs.parity)
+                        rhs = sum_series(sa.module, terms, parity=lhs.parity)
                         pairs = series_compare(lhs, rhs, slots, probes)
                         report.append(
                             (tag, f"quasisymmetry {na}[{n}]{nb}",
@@ -463,7 +459,6 @@ def _assoc_check(sa, sb, sc, n, m, loc, na, nb, nc, slots, probes):
     lhs_inner = nth_product(sa, sb, n, nab)
     # locality of a[n]b with c: bounded by nac + nbc (safe overestimate)
     lhs = nth_product(lhs_inner, sc, m, nac + nbc)
-    alg = sa.alg
     sign = -1 if (sa.parity and sb.parity) else 1
     terms = []
     # first sum: binom(n,i) vanishes for i > n when n >= 0; for n < 0 the
@@ -483,7 +478,7 @@ def _assoc_check(sa, sb, sc, n, m, loc, na, nb, nc, slots, probes):
             continue
         term = nth_product(sb, nth_product(sa, sc, n - i, nac), m + i, nbc)
         terms.append(term.scale(-sign * (c2 if i % 2 == 0 else -c2)))
-    rhs = sum_series(alg, terms, parity=lhs.parity)
+    rhs = sum_series(sa.module, terms, parity=lhs.parity)
     pairs = series_compare(lhs, rhs, slots, probes)
     return compare_status(pairs)
 
@@ -498,7 +493,6 @@ def _comm_check(sa, sb, sc, m, n, loc, na, nb, nc, slots, probes):
     lhs = nth_product(sa, nth_product(sb, sc, n, nbc), m, nac)
     second = nth_product(sb, nth_product(sa, sc, m, nac), n, nbc)
     lhs = lhs - second.scale(sign)
-    alg = sa.alg
     terms = []
     for i in range(0, nab):
         c1 = _int_binom(m, i)
@@ -507,7 +501,7 @@ def _comm_check(sa, sb, sc, m, n, loc, na, nb, nc, slots, probes):
         term = nth_product(nth_product(sa, sb, i, nab), sc, m + n - i,
                            nac + nbc)
         terms.append(term.scale(c1))
-    rhs = sum_series(alg, terms, parity=lhs.parity)
+    rhs = sum_series(sa.module, terms, parity=lhs.parity)
     pairs = series_compare(lhs, rhs, slots, probes)
     return compare_status(pairs)
 
@@ -659,11 +653,9 @@ def kernel_Delta_via_F(p: int, n: int, N: int) -> KernelPoly:
     return KernelPoly(p, {key: Fraction(c, den) for key, c in out.items()})
 
 
-def kernel_delta_check(p: int, n: int, N: int):
-    """Cross-check the two Delta computations; returns (agree, d1, d2)."""
-    d1 = kernel_Delta(p, n, N)
-    d2 = kernel_Delta_via_F(p, n, N)
-    return d1 == d2, d1, d2
+def kernel_delta_check(p: int, n: int, N: int) -> bool:
+    """Whether the two Delta computations agree."""
+    return kernel_Delta(p, n, N) == kernel_Delta_via_F(p, n, N)
 
 
 def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
@@ -675,12 +667,12 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
     The slot-t coefficient applied to a vector terminates because the
     inner i-sums hit annihilation bounds.
     """
-    alg = _one_alg(a, b)
+    mod = _one_module(a, b)
     parity = (a.parity + b.parity) % 2
     sign = -1 if (a.parity and b.parity) else 1
     if a.shift_k is None or b.shift_k is None:
         raise FdistError("kernel product route requires degree shifts")
-    D = alg.grid
+    D = mod.grid
     # kernel exponents i/p, j/p on the grid, in sorted order
     step = _on_grid(Fraction(1, kernel.p), D)
     terms = [(i * step, j * step, as_scalar(c))
@@ -693,19 +685,19 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
     } | residues
 
     def fn(t):
-        return alg.residue_product_coeff(a, b, n, t, terms, sign)
+        return mod.residue_product_coeff(a, b, n, t, terms, sign)
 
-    return GenSeries.on_grid(alg, fn, residues, parity, shift_k)
+    return GenSeries.on_grid(mod, fn, residues, parity, shift_k)
 
 
 def weight(phi: GenSeries, d_op, slots, probes):
     """Weight of an operator series against a module operator D:
     the scalar lam with (d/dz)phi - [D, phi] = lam z^(-1) phi, slotwise
     on the probes; returns the string 'not homogeneous' on failure, and
-    raises WindowUnderflow when no slot and probe decide it."""
+    None when no slot and probe decide it (every pair left the
+    truncation or read zero on both sides)."""
     dphi = derive(phi)
     lam = None
-    tested = False
     for n in slots:
         n = _frac(n)
         pc = phi.coeff(n)
@@ -727,7 +719,4 @@ def weight(phi: GenSeries, d_op, slots, probes):
                 lam = ratio
             elif lam != ratio:
                 return "not homogeneous"
-            tested = True
-    if not tested and lam is None:
-        raise WindowUnderflow("no slot/probe pair determines the weight")
     return lam

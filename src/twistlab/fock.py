@@ -16,7 +16,7 @@ pair-expansion sums) adds its scaled summands into one dict (_summed);
 the first poisoned summand is the result, and the summands after it are
 never evaluated.  Operator sums are flat lists of (operator,
 coefficient) parts, not nested closures, and add no empty layer: a sum
-with the empty sum (FockAlg.zero) is the other operand, with its
+with the empty sum (FockModule.zero_op) is the other operand, with its
 parity, and a scale by one is the operator itself.
 
 The Heisenberg modes h(n), n in (1/p)Z, are the module's kernel: every
@@ -28,12 +28,13 @@ of an annihilation, and the zero mode's weight xi(h) on every vacuum
 line; a factor equal to one multiplies nothing.  Both exponentials of a
 vertex operator are one product of mode exponentials (_exp_terms), cut
 at a degree bound.  A remembered operator keeps its results itself
-(FockOp.seen).  An annihilation mode that no word of a vector holds
-sends it to zero, exactly and never poisoned (_held_modes): the
-annihilation exponential tries only the held modes, and the Virasoro
-double sums (the degree operator and D) skip each term whose first
-operator annihilates an unheld mode and stop at the largest held one,
-so a line of high degree costs no more than the lowest.
+(FockOp.remembered, FockOp.seen).  An annihilation mode that no word
+of a vector holds sends it to zero, exactly and never poisoned
+(_held_modes): the annihilation exponential tries only the held
+modes, and the Virasoro double sums (the degree operator and D) skip
+each term whose first operator annihilates an unheld mode and stop at
+the largest held one, so a line of high degree costs no more than the
+lowest.
 
 Vectors are values, so a vector keeps its hash and its degree
 (max_degree_k) beside its terms once computed.  Both vacuum spaces,
@@ -58,7 +59,6 @@ from .classify import SizeCapExceeded
 from .cocycle import TwistData, locality_order
 from .fdist import (
     GenSeries,
-    WindowUnderflow,
     _frac,
     _int_binom,
     coeff_is_zero,
@@ -283,7 +283,7 @@ class FockVector:
 
     Vectors are values: nothing writes `terms` once the vector is
     built, so a vector can key the memo of a series coefficient
-    (FockAlg.remember), and a sum or scale that changes nothing hands
+    (FockOp.remembered), and a sum or scale that changes nothing hands
     back its operand itself, and a vector keeps its hash and its
     degree (max_degree_k) once computed."""
 
@@ -452,9 +452,9 @@ class FockOp:
     pairs) that +, -, scale and negation build.  A vector with no
     terms, zero or poisoned, is a fixed point of every operator, so
     apply hands it back without evaluating anything.  Operators are
-    values: a sum with the empty sum (FockAlg.zero) is the other
+    values: a sum with the empty sum (FockModule.zero_op) is the other
     operand, and a scale by one the operator itself.  A remembered
-    operator (FockAlg.remember) keeps its result per vector in seen."""
+    operator (remembered) keeps its result per vector in seen."""
 
     __slots__ = ("module", "fn", "parts", "parity", "seen")
 
@@ -493,12 +493,27 @@ class FockOp:
         return _summed(self.module, ((op.apply(v), c) for op, c in parts),
                        v.poisoned)
 
+    def remembered(self):
+        """The operator itself, keeping its result per vector for its
+        own life (seen).  GenSeries.coeff hands out these, so a product
+        applying the same coefficient to the same vector on every slot
+        and probe computes the operator tree below it once.  The empty
+        sum stays as it is, and a second call keeps the one memo."""
+        if self.parts != [] and self.seen is None:
+            self.seen = {}
+        return self
+
     def compose(self, other):
         return FockOp(self.module, lambda v: self.apply(other.apply(v)),
                       self.parity + other.parity)
 
+    def bracket(self, other):
+        """The super bracket [self, other]."""
+        sign = -1 if (self.parity and other.parity) else 1
+        return self.compose(other) - other.compose(self).scale(sign)
+
     def __add__(self, other):
-        # the empty sum (FockAlg.zero) adds no layer: the sum is the
+        # the empty sum (FockModule.zero_op) adds no layer: the sum is the
         # other operand, with its parity
         if other.parts == []:
             return self
@@ -528,113 +543,6 @@ class FockOp:
             self.module,
             [(op, s if c is ONE else c * s) for op, c in self._as_parts()],
             self.parity)
-
-
-class FockAlg:
-    """Coefficient-algebra adapter: operators on a FockModule."""
-
-    def __init__(self, module):
-        self.module = module
-        self.grid = module.grid
-
-    def zero(self, parity: int = 0):
-        """The empty sum, of the given parity."""
-        return FockOp._combination(self.module, [], parity)
-
-    def remember(self, op):
-        """op itself, keeping its result per vector for its own life
-        (FockOp.seen).  GenSeries.coeff hands out these, so a product
-        applying the same coefficient to the same vector on every slot
-        and probe computes the operator tree below it once.  The empty
-        sum stays as it is, and a second call keeps the one memo."""
-        if op.parts != [] and op.seen is None:
-            op.seen = {}
-        return op
-
-    def bracket(self, x, y):
-        sign = -1 if (x.parity and y.parity) else 1
-        return x.compose(y) - y.compose(x).scale(sign)
-
-    def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
-        """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
-        components a0(k) = a(k + ra), b0(k) = b(k + rb).  The residues
-        ra, rb are on the module's grid D, and so are the degree bounds
-        below."""
-        mod = self.module
-        if a.shift_k is None or b.shift_k is None:
-            raise FockError("operator products need degree-shift data")
-        D = self.grid
-        fl = mod.floor_k
-        ca0, cb0 = a.shift_k - ra - fl, b.shift_k - rb - fl
-        super_sign = -1 if (a.parity and b.parity) else 1
-
-        def summands(v):
-            d = v.max_degree_k()
-            smax = (d + cb0) // D - m
-            if n >= 0:
-                smax = min(smax, n)
-            for s in range(smax + 1):
-                c = _int_binom(n, s)
-                if not c:
-                    continue
-                w = a._at((n - s) * D + ra).apply(
-                    b._at((m + s) * D + rb).apply(v))
-                yield w, (c if s % 2 == 0 else -c)
-            low = n - (d + ca0) // D
-            if n >= 0:
-                low = max(low, 0)
-            for s in range(low, n + 1):
-                c = _int_binom(n, n - s)
-                if not c:
-                    continue
-                w = b._at((m + s) * D + rb).apply(
-                    a._at((n - s) * D + ra).apply(v))
-                sgn = -super_sign * (1 if s % 2 == 0 else -1)
-                yield w, (c if sgn > 0 else -c)
-
-        def fn(v):
-            return _summed(mod, summands(v)) if v.terms else v
-
-        return FockOp(mod, fn, a.parity + b.parity)
-
-    def residue_product_coeff(self, a, b, n: int, t, terms, sign):
-        """Slot-t coefficient of the residue-form product with explicit
-        kernel terms (w-exponent, z-exponent, coefficient); the slot
-        and the exponents are on the module's grid D."""
-        mod = self.module
-        D = self.grid
-        fl = mod.floor_k
-        ca, cb = a.shift_k - fl, b.shift_k - fl
-
-        def summands(v):
-            d = v.max_degree_k()
-            for (u, ve, kc) in terms:
-                imax = (d + cb - t - ve) // D
-                if n >= 0:
-                    imax = min(imax, n)
-                for i in range(imax + 1):
-                    c = kc * _int_binom(n, i)
-                    if not c:
-                        continue
-                    w = a._at((n - i) * D + u).apply(
-                        b._at(t + i * D + ve).apply(v))
-                    yield w, (c if i % 2 == 0 else -c)
-                imax2 = (d + ca - u) // D
-                if n >= 0:
-                    imax2 = min(imax2, n)
-                for i in range(imax2 + 1):
-                    c = kc * _int_binom(n, i)
-                    if not c:
-                        continue
-                    w = b._at(t + (n - i) * D + ve).apply(
-                        a._at(i * D + u).apply(v))
-                    sgn = -sign * (1 if (n + i) % 2 == 0 else -1)
-                    yield w, (c if sgn > 0 else -c)
-
-        def fn(v):
-            return _summed(mod, summands(v)) if v.terms else v
-
-        return FockOp(mod, fn, a.parity + b.parity)
 
 
 # ---------------------------------------------------------------------
@@ -693,12 +601,15 @@ class FockModule:
         self.floor_k = min(self.degree_k, default=0)
         self.floor = Fraction(self.floor_k, grid)
         self._xi_k = [tuple(x * grid // X for x in xi) for xi in xis]
-        self.alg = FockAlg(self)
 
-    # -- vectors ------------------------------------------------------
+    # -- vectors and operators ----------------------------------------
 
     def zero_vec(self):
         return FockVector(self, {})
+
+    def zero_op(self, parity: int = 0) -> FockOp:
+        """The empty sum, of the given parity."""
+        return FockOp._combination(self, [], parity)
 
     def vacuum(self, i=0):
         return FockVector(self, {((), i): ONE})
@@ -815,7 +726,7 @@ class FockModule:
         grid (1/p)Z no h_j acts, so it is the empty operator."""
         ms = grid_slot(m, self.p)
         if ms is None:
-            return self.alg.zero()
+            return self.zero_op()
         return self._mode_op(coords, ms)
 
     def _mode_op(self, coords, ms) -> FockOp:
@@ -842,6 +753,87 @@ class FockModule:
 
         return FockOp(self, fn, self.lattice.pairing(alpha, alpha) % 2)
 
+    # -- product coefficients -----------------------------------------
+
+    def integral_product_coeff(self, a, b, ra, rb, n: int, m: int):
+        """Coefficient (a0 [n] b0)(m) of the degree-ra and degree-rb
+        components a0(k) = a(k + ra), b0(k) = b(k + rb).  The residues
+        ra, rb are on the module's grid D, and so are the degree bounds
+        below."""
+        if a.shift_k is None or b.shift_k is None:
+            raise FockError("operator products need degree-shift data")
+        D = self.grid
+        fl = self.floor_k
+        ca0, cb0 = a.shift_k - ra - fl, b.shift_k - rb - fl
+        super_sign = -1 if (a.parity and b.parity) else 1
+
+        def summands(v):
+            d = v.max_degree_k()
+            smax = (d + cb0) // D - m
+            if n >= 0:
+                smax = min(smax, n)
+            for s in range(smax + 1):
+                c = _int_binom(n, s)
+                if not c:
+                    continue
+                w = a._at((n - s) * D + ra).apply(
+                    b._at((m + s) * D + rb).apply(v))
+                yield w, (c if s % 2 == 0 else -c)
+            low = n - (d + ca0) // D
+            if n >= 0:
+                low = max(low, 0)
+            for s in range(low, n + 1):
+                c = _int_binom(n, n - s)
+                if not c:
+                    continue
+                w = b._at((m + s) * D + rb).apply(
+                    a._at((n - s) * D + ra).apply(v))
+                sgn = -super_sign * (1 if s % 2 == 0 else -1)
+                yield w, (c if sgn > 0 else -c)
+
+        def fn(v):
+            return _summed(self, summands(v)) if v.terms else v
+
+        return FockOp(self, fn, a.parity + b.parity)
+
+    def residue_product_coeff(self, a, b, n: int, t, terms, sign):
+        """Slot-t coefficient of the residue-form product with explicit
+        kernel terms (w-exponent, z-exponent, coefficient); the slot
+        and the exponents are on the module's grid D."""
+        D = self.grid
+        fl = self.floor_k
+        ca, cb = a.shift_k - fl, b.shift_k - fl
+
+        def summands(v):
+            d = v.max_degree_k()
+            for (u, ve, kc) in terms:
+                imax = (d + cb - t - ve) // D
+                if n >= 0:
+                    imax = min(imax, n)
+                for i in range(imax + 1):
+                    c = kc * _int_binom(n, i)
+                    if not c:
+                        continue
+                    w = a._at((n - i) * D + u).apply(
+                        b._at(t + i * D + ve).apply(v))
+                    yield w, (c if i % 2 == 0 else -c)
+                imax2 = (d + ca - u) // D
+                if n >= 0:
+                    imax2 = min(imax2, n)
+                for i in range(imax2 + 1):
+                    c = kc * _int_binom(n, i)
+                    if not c:
+                        continue
+                    w = b._at(t + (n - i) * D + ve).apply(
+                        a._at(i * D + u).apply(v))
+                    sgn = -sign * (1 if (n + i) % 2 == 0 else -1)
+                    yield w, (c if sgn > 0 else -c)
+
+        def fn(v):
+            return _summed(self, summands(v)) if v.terms else v
+
+        return FockOp(self, fn, a.parity + b.parity)
+
     # -- series builders ----------------------------------------------
 
     @kept
@@ -857,16 +849,16 @@ class FockModule:
         def fn(k):
             return self._mode_op(coords, k // step)
 
-        return GenSeries.on_grid(self.alg, fn, residues or {0}, shift_k=0)
+        return GenSeries.on_grid(self, fn, residues or {0}, shift_k=0)
 
     def identity_series(self) -> GenSeries:
         ident = FockOp(self, lambda v: v, 0)
         grid = self.grid
 
         def fn(k):
-            return ident if k == -grid else self.alg.zero()
+            return ident if k == -grid else self.zero_op()
 
-        return GenSeries.on_grid(self.alg, fn, {0}, shift_k=-grid)
+        return GenSeries.on_grid(self, fn, {0}, shift_k=-grid)
 
     def upsilon(self) -> GenSeries:
         """Virasoro series (1/2) sum_i alpha~_i [-1] beta~_i."""
@@ -876,7 +868,7 @@ class FockModule:
             a = self.eigen_tilde(self.basis.units[i])
             b = self.eigen_tilde(self.basis.duals[i])
             terms.append(nth_product(a, b, -1, 2))
-        return sum_series(self.alg, terms).scale(Fraction(1, 2))
+        return sum_series(self, terms).scale(Fraction(1, 2))
 
     def weight_anomaly(self) -> Fraction:
         """Constant by which the series coefficient upsilon(1) exceeds
@@ -940,9 +932,9 @@ class FockModule:
         """Translation operator D from its normally-ordered double sum;
         it matches the series coefficient of the Virasoro element
         exactly (checked in the tests).  D keeps its result on each
-        vector for its own life (FockAlg.remember)."""
-        return self.alg.remember(
-            FockOp(self, lambda v: self._normal_ordered_sum(v, 1), 0))
+        vector for its own life (FockOp.remembered)."""
+        return FockOp(self, lambda v: self._normal_ordered_sum(v, 1),
+                      0).remembered()
 
     # -- exponential factors and vertex operators ---------------------
 
@@ -1051,7 +1043,7 @@ class FockModule:
                 self, lambda v: _summed(self, summands(v, k), v.poisoned),
                 norm)
 
-        return GenSeries.on_grid(self.alg, fn, residues, norm,
+        return GenSeries.on_grid(self, fn, residues, norm,
                                  norm * D // 2 - D)
 
 
@@ -1100,7 +1092,7 @@ def partition_rhs(M: FockModule, alpha, beta, n: int):
                 s = nth_product(at, s, -j, 2)
             coef *= Fraction(1, j) ** r / math.factorial(r)
         pieces.append(s.scale(coef))
-    out = sum_series(M.alg, pieces, parity=base.parity)
+    out = sum_series(M, pieces, parity=base.parity)
     return out.scale(M.twist.kappa(alpha, beta))
 
 
@@ -1117,7 +1109,7 @@ def product_check(M: FockModule, alpha, beta, n: int, slots, probes):
     kernel = nth_product_kernel(sa, sb, n, nk, kernel_Delta(M.p, n, nk))
     rhs = partition_rhs(M, alpha, beta, n)
     if rhs is None:
-        rhs = zero_series(M.alg, parity=(sa.parity + sb.parity) % 2)
+        rhs = zero_series(M, parity=(sa.parity + sb.parity) % 2)
     return {
         "expand_vs_kernel": compare_status(
             series_compare(expand, kernel, slots, probes)),
@@ -1134,7 +1126,7 @@ def virasoro_element_checks(M: FockModule, alphas, slots, probes):
     ups = M.upsilon()
     report = []
     report.append(("ups[2]ups = 0", compare_status(series_compare(
-        nth_product(ups, ups, 2, 4), zero_series(M.alg), slots, probes))))
+        nth_product(ups, ups, 2, 4), zero_series(M), slots, probes))))
     report.append(("ups[3]ups = (rank/2)id", compare_status(series_compare(
         nth_product(ups, ups, 3, 4),
         M.identity_series().scale(Fraction(M.lattice.rank, 2)),
@@ -1168,11 +1160,9 @@ def virasoro_element_checks(M: FockModule, alphas, slots, probes):
         report.append((f"ups[1]X{alpha} = ((a|a)/2)X", compare_status(
             series_compare(nth_product(ups, x, 1, 2), x.scale(nrm / 2),
                            slots, probes))))
-        try:
-            lam = weight(x, d_op, slots, probes)
-            st = "pass" if lam == ZERO else "fail"
-        except WindowUnderflow:
-            st = "untestable"
+        lam = weight(x, d_op, slots, probes)
+        st = ("untestable" if lam is None
+              else "pass" if lam == ZERO else "fail")
         report.append((f"weight X{alpha} = 0", st))
     return report
 

@@ -64,12 +64,11 @@ def oracle_product(a: GenSeries, b: GenSeries, n: int,
     with K the projection kernel of slack locality - n - 1, expanded by
     projection_monomials.  The inner sums terminate at the annihilation
     bounds of the two factors."""
-    alg = a.alg
-    if a.alg is not b.alg:
-        raise FdistError("series live over different coefficient algebras")
+    mod = a.module
+    if b.module is not mod:
+        raise FdistError("series live over different modules")
     if a.shift_base is None or b.shift_base is None:
         raise FdistError("the product oracle requires degree shifts")
-    mod = alg.module
     terms = projection_monomials(mod.p, max(locality - n - 1, 0))
     ca, cb = a.shift_base, b.shift_base
     sign = -1 if (a.parity and b.parity) else 1
@@ -106,7 +105,7 @@ def oracle_product(a: GenSeries, b: GenSeries, n: int,
 
         return FockOp(mod, act, a.parity + b.parity)
 
-    return GenSeries(alg, fn, residues, parity=(a.parity + b.parity) % 2,
+    return GenSeries(mod, fn, residues, parity=(a.parity + b.parity) % 2,
                      shift_base=ca + cb - n)
 
 

@@ -229,13 +229,13 @@ def test_criterion_5_locality_and_residue_oracle():
                                     for k in (1, 2)]
                           for m in [r + k for r in sorted(sb.residues)
                                     for k in (0, 1)]][:4]
-            if not locality_test(sa, sb, N, pair_slots, probes):
+            if locality_test(sa, sb, N, pair_slots, probes) != "pass":
                 ok = False
             # vanishing at and above -(a|b)
             nv = -lat.pairing(a, b)
             st = compare_status(series_compare(
                 nth_product(sa, sb, nv, max(N, nv + 1)),
-                zero_series(M.alg, parity=(sa.parity + sb.parity) % 2),
+                zero_series(M, parity=(sa.parity + sb.parity) % 2),
                 slots, probes))
             if st == "fail":
                 ok = False

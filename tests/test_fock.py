@@ -644,7 +644,7 @@ def test_product_coefficients_carry_the_series_parity():
         assert a.parity == 1
         anti = (a.compose(b) + b.compose(a)).apply(v)
         comm = (a.compose(b) - b.compose(a)).apply(v)
-        assert M.alg.bracket(a, b).apply(v) == anti, (m, n)
+        assert a.bracket(b).apply(v) == anti, (m, n)
         differ += anti != comm
     assert differ == 6
 
@@ -657,9 +657,9 @@ def test_coefficient_parity_is_the_series_parity():
     family = [
         x, prod, nth_product(h, x, 0, 2), nth_product(h, h, -1, 2),
         nth_product(x, x, -2, 1), prod.scale(3), prod.scale(1),
-        prod + prod.scale(2), prod - prod, zero_series(M.alg, 1) + prod,
-        zero_series(M.alg, 1) - prod, derive(prod), derive(x),
-        zero_series(M.alg, 1)]
+        prod + prod.scale(2), prod - prod, zero_series(M, 1) + prod,
+        zero_series(M, 1) - prod, derive(prod), derive(x),
+        zero_series(M, 1)]
     parities = [s.parity for s in family]
     assert 0 in parities and 1 in parities
     # the residue slots, and the half-integral slots off every residue
@@ -694,10 +694,10 @@ def test_heisenberg_family_meets_v3_and_v4(gram, sigma, v3, v4):
 
 def test_empty_sum_and_unit_scale_add_no_layer():
     M = negation_module()
-    op, zero = M.mode_op(M.basis.units[0], Fraction(-1, 2)), M.alg.zero()
+    op, zero = M.mode_op(M.basis.units[0], Fraction(-1, 2)), M.zero_op()
     assert op.scale(ONE) is op and op.scale(1) is op
     assert op + zero is op and zero + op is op and op - zero is op
-    assert M.alg.remember(zero) is zero
+    assert zero.remembered() is zero
     v = vac(M)
     assert (zero - op).apply(v) == op.apply(v).scale(-1)
     assert (zero + zero).apply(v) == FockVector(M, {})
@@ -804,7 +804,7 @@ def test_series_coefficient_remembers_its_action():
         calls.append(v)
         return v.scale(2)
 
-    s = GenSeries(M.alg, lambda n: FockOp(M, act), {Fraction(0)},
+    s = GenSeries(M, lambda n: FockOp(M, act), {Fraction(0)},
                   shift_base=Fraction(0))
     op = s.coeff(0)
     assert s.coeff(0) is op
@@ -819,7 +819,7 @@ def test_series_coefficient_remembers_its_action():
 
 
 def test_remember_keeps_the_memo_on_the_operator():
-    # remember hands back the operator itself, which from then on keeps
+    # remembered hands back the operator itself, which from then on keeps
     # its result per vector; sums and multiples keep using that memo,
     # and remembering twice keeps the one memo
     M = untwisted_module()
@@ -829,13 +829,13 @@ def test_remember_keeps_the_memo_on_the_operator():
         calls.append(v)
         return v.scale(2)
 
-    op, zero = FockOp(M, act), M.alg.zero()
-    assert M.alg.remember(op) is op
+    op, zero = FockOp(M, act), M.zero_op()
+    assert op.remembered() is op
     memo = op.seen
-    assert M.alg.remember(op) is op and op.seen is memo
+    assert op.remembered() is op and op.seen is memo
     assert op + zero is op and zero + op is op and op.scale(ONE) is op
     # a remembered sum stays one part of the sums built from it
-    total = M.alg.remember(op + op.scale(3))
+    total = (op + op.scale(3)).remembered()
     vectors = [vac(M), M.vacuum(1), vac(M).scale(5)]
     for _ in range(2):
         for v in vectors:
@@ -913,7 +913,7 @@ def _recording_series(M, name, calls, poison_slot):
             return poison
         return _recorder(M, (name, k), calls)
 
-    return GenSeries(M.alg, fn, {Fraction(0)}, shift_base=Fraction(5))
+    return GenSeries(M, fn, {Fraction(0)}, shift_base=Fraction(5))
 
 
 def test_product_coefficients_stop_at_poison():
@@ -924,15 +924,15 @@ def test_product_coefficients_stop_at_poison():
     # a(n)b(m) is the first term of both products, and a(n) poisons it
     a = _recording_series(M, "a", calls, poison_slot=2)
     b = _recording_series(M, "b", calls, poison_slot=None)
-    op = M.alg.integral_product_coeff(a, b, Fraction(0), Fraction(0), 2, 0)
+    op = M.integral_product_coeff(a, b, Fraction(0), Fraction(0), 2, 0)
     assert op.apply(v) == poisoned
     assert calls == [("b", 0)]
     # fresh series: coefficients remember their results on v
     calls.clear()
     a = _recording_series(M, "a", calls, poison_slot=2)
     b = _recording_series(M, "b", calls, poison_slot=None)
-    op = M.alg.residue_product_coeff(a, b, 2, Fraction(0),
-                                     [(Fraction(0), Fraction(0), ONE)], 1)
+    op = M.residue_product_coeff(a, b, 2, Fraction(0),
+                                 [(Fraction(0), Fraction(0), ONE)], 1)
     assert op.apply(v) == poisoned
     assert calls == [("b", 0)]
 
@@ -984,7 +984,7 @@ def _operators(M):
     ident = M.identity_series()
     ops += [(f"id({t})", ident.coeff(t)) for t in (-1, 0)]
     ops.append(("D", M.upsilon_zero_op()))
-    ops.append(("zero", M.alg.zero()))
+    ops.append(("zero", M.zero_op()))
     return ops
 
 
@@ -1632,7 +1632,7 @@ def test_grid_slots_match_oracle_and_fresh_module(p):
 
 @pytest.mark.parametrize("p", sorted(GRID_LATTICES))
 def test_series_off_the_algebra_grid_are_refused(p):
-    # the algebra's grid is the only grid a series has: a residue, a
+    # the module's grid is the only grid a series has: a residue, a
     # shift, a shift by z^off or a kernel in 1/q with q not dividing the
     # grid is refused; reading an off-grid slot is still the zero
     # coefficient, and an off-grid mode the empty operator
@@ -1645,9 +1645,9 @@ def test_series_off_the_algebra_grid_are_refused(p):
     unit = M.basis.units[0]
     op = M.mode_op(unit, 0)
     with pytest.raises(FdistError):
-        GenSeries(M.alg, lambda n: op, {res}, shift_base=0)
+        GenSeries(M, lambda n: op, {res}, shift_base=0)
     with pytest.raises(FdistError):
-        GenSeries(M.alg, lambda n: op, {Fraction(0)}, shift_base=off)
+        GenSeries(M, lambda n: op, {Fraction(0)}, shift_base=off)
     a = M.tilde((1,) + (0,) * (M.lattice.rank - 1))
     with pytest.raises(FdistError):
         a.shift(off)

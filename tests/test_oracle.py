@@ -73,7 +73,7 @@ def test_oracle_product_vanishes_at_locality():
     slots = slots_for(2)
     prod = oracle_product(h, h, 2, 2)
     assert compare_status(series_compare(
-        prod, zero_series(M.alg), slots, probes)) == "pass"
+        prod, zero_series(M), slots, probes)) == "pass"
 
 
 def test_blocks_trivial_bicharacter():
