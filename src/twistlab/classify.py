@@ -718,14 +718,7 @@ def admissible_base_weight(A: PresentedAlgebraA):
     D = math.lcm(2 * p, *(k for _r, k in roots))
     c = [x * (D // (2 * p)) - r * (D // q)
          for x, (r, q) in zip(A.presentation.prime_diagonal, roots)]
-    F = lat.fixed_basis
-    f = len(F)
-    if f == 0:
-        for k in range(l):
-            if c[k] % D:
-                return False, ("no weight satisfies the congruence", k,
-                               Fraction(c[k], D))
-        return True, tuple(Fraction(0) for _ in range(l))
+    f = len(lat.fixed_basis)
     M = lat.fixed_pairing
     d, u, v = lat.fixed_pairing_snf
     uc = mat_vec(u, c)
@@ -750,12 +743,13 @@ def eta_cosets(lat: TwistedLattice, choices: int = 1):
     coordinates of the Smith decomposition.
 
     In the fixed basis F with Gram matrix G_F, the dual is spanned by
-    the columns of G_F^-1 and proj0(e_k) has coordinates
-    G_F^-1 F^T G N e_k / p.  With u G_F v = d its Smith form and L its
-    last invariant factor, L G_F^-1 = v (L / d) u is an integer matrix,
-    so the quotient is built over the one denominator L p.  Its size,
-    read off its Smith form, times the `choices` root choices is refused
-    above MAX_WORK (SizeCapExceeded) before any coset is listed."""
+    the columns of G_F^-1 and the projection e_k^0 = N e_k / p onto the
+    sigma-fixed space has coordinates G_F^-1 F^T G N e_k / p.  With
+    u G_F v = d its Smith form and L its last invariant factor,
+    L G_F^-1 = v (L / d) u is an integer matrix, so the quotient is
+    built over the one denominator L p.  Its size, read off its Smith
+    form, times the `choices` root choices is refused above MAX_WORK
+    (SizeCapExceeded) before any coset is listed."""
     F = lat.fixed_basis
     f = len(F)
     l = lat.rank
@@ -1021,10 +1015,6 @@ class ClassOmega:
         nu = [self.A.lattice.nu_p(self._lift_vec(k)) for k, _t in self.lines]
         return D, [[b + x * (D // p) for b, x in zip(base, n)] for n in nu]
 
-    def xi(self, i):
-        D, rows = self.weights
-        return tuple(Fraction(n, D) for n in rows[i])
-
     def _y_act(self, g, t):
         """y_g applied to the module line v_t: (t', scalar)."""
         A = self.A
@@ -1111,8 +1101,9 @@ def _check_weight_ii(T, module, gamma, mu):
     except UnsupportedScalar:
         return "fail", (gamma, "irrational exponent")
     target = Fraction(lat.prime_pairing_p(gamma, gamma), 2 * lat.p) - lam
-    for i in range(module.omega.size):
-        q = sum(a * x for a, x in zip(gamma, module.omega.xi(i)))
+    D, rows = module.omega.weights
+    for i, row in enumerate(rows):
+        q = Fraction(sum(a * x for a, x in zip(gamma, row)), D)
         if (q - target).denominator != 1:
             return "fail", (gamma, i, q - target)
     return "pass", None

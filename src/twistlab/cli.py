@@ -3,24 +3,28 @@ spec, run the invariant suite, and emit classification reports.
 
 Output is deterministic structured text: identical specs produce
 byte-identical reports.  Exit codes: 0 success, 1 invariant failure,
-2 input error (a malformed spec, malformed scalar text in a seed, an
-eps seed whose pair contradicts the commutator map, eps(e_i, e_j) /
-eps(e_j, e_i) != C(e_i, e_j), a spec file that cannot be read as
-UTF-8 text, or an --out file that cannot be written), 3 refused:
-unsupported scalar, the constant conductor cap 720 reached (a
-well-formed seed above it included), the classifier's one work cap
-(root choices times |E|^2, or root choices times the eta cosets,
-counted before any coset is listed) exceeded, or a Fock module of
-more than 262144 basis vectors up to the truncation, creation words
-times the (2 bound + 1)^rank vacuum lines (`twistlab.fock.MAX_BASIS`),
-counted in integers and refused before any line is listed or any
-check runs.
+2 input error (a malformed spec, JSON nested past the recursion limit
+or holding an integer past the interpreter's digit limit included,
+malformed scalar text in a seed, an eps seed whose pair contradicts
+the commutator map, eps(e_i, e_j) / eps(e_j, e_i) != C(e_i, e_j), a
+spec file that cannot be read as UTF-8 text, or an --out file that
+cannot be written), 3 refused: unsupported scalar, the constant
+conductor cap 720 reached (a well-formed seed above it included), the
+classifier's one work cap (root choices times |E|^2, or root choices
+times the eta cosets, counted before any coset is listed) exceeded, a
+Fock module of more than 262144 basis vectors up to the truncation,
+creation words times the (2 bound + 1)^rank vacuum lines
+(`twistlab.fock.MAX_BASIS`), counted in integers and refused before
+any line is listed or any check runs, or a kappa whose integers may
+pass the interpreter's digit limit, refused before it is computed
+(_refuse_unprintable_kappa).
 """
 from __future__ import annotations
 
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -57,6 +61,11 @@ EXIT_OK = 0
 EXIT_INVARIANT = 1
 EXIT_INPUT = 2
 EXIT_SCALAR = 3
+
+# decimal digits the reduction of a kappa product to canonical
+# coordinates may add to the factor-by-factor bound of
+# _refuse_unprintable_kappa
+KAPPA_SLACK_DIGITS = 64
 
 
 class InputError(Exception):
@@ -105,6 +114,10 @@ def parse_job(text: str) -> JobSpec:
     except json.JSONDecodeError as exc:
         raise InputError(
             f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer past Python's digit limit, or nesting past the
+        # interpreter's recursion limit
+        raise InputError(str(exc)) from exc
     if not isinstance(data, dict):
         raise InputError("job spec must be a JSON object")
     known = {"gram", "sigma", "eps", "phi", "mu", "trunc", "bound",
@@ -297,13 +310,41 @@ def cmd_classify(spec: JobSpec):
     return lines, EXIT_OK
 
 
+def _refuse_unprintable_kappa(lat: TwistedLattice, a, b):
+    """Refuse a kappa(a, b) whose integers may not print.  kappa =
+    eps p^-(a|b) prod_(s=1..p-1) (1 - omega^s)^(m_s), with eps a root
+    of unity, (a|b) = m_0 and 1/(1 - zeta) = -(1/d) sum_(j<d) j zeta^j
+    for zeta of order d | p.  So each unit of w = sum_s |m_s| multiplies
+    the denominator by at most p and the coefficient sum of the
+    numerator by at most c = max(p, p(p-1)/2): no integer of kappa has
+    more than w log10(c) digits, plus KAPPA_SLACK_DIGITS for its
+    reduction to canonical coordinates.  The limit is the one str()
+    applies to an int, sys.get_int_max_str_digits(), or Python's
+    default where that is 0 (no limit)."""
+    p = lat.p
+    if p == 1:
+        # kappa = eps(a, b), a root of unity
+        return
+    w = sum(map(abs, lat.m_values(a, b)))
+    limit = sys.get_int_max_str_digits() or \
+        sys.int_info.default_max_str_digits
+    room = (limit - KAPPA_SLACK_DIGITS) / math.log10(max(p, p * (p - 1) // 2))
+    if w > room:
+        raise SizeCapExceeded(
+            f"kappa(alpha,beta) with sum_s |m_s| = {w} may have integers "
+            f"of more than {limit} digits, the print limit; the sum may be "
+            f"at most {math.floor(room)}")
+
+
 def cmd_kappa(spec: JobSpec):
     """Print the exact commutation constant, pairing cocycle, and
-    locality order for the spec's vectors alpha, beta."""
+    locality order for the spec's vectors alpha, beta; a kappa whose
+    integers may not print is refused first."""
     T = build_twist(spec)
     if spec.alpha is None or spec.beta is None:
         raise InputError("the kappa command requires alpha and beta vectors")
     a, b = tuple(spec.alpha), tuple(spec.beta)
+    _refuse_unprintable_kappa(T.lattice, a, b)
     lines = [
         f"alpha {_vec(a)} beta {_vec(b)}",
         f"fl:comm | C(alpha,beta) = {T.commutator(a, b)}",

@@ -5,11 +5,13 @@ coefficients act as operators on a truncated Fock module: a series
 holds its module, the operators on it are the one coefficient algebra,
 and a verdict on a coefficient is read on probe vectors.  Every
 exponent a series meets lies on one grid (1/D)Z, fixed by the module,
-so inside a series a slot n is the integer n*D.  Products are computed
-componentwise through the homogeneous decomposition; the integral
-products use the explicit two-sum coefficient formula with
-super-signs.  The module also houses
-the Delta / F_p kernels and the coefficientwise axiom checker.
+so inside a series a slot n is the integer n*D: a series is built on
+that grid, residues, shift and slot function alike, and only `coeff`
+and `shift` take a rational.  Products are computed componentwise
+through the homogeneous decomposition; the integral products use the
+explicit two-sum coefficient formula with super-signs.  The module
+also houses the Delta / F_p kernels and the coefficientwise axiom
+checker.
 """
 from __future__ import annotations
 
@@ -29,10 +31,6 @@ _MISSING = object()
 
 def _frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _residue(n: Fraction) -> Fraction:
-    return n - (n.numerator // n.denominator)
 
 
 def grid_slot(x, grid: int):
@@ -86,31 +84,22 @@ class GenSeries:
 
     Coefficients are operators on the series' Fock module, produced
     lazily by a slot function and memoized, each remembered once
-    (FockOp.remembered: it then keeps its result per input vector);
-    slots whose residue mod 1 is outside `residues` are exactly zero.
-    `shift_base` c, when given, records that the coefficient at slot n
-    shifts module degree by exactly c - n; it is required for the
-    normally-ordered infinite sums to terminate.
+    (FockOp.remembered: it then keeps its result per input vector).
 
-    Slots live on the module's grid (1/grid)Z, and a residue or shift
-    off it is refused (FdistError).  Inside, a slot n is the integer
-    k = n*grid (grid_slot): the memo is keyed by k, `res_k` holds the
-    residues k mod grid and `shift_k` the shift, and `_at(k)` reads a
-    coefficient.  Fraction enters only at the edge: `coeff` takes an
-    int or a Fraction, `residues` and `shift_base` read back as
-    Fractions, and a slot function handed to the constructor gets its
-    slot as a Fraction.
+    Slots live on the module's grid (1/grid)Z, and inside a series a
+    slot n is the integer k = n*grid (grid_slot).  The one constructor
+    takes everything on that grid: the slot function `fn` gets k, the
+    residues `res_k` are the k mod grid of the slots that may be
+    nonzero (every other slot is exactly zero), and `shift_k`, when
+    given, records that the coefficient at slot k shifts module degree
+    by exactly (shift_k - k)/grid; it is required for the
+    normally-ordered infinite sums to terminate.  The memo is keyed by
+    k, and `_at(k)` reads a coefficient.  Fraction enters only at the
+    edge: `coeff` takes an int or a Fraction slot, and `shift` an int
+    or a Fraction exponent, refused when it is off the grid.
     """
 
-    def __init__(self, module, fn, residues, parity: int = 0,
-                 shift_base=None):
-        grid = module.grid
-        self._init(module, lambda k: fn(Fraction(k, grid)),
-                   {_on_grid(r, grid) % grid for r in residues}, parity,
-                   _on_grid(shift_base, grid) if shift_base is not None
-                   else None)
-
-    def _init(self, module, fn, res_k, parity, shift_k):
+    def __init__(self, module, fn, res_k, parity: int = 0, shift_k=None):
         self.module = module
         self.grid = module.grid
         self._fn = fn
@@ -119,24 +108,6 @@ class GenSeries:
         self.shift_k = shift_k
         # a memo by hand: the benchmark's tracer reads series._memo
         self._memo = {}
-
-    @classmethod
-    def on_grid(cls, module, fn, res_k, parity=0, shift_k=None):
-        """A series whose slot function takes the integer slot k = n*grid,
-        with residues and shift given on the grid as well."""
-        out = cls.__new__(cls)
-        out._init(module, fn, res_k, parity, shift_k)
-        return out
-
-    @property
-    def residues(self):
-        return frozenset(Fraction(r, self.grid) for r in self.res_k)
-
-    @property
-    def shift_base(self):
-        if self.shift_k is None:
-            return None
-        return Fraction(self.shift_k, self.grid)
 
     def coeff(self, n):
         """The coefficient at slot n, an int or a Fraction; a slot off
@@ -161,7 +132,7 @@ class GenSeries:
         """z^e times the series, for e on the module's grid."""
         grid = self.grid
         ek = _on_grid(e, grid)
-        return GenSeries.on_grid(
+        return GenSeries(
             self.module, lambda k: self._at(k + ek),
             {(r - ek) % grid for r in self.res_k}, self.parity,
             self.shift_k - ek if self.shift_k is not None else None)
@@ -178,9 +149,8 @@ class GenSeries:
                 )
             sb = self.shift_k
 
-        return GenSeries.on_grid(mod, lambda k: op(self._at(k), other._at(k)),
-                                 self.res_k | other.res_k,
-                                 self.parity, sb)
+        return GenSeries(mod, lambda k: op(self._at(k), other._at(k)),
+                         self.res_k | other.res_k, self.parity, sb)
 
     def __add__(self, other):
         return self._combine(other, lambda x, y: x + y)
@@ -193,13 +163,12 @@ class GenSeries:
 
     def scale(self, s):
         s = s if isinstance(s, CycScalar) else as_scalar(s)
-        return GenSeries.on_grid(self.module, lambda k: self._at(k).scale(s),
-                                 self.res_k, self.parity, self.shift_k)
+        return GenSeries(self.module, lambda k: self._at(k).scale(s),
+                         self.res_k, self.parity, self.shift_k)
 
 
 def zero_series(module, parity: int = 0):
-    return GenSeries.on_grid(module, lambda k: module.zero_op(parity), {0},
-                             parity)
+    return GenSeries(module, lambda k: module.zero_op(parity), {0}, parity)
 
 
 def sum_series(module, terms, parity: int = 0):
@@ -261,14 +230,14 @@ def nth_product(a: GenSeries, b: GenSeries, n: int, locality: int) -> GenSeries:
                 total = total + term.scale(coef)
         return total
 
-    return GenSeries.on_grid(mod, fn, residues, parity, shift_k)
+    return GenSeries(mod, fn, residues, parity, shift_k)
 
 
 def derive(a: GenSeries) -> GenSeries:
     """d/dz of the series: (Da)(m) = -m a(m-1)."""
     D = a.grid
     sb = a.shift_k + D if a.shift_k is not None else None
-    return GenSeries.on_grid(
+    return GenSeries(
         a.module, lambda k: a._at(k - D).scale(Fraction(-k, D)), a.res_k,
         a.parity, sb)
 
@@ -687,7 +656,7 @@ def nth_product_kernel(a: GenSeries, b: GenSeries, n: int, locality: int,
     def fn(t):
         return mod.residue_product_coeff(a, b, n, t, terms, sign)
 
-    return GenSeries.on_grid(mod, fn, residues, parity, shift_k)
+    return GenSeries(mod, fn, residues, parity, shift_k)
 
 
 def weight(phi: GenSeries, d_op, slots, probes):

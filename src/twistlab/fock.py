@@ -40,12 +40,16 @@ Vectors are values, so a vector keeps its hash and its degree
 (max_degree_k) beside its terms once computed.  Both vacuum spaces,
 RegularOmega and classify.ClassOmega, state their size without listing
 anything, list their lines, lookup and weights (integer rows over one
-denominator, read by xi(i) as plain rationals: a weight lies in a
-rational coset of the dual of the sigma-fixed lattice) on first use,
-and keep e(alpha) per (alpha, line), exits included.  A module of more than MAX_BASIS basis vectors up to its
-truncation, creation words (counted in integers) times vacuum lines,
-is refused (SizeCapExceeded) before any line or vector is built;
-otherwise it reads each weight once, as an integer on its grid.
+denominator: a weight lies in a rational coset of the dual of the
+sigma-fixed lattice) on first use, and keep e(alpha) per (alpha,
+line), exits included.  A module of more than MAX_BASIS basis vectors
+up to its truncation, creation words (counted in integers) times
+vacuum lines, is refused (SizeCapExceeded) before any line or vector
+is built; otherwise it reads each weight once, as an integer on its
+grid.  Each value has one face, the integer one the module computes
+with: a degree is max_degree_k or floor_k, a vertex exponent is
+vertex_exponents_k, all times the grid, and the eigen-coordinates of
+a lattice vector are basis.decompose.
 """
 from __future__ import annotations
 
@@ -257,10 +261,6 @@ class RegularOmega:
         lat = self.twist.lattice
         return lat.p, [lat.nu_p(b) for b in self.lines]
 
-    def xi(self, i):
-        D, rows = self.weights
-        return tuple(Fraction(n, D) for n in rows[i])
-
     @kept
     def e_act(self, alpha, i):
         """e(alpha) on the line i: (line, scalar), or None when the
@@ -350,11 +350,8 @@ class FockVector:
             self._hash = hash((frozenset(self.terms.items()), self.poisoned))
         return self._hash
 
-    def max_degree(self):
-        return Fraction(self.max_degree_k(), self.module.grid)
-
     def max_degree_k(self) -> int:
-        """max_degree on the module's grid: the degree times grid, kept
+        """The largest degree of a term, times the module's grid, kept
         on the vector."""
         d = self._degree
         if d is None:
@@ -599,7 +596,6 @@ class FockModule:
         self.mode_step = grid // self.p
         self.degree_k = [n * grid // dd for n in degs]
         self.floor_k = min(self.degree_k, default=0)
-        self.floor = Fraction(self.floor_k, grid)
         self._xi_k = [tuple(x * grid // X for x in xi) for xi in xis]
 
     # -- vectors and operators ----------------------------------------
@@ -619,7 +615,7 @@ class FockModule:
         # word keys store it, and the mode grids, residue tests and
         # creation caps work on it; a degree is the integer degree*grid
         # (term_degree_k, max_degree_k, floor_k); Fraction enters only
-        # at mode_op and the degrees max_degree returns
+        # at mode_op
         word, iota = key
         return -sum(m for m, _ in word) * self.mode_step + \
             self.degree_k[iota]
@@ -717,9 +713,6 @@ class FockModule:
                 if x:
                     out[(word, iota)] = _times(coeff, x)
         return FockVector._of(self, out)
-
-    def lattice_coords(self, alpha):
-        return self.basis.decompose(alpha)
 
     def mode_op(self, coords, m) -> FockOp:
         """h(m) as an operator, for an int or Fraction mode m; off the
@@ -840,7 +833,7 @@ class FockModule:
     def tilde(self, alpha) -> GenSeries:
         """The Heisenberg series of a lattice vector, built once: its
         coefficient memo serves every check on the module."""
-        return self.eigen_tilde(self.lattice_coords(alpha))
+        return self.eigen_tilde(self.basis.decompose(alpha))
 
     def eigen_tilde(self, coords) -> GenSeries:
         step = self.mode_step
@@ -849,7 +842,7 @@ class FockModule:
         def fn(k):
             return self._mode_op(coords, k // step)
 
-        return GenSeries.on_grid(self, fn, residues or {0}, shift_k=0)
+        return GenSeries(self, fn, residues or {0}, shift_k=0)
 
     def identity_series(self) -> GenSeries:
         ident = FockOp(self, lambda v: v, 0)
@@ -858,7 +851,7 @@ class FockModule:
         def fn(k):
             return ident if k == -grid else self.zero_op()
 
-        return GenSeries.on_grid(self, fn, {0}, shift_k=-grid)
+        return GenSeries(self, fn, {0}, shift_k=-grid)
 
     def upsilon(self) -> GenSeries:
         """Virasoro series (1/2) sum_i alpha~_i [-1] beta~_i."""
@@ -975,7 +968,7 @@ class FockModule:
         return tuple(
             (w if num == den else w.scale(CycScalar.from_ints(1, [num], den)),
              e) for w, e, num, den in self._exp_terms(
-                self.lattice_coords(alpha), v, sign,
+                self.basis.decompose(alpha), v, sign,
                 sorted(_held_modes(v)), top))
 
     def _cre_expand(self, coords, v: FockVector, target: int,
@@ -995,23 +988,15 @@ class FockModule:
                 coords, v, sign, range(-1, -target - 1, -1), target)
             if e == target))
 
-    def vertex_exponent(self, alpha, iota) -> Fraction:
-        """xi(alpha(0)) - (alpha'|alpha')/2 on the iota-th vacuum line."""
-        return Fraction(self.vertex_exponents_k(alpha)[iota], self.grid)
-
     @kept
     def vertex_exponents_k(self, alpha) -> tuple:
-        """vertex_exponent on every vacuum line, on the module's grid
-        (the exponent times grid), kept per lattice vector."""
+        """xi(alpha(0)) - (alpha'|alpha')/2 on every vacuum line, times
+        the module's grid, kept per lattice vector."""
         half_norm = self.lattice.prime_pairing_p(alpha, alpha) * (
             self.grid // (2 * self.p))
         reads = [(k, a) for k, a in enumerate(alpha) if a]
         return tuple(sum((a * xi[k] for k, a in reads), -half_norm)
                      for xi in self._xi_k)
-
-    def vertex_coeff(self, alpha, m) -> FockOp:
-        """The coefficient X_alpha(m), read off the kept vertex series."""
-        return self.vertex_series(alpha).coeff(m)
 
     @kept
     def vertex_series(self, alpha) -> GenSeries:
@@ -1021,7 +1006,7 @@ class FockModule:
         exps = self.vertex_exponents_k(alpha)
         residues = {(-D - e + t * step) % D for e in set(exps)
                     for t in range(p)}
-        coords = self.lattice_coords(alpha)
+        coords = self.basis.decompose(alpha)
         e_alpha = self.e_op(alpha)
         norm = self.lattice.pairing(alpha, alpha)
 
@@ -1043,8 +1028,7 @@ class FockModule:
                 self, lambda v: _summed(self, summands(v, k), v.poisoned),
                 norm)
 
-        return GenSeries.on_grid(self, fn, residues, norm,
-                                 norm * D // 2 - D)
+        return GenSeries(self, fn, residues, norm, norm * D // 2 - D)
 
 
 # ---------------------------------------------------------------------
@@ -1140,11 +1124,12 @@ def virasoro_element_checks(M: FockModule, alphas, slots, probes):
     c1 = ups.coeff(Fraction(1))
     shift = M.weight_anomaly()
     deep_cap = M.trunc - 1
-    series_cap = (M.trunc + M.floor) / 2
+    floor = Fraction(M.floor_k, M.grid)
+    series_cap = (M.trunc + floor) / 2
     for v in M.basis_vectors(deep_cap):
-        deg = v.max_degree()
+        deg = Fraction(v.max_degree_k(), M.grid)
         direct.append(vector_status(M.virasoro_one(v) - v.scale(deg)))
-        if deg - M.floor <= series_cap:
+        if deg - floor <= series_cap:
             series.append(
                 vector_status(c1.apply(v) - v.scale(deg + shift)))
     report.append(("ups(1) = degree", worst_status(direct)))
@@ -1175,7 +1160,7 @@ def heisenberg_commutation_check(M: FockModule, alphas, hs, modes, probes):
         alpha = tuple(alpha)
         ea = M.e_op(alpha)
         for h in hs:
-            coords = M.lattice_coords(h)
+            coords = M.basis.decompose(h)
             for n in modes:
                 n = _frac(n)
                 hop = M.mode_op(coords, n)
@@ -1252,7 +1237,7 @@ def reconstruct_e(M: FockModule, alpha, exps, probes):
     off X_alpha(z): the z^e coefficient of the stripped series must
     equal e(alpha) at e = 0 and vanish at every other sampled e."""
     alpha = tuple(alpha)
-    coords = M.lattice_coords(alpha)
+    coords = M.basis.decompose(alpha)
     e_alpha = M.e_op(alpha)
     report = []
     for e in exps:
@@ -1301,8 +1286,8 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
     eps(alpha,beta) X_{alpha,beta}(w,z) i_{w,z}
     prod_s (w^(1/p) - om^s z^(1/p))^((sigma^(-s) alpha | beta))."""
     alpha, beta = tuple(alpha), tuple(beta)
-    ca = M.lattice_coords(alpha)
-    cb = M.lattice_coords(beta)
+    ca = M.basis.decompose(alpha)
+    cb = M.basis.decompose(beta)
     eps = M.twist.epsilon(alpha, beta).scalar()
     gamma = tuple(a + b for a, b in zip(alpha, beta))
     e_ab = M.e_op(gamma)
@@ -1322,6 +1307,7 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
             kz_bound = max(kz_bound, p * (zd * (top - az - grid) - zn * grid)
                            // (zd * grid))
     kterms = _pair_kernel_terms(M, alpha, beta, kz_bound)
+    xa, xb = M.vertex_series(alpha), M.vertex_series(beta)
 
     def summands(v, wk, zk):
         if wk is None or zk is None:
@@ -1355,8 +1341,7 @@ def pair_expansion_check(M: FockModule, alpha, beta, wslots, zslots, probes):
             wk, zk = grid_slot(wsf, grid), grid_slot(zsf, grid)
             statuses = []
             for v in probes:
-                lhs = M.vertex_coeff(alpha, wsf).apply(
-                    M.vertex_coeff(beta, zsf).apply(v))
+                lhs = xa.coeff(wsf).apply(xb.coeff(zsf).apply(v))
                 rhs = _summed(M, summands(v, wk, zk), v.poisoned)
                 statuses.append(vector_status(lhs - rhs.scale(eps)))
             report.append(((wsf, zsf), worst_status(statuses)))

@@ -2,12 +2,10 @@
 the derived pairing data used by the twisted-operator machinery."""
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
 
 from .linalg import (
-    _bilinear, det_int, hnf_columns, identity, kernel_basis, mat_mul,
-    mat_vec, snf)
+    _bilinear, det_int, hnf_columns, identity, kernel_basis, mat_mul, snf)
 
 MAX_ORDER_SEARCH = 10000
 
@@ -21,10 +19,11 @@ class TwistedLattice:
     automorphism sigma of finite order p preserving the form.
 
     The lattice keeps its sigma data for its lifetime: the powers
-    `sigma_pows` (sigma^s for 0 <= s < p), the norm map
-    N = sum_s sigma^s, so that alpha^0 = N alpha / p, `gram_norm`
-    = G N, whose column j is p * nu(e_j), `gram_prime` = p G - G N,
-    the primed pairing on the grid p, `gram_weight` = G sum_s s
+    `sigma_pows` (sigma^s for 0 <= s < p), the norm map `norm`
+    N = sum_s sigma^s, p times the projection alpha -> alpha^0 onto
+    the sigma-fixed space, `gram_norm` = G N, whose column j is
+    p * nu(e_j), `gram_prime` = p G - G N, the primed pairing on the
+    grid p, `gram_weight` = G sum_s s
     sigma^s and the parities `diag_parity` of the diagonal of G, which
     give the commutator phase as an integer (`commutator_exponent`),
     and its reduced generating set (`reduce_generating_set`) once
@@ -115,27 +114,17 @@ class TwistedLattice:
         return (p * n - 2 * w) % (2 * p)
 
     def prime_pairing_p(self, alpha, beta) -> int:
-        """p * prime_pairing(alpha, beta), an integer:
-        alpha^T (p G - G N) beta, one form of the kept matrix."""
+        """p times the primed pairing (alpha'|beta'), the pairing of the
+        components orthogonal to the sigma-fixed space, (alpha|beta) -
+        (alpha|N beta)/p; an integer, alpha^T (p G - G N) beta, one form
+        of the kept matrix."""
         return _bilinear(self.gram_prime, alpha, beta)
 
-    def prime_pairing(self, alpha, beta) -> Fraction:
-        """Pairing of the components orthogonal to the fixed space:
-        (alpha|beta) - (alpha|N beta)/p."""
-        return Fraction(self.prime_pairing_p(alpha, beta), self.p)
-
-    def proj0(self, alpha):
-        """Projection onto the sigma-fixed subspace, rational coords."""
-        return tuple(Fraction(x, self.p) for x in mat_vec(self.norm, alpha))
-
     def nu_p(self, alpha):
-        """p * nu(alpha), integers for an integer alpha: G N alpha."""
+        """p times the degree nu(alpha), the values (alpha^0|e_k) over
+        the standard basis; integers for an integer alpha: G N alpha."""
         return tuple(sum(g * a for g, a in zip(row, alpha) if a)
                      for row in self.gram_norm)
-
-    def nu(self, alpha):
-        """Degree of alpha: values (alpha^[0] | e_k) over the standard basis."""
-        return tuple(Fraction(x, self.p) for x in self.nu_p(alpha))
 
     @cached_property
     def fixed_basis(self):

@@ -3,7 +3,8 @@
 Each oracle recomputes a quantity that the main code paths produce,
 using a deliberately different algorithm: the product oracle expands
 its projection kernel monomial by monomial straight from the defining
-double sum (no kernel-polynomial arithmetic, no closed forms), the
+double sum (no kernel-polynomial arithmetic, no closed forms), in
+Fraction arithmetic on the integer grid data it reads, the
 block oracle reads the structure of a twisted group algebra off its
 full multiplication table, and the coset oracle counts the sigma-fixed
 dual-lattice cosets by a breadth-first search over all cosets.
@@ -14,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .fdist import FdistError, GenSeries, _residue, gen_binom
+from .fdist import FdistError, GenSeries, gen_binom
 from .fock import FockOp, FockVector
 from .linalg import field_inverse
 from .scalar import ONE, as_scalar
@@ -63,24 +64,27 @@ def oracle_product(a: GenSeries, b: GenSeries, n: int,
 
     with K the projection kernel of slack locality - n - 1, expanded by
     projection_monomials.  The inner sums terminate at the annihilation
-    bounds of the two factors."""
+    bounds of the two factors.  The series keep their residues, shifts
+    and degrees as integers on the module's grid; the oracle turns each
+    into a Fraction as it reads it, and computes in Fractions."""
     mod = a.module
     if b.module is not mod:
         raise FdistError("series live over different modules")
-    if a.shift_base is None or b.shift_base is None:
+    if a.shift_k is None or b.shift_k is None:
         raise FdistError("the product oracle requires degree shifts")
+    D = mod.grid
     terms = projection_monomials(mod.p, max(locality - n - 1, 0))
-    ca, cb = a.shift_base, b.shift_base
+    ca, cb = Fraction(a.shift_k, D), Fraction(b.shift_k, D)
+    fl = Fraction(mod.floor_k, D)
     sign = -1 if (a.parity and b.parity) else 1
-    residues = {_residue(ra + rb) for ra in a.residues for rb in b.residues}
+    res_k = {(ra + rb) % D for ra in a.res_k for rb in b.res_k}
 
     def fn(t):
         def act(v):
             out = FockVector(mod, {}, v.poisoned)
             if not v.terms:
                 return out
-            d = v.max_degree()
-            fl = mod.floor
+            d = Fraction(v.max_degree_k(), D)
             for (u, x, c) in terms:
                 kmax = _floor_int(d + cb - fl - t - x)
                 if n >= 0:
@@ -105,8 +109,8 @@ def oracle_product(a: GenSeries, b: GenSeries, n: int,
 
         return FockOp(mod, act, a.parity + b.parity)
 
-    return GenSeries(mod, fn, residues, parity=(a.parity + b.parity) % 2,
-                     shift_base=ca + cb - n)
+    return GenSeries(mod, lambda k: fn(Fraction(k, D)), res_k,
+                     (a.parity + b.parity) % 2, a.shift_k + b.shift_k - n * D)
 
 
 # ---------------------------------------------------------------------

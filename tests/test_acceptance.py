@@ -225,9 +225,11 @@ def test_criterion_5_locality_and_residue_oracle():
             # locality order: the commutator sum vanishes at N on
             # in-window mode pairs
             pair_slots = [(n, m)
-                          for n in [r + k for r in sorted(sa.residues)
+                          for n in [Fraction(r, M.grid) + k
+                                    for r in sorted(sa.res_k)
                                     for k in (1, 2)]
-                          for m in [r + k for r in sorted(sb.residues)
+                          for m in [Fraction(r, M.grid) + k
+                                    for r in sorted(sb.res_k)
                                     for k in (0, 1)]][:4]
             if locality_test(sa, sb, N, pair_slots, probes) != "pass":
                 ok = False
@@ -413,7 +415,7 @@ def test_criterion_12_degree_operator():
         M = _module(gram, sigma, 6, bound)
         count = 0
         for v in M.basis_vectors(5):
-            deg = v.max_degree()
+            deg = Fraction(v.max_degree_k(), M.grid)
             if M.virasoro_one(v) != v.scale(deg):
                 ok = False
             count += 1

@@ -444,6 +444,22 @@ def test_naive_module_fails_on_obstruction():
     assert conditions_status(reports) == "fail"
 
 
+def test_relation_i_untestable_when_no_probe_decides():
+    # [2] with sigma = -1 on the one-line window: every e-shift of the
+    # vacuum line leaves the window, so no probe decides relation (i)
+    # for any root, and it never reads as a pass
+    T = twist([[2]], [[-1]])
+    M = FockModule(T, RegularOmega(T, 0), 1)
+    alpha = (1,)
+    for mu in T.mu_roots(T.lattice.orbit(alpha)):
+        assert classify._check_relation_i(T, M, alpha, mu, [M.vacuum(0)]) \
+            == ("untestable", (alpha, 1))
+    (report,) = twisted_conditions(T, M)
+    assert report["cond_i"] == "untestable"
+    assert report["cond_ii"] == "pass"
+    assert conditions_status([report]) == "untestable"
+
+
 @pytest.mark.parametrize("gram,sigma", [
     ([[2, 1], [1, 2]], neg(2)),
     ([[2, 0], [0, 4]], [[1, 0], [0, -1]]),
@@ -477,8 +493,7 @@ def test_instantiate_class_reuses_the_enumerated_algebra(monkeypatch, gram,
     for cls, M in zip(res.classes, modules):
         fresh = instantiate_class(twist(gram, sigma), cls, trunc=2).omega
         assert M.omega.lines == fresh.lines
-        assert [M.omega.xi(i) for i in range(M.omega.size)] == \
-            [fresh.xi(i) for i in range(fresh.size)]
+        assert M.omega.weights == fresh.weights
 
 
 def test_class_dimensions_match_blocks():

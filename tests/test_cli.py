@@ -164,6 +164,27 @@ def test_kappa_untwisted_is_epsilon(tmp_path, capsys):
     assert "N(alpha,beta) = 0" in out
 
 
+def test_kappa_refused_past_the_digit_limit(tmp_path, capsys,
+                                            default_digit_limit):
+    # on [2] with sigma = -1, alpha = beta = (n): (a|b) = 2n^2 = -m_1,
+    # so kappa = 2^-(4n^2) and sum_s |m_s| = 4n^2.  Under the limit of
+    # 4300 digits the bound on that sum is 14071 for p = 2: n = 59
+    # (13924, a denominator of 4192 digits) prints, n = 60 (14400, 4335
+    # digits) is refused before kappa is computed
+    def spec(n):
+        return {"gram": [[2]], "sigma": [[-1]], "alpha": [n], "beta": [n]}
+
+    assert run(tmp_path, spec(59), "kappa") == EXIT_OK
+    assert f"fl:kappa | kappa(alpha,beta) = 1/{2 ** 13924}\n" \
+        in capsys.readouterr().out
+    assert run(tmp_path, spec(60), "kappa") == EXIT_SCALAR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(
+        "refused: kappa(alpha,beta) with sum_s |m_s| = 14400 ")
+
+
 def test_kappa_requires_vectors(tmp_path):
     assert run(tmp_path, EX2, "kappa") == EXIT_INPUT
 
@@ -197,6 +218,73 @@ def test_bad_inputs_exit_2(tmp_path, capsys):
         assert captured.err.startswith("input error: ")
         assert captured.err.count("\n") == 1
         assert captured.out == ""
+
+
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit on the digits of an int that str() and
+    int() convert, 4300, whatever the environment set; restored
+    afterwards."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(sys.int_info.default_max_str_digits)
+    yield sys.int_info.default_max_str_digits
+    sys.set_int_max_str_digits(old)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[" * 100000, "maximum recursion depth exceeded"),
+    ('{"gram": [[' + "9" * 5000 + ']], "sigma": [[1]]}',
+     "Exceeds the limit (4300 digits) for integer string conversion"),
+], ids=["nested", "digits"])
+@pytest.mark.parametrize("cmd", ["check", "classify", "kappa", "orbits"])
+def test_spec_json_cannot_load_exit_2(tmp_path, capsys, default_digit_limit,
+                                      text, message, cmd):
+    # json.loads refuses these without a JSONDecodeError: nesting past
+    # the recursion limit, and an integer past the digit limit
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    assert main(["--spec", str(path), "--cmd", cmd]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"input error: {message}")
+
+
+# parse_job's refusals of a spec's shape, and main's of a report it
+# cannot write: (spec text, --out, the one stderr line after the tag)
+SHAPE_REFUSALS = {
+    "gram-rows": ('{"gram": [2], "sigma": [[1]]}', None,
+                  "gram must be a non-empty list of rows"),
+    "not-object": ("[1]", None, "job spec must be a JSON object"),
+    "eps-type": ('{"gram": [[2]], "sigma": [[1]], "eps": [1]}', None,
+                 "eps must be an object keyed by 'i,j'"),
+    "eps-key": ('{"gram": [[2]], "sigma": [[1]], "eps": {"x": "1"}}', None,
+                "bad eps key 'x'"),
+    "phi-type": ('{"gram": [[2]], "sigma": [[1]], "phi": [1]}', None,
+                 "phi must be an object keyed by basis index"),
+    "phi-key": ('{"gram": [[2]], "sigma": [[1]], "phi": {"x": "1"}}', None,
+                "bad phi key 'x'"),
+    "phi-range": ('{"gram": [[2]], "sigma": [[1]], "phi": {"3": "1"}}',
+                  None, "phi key '3' out of range"),
+    "mu-type": ('{"gram": [[2]], "sigma": [[1]], "mu": "1"}', None,
+                "mu must be a list of scalar strings"),
+    "out-full": ('{"gram": [[2]], "sigma": [[1]]}', "/dev/full",
+                 "[Errno 28] No space left on device"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPE_REFUSALS))
+def test_spec_shape_and_report_write_refusals_exit_2(tmp_path, capsys, name):
+    text, out, message = SHAPE_REFUSALS[name]
+    if out is not None and not os.path.exists(out):
+        pytest.skip(f"{out} does not exist here")
+    path = tmp_path / "job.json"
+    path.write_text(text)
+    args = ["--spec", str(path), "--cmd", "orbits"]
+    assert main(args + (["--out", out] if out else [])) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"input error: {message}"]
 
 
 def test_unwritable_out_refused_before_the_command(tmp_path, capsys,

@@ -302,7 +302,8 @@ def test_mode_apply_zero_mode_weight():
     i = M.omega.lookup[(1,)]
     v = M.vacuum(i)
     got = heis(M, 0, 0, v)
-    assert got == v.scale(M.omega.xi(i)[0])
+    D, rows = M.omega.weights
+    assert got == v.scale(Fraction(rows[i][0], D))
 
 
 def test_mode_apply_truncation_poisons():
@@ -424,7 +425,8 @@ def test_mode_apply_heisenberg_relations(gram, sigma):
             assert M.mode_apply(combo, m, v) == \
                 M.mode_apply(h, m, v).scale(a) + M.mode_apply(h2, m, v).scale(b)
         (_, iota), = v.terms
-        xi = M.omega.xi(iota)
+        D, rows = M.omega.weights
+        xi = [Fraction(x, D) for x in rows[iota]]
         xi_h = sum((h[j] * gb.vecs[j][k] * xi[k]
                     for j in range(l) if gb.qs[j] == 0
                     for k in range(l)), ZERO)
@@ -524,7 +526,7 @@ def test_mode_apply_matches_the_plan_free_oracle(make):
     M = make(trunc=2)
     p, l = M.p, M.lattice.rank
     coords = list(M.basis.units) + list(M.basis.duals) + [
-        M.lattice_coords(a) for a in
+        M.basis.decompose(a) for a in
         [tuple(int(i == j) for i in range(l)) for j in range(l)]
         + [(1,) * l, (2,) + (-1,) * (l - 1)]]
     modes = list(range(-2 * p, 2 * p + 1))
@@ -710,7 +712,8 @@ def test_empty_sum_and_unit_scale_add_no_layer():
 def test_virasoro_one_is_degree():
     for M in (untwisted_module(), negation_module(), rotation_module()):
         for v in M.basis_vectors(2):
-            assert M.virasoro_one(v) == v.scale(v.max_degree())
+            assert M.virasoro_one(v) == v.scale(
+                Fraction(v.max_degree_k(), M.grid))
 
 
 def test_translation_operator_remembers_each_vector(monkeypatch):
@@ -750,10 +753,10 @@ def test_vertex_coeff_untwisted_vacuum_values():
     alpha = (1,)
     i_a = M.omega.lookup[(1,)]
     ket_a = M.vacuum(i_a)
-    assert M.vertex_coeff(alpha, Fraction(0)).apply(v).is_zero()
-    assert M.vertex_coeff(alpha, Fraction(-1)).apply(v) == ket_a
-    assert M.vertex_coeff(alpha, Fraction(-2)).apply(v) == \
-        heis(M, 0, Fraction(-1), ket_a)
+    x = M.vertex_series(alpha)
+    assert x.coeff(Fraction(0)).apply(v).is_zero()
+    assert x.coeff(Fraction(-1)).apply(v) == ket_a
+    assert x.coeff(Fraction(-2)).apply(v) == heis(M, 0, Fraction(-1), ket_a)
 
 
 def test_vertex_commutator_with_heisenberg():
@@ -764,14 +767,15 @@ def test_vertex_commutator_with_heisenberg():
          [Fraction(-1, 2), Fraction(1, 2)]),
     ):
         v = vac(M)
-        coords = M.lattice_coords(h)
+        coords = M.basis.decompose(h)
         pair = Fraction(M.lattice.pairing(alpha, h))
+        series = M.vertex_series(alpha)
         for n in modes:
             for m in (Fraction(-1), Fraction(0), Fraction(-1, 2)):
-                x = M.vertex_coeff(alpha, m)
+                x = series.coeff(m)
                 hop = M.mode_op(coords, n)
                 lhs = hop.apply(x.apply(v)) - x.apply(hop.apply(v))
-                rhs = M.vertex_coeff(alpha, m + n).apply(v).scale(pair)
+                rhs = series.coeff(m + n).apply(v).scale(pair)
                 d = lhs - rhs
                 assert d.is_zero() and not d.poisoned
 
@@ -804,8 +808,7 @@ def test_series_coefficient_remembers_its_action():
         calls.append(v)
         return v.scale(2)
 
-    s = GenSeries(M, lambda n: FockOp(M, act), {Fraction(0)},
-                  shift_base=Fraction(0))
+    s = GenSeries(M, lambda k: FockOp(M, act), {0}, shift_k=0)
     op = s.coeff(0)
     assert s.coeff(0) is op
     v1, v2 = vac(M), vac(M)
@@ -904,16 +907,18 @@ def test_e_op_stops_at_the_first_line_outside_the_window():
 
 
 def _recording_series(M, name, calls, poison_slot):
-    """Series whose slot-k coefficient records ('name', k) when applied,
-    except at poison_slot, where it creates past the truncation."""
+    """Series whose coefficient at the integer slot n records
+    ('name', n) when applied, except at poison_slot, where it creates
+    past the truncation."""
     poison = M.mode_op((ONE,), -M.trunc - 1)
 
     def fn(k):
-        if k == poison_slot:
+        n = Fraction(k, M.grid)
+        if n == poison_slot:
             return poison
-        return _recorder(M, (name, k), calls)
+        return _recorder(M, (name, n), calls)
 
-    return GenSeries(M, fn, {Fraction(0)}, shift_base=Fraction(5))
+    return GenSeries(M, fn, {0}, shift_k=5 * M.grid)
 
 
 def test_product_coefficients_stop_at_poison():
@@ -956,14 +961,14 @@ def test_out_of_window_product_coefficients_are_poisoned():
 
 def _slots_of(series, width=2):
     """A few slots on each residue of the series."""
-    return [r + k for r in sorted(series.residues)
+    return [Fraction(r, series.grid) + k for r in sorted(series.res_k)
             for k in range(-width, width + 1)]
 
 
 def _operators(M):
     """(name, operator) for every kind of operator the checks apply."""
     alpha = (1,) + (0,) * (M.lattice.rank - 1)
-    coords = M.lattice_coords(alpha)
+    coords = M.basis.decompose(alpha)
     ops = [(f"mode {m}", M.mode_op(coords, m))
            for m in (Fraction(-1), Fraction(0), Fraction(1),
                      Fraction(-1, M.p), Fraction(1, M.p))]
@@ -993,7 +998,7 @@ def _operators(M):
 def test_empty_vectors_are_fixed_points(make, monkeypatch):
     M = make(trunc=2, bound=1)
     zero, poisoned = FockVector(M, {}), FockVector(M, {}, poisoned=True)
-    coords = M.lattice_coords((1,) + (0,) * (M.lattice.rank - 1))
+    coords = M.basis.decompose((1,) + (0,) * (M.lattice.rank - 1))
     for z in (zero, poisoned):
         for ms in (-M.p, 0, M.p, 1, -1):
             assert M.mode_apply(coords, ms, z) is z
@@ -1016,7 +1021,7 @@ def test_flat_combination_matches_vector_sums(make):
     rng = random.Random(1500 + M.p)
     rank = M.lattice.rank
     alpha = (1,) + (0,) * (rank - 1)
-    coords = M.lattice_coords(alpha)
+    coords = M.basis.decompose(alpha)
     sa = M.vertex_series(alpha)
     pool = ([M.mode_op(coords, m) for m in (Fraction(-1, M.p), Fraction(0),
                                             Fraction(1, M.p))]
@@ -1310,14 +1315,16 @@ def _weight_route_modules():
 
 
 def test_vacuum_weights_match_the_cyc_scalar_route():
-    # each vacuum weight is a plain rational, and the module reads the
-    # same zero weights, line degrees, floor, xi entries and grid off
-    # them as off the CycScalar weights the vacuum spaces built before
+    # each vacuum weight is a plain rational, integer rows over one
+    # denominator, and the module reads the same zero weights, line
+    # degrees, floor, xi entries and grid off them as off the CycScalar
+    # weights the vacuum spaces built before
     classes = 0
     for M in _weight_route_modules():
         classes += not isinstance(M.omega, RegularOmega)
-        for i in range(M.omega.size):
-            assert all(type(x) in (Fraction, int) for x in M.omega.xi(i))
+        D, rows = M.omega.weights
+        assert type(D) is int and len(rows) == M.omega.size
+        assert all(type(x) is int for row in rows for x in row)
         zero_weights, degree_k, floor_k, xi_k, grid = _cyc_scalar_weights(M)
         assert M.grid == grid
         assert M.degree_k == degree_k and M.floor_k == floor_k
@@ -1330,10 +1337,9 @@ def test_vertex_exponent_kept_per_line():
     T = TwistData(TwistedLattice([[2]], [[-1]]))
     M = FockModule(T, RegularOmega(T, 1), 2)
     # the exponents of all lines are kept per lattice vector, on the
-    # grid; vertex_exponent reads one back as a Fraction
+    # grid: -(alpha|alpha)/2 = -1 on the line 0
     assert M.vertex_exponents_k((1,)) is M.vertex_exponents_k([1])
-    assert M.vertex_exponent((1,), 0) == M.vertex_exponent([1], 0)
-    assert M.vertex_exponent((1,), 0) == -1  # -(alpha|alpha)/2
+    assert M.vertex_exponents_k((1,))[0] == -M.grid
 
 
 # ---------------------------------------------------------------------
@@ -1431,7 +1437,7 @@ def test_kept_annihilation_expansion_matches_a_fresh_one():
     for M, alphas, vecs in _expansion_cases(2001):
         fresh = FockModule(M.twist, RegularOmega(M.twist, bound=1), trunc=3)
         for alpha in alphas:
-            coords = M.lattice_coords(alpha)
+            coords = M.basis.decompose(alpha)
             for v in vecs:
                 for sign in (-1, 1):
                     kept = M._ann_expand(alpha, v, sign)
@@ -1464,7 +1470,7 @@ def test_creation_coefficients_match_the_fraction_formula():
     nontrivial = poisoned = 0
     for M, alphas, vecs in _expansion_cases(2002):
         for alpha in alphas:
-            coords = M.lattice_coords(alpha)
+            coords = M.basis.decompose(alpha)
             for v in vecs:
                 for target in list(range(2 * M.p + 1)) + [M.cap]:
                     for sign in (-1, 1):
@@ -1517,13 +1523,13 @@ def test_kernel_terms_and_vertex_exponents_on_the_grid():
                 assert {(Fraction(w, p), Fraction(z, p)): c
                         for w, z, c in got} == want
             exps = M.vertex_exponents_k(alpha)
-            half = Fraction(M.lattice.prime_pairing(alpha, alpha), 2)
+            half = Fraction(M.lattice.prime_pairing_p(alpha, alpha), 2 * p)
+            D, rows = M.omega.weights
             for i in range(M.omega.size):
-                xi = sum((as_scalar(a) * x
-                          for a, x in zip(alpha, M.omega.xi(i))), ZERO)
+                xi = sum((as_scalar(a) * Fraction(x, D)
+                          for a, x in zip(alpha, rows[i])), ZERO)
                 want = xi.rational_value() - half
                 assert Fraction(exps[i], grid) == want
-                assert M.vertex_exponent(alpha, i) == want
 
 
 # ---------------------------------------------------------------------
@@ -1535,7 +1541,7 @@ def test_series_kept_per_lattice_vector():
     assert M.vertex_series((1, 0)) is M.vertex_series([1, 0])
     assert M.tilde((1, 0)) is M.tilde([1, 0])
     assert M.vertex_series((1, 0)) is not M.vertex_series((0, 1))
-    assert M.vertex_coeff((1, 0), Fraction(-2, 3)) \
+    assert M.vertex_series([1, 0]).coeff(Fraction(-2, 3)) \
         is M.vertex_series((1, 0)).coeff(Fraction(-2, 3))
 
 
@@ -1600,7 +1606,8 @@ def test_grid_slots_match_oracle_and_fresh_module(p):
     assert M.grid % (2 * p) == 0
     l = M.lattice.rank
     units = [tuple(int(i == j) for j in range(l)) for i in range(l)]
-    low = [v for v in M.basis_vectors(1) if v.max_degree() - M.floor <= 1]
+    low = [v for v in M.basis_vectors(1)
+           if v.max_degree_k() - M.floor_k <= M.grid]
     probes = rng.sample(low, min(6, len(low)))
     for _ in range(4):
         alpha, beta = rng.choice(units), rng.choice(units)
@@ -1632,22 +1639,16 @@ def test_grid_slots_match_oracle_and_fresh_module(p):
 
 @pytest.mark.parametrize("p", sorted(GRID_LATTICES))
 def test_series_off_the_algebra_grid_are_refused(p):
-    # the module's grid is the only grid a series has: a residue, a
-    # shift, a shift by z^off or a kernel in 1/q with q not dividing the
-    # grid is refused; reading an off-grid slot is still the zero
-    # coefficient, and an off-grid mode the empty operator
+    # the module's grid is the only grid a series has: a shift by
+    # z^off or a kernel in 1/q with q not dividing the grid is refused;
+    # reading an off-grid slot is still the zero coefficient, and an
+    # off-grid mode the empty operator
     import random
 
     rng = random.Random(9300 + p)
     M = _grid_module(p)
     off = _off_grid_slot(rng, M.grid)
-    res = off - (off.numerator // off.denominator)
     unit = M.basis.units[0]
-    op = M.mode_op(unit, 0)
-    with pytest.raises(FdistError):
-        GenSeries(M, lambda n: op, {res}, shift_base=0)
-    with pytest.raises(FdistError):
-        GenSeries(M, lambda n: op, {Fraction(0)}, shift_base=off)
     a = M.tilde((1,) + (0,) * (M.lattice.rank - 1))
     with pytest.raises(FdistError):
         a.shift(off)
@@ -1655,7 +1656,7 @@ def test_series_off_the_algebra_grid_are_refused(p):
         nth_product_kernel(a, a, 0, 2, kernel_Delta(off.denominator, 0, 2))
     probes = M.basis_vectors(1)
     # a shift on the grid round-trips: z^r a(z) at slot t is a at t + r
-    for r in a.residues | {Fraction(1, M.p)}:
+    for r in {Fraction(k, M.grid) for k in a.res_k} | {Fraction(1, M.p)}:
         shifted = a.shift(r)
         for t in (0, -1):
             for v in probes:

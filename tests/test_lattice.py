@@ -68,6 +68,13 @@ def test_m_values_examples():
     assert l2.m_values((1, 0), (1, 0)) == (2, -2)
 
 
+def _fixed_part(lat, v):
+    """The projection v^0 = N v / p onto the sigma-fixed space, from
+    the kept norm map N."""
+    return tuple(Fraction(sum(n * x for n, x in zip(row, v)), lat.p)
+                 for row in lat.norm)
+
+
 def test_m_values_sum_and_shift():
     rng = random.Random(5)
     for _ in range(25):
@@ -76,11 +83,12 @@ def test_m_values_sum_and_shift():
         b = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
         ms = lat.m_values(a, b)
         total = sum(ms)
+        a0, b0 = _fixed_part(lat, a), _fixed_part(lat, b)
         proj_pair = sum(
             x * y_gram
             for x, y_gram in zip(
-                lat.proj0(a),
-                [sum(Fraction(lat.gram[i][j]) * lat.proj0(b)[j]
+                a0,
+                [sum(Fraction(lat.gram[i][j]) * b0[j]
                      for j in range(lat.rank)) for i in range(lat.rank)],
             )
         )
@@ -89,20 +97,22 @@ def test_m_values_sum_and_shift():
 
 
 def test_prime_pairing():
+    # p times the primed pairing: (1'|1') is 0 on [4], sigma = 1, and
+    # 2 on [2], sigma = -1, where p = 2
     l1 = TwistedLattice([[4]], [[1]])
-    assert l1.prime_pairing((1,), (1,)) == 0
+    assert l1.prime_pairing_p((1,), (1,)) == 0
     l2 = TwistedLattice([[2]], [[-1]])
-    assert l2.prime_pairing((1,), (1,)) == 2
+    assert l2.prime_pairing_p((1,), (1,)) == 4
     rng = random.Random(6)
     for _ in range(20):
         lat = random_twisted_lattice(rng)
         a = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
         b = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
         c = tuple(rng.randint(-3, 3) for _ in range(lat.rank))
-        assert lat.prime_pairing(a, b) == lat.prime_pairing(b, a)
+        assert lat.prime_pairing_p(a, b) == lat.prime_pairing_p(b, a)
         ab = tuple(x + y for x, y in zip(a, c))
-        assert lat.prime_pairing(ab, b) == (
-            lat.prime_pairing(a, b) + lat.prime_pairing(c, b)
+        assert lat.prime_pairing_p(ab, b) == (
+            lat.prime_pairing_p(a, b) + lat.prime_pairing_p(c, b)
         )
 
 
@@ -136,14 +146,15 @@ def test_pairing_bilinear_form_matches_the_double_sum():
 
 
 def test_nu():
+    # p times the degree; p = 1 on the second lattice
     l2 = TwistedLattice(A1x2, neg_identity(2))
-    assert l2.nu((1, 0)) == (0, 0)
+    assert l2.nu_p((1, 0)) == (0, 0)
     l1 = TwistedLattice([[2, 1], [1, 2]], [[1, 0], [0, 1]])
-    assert l1.nu((1, 0)) == (2, 1)
+    assert l1.nu_p((1, 0)) == (2, 1)
     lat = TwistedLattice(A1x2, ROT4)
     a = (1, 2)
     for s in range(lat.p):
-        assert lat.nu(lat.apply_sigma(a, s)) == lat.nu(a)
+        assert lat.nu_p(lat.apply_sigma(a, s)) == lat.nu_p(a)
 
 
 def test_reduce_generating_set_identity_sigma():
@@ -205,19 +216,17 @@ def test_reduced_degrees_form_basis():
         # spans: every basis vector degree is an integer combination
         from twistlab.linalg import solve_int
 
-        degrees = [lat.nu(orb[0]) for orb in dec.orbits[:dec.m]]
-        if not degrees:
+        # the degrees times p, integers
+        cols = [lat.nu_p(orb[0]) for orb in dec.orbits[:dec.m]]
+        if not cols:
             for j in range(lat.rank):
                 e = tuple(1 if i == j else 0 for i in range(lat.rank))
-                assert not any(lat.nu(e))
+                assert not any(lat.nu_p(e))
             continue
-        denom = lat.p
-        cols = [[int(x * denom) for x in d] for d in degrees]
         a = [[cols[j][k] for j in range(len(cols))] for k in range(lat.rank)]
         for j in range(lat.rank):
             e = tuple(1 if i == j else 0 for i in range(lat.rank))
-            target = [int(x * denom) for x in lat.nu(e)]
-            assert solve_int(a, target) is not None
+            assert solve_int(a, list(lat.nu_p(e))) is not None
 
 
 def _plain_power(m, s):
@@ -256,12 +265,12 @@ def test_apply_sigma_and_m_values_match_matrices(gram, sigma, order):
         return sum(v[i] * gram[i][j] * w[j]
                    for i in range(l) for j in range(l))
 
-    def plain_proj0(v):
+    def plain_fixed_part(v):
         return tuple(Fraction(sum(plain_apply(v, s)[i] for s in range(p)), p)
                      for i in range(l))
 
     def plain_nu(v):
-        pr = plain_proj0(v)
+        pr = plain_fixed_part(v)
         return tuple(sum(gram[k][j] * pr[j] for j in range(l))
                      for k in range(l))
 
@@ -293,7 +302,7 @@ def test_apply_sigma_and_m_values_match_matrices(gram, sigma, order):
                     for i in range(lat.rank) for j in range(lat.rank))
                 for s in range(p))
             assert lat.m_values(v, w) == plain
-            assert lat.prime_pairing(v, w) == \
-                plain_pairing(v, w) - Fraction(sum(plain), p)
-        assert lat.proj0(v) == plain_proj0(v)
-        assert lat.nu(v) == plain_nu(v)
+            assert lat.prime_pairing_p(v, w) == \
+                p * plain_pairing(v, w) - sum(plain)
+        assert _fixed_part(lat, v) == plain_fixed_part(v)
+        assert lat.nu_p(v) == tuple(p * x for x in plain_nu(v))
