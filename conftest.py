@@ -23,3 +23,13 @@ def keep_twistlab_modules():
         if name not in saved:
             del sys.modules[name]
     sys.modules.update(saved)
+
+
+@pytest.fixture(autouse=True)
+def clear_enumeration_memo():
+    """Empty the process-wide memo of enumerate_simple_twisted before
+    each test, so no test reads an enumeration an earlier test made.
+    The benchmark's tests import twistlab afresh, with an empty memo."""
+    classify = sys.modules.get("twistlab.classify")
+    if classify is not None:
+        classify.clear_enumeration_memo()

@@ -5,7 +5,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+import threading
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -23,6 +24,7 @@ from .linalg import (
     snf,
     transpose,
 )
+from . import scalar as scalar_module
 from .scalar import (
     CycScalar,
     ONE,
@@ -782,7 +784,7 @@ def eta_cosets(lat: TwistedLattice, choices: int = 1):
 # Simple twisted-module classes
 # ---------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class SimpleModuleClass:
     mu_choice: tuple
     ideal_index: int
@@ -792,7 +794,7 @@ class SimpleModuleClass:
     eta_index: int = 0
 
 
-@dataclass
+@dataclass(frozen=True)
 class MuEntry:
     mu_choice: tuple
     admissible: bool
@@ -800,23 +802,107 @@ class MuEntry:
     dim_B0: int = 0
     block_count: int = 0
     block_dims: tuple = ()
-    classes: list = field(default_factory=list)
+    classes: tuple = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnumerationResult:
+    """The classes of one twist, a value shared by every caller that
+    asks for the same twist: it and its entries and classes are frozen,
+    and its sequences are tuples.  `witness` and each entry's `detail`
+    are held as the enumeration made them, since the reports print
+    them."""
     obstructed: bool
     witness: object
-    eta_reps: list
+    eta_reps: tuple
     eta_count: int
-    entries: list
-    classes: list
+    entries: tuple
+    classes: tuple
     order: int
     orbit_lengths: tuple
 
 
+# The process-wide memo of enumerate_simple_twisted: results by content
+# key, least recently used first, with their summed weight (`_weight`)
+# and the hits and misses since the last clear; the lock guards them,
+# not the enumeration.
+_memo: dict = {}
+_memo_lock = threading.Lock()
+_memo_held = 0
+_memo_hits = 0
+_memo_misses = 0
+
+
+def _content_key(T: TwistData):
+    """Everything an enumeration's outcome depends on: the lattice (Gram
+    matrix and sigma), the cocycle seeds (epsilon's exponent matrix on
+    its order, and phi's seed per basis vector) and the two caps that
+    can turn the same twist into a refusal, MAX_WORK and
+    `twistlab.scalar.CONDUCTOR_CAP`.  It holds no twist, algebra or
+    module."""
+    lat = T.lattice
+    return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents,
+            tuple(sorted(T.phi_seed.items())), MAX_WORK,
+            scalar_module.CONDUCTOR_CAP)
+
+
+def _weight(res: EnumerationResult) -> int:
+    """What a kept result counts against MAX_WORK: one for itself, one
+    per entry and one per class, so results without classes count too."""
+    return 1 + len(res.entries) + len(res.classes)
+
+
 def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
-    """All simple twisted-module classes: root choices per generating
+    """All simple twisted-module classes of the twist (`_enumerate`),
+    through one process-wide memo keyed by the twist's content
+    (`_content_key`): a second twist with the same lattice, seeds and
+    caps gets the same frozen result back without enumerating.
+
+    The memo keeps results, never exceptions, and evicts the least
+    recently used while the kept results, their entries and their
+    classes number more than MAX_WORK; a result heavier than that alone
+    is not kept.  `enumeration_memo_counts` reads its hits, misses and
+    contents, and `clear_enumeration_memo` empties it."""
+    global _memo_held, _memo_hits, _memo_misses
+    key = _content_key(T)
+    with _memo_lock:
+        res = _memo.pop(key, None)
+        if res is not None:
+            _memo[key] = res
+            _memo_hits += 1
+            return res
+        _memo_misses += 1
+    res = _enumerate(T)
+    weight = _weight(res)
+    with _memo_lock:
+        if weight <= MAX_WORK and key not in _memo:
+            _memo[key] = res
+            _memo_held += weight
+        while _memo_held > MAX_WORK:
+            _memo_held -= _weight(_memo.pop(next(iter(_memo))))
+    return res
+
+
+def enumeration_memo_counts() -> dict:
+    """The memo's hits and misses since the last clear, and the results,
+    entries and classes it keeps now."""
+    with _memo_lock:
+        return {"hits": _memo_hits, "misses": _memo_misses,
+                "results": len(_memo),
+                "entries": sum(len(r.entries) for r in _memo.values()),
+                "classes": sum(len(r.classes) for r in _memo.values())}
+
+
+def clear_enumeration_memo():
+    """Empty the memo and zero its counts."""
+    global _memo_held, _memo_hits, _memo_misses
+    with _memo_lock:
+        _memo.clear()
+        _memo_held = _memo_hits = _memo_misses = 0
+
+
+def _enumerate(T: TwistData) -> EnumerationResult:
+    """The enumeration itself, with no memo: root choices per generating
     orbit, filtered by weight admissibility, crossed with the simple
     blocks of A and with the eta cosets.  The obstructed case returns
     no classes together with the commutator witness.
@@ -830,7 +916,7 @@ def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
     obstructed, wit = T.obstruction_check()
     lengths = decomposition.lengths
     if obstructed:
-        return EnumerationResult(True, wit, [], 0, [], [], lat.p, lengths)
+        return EnumerationResult(True, wit, (), 0, (), (), lat.p, lengths)
     reps, _Q = eta_cosets(lat, math.prod(lengths))
     entries = []
     classes = []
@@ -851,17 +937,16 @@ def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
             raise ClassifyError(
                 f"block decomposition at mu {mu_choice} fails its "
                 f"certificate: {', '.join(failed)}")
-        entry = MuEntry(mu_choice, True, xi0, A.dim_B0, len(dec_A.blocks),
-                        tuple(b.dim for b in dec_A.blocks))
-        for ideal_index, block in enumerate(dec_A.blocks):
-            for ei, eta in enumerate(reps):
-                cls = SimpleModuleClass(
-                    mu_choice, ideal_index, eta, block.dim, xi0, ei)
-                entry.classes.append(cls)
-                classes.append(cls)
-        entries.append(entry)
-    return EnumerationResult(False, None, reps, len(reps), entries, classes,
-                             lat.p, lengths)
+        own = tuple(SimpleModuleClass(mu_choice, ideal_index, eta, block.dim,
+                                      xi0, ei)
+                    for ideal_index, block in enumerate(dec_A.blocks)
+                    for ei, eta in enumerate(reps))
+        classes.extend(own)
+        entries.append(MuEntry(mu_choice, True, xi0, A.dim_B0,
+                               len(dec_A.blocks),
+                               tuple(b.dim for b in dec_A.blocks), own))
+    return EnumerationResult(False, None, tuple(reps), len(reps),
+                             tuple(entries), tuple(classes), lat.p, lengths)
 
 
 # ---------------------------------------------------------------------
@@ -1138,14 +1223,16 @@ def twisted_conditions(T: TwistData, module):
         for mu in T.mu_roots(orb0):
             ci, cii, wit = "pass", "pass", None
             for gamma in vectors:
+                # the witness is the first one of the worst status so
+                # far: every status but pass comes with one
                 s1, w1 = _check_relation_i(T, module, gamma, mu, probes)
+                if _worse(s1, worst_status([ci, cii])):
+                    wit = ("(i)",) + w1
                 ci = worst_status([ci, s1])
-                if s1 == "fail":
-                    wit = wit or ("(i)",) + w1
                 s2, w2 = _check_weight_ii(T, module, gamma, mu)
+                if _worse(s2, worst_status([ci, cii])):
+                    wit = ("(ii)",) + w2
                 cii = worst_status([cii, s2])
-                if s2 == "fail":
-                    wit = wit or ("(ii)",) + w2
             entry = {
                 "orbit": key,
                 "length": len(orb0),
@@ -1157,13 +1244,17 @@ def twisted_conditions(T: TwistData, module):
             }
             status = worst_status([ci, cii])
             # keep the first candidate with the best status
-            if best is None or \
-                    worst_status([status, _entry_status(best)]) != status:
+            if best is None or _worse(_entry_status(best), status):
                 best = entry
             if status == "pass":
                 break
         reports.append(best)
     return reports
+
+
+def _worse(status, than) -> bool:
+    """Whether the verdict status ranks strictly worse than `than`."""
+    return worst_status([status, than]) != than
 
 
 def _entry_status(entry):

@@ -406,7 +406,7 @@ def test_enumerate_obstructed():
     res = enumerate_simple_twisted(T)
     assert res.obstructed
     assert res.witness is not None
-    assert res.classes == []
+    assert res.classes == ()
 
 
 def test_enumerate_refuses_non_root_phi_products():
@@ -457,7 +457,30 @@ def test_relation_i_untestable_when_no_probe_decides():
     (report,) = twisted_conditions(T, M)
     assert report["cond_i"] == "untestable"
     assert report["cond_ii"] == "pass"
+    assert report["witness"] == ("(i)", alpha, 1)
     assert conditions_status([report]) == "untestable"
+
+
+def test_conditions_witness_is_the_first_of_the_worst_status(monkeypatch):
+    # the swap of A1 + A1 checks e_0 and e_1 as one orbit: relation (i)
+    # undecided on e_0 and failing on e_1 reports e_1's failure
+    T = twist([[2, 0], [0, 2]], [[0, 1], [1, 0]])
+    M = FockModule(T, RegularOmega(T, 0), 1)
+    verdicts = {(1, 0): "untestable", (0, 1): "fail"}
+    monkeypatch.setattr(classify, "_check_relation_i",
+                        lambda _T, _M, gamma, _mu, _probes:
+                        (verdicts[gamma], (gamma, 1)))
+    monkeypatch.setattr(classify, "_check_weight_ii",
+                        lambda _T, _M, _gamma, _mu: ("pass", None))
+    for report in twisted_conditions(T, M):
+        assert (report["cond_i"], report["cond_ii"]) == ("fail", "pass")
+        assert report["witness"] == ("(i)", (0, 1), 1)
+    # a failing weight (ii) on e_0 replaces the undecided (i) before
+    # it, and the later failure of (i) on e_1 does not replace it
+    monkeypatch.setattr(classify, "_check_weight_ii",
+                        lambda _T, _M, gamma, _mu: ("fail", (gamma, 0, 1)))
+    for report in twisted_conditions(T, M):
+        assert report["witness"] == ("(ii)", (1, 0), 0, 1)
 
 
 @pytest.mark.parametrize("gram,sigma", [
