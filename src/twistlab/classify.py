@@ -6,7 +6,7 @@ from __future__ import annotations
 import itertools
 import math
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
@@ -536,6 +536,18 @@ class PresentedAlgebraA:
         block's character off it."""
         return _GroupScalars(self, self.presentation.radical)
 
+    def block(self, i) -> Block:
+        """The i-th block of `block_decomposition`, built alone and not
+        certified: the i-th character of the radical in `labels()`
+        order."""
+        if self.zero:
+            raise ClassifyError("the zero algebra has no block decomposition")
+        lifts = self.radical_lifts
+        if not 0 <= i < lifts.q.size:
+            raise ClassifyError(f"no block {i} among {lifts.q.size}")
+        label = next(itertools.islice(lifts.labels(), i, None))
+        return Block(label, math.isqrt(self.E.size // lifts.q.size), lifts)
+
     @cached_property
     def block_decomposition(self) -> ADecomposition:
         """Simple blocks of the degree-zero component B_0, one per
@@ -544,40 +556,31 @@ class PresentedAlgebraA:
         character projectors over the radical, certified exactly: the
         radical is central, the lift psi is a homomorphism (so each
         projector is idempotent), the projectors sum to one, and
-        |E| / |radical| is a square.  Homogeneous
-        invertible elements carry the block decomposition from B_0 to
-        graded ideals of the whole algebra."""
+        |E| / |radical| is a square.  Homogeneous invertible elements
+        carry the block decomposition to graded ideals of the algebra."""
         if self.zero:
             raise ClassifyError("the zero algebra has no block decomposition")
-        E = self.E
-        lifts = self.radical_lifts
-        units = [_unit(E.rank, i) for i in range(E.rank)]
+        E, lifts = self.E, self.radical_lifts
+        blocks = [self.block(i) for i in range(lifts.q.size)]
+        total = {}
+        for block in blocks:
+            for g, c in block.idempotent.items():
+                s = total.pop(g, None)
+                s = c if s is None else s + c
+                if s:
+                    total[g] = s
         quotient, rest = divmod(E.size, lifts.q.size)
-        d = math.isqrt(quotient)
         # Orthogonality needs no check of its own: the projectors lie in
         # the commutative semisimple span of the y_r, r in the radical,
         # where idempotents that sum to one are orthogonal.
         certified = {
-            "central": all(self.presentation.bichar_exponent(rk, e) == 0
-                           for rk, _ok, _nk in lifts.gens for e in units),
+            "central": all(
+                self.presentation.bichar_exponent(rk, _unit(E.rank, i)) == 0
+                for rk, _ok, _nk in lifts.gens for i in range(E.rank)),
             "idempotent": lifts.is_homomorphism(),
-            "sum_to_one": True,
-            "dims_square": not rest and d * d == quotient,
+            "sum_to_one": total == {tuple(0 for _ in E.divisors): ONE},
+            "dims_square": not rest and blocks[0].dim ** 2 == quotient,
         }
-        blocks = []
-        total = {}
-        for label in lifts.labels():
-            coeffs = lifts.projector(label)
-            for g, c in coeffs.items():
-                s = total.get(g)
-                s = c if s is None else s + c
-                if s:
-                    total[g] = s
-                elif g in total:
-                    del total[g]
-            blocks.append(Block(label, coeffs, d))
-        if total != {tuple(0 for _ in E.divisors): ONE}:
-            certified["sum_to_one"] = False
         return ADecomposition(blocks, certified)
 
 
@@ -691,8 +694,12 @@ class _GroupScalars:
 @dataclass
 class Block:
     label: tuple
-    idempotent: dict
     dim: int
+    lifts: _GroupScalars = field(repr=False)
+
+    @cached_property
+    def idempotent(self) -> dict:
+        return self.lifts.projector(self.label)
 
 
 @dataclass
@@ -835,14 +842,13 @@ _memo_misses = 0
 
 def _content_key(T: TwistData):
     """Everything an enumeration's outcome depends on: the lattice (Gram
-    matrix and sigma), the cocycle seeds (epsilon's exponent matrix on
-    its order, and phi's seed per basis vector) and the two caps that
+    matrix and sigma), the cocycle's exponents (epsilon's matrix on its
+    order, phi(e_i) on the grid the rest fixes) and the two caps that
     can turn the same twist into a refusal, MAX_WORK and
-    `twistlab.scalar.CONDUCTOR_CAP`.  It holds no twist, algebra or
-    module."""
+    `twistlab.scalar.CONDUCTOR_CAP`.  It holds no twist, algebra or module."""
     lat = T.lattice
     return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents,
-            tuple(sorted(T.phi_seed.items())), MAX_WORK,
+            tuple((x.q, x.k) for x in T.phi_basis), MAX_WORK,
             scalar_module.CONDUCTOR_CAP)
 
 
@@ -994,12 +1000,11 @@ def _block_character(A: PresentedAlgebraA, block, H: FiniteQuotient,
     psi_H(r) = (s_H / s_rad)(r) psi_rad(r), so f lies under e exactly
     when (s_rad / s_H)(r) chi(r) = chi_block(r) for each r: exponent
     arithmetic on the block's label, with no projector per label.
-    When H is the radical with its own lift, that character is the
-    block's label and f = e, and e e = e is the `idempotent`
-    certificate of the block decomposition: nothing to compute."""
+    When H is the radical with its own lift, chi is the block's label
+    and f = e, idempotent when that lift is a homomorphism."""
     rad = A.radical_lifts
     if h_lifts is rad:
-        if not A.block_decomposition.certified["idempotent"]:
+        if not rad.is_homomorphism():
             raise ClassifyError("the radical's projectors are not idempotent")
         return block.label
     tests = []
@@ -1035,7 +1040,7 @@ class ClassOmega:
         self.A = A
         lat = A.lattice
         E = A.E
-        self.block = A.block_decomposition.blocks[ideal_index]
+        self.block = A.block(ideal_index)
         self.H, self.h_lifts = _maximal_isotropic(A)
         if E.size % self.H.size:
             raise ClassifyError("isotropic subgroup size does not divide |E|")

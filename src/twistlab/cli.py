@@ -183,7 +183,7 @@ def build_twist(spec: JobSpec) -> TwistData:
     the commutator map, eps(e_i, e_j) / eps(e_j, e_i) != C(e_i, e_j),
     is an input error."""
     lat = TwistedLattice(spec.gram, spec.sigma)
-    eps_seed = build_epsilon(lat)
+    eps_seed = build_epsilon(lat) if spec.eps else None
     for (i, j), text in spec.eps.items():
         eps_seed[(i, j)] = _parsed(text)
     phi_seed = {i: _parsed(text) for i, text in spec.phi.items()}

@@ -9,12 +9,11 @@ from functools import cached_property
 from ._kept import kept
 from .classify import Presentation
 from .lattice import TwistedLattice
-from .linalg import _bilinear
+from .linalg import _bilinear, mat_mul
 from .scalar import (
     CycScalar,
     ONE,
     RootPair,
-    as_scalar,
     root_of_unity,
 )
 
@@ -23,15 +22,10 @@ class CocycleError(Exception):
     pass
 
 
-def _zeta(n: int, k: int) -> CycScalar:
-    """zeta_n^k, looked up in lowest terms."""
-    g = math.gcd(n, k)
-    return root_of_unity(n // g, k // g)
-
-
 def commutator_map(lattice: TwistedLattice, alpha, beta) -> CycScalar:
     """C(alpha, beta) = (-1)^((a|a)(b|b) + sum m_s) * omega^(-sum s*m_s)."""
-    return _zeta(2 * lattice.p, lattice.commutator_exponent(alpha, beta))
+    return RootPair(1, lattice.commutator_exponent(alpha, beta),
+                    2 * lattice.p).scalar()
 
 
 def locality_order(lattice: TwistedLattice, alpha, beta) -> int:
@@ -57,75 +51,85 @@ def build_epsilon(lattice: TwistedLattice) -> dict:
 
 class TwistData:
     """Cocycle data attached to a twisted lattice: the epsilon seed and
-    the 1-cocycle phi defining the lift of sigma.
+    the 1-cocycle phi defining the lift of sigma, as integer exponents.
 
-    epsilon is bimultiplicative with root-of-unity seeds, so it is kept
-    as one integer matrix: epsilon(a, b) = zeta_N^(a^T E b), with N
-    (`eps_order`) the lcm of the seed orders and E (`eps_exponents`)
-    the seeds' exponents on that grid.  Each value is a positive
-    rational times a root of unity and is returned, by one method, as a
-    `RootPair` on one grid per twist, `grid` = p * lcm(2, eps_order,
-    the root orders of the phi seeds): it holds C (a 2p-th root), every
-    epsilon and phi value, every orbit product of phi, every root mu of
-    one (mu^p_a = product, p_a | p) and every k_s.  A caller that sums
-    values, or hands one to CycScalar code, converts it with
-    `RootPair.scalar()`; kappa, a product of sums, is a CycScalar.  The
-    seeds are fixed at construction and must not be changed afterwards:
-    phi keeps its value per vector and its product per orbit, the
-    obstruction scan keeps its one verdict on the lattice's
-    generating set, and `presentation` is the classifier's presentation
-    of the algebra A, built once, for as long as the object lives."""
+    epsilon(a, b) = zeta_N^(a^T E b), with N (`eps_order`) the lcm of
+    the seed orders and E (`eps_exponents`) the seeds' exponents.  Each
+    value is returned, by one method, as a `RootPair` on one grid per
+    twist, `grid` = p * lcm(2, eps_order, the root orders of the phi
+    seeds): it holds C, every epsilon and phi value (`phi_basis` holds
+    phi(e_i)), every orbit product of phi, every root mu of one and
+    every k_s.  A caller that sums values, or hands one to CycScalar
+    code, converts it with `RootPair.scalar()`.
+
+    Without an eps seed, epsilon is `build_epsilon`'s, read off the
+    lattice's `commutator_exponents`; a basis vector without a phi seed
+    takes `phi_zero(e_i)`, read off sigma^T E sigma - E.  Given seeds
+    are validated here; `eps_seed` and `phi_seed` are CycScalar views
+    made when first read.  The seeds are fixed at construction: phi
+    keeps its value per vector and its product per orbit, the
+    obstruction scan its one verdict, and `presentation` is the
+    classifier's presentation of the algebra A, built once."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
         l = lattice.rank
-        seeds = dict(eps_seed) if eps_seed is not None else build_epsilon(lattice)
-        # validate each seed and take its discrete log in one pass
-        self.eps_seed = {}
+        # epsilon on basis pairs as (M, j), zeta_M^j in lowest terms
         logs = {}
-        for (i, j), v in seeds.items():
-            value = as_scalar(v)
-            root = RootPair.of(value)
-            if root is None or root.q != 1:
-                raise CocycleError(f"eps_seed[{i},{j}] must be a root of unity")
-            self.eps_seed[(i, j)] = value
-            logs[(i, j)] = root.lowest()
-        for i in range(l):
-            for j in range(l):
-                if (i, j) not in logs:
-                    raise CocycleError(f"eps_seed[{i},{j}] is missing")
+        if eps_seed is None:
+            two_p = 2 * lattice.p
+            for i, row in enumerate(lattice.commutator_exponents):
+                for j, k in enumerate(row):
+                    k = k if i > j else 0
+                    g = math.gcd(two_p, k)
+                    logs[(i, j)] = (two_p // g, k // g)
+        else:
+            for (i, j), v in eps_seed.items():
+                if not (0 <= i < l and 0 <= j < l):
+                    raise CocycleError(f"eps_seed[{i},{j}] is outside the basis")
+                root = RootPair.of(v)
+                if root is None or root.q != 1:
+                    raise CocycleError(f"eps_seed[{i},{j}] must be a root of unity")
+                logs[(i, j)] = root.lowest()
+            for i in range(l):
+                for j in range(l):
+                    if (i, j) not in logs:
+                        raise CocycleError(f"eps_seed[{i},{j}] is missing")
         n = self.eps_order = math.lcm(*(m for m, _ in logs.values()))
-        self.eps_exponents = tuple(
+        e = self.eps_exponents = tuple(
             tuple(logs[(i, j)][1] * (n // logs[(i, j)][0]) for j in range(l))
             for i in range(l))
-        # a basis vector without a phi seed takes the default phi_zero(e_i)
-        seeds = dict(phi_seed or {})
-        for i in range(l):
-            if i not in seeds:
-                seeds[i] = self.phi_zero(self._basis_vector(i))
-        self.phi_seed = {}
-        pairs = {}
-        for i, v in seeds.items():
-            self.phi_seed[i] = as_scalar(v)
-            pairs[i] = self._check_phi_value(v)
-        self.grid = lattice.p * math.lcm(2, n, *(x.n for x in pairs.values()))
-        self._eps_step = self.grid // n
-        # the value 1 on the grid
-        self.one = RootPair(1, 0, self.grid)
-        self._phi_seeds = {i: x * self.one for i, x in pairs.items()}
+        # phi(e_i) as (q, M, j): the seed, or phi_zero(e_i) = zeta_2N^k
+        # with k = R_ii mod N, R = sigma^T E sigma - E, s_i = sigma e_i
+        phi, seeds = [], phi_seed or {}
+        if any(not 0 <= i < l for i in seeds):
+            raise CocycleError("phi_seed keys must be basis indices")
+        for i, s_i in enumerate(zip(*lattice.sigma)):
+            if i in seeds:
+                pair = RootPair.of(seeds[i])
+                if pair is None:
+                    raise CocycleError("phi values must be positive "
+                                       "rationals times roots of unity")
+                phi.append((pair.q,) + pair.lowest())
+            else:
+                k = (_bilinear(e, s_i, s_i) - e[i][i]) % n
+                g = math.gcd(2 * n, k)
+                phi.append((1, 2 * n // g, k // g))
+        grid = self.grid = lattice.p * math.lcm(2, n, *(m for _q, m, _j in phi))
+        self._eps_step = grid // n
+        self.one = RootPair(1, 0, grid)
+        self.phi_basis = tuple(RootPair(q, j * (grid // m), grid)
+                               for q, m, j in phi)
 
-    @staticmethod
-    def _check_phi_value(v) -> RootPair:
-        """The seed value v as a pair in lowest terms."""
-        pair = RootPair.of(v)
-        if pair is None:
-            raise CocycleError(
-                "phi values must be positive rationals times roots of unity"
-            )
-        return pair
+    @cached_property
+    def eps_seed(self) -> dict:
+        return {(i, j): RootPair(1, k, self.eps_order).scalar()
+                for i, row in enumerate(self.eps_exponents)
+                for j, k in enumerate(row)}
 
-    def _basis_vector(self, i):
-        return tuple(1 if k == i else 0 for k in range(self.lattice.rank))
+    @cached_property
+    def phi_seed(self) -> dict:
+        return {i: x.scalar() for i, x in enumerate(self.phi_basis)}
 
     # -- epsilon and friends ------------------------------------------
 
@@ -159,23 +163,16 @@ class TwistData:
         """R = sigma^T E sigma - E: eps(sigma a, sigma b)/eps(a, b) =
         zeta_N^(a^T R b)."""
         sig, e = self.lattice.sigma, self.eps_exponents
-        l = self.lattice.rank
-        return tuple(
-            tuple(sum(sig[x][i] * e[x][y] * sig[y][j]
-                      for x in range(l) for y in range(l)) - e[i][j]
-                  for j in range(l))
-            for i in range(l))
-
-    def _ratio_exponent(self, alpha, beta) -> int:
-        return _bilinear(self._ratio_exponents, alpha, beta) % self.eps_order
+        ses = mat_mul(tuple(zip(*sig)), mat_mul(e, sig))
+        return tuple(tuple(x - y for x, y in zip(rs, re))
+                     for rs, re in zip(ses, e))
 
     def phi_zero(self, alpha) -> CycScalar:
-        """Canonical square root of eps(sigma a, sigma a)/eps(a, a): of
-        zeta_M^k in lowest terms, zeta_(2M)^k."""
+        """Canonical square root of eps(sigma a, sigma a)/eps(a, a) =
+        zeta_N^k, 0 <= k < N: zeta_(2N)^k."""
         n = self.eps_order
-        k = self._ratio_exponent(alpha, alpha)
-        g = math.gcd(n, k)
-        return root_of_unity(2 * n // g, k // g)
+        k = _bilinear(self._ratio_exponents, alpha, alpha) % n
+        return RootPair(1, k, 2 * n).scalar()
 
     @kept
     def phi(self, alpha) -> RootPair:
@@ -192,7 +189,7 @@ class TwistData:
         for i, a in enumerate(alpha):
             if not a:
                 continue
-            seed = self._phi_seeds[i]
+            seed = self.phi_basis[i]
             k += seed.k * a
             if seed.q != 1:
                 q *= Fraction(seed.q) ** a

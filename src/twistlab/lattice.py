@@ -18,16 +18,15 @@ class TwistedLattice:
     """Lattice Z^l with symmetric nondegenerate integer form and an
     automorphism sigma of finite order p preserving the form.
 
-    The lattice keeps its sigma data for its lifetime: the powers
-    `sigma_pows` (sigma^s for 0 <= s < p), the norm map `norm`
-    N = sum_s sigma^s, p times the projection alpha -> alpha^0 onto
-    the sigma-fixed space, `gram_norm` = G N, whose column j is
-    p * nu(e_j), `gram_prime` = p G - G N, the primed pairing on the
-    grid p, `gram_weight` = G sum_s s
-    sigma^s and the parities `diag_parity` of the diagonal of G, which
-    give the commutator phase as an integer (`commutator_exponent`),
-    and its reduced generating set (`reduce_generating_set`) once
-    first asked for."""
+    Construction validates the form and sigma and keeps the powers
+    `sigma_pows` (sigma^s for 0 <= s < p).  The derived matrices are
+    computed when first read and kept for the lattice's lifetime: the
+    norm map `norm` N = sum_s sigma^s, p times the projection alpha ->
+    alpha^0 onto the sigma-fixed space, `gram_norm` = G N, whose column
+    j is p * nu(e_j), `gram_prime` = p G - G N, the primed pairing on
+    the grid p, and `commutator_exponents`, the commutator phase on
+    basis pairs as integers mod 2p; so is the reduced generating set
+    (`reduce_generating_set`)."""
 
     def __init__(self, gram, sigma):
         gram = [list(map(int, row)) for row in gram]
@@ -57,18 +56,34 @@ class TwistedLattice:
             raise LatticeError("sigma does not have finite order")
         self.p = len(powers)
         self.sigma_pows = tuple(tuple(tuple(r) for r in m) for m in powers)
-        norm = [[sum(m[i][j] for m in powers) for j in range(l)]
-                for i in range(l)]
-        self.norm = tuple(tuple(r) for r in norm)
-        self.gram_norm = tuple(tuple(r) for r in mat_mul(gram, norm))
-        self.gram_prime = tuple(
-            tuple(self.p * g - x for g, x in zip(rg, rn))
-            for rg, rn in zip(gram, self.gram_norm))
-        weight = [[sum(s * m[i][j] for s, m in enumerate(powers))
-                   for j in range(l)] for i in range(l)]
-        self.gram_weight = tuple(tuple(r) for r in mat_mul(gram, weight))
-        # (a|a) = sum_i a_i^2 G_ii + 2 (...) = sum_i a_i G_ii mod 2
-        self.diag_parity = tuple(gram[i][i] % 2 for i in range(l))
+
+    @cached_property
+    def norm(self):
+        return tuple(tuple(map(sum, zip(*rows)))
+                     for rows in zip(*self.sigma_pows))
+
+    @cached_property
+    def gram_norm(self):
+        return tuple(tuple(r) for r in mat_mul(self.gram, self.norm))
+
+    @cached_property
+    def gram_prime(self):
+        return tuple(tuple(self.p * g - x for g, x in zip(rg, rn))
+                     for rg, rn in zip(self.gram, self.gram_norm))
+
+    @cached_property
+    def commutator_exponents(self):
+        """K with C(e_i, e_j) = zeta_(2p)^(K_ij), 0 <= K_ij < 2p.  The
+        exponent of C(a, b) = (-1)^((a|a)(b|b) + sum_s m_s)
+        omega^(-sum_s s m_s) is bilinear mod 2p, since (a|a) = sum_i a_i
+        G_ii mod 2: K = p d d^T + G sum_s (p - 2s) sigma^s mod 2p, with d
+        the diagonal of G."""
+        p, g = self.p, self.gram
+        weighted = [[sum((p - 2 * s) * x for s, x in enumerate(col))
+                     for col in zip(*rows)] for rows in zip(*self.sigma_pows)]
+        return tuple(
+            tuple((p * g[i][i] * g[j][j] + x) % (2 * p) for j, x in enumerate(row))
+            for i, row in enumerate(mat_mul(g, weighted)))
 
     # -- basic pairings -----------------------------------------------
 
@@ -91,27 +106,9 @@ class TwistedLattice:
             for m in self.sigma_pows)
 
     def commutator_exponent(self, alpha, beta) -> int:
-        """k mod 2p with C(alpha, beta) = zeta_(2p)^k.
-
-        C = (-1)^((a|a)(b|b) + sum_s m_s) omega^(-sum_s s m_s), where
-        sum_s m_s = (a | N b) and sum_s s m_s = a^T gram_weight b, so
-        k = p ((a|a)(b|b) + (a | N b)) - 2 a^T gram_weight b."""
-        gn, gw, par = self.gram_norm, self.gram_weight, self.diag_parity
-        n = w = pa = 0
-        for i, a in enumerate(alpha):
-            if not a:
-                continue
-            pa += a * par[i]
-            rn, rw = gn[i], gw[i]
-            for j, b in enumerate(beta):
-                if b:
-                    ab = a * b
-                    n += ab * rn[j]
-                    w += ab * rw[j]
-        if pa % 2:
-            n += sum(b * x for b, x in zip(beta, par))
-        p = self.p
-        return (p * n - 2 * w) % (2 * p)
+        """k mod 2p with C(alpha, beta) = zeta_(2p)^k: the bilinear form
+        `commutator_exponents`."""
+        return _bilinear(self.commutator_exponents, alpha, beta) % (2 * self.p)
 
     def prime_pairing_p(self, alpha, beta) -> int:
         """p times the primed pairing (alpha'|beta'), the pairing of the

@@ -557,14 +557,17 @@ def _lcm_checked(a: int, b: int) -> int:
     return m
 
 
-@lru_cache(maxsize=None)
 def root_of_unity(n: int, k: int = 1) -> CycScalar:
-    """zeta_n^k in canonical form."""
+    """zeta_n^k in canonical form, computed once; the cap is read each call."""
     if n < 1:
         raise ScalarError("root order must be positive")
     if n > CONDUCTOR_CAP:
         raise ConductorOverflow(f"conductor {n} exceeds cap {CONDUCTOR_CAP}")
-    k %= n
+    return _root_of_unity(n, k % n)
+
+
+@lru_cache(maxsize=None)
+def _root_of_unity(n: int, k: int) -> CycScalar:
     return _canonical(n, _reduce(_field(n), [0] * k + [1]), 1)
 
 
@@ -733,8 +736,6 @@ class RootPair:
         order of its root of unity, in lowest terms, exceeds
         CONDUCTOR_CAP."""
         m, j = self.lowest()
-        if m > CONDUCTOR_CAP:
-            raise ConductorOverflow(f"conductor {m} exceeds cap {CONDUCTOR_CAP}")
         if self.q == 1:
             return root_of_unity(m, j)
         return CycScalar.rational(self.q) * root_of_unity(m, j)

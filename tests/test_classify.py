@@ -1308,3 +1308,85 @@ def test_class_character_matches_the_projector_search():
     assert modules > 400
     assert (2, 2) in larger
     assert {2, 3} <= turned
+
+
+def _block_lattices():
+    """The lattices of this file's block and class-module tests, and the
+    twisted_ops lattices."""
+    from test_golden import W
+
+    yield from _property_lattices()
+    for gram, sigma in E_ACT_FIXTURES + list(W.OPS_LATTICES.values()):
+        yield TwistedLattice(gram, sigma)
+    for gram, _mu_sign in DECOMPOSE_CASES[::2]:
+        yield TwistedLattice(gram, neg(2))
+
+
+def _same_block(x, y):
+    return (x.label, x.idempotent, x.dim) == (y.label, y.idempotent, y.dim)
+
+
+def test_a_block_alone_is_the_listed_block():
+    # per admissible root choice, on two fresh twists: block(i) before
+    # the decomposition on one, after it on the other
+    checked = 0
+    for lat in _block_lattices():
+        for entry in enumerate_simple_twisted(TwistData(lat)).entries:
+            if not entry.admissible:
+                continue
+            alone = TwistData(lat).presentation.algebra(entry.mu_choice)
+            listed = TwistData(lat).presentation.algebra(entry.mu_choice)
+            singles = [alone.block(i) for i in range(entry.block_count)]
+            assert "block_decomposition" not in alone.__dict__
+            blocks = listed.block_decomposition.blocks
+            assert len(blocks) == len(singles) == entry.block_count
+            # listed in the order of the radical's characters
+            assert [b.label for b in blocks] == \
+                list(listed.radical_lifts.labels())
+            assert tuple(b.dim for b in blocks) == entry.block_dims
+            for i, block in enumerate(blocks):
+                assert _same_block(singles[i], block)
+                assert _same_block(listed.block(i), block)
+                assert _same_block(alone.block_decomposition.blocks[i], block)
+            with pytest.raises(ClassifyError, match="no block"):
+                alone.block(entry.block_count)
+            checked += 1
+    assert checked > 60
+
+
+def test_class_modules_read_their_own_block(monkeypatch):
+    # a class module built from block(i) against one built from the
+    # whole decomposition's block: the same lines, weights and
+    # twisted-module conditions; the first leaves the decomposition
+    # unbuilt, and on the radical builds no projector at all
+    def listed(self, i):
+        return self.block_decomposition.blocks[i]
+
+    def forbidden(*args):
+        raise AssertionError("a class module on the radical computed this")
+
+    modules = 0
+    for lat in _block_lattices():
+        for entry in enumerate_simple_twisted(TwistData(lat)).entries:
+            if not entry.classes:
+                continue
+            cls = entry.classes[-1]
+            T = TwistData(lat)
+            A = T.presentation.algebra(cls.mu_choice)
+            with monkeypatch.context() as m:
+                # a block of dimension 1 has H = E = the radical
+                if cls.dimension == 1:
+                    m.setattr(classify._GroupScalars, "projector", forbidden)
+                M = instantiate_class(T, cls, trunc=2)
+            assert "block_decomposition" not in A.__dict__
+            T2 = TwistData(lat)
+            T2.presentation.algebra(cls.mu_choice).block_decomposition
+            with monkeypatch.context() as m:
+                m.setattr(PresentedAlgebraA, "block", listed)
+                M2 = instantiate_class(T2, cls, trunc=2)
+            assert M.omega.lines == M2.omega.lines
+            assert M.omega.weights == M2.omega.weights
+            assert M.omega.block.label == M2.omega.block.label
+            assert twisted_conditions(T, M) == twisted_conditions(T2, M2)
+            modules += 1
+    assert modules > 60

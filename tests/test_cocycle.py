@@ -13,6 +13,7 @@ from twistlab.cocycle import (
 )
 from twistlab.classify import enumerate_simple_twisted
 from twistlab.lattice import LatticeError, TwistedLattice
+from twistlab.linalg import identity, mat_mul, transpose
 from twistlab.scalar import (
     CycScalar,
     ONE,
@@ -478,3 +479,133 @@ def test_eps_seeds_must_be_roots_of_unity_and_complete():
     del seeds[(1, 1)]
     with pytest.raises(CocycleError, match=r"eps_seed\[1,1\] is missing"):
         TwistData(lat, eps_seed=seeds)
+
+
+def test_seeds_outside_the_basis_are_refused():
+    # such a seed has no place in the exponent data: it would widen the
+    # grid and read back through no view
+    lat = TwistedLattice(A1x2, ROT4)
+    seeds = build_epsilon(lat)
+    with pytest.raises(CocycleError, match=r"eps_seed\[2,0\] is outside"):
+        TwistData(lat, eps_seed={**seeds, (2, 0): root_of_unity(8)})
+    with pytest.raises(CocycleError, match="phi_seed keys must be basis"):
+        TwistData(lat, phi_seed={2: root_of_unity(9)})
+    with pytest.raises(CocycleError, match="phi_seed keys must be basis"):
+        TwistData(lat, phi_seed={-1: ONE})
+
+
+def _in_random_basis(rng, gram, sigma):
+    """The lattice in the basis u e_i, u a product of three random
+    elementary matrices: gram u^T G u and sigma u^-1 sigma u."""
+    l = len(gram)
+    u, v = identity(l), identity(l)
+    for _ in range(3 if l > 1 else 0):
+        i, j = rng.sample(range(l), 2)
+        c = rng.choice((-1, 1))
+        step, back = identity(l), identity(l)
+        step[i][j], back[i][j] = c, -c
+        u, v = mat_mul(u, step), mat_mul(back, v)
+    return TwistedLattice(mat_mul(transpose(u), mat_mul(gram, u)),
+                          mat_mul(v, mat_mul(sigma, u)))
+
+
+def _odd_lattice(rng):
+    """A random lattice of rank 1 to 4 with a random signed permutation,
+    its form averaged over sigma from one with a free diagonal, so odd
+    diagonal entries occur."""
+    while True:
+        l = rng.randint(1, 4)
+        sigma = [[0] * l for _ in range(l)]
+        for j, i in enumerate(rng.sample(range(l), l)):
+            sigma[i][j] = rng.choice((1, -1))
+        base = [[rng.randint(-2, 2) for _ in range(l)] for _ in range(l)]
+        base = [[base[min(i, j)][max(i, j)] for j in range(l)]
+                for i in range(l)]
+        gram, m = [[0] * l for _ in range(l)], identity(l)
+        while True:
+            term = mat_mul(transpose(m), mat_mul(base, m))
+            gram = [[x + y for x, y in zip(r, t)] for r, t in zip(gram, term)]
+            m = mat_mul(sigma, m)
+            if m == identity(l):
+                break
+        try:
+            return TwistedLattice(gram, sigma)
+        except LatticeError:
+            continue
+
+
+def _cocycle_property_lattices():
+    """Seeded random lattices of ranks 1 to 4 with signed permutations,
+    even and odd, indefinite forms among them, and the twisted_ops
+    rotations, odd rotations and permutations, each in three random
+    bases, where the default phi is not 1."""
+    from test_golden import W
+
+    rng = random.Random(39)
+    for _ in range(40):
+        yield random_twisted_lattice(rng, rank_max=4)
+    for _ in range(30):
+        yield _odd_lattice(rng)
+    rotations = list(W.OPS_LATTICES.values()) + [
+        ([[1, 0], [0, 1]], ROT4),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]),
+        ([[0, 1], [1, 0]], [[0, 1], [1, 0]]),
+        ([[1, 0], [0, -1]], [[-1, 0], [0, 1]]),
+        ([[2, 0], [0, -4]], neg_identity(2)),
+    ]
+    for gram, sigma in rotations:
+        yield TwistedLattice(gram, sigma)
+        for _ in range(3):
+            yield _in_random_basis(rng, gram, sigma)
+
+
+def test_integer_twist_matches_the_scalar_seeds():
+    # the default twist, made from integer exponents, against the twist
+    # given build_epsilon's CycScalar seeds and phi_zero's values, and
+    # against perfbench/intmath's commutator exponents
+    from test_golden import W
+
+    from twistlab import classify
+
+    ranks, odd, indefinite, phi_moved, hits = set(), 0, 0, 0, 0
+    for lat in _cocycle_property_lattices():
+        l, p = lat.rank, lat.p
+        ranks.add(l)
+        diag = [lat.gram[i][i] for i in range(l)]
+        odd += any(x % 2 for x in diag)
+        indefinite += min(diag) < 0 < max(diag)
+        basis = [tuple(int(k == i) for k in range(l)) for i in range(l)]
+        eps = build_epsilon(lat)
+        phi = {i: TwistData(lat, eps_seed=eps).phi_zero(e)
+               for i, e in enumerate(basis)}
+        plain = TwistData(lat)
+        seeded = TwistData(lat, eps_seed=eps, phi_seed=phi)
+        for T in (plain, seeded):
+            assert (T.eps_order, T.eps_exponents, T.grid) == \
+                (seeded.eps_order, seeded.eps_exponents, seeded.grid)
+            assert [T.phi(e) for e in basis] == [seeded.phi(e) for e in basis]
+            assert T.eps_seed == eps and T.phi_seed == phi
+        phi_moved += any(x != ONE for x in phi.values())
+        pows = W.intmath.powers([list(r) for r in lat.sigma])
+        gram = [list(r) for r in lat.gram]
+        for i, a in enumerate(basis):
+            for j, b in enumerate(basis):
+                k = W.intmath.commutator_exponent(gram, pows, a, b)
+                assert lat.commutator_exponents[i][j] == k
+                assert plain.epsilon(a, b) == (
+                    RootPair(1, k, 2 * p) if i > j else RootPair(1, 0, 1))
+        rng = random.Random(l * 1000 + p)
+        for _ in range(5):
+            a, b = rnd_vec(rng, l, 2), rnd_vec(rng, l, 2)
+            assert lat.commutator_exponent(a, b) == \
+                W.intmath.commutator_exponent(gram, pows, a, b)
+        # the seeded twist is a memo hit of the plain one
+        assert classify._content_key(plain) == classify._content_key(seeded)
+        try:
+            res = enumerate_simple_twisted(plain)
+        except classify.ClassifyError:
+            continue
+        assert enumerate_simple_twisted(seeded) is res
+        hits += 1
+    assert ranks == {1, 2, 3, 4}
+    assert odd >= 15 and indefinite >= 15 and phi_moved >= 5 and hits >= 100

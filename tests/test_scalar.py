@@ -148,12 +148,24 @@ def test_conductor_cap(monkeypatch):
 
     monkeypatch.setattr(scalar, "CONDUCTOR_CAP", 10)
     with pytest.raises(ConductorOverflow):
-        root_of_unity.__wrapped__(11)
+        root_of_unity(11)
     with pytest.raises(ConductorOverflow):
-        root_of_unity.__wrapped__(5) * root_of_unity.__wrapped__(4)
+        root_of_unity(5) * root_of_unity(4)
     monkeypatch.undo()
-    assert root_of_unity.__wrapped__(5) * root_of_unity.__wrapped__(4) == \
-        root_of_unity(20, 9)
+    assert root_of_unity(5) * root_of_unity(4) == root_of_unity(20, 9)
+
+
+def test_a_lowered_cap_applies_to_roots_computed_before(monkeypatch):
+    import twistlab.scalar as scalar
+
+    z8 = root_of_unity(8)
+    monkeypatch.setattr(scalar, "CONDUCTOR_CAP", 4)
+    with pytest.raises(ConductorOverflow, match="conductor 8 exceeds cap 4"):
+        root_of_unity(8)
+    with pytest.raises(ConductorOverflow, match="conductor 8 exceeds cap 4"):
+        RootPair(1, 1, 8).scalar()
+    monkeypatch.undo()
+    assert root_of_unity(8) == z8 and z8 * z8 == root_of_unity(4)
 
 
 def test_numeric_embedding_agreement():
