@@ -561,7 +561,9 @@ class PresentedAlgebraA:
         if self.zero:
             raise ClassifyError("the zero algebra has no block decomposition")
         E, lifts = self.E, self.radical_lifts
-        blocks = [self.block(i) for i in range(lifts.q.size)]
+        quotient, rest = divmod(E.size, lifts.q.size)
+        blocks = [Block(label, math.isqrt(quotient), lifts)
+                  for label in lifts.labels()]
         total = {}
         for block in blocks:
             for g, c in block.idempotent.items():
@@ -569,7 +571,6 @@ class PresentedAlgebraA:
                 s = c if s is None else s + c
                 if s:
                     total[g] = s
-        quotient, rest = divmod(E.size, lifts.q.size)
         # Orthogonality needs no check of its own: the projectors lie in
         # the commutative semisimple span of the y_r, r in the radical,
         # where idempotents that sum to one are orthogonal.
@@ -577,7 +578,7 @@ class PresentedAlgebraA:
             "central": all(
                 self.presentation.bichar_exponent(rk, _unit(E.rank, i)) == 0
                 for rk, _ok, _nk in lifts.gens for i in range(E.rank)),
-            "idempotent": lifts.is_homomorphism(),
+            "idempotent": lifts.is_homomorphism,
             "sum_to_one": total == {tuple(0 for _ in E.divisors): ONE},
             "dims_square": not rest and blocks[0].dim ** 2 == quotient,
         }
@@ -658,9 +659,10 @@ class _GroupScalars:
         """psi of every element of the subgroup, by its coordinates."""
         return {a: self.psi(a) for a in self.q.elements()}
 
+    @cached_property
     def is_homomorphism(self) -> bool:
-        """psi(a) psi(b) = psi(a + b) in B_0 for all a, b: |S|^2
-        products, and then every character projector is idempotent."""
+        """psi(a) psi(b) = psi(a + b) in B_0 for all a, b, checked once:
+        |S|^2 products, and then every character projector is idempotent."""
         A = self.A
         divisors = A.E.divisors
         table = self.table
@@ -843,11 +845,11 @@ _memo_misses = 0
 def _content_key(T: TwistData):
     """Everything an enumeration's outcome depends on: the lattice (Gram
     matrix and sigma), the cocycle's exponents (epsilon's matrix on its
-    order, phi(e_i) on the grid the rest fixes) and the two caps that
-    can turn the same twist into a refusal, MAX_WORK and
+    order, phi(e_i) on the twist's grid, and the grid) and the two caps
+    that can turn the same twist into a refusal, MAX_WORK and
     `twistlab.scalar.CONDUCTOR_CAP`.  It holds no twist, algebra or module."""
     lat = T.lattice
-    return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents,
+    return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents, T.grid,
             tuple((x.q, x.k) for x in T.phi_basis), MAX_WORK,
             scalar_module.CONDUCTOR_CAP)
 
@@ -1004,7 +1006,7 @@ def _block_character(A: PresentedAlgebraA, block, H: FiniteQuotient,
     and f = e, idempotent when that lift is a homomorphism."""
     rad = A.radical_lifts
     if h_lifts is rad:
-        if not rad.is_homomorphism():
+        if not rad.is_homomorphism:
             raise ClassifyError("the radical's projectors are not idempotent")
         return block.label
     tests = []

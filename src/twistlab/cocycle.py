@@ -7,7 +7,7 @@ from fractions import Fraction
 from functools import cached_property
 
 from ._kept import kept
-from .classify import Presentation
+from .classify import Presentation, _unit
 from .lattice import TwistedLattice
 from .linalg import _bilinear, mat_mul
 from .scalar import (
@@ -38,15 +38,9 @@ def build_epsilon(lattice: TwistedLattice) -> dict:
     """Seed values of epsilon on basis pairs: 1 on and above the diagonal,
     C(e_i, e_j) below, so the bimultiplicative extension realizes C."""
     l = lattice.rank
-
-    def e(i):
-        return tuple(1 if k == i else 0 for k in range(l))
-
-    seed = {}
-    for i in range(l):
-        for j in range(l):
-            seed[(i, j)] = ONE if i <= j else commutator_map(lattice, e(i), e(j))
-    return seed
+    return {(i, j): ONE if i <= j else
+            commutator_map(lattice, _unit(l, i), _unit(l, j))
+            for i in range(l) for j in range(l)}
 
 
 class TwistData:
@@ -96,11 +90,10 @@ class TwistData:
                     if (i, j) not in logs:
                         raise CocycleError(f"eps_seed[{i},{j}] is missing")
         n = self.eps_order = math.lcm(*(m for m, _ in logs.values()))
-        e = self.eps_exponents = tuple(
+        self.eps_exponents = tuple(
             tuple(logs[(i, j)][1] * (n // logs[(i, j)][0]) for j in range(l))
             for i in range(l))
-        # phi(e_i) as (q, M, j): the seed, or phi_zero(e_i) = zeta_2N^k
-        # with k = R_ii mod N, R = sigma^T E sigma - E, s_i = sigma e_i
+        # phi(e_i) as (q, M, j): seed or phi_zero(e_i), e_i = sigma^0 row i
         phi, seeds = [], phi_seed or {}
         if any(not 0 <= i < l for i in seeds):
             raise CocycleError("phi_seed keys must be basis indices")
@@ -112,7 +105,7 @@ class TwistData:
                                        "rationals times roots of unity")
                 phi.append((pair.q,) + pair.lowest())
             else:
-                k = (_bilinear(e, s_i, s_i) - e[i][i]) % n
+                k = self._phi_zero_exponent(lattice.sigma_pows[0][i], s_i)
                 g = math.gcd(2 * n, k)
                 phi.append((1, 2 * n // g, k // g))
         grid = self.grid = lattice.p * math.lcm(2, n, *(m for _q, m, _j in phi))
@@ -167,12 +160,17 @@ class TwistData:
         return tuple(tuple(x - y for x, y in zip(rs, re))
                      for rs, re in zip(ses, e))
 
+    def _phi_zero_exponent(self, a, sa) -> int:
+        """k: eps(sa, sa)/eps(a, a) = zeta_N^k, 0 <= k < N, sa = sigma a."""
+        e = self.eps_exponents
+        k = _bilinear(e, sa, sa) - _bilinear(e, a, a)
+        return k % self.eps_order
+
     def phi_zero(self, alpha) -> CycScalar:
         """Canonical square root of eps(sigma a, sigma a)/eps(a, a) =
         zeta_N^k, 0 <= k < N: zeta_(2N)^k."""
-        n = self.eps_order
-        k = _bilinear(self._ratio_exponents, alpha, alpha) % n
-        return RootPair(1, k, 2 * n).scalar()
+        k = self._phi_zero_exponent(alpha, self.lattice.apply_sigma(alpha))
+        return RootPair(1, k, 2 * self.eps_order).scalar()
 
     @kept
     def phi(self, alpha) -> RootPair:

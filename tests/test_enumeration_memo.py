@@ -20,7 +20,7 @@ from twistlab.classify import (
 )
 from twistlab.cocycle import TwistData, build_epsilon
 from twistlab.lattice import TwistedLattice
-from twistlab.scalar import RootPair, as_scalar
+from twistlab.scalar import RootPair, as_scalar, root_of_unity
 
 from test_golden import TL, W
 from test_classify import ROT, neg
@@ -83,6 +83,23 @@ def test_each_seed_gets_its_own_result(gram, sigma, seeds):
         classify._enumerate(_twist(gram, sigma, **seeds)))
     assert enumerate_simple_twisted(_twist(gram, sigma, **seeds)) is seeded
     assert enumerate_simple_twisted(_twist(gram, sigma)) is plain
+
+
+def test_phi_seeds_on_different_grids_are_different_keys():
+    # phi(e_0) = zeta_4 and phi(e_0) = zeta_8 on [[2]] with sigma = 1
+    # have the same exponent on their own grids, 4 and 8: the key holds
+    # the grid, so the second twist is a miss with roots of order 8
+    gram, sigma = [[2]], [[1]]
+    results = []
+    for n in (4, 8):
+        T = _twist(gram, sigma, phi_seed={0: root_of_unity(n)})
+        results.append(enumerate_simple_twisted(T))
+        assert W.summarize_classify(results[-1]) == W.summarize_classify(
+            classify._enumerate(_twist(gram, sigma,
+                                       phi_seed={0: root_of_unity(n)})))
+    assert enumeration_memo_counts()["misses"] == 2
+    assert W.summarize_classify(results[0]) != \
+        W.summarize_classify(results[1])
 
 
 def test_an_eps_seed_alone_is_its_own_key():
