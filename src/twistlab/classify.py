@@ -831,15 +831,28 @@ class EnumerationResult:
     orbit_lengths: tuple
 
 
-# The process-wide memo of enumerate_simple_twisted: results by content
+# The process-wide memo of enumerate_simple_twisted: entries by content
 # key, least recently used first, with their summed weight (`_weight`)
-# and the hits and misses since the last clear; the lock guards them,
-# not the enumeration.
+# and the hits and misses since the last clear, of the results and of
+# the class vacuum spaces; the lock guards them, not the enumeration
+# nor the building of a vacuum space.
 _memo: dict = {}
 _memo_lock = threading.Lock()
 _memo_held = 0
 _memo_hits = 0
 _memo_misses = 0
+_vacuum_hits = 0
+_vacuum_misses = 0
+
+
+class _Entry:
+    """A kept result and the vacuum spaces of classes instantiated on
+    its content, by class, each built the first time it is asked for."""
+    __slots__ = ("result", "vacua")
+
+    def __init__(self, result: EnumerationResult):
+        self.result = result
+        self.vacua = {}
 
 
 def _content_key(T: TwistData):
@@ -847,17 +860,37 @@ def _content_key(T: TwistData):
     matrix and sigma), the cocycle's exponents (epsilon's matrix on its
     order, phi(e_i) on the twist's grid, and the grid) and the two caps
     that can turn the same twist into a refusal, MAX_WORK and
-    `twistlab.scalar.CONDUCTOR_CAP`.  It holds no twist, algebra or module."""
+    `twistlab.scalar.CONDUCTOR_CAP`.  A class's vacuum space depends on
+    nothing else of the twist."""
     lat = T.lattice
     return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents, T.grid,
             tuple((x.q, x.k) for x in T.phi_basis), MAX_WORK,
             scalar_module.CONDUCTOR_CAP)
 
 
-def _weight(res: EnumerationResult) -> int:
-    """What a kept result counts against MAX_WORK: one for itself, one
-    per entry and one per class, so results without classes count too."""
-    return 1 + len(res.entries) + len(res.classes)
+def _weight(entry: _Entry) -> int:
+    """What a kept entry counts against MAX_WORK: one for its result,
+    one per entry and one per class of the result, so results without
+    classes count too, and one per kept vacuum space."""
+    res = entry.result
+    return 1 + len(res.entries) + len(res.classes) + len(entry.vacua)
+
+
+def _lookup(key):
+    """The entry kept for the key, now the most recently used, or None;
+    the caller holds the lock."""
+    entry = _memo.pop(key, None)
+    if entry is not None:
+        _memo[key] = entry
+    return entry
+
+
+def _evict():
+    """Drop the least recently used entries while the kept weight
+    passes MAX_WORK; the caller holds the lock."""
+    global _memo_held
+    while _memo_held > MAX_WORK:
+        _memo_held -= _weight(_memo.pop(next(iter(_memo))))
 
 
 def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
@@ -867,46 +900,54 @@ def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
     caps gets the same frozen result back without enumerating.
 
     The memo keeps results, never exceptions, and evicts the least
-    recently used while the kept results, their entries and their
-    classes number more than MAX_WORK; a result heavier than that alone
-    is not kept.  `enumeration_memo_counts` reads its hits, misses and
-    contents, and `clear_enumeration_memo` empties it."""
+    recently used while the kept results, their entries, their classes
+    and the vacuum spaces kept with them (`instantiate_class`) number
+    more than MAX_WORK; a result heavier than that alone is not kept.
+    `enumeration_memo_counts` reads its hits, misses and contents, and
+    `clear_enumeration_memo` empties it."""
     global _memo_held, _memo_hits, _memo_misses
     key = _content_key(T)
     with _memo_lock:
-        res = _memo.pop(key, None)
-        if res is not None:
-            _memo[key] = res
+        entry = _lookup(key)
+        if entry is not None:
             _memo_hits += 1
-            return res
+            return entry.result
         _memo_misses += 1
     res = _enumerate(T)
-    weight = _weight(res)
+    entry = _Entry(res)
+    weight = _weight(entry)
     with _memo_lock:
         if weight <= MAX_WORK and key not in _memo:
-            _memo[key] = res
+            _memo[key] = entry
             _memo_held += weight
-        while _memo_held > MAX_WORK:
-            _memo_held -= _weight(_memo.pop(next(iter(_memo))))
+        _evict()
     return res
 
 
 def enumeration_memo_counts() -> dict:
     """The memo's hits and misses since the last clear, and the results,
-    entries and classes it keeps now."""
+    entries and classes it keeps now; and of the class vacuum spaces,
+    how many it keeps now and the hits and misses of `instantiate_class`
+    since the last clear (a miss builds one, kept or not, or raises)."""
     with _memo_lock:
+        results = [e.result for e in _memo.values()]
         return {"hits": _memo_hits, "misses": _memo_misses,
-                "results": len(_memo),
-                "entries": sum(len(r.entries) for r in _memo.values()),
-                "classes": sum(len(r.classes) for r in _memo.values())}
+                "results": len(results),
+                "entries": sum(len(r.entries) for r in results),
+                "classes": sum(len(r.classes) for r in results),
+                "vacua": sum(len(e.vacua) for e in _memo.values()),
+                "vacuum_hits": _vacuum_hits,
+                "vacuum_misses": _vacuum_misses}
 
 
 def clear_enumeration_memo():
-    """Empty the memo and zero its counts."""
-    global _memo_held, _memo_hits, _memo_misses
+    """Empty the memo, its vacuum spaces with it, and zero its counts."""
+    global _memo_held, _memo_hits, _memo_misses, _vacuum_hits, \
+        _vacuum_misses
     with _memo_lock:
         _memo.clear()
         _memo_held = _memo_hits = _memo_misses = 0
+        _vacuum_hits = _vacuum_misses = 0
 
 
 def _enumerate(T: TwistData) -> EnumerationResult:
@@ -1036,7 +1077,8 @@ class ClassOmega:
     relation-quotient algebra, maps a line to one line times a scalar,
     (line, scalar), and poisons (returns None) when it leaves the
     degree window |k_i| <= WINDOW.  Its size is stated without listing
-    anything; its lines, lookup and weights are listed on first use."""
+    anything; its lines, lookup, weights and the lattice's eigenbasis
+    are made on first use."""
 
     def __init__(self, A: PresentedAlgebraA, ideal_index: int, xi0, eta):
         self.A = A
@@ -1086,6 +1128,14 @@ class ClassOmega:
         if x is None:
             raise ClassifyError("degree outside the grading lattice")
         return tuple(x)
+
+    @cached_property
+    def basis(self):
+        """The eigenbasis of the lattice, which every Fock module on this
+        vacuum space reads."""
+        from .fock import GradedBasis
+
+        return GradedBasis(self.A.lattice)
 
     @cached_property
     def lines(self):
@@ -1145,15 +1195,44 @@ class ClassOmega:
         return self.lookup[(k2, t2)], total.scalar()
 
 
-def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):
-    """A truncated Fock module realizing an enumerated class, on the
-    twist's algebra of the class's root choice."""
-    from .fock import FockModule
-
+def _class_vacuum(T: TwistData, cls: SimpleModuleClass) -> ClassOmega:
+    """The class's vacuum space on the twist's algebra of the class's
+    root choice, built afresh."""
     A = T.presentation.algebra(cls.mu_choice)
     if A.zero:
         raise ClassifyError(f"algebra collapsed: {A.witness}")
-    omega = ClassOmega(A, cls.ideal_index, cls.base_weight, cls.eta)
+    return ClassOmega(A, cls.ideal_index, cls.base_weight, cls.eta)
+
+
+def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):
+    """A truncated Fock module realizing an enumerated class, on the
+    class's vacuum space for the twist's content.
+
+    That vacuum space is kept with the enumeration memo's entry for the
+    twist's content (`_content_key`), keyed by the class, and built on
+    the twist's own algebra the first time it is asked for: every later
+    twist of the same content gets the same vacuum space, and with it
+    its e-action memo and its eigenbasis.  When no entry is kept for
+    the twist's content, the vacuum space is built and not kept."""
+    from .fock import FockModule
+
+    global _memo_held, _vacuum_hits, _vacuum_misses
+    key = _content_key(T)
+    with _memo_lock:
+        entry = _lookup(key)
+        omega = None if entry is None else entry.vacua.get(cls)
+        if omega is None:
+            _vacuum_misses += 1
+        else:
+            _vacuum_hits += 1
+    if omega is None:
+        omega = _class_vacuum(T, cls)
+        if entry is not None:
+            with _memo_lock:
+                if _memo.get(key) is entry and cls not in entry.vacua:
+                    entry.vacua[cls] = omega
+                    _memo_held += 1
+                    _evict()
     return FockModule(T, omega, trunc)
 
 

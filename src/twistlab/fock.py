@@ -41,8 +41,9 @@ Vectors are values, so a vector keeps its hash and its degree
 RegularOmega and classify.ClassOmega, state their size without listing
 anything, list their lines, lookup and weights (integer rows over one
 denominator: a weight lies in a rational coset of the dual of the
-sigma-fixed lattice) on first use, and keep e(alpha) per (alpha,
-line), exits included.  A module of more than MAX_BASIS basis vectors
+sigma-fixed lattice) and the lattice's eigenbasis (`basis`, which the
+module reads) on first use, and keep e(alpha) per (alpha, line), exits
+included.  A module of more than MAX_BASIS basis vectors
 up to its truncation, creation words (counted in integers) times
 vacuum lines, is refused (SizeCapExceeded) before any line or vector
 is built; otherwise it reads each weight once, as an integer on its
@@ -236,13 +237,19 @@ class RegularOmega:
     a box window, |b_k| <= bound; e(alpha) acts by the 2-cocycle and
     shifts the index, mapping a line to one line times a scalar, (line,
     scalar), or to None when the shift leaves the window, which poisons
-    the computation.  Its size is (2 bound + 1)^rank; its lines, lookup
-    and weights are listed on first use."""
+    the computation.  Its size is (2 bound + 1)^rank; its lines, lookup,
+    weights and the lattice's eigenbasis are made on first use."""
 
     def __init__(self, twist: TwistData, bound: int):
         self.twist = twist
         self.bound = bound
         self.size = (2 * bound + 1) ** twist.lattice.rank
+
+    @cached_property
+    def basis(self):
+        """The eigenbasis of the lattice, which every Fock module on this
+        vacuum space reads."""
+        return GradedBasis(self.twist.lattice)
 
     @cached_property
     def lines(self):
@@ -552,7 +559,7 @@ class FockModule:
     def __init__(self, twist: TwistData, omega, trunc):
         self.twist = twist
         self.lattice = twist.lattice
-        self.basis = GradedBasis(self.lattice)
+        self.basis = omega.basis
         self.omega = omega
         self.trunc = _frac(trunc)
         self.p = self.lattice.p

@@ -514,7 +514,9 @@ def test_instantiate_class_reuses_the_enumerated_algebra(monkeypatch, gram,
     monkeypatch.undo()
     assert built == []
     for cls, M in zip(res.classes, modules):
-        fresh = instantiate_class(twist(gram, sigma), cls, trunc=2).omega
+        # on a fresh twist, memo-free: instantiate_class would hand back
+        # the vacuum space kept for this content
+        fresh = classify._class_vacuum(twist(gram, sigma), cls)
         assert M.omega.lines == fresh.lines
         assert M.omega.weights == fresh.weights
 
@@ -1383,7 +1385,10 @@ def test_class_modules_read_their_own_block(monkeypatch):
             T2.presentation.algebra(cls.mu_choice).block_decomposition
             with monkeypatch.context() as m:
                 m.setattr(PresentedAlgebraA, "block", listed)
-                M2 = instantiate_class(T2, cls, trunc=2)
+                # memo-free: instantiate_class would hand back M's
+                # vacuum space, kept for this content
+                M2 = FockModule(T2, classify._class_vacuum(T2, cls), 2)
+            assert M2.omega is not M.omega
             assert M.omega.lines == M2.omega.lines
             assert M.omega.weights == M2.omega.weights
             assert M.omega.block.label == M2.omega.block.label

@@ -68,6 +68,40 @@ def test_build_epsilon_convention_and_comm():
     assert td.epsilon(zero, b).scalar() == ONE
 
 
+def test_commutator_properties_on_odd_lattices():
+    # odd lattices: C(a, a) = 1 and C(a, b) C(b, a) = 1 still hold, and
+    # with sigma = 1 C(a, b) is the super sign (-1)^((a|a)(b|b) + (a|b))
+    rng = random.Random(13)
+    for _ in range(25):
+        lat = random_twisted_lattice(rng, odd=True)
+        a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
+        c_ab = commutator_map(lat, a, b)
+        assert c_ab * commutator_map(lat, b, a) == ONE
+        assert commutator_map(lat, a, a) == ONE
+        if lat.p == 1:
+            expect = (-1) ** (lat.pairing(a, a) * lat.pairing(b, b)
+                              + lat.pairing(a, b))
+            assert c_ab == CycScalar.rational(expect)
+
+
+def test_build_epsilon_on_odd_lattices():
+    # the twist's integer epsilon against build_epsilon's scalars, and
+    # the commutator ratio, on odd draws
+    rng = random.Random(14)
+    checked = 0
+    while checked < 100:
+        lat = random_twisted_lattice(rng, rank_max=4, odd=True)
+        td = TwistData(lat)
+        assert td.eps_seed == build_epsilon(lat)
+        for i in range(lat.rank):
+            for j in range(i, lat.rank):
+                assert td.eps_seed[(i, j)] == ONE
+        for _ in range(5):
+            a, b = rnd_vec(rng, lat.rank), rnd_vec(rng, lat.rank)
+            assert td.epsilon(a, b) / td.epsilon(b, a) == td.commutator(a, b)
+            checked += 1
+
+
 def test_epsilon_bimultiplicative():
     rng = random.Random(3)
     for _ in range(20):

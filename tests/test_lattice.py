@@ -13,8 +13,12 @@ def neg_identity(l):
     return [[-1 if i == j else 0 for j in range(l)] for i in range(l)]
 
 
-def random_twisted_lattice(rng, rank_max=3):
-    """Random nondegenerate lattice with a random signed permutation sigma."""
+def random_twisted_lattice(rng, rank_max=3, odd=False):
+    """Random nondegenerate lattice with a random signed permutation sigma.
+
+    The form is even.  With odd=True a diagonal shift of +-1, constant
+    on each orbit of the permutation and so sigma-invariant, makes every
+    diagonal entry odd; the draws made without it are unchanged."""
     while True:
         l = rng.randint(1, rank_max)
         perm = list(range(l))
@@ -40,10 +44,33 @@ def random_twisted_lattice(rng, rank_max=3):
             mt = [list(r) for r in zip(*m)]
             term = mat_mul(mt, mat_mul(base, m))
             g = [[g[i][j] + term[i][j] for j in range(l)] for i in range(l)]
+        if odd:
+            shift = [None] * l
+            for j in range(l):
+                if shift[j] is None:
+                    d, k = rng.choice([1, -1]), j
+                    while shift[k] is None:
+                        shift[k] = d
+                        k = perm[k]
+            for j in range(l):
+                g[j][j] += shift[j]
         try:
             return TwistedLattice(g, sigma)
         except LatticeError:
             continue
+
+
+def test_odd_draws_are_odd_and_invariant():
+    # the odd variant keeps sigma's invariance (the constructor checks
+    # it) and makes each diagonal entry odd; the default draws are even
+    rng = random.Random(12)
+    for _ in range(40):
+        lat = random_twisted_lattice(rng, rank_max=4, odd=True)
+        assert all(lat.gram[i][i] % 2 for i in range(lat.rank))
+    rng = random.Random(12)
+    for _ in range(40):
+        lat = random_twisted_lattice(rng, rank_max=4)
+        assert not any(lat.gram[i][i] % 2 for i in range(lat.rank))
 
 
 def test_constructor_validation():

@@ -114,15 +114,15 @@ def main(argv=None) -> int:
     for workload in args.workload:
         pairs = []
         for k, seed in enumerate(args.seeds):
-            sides = [args.parent, args.change]
-            if k % 2:
-                sides.reverse()
-            got = {side: run_one(side, workload, seed, args.seconds)
-                   for side in sides}
-            print(f"{workload} seed {seed}: {got[args.parent]} -> "
-                  f"{got[args.change]}", file=sys.stderr)
-            if got[args.parent] is not None and got[args.change] is not None:
-                pairs.append((got[args.parent], got[args.change]))
+            # (parent, change), by position: the two may be one directory
+            got = [None, None]
+            for side in ((0, 1), (1, 0))[k % 2]:
+                got[side] = run_one((args.parent, args.change)[side],
+                                    workload, seed, args.seconds)
+            print(f"{workload} seed {seed}: {got[0]} -> {got[1]}",
+                  file=sys.stderr)
+            if None not in got:
+                pairs.append(tuple(got))
         print(table(workload, summarize(metrics, pairs)), flush=True)
     return 0
 
