@@ -240,6 +240,11 @@ def test_class_modules_after_a_memo_hit(gram, sigma):
         assert M3.omega is M.omega and M3.basis is M.basis
 
 
+def _vacuum_counts():
+    counts = enumeration_memo_counts()
+    return counts["vacua"], counts["vacuum_hits"], counts["vacuum_misses"]
+
+
 def _memo_free_module(gram, sigma, cls, **seeds):
     """A class module on a fresh twist's own algebra, with no memo."""
     T = _twist(gram, sigma, **seeds)
@@ -272,15 +277,8 @@ def test_kept_vacuum_spaces_match_memo_free_ones(gram, sigma):
             for i in range(M.omega.size):
                 assert M.omega.e_act(alpha, i) == Mf.omega.e_act(alpha, i)
         assert twisted_conditions(T, M) == twisted_conditions(Tf, Mf)
-    counts = enumeration_memo_counts()
     n = len(res.classes)
-    assert (counts["vacua"], counts["vacuum_hits"],
-            counts["vacuum_misses"]) == (n, n, n)
-
-
-def _vacuum_counts():
-    counts = enumeration_memo_counts()
-    return counts["vacua"], counts["vacuum_hits"], counts["vacuum_misses"]
+    assert _vacuum_counts() == (n, n, n)
 
 
 def test_clearing_the_memo_drops_its_vacuum_spaces():
