@@ -3,6 +3,7 @@ automorphism and their eigendata, the relation-quotient algebra A, its
 graded block decomposition, and enumeration of simple-module classes."""
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import threading
@@ -831,28 +832,20 @@ class EnumerationResult:
     orbit_lengths: tuple
 
 
-# The process-wide memo of enumerate_simple_twisted: entries by content
-# key, least recently used first, with their summed weight (`_weight`)
-# and the hits and misses since the last clear, of the results and of
-# the class vacuum spaces; the lock guards them, not the enumeration
-# nor the building of a vacuum space.
+# The process-wide memo: per twist content (`_content_key`), least
+# recently used first, the one owner of the content's values, a dict by
+# key (`_kept`): the enumeration result ("result",), the lattice's
+# eigenbasis ("basis",), the regular vacuum spaces ("regular", bound),
+# the class vacuum spaces (`_vacuum_key`) and the module tables
+# ("tables", vacuum key, creation cap).  Beside it, the summed weight
+# of the kept values (`_weight`) and per kind of value (a key's first
+# item) the hits and misses since the last clear; the lock guards them,
+# not the building of a value.
 _memo: dict = {}
 _memo_lock = threading.Lock()
 _memo_held = 0
-_memo_hits = 0
-_memo_misses = 0
-_vacuum_hits = 0
-_vacuum_misses = 0
-
-
-class _Entry:
-    """A kept result and the vacuum spaces of classes instantiated on
-    its content, by class, each built the first time it is asked for."""
-    __slots__ = ("result", "vacua")
-
-    def __init__(self, result: EnumerationResult):
-        self.result = result
-        self.vacua = {}
+_hits = collections.Counter()
+_misses = collections.Counter()
 
 
 def _content_key(T: TwistData):
@@ -860,94 +853,137 @@ def _content_key(T: TwistData):
     matrix and sigma), the cocycle's exponents (epsilon's matrix on its
     order, phi(e_i) on the twist's grid, and the grid) and the two caps
     that can turn the same twist into a refusal, MAX_WORK and
-    `twistlab.scalar.CONDUCTOR_CAP`.  A class's vacuum space depends on
-    nothing else of the twist."""
+    `twistlab.scalar.CONDUCTOR_CAP`.  The eigenbasis, the vacuum spaces
+    and the module tables depend on nothing else of the twist."""
     lat = T.lattice
     return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents, T.grid,
             tuple((x.q, x.k) for x in T.phi_basis), MAX_WORK,
             scalar_module.CONDUCTOR_CAP)
 
 
-def _weight(entry: _Entry) -> int:
-    """What a kept entry counts against MAX_WORK: one for its result,
-    one per entry and one per class of the result, so results without
-    classes count too, and one per kept vacuum space."""
-    res = entry.result
-    return 1 + len(res.entries) + len(res.classes) + len(entry.vacua)
+def _vacuum_key(mu_choice, ideal_index, xi0, eta):
+    """The key of a class vacuum space among its content's values."""
+    return ("class", tuple(mu_choice), ideal_index, tuple(xi0), tuple(eta))
+
+
+def _value_weight(key, value) -> int:
+    """What a kept value counts against MAX_WORK: a result one for
+    itself, one per entry and one per class, so results without classes
+    count too; any other value one."""
+    if key[0] == "result":
+        return 1 + len(value.entries) + len(value.classes)
+    return 1
+
+
+def _weight(values: dict) -> int:
+    """What a content's kept values count against MAX_WORK."""
+    return sum(_value_weight(k, v) for k, v in values.items())
 
 
 def _lookup(key):
-    """The entry kept for the key, now the most recently used, or None;
-    the caller holds the lock."""
-    entry = _memo.pop(key, None)
-    if entry is not None:
-        _memo[key] = entry
-    return entry
+    """The values kept for the content key, now the most recently used,
+    or None; the caller holds the lock."""
+    values = _memo.pop(key, None)
+    if values is not None:
+        _memo[key] = values
+    return values
 
 
 def _evict():
-    """Drop the least recently used entries while the kept weight
+    """Drop the least recently used contents while the kept weight
     passes MAX_WORK; the caller holds the lock."""
     global _memo_held
     while _memo_held > MAX_WORK:
         _memo_held -= _weight(_memo.pop(next(iter(_memo))))
 
 
-def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
-    """All simple twisted-module classes of the twist (`_enumerate`),
-    through one process-wide memo keyed by the twist's content
-    (`_content_key`): a second twist with the same lattice, seeds and
-    caps gets the same frozen result back without enumerating.
+def _may_keep(values, key, owner) -> bool:
+    """Whether a content's values hold the value under key: a class
+    vacuum space only beside a result, and a value of a vacuum space
+    (its eigenbasis, its tables) only where that vacuum space, the
+    owner, is kept."""
+    if owner is not None:
+        return values.get(owner.key) is owner
+    return key[0] != "class" or ("result",) in values
 
-    The memo keeps results, never exceptions, and evicts the least
-    recently used while the kept results, their entries, their classes
-    and the vacuum spaces kept with them (`instantiate_class`) number
-    more than MAX_WORK; a result heavier than that alone is not kept.
-    `enumeration_memo_counts` reads its hits, misses and contents, and
-    `clear_enumeration_memo` empties it."""
-    global _memo_held, _memo_hits, _memo_misses
-    key = _content_key(T)
+
+def _kept(T: TwistData, key, build, owner=None):
+    """The value under key of T's content: read from the content's kept
+    values, or built by build() and kept there (`_may_keep` names the
+    exceptions, built and not kept).  The least recently used contents
+    leave, with all their values, while the kept weight passes MAX_WORK;
+    a value heavier than that alone is not kept, and an exception never
+    is.  `enumeration_memo_counts` reads the hits, misses and contents,
+    and `clear_enumeration_memo` empties the memo."""
+    global _memo_held
+    content = _content_key(T)
     with _memo_lock:
-        entry = _lookup(key)
-        if entry is not None:
-            _memo_hits += 1
-            return entry.result
-        _memo_misses += 1
-    res = _enumerate(T)
-    entry = _Entry(res)
-    weight = _weight(entry)
+        values = _lookup(content)
+        if values is not None and _may_keep(values, key, owner):
+            value = values.get(key)
+            if value is not None:
+                _hits[key[0]] += 1
+                return value
+        _misses[key[0]] += 1
+    value = build()
+    weight = _value_weight(key, value)
     with _memo_lock:
-        if weight <= MAX_WORK and key not in _memo:
-            _memo[key] = entry
+        values = _lookup(content)
+        if values is None:
+            values = {}
+        if weight <= MAX_WORK and _may_keep(values, key, owner):
+            if key in values:
+                return values[key]
+            _memo[content] = values
+            values[key] = value
             _memo_held += weight
         _evict()
-    return res
+    return value
+
+
+def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
+    """All simple twisted-module classes of the twist (`_enumerate`),
+    kept with the twist's content (`_kept`): a second twist with the
+    same lattice, seeds and caps gets the same frozen result back
+    without enumerating.  A content whose other values are kept before
+    it is enumerated misses once, and the result joins them."""
+    return _kept(T, ("result",), lambda: _enumerate(T))
 
 
 def enumeration_memo_counts() -> dict:
-    """The memo's hits and misses since the last clear, and the results,
-    entries and classes it keeps now; and of the class vacuum spaces,
-    how many it keeps now and the hits and misses of `instantiate_class`
-    since the last clear (a miss builds one, kept or not, or raises)."""
+    """Since the last clear, the hits and misses of the results, and the
+    results, entries and classes kept now; and for the class vacuum
+    spaces (`vacua`, from `instantiate_class`), the regular vacuum spaces
+    (`regular`, from `fock.RegularOmega`), the eigenbases (`bases`) and
+    the module tables (`tables`, from `fock.FockModule`), how many are
+    kept now and the hits and misses since the last clear (a miss builds
+    one, kept or not, or raises)."""
     with _memo_lock:
-        results = [e.result for e in _memo.values()]
-        return {"hits": _memo_hits, "misses": _memo_misses,
-                "results": len(results),
-                "entries": sum(len(r.entries) for r in results),
-                "classes": sum(len(r.classes) for r in results),
-                "vacua": sum(len(e.vacua) for e in _memo.values()),
-                "vacuum_hits": _vacuum_hits,
-                "vacuum_misses": _vacuum_misses}
+        kept = [(k, v) for values in _memo.values() for k, v in values.items()]
+        results = [v for k, v in kept if k[0] == "result"]
+        kinds = collections.Counter(k[0] for k, _v in kept)
+        counts = {"hits": _hits["result"], "misses": _misses["result"],
+                  "results": len(results),
+                  "entries": sum(len(r.entries) for r in results),
+                  "classes": sum(len(r.classes) for r in results)}
+        for kind, name, one in (("class", "vacua", "vacuum"),
+                                ("regular", "regular", "regular"),
+                                ("basis", "bases", "basis"),
+                                ("tables", "tables", "table")):
+            counts[name] = kinds[kind]
+            counts[one + "_hits"] = _hits[kind]
+            counts[one + "_misses"] = _misses[kind]
+        return counts
 
 
 def clear_enumeration_memo():
-    """Empty the memo, its vacuum spaces with it, and zero its counts."""
-    global _memo_held, _memo_hits, _memo_misses, _vacuum_hits, \
-        _vacuum_misses
+    """Empty the memo, every kept value with it, and zero its counts."""
+    global _memo_held
     with _memo_lock:
         _memo.clear()
-        _memo_held = _memo_hits = _memo_misses = 0
-        _vacuum_hits = _vacuum_misses = 0
+        _memo_held = 0
+        _hits.clear()
+        _misses.clear()
 
 
 def _enumerate(T: TwistData) -> EnumerationResult:
@@ -1078,7 +1114,8 @@ class ClassOmega:
     (line, scalar), and poisons (returns None) when it leaves the
     degree window |k_i| <= WINDOW.  Its size is stated without listing
     anything; its lines, lookup, weights and the lattice's eigenbasis
-    are made on first use."""
+    are made on first use.  `key` names it within its twist's content
+    (`_vacuum_key`)."""
 
     def __init__(self, A: PresentedAlgebraA, ideal_index: int, xi0, eta):
         self.A = A
@@ -1106,6 +1143,7 @@ class ClassOmega:
         self.mm = A.m
         self.size = (2 * WINDOW + 1) ** self.mm * self.d
         self.base = [x + y for x, y in zip(xi0, eta)]
+        self.key = _vacuum_key(A.mu_choice, ideal_index, xi0, eta)
         # degree coordinates: p * nu over that of the nonzero-degree reps
         self._degrees = IntegerCoords(
             [A.grading[i] for i in range(self.mm)], lat.rank)
@@ -1132,10 +1170,10 @@ class ClassOmega:
     @cached_property
     def basis(self):
         """The eigenbasis of the lattice, which every Fock module on this
-        vacuum space reads."""
-        from .fock import GradedBasis
+        vacuum space reads (`fock._content_basis`)."""
+        from .fock import _content_basis
 
-        return GradedBasis(self.A.lattice)
+        return _content_basis(self.A.twist, self)
 
     @cached_property
     def lines(self):
@@ -1208,31 +1246,18 @@ def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):
     """A truncated Fock module realizing an enumerated class, on the
     class's vacuum space for the twist's content.
 
-    That vacuum space is kept with the enumeration memo's entry for the
-    twist's content (`_content_key`), keyed by the class, and built on
-    the twist's own algebra the first time it is asked for: every later
+    That vacuum space is kept in the enumeration memo's entry for the
+    twist's content (`_kept`, under `_vacuum_key`), and built on the
+    twist's own algebra the first time it is asked for: every later
     twist of the same content gets the same vacuum space, and with it
-    its e-action memo and its eigenbasis.  When no entry is kept for
-    the twist's content, the vacuum space is built and not kept."""
+    its e-action memo, its eigenbasis and its module tables.  When the
+    entry holds no result (never enumerated, evicted, or too heavy to
+    keep), the vacuum space is built and not kept."""
     from .fock import FockModule
 
-    global _memo_held, _vacuum_hits, _vacuum_misses
-    key = _content_key(T)
-    with _memo_lock:
-        entry = _lookup(key)
-        omega = None if entry is None else entry.vacua.get(cls)
-        if omega is None:
-            _vacuum_misses += 1
-        else:
-            _vacuum_hits += 1
-    if omega is None:
-        omega = _class_vacuum(T, cls)
-        if entry is not None:
-            with _memo_lock:
-                if _memo.get(key) is entry and cls not in entry.vacua:
-                    entry.vacua[cls] = omega
-                    _memo_held += 1
-                    _evict()
+    key = _vacuum_key(cls.mu_choice, cls.ideal_index, cls.base_weight,
+                      cls.eta)
+    omega = _kept(T, key, lambda: _class_vacuum(T, cls))
     return FockModule(T, omega, trunc)
 
 

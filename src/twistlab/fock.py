@@ -41,12 +41,20 @@ Vectors are values, so a vector keeps its hash and its degree
 RegularOmega and classify.ClassOmega, state their size without listing
 anything, list their lines, lookup and weights (integer rows over one
 denominator: a weight lies in a rational coset of the dual of the
-sigma-fixed lattice) and the lattice's eigenbasis (`basis`, which the
-module reads) on first use, and keep e(alpha) per (alpha, line), exits
-included.  A module of more than MAX_BASIS basis vectors
-up to its truncation, creation words (counted in integers) times
-vacuum lines, is refused (SizeCapExceeded) before any line or vector
-is built; otherwise it reads each weight once, as an integer on its
+sigma-fixed lattice) and read the lattice's eigenbasis (`basis`, which
+the module reads) on first use, and keep e(alpha) per (alpha, line),
+exits included.
+
+What depends only on the twist's content has one owner, the
+enumeration memo's entry for that content (`classify._kept`): the
+regular vacuum space of each bound (RegularOmega(T, bound) returns the
+kept one), the eigenbasis its kept vacuum spaces share, and per kept
+vacuum space and creation cap the module's tables (`_ModuleTables`).
+A module of more than MAX_BASIS basis vectors up to its truncation,
+creation words (counted in integers) times vacuum lines, is refused
+(SizeCapExceeded) before any line or vector is built, on every
+construction, a kept word count included; a refusal keeps nothing.
+Otherwise the module reads each weight once, as an integer on its
 grid.  Each value has one face, the integer one the module computes
 with: a degree is max_degree_k or floor_k, a vertex exponent is
 vertex_exponents_k, all times the grid, and the eigen-coordinates of
@@ -56,9 +64,11 @@ from __future__ import annotations
 
 import itertools
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
+from . import classify
 from ._kept import kept
 from .classify import SizeCapExceeded
 from .cocycle import TwistData, locality_order
@@ -228,6 +238,14 @@ class GradedBasis:
                      for row in self.coord_rows)
 
 
+def _content_basis(twist: TwistData, omega) -> GradedBasis:
+    """The lattice's eigenbasis for the vacuum space omega on the twist:
+    the one kept for the twist's content, shared by every vacuum space
+    kept there, or built afresh for a vacuum space that is not kept."""
+    return classify._kept(twist, ("basis",),
+                          lambda: GradedBasis(twist.lattice), omega)
+
+
 # ---------------------------------------------------------------------
 # Vacuum-space specifications
 # ---------------------------------------------------------------------
@@ -238,18 +256,29 @@ class RegularOmega:
     shifts the index, mapping a line to one line times a scalar, (line,
     scalar), or to None when the shift leaves the window, which poisons
     the computation.  Its size is (2 bound + 1)^rank; its lines, lookup,
-    weights and the lattice's eigenbasis are made on first use."""
+    weights and the lattice's eigenbasis are made on first use.
 
-    def __init__(self, twist: TwistData, bound: int):
-        self.twist = twist
-        self.bound = bound
-        self.size = (2 * bound + 1) ** twist.lattice.rank
+    It depends only on the twist's content and the bound, so
+    `RegularOmega(T, bound)` returns the one kept in the enumeration
+    memo's entry for T's content (`classify._kept`, under `key`), built
+    on the first twist that asked for it, with its e-action memo."""
+
+    def __new__(cls, twist: TwistData, bound: int):
+        def build():
+            omega = object.__new__(cls)
+            omega.twist = twist
+            omega.bound = bound
+            omega.key = ("regular", bound)
+            omega.size = (2 * bound + 1) ** twist.lattice.rank
+            return omega
+
+        return classify._kept(twist, ("regular", bound), build)
 
     @cached_property
     def basis(self):
         """The eigenbasis of the lattice, which every Fock module on this
         vacuum space reads."""
-        return GradedBasis(self.twist.lattice)
+        return _content_basis(self.twist, self)
 
     @cached_property
     def lines(self):
@@ -553,8 +582,29 @@ class FockOp:
 # The module itself
 # ---------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _ModuleTables:
+    """What a module reads off its vacuum space, its eigenbasis and its
+    creation cap alone (`FockModule._tables`), kept per vacuum space and
+    cap in the content's entry: the creation-word count, xi(h_j) on each
+    vacuum line for the sigma-fixed h_j, the grid, the degree of a mode
+    step 1/p, the line degrees and their least, and the xi entries, all
+    on the grid.  Every module on the vacuum space reads the same lists,
+    so none may change them."""
+    words: int
+    zero_weights: list
+    grid: int
+    mode_step: int
+    degree_k: list
+    floor_k: int
+    xi_k: list
+
+
 class FockModule:
-    """M(1) tensor Omega, truncated at creation degree T."""
+    """M(1) tensor Omega, truncated at creation degree T.  Its tables
+    (`_ModuleTables`) are those kept for its vacuum space and creation
+    cap where the vacuum space is kept; the module and its memos are its
+    own."""
 
     def __init__(self, twist: TwistData, omega, trunc):
         self.twist = twist
@@ -565,16 +615,32 @@ class FockModule:
         self.p = self.lattice.p
         # the largest creation degree of a term, in modes scaled by p
         self.cap = math.floor(self.trunc * self.p)
-        l = self.lattice.rank
-        lines = omega.size
-        words = _word_count(self.basis.qs, self.p, self.cap,
-                            MAX_BASIS // lines)
+        tables = classify._kept(twist, ("tables", omega.key, self.cap),
+                                self._tables, omega)
+        # a kept count meets the cap of this construction too
+        self._refuse(tables.words)
+        self.zero_weights = tables.zero_weights
+        self.grid = tables.grid
+        self.mode_step = tables.mode_step
+        self.degree_k = tables.degree_k
+        self.floor_k = tables.floor_k
+        self._xi_k = tables.xi_k
+
+    def _refuse(self, words):
+        lines = self.omega.size
         if words * lines > MAX_BASIS:
             raise SizeCapExceeded(
-                f"a module of degree at most {self.trunc} in rank {l} on "
-                f"{lines} vacuum lines has more than {MAX_BASIS} basis "
-                f"vectors, the cap")
-        basis = self.basis
+                f"a module of degree at most {self.trunc} in rank "
+                f"{self.lattice.rank} on {lines} vacuum lines has more "
+                f"than {MAX_BASIS} basis vectors, the cap")
+
+    def _tables(self) -> _ModuleTables:
+        """The tables of this module, computed afresh; the word count is
+        refused against MAX_BASIS before any line is listed."""
+        omega, basis, p = self.omega, self.basis, self.p
+        l = self.lattice.rank
+        words = _word_count(basis.qs, p, self.cap, MAX_BASIS // omega.size)
+        self._refuse(words)
         fixed = [j for j in range(l) if basis.qs[j] == 0]
         # the lines' xi entries, integer rows over X, and the rational
         # sigma-fixed h_j and their duals, made integer rows over V, U
@@ -588,22 +654,21 @@ class FockModule:
         # degree, half of sum_j xi(h_j) xi(beta_j), is over 2 U (V X)^2
         nums = [[sum(v * x for v, x in zip(row, xi) if v) for row in vecs]
                 for xi in xis]
-        self.zero_weights = [{j: Fraction(n, V * X) for j, n in zip(fixed, ns)}
-                             for ns in nums]
+        zero_weights = [{j: Fraction(n, V * X) for j, n in zip(fixed, ns)}
+                        for ns in nums]
         dd = 2 * U * (V * X) ** 2
         degs = [sum(n * sum(d * m for d, m in zip(row, ns) if d)
                     for n, row in zip(ns, duals)) for ns in nums]
         # the grid (1/grid)Z of every slot and degree: 2p holds
         # (alpha'|alpha')/2, the xi entries xi(alpha(0)), the degrees the rest
-        self.grid = grid = math.lcm(
-            2 * self.p, *(X // math.gcd(x, X) for xi in xis for x in xi),
+        grid = math.lcm(
+            2 * p, *(X // math.gcd(x, X) for xi in xis for x in xi),
             *(dd // math.gcd(n, dd) for n in degs))
-        # the degree of a mode step 1/p, the line degrees and their
-        # least, and the xi entries, all on the grid
-        self.mode_step = grid // self.p
-        self.degree_k = [n * grid // dd for n in degs]
-        self.floor_k = min(self.degree_k, default=0)
-        self._xi_k = [tuple(x * grid // X for x in xi) for xi in xis]
+        degree_k = [n * grid // dd for n in degs]
+        return _ModuleTables(
+            words, zero_weights, grid, grid // p, degree_k,
+            min(degree_k, default=0),
+            [tuple(x * grid // X for x in xi) for xi in xis])
 
     # -- vectors and operators ----------------------------------------
 

@@ -22,20 +22,26 @@ from twistlab.classify import (
     twisted_conditions,
 )
 from twistlab.cocycle import TwistData, build_epsilon
-from twistlab.fock import FockModule
+from twistlab.fock import FockModule, GradedBasis, RegularOmega
 from twistlab.lattice import TwistedLattice
 from twistlab.scalar import RootPair, as_scalar, root_of_unity
 
 from test_golden import TL, W
 from test_classify import ROT, neg
+from test_lattice import random_twisted_lattice
 
 
 SWAP_2 = ([[2, 0], [0, 2]], [[0, 1], [1, 0]])
 # eps(e_0, e_0) = -1 on the swap, with every other seed the default
 EPS_SEED = build_epsilon(TwistedLattice(*SWAP_2))
 EPS_SEED[(0, 0)] = as_scalar(-1)
-# the vacuum-space counts of a run that instantiates no class
-NO_VACUA = {"vacua": 0, "vacuum_hits": 0, "vacuum_misses": 0}
+# the counts of the kept values besides the results in a run that
+# builds no vacuum space and no module
+NO_VACUA = {name: 0 for kind, one in (("vacua", "vacuum"),
+                                      ("regular", "regular"),
+                                      ("bases", "basis"),
+                                      ("tables", "table"))
+            for name in (kind, one + "_hits", one + "_misses")}
 
 
 def _twist(gram, sigma, **seeds):
@@ -240,9 +246,33 @@ def test_class_modules_after_a_memo_hit(gram, sigma):
         assert M3.omega is M.omega and M3.basis is M.basis
 
 
-def _vacuum_counts():
+def _vacuum_counts(kind="vacua", one="vacuum"):
     counts = enumeration_memo_counts()
-    return counts["vacua"], counts["vacuum_hits"], counts["vacuum_misses"]
+    return counts[kind], counts[one + "_hits"], counts[one + "_misses"]
+
+
+def _basis_fields(basis):
+    return (basis.qs, basis.vecs, basis.pairing, basis.duals,
+            basis.coord_rows)
+
+
+def _module_tables(M):
+    """Every table a module reads off its kept tables; the word count
+    is held by the kept tables alone (`_kept_tables`)."""
+    return (M.zero_weights, M.grid, M.mode_step, M.degree_k, M.floor_k,
+            M._xi_k)
+
+
+def _kept_tables(T, M):
+    """The tables kept for M's vacuum space and cap in T's entry."""
+    values = classify._memo[classify._content_key(T)]
+    return values[("tables", M.omega.key, M.cap)]
+
+
+def _units(l):
+    """The basis vectors of Z^l and their negatives."""
+    units = [tuple(int(i == j) for i in range(l)) for j in range(l)]
+    return units + [tuple(-x for x in u) for u in units]
 
 
 def _memo_free_module(gram, sigma, cls, **seeds):
@@ -257,14 +287,14 @@ def _memo_free_module(gram, sigma, cls, **seeds):
                          MEMO_LATTICES + [SWAP_2] + ROTATION_LATTICES)
 def test_kept_vacuum_spaces_match_memo_free_ones(gram, sigma):
     # every class, instantiated on a memo hit, against the class built
-    # on a fresh twist's own algebra: the same lines and weights, the
+    # on a fresh twist's own algebra, which is not kept and so builds
+    # its own eigenbasis and tables: the same lines and weights, the
     # same e-action of every basis vector and its negative on every
-    # line, and the same twisted-module reports
+    # line, the same eigenbasis and module tables, and the same
+    # twisted-module reports
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert res.classes
-    l = len(gram)
-    units = [tuple(int(i == j) for i in range(l)) for j in range(l)]
-    alphas = units + [tuple(-x for x in u) for u in units]
+    alphas = _units(len(gram))
     for cls in res.classes:
         instantiate_class(_twist(gram, sigma), cls, trunc=2)
         T = _twist(gram, sigma)
@@ -276,9 +306,17 @@ def test_kept_vacuum_spaces_match_memo_free_ones(gram, sigma):
         for alpha in alphas:
             for i in range(M.omega.size):
                 assert M.omega.e_act(alpha, i) == Mf.omega.e_act(alpha, i)
+        assert Mf.basis is not M.basis
+        assert _basis_fields(M.basis) == _basis_fields(Mf.basis)
+        assert _module_tables(M) == _module_tables(Mf)
+        assert _kept_tables(T, M) == FockModule._tables(Mf)
         assert twisted_conditions(T, M) == twisted_conditions(Tf, Mf)
     n = len(res.classes)
     assert _vacuum_counts() == (n, n, n)
+    # one eigenbasis for the content and one table per class are kept;
+    # each memo-free module misses both and keeps neither
+    assert _vacuum_counts("bases", "basis") == (1, n - 1, 1 + n)
+    assert _vacuum_counts("tables", "table") == (n, n, 2 * n)
 
 
 def test_clearing_the_memo_drops_its_vacuum_spaces():
@@ -301,9 +339,10 @@ def test_clearing_the_memo_drops_its_vacuum_spaces():
 
 def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
     # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes, and
-    # each kept vacuum space one more: [2] weighs 4, with a vacuum space
-    # 5, and [3] 5, against a budget of 10
-    monkeypatch.setattr(classify, "MAX_WORK", 10)
+    # each kept vacuum space, eigenbasis and module table one more: [2]
+    # weighs 4, with a vacuum space and its module 7, and [3] 5,
+    # against a budget of 12
+    monkeypatch.setattr(classify, "MAX_WORK", 12)
 
     def enum(n):
         return enumerate_simple_twisted(_twist([[n]], [[1]]))
@@ -313,21 +352,23 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
 
     two = enum(2)
     kept = omega(2, two.classes[0])
-    enum(3)                        # 10: both kept, [3] the most recent
+    enum(3)                        # 12: both kept, [3] the most recent
     assert _vacuum_counts() == (1, 0, 1)
-    # a second vacuum space of [2] makes it the most recent and the
-    # weight 11: [3] leaves, [2] stays with both its vacuum spaces
+    # a second vacuum space of [2], with its table, makes it the most
+    # recent and the weight 14: [3] leaves, [2] stays with both its
+    # vacuum spaces
     other = omega(2, two.classes[1])
     counts = enumeration_memo_counts()
     assert (counts["results"], counts["vacua"]) == (1, 2)
     assert omega(2, two.classes[0]) is kept
     assert omega(2, two.classes[1]) is other
-    # [3] and then [1] are enumerated again: 6 + 5 + 3 > 10, so [2]
-    # leaves, its vacuum spaces with it
+    # [3] is enumerated again: 9 + 5 > 12, so [2] leaves, its vacuum
+    # spaces, eigenbasis and tables with it, and [1] joins [3]
     enum(3)
     enum(1)
     counts = enumeration_memo_counts()
     assert (counts["results"], counts["vacua"]) == (2, 0)
+    assert (counts["bases"], counts["tables"]) == (0, 0)
     enum(2)
     assert omega(2, two.classes[0]) is not kept
     # an entry that a vacuum space pushes past the budget leaves at once,
@@ -424,6 +465,20 @@ def test_vacuum_counts_against_a_counted_run(monkeypatch):
         real(self, *args)
 
     monkeypatch.setattr(ClassOmega, "__init__", counted)
+    # and the eigenbases and module tables built
+    bases, tables = [], []
+    real_basis, real_tables = GradedBasis.__init__, FockModule._tables
+
+    def counted_basis(self, lattice):
+        bases.append(lattice)
+        real_basis(self, lattice)
+
+    def counted_tables(self):
+        tables.append(self)
+        return real_tables(self)
+
+    monkeypatch.setattr(GradedBasis, "__init__", counted_basis)
+    monkeypatch.setattr(FockModule, "_tables", counted_tables)
     for job in jobs:
         W.build_ops_module(TL, job)
     monkeypatch.undo()
@@ -432,19 +487,33 @@ def test_vacuum_counts_against_a_counted_run(monkeypatch):
     assert len(classes) == 156 and len(distinct) == 9
     assert _vacuum_counts() == (9, 156 - 9, len(built))
     assert len(built) == 9
+    # 69 regular jobs on 4 lattices, one regular vacuum space each, and
+    # 225 modules on 13 (vacuum space, truncation) pairs; one eigenbasis
+    # per lattice, read by its 13 vacuum spaces
+    regular = {job["lattice"] for job in jobs if job["module"] == "regular"}
+    assert len(jobs) - len(classes) == 69 and len(regular) == 4
+    assert _vacuum_counts("regular", "regular") == (4, 65, 4)
+    assert len({(job["lattice"], job["module"]) for job in jobs}) == 13
+    assert _vacuum_counts("tables", "table") == (13, 212, len(tables))
+    assert len(tables) == 13
+    assert _vacuum_counts("bases", "basis") == (4, 9, len(bases))
+    assert len(bases) == 4
+    assert enumeration_memo_counts()["results"] == 4
 
 
 def test_concurrent_instantiation_keeps_the_counts(monkeypatch):
     # eight threads, switching often, enumerate and instantiate the
-    # classes of [1], [2] and [3] with sigma = 1, which weigh 4, 6 and 8
-    # with all their vacuum spaces, under a budget of 12 that evicts:
-    # every call is counted once, the kept weight is the sum of the
-    # kept entries' weights, and at most one vacuum space is kept per
-    # class.  Without the lock around the vacuum lookups and stores,
-    # 150 rounds per thread broke the weight sum in each of 4 runs.
+    # classes of [1], [2] and [3] with sigma = 1, and build a module on
+    # each one's regular vacuum space of bound 1, under a budget of 12
+    # that evicts: every call is counted once, the kept weight is the
+    # sum of the kept entries' weights, a class vacuum space is kept
+    # only beside its result, and an eigenbasis or a table only beside
+    # a vacuum space.  Without the lock around the lookups and stores of
+    # `classify._kept`, each of 3 runs failed (a thread raised while
+    # another changed the memo).
     monkeypatch.setattr(classify, "MAX_WORK", 12)
     lattices = [([[n]], [[1]]) for n in (1, 2, 3)]
-    calls, errors = [], []
+    calls, regular, errors = [], [], []
 
     def work(k):
         try:
@@ -455,6 +524,9 @@ def test_concurrent_instantiation_keeps_the_counts(monkeypatch):
                     T = _twist(gram, sigma)
                     M = instantiate_class(T, cls, trunc=1)
                     calls.append(M.omega.size)
+                T = _twist(gram, sigma)
+                M = FockModule(T, RegularOmega(T, 1), 1)
+                regular.append(M.omega.size)
         except Exception as exc:  # reported below, with the thread's index
             errors.append((k, exc))
 
@@ -472,9 +544,249 @@ def test_concurrent_instantiation_keeps_the_counts(monkeypatch):
     assert errors == []
     counts = enumeration_memo_counts()
     assert counts["vacuum_hits"] + counts["vacuum_misses"] == len(calls)
+    assert counts["regular_hits"] + counts["regular_misses"] == \
+        len(regular) == 8 * 150
+    assert counts["table_hits"] + counts["table_misses"] == \
+        len(calls) + len(regular)
     assert counts["hits"] + counts["misses"] == 8 * 150
     with classify._memo_lock:
         entries = list(classify._memo.values())
         held = classify._memo_held
     assert held == sum(classify._weight(e) for e in entries) <= 12
-    assert all(set(e.vacua) <= set(e.result.classes) for e in entries)
+    for values in entries:
+        vacua = {k for k in values if k[0] in ("regular", "class")}
+        result = values.get(("result",))
+        classes = () if result is None else result.classes
+        assert {k for k in vacua if k[0] == "class"} <= {
+            classify._vacuum_key(c.mu_choice, c.ideal_index,
+                                 c.base_weight, c.eta) for c in classes}
+        assert all(k[1] in vacua for k in values if k[0] == "tables")
+        assert ("basis",) not in values or vacua
+
+
+def _random_lattices(seed, n, **kw):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(n):
+        lat = random_twisted_lattice(rng, **kw)
+        out.append((lat.gram, lat.sigma))
+    return out
+
+
+# the tests' random draws, even and odd, beside the fixed lattices
+RANDOM_LATTICES = (_random_lattices(4101, 5)
+                   + _random_lattices(4102, 5, odd=True))
+REGULAR_LATTICES = (MEMO_LATTICES + [SWAP_2] + ROTATION_LATTICES
+                    + RANDOM_LATTICES)
+
+
+@pytest.mark.parametrize("gram,sigma", REGULAR_LATTICES)
+def test_kept_regular_vacuum_spaces_match_fresh_ones(gram, sigma):
+    # a second twist of the same content gets the first twist's regular
+    # vacuum space, eigenbasis and tables; after a clear, a fresh twist
+    # builds them all anew, and each kept value is the fresh one: the
+    # lines, lookup and weights, the e-action of every basis vector and
+    # its negative on every line, the eigenbasis (also against one built
+    # with no memo at all), and the module tables, whose word count is
+    # that of the listed basis vectors
+    T1 = _twist(gram, sigma)
+    omega = RegularOmega(T1, 1)
+    M1 = FockModule(T1, omega, 2)
+    T2 = _twist(gram, sigma)
+    M = FockModule(T2, RegularOmega(T2, 1), 2)
+    assert M.omega is omega and omega.twist is T1
+    assert M.basis is M1.basis is omega.basis
+    kept = _kept_tables(T2, M)
+    acts = [[omega.e_act(a, i) for i in range(omega.size)]
+            for a in _units(len(gram))]
+    assert _vacuum_counts("regular", "regular") == (1, 1, 1)
+    assert _vacuum_counts("tables", "table") == (1, 1, 1)
+    classify.clear_enumeration_memo()
+    Tf = _twist(gram, sigma)
+    Mf = FockModule(Tf, RegularOmega(Tf, 1), 2)
+    fresh = Mf.omega
+    assert fresh is not omega and Mf.basis is not M.basis
+    assert (omega.lines, omega.lookup, omega.weights) == \
+        (fresh.lines, fresh.lookup, fresh.weights)
+    assert acts == [[fresh.e_act(a, i) for i in range(fresh.size)]
+                    for a in _units(len(gram))]
+    assert _basis_fields(M.basis) == _basis_fields(Mf.basis) == \
+        _basis_fields(GradedBasis(Tf.lattice))
+    assert _module_tables(M) == _module_tables(Mf)
+    assert kept == FockModule._tables(Mf) == _kept_tables(Tf, Mf)
+    assert kept.words * omega.size == len(M.basis_vectors(2))
+
+
+def test_check_twice_in_one_process_gives_the_same_report(tmp_path,
+                                                          capsys):
+    # the second run of each spec reads the first run's regular vacuum
+    # space, its e-action memo, eigenbasis and tables: every report,
+    # exit code and standard-error line is the first run's; the specs
+    # are the benchmark's 75 and three odd draws
+    specs = [{"gram": g, "sigma": s, "trunc": t, "bound": 1}
+             for g, s, t in W.CHECK_SPECS]
+    specs += [{"gram": g, "sigma": s, "trunc": 1}
+              for g, s in _random_lattices(4103, 3, odd=True)]
+    runs = []
+    for _ in range(2):
+        outs = []
+        for k, spec in enumerate(specs):
+            out = W.run_check_job(TL, spec, str(tmp_path), f"spec{k}")
+            outs.append((out["code"], out["report"], capsys.readouterr()))
+        runs.append(outs)
+    assert runs[0] == runs[1]
+    # one regular vacuum space per lattice, read by every truncation of
+    # it, and one table per spec
+    lattices = {_key(spec["gram"], spec["sigma"]) for spec in specs}
+    assert len(specs) == 78 and len(lattices) == 41
+    assert _vacuum_counts("regular", "regular") == (41, 2 * 78 - 41, 41)
+    assert _vacuum_counts("tables", "table") == (78, 78, 78)
+
+
+def test_regular_values_without_a_result():
+    # a regular vacuum space makes its content's entry, which holds no
+    # result: `results` does not count it; the enumeration then misses,
+    # fills the result in beside the vacuum space, and hits
+    gram, sigma = [[2, 1], [1, 2]], neg(2)
+    T = _twist(gram, sigma)
+    omega = RegularOmega(T, 1)
+    FockModule(T, omega, 2)
+    assert enumeration_memo_counts() == {
+        "hits": 0, "misses": 0, "results": 0, "entries": 0, "classes": 0,
+        **NO_VACUA, "regular": 1, "regular_misses": 1, "bases": 1,
+        "basis_misses": 1, "tables": 1, "table_misses": 1}
+    res = enumerate_simple_twisted(_twist(gram, sigma))
+    assert enumerate_simple_twisted(_twist(gram, sigma)) is res
+    counts = enumeration_memo_counts()
+    assert (counts["hits"], counts["misses"], counts["results"]) == (1, 1, 1)
+    assert len(classify._memo) == 1
+    assert RegularOmega(_twist(gram, sigma), 1) is omega
+    # the class vacuum spaces share the regular one's eigenbasis
+    M = instantiate_class(_twist(gram, sigma), res.classes[0], 2)
+    assert M.basis is omega.basis
+    assert _vacuum_counts("bases", "basis") == (1, 1, 1)
+
+
+def test_clearing_the_memo_drops_the_regular_values():
+    gram, sigma = [[2]], [[1]]
+    T = _twist(gram, sigma)
+    M = FockModule(T, RegularOmega(T, 1), 2)
+    counts = enumeration_memo_counts()
+    assert (counts["regular"], counts["bases"], counts["tables"]) == \
+        (1, 1, 1)
+    classify.clear_enumeration_memo()
+    assert enumeration_memo_counts() == {
+        "hits": 0, "misses": 0, "results": 0, "entries": 0, "classes": 0,
+        **NO_VACUA}
+    T2 = _twist(gram, sigma)
+    M2 = FockModule(T2, RegularOmega(T2, 1), 2)
+    assert M2.omega is not M.omega and M2.basis is not M.basis
+    assert M2.omega.twist is T2
+    assert _vacuum_counts("regular", "regular") == (1, 0, 1)
+
+
+def test_regular_values_leave_with_their_entry(monkeypatch):
+    # a regular vacuum space of [n] with sigma = 1 and its module weigh
+    # 3 with the eigenbasis and one table, against a budget of 6: a
+    # third content pushes out the least recently used, with its values
+    monkeypatch.setattr(classify, "MAX_WORK", 6)
+
+    def module(n, bound=1, trunc=1):
+        T = _twist([[n]], [[1]])
+        return FockModule(T, RegularOmega(T, bound), trunc)
+
+    two = module(2)
+    three = module(3)
+    assert module(2).omega is two.omega   # [2] is now the most recent
+    module(1)                             # 9 > 6: [3] leaves
+    counts = enumeration_memo_counts()
+    assert (counts["regular"], counts["bases"], counts["tables"]) == \
+        (2, 2, 2)
+    assert module(2).omega is two.omega
+    again = module(3)
+    assert again.omega is not three.omega and again.basis is not three.basis
+    # a second bound and a second truncation of [2] weigh 2 and 1 more:
+    # with 3 for [2] itself that is 6, and [1] and [3] leave
+    assert module(2, bound=2).basis is two.basis
+    assert module(2, trunc=2).omega is two.omega
+    counts = enumeration_memo_counts()
+    assert (counts["regular"], counts["bases"], counts["tables"]) == \
+        (2, 1, 3)
+    assert len(classify._memo) == 1
+
+
+def test_a_result_too_heavy_to_keep_leaves_the_regular_values(monkeypatch):
+    # [4] with sigma = 1 weighs 6 alone, against a budget of 5: its
+    # result is not kept, so neither are its class vacuum spaces and
+    # their tables, and the entry its regular vacuum space made keeps
+    # that vacuum space, its eigenbasis and its table
+    gram, sigma = [[4]], [[1]]
+    monkeypatch.setattr(classify, "MAX_WORK", 5)
+    T = _twist(gram, sigma)
+    omega = RegularOmega(T, 1)
+    M = FockModule(T, omega, 2)
+    res = enumerate_simple_twisted(_twist(gram, sigma))
+    assert len(res.classes) == 4
+    assert enumerate_simple_twisted(_twist(gram, sigma)) is not res
+    Mc = instantiate_class(_twist(gram, sigma), res.classes[0], 2)
+    assert Mc.basis is not M.basis
+    counts = enumeration_memo_counts()
+    assert (counts["results"], counts["misses"], counts["vacua"]) == (0, 2, 0)
+    assert (counts["regular"], counts["bases"], counts["tables"]) == \
+        (1, 1, 1)
+    assert RegularOmega(_twist(gram, sigma), 1) is omega
+
+
+def test_each_key_gets_its_own_regular_values(monkeypatch):
+    # phi(e_0) = zeta_4 and zeta_8 on [[2]] with sigma = 1 (two grids),
+    # and the default seeds, each under two conductor caps: six keys,
+    # six regular vacuum spaces, eigenbases and tables, each what a
+    # fresh build on its own key gives
+    gram, sigma = [[2]], [[1]]
+    seen = []
+    for cap in (scalar.CONDUCTOR_CAP, scalar.CONDUCTOR_CAP // 2):
+        monkeypatch.setattr(scalar, "CONDUCTOR_CAP", cap)
+        for seeds in ({"phi_seed": {0: root_of_unity(4)}},
+                      {"phi_seed": {0: root_of_unity(8)}}, {}):
+            T = _twist(gram, sigma, **seeds)
+            M = FockModule(T, RegularOmega(T, 1), 2)
+            T2 = _twist(gram, sigma, **seeds)
+            assert RegularOmega(T2, 1) is M.omega
+            Mf = FockModule(T2, M.omega, 2)
+            assert _module_tables(Mf) == _module_tables(M)
+            assert _kept_tables(T, M) == FockModule._tables(M)
+            seen.append((M.omega, M.basis, _kept_tables(T, M)))
+    for k in range(3):
+        assert len({id(row[k]) for row in seen}) == 6
+    assert _vacuum_counts("regular", "regular") == (6, 6, 6)
+    assert _vacuum_counts("tables", "table") == (6, 6, 6)
+
+
+def test_the_basis_cap_is_read_on_every_construction(monkeypatch):
+    # rank 1 at trunc 3 has 1 + 1 + 2 + 3 words on each of 3 lines: a
+    # cap of 20 refuses the module and keeps no table, on a miss and
+    # on a hit alike, and a cap of 21 builds it
+    from twistlab import fock
+
+    def module():
+        T = _twist([[2]], [[1]])
+        return FockModule(T, RegularOmega(T, 1), 3)
+
+    for cap, kept, misses in ((20, 0, 1), (20, 0, 2), (21, 1, 3)):
+        monkeypatch.setattr(fock, "MAX_BASIS", cap)
+        if cap == 20:
+            with pytest.raises(classify.SizeCapExceeded,
+                               match="more than 20 basis vectors"):
+                module()
+        else:
+            M = module()
+        assert _vacuum_counts("tables", "table") == (kept, 0, misses)
+    # the kept count meets each later cap: refused at 20, built at 21
+    monkeypatch.setattr(fock, "MAX_BASIS", 20)
+    with pytest.raises(classify.SizeCapExceeded,
+                       match="more than 20 basis vectors"):
+        module()
+    monkeypatch.setattr(fock, "MAX_BASIS", 21)
+    assert module().omega is M.omega
+    assert _vacuum_counts("tables", "table") == (1, 2, 3)
+    assert len(M.basis_vectors(3)) == 21
