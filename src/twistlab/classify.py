@@ -835,12 +835,12 @@ class EnumerationResult:
 # The process-wide memo: per twist content (`_content_key`), least
 # recently used first, the one owner of the content's values, a dict by
 # key (`_kept`): the enumeration result ("result",), the lattice's
-# eigenbasis ("basis",), the regular vacuum spaces ("regular", bound),
-# the class vacuum spaces (`_vacuum_key`) and the module tables
-# ("tables", vacuum key, creation cap).  Beside it, the summed weight
-# of the kept values (`_weight`) and per kind of value (a key's first
-# item) the hits and misses since the last clear; the lock guards them,
-# not the building of a value.
+# eigenbasis ("basis",), the regular vacuum spaces ("regular", bound)
+# and the class vacuum spaces (`_vacuum_key`), each vacuum space with
+# its own module tables.  Beside it, the summed weight of the kept
+# values (`_weight`) and per kind of value (a key's first item) the
+# hits and misses since the last clear; the lock guards them, not the
+# building of a value.
 _memo: dict = {}
 _memo_lock = threading.Lock()
 _memo_held = 0
@@ -853,8 +853,8 @@ def _content_key(T: TwistData):
     matrix and sigma), the cocycle's exponents (epsilon's matrix on its
     order, phi(e_i) on the twist's grid, and the grid) and the two caps
     that can turn the same twist into a refusal, MAX_WORK and
-    `twistlab.scalar.CONDUCTOR_CAP`.  The eigenbasis, the vacuum spaces
-    and the module tables depend on nothing else of the twist."""
+    `twistlab.scalar.CONDUCTOR_CAP`.  The eigenbasis and the vacuum
+    spaces depend on nothing else of the twist."""
     lat = T.lattice
     return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents, T.grid,
             tuple((x.q, x.k) for x in T.phi_basis), MAX_WORK,
@@ -869,10 +869,12 @@ def _vacuum_key(mu_choice, ideal_index, xi0, eta):
 def _value_weight(key, value) -> int:
     """What a kept value counts against MAX_WORK: a result one for
     itself, one per entry and one per class, so results without classes
-    count too; any other value one."""
+    count too; a vacuum space its number of lines; the eigenbasis one."""
     if key[0] == "result":
         return 1 + len(value.entries) + len(value.classes)
-    return 1
+    if key[0] == "basis":
+        return 1
+    return value.size
 
 
 def _weight(values: dict) -> int:
@@ -897,33 +899,22 @@ def _evict():
         _memo_held -= _weight(_memo.pop(next(iter(_memo))))
 
 
-def _may_keep(values, key, owner) -> bool:
-    """Whether a content's values hold the value under key: a class
-    vacuum space only beside a result, and a value of a vacuum space
-    (its eigenbasis, its tables) only where that vacuum space, the
-    owner, is kept."""
-    if owner is not None:
-        return values.get(owner.key) is owner
-    return key[0] != "class" or ("result",) in values
-
-
-def _kept(T: TwistData, key, build, owner=None):
+def _kept(T: TwistData, key, build):
     """The value under key of T's content: read from the content's kept
-    values, or built by build() and kept there (`_may_keep` names the
-    exceptions, built and not kept).  The least recently used contents
-    leave, with all their values, while the kept weight passes MAX_WORK;
-    a value heavier than that alone is not kept, and an exception never
-    is.  `enumeration_memo_counts` reads the hits, misses and contents,
-    and `clear_enumeration_memo` empties the memo."""
+    values, or built by build() and kept there.  The least recently
+    used contents leave, with all their values, while the kept weight
+    passes MAX_WORK; a value heavier than that alone is not kept, and
+    an exception never is.  `enumeration_memo_counts` reads the hits,
+    misses and contents, and `clear_enumeration_memo` empties the
+    memo."""
     global _memo_held
     content = _content_key(T)
     with _memo_lock:
         values = _lookup(content)
-        if values is not None and _may_keep(values, key, owner):
-            value = values.get(key)
-            if value is not None:
-                _hits[key[0]] += 1
-                return value
+        value = None if values is None else values.get(key)
+        if value is not None:
+            _hits[key[0]] += 1
+            return value
         _misses[key[0]] += 1
     value = build()
     weight = _value_weight(key, value)
@@ -931,7 +922,7 @@ def _kept(T: TwistData, key, build, owner=None):
         values = _lookup(content)
         if values is None:
             values = {}
-        if weight <= MAX_WORK and _may_keep(values, key, owner):
+        if weight <= MAX_WORK:
             if key in values:
                 return values[key]
             _memo[content] = values
@@ -954,10 +945,9 @@ def enumeration_memo_counts() -> dict:
     """Since the last clear, the hits and misses of the results, and the
     results, entries and classes kept now; and for the class vacuum
     spaces (`vacua`, from `instantiate_class`), the regular vacuum spaces
-    (`regular`, from `fock.RegularOmega`), the eigenbases (`bases`) and
-    the module tables (`tables`, from `fock.FockModule`), how many are
-    kept now and the hits and misses since the last clear (a miss builds
-    one, kept or not, or raises)."""
+    (`regular`, from `fock.RegularOmega`) and the eigenbases (`bases`),
+    how many are kept now and the hits and misses since the last clear
+    (a miss builds one, kept or not, or raises)."""
     with _memo_lock:
         kept = [(k, v) for values in _memo.values() for k, v in values.items()]
         results = [v for k, v in kept if k[0] == "result"]
@@ -968,8 +958,7 @@ def enumeration_memo_counts() -> dict:
                   "classes": sum(len(r.classes) for r in results)}
         for kind, name, one in (("class", "vacua", "vacuum"),
                                 ("regular", "regular", "regular"),
-                                ("basis", "bases", "basis"),
-                                ("tables", "tables", "table")):
+                                ("basis", "bases", "basis")):
             counts[name] = kinds[kind]
             counts[one + "_hits"] = _hits[kind]
             counts[one + "_misses"] = _misses[kind]
@@ -1114,8 +1103,8 @@ class ClassOmega:
     (line, scalar), and poisons (returns None) when it leaves the
     degree window |k_i| <= WINDOW.  Its size is stated without listing
     anything; its lines, lookup, weights and the lattice's eigenbasis
-    are made on first use.  `key` names it within its twist's content
-    (`_vacuum_key`)."""
+    are made on first use, and it keeps the module tables of each
+    creation cap (`tables`, which `fock.FockModule` fills)."""
 
     def __init__(self, A: PresentedAlgebraA, ideal_index: int, xi0, eta):
         self.A = A
@@ -1143,7 +1132,7 @@ class ClassOmega:
         self.mm = A.m
         self.size = (2 * WINDOW + 1) ** self.mm * self.d
         self.base = [x + y for x, y in zip(xi0, eta)]
-        self.key = _vacuum_key(A.mu_choice, ideal_index, xi0, eta)
+        self.tables = {}
         # degree coordinates: p * nu over that of the nonzero-degree reps
         self._degrees = IntegerCoords(
             [A.grading[i] for i in range(self.mm)], lat.rank)
@@ -1173,7 +1162,7 @@ class ClassOmega:
         vacuum space reads (`fock._content_basis`)."""
         from .fock import _content_basis
 
-        return _content_basis(self.A.twist, self)
+        return _content_basis(self.A.twist)
 
     @cached_property
     def lines(self):
@@ -1250,9 +1239,8 @@ def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):
     twist's content (`_kept`, under `_vacuum_key`), and built on the
     twist's own algebra the first time it is asked for: every later
     twist of the same content gets the same vacuum space, and with it
-    its e-action memo, its eigenbasis and its module tables.  When the
-    entry holds no result (never enumerated, evicted, or too heavy to
-    keep), the vacuum space is built and not kept."""
+    its e-action memo, its eigenbasis and its module tables.  A vacuum
+    space of more lines than MAX_WORK is built and not kept."""
     from .fock import FockModule
 
     key = _vacuum_key(cls.mu_choice, cls.ideal_index, cls.base_weight,

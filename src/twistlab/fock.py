@@ -48,12 +48,12 @@ exits included.
 What depends only on the twist's content has one owner, the
 enumeration memo's entry for that content (`classify._kept`): the
 regular vacuum space of each bound (RegularOmega(T, bound) returns the
-kept one), the eigenbasis its kept vacuum spaces share, and per kept
-vacuum space and creation cap the module's tables (`_ModuleTables`).
-A module of more than MAX_BASIS basis vectors up to its truncation,
-creation words (counted in integers) times vacuum lines, is refused
-(SizeCapExceeded) before any line or vector is built, on every
-construction, a kept word count included; a refusal keeps nothing.
+kept one) and the eigenbasis every vacuum space of the content reads.
+A vacuum space keeps the module's tables (`_ModuleTables`) per creation
+cap.  A module of more than MAX_BASIS basis vectors up to its
+truncation, creation words (counted in integers) times vacuum lines, is
+refused (SizeCapExceeded) before any line or vector is built, on every
+construction, a kept word count included; a refusal keeps no tables.
 Otherwise the module reads each weight once, as an integer on its
 grid.  Each value has one face, the integer one the module computes
 with: a degree is max_degree_k or floor_k, a vertex exponent is
@@ -238,12 +238,11 @@ class GradedBasis:
                      for row in self.coord_rows)
 
 
-def _content_basis(twist: TwistData, omega) -> GradedBasis:
-    """The lattice's eigenbasis for the vacuum space omega on the twist:
-    the one kept for the twist's content, shared by every vacuum space
-    kept there, or built afresh for a vacuum space that is not kept."""
+def _content_basis(twist: TwistData) -> GradedBasis:
+    """The lattice's eigenbasis, the one kept for the twist's content and
+    read by every vacuum space of it."""
     return classify._kept(twist, ("basis",),
-                          lambda: GradedBasis(twist.lattice), omega)
+                          lambda: GradedBasis(twist.lattice))
 
 
 # ---------------------------------------------------------------------
@@ -256,20 +255,22 @@ class RegularOmega:
     shifts the index, mapping a line to one line times a scalar, (line,
     scalar), or to None when the shift leaves the window, which poisons
     the computation.  Its size is (2 bound + 1)^rank; its lines, lookup,
-    weights and the lattice's eigenbasis are made on first use.
+    weights and the lattice's eigenbasis are made on first use, and it
+    keeps the module tables of each creation cap (`tables`, which
+    FockModule fills).
 
     It depends only on the twist's content and the bound, so
     `RegularOmega(T, bound)` returns the one kept in the enumeration
-    memo's entry for T's content (`classify._kept`, under `key`), built
-    on the first twist that asked for it, with its e-action memo."""
+    memo's entry for T's content (`classify._kept`), built on the first
+    twist that asked for it, with its e-action memo."""
 
     def __new__(cls, twist: TwistData, bound: int):
         def build():
             omega = object.__new__(cls)
             omega.twist = twist
             omega.bound = bound
-            omega.key = ("regular", bound)
             omega.size = (2 * bound + 1) ** twist.lattice.rank
+            omega.tables = {}
             return omega
 
         return classify._kept(twist, ("regular", bound), build)
@@ -278,7 +279,7 @@ class RegularOmega:
     def basis(self):
         """The eigenbasis of the lattice, which every Fock module on this
         vacuum space reads."""
-        return _content_basis(self.twist, self)
+        return _content_basis(self.twist)
 
     @cached_property
     def lines(self):
@@ -585,8 +586,8 @@ class FockOp:
 @dataclass(frozen=True)
 class _ModuleTables:
     """What a module reads off its vacuum space, its eigenbasis and its
-    creation cap alone (`FockModule._tables`), kept per vacuum space and
-    cap in the content's entry: the creation-word count, xi(h_j) on each
+    creation cap alone (`FockModule._tables`), kept by the vacuum space
+    per cap (its `tables`): the creation-word count, xi(h_j) on each
     vacuum line for the sigma-fixed h_j, the grid, the degree of a mode
     step 1/p, the line degrees and their least, and the xi entries, all
     on the grid.  Every module on the vacuum space reads the same lists,
@@ -602,9 +603,8 @@ class _ModuleTables:
 
 class FockModule:
     """M(1) tensor Omega, truncated at creation degree T.  Its tables
-    (`_ModuleTables`) are those kept for its vacuum space and creation
-    cap where the vacuum space is kept; the module and its memos are its
-    own."""
+    (`_ModuleTables`) are those its vacuum space keeps for its creation
+    cap; the module and its memos are its own."""
 
     def __init__(self, twist: TwistData, omega, trunc):
         self.twist = twist
@@ -615,8 +615,9 @@ class FockModule:
         self.p = self.lattice.p
         # the largest creation degree of a term, in modes scaled by p
         self.cap = math.floor(self.trunc * self.p)
-        tables = classify._kept(twist, ("tables", omega.key, self.cap),
-                                self._tables, omega)
+        tables = omega.tables.get(self.cap)
+        if tables is None:
+            tables = omega.tables.setdefault(self.cap, self._tables())
         # a kept count meets the cap of this construction too
         self._refuse(tables.words)
         self.zero_weights = tables.zero_weights

@@ -775,7 +775,7 @@ def parse_scalar(text: str) -> CycScalar:
     tokens = re.split(r"\s*([+-])\s*", text)
     if tokens[0] == "":
         tokens = tokens[1:]
-    if tokens[0] in "+-":
+    if tokens and tokens[0] in "+-":
         sign = -1 if tokens[0] == "-" else 1
         tokens = tokens[1:]
     else:
@@ -789,13 +789,14 @@ def parse_scalar(text: str) -> CycScalar:
         m = _TERM_RE.match(term)
         if not m:
             raise ScalarError(f"malformed scalar term: {term!r}")
-        if m.group("plain") is not None:
-            value = CycScalar.rational(Fraction(m.group("plain")))
-        else:
-            q = Fraction(m.group("q")) if m.group("q") else Fraction(1)
-            value = CycScalar.rational(q) * root_of_unity(
-                int(m.group("n")), int(m.group("k"))
-            )
+        try:
+            q = Fraction(m.group("plain") or m.group("q") or 1)
+        except ZeroDivisionError:
+            raise ScalarError(f"zero denominator in scalar term: {term!r}")
+        value = CycScalar.rational(q)
+        if m.group("plain") is None:
+            value = value * root_of_unity(int(m.group("n")),
+                                          int(m.group("k")))
         total = total + (value if sign == 1 else -value)
         if i + 1 < len(tokens):
             sign = -1 if tokens[i + 1] == "-" else 1

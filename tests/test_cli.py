@@ -56,7 +56,20 @@ def test_parse_serialize_round_trip():
         beta=[0, 1])
 
 
-def test_parse_errors():
+def test_parse_errors(tmp_path, capsys):
+    # a blank seed scalar or one with a zero denominator is read only
+    # when the command builds its twist: an input error, on one line
+    for cmd, seeds, match in (
+            ("orbits", {"phi": {"0": "3/0"}}, "zero denominator"),
+            ("check", {"phi": {"0": "1/0*z(4)^1"}}, "zero denominator"),
+            ("check", {"eps": {"0,0": "0/0"}}, "zero denominator"),
+            ("classify", {"mu": [""]}, "malformed scalar"),
+            ("kappa", {"phi": {"0": "  "}}, "malformed scalar")):
+        data = {"gram": [[2]], "sigma": [[1]], **seeds}
+        assert run(tmp_path, data, cmd) == EXIT_INPUT
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert re.fullmatch(f"input error: {match}[^\n]*\n", err)
     with pytest.raises(InputError, match="line"):
         parse_job("{not json")
     with pytest.raises(InputError, match="gram"):

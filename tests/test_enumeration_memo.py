@@ -1,7 +1,9 @@
 """The process-wide memo of enumerate_simple_twisted: a twist with the
 content of an earlier one gets the earlier result, which is what a
 fresh enumeration gives; different seeds get their own results, an
-exception is not kept, and the kept results stay within MAX_WORK.
+exception is not kept, and the kept values stay within MAX_WORK.  The
+memo also keeps the content's eigenbasis and vacuum spaces, each by its
+key alone, and a vacuum space keeps its own module tables.
 
 conftest.py empties the memo before each test."""
 import dataclasses
@@ -39,8 +41,7 @@ EPS_SEED[(0, 0)] = as_scalar(-1)
 # builds no vacuum space and no module
 NO_VACUA = {name: 0 for kind, one in (("vacua", "vacuum"),
                                       ("regular", "regular"),
-                                      ("bases", "basis"),
-                                      ("tables", "table"))
+                                      ("bases", "basis"))
             for name in (kind, one + "_hits", one + "_misses")}
 
 
@@ -263,10 +264,17 @@ def _module_tables(M):
             M._xi_k)
 
 
-def _kept_tables(T, M):
-    """The tables kept for M's vacuum space and cap in T's entry."""
-    values = classify._memo[classify._content_key(T)]
-    return values[("tables", M.omega.key, M.cap)]
+def _kept_tables(M):
+    """The tables M's vacuum space keeps for M's creation cap."""
+    return M.omega.tables[M.cap]
+
+
+def _reads_kept_tables(M):
+    """Whether M's tables are the very lists its vacuum space keeps."""
+    kept = _kept_tables(M)
+    return all(a is b for a, b in zip(
+        (M.zero_weights, M.degree_k, M._xi_k),
+        (kept.zero_weights, kept.degree_k, kept.xi_k)))
 
 
 def _units(l):
@@ -287,16 +295,17 @@ def _memo_free_module(gram, sigma, cls, **seeds):
                          MEMO_LATTICES + [SWAP_2] + ROTATION_LATTICES)
 def test_kept_vacuum_spaces_match_memo_free_ones(gram, sigma):
     # every class, instantiated on a memo hit, against the class built
-    # on a fresh twist's own algebra, which is not kept and so builds
-    # its own eigenbasis and tables: the same lines and weights, the
-    # same e-action of every basis vector and its negative on every
-    # line, the same eigenbasis and module tables, and the same
-    # twisted-module reports
+    # on a fresh twist's own algebra, which is not kept and so keeps its
+    # own tables, and reads the content's one eigenbasis: the same lines
+    # and weights, the same e-action of every basis vector and its
+    # negative on every line, an eigenbasis equal to one built with no
+    # memo at all, the same module tables, and the same twisted-module
+    # reports
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert res.classes
     alphas = _units(len(gram))
     for cls in res.classes:
-        instantiate_class(_twist(gram, sigma), cls, trunc=2)
+        M1 = instantiate_class(_twist(gram, sigma), cls, trunc=2)
         T = _twist(gram, sigma)
         M = instantiate_class(T, cls, trunc=2)
         Tf, Mf = _memo_free_module(gram, sigma, cls)
@@ -306,17 +315,22 @@ def test_kept_vacuum_spaces_match_memo_free_ones(gram, sigma):
         for alpha in alphas:
             for i in range(M.omega.size):
                 assert M.omega.e_act(alpha, i) == Mf.omega.e_act(alpha, i)
-        assert Mf.basis is not M.basis
-        assert _basis_fields(M.basis) == _basis_fields(Mf.basis)
+        assert Mf.basis is M.basis
+        assert _basis_fields(M.basis) == _basis_fields(GradedBasis(T.lattice))
+        # two modules on one kept vacuum space and truncation read the
+        # same tables; the memo-free vacuum space keeps its own
+        assert _reads_kept_tables(M) and _reads_kept_tables(M1)
+        assert _kept_tables(M) is _kept_tables(M1)
+        assert list(M.omega.tables) == list(Mf.omega.tables) == [M.cap]
+        assert _kept_tables(Mf) is not _kept_tables(M)
         assert _module_tables(M) == _module_tables(Mf)
-        assert _kept_tables(T, M) == FockModule._tables(Mf)
+        assert _kept_tables(M) == FockModule._tables(Mf)
         assert twisted_conditions(T, M) == twisted_conditions(Tf, Mf)
     n = len(res.classes)
     assert _vacuum_counts() == (n, n, n)
-    # one eigenbasis for the content and one table per class are kept;
-    # each memo-free module misses both and keeps neither
-    assert _vacuum_counts("bases", "basis") == (1, n - 1, 1 + n)
-    assert _vacuum_counts("tables", "table") == (n, n, 2 * n)
+    # one eigenbasis for the content, read by the n kept vacuum spaces
+    # and the n memo-free ones
+    assert _vacuum_counts("bases", "basis") == (1, 2 * n - 1, 1)
 
 
 def test_clearing_the_memo_drops_its_vacuum_spaces():
@@ -327,22 +341,25 @@ def test_clearing_the_memo_drops_its_vacuum_spaces():
     assert _vacuum_counts() == (1, 1, 1)
     classify.clear_enumeration_memo()
     assert _vacuum_counts() == (0, 0, 0)
-    # with no entry for the content the vacuum space is built, not kept
-    assert instantiate_class(_twist(gram, sigma), cls, 2).omega is not kept
-    assert _vacuum_counts() == (0, 0, 1)
-    enumerate_simple_twisted(_twist(gram, sigma))
+    # after the clear the vacuum space is built anew and kept by its key,
+    # with no result beside it; the enumeration then joins it
     again = instantiate_class(_twist(gram, sigma), cls, 2).omega
     assert again is not kept
     assert instantiate_class(_twist(gram, sigma), cls, 2).omega is again
-    assert _vacuum_counts() == (1, 1, 2)
+    assert _vacuum_counts() == (1, 1, 1)
+    assert enumeration_memo_counts()["results"] == 0
+    enumerate_simple_twisted(_twist(gram, sigma))
+    assert instantiate_class(_twist(gram, sigma), cls, 2).omega is again
+    assert enumeration_memo_counts()["results"] == 1
+    assert len(classify._memo) == 1
 
 
 def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
-    # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes, and
-    # each kept vacuum space, eigenbasis and module table one more: [2]
-    # weighs 4, with a vacuum space and its module 7, and [3] 5,
-    # against a budget of 12
-    monkeypatch.setattr(classify, "MAX_WORK", 12)
+    # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes, a
+    # class vacuum space its 5 lines and the eigenbasis its module reads
+    # one: [2] weighs 4, with a vacuum space and its module 10, and [3]
+    # 5, against a budget of 15
+    monkeypatch.setattr(classify, "MAX_WORK", 15)
 
     def enum(n):
         return enumerate_simple_twisted(_twist([[n]], [[1]]))
@@ -352,28 +369,27 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
 
     two = enum(2)
     kept = omega(2, two.classes[0])
-    enum(3)                        # 12: both kept, [3] the most recent
+    enum(3)                        # 15: both kept, [3] the most recent
     assert _vacuum_counts() == (1, 0, 1)
-    # a second vacuum space of [2], with its table, makes it the most
-    # recent and the weight 14: [3] leaves, [2] stays with both its
-    # vacuum spaces
+    # a second vacuum space of [2] makes it the most recent and the
+    # weight 20: [3] leaves, [2] stays with both its vacuum spaces
     other = omega(2, two.classes[1])
     counts = enumeration_memo_counts()
     assert (counts["results"], counts["vacua"]) == (1, 2)
     assert omega(2, two.classes[0]) is kept
     assert omega(2, two.classes[1]) is other
-    # [3] is enumerated again: 9 + 5 > 12, so [2] leaves, its vacuum
-    # spaces, eigenbasis and tables with it, and [1] joins [3]
+    assert classify._memo_held == 15
+    # [3] is enumerated again: 15 + 5 > 15, so [2] leaves, its vacuum
+    # spaces and eigenbasis with it, and [1] joins [3]
     enum(3)
     enum(1)
     counts = enumeration_memo_counts()
-    assert (counts["results"], counts["vacua"]) == (2, 0)
-    assert (counts["bases"], counts["tables"]) == (0, 0)
+    assert (counts["results"], counts["vacua"], counts["bases"]) == (2, 0, 0)
     enum(2)
     assert omega(2, two.classes[0]) is not kept
     # an entry that a vacuum space pushes past the budget leaves at once,
     # the vacuum space with it, and the module is still built
-    monkeypatch.setattr(classify, "MAX_WORK", 4)
+    monkeypatch.setattr(classify, "MAX_WORK", 8)
     classify.clear_enumeration_memo()
     enum(2)
     assert enumeration_memo_counts()["results"] == 1
@@ -384,22 +400,78 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
     assert conditions_status(twisted_conditions(T, M)) == "pass"
 
 
+def test_a_vacuum_space_heavier_than_the_budget_is_not_kept(monkeypatch):
+    # a vacuum space of more lines than MAX_WORK is built, not kept, and
+    # evicts nothing: the regular one of [2] at bound 20 has 41 lines,
+    # at bound 19 39, against a budget of 40; a class vacuum space of
+    # [2] has 5 lines, against a budget of 4, at which [1] is enumerated
+    gram, sigma = [[2]], [[1]]
+    monkeypatch.setattr(classify, "MAX_WORK", 40)
+    big = RegularOmega(_twist(gram, sigma), 20)
+    assert big.size == 41
+    assert RegularOmega(_twist(gram, sigma), 20) is not big
+    small = RegularOmega(_twist(gram, sigma), 19)
+    assert RegularOmega(_twist(gram, sigma), 19) is small
+    assert _vacuum_counts("regular", "regular") == (1, 1, 3)
+    assert classify._memo_held == 39
+    T = _twist(gram, sigma)
+    M = FockModule(T, big, 1)
+    assert len(M.basis_vectors(1)) == 2 * 41
+    monkeypatch.setattr(classify, "MAX_WORK", 4)
+    classify.clear_enumeration_memo()
+    res = enumerate_simple_twisted(_twist([[1]], [[1]]))
+    cls = res.classes[0]
+    M = instantiate_class(_twist([[1]], [[1]]), cls, 2)
+    assert M.omega.size == 5
+    assert instantiate_class(_twist([[1]], [[1]]), cls, 2).omega \
+        is not M.omega
+    assert _vacuum_counts() == (0, 0, 2)
+    assert enumeration_memo_counts()["results"] == 1
+    assert classify._memo_held == classify._weight(
+        classify._memo[classify._content_key(_twist([[1]], [[1]]))]) == 4
+    assert conditions_status(twisted_conditions(M.twist, M)) == "pass"
+
+
+def test_distinct_large_bound_checks_stay_within_the_budget(monkeypatch,
+                                                            tmp_path):
+    # each check of [2n] with sigma = -1 at bound 30 keeps a regular
+    # vacuum space of 61 lines: against a budget of 200, the kept weight
+    # stays at most the budget after every check, and is the sum of the
+    # kept contents' weights
+    monkeypatch.setattr(classify, "MAX_WORK", 200)
+    for n in range(1, 9):
+        spec = {"gram": [[2 * n]], "sigma": [[-1]], "trunc": 1, "bound": 30}
+        out = W.run_check_job(TL, spec, str(tmp_path), f"spec{n}")
+        assert out["code"] == 0
+        with classify._memo_lock:
+            held = classify._memo_held
+            weights = [classify._weight(v) for v in classify._memo.values()]
+        assert held == sum(weights) <= 200
+    counts = enumeration_memo_counts()
+    assert counts["regular_misses"] == 8
+    assert counts["regular"] == len(classify._memo) < 8
+
+
 def test_a_result_too_heavy_to_keep_still_instantiates(monkeypatch):
-    # [4] with sigma = 1 weighs 6 alone: at a budget of 5 its result is
-    # not kept, and neither are its vacuum spaces; its modules are those
-    # of the default budget, memo-free
-    gram, sigma = [[4]], [[1]]
-    monkeypatch.setattr(classify, "MAX_WORK", 5)
+    # [6] with sigma = 1 weighs 8 alone: at a budget of 7 its result is
+    # not kept, while a class vacuum space of 5 lines and the eigenbasis
+    # its module reads are kept by their keys; its modules are those of
+    # the default budget, memo-free
+    gram, sigma = [[6]], [[1]]
+    monkeypatch.setattr(classify, "MAX_WORK", 7)
     res = enumerate_simple_twisted(_twist(gram, sigma))
-    assert len(res.classes) == 4
+    assert len(res.classes) == 6
+    first = instantiate_class(_twist(gram, sigma), res.classes[0], 2)
+    assert instantiate_class(_twist(gram, sigma), res.classes[0], 2).omega \
+        is first.omega
+    counts = enumeration_memo_counts()
+    assert (counts["results"], counts["vacua"], counts["bases"]) == (0, 1, 1)
+    assert classify._memo_held == 6
     modules = []
     for cls in res.classes:
         T = _twist(gram, sigma)
-        M = instantiate_class(T, cls, trunc=2)
-        assert instantiate_class(T, cls, 2).omega is not M.omega
-        modules.append((T, M))
-    assert enumeration_memo_counts()["results"] == 0
-    assert _vacuum_counts() == (0, 0, 8)
+        modules.append((T, instantiate_class(T, cls, trunc=2)))
+        assert classify._memo_held <= 7
     monkeypatch.undo()
     for cls, (T, M) in zip(res.classes, modules):
         Tf, Mf = _memo_free_module(gram, sigma, cls)
@@ -488,14 +560,17 @@ def test_vacuum_counts_against_a_counted_run(monkeypatch):
     assert _vacuum_counts() == (9, 156 - 9, len(built))
     assert len(built) == 9
     # 69 regular jobs on 4 lattices, one regular vacuum space each, and
-    # 225 modules on 13 (vacuum space, truncation) pairs; one eigenbasis
-    # per lattice, read by its 13 vacuum spaces
+    # 225 modules on 13 (vacuum space, truncation) pairs, whose 13 kept
+    # vacuum spaces keep a table each; one eigenbasis per lattice, read
+    # by its 13 vacuum spaces
     regular = {job["lattice"] for job in jobs if job["module"] == "regular"}
     assert len(jobs) - len(classes) == 69 and len(regular) == 4
     assert _vacuum_counts("regular", "regular") == (4, 65, 4)
     assert len({(job["lattice"], job["module"]) for job in jobs}) == 13
-    assert _vacuum_counts("tables", "table") == (13, 212, len(tables))
     assert len(tables) == 13
+    assert sum(len(v.tables) for values in classify._memo.values()
+               for k, v in values.items() if k[0] in ("regular", "class")) \
+        == 13
     assert _vacuum_counts("bases", "basis") == (4, 9, len(bases))
     assert len(bases) == 4
     assert enumeration_memo_counts()["results"] == 4
@@ -505,12 +580,11 @@ def test_concurrent_instantiation_keeps_the_counts(monkeypatch):
     # eight threads, switching often, enumerate and instantiate the
     # classes of [1], [2] and [3] with sigma = 1, and build a module on
     # each one's regular vacuum space of bound 1, under a budget of 12
-    # that evicts: every call is counted once, the kept weight is the
-    # sum of the kept entries' weights, a class vacuum space is kept
-    # only beside its result, and an eigenbasis or a table only beside
-    # a vacuum space.  Without the lock around the lookups and stores of
-    # `classify._kept`, each of 3 runs failed (a thread raised while
-    # another changed the memo).
+    # that evicts: every call is counted once, and the kept weight is
+    # the sum of the kept entries' weights, within the budget.  Without
+    # the lock around the lookups and stores of `classify._kept`, the
+    # test fails (a thread raises while another changes the memo, or
+    # the weight drifts from the kept values).
     monkeypatch.setattr(classify, "MAX_WORK", 12)
     lattices = [([[n]], [[1]]) for n in (1, 2, 3)]
     calls, regular, errors = [], [], []
@@ -546,22 +620,11 @@ def test_concurrent_instantiation_keeps_the_counts(monkeypatch):
     assert counts["vacuum_hits"] + counts["vacuum_misses"] == len(calls)
     assert counts["regular_hits"] + counts["regular_misses"] == \
         len(regular) == 8 * 150
-    assert counts["table_hits"] + counts["table_misses"] == \
-        len(calls) + len(regular)
     assert counts["hits"] + counts["misses"] == 8 * 150
     with classify._memo_lock:
         entries = list(classify._memo.values())
         held = classify._memo_held
     assert held == sum(classify._weight(e) for e in entries) <= 12
-    for values in entries:
-        vacua = {k for k in values if k[0] in ("regular", "class")}
-        result = values.get(("result",))
-        classes = () if result is None else result.classes
-        assert {k for k in vacua if k[0] == "class"} <= {
-            classify._vacuum_key(c.mu_choice, c.ideal_index,
-                                 c.base_weight, c.eta) for c in classes}
-        assert all(k[1] in vacua for k in values if k[0] == "tables")
-        assert ("basis",) not in values or vacua
 
 
 def _random_lattices(seed, n, **kw):
@@ -583,8 +646,9 @@ REGULAR_LATTICES = (MEMO_LATTICES + [SWAP_2] + ROTATION_LATTICES
 @pytest.mark.parametrize("gram,sigma", REGULAR_LATTICES)
 def test_kept_regular_vacuum_spaces_match_fresh_ones(gram, sigma):
     # a second twist of the same content gets the first twist's regular
-    # vacuum space, eigenbasis and tables; after a clear, a fresh twist
-    # builds them all anew, and each kept value is the fresh one: the
+    # vacuum space, eigenbasis and tables, the very lists the vacuum
+    # space keeps; after a clear, a fresh twist builds them all anew,
+    # and each kept value is the fresh one: the
     # lines, lookup and weights, the e-action of every basis vector and
     # its negative on every line, the eigenbasis (also against one built
     # with no memo at all), and the module tables, whose word count is
@@ -596,11 +660,12 @@ def test_kept_regular_vacuum_spaces_match_fresh_ones(gram, sigma):
     M = FockModule(T2, RegularOmega(T2, 1), 2)
     assert M.omega is omega and omega.twist is T1
     assert M.basis is M1.basis is omega.basis
-    kept = _kept_tables(T2, M)
+    kept = _kept_tables(M)
+    assert list(omega.tables) == [M.cap] and _kept_tables(M1) is kept
+    assert _reads_kept_tables(M) and _reads_kept_tables(M1)
     acts = [[omega.e_act(a, i) for i in range(omega.size)]
             for a in _units(len(gram))]
     assert _vacuum_counts("regular", "regular") == (1, 1, 1)
-    assert _vacuum_counts("tables", "table") == (1, 1, 1)
     classify.clear_enumeration_memo()
     Tf = _twist(gram, sigma)
     Mf = FockModule(Tf, RegularOmega(Tf, 1), 2)
@@ -613,7 +678,7 @@ def test_kept_regular_vacuum_spaces_match_fresh_ones(gram, sigma):
     assert _basis_fields(M.basis) == _basis_fields(Mf.basis) == \
         _basis_fields(GradedBasis(Tf.lattice))
     assert _module_tables(M) == _module_tables(Mf)
-    assert kept == FockModule._tables(Mf) == _kept_tables(Tf, Mf)
+    assert kept == FockModule._tables(Mf) == _kept_tables(Mf)
     assert kept.words * omega.size == len(M.basis_vectors(2))
 
 
@@ -640,7 +705,8 @@ def test_check_twice_in_one_process_gives_the_same_report(tmp_path,
     lattices = {_key(spec["gram"], spec["sigma"]) for spec in specs}
     assert len(specs) == 78 and len(lattices) == 41
     assert _vacuum_counts("regular", "regular") == (41, 2 * 78 - 41, 41)
-    assert _vacuum_counts("tables", "table") == (78, 78, 78)
+    assert sum(len(v.tables) for values in classify._memo.values()
+               for k, v in values.items() if k[0] == "regular") == 78
 
 
 def test_regular_values_without_a_result():
@@ -654,7 +720,7 @@ def test_regular_values_without_a_result():
     assert enumeration_memo_counts() == {
         "hits": 0, "misses": 0, "results": 0, "entries": 0, "classes": 0,
         **NO_VACUA, "regular": 1, "regular_misses": 1, "bases": 1,
-        "basis_misses": 1, "tables": 1, "table_misses": 1}
+        "basis_misses": 1}
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert enumerate_simple_twisted(_twist(gram, sigma)) is res
     counts = enumeration_memo_counts()
@@ -672,8 +738,7 @@ def test_clearing_the_memo_drops_the_regular_values():
     T = _twist(gram, sigma)
     M = FockModule(T, RegularOmega(T, 1), 2)
     counts = enumeration_memo_counts()
-    assert (counts["regular"], counts["bases"], counts["tables"]) == \
-        (1, 1, 1)
+    assert (counts["regular"], counts["bases"]) == (1, 1)
     classify.clear_enumeration_memo()
     assert enumeration_memo_counts() == {
         "hits": 0, "misses": 0, "results": 0, "entries": 0, "classes": 0,
@@ -681,15 +746,17 @@ def test_clearing_the_memo_drops_the_regular_values():
     T2 = _twist(gram, sigma)
     M2 = FockModule(T2, RegularOmega(T2, 1), 2)
     assert M2.omega is not M.omega and M2.basis is not M.basis
+    assert _kept_tables(M2) is not _kept_tables(M)
     assert M2.omega.twist is T2
     assert _vacuum_counts("regular", "regular") == (1, 0, 1)
 
 
 def test_regular_values_leave_with_their_entry(monkeypatch):
-    # a regular vacuum space of [n] with sigma = 1 and its module weigh
-    # 3 with the eigenbasis and one table, against a budget of 6: a
-    # third content pushes out the least recently used, with its values
-    monkeypatch.setattr(classify, "MAX_WORK", 6)
+    # a regular vacuum space of [n] with sigma = 1 at bound 1 weighs its
+    # 3 lines, and with the eigenbasis its module reads 4, against a
+    # budget of 10: a third content pushes out the least recently used,
+    # with its values
+    monkeypatch.setattr(classify, "MAX_WORK", 10)
 
     def module(n, bound=1, trunc=1):
         T = _twist([[n]], [[1]])
@@ -698,28 +765,27 @@ def test_regular_values_leave_with_their_entry(monkeypatch):
     two = module(2)
     three = module(3)
     assert module(2).omega is two.omega   # [2] is now the most recent
-    module(1)                             # 9 > 6: [3] leaves
+    module(1)                             # 12 > 10: [3] leaves
     counts = enumeration_memo_counts()
-    assert (counts["regular"], counts["bases"], counts["tables"]) == \
-        (2, 2, 2)
+    assert (counts["regular"], counts["bases"]) == (2, 2)
     assert module(2).omega is two.omega
     again = module(3)
     assert again.omega is not three.omega and again.basis is not three.basis
-    # a second bound and a second truncation of [2] weigh 2 and 1 more:
-    # with 3 for [2] itself that is 6, and [1] and [3] leave
+    # a second bound of [2] weighs its 5 lines more: with 4 for [2]
+    # itself that is 9, and [3] leaves; a second truncation weighs
+    # nothing, its tables kept on the vacuum space
     assert module(2, bound=2).basis is two.basis
     assert module(2, trunc=2).omega is two.omega
+    assert sorted(two.omega.tables) == [1, 2]
     counts = enumeration_memo_counts()
-    assert (counts["regular"], counts["bases"], counts["tables"]) == \
-        (2, 1, 3)
-    assert len(classify._memo) == 1
+    assert (counts["regular"], counts["bases"]) == (2, 1)
+    assert len(classify._memo) == 1 and classify._memo_held == 9
 
 
 def test_a_result_too_heavy_to_keep_leaves_the_regular_values(monkeypatch):
     # [4] with sigma = 1 weighs 6 alone, against a budget of 5: its
-    # result is not kept, so neither are its class vacuum spaces and
-    # their tables, and the entry its regular vacuum space made keeps
-    # that vacuum space, its eigenbasis and its table
+    # result is not kept, and the entry its regular vacuum space made
+    # keeps that vacuum space and its eigenbasis
     gram, sigma = [[4]], [[1]]
     monkeypatch.setattr(classify, "MAX_WORK", 5)
     T = _twist(gram, sigma)
@@ -728,13 +794,11 @@ def test_a_result_too_heavy_to_keep_leaves_the_regular_values(monkeypatch):
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert len(res.classes) == 4
     assert enumerate_simple_twisted(_twist(gram, sigma)) is not res
-    Mc = instantiate_class(_twist(gram, sigma), res.classes[0], 2)
-    assert Mc.basis is not M.basis
     counts = enumeration_memo_counts()
-    assert (counts["results"], counts["misses"], counts["vacua"]) == (0, 2, 0)
-    assert (counts["regular"], counts["bases"], counts["tables"]) == \
-        (1, 1, 1)
+    assert (counts["results"], counts["misses"]) == (0, 2)
+    assert (counts["regular"], counts["bases"]) == (1, 1)
     assert RegularOmega(_twist(gram, sigma), 1) is omega
+    assert FockModule(_twist(gram, sigma), omega, 2).basis is M.basis
 
 
 def test_each_key_gets_its_own_regular_values(monkeypatch):
@@ -753,13 +817,13 @@ def test_each_key_gets_its_own_regular_values(monkeypatch):
             T2 = _twist(gram, sigma, **seeds)
             assert RegularOmega(T2, 1) is M.omega
             Mf = FockModule(T2, M.omega, 2)
-            assert _module_tables(Mf) == _module_tables(M)
-            assert _kept_tables(T, M) == FockModule._tables(M)
-            seen.append((M.omega, M.basis, _kept_tables(T, M)))
+            assert _kept_tables(Mf) is _kept_tables(M)
+            assert _reads_kept_tables(Mf) and _reads_kept_tables(M)
+            assert _kept_tables(M) == FockModule._tables(M)
+            seen.append((M.omega, M.basis, _kept_tables(M)))
     for k in range(3):
         assert len({id(row[k]) for row in seen}) == 6
     assert _vacuum_counts("regular", "regular") == (6, 6, 6)
-    assert _vacuum_counts("tables", "table") == (6, 6, 6)
 
 
 def test_the_basis_cap_is_read_on_every_construction(monkeypatch):
@@ -767,6 +831,16 @@ def test_the_basis_cap_is_read_on_every_construction(monkeypatch):
     # cap of 20 refuses the module and keeps no table, on a miss and
     # on a hit alike, and a cap of 21 builds it
     from twistlab import fock
+
+    built = []
+    real = FockModule._tables
+
+    def counted(self):
+        built.append(self)
+        return real(self)
+
+    monkeypatch.setattr(FockModule, "_tables", counted)
+    omega = RegularOmega(_twist([[2]], [[1]]), 1)
 
     def module():
         T = _twist([[2]], [[1]])
@@ -780,13 +854,13 @@ def test_the_basis_cap_is_read_on_every_construction(monkeypatch):
                 module()
         else:
             M = module()
-        assert _vacuum_counts("tables", "table") == (kept, 0, misses)
+        assert (len(omega.tables), len(built)) == (kept, misses)
     # the kept count meets each later cap: refused at 20, built at 21
     monkeypatch.setattr(fock, "MAX_BASIS", 20)
     with pytest.raises(classify.SizeCapExceeded,
                        match="more than 20 basis vectors"):
         module()
     monkeypatch.setattr(fock, "MAX_BASIS", 21)
-    assert module().omega is M.omega
-    assert _vacuum_counts("tables", "table") == (1, 2, 3)
+    assert module().omega is M.omega is omega
+    assert (len(omega.tables), len(built)) == (1, 3)
     assert len(M.basis_vectors(3)) == 21

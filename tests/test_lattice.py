@@ -13,12 +13,15 @@ def neg_identity(l):
     return [[-1 if i == j else 0 for j in range(l)] for i in range(l)]
 
 
-def random_twisted_lattice(rng, rank_max=3, odd=False):
+def random_twisted_lattice(rng, rank_max=3, odd=False, conjugate=False):
     """Random nondegenerate lattice with a random signed permutation sigma.
 
     The form is even.  With odd=True a diagonal shift of +-1, constant
     on each orbit of the permutation and so sigma-invariant, makes every
-    diagonal entry odd; the draws made without it are unchanged."""
+    diagonal entry odd.  With conjugate=True the lattice is written in
+    a random basis U, unimodular: G becomes U^T G U and sigma U^-1 sigma
+    U, which is no longer a signed permutation in general.  The draws
+    made without either option are unchanged."""
     while True:
         l = rng.randint(1, rank_max)
         perm = list(range(l))
@@ -55,9 +58,35 @@ def random_twisted_lattice(rng, rank_max=3, odd=False):
             for j in range(l):
                 g[j][j] += shift[j]
         try:
-            return TwistedLattice(g, sigma)
+            lat = TwistedLattice(g, sigma)
         except LatticeError:
             continue
+        if not conjugate:
+            return lat
+        u, u_inv = _random_unimodular(rng, l)
+        ut = [list(r) for r in zip(*u)]
+        return TwistedLattice(mat_mul(ut, mat_mul(g, u)),
+                              mat_mul(u_inv, mat_mul(sigma, u)))
+
+
+def _random_unimodular(rng, l):
+    """(U, U^-1) for a random integer U of determinant +-1: a product of
+    2 l elementary steps, each adding +-1 times one column to another
+    or negating a column, with the inverse steps in reverse order."""
+    from twistlab.linalg import identity, mat_mul
+
+    u, u_inv = identity(l), identity(l)
+    for _ in range(2 * l):
+        i, j = rng.randrange(l), rng.randrange(l)
+        step = identity(l)
+        back = identity(l)
+        if i == j:
+            step[i][i] = back[i][i] = -1
+        else:
+            c = rng.choice([1, -1])
+            step[j][i], back[j][i] = c, -c
+        u, u_inv = mat_mul(u, step), mat_mul(back, u_inv)
+    return u, u_inv
 
 
 def test_odd_draws_are_odd_and_invariant():
