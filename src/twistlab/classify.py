@@ -837,15 +837,18 @@ class EnumerationResult:
 # key (`_kept`): the enumeration result ("result",), the lattice's
 # eigenbasis ("basis",), the regular vacuum spaces ("regular", bound)
 # and the class vacuum spaces (`_vacuum_key`), each vacuum space with
-# its own module tables.  Beside it, the summed weight of the kept
-# values (`_weight`) and per kind of value (a key's first item) the
-# hits and misses since the last clear; the lock guards them, not the
-# building of a value.
+# its own module tables, and the twist's integer tables ("twist",),
+# a `lattice._IntegerTables`.  Beside it, the summed weight of the kept
+# values (`_weight`), per kind of value (a key's first item) the hits
+# and misses since the last clear, and `_tables_index`, integer tables
+# that kept contents hold, by (Gram matrix, sigma) (`_read_tables`);
+# the lock guards them, not the building of a value.
 _memo: dict = {}
 _memo_lock = threading.Lock()
 _memo_held = 0
 _hits = collections.Counter()
 _misses = collections.Counter()
+_tables_index: dict = {}
 
 
 def _content_key(T: TwistData):
@@ -869,10 +872,11 @@ def _vacuum_key(mu_choice, ideal_index, xi0, eta):
 def _value_weight(key, value) -> int:
     """What a kept value counts against MAX_WORK: a result one for
     itself, one per entry and one per class, so results without classes
-    count too; a vacuum space its number of lines; the eigenbasis one."""
+    count too; a vacuum space its number of lines; the eigenbasis and
+    the twist's tables one each."""
     if key[0] == "result":
         return 1 + len(value.entries) + len(value.classes)
-    if key[0] == "basis":
+    if key[0] in ("basis", "twist"):
         return 1
     return value.size
 
@@ -891,12 +895,41 @@ def _lookup(key):
     return values
 
 
+def _index_tables(tables):
+    """Let `_read_tables` find tables a kept content holds, unless it
+    finds the lattice's tables with the default twist's already; the
+    caller holds the lock."""
+    key = tables.gram, tables.sigma
+    old = _tables_index.get(key)
+    if old is None or old.twist is None:
+        _tables_index[key] = tables
+
+
+def _read_tables(gram, sigma):
+    """The tables kept for the integer lattice (gram, sigma), or None:
+    `TwistedLattice` and `TwistData` read them instead of building
+    their own.  A read is a twist hit or miss."""
+    with _memo_lock:
+        tables = _tables_index.get((gram, sigma))
+        if tables is None:
+            _misses["twist"] += 1
+        else:
+            _hits["twist"] += 1
+        return tables
+
+
 def _evict():
     """Drop the least recently used contents while the kept weight
-    passes MAX_WORK; the caller holds the lock."""
+    passes MAX_WORK, and their tables from the index; the caller holds
+    the lock."""
     global _memo_held
     while _memo_held > MAX_WORK:
-        _memo_held -= _weight(_memo.pop(next(iter(_memo))))
+        values = _memo.pop(next(iter(_memo)))
+        _memo_held -= _weight(values)
+        tables = values[("twist",)]
+        key = tables.gram, tables.sigma
+        if _tables_index.get(key) is tables:
+            del _tables_index[key]
 
 
 def _kept(T: TwistData, key, build):
@@ -904,9 +937,20 @@ def _kept(T: TwistData, key, build):
     values, or built by build() and kept there.  The least recently
     used contents leave, with all their values, while the kept weight
     passes MAX_WORK; a value heavier than that alone is not kept, and
-    an exception never is.  `enumeration_memo_counts` reads the hits,
-    misses and contents, and `clear_enumeration_memo` empties the
-    memo."""
+    an exception never is.
+
+    A content that keeps a value keeps T's integer tables beside it, at
+    weight one (`TwistData._integer_tables`): the lattice's validated
+    Gram matrix and sigma, p, `sigma_pows` and `commutator_exponents`,
+    and for a twist with default seeds its `eps_order`,
+    `eps_exponents`, `grid` and `phi_basis`.  While the content stays,
+    a `TwistedLattice` of the same integer Gram matrix and sigma reads
+    the lattice's tables instead of building them, and a `TwistData` on
+    it without seeds the twist's; a twist with seeds builds its own.
+    Every construction is still one object with its own memos: only
+    tuples and `RootPair`s are shared.  `enumeration_memo_counts` reads
+    the hits, misses and contents, and `clear_enumeration_memo` empties
+    the memo."""
     global _memo_held
     content = _content_key(T)
     with _memo_lock:
@@ -914,10 +958,13 @@ def _kept(T: TwistData, key, build):
         value = None if values is None else values.get(key)
         if value is not None:
             _hits[key[0]] += 1
+            if T.lattice._integer_tables is None:
+                _index_tables(values[("twist",)])
             return value
         _misses[key[0]] += 1
     value = build()
     weight = _value_weight(key, value)
+    tables = T._integer_tables()
     with _memo_lock:
         values = _lookup(content)
         if values is None:
@@ -928,6 +975,10 @@ def _kept(T: TwistData, key, build):
             _memo[content] = values
             values[key] = value
             _memo_held += weight
+            if ("twist",) not in values:
+                values[("twist",)] = tables
+                _memo_held += 1
+            _index_tables(values[("twist",)])
         _evict()
     return value
 
@@ -945,9 +996,11 @@ def enumeration_memo_counts() -> dict:
     """Since the last clear, the hits and misses of the results, and the
     results, entries and classes kept now; and for the class vacuum
     spaces (`vacua`, from `instantiate_class`), the regular vacuum spaces
-    (`regular`, from `fock.RegularOmega`) and the eigenbases (`bases`),
-    how many are kept now and the hits and misses since the last clear
-    (a miss builds one, kept or not, or raises)."""
+    (`regular`, from `fock.RegularOmega`), the eigenbases (`bases`) and
+    the twists' integer tables (`twists`), how many are kept now and the
+    hits and misses since the last clear (a miss builds one, kept or
+    not, or raises; a twist hit or miss is a `TwistedLattice`
+    construction that does or does not read kept tables)."""
     with _memo_lock:
         kept = [(k, v) for values in _memo.values() for k, v in values.items()]
         results = [v for k, v in kept if k[0] == "result"]
@@ -958,7 +1011,8 @@ def enumeration_memo_counts() -> dict:
                   "classes": sum(len(r.classes) for r in results)}
         for kind, name, one in (("class", "vacua", "vacuum"),
                                 ("regular", "regular", "regular"),
-                                ("basis", "bases", "basis")):
+                                ("basis", "bases", "basis"),
+                                ("twist", "twists", "twist")):
             counts[name] = kinds[kind]
             counts[one + "_hits"] = _hits[kind]
             counts[one + "_misses"] = _misses[kind]
@@ -970,6 +1024,7 @@ def clear_enumeration_memo():
     global _memo_held
     with _memo_lock:
         _memo.clear()
+        _tables_index.clear()
         _memo_held = 0
         _hits.clear()
         _misses.clear()

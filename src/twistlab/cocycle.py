@@ -8,7 +8,7 @@ from functools import cached_property
 
 from ._kept import kept
 from .classify import Presentation, _unit
-from .lattice import TwistedLattice
+from .lattice import TwistedLattice, _IntegerTables
 from .linalg import _bilinear, mat_mul
 from .scalar import (
     CycScalar,
@@ -63,10 +63,24 @@ class TwistData:
     made when first read.  The seeds are fixed at construction: phi
     keeps its value per vector and its product per orbit, the
     obstruction scan its one verdict, and `presentation` is the
-    classifier's presentation of the algebra A, built once."""
+    classifier's presentation of the algebra A, built once.
+
+    A twist without seeds on a lattice read from the enumeration
+    memo's tables (`TwistedLattice`) reads `eps_order`,
+    `eps_exponents`, `grid` and `phi_basis` there too, when the memo
+    keeps them for the default twist (`classify._kept`).  Each
+    construction is still its own twist, with its own memos; only
+    tuples and `RootPair`s are shared."""
 
     def __init__(self, lattice: TwistedLattice, eps_seed=None, phi_seed=None):
         self.lattice = lattice
+        self._default_seeds = eps_seed is None and not phi_seed
+        tables = lattice._integer_tables
+        if self._default_seeds and tables is not None and tables.twist:
+            n, self.eps_exponents, grid, self.phi_basis = tables.twist
+            self.eps_order, self.grid, self._eps_step = n, grid, grid // n
+            self.one = RootPair(1, 0, grid)
+            return
         l = lattice.rank
         # epsilon on basis pairs as (M, j), zeta_M^j in lowest terms
         logs = {}
@@ -113,6 +127,19 @@ class TwistData:
         self.one = RootPair(1, 0, grid)
         self.phi_basis = tuple(RootPair(q, j * (grid // m), grid)
                                for q, m, j in phi)
+
+    def _integer_tables(self) -> _IntegerTables:
+        """The tables the enumeration memo keeps for this twist's
+        content: its lattice's, with the twist's own when its seeds are
+        the defaults."""
+        lat = self.lattice
+        read = lat._integer_tables
+        if read is not None and (read.twist or not self._default_seeds):
+            return read
+        twist = ((self.eps_order, self.eps_exponents, self.grid,
+                  self.phi_basis) if self._default_seeds else None)
+        return _IntegerTables(lat.gram, lat.sigma, lat.p, lat.sigma_pows,
+                              lat.commutator_exponents, twist)
 
     @cached_property
     def eps_seed(self) -> dict:

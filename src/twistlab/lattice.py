@@ -3,6 +3,8 @@ the derived pairing data used by the twisted-operator machinery."""
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
+from typing import NamedTuple
 
 from .linalg import (
     _bilinear, det_int, hnf_columns, identity, kernel_basis, mat_mul, snf)
@@ -12,6 +14,34 @@ MAX_ORDER_SEARCH = 10000
 
 class LatticeError(Exception):
     pass
+
+
+class _IntegerTables(NamedTuple):
+    """The immutable integer tables of a lattice whose twist the
+    enumeration memo keeps (`classify._kept`), shared by every lattice
+    and twist read from them: the lattice's validated Gram matrix and
+    sigma, p, `sigma_pows` and `commutator_exponents`, and `twist`, the
+    default-seed twist's (eps_order, eps_exponents, grid, phi_basis), or
+    None for tables kept from a seeded twist."""
+    gram: tuple
+    sigma: tuple
+    p: int
+    sigma_pows: tuple
+    commutator_exponents: tuple
+    twist: tuple | None
+
+
+def _integer_matrix(rows, name):
+    """rows as a tuple of integer tuples; an entry x with int(x) != x is
+    refused rather than truncated.  Rows of ints, the usual input, are
+    taken as they are, without a conversion to compare against."""
+    given = tuple(map(tuple, rows))
+    if set(map(type, chain.from_iterable(given))) <= {int}:
+        return given
+    out = tuple([tuple(map(int, row)) for row in given])
+    if out != given:
+        raise LatticeError(f"{name} entries must be integers")
+    return out
 
 
 class TwistedLattice:
@@ -26,26 +56,44 @@ class TwistedLattice:
     j is p * nu(e_j), `gram_prime` = p G - G N, the primed pairing on
     the grid p, and `commutator_exponents`, the commutator phase on
     basis pairs as integers mod 2p; so is the reduced generating set
-    (`reduce_generating_set`)."""
+    (`reduce_generating_set`).
+
+    The entries must be integers (an entry x with int(x) != x is
+    refused, not truncated).  While the enumeration memo keeps a twist
+    on the same integer Gram matrix and sigma (`classify._kept`), the
+    lattice reads that twist's tables (`_integer_tables`): the
+    validated Gram matrix and sigma, p, `sigma_pows` and
+    `commutator_exponents`, with no validation left to do.  Each
+    construction is still its own lattice, with its own derived values;
+    only the tables' tuples are shared."""
 
     def __init__(self, gram, sigma):
-        gram = [list(map(int, row)) for row in gram]
-        sigma = [list(map(int, row)) for row in sigma]
+        gram = _integer_matrix(gram, "gram")
+        sigma = _integer_matrix(sigma, "sigma")
+        # the memo imports this module, so it is read at call time
+        from . import classify
+        tables = self._integer_tables = classify._read_tables(gram, sigma)
+        if tables is not None:
+            self.rank = len(gram)
+            self.gram, self.sigma = tables.gram, tables.sigma
+            self.p, self.sigma_pows = tables.p, tables.sigma_pows
+            self.__dict__["commutator_exponents"] = \
+                tables.commutator_exponents
+            return
         l = len(gram)
         if any(len(row) != l for row in gram):
             raise LatticeError("gram matrix must be square")
-        if any(gram[i][j] != gram[j][i] for i in range(l) for j in range(l)):
+        if gram != tuple(zip(*gram)):
             raise LatticeError("gram matrix must be symmetric")
         if det_int(gram) == 0:
             raise LatticeError("gram matrix must be nondegenerate")
         if len(sigma) != l or any(len(row) != l for row in sigma):
             raise LatticeError("sigma must be square of the same rank")
-        st_g_s = mat_mul([list(col) for col in zip(*sigma)], mat_mul(gram, sigma))
-        if st_g_s != gram:
+        st_g_s = mat_mul(tuple(zip(*sigma)), mat_mul(gram, sigma))
+        if any(map(tuple.__ne__, map(tuple, st_g_s), gram)):
             raise LatticeError("sigma does not preserve the form")
         self.rank = l
-        self.gram = tuple(tuple(row) for row in gram)
-        self.sigma = tuple(tuple(row) for row in sigma)
+        self.gram, self.sigma = gram, sigma
         powers = [identity(l)]
         for _ in range(MAX_ORDER_SEARCH):
             powers.append(mat_mul(sigma, powers[-1]))
@@ -55,7 +103,7 @@ class TwistedLattice:
         else:
             raise LatticeError("sigma does not have finite order")
         self.p = len(powers)
-        self.sigma_pows = tuple(tuple(tuple(r) for r in m) for m in powers)
+        self.sigma_pows = tuple([tuple(map(tuple, m)) for m in powers])
 
     @cached_property
     def norm(self):

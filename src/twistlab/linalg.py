@@ -48,9 +48,10 @@ def transpose(a):
 
 
 def det_int(a) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
+    """Determinant by fraction-free Bareiss elimination; the rows may be
+    lists or tuples."""
     n = len(a)
-    m = [row[:] for row in a]
+    m = [list(row) for row in a]
     sign = 1
     prev = 1
     for k in range(n - 1):

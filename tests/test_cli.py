@@ -263,6 +263,59 @@ def test_spec_json_cannot_load_exit_2(tmp_path, capsys, default_digit_limit,
     assert line.startswith(f"input error: {message}")
 
 
+def _ci_refusals():
+    """The "CLI refusals" step of the tier-1 workflow: (expected exit
+    code, command, spec text), with @nested.json and @digits.json made
+    as the step makes them."""
+    path = Path(__file__).parents[1] / ".github" / "workflows" / "tier1.yml"
+    made = {"@nested.json": "[" * 100000,
+            "@digits.json": '{"gram": [[' + "9" * 5000 + ']], "sigma": [[1]]}'}
+    jobs = re.findall(r"^ +'([023]) (\w+) (.*)'(?: \\|; do)$",
+                      path.read_text(), re.M)
+    return [(int(code), cmd, made.get(spec, spec)) for code, cmd, spec in jobs]
+
+
+def test_ci_refusals_after_valid_specs_in_one_process(tmp_path, capsys,
+                                                      default_digit_limit):
+    # each refusal of the workflow's step, run in process on an empty
+    # memo and again after valid specs on the same lattices have kept
+    # their tables: the same exit code and the same one stderr line,
+    # and nothing on stdout
+    jobs = _ci_refusals()
+    assert len(jobs) == 14
+    valid = {json.dumps({"gram": json.loads(text)["gram"],
+                         "sigma": json.loads(text)["sigma"]})
+             for _code, _cmd, text in jobs
+             if text.startswith("{") and "9999" not in text}
+    lines = []
+    for k, (code, cmd, text) in enumerate(jobs):
+        path = tmp_path / f"refusal{k}.json"
+        path.write_text(text)
+        assert main(["--spec", str(path), "--cmd", cmd]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        lines.append(captured.err)
+    classify.clear_enumeration_memo()
+    kept = 0
+    for k, text in enumerate(sorted(valid)):
+        path = tmp_path / f"valid{k}.json"
+        path.write_text(text)
+        if main(["--spec", str(path), "--cmd", "classify"]) == EXIT_OK:
+            kept += 1
+    capsys.readouterr()
+    # [[2]] with sigma = 1 and -1, 2 I_2 with 1 and A_2 with -1 are
+    # classified; [[1000000]] has too many eta cosets, and [[2.5]] and
+    # [[1.0]] are not integer matrices
+    assert (len(valid), kept) == (7, 4)
+    assert classify.enumeration_memo_counts()["twists"] == kept
+    for k, (code, cmd, text) in enumerate(jobs):
+        path = tmp_path / f"refusal{k}.json"
+        assert main(["--spec", str(path), "--cmd", cmd]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == lines[k]
+    assert classify.enumeration_memo_counts()["twist_hits"] >= 8
+
+
 # parse_job's refusals of a spec's shape, and main's of a report it
 # cannot write: (spec text, --out, the one stderr line after the tag)
 SHAPE_REFUSALS = {

@@ -3,7 +3,9 @@ content of an earlier one gets the earlier result, which is what a
 fresh enumeration gives; different seeds get their own results, an
 exception is not kept, and the kept values stay within MAX_WORK.  The
 memo also keeps the content's eigenbasis and vacuum spaces, each by its
-key alone, and a vacuum space keeps its own module tables.
+key alone, a vacuum space keeps its own module tables, and a content
+with a kept value keeps its twist's integer tables, which a later
+lattice and twist of the same integer input read.
 
 conftest.py empties the memo before each test."""
 import dataclasses
@@ -38,10 +40,11 @@ SWAP_2 = ([[2, 0], [0, 2]], [[0, 1], [1, 0]])
 EPS_SEED = build_epsilon(TwistedLattice(*SWAP_2))
 EPS_SEED[(0, 0)] = as_scalar(-1)
 # the counts of the kept values besides the results in a run that
-# builds no vacuum space and no module
+# builds no vacuum space, no module and no twist
 NO_VACUA = {name: 0 for kind, one in (("vacua", "vacuum"),
                                       ("regular", "regular"),
-                                      ("bases", "basis"))
+                                      ("bases", "basis"),
+                                      ("twists", "twist"))
             for name in (kind, one + "_hits", one + "_misses")}
 
 
@@ -59,6 +62,12 @@ def test_stream_hits_give_the_fresh_enumeration():
     jobs = W.classify_inputs(random.Random(3),
                              W.rounds_for("classify_stream", 30), TL)
     assert len(jobs) == 208
+    # the lattices drawn for the pool are never enumerated: they keep
+    # nothing, and each was a twist miss
+    counts = enumeration_memo_counts()
+    assert counts["twists"] == counts["twist_hits"] == 0
+    assert counts["twist_misses"] > 47
+    classify.clear_enumeration_memo()
     first = {}
     for job in jobs:
         res = W.run_classify_job(TL, job)
@@ -69,7 +78,7 @@ def test_stream_hits_give_the_fresh_enumeration():
         "hits": 161, "misses": 47, "results": 47,
         "entries": sum(len(r.entries) for r in first.values()),
         "classes": sum(len(r.classes) for r in first.values()),
-        **NO_VACUA}
+        **NO_VACUA, "twists": 47, "twist_hits": 161, "twist_misses": 47}
     for (gram, sigma), res in first.items():
         # a second twist of the same content is a hit on the same
         # value, and it is what the memo-free body gives a third twist
@@ -151,14 +160,14 @@ def test_a_raising_enumeration_is_not_kept(monkeypatch):
     assert enumerate_simple_twisted(_twist(gram, sigma)) is res
     assert enumeration_memo_counts() == {
         "hits": 1, "misses": 3, "results": 1, "entries": 4, "classes": 1,
-        **NO_VACUA}
+        **NO_VACUA, "twists": 1, "twist_hits": 1, "twist_misses": 3}
 
 
 def test_the_memo_keys_on_max_work(monkeypatch):
     # 2 I_2 with sigma = 1 has 4 eta cosets: kept at the default cap,
     # refused at a cap of 3 as a fresh enumeration refuses it (the
     # refusal keeps nothing and evicts nothing), and a hit again at the
-    # default
+    # default; the lattice's tables hold at any cap
     gram, sigma = [[2, 0], [0, 2]], [[1, 0], [0, 1]]
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert len(res.classes) == 4
@@ -170,13 +179,14 @@ def test_the_memo_keys_on_max_work(monkeypatch):
     assert enumerate_simple_twisted(_twist(gram, sigma)) is res
     assert enumeration_memo_counts() == {
         "hits": 1, "misses": 2, "results": 1, "entries": 1, "classes": 4,
-        **NO_VACUA}
+        **NO_VACUA, "twists": 1, "twist_hits": 2, "twist_misses": 1}
 
 
 def test_least_recently_used_results_leave_first(monkeypatch):
-    # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes:
-    # [2] weighs 4, [3] 5 and [1] 3, against a budget of 10
-    monkeypatch.setattr(classify, "MAX_WORK", 10)
+    # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes,
+    # and its twist's tables one: [2] weighs 5, [3] 6 and [1] 4, against
+    # a budget of 12
+    monkeypatch.setattr(classify, "MAX_WORK", 12)
 
     def enum(n):
         return enumerate_simple_twisted(_twist([[n]], [[1]]))
@@ -184,23 +194,23 @@ def test_least_recently_used_results_leave_first(monkeypatch):
     two, three = enum(2), enum(3)
     assert enumeration_memo_counts()["results"] == 2
     assert enum(2) is two          # [2] is now the most recently used
-    enum(1)                        # 12 > 10: [3] leaves, [2] stays
+    enum(1)                        # 15 > 12: [3] leaves, [2] stays
     counts = enumeration_memo_counts()
     assert (counts["results"], counts["entries"], counts["classes"]) == \
         (2, 2, 3)
     assert enum(2) is two
     assert enum(3) is not three    # enumerated again
     assert enumeration_memo_counts()["misses"] == 4
-    # [4] has 4 eta cosets, within the enumeration's cap of 5, but it
-    # weighs 6 alone: it is returned and not kept, and the next miss
-    # trims the kept results to the lowered budget, oldest first
-    monkeypatch.setattr(classify, "MAX_WORK", 5)
-    four = enum(4)
-    assert len(four.classes) == 4
+    # [5] has 5 eta cosets, within the enumeration's cap of 6, but its
+    # result weighs 7 alone: it is returned and not kept, and the next
+    # miss trims the kept results to the lowered budget, oldest first
+    monkeypatch.setattr(classify, "MAX_WORK", 6)
+    five = enum(5)
+    assert len(five.classes) == 5
     assert enumeration_memo_counts() == {
         "hits": 2, "misses": 5, "results": 1, "entries": 1, "classes": 3,
-        **NO_VACUA}
-    assert enum(4) is not four
+        **NO_VACUA, "twists": 1, "twist_hits": 2, "twist_misses": 5}
+    assert enum(5) is not five
 
 
 def test_kept_results_are_frozen():
@@ -355,11 +365,11 @@ def test_clearing_the_memo_drops_its_vacuum_spaces():
 
 
 def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
-    # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes, a
-    # class vacuum space its 5 lines and the eigenbasis its module reads
-    # one: [2] weighs 4, with a vacuum space and its module 10, and [3]
-    # 5, against a budget of 15
-    monkeypatch.setattr(classify, "MAX_WORK", 15)
+    # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes and
+    # its twist's tables one, a class vacuum space its 5 lines and the
+    # eigenbasis its module reads one: [2] weighs 5, with a vacuum space
+    # and its module 11, and [3] 6, against a budget of 17
+    monkeypatch.setattr(classify, "MAX_WORK", 17)
 
     def enum(n):
         return enumerate_simple_twisted(_twist([[n]], [[1]]))
@@ -369,17 +379,17 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
 
     two = enum(2)
     kept = omega(2, two.classes[0])
-    enum(3)                        # 15: both kept, [3] the most recent
+    enum(3)                        # 17: both kept, [3] the most recent
     assert _vacuum_counts() == (1, 0, 1)
     # a second vacuum space of [2] makes it the most recent and the
-    # weight 20: [3] leaves, [2] stays with both its vacuum spaces
+    # weight 22: [3] leaves, [2] stays with both its vacuum spaces
     other = omega(2, two.classes[1])
     counts = enumeration_memo_counts()
     assert (counts["results"], counts["vacua"]) == (1, 2)
     assert omega(2, two.classes[0]) is kept
     assert omega(2, two.classes[1]) is other
-    assert classify._memo_held == 15
-    # [3] is enumerated again: 15 + 5 > 15, so [2] leaves, its vacuum
+    assert classify._memo_held == 16
+    # [3] is enumerated again: 16 + 6 > 17, so [2] leaves, its vacuum
     # spaces and eigenbasis with it, and [1] joins [3]
     enum(3)
     enum(1)
@@ -403,8 +413,10 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
 def test_a_vacuum_space_heavier_than_the_budget_is_not_kept(monkeypatch):
     # a vacuum space of more lines than MAX_WORK is built, not kept, and
     # evicts nothing: the regular one of [2] at bound 20 has 41 lines,
-    # at bound 19 39, against a budget of 40; a class vacuum space of
-    # [2] has 5 lines, against a budget of 4, at which [1] is enumerated
+    # at bound 19 39, which with its twist's tables weigh 40, against a
+    # budget of 40; a class vacuum space of I_2 has 25 lines, against a
+    # budget of 5, at which I_2 is enumerated, its result, tables and
+    # eigenbasis weighing 3, 1 and 1
     gram, sigma = [[2]], [[1]]
     monkeypatch.setattr(classify, "MAX_WORK", 40)
     big = RegularOmega(_twist(gram, sigma), 20)
@@ -413,22 +425,22 @@ def test_a_vacuum_space_heavier_than_the_budget_is_not_kept(monkeypatch):
     small = RegularOmega(_twist(gram, sigma), 19)
     assert RegularOmega(_twist(gram, sigma), 19) is small
     assert _vacuum_counts("regular", "regular") == (1, 1, 3)
-    assert classify._memo_held == 39
+    assert classify._memo_held == 40
     T = _twist(gram, sigma)
     M = FockModule(T, big, 1)
     assert len(M.basis_vectors(1)) == 2 * 41
-    monkeypatch.setattr(classify, "MAX_WORK", 4)
+    monkeypatch.setattr(classify, "MAX_WORK", 5)
     classify.clear_enumeration_memo()
-    res = enumerate_simple_twisted(_twist([[1]], [[1]]))
+    unit = ([[1, 0], [0, 1]], [[1, 0], [0, 1]])
+    res = enumerate_simple_twisted(_twist(*unit))
     cls = res.classes[0]
-    M = instantiate_class(_twist([[1]], [[1]]), cls, 2)
-    assert M.omega.size == 5
-    assert instantiate_class(_twist([[1]], [[1]]), cls, 2).omega \
-        is not M.omega
+    M = instantiate_class(_twist(*unit), cls, 2)
+    assert M.omega.size == 25
+    assert instantiate_class(_twist(*unit), cls, 2).omega is not M.omega
     assert _vacuum_counts() == (0, 0, 2)
     assert enumeration_memo_counts()["results"] == 1
     assert classify._memo_held == classify._weight(
-        classify._memo[classify._content_key(_twist([[1]], [[1]]))]) == 4
+        classify._memo[classify._content_key(_twist(*unit))]) == 5
     assert conditions_status(twisted_conditions(M.twist, M)) == "pass"
 
 
@@ -455,8 +467,8 @@ def test_distinct_large_bound_checks_stay_within_the_budget(monkeypatch,
 def test_a_result_too_heavy_to_keep_still_instantiates(monkeypatch):
     # [6] with sigma = 1 weighs 8 alone: at a budget of 7 its result is
     # not kept, while a class vacuum space of 5 lines and the eigenbasis
-    # its module reads are kept by their keys; its modules are those of
-    # the default budget, memo-free
+    # its module reads are kept by their keys, with the twist's tables;
+    # its modules are those of the default budget, memo-free
     gram, sigma = [[6]], [[1]]
     monkeypatch.setattr(classify, "MAX_WORK", 7)
     res = enumerate_simple_twisted(_twist(gram, sigma))
@@ -466,7 +478,7 @@ def test_a_result_too_heavy_to_keep_still_instantiates(monkeypatch):
         is first.omega
     counts = enumeration_memo_counts()
     assert (counts["results"], counts["vacua"], counts["bases"]) == (0, 1, 1)
-    assert classify._memo_held == 6
+    assert classify._memo_held == 7
     modules = []
     for cls in res.classes:
         T = _twist(gram, sigma)
@@ -720,7 +732,7 @@ def test_regular_values_without_a_result():
     assert enumeration_memo_counts() == {
         "hits": 0, "misses": 0, "results": 0, "entries": 0, "classes": 0,
         **NO_VACUA, "regular": 1, "regular_misses": 1, "bases": 1,
-        "basis_misses": 1}
+        "basis_misses": 1, "twists": 1, "twist_misses": 1}
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert enumerate_simple_twisted(_twist(gram, sigma)) is res
     counts = enumeration_memo_counts()
@@ -753,9 +765,9 @@ def test_clearing_the_memo_drops_the_regular_values():
 
 def test_regular_values_leave_with_their_entry(monkeypatch):
     # a regular vacuum space of [n] with sigma = 1 at bound 1 weighs its
-    # 3 lines, and with the eigenbasis its module reads 4, against a
-    # budget of 10: a third content pushes out the least recently used,
-    # with its values
+    # 3 lines, and with the eigenbasis its module reads and its twist's
+    # tables 5, against a budget of 10: a third content pushes out the
+    # least recently used, with its values
     monkeypatch.setattr(classify, "MAX_WORK", 10)
 
     def module(n, bound=1, trunc=1):
@@ -765,21 +777,21 @@ def test_regular_values_leave_with_their_entry(monkeypatch):
     two = module(2)
     three = module(3)
     assert module(2).omega is two.omega   # [2] is now the most recent
-    module(1)                             # 12 > 10: [3] leaves
+    module(1)                             # 15 > 10: [3] leaves
     counts = enumeration_memo_counts()
     assert (counts["regular"], counts["bases"]) == (2, 2)
     assert module(2).omega is two.omega
     again = module(3)
     assert again.omega is not three.omega and again.basis is not three.basis
-    # a second bound of [2] weighs its 5 lines more: with 4 for [2]
-    # itself that is 9, and [3] leaves; a second truncation weighs
+    # a second bound of [2] weighs its 5 lines more: with 5 for [2]
+    # itself that is 10, and [3] leaves; a second truncation weighs
     # nothing, its tables kept on the vacuum space
     assert module(2, bound=2).basis is two.basis
     assert module(2, trunc=2).omega is two.omega
     assert sorted(two.omega.tables) == [1, 2]
     counts = enumeration_memo_counts()
     assert (counts["regular"], counts["bases"]) == (2, 1)
-    assert len(classify._memo) == 1 and classify._memo_held == 9
+    assert len(classify._memo) == 1 and classify._memo_held == 10
 
 
 def test_a_result_too_heavy_to_keep_leaves_the_regular_values(monkeypatch):

@@ -111,6 +111,27 @@ def test_constructor_validation():
         TwistedLattice([[2, 0], [0, 4]], [[0, 1], [1, 0]])  # not form-preserving
 
 
+@pytest.mark.parametrize("gram, sigma, name", [
+    ([[2.5]], [[1]], "gram"),
+    ([[2]], [[1.5]], "sigma"),
+    ([[2, 0.5], [0.5, 2]], [[1, 0], [0, 1]], "gram"),
+    ([[Fraction(5, 2)]], [[-1]], "gram"),
+    ([[2]], [["1"]], "sigma"),
+])
+def test_non_integral_entries_are_refused(gram, sigma, name):
+    # int() would truncate them to another lattice: refused instead
+    with pytest.raises(LatticeError, match=f"^{name} entries must be "
+                                           "integers$"):
+        TwistedLattice(gram, sigma)
+
+
+def test_integral_entries_of_other_types_are_integers():
+    lat = TwistedLattice([[2.0, Fraction(1)], [1, True + 1]],
+                         [[-1.0, 0], [0, -1]])
+    assert lat.gram == ((2, 1), (1, 2)) and lat.sigma == ((-1, 0), (0, -1))
+    assert all(type(x) is int for row in lat.gram + lat.sigma for x in row)
+
+
 def test_order_detection():
     assert TwistedLattice([[2]], [[1]]).p == 1
     assert TwistedLattice([[2]], [[-1]]).p == 2

@@ -29,6 +29,19 @@ def test_det_known():
     assert det_int([[0, 1, 0], [1, 0, 0], [0, 0, 5]]) == -5
 
 
+def test_det_on_tuple_rows():
+    # the rows are copied as lists, so tuple rows (a lattice's gram)
+    # work too; the second needs a row swap at its zero pivot
+    assert det_int(((2, 1), (1, 2))) == 3
+    assert det_int(((0, 1, 0), (1, 0, 0), (0, 0, 5))) == -5
+    assert det_int(((0, 2), (3, 1))) == -6
+    rng = random.Random(12)
+    for _ in range(40):
+        n = rng.randint(1, 4)
+        a = random_matrix(rng, n, n, bound=3)
+        assert det_int(tuple(map(tuple, a))) == det_int(a)
+
+
 def test_hnf_properties():
     rng = random.Random(7)
     for _ in range(40):
