@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._kept import kept
+from ._kept import kept, kept_count
 from .fdist import vector_status, worst_status
 from .lattice import TwistedLattice
 from .linalg import (
@@ -918,6 +918,15 @@ def _read_tables(gram, sigma):
         return tables
 
 
+def _tally(kind):
+    """The read tally (`_kept.kept`) of a table an eigenbasis keeps: a
+    hit or a miss of that kind, counted under the lock."""
+    def count(hit):
+        with _memo_lock:
+            (_hits if hit else _misses)[kind] += 1
+    return count
+
+
 def _evict():
     """Drop the least recently used contents while the kept weight
     passes MAX_WORK, and their tables from the index; the caller holds
@@ -996,11 +1005,15 @@ def enumeration_memo_counts() -> dict:
     """Since the last clear, the hits and misses of the results, and the
     results, entries and classes kept now; and for the class vacuum
     spaces (`vacua`, from `instantiate_class`), the regular vacuum spaces
-    (`regular`, from `fock.RegularOmega`), the eigenbases (`bases`) and
-    the twists' integer tables (`twists`), how many are kept now and the
-    hits and misses since the last clear (a miss builds one, kept or
-    not, or raises; a twist hit or miss is a `TwistedLattice`
-    construction that does or does not read kept tables)."""
+    (`regular`, from `fock.RegularOmega`), the eigenbases (`bases`), the
+    twists' integer tables (`twists`) and the exponential tables the
+    kept eigenbases hold (`creations` and `annihilations`, from
+    `fock.GradedBasis.creation_terms` and `annihilation_terms`), how
+    many are kept now and the hits and misses since the last clear (a
+    miss builds one, kept or not, or raises; a twist hit or miss is a
+    `TwistedLattice` construction that does or does not read kept
+    tables; a table hit or miss is a read on any eigenbasis, kept or
+    not)."""
     with _memo_lock:
         kept = [(k, v) for values in _memo.values() for k, v in values.items()]
         results = [v for k, v in kept if k[0] == "result"]
@@ -1016,6 +1029,12 @@ def enumeration_memo_counts() -> dict:
             counts[name] = kinds[kind]
             counts[one + "_hits"] = _hits[kind]
             counts[one + "_misses"] = _misses[kind]
+        bases = [v for k, v in kept if k[0] == "basis"]
+        for one in ("creation", "annihilation"):
+            counts[one + "s"] = sum(kept_count(b, one + "_terms")
+                                    for b in bases)
+            counts[one + "_hits"] = _hits[one]
+            counts[one + "_misses"] = _misses[one]
         return counts
 
 

@@ -25,16 +25,26 @@ n*p (grid_slot), and a mode off (1/p)Z is the empty operator (mode_op).
 The module keeps the plan of each (coordinates, mode) for its own life:
 the acting eigenvectors of a creation, the nonzero contraction factors
 of an annihilation, and the zero mode's weight xi(h) on every vacuum
-line; a factor equal to one multiplies nothing.  Both exponentials of a
-vertex operator are one product of mode exponentials (_exp_terms), cut
-at a degree bound.  A remembered operator keeps its results itself
-(FockOp.remembered, FockOp.seen).  An annihilation mode that no word
-of a vector holds sends it to zero, exactly and never poisoned
-(_held_modes): the annihilation exponential tries only the held
-modes, and the Virasoro double sums (the degree operator and D) skip
-each term whose first operator annihilates an unheld mode and stop at
-the largest held one, so a line of high degree costs no more than the
-lowest.
+line; a factor equal to one multiplies nothing.  A remembered operator
+keeps its results itself (FockOp.remembered, FockOp.seen).  An
+annihilation mode that no word of a vector holds sends it to zero,
+exactly and never poisoned (_held_modes): the annihilation exponential
+tries only the held modes, and the Virasoro double sums (the degree
+operator and D) skip each term whose first operator annihilates an
+unheld mode and stop at the largest held one, so a line of high degree
+costs no more than the lowest.
+
+Both exponentials of a vertex operator are products of mode
+exponentials on bare creation words, which read only the eigenbasis
+(its qs, pairing and p), so the eigenbasis keeps them as tables
+(GradedBasis.creation_terms and annihilation_terms): the z^degree
+coefficient of the creation exponential as the words it adds, and the
+annihilation exponential on one word, path by path.  A module merges
+them into the words of a vector (FockModule._cre_expand and
+_ann_expand), so every job, truncation and vacuum space of a content
+reads the same tables.  The eigen-coordinates the eigenbasis hands out
+(decompose, units, duals) hash their scalars once, so a memo keyed by
+them, the plans and the tables, hashes no scalar on a read.
 
 Vectors are values, so a vector keeps its hash and its degree
 (max_degree_k) beside its terms once computed.  Both vacuum spaces,
@@ -48,7 +58,8 @@ exits included.
 What depends only on the twist's content has one owner, the
 enumeration memo's entry for that content (`classify._kept`): the
 regular vacuum space of each bound (RegularOmega(T, bound) returns the
-kept one) and the eigenbasis every vacuum space of the content reads.
+kept one) and the eigenbasis every vacuum space of the content reads,
+with its exponential tables.
 A vacuum space keeps the module's tables (`_ModuleTables`) per creation
 cap.  A module of more than MAX_BASIS basis vectors up to its
 truncation, creation words (counted in integers) times vacuum lines, is
@@ -119,6 +130,41 @@ def _held_modes(v) -> set:
     return {-mm for word, _iota in v.terms for mm, _j in word}
 
 
+class _Coords(tuple):
+    """Eigen-coordinates, a tuple of CycScalar that hashes its items
+    once (`_coords`): a memo keyed by coordinates (the mode plans, the
+    exponential tables) hashes no scalar on a read."""
+
+    def __hash__(self):
+        return self._hash
+
+
+def _coords(items) -> _Coords:
+    out = _Coords(items)
+    out._hash = tuple.__hash__(out)
+    return out
+
+
+def _word_mode(terms: dict, ms: int, plan) -> dict:
+    """h(ms/p) on {creation word: scalar}, the plan being
+    GradedBasis._mode_factors: FockModule.mode_apply on bare words, with
+    no cap."""
+    out = {}
+    if ms < 0:
+        for word, x in terms.items():
+            for j, c in plan:
+                _add_term(out, tuple(sorted(word + ((ms, j),))), _times(x, c))
+    else:
+        for word, x in terms.items():
+            for pos, (mm, jj) in enumerate(word):
+                if mm == -ms:
+                    fac = plan.get(jj)
+                    if fac is not None:
+                        _add_term(out, word[:pos] + word[pos + 1:],
+                                  _times(x, fac))
+    return out
+
+
 # ---------------------------------------------------------------------
 # Eigenbasis of the automorphism
 # ---------------------------------------------------------------------
@@ -177,7 +223,17 @@ class GradedBasis:
     Each h_j is one at its pivot and zero at the other pivots of its
     eigenspace, so the eigen-coordinates of a vector are entries of its
     projections: the coordinate rows are projector rows.  The one full
-    elimination is the inverse of the pairing, for the duals."""
+    elimination is the inverse of the pairing, for the duals.
+
+    It keeps the two exponential factors of the vertex operators as
+    tables on creation words (`creation_terms`, `annihilation_terms`),
+    for its own life: the enumeration memo keeps one eigenbasis per
+    twist content, so every module of the content reads them.  A
+    creation table holds at most one term per creation word of its
+    degree, and an annihilation table one per sub-word of its word on
+    each of at most 2^(creations in the word) paths; there is one table
+    per (coordinates, degree or word, sign) asked for, and they are not
+    weighed against classify.MAX_WORK."""
 
     def __init__(self, lattice):
         self.lattice = lattice
@@ -217,7 +273,7 @@ class GradedBasis:
         # dual basis in eigenbasis coefficients: beta_j = sum_i
         # minv[i][j] h_i, so that (h_i | beta_j) = delta_ij
         self.duals = tuple(
-            tuple(minv[i][j] for i in range(l)) for j in range(l))
+            _coords(minv[i][j] for i in range(l)) for j in range(l))
         # a lattice vector v = sum_j c_j h_j has c_j = (P_(q_j) v)_(pivot
         # of h_j), P_q the eigenprojector: row j holds that row of
         # P_(q_j), an integer sum over the sigma powers
@@ -227,15 +283,104 @@ class GradedBasis:
                   for a in range(l)) for q, c in zip(qs, pivots))
         self.residues = tuple(Fraction(q, p) for q in qs)
         # the eigen-coordinates of each h_j alone
-        self.units = tuple(tuple(ONE if j == i else ZERO for j in range(l))
+        self.units = tuple(_coords(ONE if j == i else ZERO for j in range(l))
                            for i in range(l))
 
     @kept
     def decompose(self, vec):
         """Coordinates of a lattice-basis vector in the eigenbasis, kept
         per vector."""
-        return tuple(sum((c * x for c, x in zip(row, vec) if x), ZERO)
-                     for row in self.coord_rows)
+        return _coords(sum((c * x for c, x in zip(row, vec) if x), ZERO)
+                       for row in self.coord_rows)
+
+    # -- the exponential factors of a vertex operator ------------------
+
+    def _mode_factors(self, coords, ms):
+        """What h(ms/p) does to a creation word, for h = sum_j coords_j
+        h_j and a nonzero int mode ms scaled by p: () when no h_j acts
+        (no coordinate on the residue of ms); for a creation the acting
+        (j, c) pairs; for an annihilation the nonzero factors
+        (h|h_jj) ms/p, keyed by jj.  A value equal to one is the object
+        ONE, so an action can skip its multiply."""
+        qs, p = self.qs, self.p
+        res = ms % p
+        active = tuple((j, _unit(c)) for j, c in enumerate(coords)
+                       if c and qs[j] == res)
+        if ms < 0 or not active:
+            return active
+        fm = CycScalar.from_ints(1, [ms], p)
+        facs = {}
+        for jj, q in enumerate(qs):
+            if (q + res) % p == 0:
+                fac = fm * sum((c * self.pairing[j][jj] for j, c in active),
+                               ZERO)
+                if fac:
+                    facs[jj] = _unit(fac)
+        return facs or ()
+
+    def _exp_words(self, coords, word, sign, modes, bound):
+        """The terms of prod_m exp(sign (p/|m|) h(m/p)) on a creation
+        word, for the scaled modes m in order, as (degree, path, terms):
+        per path, the powers k_m of the modes applied, ((m, k_m), ...)
+        for k_m > 0, of degree sum_m k_m |m| <= bound, in lexicographic
+        order of the powers; terms {word: scalar}, the path's factor
+        prod_m (sign p/|m|)^(k_m)/k_m! applied.  A path whose terms
+        vanish is left out, and so are its extensions."""
+        p = self.p
+        paths = [({word: ONE}, 0, (), 1, 1)]
+        for m in modes:
+            plan = self._mode_factors(coords, m)
+            if not plan:
+                continue
+            u, new = abs(m), []
+            for cur, deg, path, num, den in paths:
+                new.append((cur, deg, path, num, den))
+                k = 1
+                while deg + k * u <= bound:
+                    cur = _word_mode(cur, m, plan)
+                    if not cur:
+                        break
+                    num, den = num * sign * p, den * u * k
+                    new.append((cur, deg + k * u, path + ((m, k),), num, den))
+                    k += 1
+            paths = new
+        out = []
+        for cur, deg, path, num, den in paths:
+            if num != den:
+                s = CycScalar.from_ints(1, [num], den)
+                cur = {w: x * s for w, x in cur.items()}
+            out.append((deg, path, cur))
+        return out
+
+    @kept(tally=classify._tally("creation"))
+    def creation_terms(self, coords, degree, sign):
+        """The z^(degree/p) coefficient of the creation exponential
+        exp(sum_(n<0) -sign h(n)/n z^(-n)), for h = sum_j coords_j h_j
+        and the int degree > 0 scaled by p, as (added word, scalar)
+        pairs.  Creation modes only add to a word, so one table serves
+        every vector: the coefficient on a word w is sum x (w + added).
+        Kept per (coords, degree, sign) for the life of the eigenbasis."""
+        out = {}
+        for deg, _path, terms in self._exp_words(
+                coords, (), sign, range(-1, -degree - 1, -1), degree):
+            if deg == degree:
+                for w, x in terms.items():
+                    _add_term(out, w, x)
+        return tuple(out.items())
+
+    @kept(tally=classify._tally("annihilation"))
+    def annihilation_terms(self, coords, word, sign):
+        """The annihilation exponential exp(sum_(n>0) sign h(n)/n
+        z^(-n)) on one creation word, for h = sum_j coords_j h_j, path
+        by path (_exp_words) over the modes the word holds (no other
+        acts): (degree scaled by p, path, ((word, scalar), ...)) in
+        lexicographic order of the powers, the empty path first.  Kept
+        per (coords, word, sign) for the life of the eigenbasis."""
+        modes = sorted({-m for m, _j in word})
+        return tuple(
+            (deg, path, tuple(terms.items())) for deg, path, terms in
+            self._exp_words(coords, word, sign, modes,
+                            -sum(m for m, _j in word)))
 
 
 def _content_basis(twist: TwistData) -> GradedBasis:
@@ -725,30 +870,19 @@ class FockModule:
 
     @kept
     def _mode_plan(self, coords, ms):
-        """What h(ms/p) does, for h = sum_j coords_j h_j: () when no
-        h_j acts (no coordinate on the residue of ms); for a creation
-        the acting (j, c) pairs; for the zero mode xi(h) on each vacuum
-        line (zero_weights); for an annihilation the nonzero factors
-        (h|h_jj) ms/p, keyed by jj.  A value equal to
-        one is the object ONE, so mode_apply can skip its multiply."""
+        """What h(ms/p) does, for h = sum_j coords_j h_j: for the zero
+        mode xi(h) on each vacuum line (zero_weights), or () when no
+        sigma-fixed h_j acts; for any other mode the eigenbasis's plan
+        (GradedBasis._mode_factors).  A value equal to one is the object
+        ONE, so mode_apply can skip its multiply."""
+        if ms:
+            return self.basis._mode_factors(coords, ms)
         qs = self.basis.qs
-        res = ms % self.p
-        active = tuple((j, _unit(c)) for j, c in enumerate(coords)
-                       if c and qs[j] == res)
-        if ms < 0 or not active:
-            return active
-        if ms == 0:
-            return tuple(_unit(sum((c * w[j] for j, c in active), ZERO))
-                         for w in self.zero_weights)
-        pairing = self.basis.pairing
-        fm = CycScalar.from_ints(1, [ms], self.p)
-        facs = {}
-        for jj, q in enumerate(qs):
-            if (q + res) % self.p == 0:
-                fac = fm * sum((c * pairing[j][jj] for j, c in active), ZERO)
-                if fac:
-                    facs[jj] = _unit(fac)
-        return facs or ()
+        active = [(j, c) for j, c in enumerate(coords) if c and qs[j] == 0]
+        if not active:
+            return ()
+        return tuple(_unit(sum((c * w[j] for j, c in active), ZERO))
+                     for w in self.zero_weights)
 
     def mode_apply(self, coords, ms, v: FockVector) -> FockVector:
         """h(ms/p) applied to v for h = sum_j coords_j h_j and the int
@@ -1004,62 +1138,60 @@ class FockModule:
 
     # -- exponential factors and vertex operators ---------------------
 
-    def _exp_terms(self, coords, v: FockVector, sign: int, modes,
-                   bound: int):
-        """The terms of prod_m exp(sign (p/|m|) h(m/p)) on v, for
-        h = sum_j coords_j h_j and the scaled modes m in order, as
-        (vector, degree, num, den): the powers k_m of the modes applied,
-        of degree sum_m k_m |m| <= bound, and their factor prod_m
-        (sign p/|m|)^(k_m)/k_m! = num/den, not yet applied."""
-        terms = [(v, 0, 1, 1)]
-        for m in modes:
-            if not self._mode_plan(coords, m):
-                continue
-            u, new = abs(m), []
-            for cur, deg, num, den in terms:
-                new.append((cur, deg, num, den))
-                k = 1
-                while deg + k * u <= bound:
-                    cur = self.mode_apply(coords, m, cur)
-                    if not cur.terms and not cur.poisoned:
-                        break
-                    num, den = num * sign * self.p, den * u * k
-                    new.append((cur, deg + k * u, num, den))
-                    k += 1
-            terms = new
-        return terms
-
     @kept
     def _ann_expand(self, alpha, v: FockVector, sign: int):
         """exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for the lattice
         vector alpha (an int tuple), as (vector, annihilation degree
-        times p) pairs, kept per (alpha, v, sign).  Only the modes some
-        word of v holds act (_held_modes), and the degree is at most v's
-        over the floor, as no more can act (_exp_terms)."""
-        top = 0 if not v.terms else (
-            v.max_degree_k() - self.floor_k) // self.mode_step
-        return tuple(
-            (w if num == den else w.scale(CycScalar.from_ints(1, [num], den)),
-             e) for w, e, num, den in self._exp_terms(
-                self.basis.decompose(alpha), v, sign,
-                sorted(_held_modes(v)), top))
+        times p) pairs, one per path of mode powers, kept per (alpha, v,
+        sign).  Each word that holds a mode reads its table
+        (GradedBasis.annihilation_terms); on several words a path sums
+        their terms, a path with no sum is left out, and the paths are in
+        lexicographic order of the powers over the modes v holds, the
+        empty path, v itself, first."""
+        held = _held_modes(v)
+        if not held:
+            return ((v, 0),)
+        coords = self.basis.decompose(alpha)
+        table = self.basis.annihilation_terms
+        if len(v.terms) == 1:
+            # the table itself, in its order: half the cost of the merge
+            ((word, iota), coeff), = v.terms.items()
+            return ((v, 0),) + tuple(
+                (FockVector._of(self, {(w, iota): _times(coeff, x)
+                                       for w, x in terms}), e)
+                for e, _path, terms in table(coords, word, sign)[1:])
+        paths = {}
+        for (word, iota), coeff in v.terms.items():
+            if not word:
+                continue
+            for e, path, terms in table(coords, word, sign)[1:]:
+                out = paths.setdefault(path, (e, {}))[1]
+                for w, x in terms:
+                    _add_term(out, (w, iota), _times(coeff, x))
+        modes = sorted(held)
+        order = sorted(paths.items(), key=lambda item: [
+            dict(item[0]).get(m, 0) for m in modes])
+        return ((v, 0),) + tuple((FockVector._of(self, terms), e)
+                                 for _path, (e, terms) in order if terms)
 
     def _cre_expand(self, coords, v: FockVector, target: int,
                     sign: int = 1):
         """Coefficient of z^(target/p) of exp(sum_(n<0) -sign*coords(n)/n
         z^(-n)) applied to v (creation side), target scaled by p: the
-        terms of degree target (_exp_terms), or poisoned when a word of
-        v would pass the cap."""
+        eigenbasis's table (GradedBasis.creation_terms) added to each
+        word of v, or poisoned when a word of v would pass the cap."""
         if target == 0 or not v.terms:
             return v
         used = max(-sum(m for m, _ in word) for (word, _i) in v.terms)
         if used + target > self.cap:
             return FockVector._of(self, {}, True)
-        return _summed(self, (
-            (w, ONE if num == den else CycScalar.from_ints(1, [num], den))
-            for w, e, num, den in self._exp_terms(
-                coords, v, sign, range(-1, -target - 1, -1), target)
-            if e == target))
+        table = self.basis.creation_terms(coords, target, sign)
+        out = {}
+        for (word, iota), coeff in v.terms.items():
+            for added, x in table:
+                _add_term(out, (tuple(sorted(word + added)), iota),
+                          _times(coeff, x))
+        return FockVector._of(self, out)
 
     @kept
     def vertex_exponents_k(self, alpha) -> tuple:

