@@ -837,31 +837,39 @@ class EnumerationResult:
 # key (`_kept`): the enumeration result ("result",), the lattice's
 # eigenbasis ("basis",), the regular vacuum spaces ("regular", bound)
 # and the class vacuum spaces (`_vacuum_key`), each vacuum space with
-# its own module tables, and the twist's integer tables ("twist",),
-# a `lattice._IntegerTables`.  Beside it, the summed weight of the kept
-# values (`_weight`), per kind of value (a key's first item) the hits
-# and misses since the last clear, and `_tables_index`, integer tables
-# that kept contents hold, by (Gram matrix, sigma) (`_read_tables`);
-# the lock guards them, not the building of a value.
+# its own module tables, and for a twist with default seeds its
+# integer tables ("twist",), a `lattice._IntegerTables`, which
+# `_read_tables` finds under the same key.  Beside it, the summed
+# weight of the kept values (`_weight`) and, per kind of value (a
+# key's first item), the hits and misses since the last clear; the
+# lock guards them, not the building of a value.
 _memo: dict = {}
 _memo_lock = threading.Lock()
 _memo_held = 0
 _hits = collections.Counter()
 _misses = collections.Counter()
-_tables_index: dict = {}
 
 
 def _content_key(T: TwistData):
     """Everything an enumeration's outcome depends on: the lattice (Gram
-    matrix and sigma), the cocycle's exponents (epsilon's matrix on its
-    order, phi(e_i) on the twist's grid, and the grid) and the two caps
-    that can turn the same twist into a refusal, MAX_WORK and
-    `twistlab.scalar.CONDUCTOR_CAP`.  The eigenbasis and the vacuum
-    spaces depend on nothing else of the twist."""
+    matrix and sigma), the cocycle and the two caps that can turn the
+    same twist into a refusal, MAX_WORK and
+    `twistlab.scalar.CONDUCTOR_CAP`.  With default seeds the cocycle is
+    a function of the lattice, so it is None there; a twist with seeds
+    gives its exponents (epsilon's matrix on its order, phi(e_i) on the
+    twist's grid, and the grid).  The eigenbasis and the vacuum spaces
+    depend on nothing else of the twist."""
     lat = T.lattice
-    return (lat.gram, lat.sigma, T.eps_order, T.eps_exponents, T.grid,
-            tuple((x.q, x.k) for x in T.phi_basis), MAX_WORK,
-            scalar_module.CONDUCTOR_CAP)
+    seeds = None if T._default_seeds else (
+        T.eps_order, T.eps_exponents, T.grid,
+        tuple((x.q, x.k) for x in T.phi_basis))
+    return _lattice_key(lat.gram, lat.sigma, seeds)
+
+
+def _lattice_key(gram, sigma, seeds=None):
+    """The content key of the integer lattice (gram, sigma) with the
+    cocycle seeds, None for the defaults, under the current caps."""
+    return gram, sigma, seeds, MAX_WORK, scalar_module.CONDUCTOR_CAP
 
 
 def _vacuum_key(mu_choice, ideal_index, xi0, eta):
@@ -895,27 +903,18 @@ def _lookup(key):
     return values
 
 
-def _index_tables(tables):
-    """Let `_read_tables` find tables a kept content holds, unless it
-    finds the lattice's tables with the default twist's already; the
-    caller holds the lock."""
-    key = tables.gram, tables.sigma
-    old = _tables_index.get(key)
-    if old is None or old.twist is None:
-        _tables_index[key] = tables
-
-
 def _read_tables(gram, sigma):
-    """The tables kept for the integer lattice (gram, sigma), or None:
-    `TwistedLattice` and `TwistData` read them instead of building
-    their own.  A read is a twist hit or miss."""
+    """The integer tables of the default twist on (gram, sigma), while
+    the memo keeps its content, or None: `TwistedLattice` and
+    `TwistData` read them instead of building their own.  A read is a
+    twist hit or miss."""
     with _memo_lock:
-        tables = _tables_index.get((gram, sigma))
-        if tables is None:
+        values = _memo.get(_lattice_key(gram, sigma))
+        if values is None:
             _misses["twist"] += 1
-        else:
-            _hits["twist"] += 1
-        return tables
+            return None
+        _hits["twist"] += 1
+        return values[("twist",)]
 
 
 def _tally(kind):
@@ -929,16 +928,10 @@ def _tally(kind):
 
 def _evict():
     """Drop the least recently used contents while the kept weight
-    passes MAX_WORK, and their tables from the index; the caller holds
-    the lock."""
+    passes MAX_WORK; the caller holds the lock."""
     global _memo_held
     while _memo_held > MAX_WORK:
-        values = _memo.pop(next(iter(_memo)))
-        _memo_held -= _weight(values)
-        tables = values[("twist",)]
-        key = tables.gram, tables.sigma
-        if _tables_index.get(key) is tables:
-            del _tables_index[key]
+        _memo_held -= _weight(_memo.pop(next(iter(_memo))))
 
 
 def _kept(T: TwistData, key, build):
@@ -948,18 +941,20 @@ def _kept(T: TwistData, key, build):
     passes MAX_WORK; a value heavier than that alone is not kept, and
     an exception never is.
 
-    A content that keeps a value keeps T's integer tables beside it, at
-    weight one (`TwistData._integer_tables`): the lattice's validated
-    Gram matrix and sigma, p, `sigma_pows` and `commutator_exponents`,
-    and for a twist with default seeds its `eps_order`,
-    `eps_exponents`, `grid` and `phi_basis`.  While the content stays,
-    a `TwistedLattice` of the same integer Gram matrix and sigma reads
-    the lattice's tables instead of building them, and a `TwistData` on
-    it without seeds the twist's; a twist with seeds builds its own.
-    Every construction is still one object with its own memos: only
-    tuples and `RootPair`s are shared.  `enumeration_memo_counts` reads
-    the hits, misses and contents, and `clear_enumeration_memo` empties
-    the memo."""
+    A content of a twist with default seeds keeps the twist's integer
+    tables beside its first value, at weight one
+    (`TwistData._integer_tables`): the lattice's validated Gram matrix
+    and sigma, p, `sigma_pows` and `commutator_exponents`, and the
+    twist's `eps_order`, `eps_exponents`, `grid` and `phi_basis`.  Its
+    key is the lattice's under the current caps (`_lattice_key`), so
+    while it stays, a `TwistedLattice` of the same integer Gram matrix
+    and sigma reads the lattice's tables instead of building them
+    (`_read_tables`), and a `TwistData` on it without seeds the
+    twist's; a twist with seeds builds its own, and its content keeps
+    no tables.  Every construction is still one object with its own
+    memos: only tuples and `RootPair`s are shared.
+    `enumeration_memo_counts` reads the hits, misses and contents, and
+    `clear_enumeration_memo` empties the memo."""
     global _memo_held
     content = _content_key(T)
     with _memo_lock:
@@ -967,27 +962,23 @@ def _kept(T: TwistData, key, build):
         value = None if values is None else values.get(key)
         if value is not None:
             _hits[key[0]] += 1
-            if T.lattice._integer_tables is None:
-                _index_tables(values[("twist",)])
             return value
         _misses[key[0]] += 1
     value = build()
     weight = _value_weight(key, value)
-    tables = T._integer_tables()
+    tables = T._integer_tables() if T._default_seeds else None
     with _memo_lock:
         values = _lookup(content)
-        if values is None:
-            values = {}
         if weight <= MAX_WORK:
-            if key in values:
+            if values is None:
+                values = _memo[content] = {}
+                if tables is not None:
+                    values[("twist",)] = tables
+                    _memo_held += 1
+            elif key in values:
                 return values[key]
-            _memo[content] = values
             values[key] = value
             _memo_held += weight
-            if ("twist",) not in values:
-                values[("twist",)] = tables
-                _memo_held += 1
-            _index_tables(values[("twist",)])
         _evict()
     return value
 
@@ -1043,7 +1034,6 @@ def clear_enumeration_memo():
     global _memo_held
     with _memo_lock:
         _memo.clear()
-        _tables_index.clear()
         _memo_held = 0
         _hits.clear()
         _misses.clear()

@@ -65,10 +65,10 @@ class TwistData:
     obstruction scan its one verdict, and `presentation` is the
     classifier's presentation of the algebra A, built once.
 
-    A twist without seeds on a lattice read from the enumeration
-    memo's tables (`TwistedLattice`) reads `eps_order`,
-    `eps_exponents`, `grid` and `phi_basis` there too, when the memo
-    keeps them for the default twist (`classify._kept`).  Each
+    Without seeds the twist is a function of its lattice, so on a
+    lattice read from the enumeration memo's tables (`TwistedLattice`)
+    it reads `eps_order`, `eps_exponents`, `grid` and `phi_basis` there
+    too (`classify._kept`); a twist with seeds builds its own.  Each
     construction is still its own twist, with its own memos; only
     tuples and `RootPair`s are shared."""
 
@@ -76,7 +76,7 @@ class TwistData:
         self.lattice = lattice
         self._default_seeds = eps_seed is None and not phi_seed
         tables = lattice._integer_tables
-        if self._default_seeds and tables is not None and tables.twist:
+        if self._default_seeds and tables is not None:
             n, self.eps_exponents, grid, self.phi_basis = tables.twist
             self.eps_order, self.grid, self._eps_step = n, grid, grid // n
             self.one = RootPair(1, 0, grid)
@@ -129,17 +129,15 @@ class TwistData:
                                for q, m, j in phi)
 
     def _integer_tables(self) -> _IntegerTables:
-        """The tables the enumeration memo keeps for this twist's
-        content: its lattice's, with the twist's own when its seeds are
-        the defaults."""
+        """The tables the enumeration memo keeps for the content of this
+        twist, which has default seeds: its lattice's and its own."""
         lat = self.lattice
-        read = lat._integer_tables
-        if read is not None and (read.twist or not self._default_seeds):
-            return read
-        twist = ((self.eps_order, self.eps_exponents, self.grid,
-                  self.phi_basis) if self._default_seeds else None)
+        if lat._integer_tables is not None:
+            return lat._integer_tables
         return _IntegerTables(lat.gram, lat.sigma, lat.p, lat.sigma_pows,
-                              lat.commutator_exponents, twist)
+                              lat.commutator_exponents,
+                              (self.eps_order, self.eps_exponents,
+                               self.grid, self.phi_basis))
 
     @cached_property
     def eps_seed(self) -> dict:

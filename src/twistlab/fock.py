@@ -40,11 +40,13 @@ exponentials on bare creation words, which read only the eigenbasis
 (GradedBasis.creation_terms and annihilation_terms): the z^degree
 coefficient of the creation exponential as the words it adds, and the
 annihilation exponential on one word, path by path.  A module merges
-them into the words of a vector (FockModule._cre_expand and
-_ann_expand), so every job, truncation and vacuum space of a content
-reads the same tables.  The eigen-coordinates the eigenbasis hands out
-(decompose, units, duals) hash their scalars once, so a memo keyed by
-them, the plans and the tables, hashes no scalar on a read.
+them into the words of a vector on every call (FockModule._cre_expand
+and _ann_expand, which keep no memo of their own: one keyed by the
+vector would hash its scalars), so every job, truncation and vacuum
+space of a content reads the same tables.  The eigen-coordinates the
+eigenbasis hands out (decompose, units, duals) hash their scalars once,
+so a memo keyed by them, the plans and the tables, hashes no scalar on
+a read.
 
 Vectors are values, so a vector keeps its hash and its degree
 (max_degree_k) beside its terms once computed.  Both vacuum spaces,
@@ -1138,16 +1140,14 @@ class FockModule:
 
     # -- exponential factors and vertex operators ---------------------
 
-    @kept
     def _ann_expand(self, alpha, v: FockVector, sign: int):
         """exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for the lattice
         vector alpha (an int tuple), as (vector, annihilation degree
-        times p) pairs, one per path of mode powers, kept per (alpha, v,
-        sign).  Each word that holds a mode reads its table
-        (GradedBasis.annihilation_terms); on several words a path sums
-        their terms, a path with no sum is left out, and the paths are in
-        lexicographic order of the powers over the modes v holds, the
-        empty path, v itself, first."""
+        times p) pairs, one per path of mode powers.  Each word that
+        holds a mode reads its table (GradedBasis.annihilation_terms); on
+        several words a path sums their terms, a path with no sum is left
+        out, and the paths are in lexicographic order of the powers over
+        the modes v holds, the empty path, v itself, first."""
         held = _held_modes(v)
         if not held:
             return ((v, 0),)

@@ -15,18 +15,18 @@ class LatticeError(Exception):
 
 
 class _IntegerTables(NamedTuple):
-    """The immutable integer tables of a lattice whose twist the
-    enumeration memo keeps (`classify._kept`), shared by every lattice
-    and twist read from them: the lattice's validated Gram matrix and
-    sigma, p, `sigma_pows` and `commutator_exponents`, and `twist`, the
-    default-seed twist's (eps_order, eps_exponents, grid, phi_basis), or
-    None for tables kept from a seeded twist."""
+    """The immutable integer tables of a default-seed twist whose
+    content the enumeration memo keeps (`classify._kept`), shared by
+    every lattice and twist read from them: the lattice's validated
+    Gram matrix and sigma, p, `sigma_pows` and `commutator_exponents`,
+    and `twist`, the twist's (eps_order, eps_exponents, grid,
+    phi_basis)."""
     gram: tuple
     sigma: tuple
     p: int
     sigma_pows: tuple
     commutator_exponents: tuple
-    twist: tuple | None
+    twist: tuple
 
 
 def _integer_matrix(rows, name):
@@ -89,10 +89,10 @@ class TwistedLattice:
     refused, not truncated, and so is anything that is not rows of
     numbers), and sigma's order is searched through at most as many
     powers as the largest finite order in GL_l(Z) (`_max_order`).
-    While the enumeration memo keeps a twist on the same integer Gram
-    matrix and sigma (`classify._kept`), the lattice reads that
-    twist's tables (`_integer_tables`): the
-    validated Gram matrix and sigma, p, `sigma_pows` and
+    While the enumeration memo keeps the content of the default-seed
+    twist on the same integer Gram matrix and sigma (`classify._kept`),
+    the lattice reads that twist's tables (`_integer_tables`, None on
+    a miss): the validated Gram matrix and sigma, p, `sigma_pows` and
     `commutator_exponents`, with no validation left to do.  Each
     construction is still its own lattice, with its own derived values;
     only the tables' tuples are shared."""

@@ -601,7 +601,7 @@ def test_integer_twist_matches_the_scalar_seeds():
 
     from twistlab import classify
 
-    ranks, odd, indefinite, phi_moved, hits = set(), 0, 0, 0, 0
+    ranks, odd, indefinite, phi_moved, agreed = set(), 0, 0, 0, 0
     for lat in _cocycle_property_lattices():
         l, p = lat.rank, lat.p
         ranks.add(l)
@@ -633,13 +633,17 @@ def test_integer_twist_matches_the_scalar_seeds():
             a, b = rnd_vec(rng, l, 2), rnd_vec(rng, l, 2)
             assert lat.commutator_exponent(a, b) == \
                 W.intmath.commutator_exponent(gram, pows, a, b)
-        # the seeded twist is a memo hit of the plain one
-        assert classify._content_key(plain) == classify._content_key(seeded)
+        # the seeded twist is a content of its own, enumerated on its
+        # own, and it has the plain twist's classes
+        assert classify._content_key(plain) != classify._content_key(seeded)
         try:
             res = enumerate_simple_twisted(plain)
         except classify.ClassifyError:
             continue
-        assert enumerate_simple_twisted(seeded) is res
-        hits += 1
+        own = enumerate_simple_twisted(seeded)
+        assert own is not res
+        assert W.summarize_classify(own) == W.summarize_classify(res)
+        agreed += 1
     assert ranks == {1, 2, 3, 4}
-    assert odd >= 15 and indefinite >= 15 and phi_moved >= 5 and hits >= 100
+    assert odd >= 15 and indefinite >= 15 and phi_moved >= 5
+    assert agreed >= 100

@@ -23,9 +23,8 @@ from test_golden import TL, W
 from test_classify import neg
 from test_lattice import random_twisted_lattice
 
-LATTICE_FIELDS = ("rank", "gram", "sigma", "p", "sigma_pows", "norm",
-                  "gram_norm", "gram_prime", "commutator_exponents")
-TWIST_FIELDS = ("eps_order", "eps_exponents", "grid", "phi_basis")
+# the lattice's derived values, computed when first read
+LATTICE_CACHED = ("norm", "gram_norm", "gram_prime", "commutator_exponents")
 
 
 def _draws(seed, n, **kw):
@@ -50,11 +49,20 @@ def _twist(gram, sigma, **seeds):
     return TwistData(TwistedLattice(gram, sigma), **seeds)
 
 
+def _own(obj, skip):
+    """Every attribute obj's construction set, but its memos and skip."""
+    return {k: v for k, v in vars(obj).items()
+            if not k.startswith("_kept_") and k not in skip}
+
+
 def _fields(T):
+    """T and its lattice, read right after construction: every attribute
+    either set, whichever path built it, the lattice's derived values
+    and the content key."""
     lat = T.lattice
-    return ([getattr(lat, f) for f in LATTICE_FIELDS]
-            + [getattr(T, f) for f in TWIST_FIELDS]
-            + [classify._content_key(T)])
+    lattice = _own(lat, ("_integer_tables",))
+    lattice.update((f, getattr(lat, f)) for f in LATTICE_CACHED)
+    return lattice, _own(T, ("lattice",)), classify._content_key(T)
 
 
 def test_the_table_lattices():
@@ -94,27 +102,37 @@ def test_a_twist_read_from_kept_tables_is_the_fresh_one(gram, sigma):
 
 
 def test_seeded_twists_build_their_own_on_kept_tables():
-    # a twist with seeds reads its lattice's tables and builds its own
-    # cocycle data, which is what it is on an empty memo; tables kept
-    # from a seeded twist hold no twist, and the default twist's tables
-    # take their place in the lookup once kept
+    # a twist with seeds keeps no tables, so a lattice built after it
+    # reads none; once the default twist's content is kept, a twist
+    # with seeds reads its lattice's tables and builds its own cocycle
+    # data, which is what it is on an empty memo
     gram, sigma = [[2]], [[1]]
     seeds = {"phi_seed": {0: root_of_unity(8)}}
     fresh = _fields(_twist(gram, sigma, **seeds))
     fresh_default = _fields(_twist(gram, sigma))
     classify.clear_enumeration_memo()
-    enumerate_simple_twisted(_twist(gram, sigma, **seeds))
+    seeded = _twist(gram, sigma, **seeds)
+    res = enumerate_simple_twisted(seeded)
+    assert ("twist",) not in classify._memo[classify._content_key(seeded)]
+    assert enumeration_memo_counts()["twists"] == 0
     T = _twist(gram, sigma, **seeds)
-    assert T.lattice._integer_tables.twist is None
+    assert T.lattice._integer_tables is None
     assert _fields(T) == fresh
     plain = _twist(gram, sigma)
     assert _fields(plain) == fresh_default
     enumerate_simple_twisted(plain)
-    assert enumeration_memo_counts()["twists"] == 2
+    assert enumeration_memo_counts()["twists"] == 1
     again = _twist(gram, sigma)
     assert again.lattice._integer_tables.twist is not None
     assert _fields(again) == fresh_default
-    assert _fields(_twist(gram, sigma, **seeds)) == fresh
+    T = _twist(gram, sigma, **seeds)
+    assert T.lattice._integer_tables is again.lattice._integer_tables
+    assert _fields(T) == fresh
+    # still a hit of its own content, which still keeps no tables
+    assert enumerate_simple_twisted(T) is res
+    assert ("twist",) not in classify._memo[classify._content_key(T)]
+    counts = enumeration_memo_counts()
+    assert (counts["hits"], counts["misses"], counts["twists"]) == (1, 2, 1)
 
 
 def test_pool_draws_and_refusals_keep_nothing():
@@ -126,7 +144,7 @@ def test_pool_draws_and_refusals_keep_nothing():
     with pytest.raises(LatticeError):
         TwistedLattice([[1, 1], [1, 1]], [[1, 0], [0, 1]])
     assert enumeration_memo_counts()["twists"] == 0
-    assert classify._tables_index == {} and classify._memo_held == 0
+    assert classify._memo == {} and classify._memo_held == 0
 
 
 # each refusal after a valid twist that shares its Gram matrix or sigma:
@@ -229,7 +247,7 @@ def test_concurrent_constructions_keep_the_weight(monkeypatch):
     # under a budget of 14 that evicts: every construction is one twist
     # hit or miss, every read twist is the fresh one, the kept weight
     # is the sum of the kept values' weights, within the budget, and
-    # the lookup finds only tables that a kept content holds
+    # every kept content holds the tables of its own lattice
     monkeypatch.setattr(classify, "MAX_WORK", 14)
     expected = {n: _fields(_twist([[n]], [[1]])) for n in range(1, 5)}
     classify.clear_enumeration_memo()
@@ -266,10 +284,9 @@ def test_concurrent_constructions_keep_the_weight(monkeypatch):
         == 8 * 120 * 2
     assert counts["twist_hits"] > 0
     with classify._memo_lock:
-        entries = list(classify._memo.values())
+        kept = dict(classify._memo)
         held = classify._memo_held
-        index = dict(classify._tables_index)
-    assert held == sum(classify._weight(e) for e in entries) <= 14
-    assert counts["twists"] == len(entries)
-    kept = {id(e[("twist",)]) for e in entries}
-    assert all(id(t) in kept for t in index.values())
+    assert held == sum(classify._weight(e) for e in kept.values()) <= 14
+    assert counts["twists"] == len(kept)
+    assert all(key[:2] == (e[("twist",)].gram, e[("twist",)].sigma)
+               for key, e in kept.items())

@@ -25,7 +25,7 @@ KEPT = {
     RegularOmega: ("e_act",),
     TwistData: ("phi", "orbit_product"),
     FockModule: ("tilde", "vertex_series", "vertex_exponents_k",
-                 "_ann_expand", "_mode_plan"),
+                 "_mode_plan"),
 }
 
 
