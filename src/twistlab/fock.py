@@ -43,7 +43,11 @@ annihilation exponential on one word, path by path.  A module merges
 them into the words of a vector on every call (FockModule._cre_expand
 and _ann_expand, which keep no memo of their own: one keyed by the
 vector would hash its scalars), so every job, truncation and vacuum
-space of a content reads the same tables.  The eigen-coordinates the
+space of a content reads the same tables.  A vertex coefficient reads
+only what can reach its slot: no annihilation path of a word passes
+the word's own creation degree, so a word below the slot's reach reads
+no table, and _ann_expand builds only the paths of at least the degree
+its caller asks for.  The eigen-coordinates the
 eigenbasis hands out (decompose, units, duals) hash their scalars once,
 so a memo keyed by them, the plans and the tables, hashes no scalar on
 a read.
@@ -1140,39 +1144,46 @@ class FockModule:
 
     # -- exponential factors and vertex operators ---------------------
 
-    def _ann_expand(self, alpha, v: FockVector, sign: int):
+    def _ann_expand(self, alpha, v: FockVector, sign: int, least: int = 0):
         """exp(sum_(n>0) sign*alpha(n)/n z^(-n)) on v, for the lattice
         vector alpha (an int tuple), as (vector, annihilation degree
-        times p) pairs, one per path of mode powers.  Each word that
-        holds a mode reads its table (GradedBasis.annihilation_terms); on
-        several words a path sums their terms, a path with no sum is left
-        out, and the paths are in lexicographic order of the powers over
-        the modes v holds, the empty path, v itself, first."""
+        times p) pairs, one per path of mode powers of degree e >= least
+        (scaled by p too): only those paths are built.
+        Each word that holds a mode reads its table
+        (GradedBasis.annihilation_terms); on several words a path sums
+        their terms, a path with no sum is left out, and the paths are
+        in lexicographic order of the powers over the modes v holds.
+        The empty path, v itself, comes first when least <= 0; a v that
+        holds no mode has no other path."""
+        head = ((v, 0),) if least <= 0 else ()
         held = _held_modes(v)
         if not held:
-            return ((v, 0),)
+            return head
         coords = self.basis.decompose(alpha)
         table = self.basis.annihilation_terms
         if len(v.terms) == 1:
             # the table itself, in its order: half the cost of the merge
             ((word, iota), coeff), = v.terms.items()
-            return ((v, 0),) + tuple(
+            return head + tuple(
                 (FockVector._of(self, {(w, iota): _times(coeff, x)
                                        for w, x in terms}), e)
-                for e, _path, terms in table(coords, word, sign)[1:])
+                for e, _path, terms in table(coords, word, sign)[1:]
+                if e >= least)
         paths = {}
         for (word, iota), coeff in v.terms.items():
             if not word:
                 continue
             for e, path, terms in table(coords, word, sign)[1:]:
+                if e < least:
+                    continue
                 out = paths.setdefault(path, (e, {}))[1]
                 for w, x in terms:
                     _add_term(out, (w, iota), _times(coeff, x))
         modes = sorted(held)
         order = sorted(paths.items(), key=lambda item: [
             dict(item[0]).get(m, 0) for m in modes])
-        return ((v, 0),) + tuple((FockVector._of(self, terms), e)
-                                 for _path, (e, terms) in order if terms)
+        return head + tuple((FockVector._of(self, terms), e)
+                            for _path, (e, terms) in order if terms)
 
     def _cre_expand(self, coords, v: FockVector, target: int,
                     sign: int = 1):
@@ -1220,13 +1231,13 @@ class FockModule:
                 # creation degree = -m - 1 - a_exp + annihilation
                 # degree; scaled by p it must be an integer
                 low, off = divmod(-k - D - exps[iota], step)
-                if off:
+                # no path of a word passes its own creation degree
+                if off or low - sum(m for m, _j in word) < 0:
                     continue
                 base = FockVector._of(self, {(word, iota): coeff})
-                for (v1, eplus) in self._ann_expand(alpha, base, -1):
-                    if low + eplus >= 0:
-                        v2 = self._cre_expand(coords, v1, low + eplus)
-                        yield e_alpha.apply(v2), ONE
+                for (v1, eplus) in self._ann_expand(alpha, base, -1, -low):
+                    v2 = self._cre_expand(coords, v1, low + eplus)
+                    yield e_alpha.apply(v2), ONE
 
         def fn(k):
             return FockOp(

@@ -1009,4 +1009,4 @@ def test_table_counts_against_a_counted_run(monkeypatch):
         built = len(set(seen))
         assert (counts[one + "s"], counts[one + "_hits"],
                 counts[one + "_misses"]) == (built, len(seen) - built, built)
-    assert _table_counts() == (108, 678, 108, 84, 951, 84)
+    assert _table_counts() == (108, 678, 108, 18, 36, 18)

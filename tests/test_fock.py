@@ -1465,6 +1465,107 @@ def test_annihilation_expansion_tries_only_held_modes(monkeypatch):
     assert calls == []
 
 
+def test_annihilation_expansion_keeps_the_paths_at_least_asked():
+    # the paths of degree e >= least, in the full expansion's order: the
+    # empty path, v itself, only when least <= 0, and none past the top
+    seen = cut = 0
+    for M, alphas, vecs in _expansion_cases(2004):
+        for alpha in alphas:
+            coords = M.basis.decompose(alpha)
+            for v in vecs:
+                for sign in (-1, 1):
+                    full = _fraction_ann_expand(M, coords, v, sign)
+                    for least in (-M.p, 0, 1, M.p, 2 * M.p + 1, 4 * M.p):
+                        want = [(w, e) for w, e in full if e >= least]
+                        got = M._ann_expand(alpha, v, sign, least)
+                        assert list(got) == want, (alpha, v, sign, least)
+                        seen += len(want) > 1
+                        cut += 0 < len(want) < len(full)
+    assert seen > 100 and cut > 100
+
+
+def _fraction_vertex_coeff(M, alpha, k, v):
+    """The slot-k coefficient of X_alpha(z) on v, composed term by term
+    from the Fraction expansions and the vacuum space's e(alpha), with
+    no table, plan or memo of the module: poisoned when a creation
+    passes the cap or e(alpha) leaves the window."""
+    coords = M.basis.decompose(alpha)
+    exps = M.vertex_exponents_k(alpha)
+    out = FockVector(M, {})
+    for (word, iota), coeff in v.terms.items():
+        low, off = divmod(-k - M.grid - exps[iota], M.mode_step)
+        if off:
+            continue
+        base = FockVector(M, {(word, iota): coeff})
+        for v1, e in _fraction_ann_expand(M, coords, base, -1):
+            if low + e < 0:
+                continue
+            v2 = _fraction_cre_expand(M, coords, v1, low + e, 1)
+            if v2.poisoned:
+                return FockVector(M, {}, True)
+            for (w, i), x in v2.terms.items():
+                image = M.omega.e_act(tuple(alpha), i)
+                if image is None:
+                    return FockVector(M, {}, True)
+                out = out + FockVector(M, {(w, image[0]): x * image[1]})
+    return out
+
+
+def _a2_rot3_modules(trunc):
+    from twistlab.classify import enumerate_simple_twisted, instantiate_class
+
+    T = TwistData(TwistedLattice(*W.OPS_LATTICES["A2.rot3"]))
+    yield FockModule(T, RegularOmega(T, 1), trunc)
+    yield instantiate_class(T, enumerate_simple_twisted(T).classes[1], trunc)
+
+
+def test_vertex_coefficients_match_the_fraction_composition():
+    # on every basis vector up to the truncation of a regular and a
+    # class module of A2 with the order-3 rotation, at slots from below
+    # every word's reach (zero) to past the cap (poisoned): the
+    # coefficient equals the term-by-term composition, poison included
+    zero = nonzero = poisoned = 0
+    for M in _a2_rot3_modules(2):
+        vecs = M.basis_vectors(2)
+        for alpha in [(1, 0), (1, 1), (-1, 2)]:
+            series = M.vertex_series(alpha)
+            exps = M.vertex_exponents_k(alpha)
+            slots = {-M.grid - x - low * M.mode_step for x in set(exps)
+                     for low in range(-M.cap - 2, M.cap + 2)}
+            for k in sorted(slots):
+                for v in vecs:
+                    got = series._at(k).apply(v)
+                    want = _fraction_vertex_coeff(M, alpha, k, v)
+                    assert got == want, (alpha, k, v)
+                    zero += got.is_zero() and not got.poisoned
+                    nonzero += bool(got.terms)
+                    poisoned += got.poisoned
+    assert zero > 100 and nonzero > 100 and poisoned > 100
+
+
+def test_a_coefficient_below_every_reach_reads_no_table(monkeypatch):
+    # at a slot below every word's reach (low + the word's creation
+    # degree < 0 on every line) no path can contribute: the coefficient
+    # is zero and reads no annihilation table; one slot higher the top
+    # words of the lines of least exponent read theirs
+    for M in _a2_rot3_modules(2):
+        alpha = (1, 0)
+        vecs = M.basis_vectors(2)
+        x = min(M.vertex_exponents_k(alpha))
+        reads = []
+        table = M.basis.annihilation_terms
+        monkeypatch.setattr(M.basis, "annihilation_terms",
+                            lambda *args: reads.append(args) or table(*args))
+        below = -M.grid - x + (M.cap + 1) * M.mode_step
+        for v in vecs:
+            assert M.vertex_series(alpha)._at(below).apply(v) == M.zero_vec()
+        assert reads == []
+        for v in vecs:
+            M.vertex_series(alpha)._at(below - M.mode_step).apply(v)
+        assert reads
+        monkeypatch.undo()
+
+
 def test_creation_coefficients_match_the_fraction_formula():
     nontrivial = poisoned = 0
     for M, alphas, vecs in _expansion_cases(2002):
