@@ -14,9 +14,10 @@ def keep_twistlab_modules():
     """Restore the twistlab entries of sys.modules after each test.
 
     perfbench/run.py's load_twistlab imports twistlab afresh.  Without
-    the restore, the library's in-function imports in later tests would
-    bind to those fresh modules while the tests hold the classes of the
-    first import."""
+    the restore, the library's in-function imports in later tests (the
+    only ones left are classify's two of fock) would bind to those
+    fresh modules while the tests hold the classes of the first
+    import."""
     saved = _twistlab_modules()
     yield
     for name in _twistlab_modules():

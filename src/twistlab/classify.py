@@ -3,16 +3,18 @@ automorphism and their eigendata, the relation-quotient algebra A, its
 graded block decomposition, and enumeration of simple-module classes."""
 from __future__ import annotations
 
-import collections
 import itertools
 import math
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING
 
-from ._kept import kept, kept_count
+from . import _kept
+# the enumeration memo's counts and clear are public here
+from ._kept import (
+    clear_enumeration_memo, enumeration_memo_counts, kept, kept_value,
+    vacuum_key)
 from .fdist import vector_status, worst_status
 from .lattice import TwistedLattice
 from .linalg import (
@@ -25,7 +27,6 @@ from .linalg import (
     snf,
     transpose,
 )
-from . import scalar as scalar_module
 from .scalar import (
     CycScalar,
     ONE,
@@ -36,10 +37,6 @@ from .scalar import (
 if TYPE_CHECKING:
     from .cocycle import TwistData
 
-# a bound on the work of one enumeration: root choices times |E|^2, the
-# number of multiplication scalars tau over all root choices, and root
-# choices times the eta cosets, the classes of a one-block algebra
-MAX_WORK = 2 ** 16
 # the degree window of a class vacuum space: lifts k with |k_i| <= WINDOW
 WINDOW = 2
 
@@ -51,7 +48,7 @@ class ClassifyError(Exception):
 class SizeCapExceeded(ClassifyError):
     """Raised when the work over the root choices of an enumeration,
     root choices times |E|^2 or root choices times the eta cosets,
-    would exceed MAX_WORK, or when the basis
+    would exceed `_kept.MAX_WORK`, or when the basis
     vectors of a Fock module up to its truncation, creation words times
     vacuum lines, would exceed `twistlab.fock.MAX_BASIS`."""
 
@@ -374,11 +371,11 @@ class Presentation:
             [tuple(v) for v in kernel_basis([list(r) for r in lat.norm])],
             self._khnf, lat.rank)
         choices = math.prod(self.dec.lengths)
-        if choices * E.size ** 2 > MAX_WORK:
+        if choices * E.size ** 2 > _kept.MAX_WORK:
             raise SizeCapExceeded(
                 f"{choices} root choices times the squared size "
                 f"{E.size}^2 of the degree-zero component exceed the "
-                f"work cap {MAX_WORK}")
+                f"work cap {_kept.MAX_WORK}")
         return E
 
     def bichar_exponent(self, g, h) -> int:
@@ -776,10 +773,10 @@ def eta_cosets(lat: TwistedLattice, choices: int = 1):
     sub = transpose(mat_mul(ginv, mat_mul(
         [list(b) for b in F], [list(r) for r in lat.gram_norm])))
     Q = FiniteQuotient(ambient, sub, f, L * p)
-    if choices * Q.size > MAX_WORK:
+    if choices * Q.size > _kept.MAX_WORK:
         raise SizeCapExceeded(
             f"{choices} root choices times the {Q.size} eta cosets exceed "
-            f"the work cap {MAX_WORK}")
+            f"the work cap {_kept.MAX_WORK}")
     M = lat.fixed_pairing
     reps = []
     for cds in Q.elements():
@@ -832,211 +829,13 @@ class EnumerationResult:
     orbit_lengths: tuple
 
 
-# The process-wide memo: per twist content (`_content_key`), least
-# recently used first, the one owner of the content's values, a dict by
-# key (`_kept`): the enumeration result ("result",), the lattice's
-# eigenbasis ("basis",), the regular vacuum spaces ("regular", bound)
-# and the class vacuum spaces (`_vacuum_key`), each vacuum space with
-# its own module tables, and for a twist with default seeds its
-# integer tables ("twist",), a `lattice._IntegerTables`, which
-# `_read_tables` finds under the same key.  Beside it, the summed
-# weight of the kept values (`_weight`) and, per kind of value (a
-# key's first item), the hits and misses since the last clear; the
-# lock guards them, not the building of a value.
-_memo: dict = {}
-_memo_lock = threading.Lock()
-_memo_held = 0
-_hits = collections.Counter()
-_misses = collections.Counter()
-
-
-def _content_key(T: TwistData):
-    """Everything an enumeration's outcome depends on: the lattice (Gram
-    matrix and sigma), the cocycle and the two caps that can turn the
-    same twist into a refusal, MAX_WORK and
-    `twistlab.scalar.CONDUCTOR_CAP`.  With default seeds the cocycle is
-    a function of the lattice, so it is None there; a twist with seeds
-    gives its exponents (epsilon's matrix on its order, phi(e_i) on the
-    twist's grid, and the grid).  The eigenbasis and the vacuum spaces
-    depend on nothing else of the twist."""
-    lat = T.lattice
-    seeds = None if T._default_seeds else (
-        T.eps_order, T.eps_exponents, T.grid,
-        tuple((x.q, x.k) for x in T.phi_basis))
-    return _lattice_key(lat.gram, lat.sigma, seeds)
-
-
-def _lattice_key(gram, sigma, seeds=None):
-    """The content key of the integer lattice (gram, sigma) with the
-    cocycle seeds, None for the defaults, under the current caps."""
-    return gram, sigma, seeds, MAX_WORK, scalar_module.CONDUCTOR_CAP
-
-
-def _vacuum_key(mu_choice, ideal_index, xi0, eta):
-    """The key of a class vacuum space among its content's values."""
-    return ("class", tuple(mu_choice), ideal_index, tuple(xi0), tuple(eta))
-
-
-def _value_weight(key, value) -> int:
-    """What a kept value counts against MAX_WORK: a result one for
-    itself, one per entry and one per class, so results without classes
-    count too; a vacuum space its number of lines; the eigenbasis and
-    the twist's tables one each."""
-    if key[0] == "result":
-        return 1 + len(value.entries) + len(value.classes)
-    if key[0] in ("basis", "twist"):
-        return 1
-    return value.size
-
-
-def _weight(values: dict) -> int:
-    """What a content's kept values count against MAX_WORK."""
-    return sum(_value_weight(k, v) for k, v in values.items())
-
-
-def _lookup(key):
-    """The values kept for the content key, now the most recently used,
-    or None; the caller holds the lock."""
-    values = _memo.pop(key, None)
-    if values is not None:
-        _memo[key] = values
-    return values
-
-
-def _read_tables(gram, sigma):
-    """The integer tables of the default twist on (gram, sigma), while
-    the memo keeps its content, or None: `TwistedLattice` and
-    `TwistData` read them instead of building their own.  A read is a
-    twist hit or miss."""
-    with _memo_lock:
-        values = _memo.get(_lattice_key(gram, sigma))
-        if values is None:
-            _misses["twist"] += 1
-            return None
-        _hits["twist"] += 1
-        return values[("twist",)]
-
-
-def _tally(kind):
-    """The read tally (`_kept.kept`) of a table an eigenbasis keeps: a
-    hit or a miss of that kind, counted under the lock."""
-    def count(hit):
-        with _memo_lock:
-            (_hits if hit else _misses)[kind] += 1
-    return count
-
-
-def _evict():
-    """Drop the least recently used contents while the kept weight
-    passes MAX_WORK; the caller holds the lock."""
-    global _memo_held
-    while _memo_held > MAX_WORK:
-        _memo_held -= _weight(_memo.pop(next(iter(_memo))))
-
-
-def _kept(T: TwistData, key, build):
-    """The value under key of T's content: read from the content's kept
-    values, or built by build() and kept there.  The least recently
-    used contents leave, with all their values, while the kept weight
-    passes MAX_WORK; a value heavier than that alone is not kept, and
-    an exception never is.
-
-    A content of a twist with default seeds keeps the twist's integer
-    tables beside its first value, at weight one
-    (`TwistData._integer_tables`): the lattice's validated Gram matrix
-    and sigma, p, `sigma_pows` and `commutator_exponents`, and the
-    twist's `eps_order`, `eps_exponents`, `grid` and `phi_basis`.  Its
-    key is the lattice's under the current caps (`_lattice_key`), so
-    while it stays, a `TwistedLattice` of the same integer Gram matrix
-    and sigma reads the lattice's tables instead of building them
-    (`_read_tables`), and a `TwistData` on it without seeds the
-    twist's; a twist with seeds builds its own, and its content keeps
-    no tables.  Every construction is still one object with its own
-    memos: only tuples and `RootPair`s are shared.
-    `enumeration_memo_counts` reads the hits, misses and contents, and
-    `clear_enumeration_memo` empties the memo."""
-    global _memo_held
-    content = _content_key(T)
-    with _memo_lock:
-        values = _lookup(content)
-        value = None if values is None else values.get(key)
-        if value is not None:
-            _hits[key[0]] += 1
-            return value
-        _misses[key[0]] += 1
-    value = build()
-    weight = _value_weight(key, value)
-    tables = T._integer_tables() if T._default_seeds else None
-    with _memo_lock:
-        values = _lookup(content)
-        if weight <= MAX_WORK:
-            if values is None:
-                values = _memo[content] = {}
-                if tables is not None:
-                    values[("twist",)] = tables
-                    _memo_held += 1
-            elif key in values:
-                return values[key]
-            values[key] = value
-            _memo_held += weight
-        _evict()
-    return value
-
-
 def enumerate_simple_twisted(T: TwistData) -> EnumerationResult:
     """All simple twisted-module classes of the twist (`_enumerate`),
-    kept with the twist's content (`_kept`): a second twist with the
-    same lattice, seeds and caps gets the same frozen result back
-    without enumerating.  A content whose other values are kept before
-    it is enumerated misses once, and the result joins them."""
-    return _kept(T, ("result",), lambda: _enumerate(T))
-
-
-def enumeration_memo_counts() -> dict:
-    """Since the last clear, the hits and misses of the results, and the
-    results, entries and classes kept now; and for the class vacuum
-    spaces (`vacua`, from `instantiate_class`), the regular vacuum spaces
-    (`regular`, from `fock.RegularOmega`), the eigenbases (`bases`), the
-    twists' integer tables (`twists`) and the exponential tables the
-    kept eigenbases hold (`creations` and `annihilations`, from
-    `fock.GradedBasis.creation_terms` and `annihilation_terms`), how
-    many are kept now and the hits and misses since the last clear (a
-    miss builds one, kept or not, or raises; a twist hit or miss is a
-    `TwistedLattice` construction that does or does not read kept
-    tables; a table hit or miss is a read on any eigenbasis, kept or
-    not)."""
-    with _memo_lock:
-        kept = [(k, v) for values in _memo.values() for k, v in values.items()]
-        results = [v for k, v in kept if k[0] == "result"]
-        kinds = collections.Counter(k[0] for k, _v in kept)
-        counts = {"hits": _hits["result"], "misses": _misses["result"],
-                  "results": len(results),
-                  "entries": sum(len(r.entries) for r in results),
-                  "classes": sum(len(r.classes) for r in results)}
-        for kind, name, one in (("class", "vacua", "vacuum"),
-                                ("regular", "regular", "regular"),
-                                ("basis", "bases", "basis"),
-                                ("twist", "twists", "twist")):
-            counts[name] = kinds[kind]
-            counts[one + "_hits"] = _hits[kind]
-            counts[one + "_misses"] = _misses[kind]
-        bases = [v for k, v in kept if k[0] == "basis"]
-        for one in ("creation", "annihilation"):
-            counts[one + "s"] = sum(kept_count(b, one + "_terms")
-                                    for b in bases)
-            counts[one + "_hits"] = _hits[one]
-            counts[one + "_misses"] = _misses[one]
-        return counts
-
-
-def clear_enumeration_memo():
-    """Empty the memo, every kept value with it, and zero its counts."""
-    global _memo_held
-    with _memo_lock:
-        _memo.clear()
-        _memo_held = 0
-        _hits.clear()
-        _misses.clear()
+    kept with the twist's content (`_kept.kept_value`): a second twist
+    with the same lattice, seeds and caps gets the same frozen result
+    back without enumerating.  A content whose other values are kept
+    before it is enumerated misses once, and the result joins them."""
+    return kept_value(T, ("result",), lambda: _enumerate(T))
 
 
 def _enumerate(T: TwistData) -> EnumerationResult:
@@ -1300,16 +1099,16 @@ def instantiate_class(T: TwistData, cls: SimpleModuleClass, trunc):
     class's vacuum space for the twist's content.
 
     That vacuum space is kept in the enumeration memo's entry for the
-    twist's content (`_kept`, under `_vacuum_key`), and built on the
-    twist's own algebra the first time it is asked for: every later
+    twist's content (`_kept.kept_value`, under `vacuum_key`), and built
+    on the twist's own algebra the first time it is asked for: every later
     twist of the same content gets the same vacuum space, and with it
     its e-action memo, its eigenbasis and its module tables.  A vacuum
-    space of more lines than MAX_WORK is built and not kept."""
+    space of more lines than `_kept.MAX_WORK` is built and not kept."""
     from .fock import FockModule
 
-    key = _vacuum_key(cls.mu_choice, cls.ideal_index, cls.base_weight,
+    key = vacuum_key(cls.mu_choice, cls.ideal_index, cls.base_weight,
                       cls.eta)
-    omega = _kept(T, key, lambda: _class_vacuum(T, cls))
+    omega = kept_value(T, key, lambda: _class_vacuum(T, cls))
     return FockModule(T, omega, trunc)
 
 

@@ -67,8 +67,8 @@ class TwistData:
 
     Without seeds the twist is a function of its lattice, so on a
     lattice read from the enumeration memo's tables (`TwistedLattice`)
-    it reads `eps_order`, `eps_exponents`, `grid` and `phi_basis` there
-    too (`classify._kept`); a twist with seeds builds its own.  Each
+    it reads `eps_order`, `eps_exponents`, `grid` and `phi_basis` there too
+    (`_kept.kept_value`); a twist with seeds builds its own.  Each
     construction is still its own twist, with its own memos; only
     tuples and `RootPair`s are shared."""
 

@@ -62,7 +62,7 @@ the module reads) on first use, and keep e(alpha) per (alpha, line),
 exits included.
 
 What depends only on the twist's content has one owner, the
-enumeration memo's entry for that content (`classify._kept`): the
+enumeration memo's entry for that content (`_kept.kept_value`): the
 regular vacuum space of each bound (RegularOmega(T, bound) returns the
 kept one) and the eigenbasis every vacuum space of the content reads,
 with its exponential tables.
@@ -85,8 +85,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from . import classify
-from ._kept import kept
+from ._kept import kept, kept_value
 from .classify import SizeCapExceeded
 from .cocycle import TwistData, locality_order
 from .fdist import (
@@ -239,7 +238,7 @@ class GradedBasis:
     degree, and an annihilation table one per sub-word of its word on
     each of at most 2^(creations in the word) paths; there is one table
     per (coordinates, degree or word, sign) asked for, and they are not
-    weighed against classify.MAX_WORK."""
+    weighed against `_kept.MAX_WORK`."""
 
     def __init__(self, lattice):
         self.lattice = lattice
@@ -358,7 +357,7 @@ class GradedBasis:
             out.append((deg, path, cur))
         return out
 
-    @kept(tally=classify._tally("creation"))
+    @kept(tally="creation")
     def creation_terms(self, coords, degree, sign):
         """The z^(degree/p) coefficient of the creation exponential
         exp(sum_(n<0) -sign h(n)/n z^(-n)), for h = sum_j coords_j h_j
@@ -374,7 +373,7 @@ class GradedBasis:
                     _add_term(out, w, x)
         return tuple(out.items())
 
-    @kept(tally=classify._tally("annihilation"))
+    @kept(tally="annihilation")
     def annihilation_terms(self, coords, word, sign):
         """The annihilation exponential exp(sum_(n>0) sign h(n)/n
         z^(-n)) on one creation word, for h = sum_j coords_j h_j, path
@@ -392,8 +391,7 @@ class GradedBasis:
 def _content_basis(twist: TwistData) -> GradedBasis:
     """The lattice's eigenbasis, the one kept for the twist's content and
     read by every vacuum space of it."""
-    return classify._kept(twist, ("basis",),
-                          lambda: GradedBasis(twist.lattice))
+    return kept_value(twist, ("basis",), lambda: GradedBasis(twist.lattice))
 
 
 # ---------------------------------------------------------------------
@@ -412,8 +410,8 @@ class RegularOmega:
 
     It depends only on the twist's content and the bound, so
     `RegularOmega(T, bound)` returns the one kept in the enumeration
-    memo's entry for T's content (`classify._kept`), built on the first
-    twist that asked for it, with its e-action memo."""
+    memo's entry for T's content (`_kept.kept_value`), built on the
+    first twist that asked for it, with its e-action memo."""
 
     def __new__(cls, twist: TwistData, bound: int):
         def build():
@@ -424,7 +422,7 @@ class RegularOmega:
             omega.tables = {}
             return omega
 
-        return classify._kept(twist, ("regular", bound), build)
+        return kept_value(twist, ("regular", bound), build)
 
     @cached_property
     def basis(self):

@@ -6,6 +6,7 @@ from functools import cache, cached_property
 from itertools import chain
 from typing import NamedTuple
 
+from ._kept import read_tables
 from .linalg import (
     _bilinear, det_int, hnf_columns, identity, kernel_basis, mat_mul, snf)
 
@@ -16,7 +17,7 @@ class LatticeError(Exception):
 
 class _IntegerTables(NamedTuple):
     """The immutable integer tables of a default-seed twist whose
-    content the enumeration memo keeps (`classify._kept`), shared by
+    content the enumeration memo keeps (`_kept.kept_value`), shared by
     every lattice and twist read from them: the lattice's validated
     Gram matrix and sigma, p, `sigma_pows` and `commutator_exponents`,
     and `twist`, the twist's (eps_order, eps_exponents, grid,
@@ -90,9 +91,9 @@ class TwistedLattice:
     numbers), and sigma's order is searched through at most as many
     powers as the largest finite order in GL_l(Z) (`_max_order`).
     While the enumeration memo keeps the content of the default-seed
-    twist on the same integer Gram matrix and sigma (`classify._kept`),
-    the lattice reads that twist's tables (`_integer_tables`, None on
-    a miss): the validated Gram matrix and sigma, p, `sigma_pows` and
+    twist on the same integer Gram matrix and sigma, the lattice reads
+    that twist's tables (`_kept.read_tables`, None on a miss): the
+    validated Gram matrix and sigma, p, `sigma_pows` and
     `commutator_exponents`, with no validation left to do.  Each
     construction is still its own lattice, with its own derived values;
     only the tables' tuples are shared."""
@@ -100,9 +101,7 @@ class TwistedLattice:
     def __init__(self, gram, sigma):
         gram = _integer_matrix(gram, "gram")
         sigma = _integer_matrix(sigma, "sigma")
-        # the memo imports this module, so it is read at call time
-        from . import classify
-        tables = self._integer_tables = classify._read_tables(gram, sigma)
+        tables = self._integer_tables = read_tables(gram, sigma)
         if tables is not None:
             self.rank = len(gram)
             self.gram, self.sigma = tables.gram, tables.sigma

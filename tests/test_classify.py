@@ -34,7 +34,7 @@ from twistlab.scalar import (
     root_of_unity,
 )
 
-from test_lattice import random_twisted_lattice
+from test_lattice import _random_unimodular, random_twisted_lattice
 
 
 def twist(gram, sigma, phi=None):
@@ -810,6 +810,42 @@ def test_even_draws_have_the_coset_count_per_root_choice():
                 if entry.admissible:
                     assert len(entry.classes) == target, (lat.gram, lat.sigma)
     assert unobstructed == 77
+
+
+def _class_summary(lat):
+    """The obstruction verdict, class count, order and sorted class
+    dimensions of the lattice's twist with default seeds."""
+    res = enumerate_simple_twisted(TwistData(lat))
+    return (res.obstructed, len(res.classes), res.order,
+            sorted(c.dimension for c in res.classes))
+
+
+def test_a_unimodular_basis_change_keeps_the_classification():
+    # U is an isometry from (U^T G U, U^-1 sigma U) to (G, sigma), so 60
+    # even and 60 odd draws of rank <= 3 (seeds 4801, 4802) and their
+    # images in a random unimodular basis give the same verdict, class
+    # count, order and class dimensions (102 with classes, 18
+    # obstructed, 0.4 s).  This pins default seeds: each basis takes its
+    # own default epsilon and phi, and 17 images have a phi(e_i) other
+    # than 1.  The seeds carried to the new basis are not tested here.
+    summaries, moved_phi = [], 0
+    for seed, odd in ((4801, False), (4802, True)):
+        rng = random.Random(seed)
+        for _ in range(60):
+            lat = random_twisted_lattice(rng, odd=odd)
+            u, u_inv = _random_unimodular(rng, lat.rank)
+            image = TwistedLattice(
+                linalg.mat_mul(linalg.transpose(u),
+                               linalg.mat_mul(lat.gram, u)),
+                linalg.mat_mul(u_inv, linalg.mat_mul(lat.sigma, u)))
+            summary = _class_summary(lat)
+            assert _class_summary(image) == summary, (lat.gram, lat.sigma)
+            summaries.append(summary)
+            moved_phi += any(x.q != 1 or x.k
+                             for x in TwistData(image).phi_basis)
+    assert sum(s[0] for s in summaries) == 18
+    assert sum(1 for s in summaries if s[1]) == 102
+    assert moved_phi == 17
 
 
 # Odd lattices with sigma = -1 on which the classifier finds two classes

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import twistlab
-from twistlab import classify, cli, fock
+from twistlab import _kept, classify, cli, fock
 from twistlab.classify import ClassifyError
 from twistlab.scalar import RootPair
 from twistlab.cli import (
@@ -915,14 +915,14 @@ def test_too_many_eta_cosets_exit_3(tmp_path, capsys, monkeypatch):
     assert proc.stdout == ""
     assert proc.stderr.splitlines() == [
         "refused: 1 root choices times the 1000000 eta cosets exceed the "
-        f"work cap {classify.MAX_WORK}"]
+        f"work cap {_kept.MAX_WORK}"]
     # at the cap's edge: 2*I_2 with sigma = 1 has one root choice and
     # 4 cosets
     spec = {"gram": [[2, 0], [0, 2]], "sigma": [[1, 0], [0, 1]]}
-    monkeypatch.setattr(classify, "MAX_WORK", 4)
+    monkeypatch.setattr(_kept, "MAX_WORK", 4)
     assert run(tmp_path, spec, "classify") == EXIT_OK
     assert capsys.readouterr().out.endswith("\n4 classes\n")
-    monkeypatch.setattr(classify, "MAX_WORK", 3)
+    monkeypatch.setattr(_kept, "MAX_WORK", 3)
     assert run(tmp_path, spec, "classify") == EXIT_SCALAR
     assert capsys.readouterr().err.splitlines() == [
         "refused: 1 root choices times the 4 eta cosets exceed the work "

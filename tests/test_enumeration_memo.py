@@ -16,7 +16,7 @@ import threading
 
 import pytest
 
-from twistlab import classify, fock, scalar
+from twistlab import _kept, classify, fock, scalar
 from twistlab.classify import (
     ClassOmega,
     ClassifyError,
@@ -175,11 +175,11 @@ def test_the_memo_keys_on_max_work(monkeypatch):
     gram, sigma = [[2, 0], [0, 2]], [[1, 0], [0, 1]]
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert len(res.classes) == 4
-    default = classify.MAX_WORK
-    monkeypatch.setattr(classify, "MAX_WORK", 3)
+    default = _kept.MAX_WORK
+    monkeypatch.setattr(_kept, "MAX_WORK", 3)
     with pytest.raises(classify.SizeCapExceeded, match="work cap 3$"):
         enumerate_simple_twisted(_twist(gram, sigma))
-    monkeypatch.setattr(classify, "MAX_WORK", default)
+    monkeypatch.setattr(_kept, "MAX_WORK", default)
     assert enumerate_simple_twisted(_twist(gram, sigma)) is res
     assert enumeration_memo_counts() == {
         "hits": 1, "misses": 2, "results": 1, "entries": 1, "classes": 4,
@@ -190,7 +190,7 @@ def test_least_recently_used_results_leave_first(monkeypatch):
     # with sigma = 1 on [n] a result weighs 1 + 1 entry + n classes,
     # and its twist's tables one: [2] weighs 5, [3] 6 and [1] 4, against
     # a budget of 12
-    monkeypatch.setattr(classify, "MAX_WORK", 12)
+    monkeypatch.setattr(_kept, "MAX_WORK", 12)
 
     def enum(n):
         return enumerate_simple_twisted(_twist([[n]], [[1]]))
@@ -208,7 +208,7 @@ def test_least_recently_used_results_leave_first(monkeypatch):
     # [5] has 5 eta cosets, within the enumeration's cap of 6, but its
     # result weighs 7 alone: it is returned and not kept, and the next
     # miss trims the kept results to the lowered budget, oldest first
-    monkeypatch.setattr(classify, "MAX_WORK", 6)
+    monkeypatch.setattr(_kept, "MAX_WORK", 6)
     five = enum(5)
     assert len(five.classes) == 5
     assert enumeration_memo_counts() == {
@@ -365,7 +365,7 @@ def test_clearing_the_memo_drops_its_vacuum_spaces():
     enumerate_simple_twisted(_twist(gram, sigma))
     assert instantiate_class(_twist(gram, sigma), cls, 2).omega is again
     assert enumeration_memo_counts()["results"] == 1
-    assert len(classify._memo) == 1
+    assert len(_kept._memo) == 1
 
 
 def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
@@ -373,7 +373,7 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
     # its twist's tables one, a class vacuum space its 5 lines and the
     # eigenbasis its module reads one: [2] weighs 5, with a vacuum space
     # and its module 11, and [3] 6, against a budget of 17
-    monkeypatch.setattr(classify, "MAX_WORK", 17)
+    monkeypatch.setattr(_kept, "MAX_WORK", 17)
 
     def enum(n):
         return enumerate_simple_twisted(_twist([[n]], [[1]]))
@@ -392,7 +392,7 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
     assert (counts["results"], counts["vacua"]) == (1, 2)
     assert omega(2, two.classes[0]) is kept
     assert omega(2, two.classes[1]) is other
-    assert classify._memo_held == 16
+    assert _kept._memo_held == 16
     # [3] is enumerated again: 16 + 6 > 17, so [2] leaves, its vacuum
     # spaces and eigenbasis with it, and [1] joins [3]
     enum(3)
@@ -403,7 +403,7 @@ def test_vacuum_spaces_leave_with_their_entry(monkeypatch):
     assert omega(2, two.classes[0]) is not kept
     # an entry that a vacuum space pushes past the budget leaves at once,
     # the vacuum space with it, and the module is still built
-    monkeypatch.setattr(classify, "MAX_WORK", 8)
+    monkeypatch.setattr(_kept, "MAX_WORK", 8)
     classify.clear_enumeration_memo()
     enum(2)
     assert enumeration_memo_counts()["results"] == 1
@@ -422,18 +422,18 @@ def test_a_vacuum_space_heavier_than_the_budget_is_not_kept(monkeypatch):
     # budget of 5, at which I_2 is enumerated, its result, tables and
     # eigenbasis weighing 3, 1 and 1
     gram, sigma = [[2]], [[1]]
-    monkeypatch.setattr(classify, "MAX_WORK", 40)
+    monkeypatch.setattr(_kept, "MAX_WORK", 40)
     big = RegularOmega(_twist(gram, sigma), 20)
     assert big.size == 41
     assert RegularOmega(_twist(gram, sigma), 20) is not big
     small = RegularOmega(_twist(gram, sigma), 19)
     assert RegularOmega(_twist(gram, sigma), 19) is small
     assert _vacuum_counts("regular", "regular") == (1, 1, 3)
-    assert classify._memo_held == 40
+    assert _kept._memo_held == 40
     T = _twist(gram, sigma)
     M = FockModule(T, big, 1)
     assert len(M.basis_vectors(1)) == 2 * 41
-    monkeypatch.setattr(classify, "MAX_WORK", 5)
+    monkeypatch.setattr(_kept, "MAX_WORK", 5)
     classify.clear_enumeration_memo()
     unit = ([[1, 0], [0, 1]], [[1, 0], [0, 1]])
     res = enumerate_simple_twisted(_twist(*unit))
@@ -443,8 +443,8 @@ def test_a_vacuum_space_heavier_than_the_budget_is_not_kept(monkeypatch):
     assert instantiate_class(_twist(*unit), cls, 2).omega is not M.omega
     assert _vacuum_counts() == (0, 0, 2)
     assert enumeration_memo_counts()["results"] == 1
-    assert classify._memo_held == classify._weight(
-        classify._memo[classify._content_key(_twist(*unit))]) == 5
+    assert _kept._memo_held == _kept._weight(
+        _kept._memo[_kept._content_key(_twist(*unit))]) == 5
     assert conditions_status(twisted_conditions(M.twist, M)) == "pass"
 
 
@@ -454,18 +454,18 @@ def test_distinct_large_bound_checks_stay_within_the_budget(monkeypatch,
     # vacuum space of 61 lines: against a budget of 200, the kept weight
     # stays at most the budget after every check, and is the sum of the
     # kept contents' weights
-    monkeypatch.setattr(classify, "MAX_WORK", 200)
+    monkeypatch.setattr(_kept, "MAX_WORK", 200)
     for n in range(1, 9):
         spec = {"gram": [[2 * n]], "sigma": [[-1]], "trunc": 1, "bound": 30}
         out = W.run_check_job(TL, spec, str(tmp_path), f"spec{n}")
         assert out["code"] == 0
-        with classify._memo_lock:
-            held = classify._memo_held
-            weights = [classify._weight(v) for v in classify._memo.values()]
+        with _kept._memo_lock:
+            held = _kept._memo_held
+            weights = [_kept._weight(v) for v in _kept._memo.values()]
         assert held == sum(weights) <= 200
     counts = enumeration_memo_counts()
     assert counts["regular_misses"] == 8
-    assert counts["regular"] == len(classify._memo) < 8
+    assert counts["regular"] == len(_kept._memo) < 8
 
 
 def test_a_result_too_heavy_to_keep_still_instantiates(monkeypatch):
@@ -474,7 +474,7 @@ def test_a_result_too_heavy_to_keep_still_instantiates(monkeypatch):
     # its module reads are kept by their keys, with the twist's tables;
     # its modules are those of the default budget, memo-free
     gram, sigma = [[6]], [[1]]
-    monkeypatch.setattr(classify, "MAX_WORK", 7)
+    monkeypatch.setattr(_kept, "MAX_WORK", 7)
     res = enumerate_simple_twisted(_twist(gram, sigma))
     assert len(res.classes) == 6
     first = instantiate_class(_twist(gram, sigma), res.classes[0], 2)
@@ -482,12 +482,12 @@ def test_a_result_too_heavy_to_keep_still_instantiates(monkeypatch):
         is first.omega
     counts = enumeration_memo_counts()
     assert (counts["results"], counts["vacua"], counts["bases"]) == (0, 1, 1)
-    assert classify._memo_held == 7
+    assert _kept._memo_held == 7
     modules = []
     for cls in res.classes:
         T = _twist(gram, sigma)
         modules.append((T, instantiate_class(T, cls, trunc=2)))
-        assert classify._memo_held <= 7
+        assert _kept._memo_held <= 7
     monkeypatch.undo()
     for cls, (T, M) in zip(res.classes, modules):
         Tf, Mf = _memo_free_module(gram, sigma, cls)
@@ -584,7 +584,7 @@ def test_vacuum_counts_against_a_counted_run(monkeypatch):
     assert _vacuum_counts("regular", "regular") == (4, 65, 4)
     assert len({(job["lattice"], job["module"]) for job in jobs}) == 13
     assert len(tables) == 13
-    assert sum(len(v.tables) for values in classify._memo.values()
+    assert sum(len(v.tables) for values in _kept._memo.values()
                for k, v in values.items() if k[0] in ("regular", "class")) \
         == 13
     assert _vacuum_counts("bases", "basis") == (4, 9, len(bases))
@@ -598,10 +598,10 @@ def test_concurrent_instantiation_keeps_the_counts(monkeypatch):
     # each one's regular vacuum space of bound 1, under a budget of 12
     # that evicts: every call is counted once, and the kept weight is
     # the sum of the kept entries' weights, within the budget.  Without
-    # the lock around the lookups and stores of `classify._kept`, the
+    # the lock around the lookups and stores of `_kept.kept_value`, the
     # test fails (a thread raises while another changes the memo, or
     # the weight drifts from the kept values).
-    monkeypatch.setattr(classify, "MAX_WORK", 12)
+    monkeypatch.setattr(_kept, "MAX_WORK", 12)
     lattices = [([[n]], [[1]]) for n in (1, 2, 3)]
     calls, regular, errors = [], [], []
 
@@ -637,10 +637,10 @@ def test_concurrent_instantiation_keeps_the_counts(monkeypatch):
     assert counts["regular_hits"] + counts["regular_misses"] == \
         len(regular) == 8 * 150
     assert counts["hits"] + counts["misses"] == 8 * 150
-    with classify._memo_lock:
-        entries = list(classify._memo.values())
-        held = classify._memo_held
-    assert held == sum(classify._weight(e) for e in entries) <= 12
+    with _kept._memo_lock:
+        entries = list(_kept._memo.values())
+        held = _kept._memo_held
+    assert held == sum(_kept._weight(e) for e in entries) <= 12
 
 
 def _random_lattices(seed, n, **kw):
@@ -721,7 +721,7 @@ def test_check_twice_in_one_process_gives_the_same_report(tmp_path,
     lattices = {_key(spec["gram"], spec["sigma"]) for spec in specs}
     assert len(specs) == 78 and len(lattices) == 41
     assert _vacuum_counts("regular", "regular") == (41, 2 * 78 - 41, 41)
-    assert sum(len(v.tables) for values in classify._memo.values()
+    assert sum(len(v.tables) for values in _kept._memo.values()
                for k, v in values.items() if k[0] == "regular") == 78
 
 
@@ -741,7 +741,7 @@ def test_regular_values_without_a_result():
     assert enumerate_simple_twisted(_twist(gram, sigma)) is res
     counts = enumeration_memo_counts()
     assert (counts["hits"], counts["misses"], counts["results"]) == (1, 1, 1)
-    assert len(classify._memo) == 1
+    assert len(_kept._memo) == 1
     assert RegularOmega(_twist(gram, sigma), 1) is omega
     # the class vacuum spaces share the regular one's eigenbasis
     M = instantiate_class(_twist(gram, sigma), res.classes[0], 2)
@@ -772,7 +772,7 @@ def test_regular_values_leave_with_their_entry(monkeypatch):
     # 3 lines, and with the eigenbasis its module reads and its twist's
     # tables 5, against a budget of 10: a third content pushes out the
     # least recently used, with its values
-    monkeypatch.setattr(classify, "MAX_WORK", 10)
+    monkeypatch.setattr(_kept, "MAX_WORK", 10)
 
     def module(n, bound=1, trunc=1):
         T = _twist([[n]], [[1]])
@@ -795,7 +795,7 @@ def test_regular_values_leave_with_their_entry(monkeypatch):
     assert sorted(two.omega.tables) == [1, 2]
     counts = enumeration_memo_counts()
     assert (counts["regular"], counts["bases"]) == (2, 1)
-    assert len(classify._memo) == 1 and classify._memo_held == 10
+    assert len(_kept._memo) == 1 and _kept._memo_held == 10
 
 
 def test_a_result_too_heavy_to_keep_leaves_the_regular_values(monkeypatch):
@@ -803,7 +803,7 @@ def test_a_result_too_heavy_to_keep_leaves_the_regular_values(monkeypatch):
     # result is not kept, and the entry its regular vacuum space made
     # keeps that vacuum space and its eigenbasis
     gram, sigma = [[4]], [[1]]
-    monkeypatch.setattr(classify, "MAX_WORK", 5)
+    monkeypatch.setattr(_kept, "MAX_WORK", 5)
     T = _twist(gram, sigma)
     omega = RegularOmega(T, 1)
     M = FockModule(T, omega, 2)
@@ -945,7 +945,7 @@ def test_memo_free_tables_equal_the_kept_ones(monkeypatch):
     reports = _vertex_work(M)
     kept = _exp_tables(M.basis)
     classify.clear_enumeration_memo()
-    monkeypatch.setattr(classify, "MAX_WORK", 0)
+    monkeypatch.setattr(_kept, "MAX_WORK", 0)
     Tf = _twist(gram, sigma)
     Mf = FockModule(Tf, RegularOmega(Tf, 1), 2)
     assert Mf.basis is not M.basis
@@ -960,7 +960,7 @@ def test_tables_leave_on_eviction_and_on_a_clear(monkeypatch):
     # [n] with sigma = 1 at bound 1 weighs 5 against a budget of 10: a
     # third content pushes [2] out, with its eigenbasis and its tables,
     # and a later [2] module builds them again; a clear drops them all
-    monkeypatch.setattr(classify, "MAX_WORK", 10)
+    monkeypatch.setattr(_kept, "MAX_WORK", 10)
 
     def module(n):
         T = _twist([[n]], [[1]])

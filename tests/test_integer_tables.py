@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from twistlab import classify, lattice
+from twistlab import _kept, classify, lattice
 from twistlab.classify import enumerate_simple_twisted, enumeration_memo_counts
 from twistlab.cocycle import CocycleError, TwistData
 from twistlab.fock import FockModule, RegularOmega
@@ -62,7 +62,7 @@ def _fields(T):
     lat = T.lattice
     lattice = _own(lat, ("_integer_tables",))
     lattice.update((f, getattr(lat, f)) for f in LATTICE_CACHED)
-    return lattice, _own(T, ("lattice",)), classify._content_key(T)
+    return lattice, _own(T, ("lattice",)), _kept._content_key(T)
 
 
 def test_the_table_lattices():
@@ -113,7 +113,7 @@ def test_seeded_twists_build_their_own_on_kept_tables():
     classify.clear_enumeration_memo()
     seeded = _twist(gram, sigma, **seeds)
     res = enumerate_simple_twisted(seeded)
-    assert ("twist",) not in classify._memo[classify._content_key(seeded)]
+    assert ("twist",) not in _kept._memo[_kept._content_key(seeded)]
     assert enumeration_memo_counts()["twists"] == 0
     T = _twist(gram, sigma, **seeds)
     assert T.lattice._integer_tables is None
@@ -130,7 +130,7 @@ def test_seeded_twists_build_their_own_on_kept_tables():
     assert _fields(T) == fresh
     # still a hit of its own content, which still keeps no tables
     assert enumerate_simple_twisted(T) is res
-    assert ("twist",) not in classify._memo[classify._content_key(T)]
+    assert ("twist",) not in _kept._memo[_kept._content_key(T)]
     counts = enumeration_memo_counts()
     assert (counts["hits"], counts["misses"], counts["twists"]) == (1, 2, 1)
 
@@ -144,7 +144,7 @@ def test_pool_draws_and_refusals_keep_nothing():
     with pytest.raises(LatticeError):
         TwistedLattice([[1, 1], [1, 1]], [[1, 0], [0, 1]])
     assert enumeration_memo_counts()["twists"] == 0
-    assert classify._memo == {} and classify._memo_held == 0
+    assert _kept._memo == {} and _kept._memo_held == 0
 
 
 # each refusal after a valid twist that shares its Gram matrix or sigma:
@@ -248,7 +248,7 @@ def test_concurrent_constructions_keep_the_weight(monkeypatch):
     # hit or miss, every read twist is the fresh one, the kept weight
     # is the sum of the kept values' weights, within the budget, and
     # every kept content holds the tables of its own lattice
-    monkeypatch.setattr(classify, "MAX_WORK", 14)
+    monkeypatch.setattr(_kept, "MAX_WORK", 14)
     expected = {n: _fields(_twist([[n]], [[1]])) for n in range(1, 5)}
     classify.clear_enumeration_memo()
     built, errors = [], []
@@ -283,10 +283,10 @@ def test_concurrent_constructions_keep_the_weight(monkeypatch):
     assert counts["twist_hits"] + counts["twist_misses"] == len(built) \
         == 8 * 120 * 2
     assert counts["twist_hits"] > 0
-    with classify._memo_lock:
-        kept = dict(classify._memo)
-        held = classify._memo_held
-    assert held == sum(classify._weight(e) for e in kept.values()) <= 14
+    with _kept._memo_lock:
+        kept = dict(_kept._memo)
+        held = _kept._memo_held
+    assert held == sum(_kept._weight(e) for e in kept.values()) <= 14
     assert counts["twists"] == len(kept)
     assert all(key[:2] == (e[("twist",)].gram, e[("twist",)].sigma)
                for key, e in kept.items())

@@ -1,5 +1,8 @@
+import ast
+import pathlib
 import types
 
+from twistlab import _kept
 from twistlab._kept import kept, kept_count
 from twistlab.classify import (
     ClassOmega,
@@ -65,29 +68,32 @@ def test_kept_contract():
             assert isinstance(attr.__wrapped__, types.FunctionType)
 
 
-READS = []
+def _reads():
+    """(hits, misses) of the tallied kind in the enumeration memo's counts."""
+    return _kept._hits["tallied"], _kept._misses["tallied"]
 
 
 class Tallied:
-    @kept(tally=READS.append)
+    @kept(tally="tallied")
     def g(self, x):
-        """Refuses a negative x."""
+        """Records the counts it sees, and refuses a negative x."""
+        self.seen = _reads()
         if x < 0:
             raise ValueError(x)
         return [x]
 
 
 def test_kept_tally_sees_every_read():
-    # a miss is told before it computes, a raising one too, and a hit
-    READS.clear()
+    # a miss is counted before it computes, a raising one too, and a hit
     t = Tallied()
     out = t.g(1)
-    assert t.g(1) is out
+    assert t.seen == _reads() == (0, 1)
+    assert t.g(1) is out and _reads() == (1, 1)
     with pytest.raises(ValueError):
         t.g(-1)
-    assert READS == [False, True, False]
+    assert t.seen == _reads() == (1, 2)
     assert kept_count(t, "g") == 1 and kept_count(Tallied(), "g") == 0
-    assert Tallied.g.__wrapped__(t, 2) == [2] and READS[-1] is False
+    assert Tallied.g.__wrapped__(t, 2) == [2] and _reads() == (1, 2)
 
 
 def test_regular_vacuum_keeps_its_e_action_and_window_exits():
@@ -101,3 +107,48 @@ def test_regular_vacuum_keeps_its_e_action_and_window_exits():
     omega.lines = None
     assert omega.e_act((1,), edge) is None
     assert omega.e_act((1,), inner) is hit
+
+
+SRC = pathlib.Path(_kept.__file__).parent
+
+
+def _tree(name):
+    return ast.parse((SRC / f"{name}.py").read_text(encoding="utf-8"))
+
+
+def _imported(node):
+    """The twistlab modules an import statement names."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0:
+            parts = (node.module or "").split(".")
+            return {parts[1]} if parts[0] == "twistlab" and parts[1:] \
+                else set()
+        if node.module:
+            return {node.module.split(".")[0]}
+        return {a.name for a in node.names}
+    if isinstance(node, ast.Import):
+        return {a.name.split(".")[1] for a in node.names
+                if a.name.startswith("twistlab.")}
+    return set()
+
+
+def test_the_memo_lies_beneath_the_layers_that_read_it():
+    # the lattice imports at module level and never imports classify
+    lattice = _tree("lattice")
+    for fn in ast.walk(lattice):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            assert not any(isinstance(n, (ast.Import, ast.ImportFrom))
+                           for n in ast.walk(fn)), fn.name
+    assert not any("classify" in _imported(n) for n in ast.walk(lattice))
+    # the memo imports no twistlab module but scalar
+    assert set().union(*map(_imported, ast.walk(_tree("_kept")))) \
+        <= {"scalar"}
+    # no library module reaches into classify for the memo
+    moved = {"_kept", "_tally", "_read_tables", "MAX_WORK"}
+    for path in sorted(SRC.glob("*.py")):
+        for n in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(n, ast.Attribute) and n.attr in moved:
+                assert not (isinstance(n.value, ast.Name)
+                            and n.value.id == "classify"), path.name
+            if isinstance(n, ast.ImportFrom) and n.module == "classify":
+                assert not moved & {a.name for a in n.names}, path.name

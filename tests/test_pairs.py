@@ -49,3 +49,38 @@ def test_summary_skips_metrics_no_pair_reports():
                                       {"jobs_per_s": 2.0})])
     assert [(r[0], r[2], r[3], r[5], r[6]) for r in rows] == [
         ("jobs_per_s", (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), 1, 1)]
+
+
+def _bench(tmp_path):
+    (tmp_path / "BENCHMARK.json").write_text(
+        '{"end_to_end": ' + str(METRICS).replace("'", '"') + "}")
+    return str(tmp_path)
+
+
+def test_a_dropped_run_fails_and_operations_are_summed(
+        tmp_path, monkeypatch, capsys):
+    # seed 2's change run gives no result: the table keeps seed 1's pair,
+    # the failed/attempted row sums that pair, and the exit status is 1
+    change = _bench(tmp_path)
+
+    def run_one(checkout, workload, seed, seconds):
+        if checkout == change and seed == 2:
+            return None
+        fast = checkout == change
+        return {"metrics": {"jobs_per_s": 20.0 if fast else 10.0},
+                "attempted": 40 if fast else 30, "failed": 2}
+
+    monkeypatch.setattr(pairs, "run_one", run_one)
+    argv = ["--parent", "parent", "--change", change,
+            "--workload", "classify_stream", "--seeds", "1-2"]
+    assert pairs.main(argv) == 1
+    out = capsys.readouterr()
+    assert "| `classify_stream` | `jobs_per_s` | 10 [10, 10] 1/s | " \
+        "20 [20, 20] 1/s (+100.0%) | 1 of 1 |" in out.out.splitlines()
+    assert out.out.splitlines()[-1] == ("|  | failed / attempted | "
+                                        "2 / 30 (6.67%) | 2 / 40 (5.00%) |  |")
+    assert "1 runs dropped" in out.err
+    # with every run kept the status is 0
+    monkeypatch.setattr(pairs, "run_one", lambda c, w, s, t: run_one(
+        c, w, 1, t))
+    assert pairs.main(argv) == 0

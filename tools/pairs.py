@@ -9,9 +9,10 @@ change on the second, and so on.  Each run's last standard-output line
 is its JSON result.  At the end it prints, per end-to-end metric of the
 change's BENCHMARK.json, the median [first quartile, third quartile] of
 each side, the change of the medians in percent, and on how many of
-the pairs the change is better, as a Markdown table.  Runs that are not
-`correct` or that fail to produce a result are reported on standard
-error and left out of the table.
+the pairs the change is better, as a Markdown table, and each side's
+failed operations over its attempted ones, summed over the pairs.  Runs
+that are not `correct` or that fail to produce a result are reported on
+standard error and left out of the table, and the exit status is then 1.
 """
 from __future__ import annotations
 
@@ -80,8 +81,21 @@ def table(workload, rows) -> str:
     return "\n".join(out)
 
 
+def failed_row(pairs) -> str:
+    """The Markdown row of each side's failed over attempted operations,
+    summed over the pairs of runs (`run_one` results)."""
+    cells = []
+    for side in (0, 1):
+        failed = sum(p[side]["failed"] for p in pairs)
+        attempted = sum(p[side]["attempted"] for p in pairs)
+        share = f" ({100 * failed / attempted:.2f}%)" if attempted else ""
+        cells.append(f"{failed} / {attempted}{share}")
+    return f"|  | failed / attempted | {cells[0]} | {cells[1]} |  |"
+
+
 def run_one(checkout, workload, seed, seconds):
-    """The metrics of one run as name -> value, or None on failure."""
+    """One run as {"metrics": name -> value, "attempted": n, "failed": n},
+    or None when it gave no result or was not `correct`."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -95,7 +109,8 @@ def run_one(checkout, workload, seed, seconds):
     if not result.get("correct"):
         print(f"{checkout} seed {seed}: not correct", file=sys.stderr)
         return None
-    return {k: v["value"] for k, v in result["metrics"].items()}
+    return {"metrics": {k: v["value"] for k, v in result["metrics"].items()},
+            "attempted": result["attempted"], "failed": result["failed"]}
 
 
 def main(argv=None) -> int:
@@ -111,6 +126,7 @@ def main(argv=None) -> int:
         metrics = json.load(fh)["end_to_end"]
     print("| workload | metric | parent | change | change better |")
     print("|---|---|---|---|---|")
+    dropped = 0
     for workload in args.workload:
         pairs = []
         for k, seed in enumerate(args.seeds):
@@ -121,10 +137,15 @@ def main(argv=None) -> int:
                                     workload, seed, args.seconds)
             print(f"{workload} seed {seed}: {got[0]} -> {got[1]}",
                   file=sys.stderr)
+            dropped += got.count(None)
             if None not in got:
                 pairs.append(tuple(got))
-        print(table(workload, summarize(metrics, pairs)), flush=True)
-    return 0
+        rows = summarize(metrics, [(a["metrics"], b["metrics"])
+                                   for a, b in pairs])
+        print(table(workload, rows), failed_row(pairs), sep="\n", flush=True)
+    if dropped:
+        print(f"{dropped} runs dropped", file=sys.stderr)
+    return 1 if dropped else 0
 
 
 if __name__ == "__main__":
