@@ -264,7 +264,8 @@ class Presentation:
 
     @kept
     def algebra(self, mu_choice) -> PresentedAlgebraA:
-        """The algebra A of one root choice, kept once built."""
+        """The algebra A of one root choice, kept once built, with the
+        block decomposition it certifies."""
         return PresentedAlgebraA(self.twist, self.dec, mu_choice)
 
     # -- scalar bookkeeping -------------------------------------------
@@ -417,8 +418,9 @@ class PresentedAlgebraA:
     (`presentation`), which keeps this object per root choice
     (`Presentation.algebra`).  This object holds the root choice
     `mu_choice`, the coefficients k_s of each orbit (`ks`), the relation
-    scalars, the scalars k_image, e_image, tau and derived_mu, and its
-    block decomposition.  Each of those scalars is a `RootPair` on the
+    scalars, the scalars k_image and tau, kept per argument, and its
+    certified block decomposition; e_image, y_scalar and derived_mu are
+    computed on each call.  Each of those scalars is a `RootPair` on the
     twist's grid; `bichar` and the block idempotents, which go to
     CycScalar code or hold sums, are CycScalars.  Normalizing roots in
     B_0 are taken only by the lifts of subgroups of E (`_GroupScalars`,
@@ -487,7 +489,6 @@ class PresentedAlgebraA:
             raise ClassifyError(f"{kvec} is not in the relation lattice")
         return self._image(*parts)
 
-    @kept
     def e_image(self, gamma):
         """(scalar, rep) with e(gamma) = scalar * e(rep) in A."""
         rep = self.presentation.rep_of(gamma)
@@ -534,18 +535,6 @@ class PresentedAlgebraA:
         block's character off it."""
         return _GroupScalars(self, self.presentation.radical)
 
-    def block(self, i) -> Block:
-        """The i-th block of `block_decomposition`, built alone and not
-        certified: the i-th character of the radical in `labels()`
-        order."""
-        if self.zero:
-            raise ClassifyError("the zero algebra has no block decomposition")
-        lifts = self.radical_lifts
-        if not 0 <= i < lifts.q.size:
-            raise ClassifyError(f"no block {i} among {lifts.q.size}")
-        label = next(itertools.islice(lifts.labels(), i, None))
-        return Block(label, math.isqrt(self.E.size // lifts.q.size), lifts)
-
     @cached_property
     def block_decomposition(self) -> ADecomposition:
         """Simple blocks of the degree-zero component B_0, one per
@@ -554,8 +543,9 @@ class PresentedAlgebraA:
         character projectors over the radical, certified exactly: the
         radical is central, the lift psi is a homomorphism (so each
         projector is idempotent), the projectors sum to one, and
-        |E| / |radical| is a square.  Homogeneous invertible elements
-        carry the block decomposition to graded ideals of the algebra."""
+        |E| / |radical| is a square; a failed certificate raises
+        ClassifyError.  Homogeneous invertible elements carry the block
+        decomposition to graded ideals of the algebra."""
         if self.zero:
             raise ClassifyError("the zero algebra has no block decomposition")
         E, lifts = self.E, self.radical_lifts
@@ -580,6 +570,11 @@ class PresentedAlgebraA:
             "sum_to_one": total == {tuple(0 for _ in E.divisors): ONE},
             "dims_square": not rest and blocks[0].dim ** 2 == quotient,
         }
+        failed = [k for k, ok in certified.items() if not ok]
+        if failed:
+            raise ClassifyError(
+                f"block decomposition at mu {self.mu_choice} fails its "
+                f"certificate: {', '.join(failed)}")
         return ADecomposition(blocks, certified)
 
 
@@ -847,7 +842,7 @@ def _enumerate(T: TwistData) -> EnumerationResult:
     Classes are deduplicated only by their explicit (roots, block, eta)
     data; coincidences across different root choices are reported as
     separate entries.  A block decomposition that fails its
-    certificate raises ClassifyError."""
+    certificate raises ClassifyError (`block_decomposition`)."""
     lat = T.lattice
     decomposition = lat.reduce_generating_set()
     obstructed, wit = T.obstruction_check()
@@ -869,11 +864,6 @@ def _enumerate(T: TwistData) -> EnumerationResult:
             continue
         xi0 = detail
         dec_A = A.block_decomposition
-        failed = [k for k, ok in dec_A.certified.items() if not ok]
-        if failed:
-            raise ClassifyError(
-                f"block decomposition at mu {mu_choice} fails its "
-                f"certificate: {', '.join(failed)}")
         own = tuple(SimpleModuleClass(mu_choice, ideal_index, eta, block.dim,
                                       xi0, ei)
                     for ideal_index, block in enumerate(dec_A.blocks)
@@ -932,11 +922,9 @@ def _block_character(A: PresentedAlgebraA, block, H: FiniteQuotient,
     when (s_rad / s_H)(r) chi(r) = chi_block(r) for each r: exponent
     arithmetic on the block's label, with no projector per label.
     When H is the radical with its own lift, chi is the block's label
-    and f = e, idempotent when that lift is a homomorphism."""
+    and f = e, idempotent by the block decomposition's certificate."""
     rad = A.radical_lifts
     if h_lifts is rad:
-        if not rad.is_homomorphism:
-            raise ClassifyError("the radical's projectors are not idempotent")
         return block.label
     tests = []
     for i in range(len(rad.gens)):
@@ -967,13 +955,14 @@ class ClassOmega:
     degree window |k_i| <= WINDOW.  Its size is stated without listing
     anything; its lines, lookup, weights and the lattice's eigenbasis
     are made on first use, and it keeps the module tables of each
-    creation cap (`tables`, which `fock.FockModule` fills)."""
+    creation cap (`tables`, which `fock.FockModule` fills).  Its block
+    is the certified `A.block_decomposition`'s."""
 
     def __init__(self, A: PresentedAlgebraA, ideal_index: int, xi0, eta):
         self.A = A
         lat = A.lattice
         E = A.E
-        self.block = A.block(ideal_index)
+        self.block = A.block_decomposition.blocks[ideal_index]
         self.H, self.h_lifts = _maximal_isotropic(A)
         if E.size % self.H.size:
             raise ClassifyError("isotropic subgroup size does not divide |E|")

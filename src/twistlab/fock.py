@@ -75,7 +75,8 @@ Otherwise the module reads each weight once, as an integer on its
 grid.  Each value has one face, the integer one the module computes
 with: a degree is max_degree_k or floor_k, a vertex exponent is
 vertex_exponents_k, all times the grid, and the eigen-coordinates of
-a lattice vector are basis.decompose.
+a lattice vector are basis.decompose.  Vertex exponents and the
+Heisenberg series (tilde) are made on each call, not kept.
 """
 from __future__ import annotations
 
@@ -1040,10 +1041,8 @@ class FockModule:
 
     # -- series builders ----------------------------------------------
 
-    @kept
     def tilde(self, alpha) -> GenSeries:
-        """The Heisenberg series of a lattice vector, built once: its
-        coefficient memo serves every check on the module."""
+        """The Heisenberg series of a lattice vector."""
         return self.eigen_tilde(self.basis.decompose(alpha))
 
     def eigen_tilde(self, coords) -> GenSeries:
@@ -1159,14 +1158,6 @@ class FockModule:
             return head
         coords = self.basis.decompose(alpha)
         table = self.basis.annihilation_terms
-        if len(v.terms) == 1:
-            # the table itself, in its order: half the cost of the merge
-            ((word, iota), coeff), = v.terms.items()
-            return head + tuple(
-                (FockVector._of(self, {(w, iota): _times(coeff, x)
-                                       for w, x in terms}), e)
-                for e, _path, terms in table(coords, word, sign)[1:]
-                if e >= least)
         paths = {}
         for (word, iota), coeff in v.terms.items():
             if not word:
@@ -1202,10 +1193,9 @@ class FockModule:
                           _times(coeff, x))
         return FockVector._of(self, out)
 
-    @kept
     def vertex_exponents_k(self, alpha) -> tuple:
         """xi(alpha(0)) - (alpha'|alpha')/2 on every vacuum line, times
-        the module's grid, kept per lattice vector."""
+        the module's grid."""
         half_norm = self.lattice.prime_pairing_p(alpha, alpha) * (
             self.grid // (2 * self.p))
         reads = [(k, a) for k, a in enumerate(alpha) if a]

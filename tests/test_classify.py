@@ -12,6 +12,7 @@ from twistlab.classify import (
     PresentedAlgebraA,
     UnsupportedScalar,
     admissible_base_weight,
+    clear_enumeration_memo,
     conditions_status,
     enumerate_simple_twisted,
     eta_cosets,
@@ -303,6 +304,29 @@ def test_failed_block_certificate_raises(monkeypatch):
     with pytest.raises(ClassifyError,
                        match="certificate: idempotent, sum_to_one$"):
         enumerate_simple_twisted(twist([[2, 1], [1, 2]], neg(2)))
+
+
+def test_a_failed_certificate_raises_alike_on_both_paths(monkeypatch):
+    # the doubled lift of test_failed_block_certificate_raises: a class
+    # instantiated on a fresh twist, with nothing kept, reads the same
+    # certified decomposition, and raises the enumeration's error
+    gram, sigma = [[2, 1], [1, 2]], neg(2)
+    cls = enumerate_simple_twisted(twist(gram, sigma)).classes[0]
+    clear_enumeration_memo()
+    real = classify._GroupScalars.psi
+
+    def doubled(self, coords):
+        g, s = real(self, coords)
+        return g, s * RootPair(2, 0, 1)
+
+    monkeypatch.setattr(classify._GroupScalars, "psi", doubled)
+    with pytest.raises(ClassifyError) as listed:
+        enumerate_simple_twisted(twist(gram, sigma))
+    clear_enumeration_memo()
+    with pytest.raises(ClassifyError) as built:
+        instantiate_class(twist(gram, sigma), cls, trunc=2)
+    assert str(built.value) == str(listed.value)
+    assert str(listed.value).endswith("certificate: idempotent, sum_to_one")
 
 
 def test_decompose_trivial_group():
@@ -1395,49 +1419,33 @@ def _block_lattices():
         yield TwistedLattice(gram, neg(2))
 
 
-def _same_block(x, y):
-    return (x.label, x.idempotent, x.dim) == (y.label, y.idempotent, y.dim)
-
-
 def test_a_block_alone_is_the_listed_block():
-    # per admissible root choice, on two fresh twists: block(i) before
-    # the decomposition on one, after it on the other
+    # per admissible root choice, on a fresh twist: the blocks are
+    # listed in the order of the radical's characters, with the entry's
+    # dimensions, and the vacuum space of each block's first class holds
+    # that listed block itself
     checked = 0
     for lat in _block_lattices():
         for entry in enumerate_simple_twisted(TwistData(lat)).entries:
             if not entry.admissible:
                 continue
-            alone = TwistData(lat).presentation.algebra(entry.mu_choice)
-            listed = TwistData(lat).presentation.algebra(entry.mu_choice)
-            singles = [alone.block(i) for i in range(entry.block_count)]
-            assert "block_decomposition" not in alone.__dict__
-            blocks = listed.block_decomposition.blocks
-            assert len(blocks) == len(singles) == entry.block_count
-            # listed in the order of the radical's characters
-            assert [b.label for b in blocks] == \
-                list(listed.radical_lifts.labels())
+            T = TwistData(lat)
+            A = T.presentation.algebra(entry.mu_choice)
+            blocks = A.block_decomposition.blocks
+            assert len(blocks) == entry.block_count
+            assert [b.label for b in blocks] == list(A.radical_lifts.labels())
             assert tuple(b.dim for b in blocks) == entry.block_dims
-            for i, block in enumerate(blocks):
-                assert _same_block(singles[i], block)
-                assert _same_block(listed.block(i), block)
-                assert _same_block(alone.block_decomposition.blocks[i], block)
-            with pytest.raises(ClassifyError, match="no block"):
-                alone.block(entry.block_count)
+            for cls in entry.classes:
+                if cls.eta_index == 0:
+                    omega = classify._class_vacuum(T, cls)
+                    assert omega.block is blocks[cls.ideal_index]
             checked += 1
     assert checked > 60
 
 
-def test_class_modules_read_their_own_block(monkeypatch):
-    # a class module built from block(i) against one built from the
-    # whole decomposition's block: the same lines, weights and
-    # twisted-module conditions; the first leaves the decomposition
-    # unbuilt, and on the radical builds no projector at all
-    def listed(self, i):
-        return self.block_decomposition.blocks[i]
-
-    def forbidden(*args):
-        raise AssertionError("a class module on the radical computed this")
-
+def test_class_modules_read_their_own_block():
+    # a class module against a memo-free one on a fresh twist: the same
+    # block, lines, weights and twisted-module conditions
     modules = 0
     for lat in _block_lattices():
         for entry in enumerate_simple_twisted(TwistData(lat)).entries:
@@ -1445,20 +1453,11 @@ def test_class_modules_read_their_own_block(monkeypatch):
                 continue
             cls = entry.classes[-1]
             T = TwistData(lat)
-            A = T.presentation.algebra(cls.mu_choice)
-            with monkeypatch.context() as m:
-                # a block of dimension 1 has H = E = the radical
-                if cls.dimension == 1:
-                    m.setattr(classify._GroupScalars, "projector", forbidden)
-                M = instantiate_class(T, cls, trunc=2)
-            assert "block_decomposition" not in A.__dict__
+            M = instantiate_class(T, cls, trunc=2)
             T2 = TwistData(lat)
-            T2.presentation.algebra(cls.mu_choice).block_decomposition
-            with monkeypatch.context() as m:
-                m.setattr(PresentedAlgebraA, "block", listed)
-                # memo-free: instantiate_class would hand back M's
-                # vacuum space, kept for this content
-                M2 = FockModule(T2, classify._class_vacuum(T2, cls), 2)
+            # memo-free: instantiate_class would hand back M's vacuum
+            # space, kept for this content
+            M2 = FockModule(T2, classify._class_vacuum(T2, cls), 2)
             assert M2.omega is not M.omega
             assert M.omega.lines == M2.omega.lines
             assert M.omega.weights == M2.omega.weights

@@ -29,18 +29,19 @@ def test_summary_medians_quartiles_and_wins():
                            (180, 0.2))]
     rows = pairs.summarize(METRICS, list(zip(parent, change)))
     assert [r[0] for r in rows] == ["jobs_per_s", "latency_p50_s", "setup_s"]
-    name, unit, par, chg, pct, better, n = rows[0]
+    name, unit, par, chg, pct, better, n, says = rows[0]
     assert (unit, par, chg) == ("1/s", (110, 120, 130), (150, 160, 170))
     assert round(pct, 6) == round(100 * 40 / 120, 6)
-    assert (better, n) == (4, 5)
+    assert (better, n, says) == (4, 5, "holds")
     # lower is better: the same four pairs win
-    assert rows[1][5:] == (4, 5)
+    assert rows[1][5:7] == (4, 5)
     # ties are not wins
-    assert rows[2][5:] == (2, 4)
+    assert rows[2][5:7] == (2, 4)
     text = pairs.table("classify_stream", rows)
     lines = text.splitlines()
     assert lines[0] == ("| `classify_stream` | `jobs_per_s` | 120 [110, 130] "
-                        "1/s | 160 [150, 170] 1/s (+33.3%) | 4 of 5 |")
+                        "1/s | 160 [150, 170] 1/s (+33.3%) | 4 of 5 | "
+                        "holds |")
     assert lines[2].startswith("|  | `setup_s` | 0.2 [0.2, 0.2] s | ")
 
 
@@ -49,6 +50,37 @@ def test_summary_skips_metrics_no_pair_reports():
                                       {"jobs_per_s": 2.0})])
     assert [(r[0], r[2], r[3], r[5], r[6]) for r in rows] == [
         ("jobs_per_s", (1.0, 1.0, 1.0), (2.0, 2.0, 2.0), 1, 1)]
+
+
+def _verdict(name, parent, change):
+    """The verdict on one metric of paired runs with these values."""
+    (row,) = pairs.summarize(
+        [m for m in METRICS if m["name"] == name],
+        [({name: a}, {name: b}) for a, b in zip(parent, change)])
+    return row[-1]
+
+
+def test_each_verdict():
+    steady = [100 + k for k in range(10)]
+    # gain: better on 10 of 10, medians 20 apart against an IQR of 4.5
+    assert _verdict("jobs_per_s", steady, [x + 20 for x in steady]) == "gain"
+    # 9 of 10 with one tie is a gain; 8 of 10, two ties, is not
+    assert _verdict("jobs_per_s", [100] * 10, [110] * 9 + [100]) == "gain"
+    assert _verdict("jobs_per_s", [100] * 10, [110] * 8 + [100] * 2) == \
+        "holds"
+    # worse: the median 30% below the parent's, past the 20% bound, and
+    # for a lower-is-better metric 30% above, past the 25% bound
+    assert _verdict("jobs_per_s", steady, [0.7 * x for x in steady]) == \
+        "worse"
+    assert _verdict("latency_p50_s", [1.0] * 10, [1.3] * 10) == "worse"
+    # inside the bound, on a steady parent
+    assert _verdict("latency_p50_s", [1.0] * 10, [1.2] * 10) == "holds"
+    # unresolved: the parent's quartiles 10 and 40 about a median of 25,
+    # wider than the 25% bound, and the change no better
+    wide = [10] * 5 + [40] * 5
+    assert _verdict("latency_p50_s", wide, wide) == "unresolved"
+    # every change run below every parent run, short of a gain: holds
+    assert _verdict("latency_p50_s", wide, [9] * 10) == "holds"
 
 
 def _bench(tmp_path):
@@ -76,9 +108,10 @@ def test_a_dropped_run_fails_and_operations_are_summed(
     assert pairs.main(argv) == 1
     out = capsys.readouterr()
     assert "| `classify_stream` | `jobs_per_s` | 10 [10, 10] 1/s | " \
-        "20 [20, 20] 1/s (+100.0%) | 1 of 1 |" in out.out.splitlines()
-    assert out.out.splitlines()[-1] == ("|  | failed / attempted | "
-                                        "2 / 30 (6.67%) | 2 / 40 (5.00%) |  |")
+        "20 [20, 20] 1/s (+100.0%) | 1 of 1 | gain |" in out.out.splitlines()
+    assert out.out.splitlines()[-1] == (
+        "|  | failed / attempted | "
+        "2 / 30 (6.67%) | 2 / 40 (5.00%) |  |  |")
     assert "1 runs dropped" in out.err
     # with every run kept the status is 0
     monkeypatch.setattr(pairs, "run_one", lambda c, w, s, t: run_one(

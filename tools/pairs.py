@@ -9,8 +9,9 @@ change on the second, and so on.  Each run's last standard-output line
 is its JSON result.  At the end it prints, per end-to-end metric of the
 change's BENCHMARK.json, the median [first quartile, third quartile] of
 each side, the change of the medians in percent, and on how many of
-the pairs the change is better, as a Markdown table, and each side's
-failed operations over its attempted ones, summed over the pairs.  Runs
+the pairs the change is better, and a verdict (`verdict`), as a
+Markdown table, and each side's failed operations over its attempted
+ones, summed over the pairs.  Runs
 that are not `correct` or that fail to produce a result are reported on
 standard error and left out of the table, and the exit status is then 1.
 """
@@ -41,12 +42,39 @@ def quartiles(values):
     return q1, med, q3
 
 
+def verdict(metric, both, par, chg, better) -> str:
+    """What the paired runs `both` ((parent, change) values of one
+    metric, a BENCHMARK.json end_to_end entry) show, in order:
+    `gain` when the change is better on at least 9 in 10 pairs (a tie
+    counts for neither side) and its median beats the parent's by more
+    than the parent's interquartile range; `worse` when its median is
+    worse than the parent's by more than the metric's bound;
+    `unresolved` when the parent's interquartile range is wider than
+    the bound, relative to its median, and not every change run beats
+    every parent run; `holds` otherwise."""
+    bound = metric["bound"]
+    # +1 when a larger value is worse
+    sign = 1 if metric["better"] == "lower" else -1
+    (p1, pmed, p3), (_c1, cmed, _c3) = par, chg
+    if 10 * better >= 9 * len(both) and sign * (pmed - cmed) > p3 - p1:
+        return "gain"
+    if sign * (cmed - pmed) > bound * abs(pmed):
+        return "worse"
+    parents, changes = [a for a, _ in both], [b for _, b in both]
+    beats_all = (max(changes) < min(parents) if sign > 0
+                 else min(changes) > max(parents))
+    if p3 - p1 > bound * abs(pmed) and not beats_all:
+        return "unresolved"
+    return "holds"
+
+
 def summarize(metrics, pairs):
     """Rows (name, unit, parent (q1, median, q3), change (q1, median, q3),
     percent change of the medians, pairs where the change is better,
-    pairs) for each metric of `metrics` (BENCHMARK.json's end_to_end
-    entries) that both sides of every pair report.  `pairs` is a list
-    of (parent metrics, change metrics), each a dict name -> value."""
+    pairs, verdict) for each metric of `metrics` (BENCHMARK.json's
+    end_to_end entries) that both sides of every pair report.  `pairs`
+    is a list of (parent metrics, change metrics), each a dict
+    name -> value."""
     rows = []
     for m in metrics:
         name = m["name"]
@@ -59,7 +87,8 @@ def summarize(metrics, pairs):
         par = quartiles([a for a, _ in both])
         chg = quartiles([b for _, b in both])
         pct = 100.0 * (chg[1] - par[1]) / par[1] if par[1] else None
-        rows.append((name, m["unit"], par, chg, pct, better, len(both)))
+        rows.append((name, m["unit"], par, chg, pct, better, len(both),
+                     verdict(m, both, par, chg, better)))
     return rows
 
 
@@ -70,13 +99,13 @@ def _fmt(x):
 def table(workload, rows) -> str:
     """The rows as Markdown, one workload per block of lines."""
     out = []
-    for k, (name, unit, par, chg, pct, better, n) in enumerate(rows):
+    for k, (name, unit, par, chg, pct, better, n, says) in enumerate(rows):
         cells = [f"`{workload}`" if k == 0 else "", f"`{name}`"]
         for q1, med, q3 in (par, chg):
             cells.append(f"{_fmt(med)} [{_fmt(q1)}, {_fmt(q3)}] {unit}")
         if pct is not None:
             cells[-1] += f" ({pct:+.1f}%)"
-        cells.append(f"{better} of {n}")
+        cells += [f"{better} of {n}", says]
         out.append("| " + " | ".join(cells) + " |")
     return "\n".join(out)
 
@@ -90,7 +119,7 @@ def failed_row(pairs) -> str:
         attempted = sum(p[side]["attempted"] for p in pairs)
         share = f" ({100 * failed / attempted:.2f}%)" if attempted else ""
         cells.append(f"{failed} / {attempted}{share}")
-    return f"|  | failed / attempted | {cells[0]} | {cells[1]} |  |"
+    return f"|  | failed / attempted | {cells[0]} | {cells[1]} |  |  |"
 
 
 def run_one(checkout, workload, seed, seconds):
@@ -124,8 +153,9 @@ def main(argv=None) -> int:
     with open(os.path.join(args.change, "BENCHMARK.json"),
               encoding="utf-8") as fh:
         metrics = json.load(fh)["end_to_end"]
-    print("| workload | metric | parent | change | change better |")
-    print("|---|---|---|---|---|")
+    print("| workload | metric | parent | change | change better "
+          "| verdict |")
+    print("|---|---|---|---|---|---|")
     dropped = 0
     for workload in args.workload:
         pairs = []
